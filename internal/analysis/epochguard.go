@@ -354,7 +354,7 @@ func (ea *epochAnalysis) genCompare(be *ast.BinaryExpr) ast.Expr {
 }
 
 // genRead matches `base.gen.Load()` (an atomic.Uint64 field named gen)
-// and `base.generation()` (the genChecked method).
+// and `base.generation()` (chanCore's lock-free read of it).
 func (ea *epochAnalysis) genRead(e ast.Expr) ast.Expr {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {

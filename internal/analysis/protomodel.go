@@ -30,11 +30,9 @@ import (
 //     the backlog and Broadcast (I4, I3).
 //
 // "chanCore family" means a struct with both the `wait()` helper and
-// an `abortErr` field — woChannel and outChannel.  PassiveBuffer is
-// deliberately out of scope: its pipe discipline serves the backlog
-// to readers *after* abort and releases the remainder in
-// OnDeactivate, a different (and correct) protocol the model does not
-// describe.
+// an `abortErr` field — transput's one channel record.  OutPort,
+// WOInPort and PassiveBuffer are all faces over it, so the shapes
+// extracted here are the ones every passive discipline runs.
 //
 // A shape that is present but wrong is reported twice: once as the
 // shape finding, and once as the model violation it causes, with the

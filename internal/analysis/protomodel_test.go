@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"go/token"
 	"path/filepath"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestProtoExtractionRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
 	}
-	pkg := loadRealTransput(t)
+	_, pkg := loadRealTransput(t)
 	sh := extractProtoShapes(pkg)
 
 	if sh.gatePos == 0 {
@@ -32,15 +33,15 @@ func TestProtoExtractionRealTree(t *testing.T) {
 		t.Error("window clamp not extracted")
 	}
 	if len(sh.waitLoops) < 6 {
-		t.Errorf("extracted %d chanCore-family wait loops, want >= 6 (writeonly.go and outport.go)", len(sh.waitLoops))
+		t.Errorf("extracted %d chanCore-family wait loops, want >= 6 (channel.go: put 2, take 1, absorb 2, next 1)", len(sh.waitLoops))
 	}
 	for i, wl := range sh.waitLoops {
 		if !wl.abortAware {
 			t.Errorf("wait loop #%d extracted as not abort-aware; every real channel wait re-checks abortErr", i)
 		}
 	}
-	if len(sh.aborters) < 5 {
-		t.Errorf("extracted %d abort writers, want >= 5 (3 in writeonly.go, 2 in outport.go)", len(sh.aborters))
+	if len(sh.aborters) != 1 {
+		t.Errorf("extracted %d abort writers, want exactly 1 (channel.abortLocked: every teardown path funnels through it)", len(sh.aborters))
 	}
 	for _, ab := range sh.aborters {
 		if !ab.drains || !ab.broadcasts {
@@ -49,7 +50,63 @@ func TestProtoExtractionRealTree(t *testing.T) {
 	}
 }
 
-func loadRealTransput(t *testing.T) *Package {
+// TestProtoExtractionCoversPassiveBuffer proves the buffered discipline
+// is model-checked rather than exempted: the wait loops and the abort
+// writer the model is built from are the very ones PassiveBuffer's
+// Deliver and Transfer faces run, because the buffer is a face over the
+// one chanCore-family record.
+func TestProtoExtractionCoversPassiveBuffer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads the whole module from source")
+	}
+	prog, pkg := loadRealTransput(t)
+	sh := extractProtoShapes(pkg)
+
+	var serve *FuncNode
+	for _, n := range BuildCallGraph(prog).Nodes {
+		if n.Name == "asymstream/internal/transput.*PassiveBuffer.Serve" {
+			serve = n
+		}
+	}
+	if serve == nil {
+		t.Fatal("PassiveBuffer.Serve not in the call graph")
+	}
+	reached := map[*FuncNode]bool{serve: true}
+	for work := []*FuncNode{serve}; len(work) > 0; {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, e := range n.Edges {
+			if !reached[e.Callee] {
+				reached[e.Callee] = true
+				work = append(work, e.Callee)
+			}
+		}
+	}
+	// within names the reached function a position falls in.
+	within := func(pos token.Pos) string {
+		for n := range reached {
+			if b := n.Body(); b != nil && b.Pos() <= pos && pos < b.End() {
+				return n.Name
+			}
+		}
+		return ""
+	}
+	loops := map[string]int{}
+	for _, wl := range sh.waitLoops {
+		loops[within(wl.pos)]++
+	}
+	const rec = "asymstream/internal/transput.*channel."
+	if loops[rec+"absorb"] != 2 || loops[rec+"take"] != 1 {
+		t.Errorf("wait loops reached from PassiveBuffer.Serve: %v; want 2 in absorb (Deliver face) and 1 in take (Transfer face)", loops)
+	}
+	for _, ab := range sh.aborters {
+		if got := within(ab.pos); got != rec+"abortLocked" {
+			t.Errorf("abort writer in %q is not reached from PassiveBuffer.Serve via %sabortLocked", got, rec)
+		}
+	}
+}
+
+func loadRealTransput(t *testing.T) (*Program, *Package) {
 	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -67,7 +124,7 @@ func loadRealTransput(t *testing.T) *Package {
 	if pkg == nil {
 		t.Fatal("transput package not loaded")
 	}
-	return pkg
+	return prog, pkg
 }
 
 // TestProtoModelSelfTest is the seeded-mutant gate at the PR bound.

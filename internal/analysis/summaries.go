@@ -371,7 +371,7 @@ func isCondMethod(info *types.Info, call *ast.CallExpr, name string) bool {
 
 // condVarOf identifies the condition-variable storage behind the
 // receiver of a cond method call: the field or variable object, which
-// is stable across promoted-field access (woChannel.cond and
+// is stable across promoted-field access (channel.cond and
 // chanCore.cond resolve to the same *types.Var).  Returns nil when the
 // receiver is not a simple field/var reference.
 func condVarOf(info *types.Info, call *ast.CallExpr) *types.Var {

@@ -35,7 +35,7 @@ import (
 //       associated mutex never form an edge (Wait releases it).
 //
 // Identity is by storage object (*types.Var), so promoted fields
-// unify: woChannel.cond and outChannel.cond are both chanCore.cond.
+// unify: channel.cond is chanCore.cond.
 // Mutex-held sets are must-hold (intersection at joins), so W3 never
 // reports a path that provably holds the lock.  lockorder remains the
 // authority on lock-lock inversions; W4 deliberately skips pure

@@ -190,6 +190,42 @@ func TestCreateWithUIDConflict(t *testing.T) {
 	}
 }
 
+// TestCreateWithUIDAfterDestroy: a destroyed UID is free again, even
+// while its stripe's read snapshot still holds the dead binding (the
+// stripemap staleness window LoadOrStore must not trust).
+func TestCreateWithUIDAfterDestroy(t *testing.T) {
+	k := newTestKernel(t, Config{})
+	id := k.NewUID()
+	first := &pinger{}
+	if err := k.CreateWithUID(id, first, 0); err != nil {
+		t.Fatal(err)
+	}
+	// One lookup miss on id's stripe promotes its overlay, so the binding
+	// is now served from the immutable snapshot.
+	for miss := k.NewUID(); ; miss = k.NewUID() {
+		if miss.Hash()%bindingStripes != id.Hash()%bindingStripes {
+			continue
+		}
+		if _, err := k.Invoke(uid.Nil, miss, "ping", &pingReq{}); !errors.Is(err, ErrNoSuchEject) {
+			t.Fatalf("unknown UID: %v", err)
+		}
+		break
+	}
+	if err := k.Destroy(id); err != nil {
+		t.Fatal(err)
+	}
+	second := &pinger{}
+	if err := k.CreateWithUID(id, second, 0); err != nil {
+		t.Fatalf("CreateWithUID after Destroy of the same UID: %v", err)
+	}
+	if _, err := k.Invoke(uid.Nil, id, "ping", &pingReq{}); err != nil {
+		t.Fatalf("invoking the re-created Eject: %v", err)
+	}
+	if first.served.Load() != 0 || second.served.Load() != 1 {
+		t.Fatalf("served first=%d second=%d; want the new instance to answer", first.served.Load(), second.served.Load())
+	}
+}
+
 // persistent is a checkpointable Eject: it stores a counter.
 type persistent struct {
 	k    *Kernel

@@ -268,11 +268,6 @@ func (n *Network) Transmit(a, b NodeID, payload any) (any, int64, error) {
 	return out, wireBytes, nil
 }
 
-// wireReleaser is implemented by records whose payload items are
-// refcounted slab views: once the encoded copy is on the wire the
-// sender-side views are dead weight and can go back to their slab.
-type wireReleaser interface{ ReleaseWirePayload() }
-
 // encodeRoundTrip pushes payload through the wire codec and back,
 // charging the encoded frame size — header plus payload, the bytes
 // that would actually cross the Ethernet — as wire bytes.
@@ -290,7 +285,7 @@ func (n *Network) encodeRoundTrip(payload any) (any, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("netsim: decode: %w", err)
 	}
-	if r, ok := payload.(wireReleaser); ok {
+	if r, ok := payload.(wire.PayloadReleaser); ok {
 		r.ReleaseWirePayload()
 	}
 	return decoded, nb, nil

@@ -150,22 +150,27 @@ func (s *stripe[K, V]) dirtyLocked() map[K]V {
 	return s.dirty
 }
 
-// Store sets k to v.
-func (m *Map[K, V]) Store(k K, v V) {
-	s := m.stripeFor(k)
-	s.mu.Lock()
+// storeLocked writes k into the overlay.  Caller holds s.mu.
+func (s *stripe[K, V]) storeLocked(k K, v V) {
 	d := s.dirtyLocked()
 	d[k] = v
 	if _, inRead := s.read.Load().m[k]; inRead {
-		// The snapshot holds the superseded value and would keep
-		// serving it lock-free; promote the overlay immediately so the
-		// overwrite is visible.  Rare in this repo's workloads — UIDs
-		// and capabilities are never rebound to new values — so the
-		// eager promotion costs nothing on the hot paths.
+		// The snapshot holds a superseded (or deleted) value and would
+		// keep serving it lock-free; promote the overlay immediately so
+		// the write is visible.  Rare in this repo's workloads — UIDs
+		// and capabilities are almost never rebound — so the eager
+		// promotion costs nothing on the hot paths.
 		s.read.Store(&snap[K, V]{m: d})
 		s.dirty = nil
 		s.misses = 0
 	}
+}
+
+// Store sets k to v.
+func (m *Map[K, V]) Store(k K, v V) {
+	s := m.stripeFor(k)
+	s.mu.Lock()
+	s.storeLocked(k, v)
 	s.mu.Unlock()
 }
 
@@ -177,16 +182,17 @@ func (m *Map[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 	s := m.stripeFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	r := s.read.Load()
-	if cur, ok := r.m[k]; ok {
+	// When the overlay exists it alone is authoritative: the snapshot may
+	// still hold a key Delete has removed (the staleness contract licenses
+	// a stale Load, not resurrecting the deleted value here).
+	view := s.dirty
+	if view == nil {
+		view = s.read.Load().m
+	}
+	if cur, ok := view[k]; ok {
 		return cur, true
 	}
-	if s.dirty != nil {
-		if cur, ok := s.dirty[k]; ok {
-			return cur, true
-		}
-	}
-	s.dirtyLocked()[k] = v
+	s.storeLocked(k, v)
 	return v, false
 }
 

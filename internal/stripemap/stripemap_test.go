@@ -193,6 +193,30 @@ func BenchmarkCreateStorm(b *testing.B) {
 	}
 }
 
+// TestLoadOrStoreAfterDelete: on an amended stripe the overlay is
+// authoritative, so a deleted key must not come back through the stale
+// snapshot — LoadOrStore stores, and the new value is what Load sees.
+func TestLoadOrStoreAfterDelete(t *testing.T) {
+	m := New[int, string](1, hashInt, nil)
+	m.Store(1, "old")
+	for i := 0; i < 4; i++ { // misses promote the overlay into the snapshot
+		m.Load(2)
+	}
+	if r := m.stripes[0].read.Load(); r.amended || r.m[1] != "old" {
+		t.Fatalf("key not promoted into the snapshot: %+v", r)
+	}
+	m.Delete(1)
+	if v, loaded := m.LoadOrStore(1, "new"); loaded || v != "new" {
+		t.Fatalf("LoadOrStore after Delete = %q, loaded=%v; want the new value stored", v, loaded)
+	}
+	if v, ok := m.Load(1); !ok || v != "new" {
+		t.Fatalf("Load after LoadOrStore = %q, %v; want the new value", v, ok)
+	}
+	if v, loaded := m.LoadOrStore(1, "newer"); !loaded || v != "new" {
+		t.Fatalf("second LoadOrStore = %q, loaded=%v; want the live value", v, loaded)
+	}
+}
+
 // TestOneStripeRace funnels every key onto a single stripe (constant
 // hash) so promotion, slow-path misses, Delete tombstones and Range
 // snapshots interleave on one lock domain — the schedule the race
@@ -212,23 +236,26 @@ func TestOneStripeRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				k := (w + i) % hot
+				// Every value names its key, so a value surfacing under the
+				// wrong key (or out of thin air) is detectable.
+				mine := (w<<20|i)*hot + k
 				switch i % 4 {
 				case 0:
-					m.Store(k, w<<20|i)
+					m.Store(k, mine)
 				case 1:
 					// Misses on amended snapshots drive promotion.
-					if v, ok := m.Load(k); ok && v < 0 {
-						t.Errorf("Load(%d) = %d", k, v)
+					if v, ok := m.Load(k); ok && v%hot != k {
+						t.Errorf("Load(%d) = %d, a value stored under key %d", k, v, v%hot)
 						return
 					}
 				case 2:
 					m.Delete(k)
 				default:
-					if v, loaded := m.LoadOrStore(k, -1); loaded && v == -1 && (v < -1 || v > 1<<30) {
-						t.Errorf("LoadOrStore(%d) = %d", k, v)
+					v, loaded := m.LoadOrStore(k, mine)
+					if v%hot != k || (!loaded && v != mine) {
+						t.Errorf("LoadOrStore(%d, %d) = %d, %v", k, mine, v, loaded)
 						return
 					}
-					m.Delete(k) // don't let sentinel -1 accumulate
 				}
 			}
 		}(w)
@@ -253,10 +280,10 @@ func TestOneStripeRace(t *testing.T) {
 	close(stop)
 	rg.Wait()
 	// Per-key sanity after the storm: every surviving value was
-	// written by some worker (or is the LoadOrStore sentinel).
+	// written by some worker under that key.
 	m.Range(func(k, v int) bool {
-		if k < 0 || k >= hot {
-			t.Errorf("foreign key %d survived", k)
+		if k < 0 || k >= hot || v%hot != k {
+			t.Errorf("foreign entry %d=%d survived", k, v)
 		}
 		return true
 	})

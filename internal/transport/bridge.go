@@ -131,102 +131,6 @@ func decodeRPCReply(b []byte) (any, error) {
 	return r, nil
 }
 
-// coalescer is the shared write side of a bridge connection: frames
-// append under one mutex, and the enqueuer that finds no write in
-// flight claims the connection and drains them with one vectored write
-// per pass (caller-driven, same discipline as SocketNetwork's dir).
-type coalescer struct {
-	conn net.Conn
-
-	mu      sync.Mutex
-	pending net.Buffers
-	owners  []*[]byte
-	writing bool
-	err     error
-
-	once sync.Once
-}
-
-func newCoalescer(conn net.Conn) *coalescer {
-	return &coalescer{conn: conn}
-}
-
-// enqueue frames v and queues it for the next writev, draining the
-// queue itself when no other writer owns the connection.
-func (c *coalescer) enqueue(v any) error {
-	buf := wire.GetBuf()
-	enc, err := wire.Append((*buf)[:0], v)
-	if err != nil {
-		wire.PutBuf(buf)
-		return err
-	}
-	*buf = enc
-	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		wire.PutBuf(buf)
-		return err
-	}
-	c.pending = append(c.pending, enc)
-	c.owners = append(c.owners, buf)
-	claim := !c.writing
-	if claim {
-		c.writing = true
-	}
-	c.mu.Unlock()
-	if claim {
-		c.writeOut()
-	}
-	return nil
-}
-
-func (c *coalescer) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	obs := c.owners
-	c.pending, c.owners = nil, nil
-	c.mu.Unlock()
-	for _, b := range obs {
-		wire.PutBuf(b)
-	}
-}
-
-// writeOut drains the pending queue, one writev per pass; the claim is
-// released under the same lock that proves the queue empty.
-func (c *coalescer) writeOut() {
-	for {
-		c.mu.Lock()
-		bufs := c.pending
-		//vet:ok sendown -- empty-queue exit: len(bufs)==0 under c.mu implies owners is empty too
-		owners := c.owners
-		c.pending, c.owners = nil, nil
-		if len(bufs) == 0 {
-			c.writing = false
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		_, err := bufs.WriteTo(c.conn)
-		for _, b := range owners {
-			wire.PutBuf(b)
-		}
-		if err != nil {
-			c.fail(fmt.Errorf("transport: bridge write: %w", err))
-			return
-		}
-	}
-}
-
-func (c *coalescer) close() {
-	c.once.Do(func() {
-		c.fail(errors.New("transport: bridge closed"))
-		c.conn.Close()
-	})
-}
-
 // Serve accepts bridge connections and dispatches their requests into
 // k as kernel invocations (from uid.Nil, like any external driver).
 // It returns when the listener closes.  Each request runs on its own
@@ -246,7 +150,7 @@ func Serve(ln net.Listener, k *kernel.Kernel) error {
 }
 
 func serveConn(conn net.Conn, k *kernel.Kernel) {
-	out := newCoalescer(conn)
+	out := &coalescer{conn: conn}
 	defer out.close()
 	fr := wire.NewFrameReader(conn, nil, 0)
 	defer fr.Close()
@@ -282,7 +186,7 @@ func serveConn(conn net.Conn, k *kernel.Kernel) {
 					rep.Payload = enc
 				}
 			}
-			_ = out.enqueue(rep)
+			_ = out.send(rep) // fails only once the connection is gone: nobody left to tell
 		}(req)
 	}
 }
@@ -300,36 +204,33 @@ type Peer struct {
 	cerr  error
 }
 
-// Dial connects to a bridge server.  addr is "unix:PATH",
+// splitAddr parses the bridge address notation: "unix:PATH",
 // "tcp:HOST:PORT", or a bare "HOST:PORT" (TCP).
+func splitAddr(addr string) (network, target string) {
+	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
+		return KindUnix, rest
+	}
+	return KindTCP, strings.TrimPrefix(addr, "tcp:")
+}
+
 // Listen opens a listener for addr in the same "unix:PATH",
 // "tcp:HOST:PORT" (or bare "HOST:PORT") notation Dial accepts.
 func Listen(addr string) (net.Listener, error) {
-	network, target := KindTCP, addr
-	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		network, target = KindUnix, rest
-	} else if rest, ok := strings.CutPrefix(addr, "tcp:"); ok {
-		target = rest
-	}
-	ln, err := net.Listen(network, target)
+	ln, err := net.Listen(splitAddr(addr))
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	return ln, nil
 }
 
+// Dial connects to a bridge server.  addr is "unix:PATH",
+// "tcp:HOST:PORT", or a bare "HOST:PORT" (TCP).
 func Dial(addr string) (*Peer, error) {
-	network, target := KindTCP, addr
-	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		network, target = KindUnix, rest
-	} else if rest, ok := strings.CutPrefix(addr, "tcp:"); ok {
-		target = rest
-	}
-	conn, err := net.Dial(network, target)
+	conn, err := net.Dial(splitAddr(addr))
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	p := &Peer{conn: conn, out: newCoalescer(conn), calls: make(map[uint64]chan *rpcReply)}
+	p := &Peer{conn: conn, out: &coalescer{conn: conn}, calls: make(map[uint64]chan *rpcReply)}
 	go p.readLoop()
 	return p, nil
 }
@@ -392,7 +293,7 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	}
 	p.calls[id] = ch
 	p.cmu.Unlock()
-	if err := p.out.enqueue(&rpcRequest{ID: id, Target: target, Op: op, Payload: nested}); err != nil {
+	if err := p.out.send(&rpcRequest{ID: id, Target: target, Op: op, Payload: nested}); err != nil {
 		p.cmu.Lock()
 		delete(p.calls, id)
 		p.cmu.Unlock()

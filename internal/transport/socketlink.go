@@ -4,17 +4,10 @@
 // TCP loopback — so the reproduction's invocation machinery, credit
 // protocol and slab data plane run unmodified over an actual wire.
 //
-// The perf core is syscall amortization.  Every (from, to) node
-// direction has a write coalescer: Transmit encodes its payload into a
-// pooled frame and appends it to the direction's pending net.Buffers
-// under one mutex.  The writer is caller-driven: the Transmit that
-// finds no write in flight claims the connection and drains the whole
-// queue with one vectored write (writev); Transmits that arrive while
-// a writev is on the wire just append, and the incumbent writer's next
-// pass carries them all.  N concurrent Transmits — many multiplexed
-// channels, windowed invocations in flight — cost one syscall, not N,
-// and the serial path pays no scheduler handoff between the sender and
-// the syscall.  The read side is a
+// The perf core is syscall amortization: every (from, to) node
+// direction has a caller-driven write coalescer (coalescer.go), so N
+// concurrent Transmits — many multiplexed channels, windowed
+// invocations in flight — cost one writev, not N.  The read side is a
 // wire.FrameReader: bytes land in a slab chunk, frames are decoded in
 // place, and item payloads are handed to ports as ownership-transferred
 // sub-views without an intermediate copy, which is how WireBytesSaved
@@ -52,10 +45,6 @@ const (
 // ErrLinkClosed is returned by Transmit after Close.
 var ErrLinkClosed = errors.New("transport: link closed")
 
-// wireReleaser mirrors netsim's: records whose items are slab views
-// hand them back once the encoded frame owns the bytes.
-type wireReleaser interface{ ReleaseWirePayload() }
-
 // xfer is one in-flight Transmit: enqueued with its frame, completed
 // by the receiving direction's read loop, in wire order.
 type xfer struct {
@@ -71,77 +60,14 @@ var xferPool = sync.Pool{New: func() any {
 	return &xfer{done: make(chan xres, 1)}
 }}
 
-// dir is one direction of one node pair: frames written on wconn by
-// the sender side are read back on rconn by the receiver side (both
-// ends live in this process).  waiters is the completion FIFO — the
-// enqueue appends the frame and the waiter in one critical section and
-// the socket preserves order, so the k-th decoded frame completes the
-// k-th waiter.
+// dir is one direction of one node pair: frames the sender side
+// enqueues on the coalescer (whose conn is the write end) are read back
+// on rconn by the receiver side (both ends live in this process), and
+// each decoded frame completes the coalescer's oldest waiter.
 type dir struct {
-	wconn net.Conn
-	rconn net.Conn
-
-	mu      sync.Mutex
-	pending net.Buffers
-	owners  []*[]byte // pooled buffers backing pending, same order
-	waiters []*xfer
-	writing bool // a caller owns wconn and is draining pending
-	err     error
-
+	coalescer
+	rconn    net.Conn
 	readSlab *wire.Slab
-}
-
-// fail marks the direction dead and drains every queued frame and
-// waiter.  Idempotent; only the first error sticks.
-func (d *dir) fail(err error) {
-	d.mu.Lock()
-	if d.err == nil {
-		d.err = err
-	} else {
-		err = d.err
-	}
-	ws := d.waiters
-	obs := d.owners
-	d.waiters, d.owners, d.pending = nil, nil, nil
-	d.mu.Unlock()
-	for _, b := range obs {
-		wire.PutBuf(b)
-	}
-	for _, x := range ws {
-		x.done <- xres{err: err}
-	}
-}
-
-// writeOut is the coalescer's consumer, run by whichever Transmit
-// claimed d.writing: each pass swaps out whatever frames accumulated
-// and writes them with one vectored write.  While a writev is on the
-// wire, new Transmits keep appending — the next pass carries them all,
-// which is exactly the syscall amortization the batching benchmarks
-// measure.  The claim is released under the same lock that proves the
-// queue empty, so a frame enqueued after the release always finds
-// writing == false and becomes the writer itself.
-func (d *dir) writeOut() {
-	for {
-		d.mu.Lock()
-		bufs := d.pending
-		//vet:ok sendown -- empty-queue exit: len(bufs)==0 under d.mu implies owners is empty too
-		owners := d.owners
-		d.pending, d.owners = nil, nil
-		if len(bufs) == 0 {
-			d.writing = false
-			d.mu.Unlock()
-			return
-		}
-		d.mu.Unlock()
-		_, err := bufs.WriteTo(d.wconn)
-		for _, b := range owners {
-			wire.PutBuf(b)
-		}
-		if err != nil {
-			d.fail(fmt.Errorf("transport: write: %w", err))
-			return
-		}
-	}
 }
 
 // readLoop re-assembles and decodes frames off the socket and
@@ -185,7 +111,6 @@ type SocketNetwork struct {
 	kind   string
 	nodes  int
 	dirs   []*dir // [from*nodes+to]; nil on the diagonal
-	conns  []net.Conn
 	tmpdir string
 
 	metp      atomic.Pointer[metrics.Set]
@@ -214,9 +139,8 @@ func NewSocketNetwork(kind string, nodes int) (*SocketNetwork, error) {
 				_ = s.Close()
 				return nil, err
 			}
-			s.conns = append(s.conns, ca, cb)
-			ab := &dir{wconn: ca, rconn: cb}
-			ba := &dir{wconn: cb, rconn: ca}
+			ab := &dir{coalescer: coalescer{conn: ca}, rconn: cb}
+			ba := &dir{coalescer: coalescer{conn: cb}, rconn: ca}
 			s.dirs[a*nodes+b] = ab
 			s.dirs[b*nodes+a] = ba
 		}
@@ -227,25 +151,18 @@ func NewSocketNetwork(kind string, nodes int) (*SocketNetwork, error) {
 // socketPair returns the two ends of one established connection
 // between nodes a and b.
 func (s *SocketNetwork) socketPair(a, b int) (net.Conn, net.Conn, error) {
-	var (
-		ln      net.Listener
-		network string
-		err     error
-	)
-	switch s.kind {
-	case KindUnix:
+	// The kinds are the net package's network names.
+	addr := "127.0.0.1:0"
+	if s.kind == KindUnix {
 		if s.tmpdir == "" {
-			s.tmpdir, err = os.MkdirTemp("", "asymstream-uds-")
-			if err != nil {
+			var err error
+			if s.tmpdir, err = os.MkdirTemp("", "asymstream-uds-"); err != nil {
 				return nil, nil, fmt.Errorf("transport: %w", err)
 			}
 		}
-		network = "unix"
-		ln, err = net.Listen(network, filepath.Join(s.tmpdir, fmt.Sprintf("n%d-n%d.sock", a, b)))
-	case KindTCP:
-		network = "tcp"
-		ln, err = net.Listen(network, "127.0.0.1:0")
+		addr = filepath.Join(s.tmpdir, fmt.Sprintf("n%d-n%d.sock", a, b))
 	}
+	ln, err := net.Listen(s.kind, addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: listen %s: %w", s.kind, err)
 	}
@@ -255,9 +172,8 @@ func (s *SocketNetwork) socketPair(a, b int) (net.Conn, net.Conn, error) {
 		err error
 	}
 	ch := make(chan dialRes, 1)
-	addr := ln.Addr().String()
 	go func() {
-		c, err := net.Dial(network, addr)
+		c, err := net.Dial(s.kind, ln.Addr().String())
 		ch <- dialRes{c, err}
 	}()
 	ac, aerr := ln.Accept()
@@ -320,37 +236,19 @@ func (s *SocketNetwork) Transmit(a, b netsim.NodeID, payload any) (any, int64, e
 	s.startOnce.Do(s.start)
 	d := s.dirs[int(a)*s.nodes+int(b)]
 
-	buf := wire.GetBuf()
-	enc, err := wire.Append((*buf)[:0], payload)
+	buf, err := encodeFrame(payload)
 	if err != nil {
-		wire.PutBuf(buf)
-		return nil, 0, fmt.Errorf("transport: encode: %w", err)
-	}
-	*buf = enc
-	if r, ok := payload.(wireReleaser); ok {
-		r.ReleaseWirePayload()
-	}
-	nb := int64(len(enc))
-
-	x := xferPool.Get().(*xfer)
-	d.mu.Lock()
-	if d.err != nil {
-		err := d.err
-		d.mu.Unlock()
-		wire.PutBuf(buf)
-		xferPool.Put(x)
 		return nil, 0, err
 	}
-	d.waiters = append(d.waiters, x)
-	d.pending = append(d.pending, enc)
-	d.owners = append(d.owners, buf)
-	claim := !d.writing
-	if claim {
-		d.writing = true
+	if r, ok := payload.(wire.PayloadReleaser); ok {
+		r.ReleaseWirePayload()
 	}
-	d.mu.Unlock()
-	if claim {
-		d.writeOut()
+	nb := int64(len(*buf))
+
+	x := xferPool.Get().(*xfer)
+	if err := d.enqueue(buf, x); err != nil {
+		xferPool.Put(x)
+		return nil, 0, err
 	}
 
 	res := <-x.done
@@ -371,9 +269,9 @@ func (s *SocketNetwork) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	for _, c := range s.conns {
-		if c != nil {
-			c.Close()
+	for _, d := range s.dirs {
+		if d != nil {
+			d.conn.Close() // each socket end is exactly one direction's write side
 		}
 	}
 	s.wg.Wait()

@@ -142,6 +142,11 @@ func TestTransferHopAllocs(t *testing.T) {
 	for i := 0; i < allocWarmup; i++ {
 		hop()
 	}
+	// AllocsPerRun counts process-wide mallocs.  A source starved of CPU
+	// during the warm-up would still be filling its buffer, one malloc per
+	// item, while the hops are measured; wait until it has parked on the
+	// full buffer, after which each hop wakes it for exactly one Put.
+	eventually(t, "the source has filled its anticipation buffer", func() bool { return st.Out().Buffered() >= 1024 })
 	const ceiling = 6
 	if n := testing.AllocsPerRun(200, hop); n > ceiling {
 		t.Errorf("warm Transfer hop: %.1f allocs/op, ceiling %d", n, ceiling)
@@ -186,19 +191,28 @@ func TestDeliverHopAllocs(t *testing.T) {
 func TestWindowedTransferHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
-	st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: 1024},
+	// AllocsPerRun counts process-wide mallocs, so the producer must be
+	// quiet while it runs: the source fills an anticipation buffer holding
+	// every item the test will pull (plus what the window reads ahead)
+	// and its body returns before the first hop.
+	const total = allocWarmup + 1 + 200 + 64
+	st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: total},
 		func(_ []ItemReader, outs []ItemWriter) error {
-			for {
+			for i := 0; i < total; i++ {
 				if err := outs[0].Put([]byte("sixteen-byte-pay")); err != nil {
-					return nil
+					return err
 				}
 			}
+			return nil
 		})
 	id := k.NewUID()
 	if err := k.CreateWithUID(id, st, 0); err != nil {
 		t.Fatal(err)
 	}
 	st.Start()
+	if err := st.Err(); err != nil { // waits for the body to finish
+		t.Fatal(err)
+	}
 	in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 1, Window: 4})
 	defer in.Cancel("alloc test done")
 	hop := func() {

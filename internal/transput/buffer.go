@@ -2,7 +2,6 @@ package transput
 
 import (
 	"fmt"
-	"sync"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/metrics"
@@ -22,27 +21,15 @@ import (
 // invocation overhead the read-only discipline eliminates.  It also
 // reappears in the paper's §5 as the pragmatic fix for secondary
 // streams under a single-pair discipline.
+//
+// It is one channel record (channel.go) with both served faces: Deliver
+// fills it as on a WOInPort, Transfer drains it as on an OutPort, and
+// abort follows the passive-input rule.
 type PassiveBuffer struct {
-	name     string
-	met      *metrics.Set
-	capacity int
-
-	mu   sync.Mutex
-	cond *sync.Cond
-
-	buf          [][]byte
-	expectedEnds int
-	ends         int
-	abortErr     *AbortedError
-
-	// seq orders concurrent deliveries from windowed writers (see
-	// woChannel.seq); itemsOut stamps TransferReply.Base so windowed
-	// readers can reassemble batches in stream order.
-	seq      seqGate
-	itemsOut int64
-
-	deliversServed  int64
-	transfersServed int64
+	name string
+	met  *metrics.Set
+	ch   *channel
+	gen  uint64
 }
 
 // PassiveBufferConfig parameterises a PassiveBuffer.
@@ -59,193 +46,84 @@ type PassiveBufferConfig struct {
 // NewPassiveBuffer creates a passive buffer Eject.  k may be nil in
 // unit tests (metering is then dropped).
 func NewPassiveBuffer(k *kernel.Kernel, cfg PassiveBufferConfig) *PassiveBuffer {
-	capacity := cfg.Capacity
-	switch {
-	case capacity < 0:
-		capacity = 1
-	case capacity == 0:
-		capacity = DefaultCapacity
-	}
-	writers := cfg.Writers
-	if writers < 1 {
-		writers = 1
-	}
-	var met *metrics.Set
+	met := &metrics.Set{}
 	if k != nil {
 		met = k.Metrics()
-	} else {
-		met = &metrics.Set{}
 	}
-	b := &PassiveBuffer{
-		name:         cfg.Name,
-		met:          met,
-		capacity:     capacity,
-		expectedEnds: writers,
-	}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	ch := acquireChannel(met, cfg.Name, Chan(0), inputCapacity(cfg.Capacity), cfg.Writers)
+	return &PassiveBuffer{name: cfg.Name, met: met, ch: ch, gen: ch.generation()}
 }
 
 // EdenType implements kernel.Eject.
 func (b *PassiveBuffer) EdenType() string { return "transput.PassiveBuffer" }
 
-func (b *PassiveBuffer) endedLocked() bool { return b.ends >= b.expectedEnds }
+// errDeactivated is what a deactivated buffer answers.  Shared:
+// AbortedError is immutable once published.
+var errDeactivated = &AbortedError{Msg: "buffer deactivated"}
 
 // Serve implements kernel.Eject, answering both stream directions on
-// channel 0 (a pipe has exactly one stream).
+// channel 0 (a pipe has exactly one stream).  A nil reply from the
+// record means OnDeactivate already retired it.
 func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 	switch inv.Op {
 	case OpDeliver:
-		b.serveDeliver(inv)
+		req, ok := inv.Payload.(*DeliverRequest)
+		if !ok {
+			break
+		}
+		b.met.DeliverInvocations.Inc()
+		rep := b.ch.absorb(b.gen, req)
+		if rep == nil {
+			wire.ReleaseAll(req.Items) // never absorbed
+			rep = &DeliverReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
+		}
+		inv.Reply(rep)
+		return
 	case OpTransfer:
-		b.serveTransfer(inv)
+		req, ok := inv.Payload.(*TransferRequest)
+		if !ok {
+			break
+		}
+		b.met.TransferInvocations.Inc()
+		rep := b.ch.take(b.gen, req.Max)
+		if rep == nil {
+			rep = &TransferReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
+		}
+		inv.Reply(rep)
+		return
+	case OpAbort:
+		req, ok := inv.Payload.(*AbortRequest)
+		if !ok {
+			break
+		}
+		b.ch.abort(&AbortedError{Msg: req.Msg}, b.gen, true)
+		inv.Reply(&AbortReply{})
+		return
 	case OpChannels:
 		inv.Reply(&ChannelsReply{Channels: []ChannelAdvert{
 			{Name: "Input", ID: Chan(0), Dir: "in"},
 			{Name: "Output", ID: Chan(0), Dir: "out"},
 		}})
-	case OpAbort:
-		req, ok := inv.Payload.(*AbortRequest)
-		if !ok {
-			inv.Fail(kernel.ErrNoSuchOperation)
-			return
-		}
-		b.mu.Lock()
-		if b.abortErr == nil {
-			b.abortErr = &AbortedError{Msg: req.Msg}
-		}
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		inv.Reply(&AbortReply{})
-	default:
-		inv.Fail(fmt.Errorf("%w: %q on passive buffer %q", kernel.ErrNoSuchOperation, inv.Op, b.name))
+		return
 	}
+	inv.Fail(fmt.Errorf("%w: %q on passive buffer %q", kernel.ErrNoSuchOperation, inv.Op, b.name))
 }
 
-func (b *PassiveBuffer) serveDeliver(inv *kernel.Invocation) {
-	req, ok := inv.Payload.(*DeliverRequest)
-	if !ok {
-		inv.Fail(kernel.ErrNoSuchOperation)
-		return
-	}
-	b.met.DeliverInvocations.Inc()
-	b.mu.Lock()
-	if !req.Writer.IsNil() {
-		for b.seq.expected(req.Writer) != req.Seq && b.abortErr == nil {
-			b.cond.Wait()
-		}
-	}
-	// Absorb the item references themselves (zero-copy; see
-	// WOInPort.ServeDeliver for the ownership argument).
-	absorbed := 0
-	var saved int64
-	for _, item := range req.Items {
-		for len(b.buf) >= b.capacity && b.abortErr == nil {
-			b.cond.Wait()
-		}
-		if b.abortErr != nil {
-			break
-		}
-		b.buf = append(b.buf, item)
-		absorbed++
-		saved += int64(len(item))
-		b.cond.Broadcast()
-	}
-	b.met.WireBytesSaved.Add(saved)
-	if b.abortErr != nil {
-		msg := b.abortErr.Msg
-		b.mu.Unlock()
-		wire.ReleaseAll(req.Items[absorbed:]) // never absorbed; dies here
-		inv.Reply(&DeliverReply{Status: StatusAborted, AbortMsg: msg})
-		return
-	}
-	if req.End {
-		b.ends++
-		b.cond.Broadcast()
-	}
-	if !req.Writer.IsNil() {
-		if req.End {
-			b.seq.drop(req.Writer)
-		} else {
-			b.seq.advance(req.Writer, req.Seq+1)
-		}
-		b.cond.Broadcast()
-	}
-	b.deliversServed++
-	credits := b.capacity - len(b.buf)
-	if credits < 0 {
-		credits = 0
-	}
-	b.mu.Unlock()
-	b.met.ItemsMoved.Add(int64(len(req.Items)))
-	inv.Reply(&DeliverReply{Status: StatusOK, Credits: credits})
-}
-
-func (b *PassiveBuffer) serveTransfer(inv *kernel.Invocation) {
-	req, ok := inv.Payload.(*TransferRequest)
-	if !ok {
-		inv.Fail(kernel.ErrNoSuchOperation)
-		return
-	}
-	b.met.TransferInvocations.Inc()
-	max := req.Max
-	if max <= 0 {
-		max = 1
-	}
-	b.mu.Lock()
-	for len(b.buf) == 0 && !b.endedLocked() && b.abortErr == nil {
-		b.cond.Wait()
-	}
-	if b.abortErr != nil && len(b.buf) == 0 {
-		msg := b.abortErr.Msg
-		b.mu.Unlock()
-		inv.Reply(&TransferReply{Status: StatusAborted, AbortMsg: msg})
-		return
-	}
-	n := len(b.buf)
-	if n > max {
-		n = max
-	}
-	items := make([][]byte, n)
-	copy(items, b.buf[:n])
-	rest := b.buf[n:]
-	for i := range b.buf[:n] {
-		b.buf[i] = nil
-	}
-	b.buf = append(b.buf[:0], rest...)
-	status := StatusOK
-	if b.endedLocked() && len(b.buf) == 0 {
-		status = StatusEnd
-	}
-	b.transfersServed++
-	base := b.itemsOut
-	b.itemsOut += int64(n)
-	b.cond.Broadcast()
-	b.mu.Unlock()
-	b.met.ItemsMoved.Add(int64(n))
-	inv.Reply(&TransferReply{Items: items, Status: status, Base: base})
-}
-
-// OnDeactivate aborts the buffer, releasing parked workers.  The Eject
-// is going away, so the backlog is unreachable: drop it, releasing any
-// slab views among the items.
+// OnDeactivate retires the buffer's record, releasing parked workers.
+// The Eject is going away, so the backlog is unreachable: it is
+// dropped, releasing any slab views among the items.
 func (b *PassiveBuffer) OnDeactivate() {
-	b.mu.Lock()
-	if b.abortErr == nil {
-		b.abortErr = &AbortedError{Msg: "buffer deactivated"}
+	if _, ok := b.ch.retire(errDeactivated, b.gen); ok {
+		b.ch.release()
 	}
-	wire.ReleaseAll(b.buf)
-	for i := range b.buf {
-		b.buf[i] = nil
-	}
-	b.buf = b.buf[:0]
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // Buffered reports the items currently queued.
 func (b *PassiveBuffer) Buffered() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.buf)
+	b.ch.mu.Lock()
+	defer b.ch.mu.Unlock()
+	if b.ch.gen.Load() != b.gen {
+		return 0
+	}
+	return b.ch.buffered()
 }

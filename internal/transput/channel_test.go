@@ -1,0 +1,359 @@
+package transput
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+	"unsafe"
+
+	"asymstream/internal/kernel"
+	"asymstream/internal/uid"
+	"asymstream/internal/wire"
+)
+
+// Tests for the one channel record (channel.go) through its three
+// faces.
+
+// TestChannelRecordSize pins the idle record to the 256-byte size
+// class: a gateway holds 10⁵–10⁶ of them, so a field that pushes the
+// record into the next class is a heap regression, not a detail.
+func TestChannelRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(channel{}); n > 256 {
+		t.Fatalf("unsafe.Sizeof(channel{}) = %d B, want <= 256", n)
+	}
+}
+
+// portEject exposes a bare passive port (or anything with its Serve
+// shape) to the kernel, so tests drive Transfer/Deliver/Abort
+// invocations against the record with no stage body in the way.
+type portEject struct {
+	serve func(*kernel.Invocation) bool
+}
+
+func (portEject) EdenType() string { return "test-port" }
+func (e portEject) Serve(inv *kernel.Invocation) {
+	if !e.serve(inv) {
+		inv.Fail(kernel.ErrNoSuchOperation)
+	}
+}
+
+var passiveFaces = []string{"OutPort", "WOInPort", "PassiveBuffer"}
+
+// TestPassiveBufferAgainstFIFOModel drives the record with a random
+// schedule and compares against a plain FIFO model — the same schedule
+// per seed through each face: put→take (OutPort, capacity 0 included),
+// absorb→next (WOInPort) and absorb→take (PassiveBuffer).  The passive
+// input faces take one or two writers, stop-and-wait or windowed (two
+// windowed writers exercise the sequence gate); fan-in merges
+// indistinguishably, so the model is FIFO per writer.
+func TestPassiveBufferAgainstFIFOModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			for _, face := range passiveFaces {
+				t.Run(face, func(t *testing.T) { faceAgainstFIFOModel(t, face, seed) })
+			}
+		})
+	}
+}
+
+func faceAgainstFIFOModel(t *testing.T, face string, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	k := testKernel(t)
+	capacity := rng.Intn(9) // 0 is rendezvous on passive output, 1 on passive input
+	if capacity == 0 {
+		capacity = -1
+	}
+	nWriters := 1
+	if face != "OutPort" {
+		nWriters += rng.Intn(2)
+	}
+	windowed := seed%2 == 0 // even seeds: every writer holds a send window
+	model := make([][][]byte, nWriters)
+	for w := range model {
+		for i, n := 0, rng.Intn(200)+1; i < n; i++ {
+			item := make([]byte, 1+rng.Intn(16))
+			rng.Read(item)
+			item[0] = byte(w)
+			model[w] = append(model[w], item)
+		}
+	}
+	pushBatch, pushWindow := rng.Intn(5)+1, rng.Intn(3)+2
+	pull := InPortConfig{Batch: rng.Intn(7) + 1, Window: rng.Intn(4) + 1}
+
+	// Wire the face: writers[w] fills the record, reader drains it.
+	id := k.NewUID()
+	writers := make([]ItemWriter, nWriters)
+	var reader ItemReader
+	var eject kernel.Eject
+	switch face {
+	case "OutPort":
+		port := NewOutPort(k, OutPortConfig{})
+		writers[0] = port.Declare("model", 0, capacity)
+		eject = portEject{port.Serve}
+	case "WOInPort":
+		port := NewWOInPort(k, WOInPortConfig{})
+		reader = port.Declare("model", 0, capacity, nWriters)
+		eject = portEject{port.Serve}
+	case "PassiveBuffer":
+		eject = NewPassiveBuffer(k, PassiveBufferConfig{Name: "model", Capacity: capacity, Writers: nWriters})
+	}
+	if err := k.CreateWithUID(id, eject, 0); err != nil {
+		t.Fatal(err)
+	}
+	if reader == nil {
+		reader = NewInPort(k, uid.Nil, id, Chan(0), pull)
+	}
+	for w := range writers {
+		switch {
+		case writers[w] != nil: // local put
+		case windowed:
+			writers[w] = NewWOOutPort(k, uid.Nil, id, Chan(0), WOOutPortConfig{Batch: pushBatch, Window: pushWindow})
+		default:
+			writers[w] = NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: pushBatch})
+		}
+	}
+
+	for w, out := range writers {
+		go func() {
+			for _, item := range model[w] {
+				if err := out.Put(item); err != nil {
+					return
+				}
+			}
+			_ = out.Close()
+		}()
+	}
+	got := make([][][]byte, nWriters)
+	for {
+		item, err := reader.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(item) == 0 || int(item[0]) >= nWriters {
+			t.Fatalf("cap=%d: item %x names no writer", capacity, item)
+		}
+		got[item[0]] = append(got[item[0]], item)
+	}
+	for w := range model {
+		if len(got[w]) != len(model[w]) {
+			t.Fatalf("cap=%d writer %d: got %d items, want %d", capacity, w, len(got[w]), len(model[w]))
+		}
+		for i := range model[w] {
+			if !bytes.Equal(got[w][i], model[w][i]) {
+				t.Fatalf("cap=%d writer %d: item %d differs", capacity, w, i)
+			}
+		}
+	}
+}
+
+// TestChannelTeardown is the one table for the one abort: every face ×
+// every way a channel can be torn down, each starting from a backlog
+// of slab views filling the buffer and one worker parked on it (a
+// local PutOwned on passive output, a served Deliver on passive
+// input).  Whatever the path, the parked worker wakes with the abort,
+// every view — backlog and the parked worker's own — goes back to the
+// slab, nobody is left waiting in the record, and once retired the
+// record is fit for the pool: its next life starts clean.
+func TestChannelTeardown(t *testing.T) {
+	const backlog = 4
+	abort := func(all bool) func(*teardownRig) {
+		return func(r *teardownRig) {
+			req := &AbortRequest{Channel: Chan(0), Msg: "teardown", All: all}
+			if _, err := r.k.Invoke(uid.Nil, r.id, OpAbort, req); err != nil {
+				r.t.Fatal(err)
+			}
+		}
+	}
+	paths := []struct {
+		name  string
+		faces string // which faces have this path
+		run   func(*teardownRig)
+	}{
+		{"OpAbort", "OutPort WOInPort PassiveBuffer", abort(false)},
+		{"OpAbortAll", "OutPort WOInPort PassiveBuffer", abort(true)},
+		{"CloseWithError", "OutPort", func(r *teardownRig) {
+			_ = r.writer.CloseWithError(errors.New("teardown"))
+		}},
+		{"Cancel", "WOInPort", func(r *teardownRig) { r.reader.Cancel("teardown") }},
+		{"Retire", "OutPort WOInPort", func(r *teardownRig) {
+			if !r.retire() {
+				r.t.Fatal("Retire found the channel already gone")
+			}
+		}},
+		{"OnDeactivate", "PassiveBuffer", func(r *teardownRig) {
+			if err := r.k.Deactivate(r.id); err != nil {
+				r.t.Fatal(err)
+			}
+		}},
+	}
+	for _, face := range passiveFaces {
+		for _, path := range paths {
+			if !strings.Contains(path.faces, face) {
+				continue
+			}
+			t.Run(face+"/"+path.name, func(t *testing.T) {
+				r := newTeardownRig(t, face, backlog)
+				path.run(r)
+
+				select {
+				case err := <-r.parked:
+					if !errors.Is(err, ErrAborted) {
+						t.Fatalf("parked worker woke with %v, want ErrAborted", err)
+					}
+				case <-time.After(2 * time.Second):
+					t.Fatal("parked worker never woke")
+				}
+				met := r.k.Metrics()
+				if ret, rel := met.SlabRetained.Value(), met.SlabReleased.Value(); ret != rel {
+					t.Errorf("slab views retained=%d released=%d after teardown", ret, rel)
+				}
+				if n := r.slab.Close(); n != 0 || met.SlabLeaked.Value() != 0 {
+					t.Errorf("slab leak audit: %d stranded views (SlabLeaked=%d)", n, met.SlabLeaked.Value())
+				}
+				// The surviving side sees the abort too (a retired or
+				// deactivated channel is simply gone).
+				switch {
+				case path.name == "Retire" || path.name == "OnDeactivate":
+				case face == "WOInPort":
+					if _, err := r.reader.Next(); !errors.Is(err, ErrAborted) {
+						t.Errorf("reader after abort: %v, want ErrAborted", err)
+					}
+				default:
+					in := NewInPort(r.k, uid.Nil, r.id, Chan(0), InPortConfig{})
+					if _, err := in.Next(); !errors.Is(err, ErrAborted) {
+						t.Errorf("Transfer after abort: %v, want ErrAborted", err)
+					}
+				}
+				if face != "OutPort" && path.name != "OnDeactivate" {
+					want := ErrAborted
+					if path.name == "Retire" {
+						want = ErrNoSuchChannel
+					}
+					p := NewPusher(r.k, uid.Nil, r.id, Chan(0), PusherConfig{})
+					if err := p.Put([]byte("late")); !errors.Is(err, want) {
+						t.Errorf("Deliver after teardown: %v, want %v", err, want)
+					}
+				}
+
+				// Retire whatever the path left standing, then inspect the
+				// record: stale to every old handle, nobody parked, empty.
+				r.retire()
+				c := r.ch
+				c.mu.Lock()
+				stale, waiters, buffered := c.gen.Load() != r.gen, c.waiters, c.buffered()
+				c.mu.Unlock()
+				if !stale || waiters != 0 || buffered != 0 {
+					t.Fatalf("retired record: stale=%v waiters=%d buffered=%d; want true, 0, 0", stale, waiters, buffered)
+				}
+				// If the pool hands the record straight back (it may not:
+				// sync.Pool is lossy), its next life must start clean.
+				w := NewOutPort(nil, OutPortConfig{}).Declare("next", 0, 2)
+				if w.ch == c {
+					if err := w.Put([]byte("fresh")); err != nil {
+						t.Fatalf("reused record refused its first Put: %v", err)
+					}
+					if rep := w.ch.take(w.gen, 4); rep == nil || rep.Status != StatusOK || len(rep.Items) != 1 || rep.Base != 0 {
+						t.Fatalf("reused record's first Transfer: %+v", rep)
+					}
+				}
+			})
+		}
+	}
+}
+
+// teardownRig is one face holding a full backlog of slab views with one
+// worker parked on it.
+type teardownRig struct {
+	t    *testing.T
+	k    *kernel.Kernel
+	id   uid.UID
+	slab *wire.Slab
+
+	ch     *channel
+	gen    uint64
+	writer *ChannelWriter // OutPort face
+	reader *ChannelReader // WOInPort face
+	retire func() bool
+
+	parked chan error // the parked worker's outcome
+}
+
+func newTeardownRig(t *testing.T, face string, backlog int) *teardownRig {
+	k := testKernel(t)
+	r := &teardownRig{t: t, k: k, id: k.NewUID(), parked: make(chan error, 1)}
+	r.slab = wire.NewSlab(k.Metrics(), 1<<14)
+	view := func(i int) []byte {
+		v := r.slab.Alloc(8)
+		copy(v, fmt.Sprintf("item-%02d", i))
+		return v
+	}
+	var eject kernel.Eject
+	switch face {
+	case "OutPort":
+		port := NewOutPort(k, OutPortConfig{})
+		r.writer = port.Declare("c", 0, backlog)
+		r.ch, r.gen = r.writer.ch, r.writer.gen
+		r.retire = func() bool { return port.Retire(r.writer) }
+		eject = portEject{port.Serve}
+	case "WOInPort":
+		port := NewWOInPort(k, WOInPortConfig{})
+		r.reader = port.Declare("c", 0, backlog, 1)
+		r.ch, r.gen = r.reader.ch, r.reader.gen
+		r.retire = func() bool { return port.Retire(r.reader) }
+		eject = portEject{port.Serve}
+	case "PassiveBuffer":
+		b := NewPassiveBuffer(k, PassiveBufferConfig{Name: "c", Capacity: backlog})
+		r.ch, r.gen = b.ch, b.gen
+		r.retire = func() bool { b.OnDeactivate(); return true }
+		eject = b
+	}
+	if err := k.CreateWithUID(r.id, eject, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	deliver := func(items ...[]byte) error {
+		res, err := k.Invoke(uid.Nil, r.id, OpDeliver, &DeliverRequest{Channel: Chan(0), Items: items})
+		if err != nil {
+			return err
+		}
+		if rep := res.(*DeliverReply); rep.Status != StatusOK {
+			return statusErr(rep.Status, rep.AbortMsg)
+		}
+		return nil
+	}
+	fill := make([][]byte, backlog)
+	for i := range fill {
+		fill[i] = view(i)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	if face == "OutPort" {
+		for _, v := range fill {
+			if err := r.writer.PutOwned(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		go func() { wg.Done(); r.parked <- r.writer.PutOwned(view(backlog)) }()
+	} else {
+		if err := deliver(fill...); err != nil {
+			t.Fatal(err)
+		}
+		go func() { wg.Done(); r.parked <- deliver(view(backlog)) }()
+	}
+	wg.Wait()
+	eventually(t, "the extra worker is parked in the record", func() bool {
+		r.ch.mu.Lock()
+		defer r.ch.mu.Unlock()
+		return r.ch.waiters == 1
+	})
+	return r
+}

@@ -10,28 +10,19 @@ import (
 )
 
 // This file is the transput half of the million-channel control plane:
-// the striped channel table the ports look channels up in, the
-// capability-check cache in front of it, the pooled generation-checked
-// channel core every channel record embeds, and the alloc-free
-// writer-sequence gate.  The kernel half (striped UID→binding table)
-// lives in internal/stripemap and internal/kernel.
+// the striped channel table the passive ports look channels up in, the
+// capability-check cache in front of it, the generation-checked
+// concurrency core the channel record (channel.go) embeds, and the
+// alloc-free writer-sequence gate.  The kernel half (striped
+// UID→binding table) lives in internal/stripemap and internal/kernel.
 //
 // The design target is an ingress gateway: one port holding 10⁵–10⁶
-// capability-checked channels under sustained open-loop load.  At that
-// scale three things in the old ports stop working:
-//
-//   - the immutable whole-port index snapshot (chanIndex) made every
-//     Declare an O(live channels) copy — O(n²) admission;
-//   - each Declare allocated a fresh record, cond and buffer, and each
-//     teardown dropped them, so churn allocated without bound;
-//   - the per-writer sequence map allocated a map entry per windowed
-//     writer on a path that runs once per Deliver.
-//
-// chanTable replaces the snapshot with striped amortised-COW maps
-// (lock-free hits, O(1) amortised writes); chanCore + the per-port
-// free lists make records reusable under a generation discipline; and
-// seqGate keeps writer sequencing inline and alloc-free for the
-// common fan-in degrees.
+// capability-checked channels under sustained open-loop load.  So
+// lookups are lock-free hits on striped amortised-COW maps and Declare
+// is O(1) amortised (not an O(live channels) snapshot copy); records
+// are pooled under a generation discipline, so churn does not allocate;
+// and writer sequencing stays inline and alloc-free for the common
+// fan-in degrees.
 
 // chanStripes is the stripe count for per-port channel tables.  Large
 // enough that a gateway-scale create storm spreads, small enough that
@@ -71,7 +62,7 @@ type chanCore struct {
 	_ [64]byte
 }
 
-// generation implements genChecked.
+// generation is the lock-free read of the current generation.
 func (c *chanCore) generation() uint64 { return c.gen.Load() }
 
 // wait parks the caller on cond with waiter accounting.  Caller holds
@@ -82,16 +73,12 @@ func (c *chanCore) wait() {
 	c.waiters--
 }
 
-// genChecked is the contract chanTable needs from its records: a
-// lock-free read of the current generation.
-type genChecked interface{ generation() uint64 }
-
 // tableEntry binds a record to the generation it was declared under.
 // A lookup that finds the record but not the generation is stale — the
 // channel was retired (and the record possibly reissued) after this
 // entry was written.
-type tableEntry[C genChecked] struct {
-	ch  C
+type tableEntry struct {
+	ch  *channel
 	gen uint64
 }
 
@@ -107,9 +94,9 @@ const capCacheSlots = 1 << 12
 
 // capEntry is one cached capability verification: this UID named this
 // record at this generation.  Immutable after publication.
-type capEntry[C genChecked] struct {
+type capEntry struct {
 	cap uid.UID
-	ch  C
+	ch  *channel
 	gen uint64
 }
 
@@ -121,19 +108,19 @@ type capEntry[C genChecked] struct {
 // generation makes the entry fail validation (§5's rights check is
 // therefore performed once per channel-binding epoch, exactly as the
 // kernel caches binding lookups per activation epoch).
-type capCache[C genChecked] struct {
-	slots [capCacheSlots]atomic.Pointer[capEntry[C]]
+type capCache struct {
+	slots [capCacheSlots]atomic.Pointer[capEntry]
 }
 
 // chanTable is a port's channel registry: striped lookup maps plus the
 // capability cache.  All methods are safe for concurrent use.
-type chanTable[C genChecked] struct {
+type chanTable struct {
 	capMode bool
 	met     *metrics.Set
 
-	byNum *stripemap.Map[ChannelNum, tableEntry[C]]
-	byCap *stripemap.Map[uid.UID, tableEntry[C]] // nil unless capMode
-	cache *capCache[C]                           // nil unless capMode
+	byNum *stripemap.Map[ChannelNum, tableEntry]
+	byCap *stripemap.Map[uid.UID, tableEntry] // nil unless capMode
+	cache *capCache                           // nil unless capMode
 }
 
 // numHash mixes a channel number for stripe placement (small
@@ -145,22 +132,22 @@ func numHash(n ChannelNum) uint64 {
 	return x ^ (x >> 31)
 }
 
-func newChanTable[C genChecked](capMode bool, met *metrics.Set) *chanTable[C] {
-	t := &chanTable[C]{
+func newChanTable(capMode bool, met *metrics.Set) chanTable {
+	t := chanTable{
 		capMode: capMode,
 		met:     met,
-		byNum:   stripemap.New[ChannelNum, tableEntry[C]](chanStripes, numHash, &met.ChannelLookupContention),
+		byNum:   stripemap.New[ChannelNum, tableEntry](chanStripes, numHash, &met.ChannelLookupContention),
 	}
 	if capMode {
-		t.byCap = stripemap.New[uid.UID, tableEntry[C]](chanStripes, uid.UID.Hash, &met.ChannelLookupContention)
-		t.cache = new(capCache[C])
+		t.byCap = stripemap.New[uid.UID, tableEntry](chanStripes, uid.UID.Hash, &met.ChannelLookupContention)
+		t.cache = new(capCache)
 	}
 	return t
 }
 
 // missStatus is the status a failed lookup reports under the table's
 // addressing mode.
-func (t *chanTable[C]) missStatus() Status {
+func (t *chanTable) missStatus() Status {
 	if t.capMode {
 		return StatusNotPermitted
 	}
@@ -169,8 +156,8 @@ func (t *chanTable[C]) missStatus() Status {
 
 // register publishes a record under its number (and capability, in
 // capability mode) at generation gen.
-func (t *chanTable[C]) register(num ChannelNum, cp uid.UID, ch C, gen uint64) {
-	e := tableEntry[C]{ch: ch, gen: gen}
+func (t *chanTable) register(num ChannelNum, cp uid.UID, ch *channel, gen uint64) {
+	e := tableEntry{ch: ch, gen: gen}
 	t.byNum.Store(num, e)
 	if t.capMode {
 		t.byCap.Store(cp, e)
@@ -180,7 +167,7 @@ func (t *chanTable[C]) register(num ChannelNum, cp uid.UID, ch C, gen uint64) {
 // unregister removes a channel's entries.  Per the stripemap staleness
 // contract the entries may keep resolving until the next promotion;
 // the generation check rejects them.
-func (t *chanTable[C]) unregister(num ChannelNum, cp uid.UID) {
+func (t *chanTable) unregister(num ChannelNum, cp uid.UID) {
 	t.byNum.Delete(num)
 	if t.capMode {
 		t.byCap.Delete(cp)
@@ -191,11 +178,10 @@ func (t *chanTable[C]) unregister(num ChannelNum, cp uid.UID) {
 // carry.  Callers re-verify gen under the record's lock before acting
 // (the window between this check and the lock is exactly the window a
 // concurrent retire could win).
-func (t *chanTable[C]) lookup(id ChannelID) (C, uint64, Status) {
-	var zero C
+func (t *chanTable) lookup(id ChannelID) (*channel, uint64, Status) {
 	if t.capMode {
 		if !id.IsCap() {
-			return zero, 0, StatusNotPermitted
+			return nil, 0, StatusNotPermitted
 		}
 		slot := &t.cache.slots[id.Cap.Hash()&(capCacheSlots-1)]
 		//vet:ok epochguard -- lock-free cache precheck; callers re-verify gen under ch.mu before acting
@@ -207,25 +193,24 @@ func (t *chanTable[C]) lookup(id ChannelID) (C, uint64, Status) {
 		ent, ok := t.byCap.Load(id.Cap)
 		//vet:ok epochguard -- lock-free liveness filter; authoritative check runs in callers under ch.mu
 		if !ok || ent.ch.generation() != ent.gen {
-			return zero, 0, StatusNotPermitted
+			return nil, 0, StatusNotPermitted
 		}
-		slot.Store(&capEntry[C]{cap: id.Cap, ch: ent.ch, gen: ent.gen})
+		slot.Store(&capEntry{cap: id.Cap, ch: ent.ch, gen: ent.gen})
 		return ent.ch, ent.gen, StatusOK
 	}
 	ent, ok := t.byNum.Load(id.Num)
 	//vet:ok epochguard -- lock-free liveness filter; authoritative check runs in callers under ch.mu
 	if !ok || ent.ch.generation() != ent.gen {
-		return zero, 0, StatusNoSuchChannel
+		return nil, 0, StatusNoSuchChannel
 	}
 	return ent.ch, ent.gen, StatusOK
 }
 
 // seqGate orders concurrent deliveries from windowed writers without
-// allocating on the per-Deliver path.  It replaces the old
-// map[uid.UID]uint64: the common fan-in degrees live in an inline
-// lane array (zero allocations, linear scan over four entries beats a
-// map probe), and only a fan-in wider than the lanes spills to a map.
-// All methods are called under the owning record's mu.
+// allocating on the per-Deliver path: the common fan-in degrees live in
+// an inline lane array (zero allocations, linear scan over four entries
+// beats a map probe), and only a fan-in wider than the lanes spills to
+// a map.  All methods are called under the owning record's mu.
 type seqLane struct {
 	writer uid.UID
 	next   uint64
@@ -239,8 +224,8 @@ type seqGate struct {
 }
 
 // expected returns the next sequence number owed by writer w (zero for
-// a writer not yet seen, matching the map's default the protocol
-// relies on for a stream's first Deliver).
+// a writer not yet seen — what the protocol relies on for a stream's
+// first Deliver).
 func (g *seqGate) expected(w uid.UID) uint64 {
 	for i := range g.lanes {
 		if g.lanes[i].writer == w {

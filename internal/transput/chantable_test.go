@@ -245,7 +245,7 @@ const warmupChurn = 256
 // than growing the heap per cycle.
 func TestChurnReusesRecords(t *testing.T) {
 	p := NewOutPort(nil, OutPortConfig{})
-	seen := make(map[*outChannel]int)
+	seen := make(map[*channel]int)
 	for i := 0; i < 64; i++ {
 		w := p.Declare("c", 0, 8)
 		seen[w.ch]++

@@ -10,77 +10,6 @@ import (
 	"asymstream/internal/uid"
 )
 
-// Model-based test for PassiveBuffer: drive it with a random schedule
-// of writes and reads and compare against a plain FIFO model.  The
-// buffer's only observable contract is pipe semantics — whatever goes
-// in comes out once, in order, then EOF after End.
-func TestPassiveBufferAgainstFIFOModel(t *testing.T) {
-	for seed := int64(1); seed <= 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			k := testKernel(t)
-			capacity := rng.Intn(8) + 1
-			buf := NewPassiveBuffer(k, PassiveBufferConfig{Name: "model", Capacity: capacity})
-			bufID, err := k.Create(buf, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			nItems := rng.Intn(200) + 1
-			var model [][]byte // reference FIFO
-			for i := 0; i < nItems; i++ {
-				item := make([]byte, rng.Intn(16))
-				rng.Read(item)
-				model = append(model, item)
-			}
-
-			// Writer pushes with random batch sizes — through a plain
-			// Pusher (stop-and-wait) or a WOOutPort send window.
-			var push ItemWriter
-			if wnd := rng.Intn(5); wnd > 1 {
-				push = NewWOOutPort(k, uid.Nil, bufID, Chan(0), WOOutPortConfig{Batch: rng.Intn(5) + 1, Window: wnd})
-			} else {
-				push = NewPusher(k, uid.Nil, bufID, Chan(0), PusherConfig{Batch: rng.Intn(5) + 1})
-			}
-			go func() {
-				for _, item := range model {
-					if err := push.Put(item); err != nil {
-						return
-					}
-				}
-				_ = push.Close()
-			}()
-
-			// Reader pulls with a different random batch size and its
-			// own random pull window.
-			in := NewInPort(k, uid.Nil, bufID, Chan(0), InPortConfig{
-				Batch:  rng.Intn(7) + 1,
-				Window: rng.Intn(4) + 1,
-			})
-			var got [][]byte
-			for {
-				item, err := in.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, item)
-			}
-			if len(got) != len(model) {
-				t.Fatalf("cap=%d: got %d items, want %d", capacity, len(got), len(model))
-			}
-			for i := range model {
-				if !bytes.Equal(got[i], model[i]) {
-					t.Fatalf("cap=%d: item %d differs", capacity, i)
-				}
-			}
-		})
-	}
-}
-
 // Model-based test for the fusion pass: a random chain of byte
 // transforms compiled into one fused group must behave exactly like
 // the same transforms applied in plain Go — no reorder, no drop, no

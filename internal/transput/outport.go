@@ -4,12 +4,8 @@ package transput
 
 import (
 	"sync"
-	"unsafe"
 
 	"asymstream/internal/kernel"
-	"asymstream/internal/metrics"
-	"asymstream/internal/uid"
-	"asymstream/internal/wire"
 )
 
 // OutPort is the passive-output half of the read-only discipline: the
@@ -34,18 +30,7 @@ import (
 // (§4).  Capacity 0 is legal and gives fully synchronous handoff
 // (pure laziness: the producer cannot even compute one item ahead).
 type OutPort struct {
-	met     *metrics.Set
-	capMode bool
-	mintCap func() uid.UID
-
-	// table resolves Transfer requests: striped amortised-COW maps with
-	// a capability cache in front (see chantable.go).  Lookups on the
-	// data path are lock-free; Declare and Retire are O(1) amortised,
-	// which is what makes gateway-scale admission linear.
-	table *chanTable[*outChannel]
-
-	mu    sync.Mutex // guards chans (advert order and slot indices)
-	chans []*outChannel
+	chanRegistry
 }
 
 // OutPortConfig parameterises an OutPort.
@@ -67,108 +52,10 @@ const DefaultCapacity = 64
 // capability mode mints from the global generator and metering is
 // dropped on a private set.
 func NewOutPort(k *kernel.Kernel, cfg OutPortConfig) *OutPort {
-	var met *metrics.Set
-	mint := uid.New
-	if k != nil {
-		met = k.Metrics()
-		mint = k.NewUID
-	} else {
-		met = &metrics.Set{}
-	}
-	return &OutPort{
-		met:     met,
-		capMode: cfg.CapabilityMode,
-		mintCap: mint,
-		table:   newChanTable[*outChannel](cfg.CapabilityMode, met),
-	}
+	p := new(OutPort)
+	p.init(k, cfg.CapabilityMode, false)
+	return p
 }
-
-// outChannel is one bounded stream buffer inside an OutPort.  The
-// buffer is a head-indexed deque: writers append at the tail, readers
-// consume from head, and the backing array is compacted only when the
-// dead prefix reaches half the slice — amortized O(1) per item, where
-// compact-on-every-pop was O(capacity) per Transfer at batch 1.
-//
-// Records are pooled: Retire returns them (backing array included) for
-// the next Declare, so channel churn does not allocate in steady
-// state.  The embedded chanCore's generation makes every stale
-// reference — table entry, capability cache entry, application handle
-// — detectably dead (see chantable.go).
-type outChannel struct {
-	chanCore
-
-	met      *metrics.Set
-	name     string
-	id       ChannelID
-	capacity int
-	slot     int // index in the port's chans slice; guarded by port mu
-
-	buf      [][]byte
-	head     int
-	closed   bool
-	abortErr *AbortedError
-
-	transfersServed int64
-	itemsOut        int64
-}
-
-// buffered is the live item count.  Caller holds ch.mu.
-func (ch *outChannel) buffered() int { return len(ch.buf) - ch.head }
-
-// outChanPool recycles retired channel records.  A pooled record keeps
-// its cond and its buffer backing array; everything stream-specific is
-// re-initialised by acquireOutChannel.
-var outChanPool = sync.Pool{New: func() any {
-	ch := new(outChannel)
-	ch.cond = sync.NewCond(&ch.mu)
-	return ch
-}}
-
-// acquireOutChannel takes a pooled (or fresh) record and re-initialises
-// it for a new stream.  The re-init runs under mu: a goroutine holding
-// a stale reference from the record's previous life may lock and run
-// its generation check concurrently.
-func acquireOutChannel(met *metrics.Set, name string, id ChannelID, capacity int) *outChannel {
-	ch := outChanPool.Get().(*outChannel)
-	ch.mu.Lock()
-	ch.met = met
-	ch.name = name
-	ch.id = id
-	ch.capacity = capacity
-	ch.buf = ch.buf[:0]
-	ch.head = 0
-	ch.closed = false
-	ch.abortErr = nil
-	ch.transfersServed = 0
-	ch.itemsOut = 0
-	ch.mu.Unlock()
-	return ch
-}
-
-// tableEntryBytes approximates the amortised per-entry share of one
-// lookup index (key, entry struct and map-bucket overhead).  Used only
-// for the IdleChannelBytes accounting gauge; the gateway bench
-// cross-checks the gauge against runtime.MemStats.
-const tableEntryBytes = 64
-
-// idleChanFootprint is the fixed accounting charge for one idle
-// channel: the record itself plus its index entries (two indices and a
-// cache entry in capability mode, one index otherwise).
-func idleChanFootprint(recordBytes int64, capMode bool) int64 {
-	fp := recordBytes + tableEntryBytes
-	if capMode {
-		fp += tableEntryBytes + int64(unsafe.Sizeof(capEntry[*outChannel]{}))
-	}
-	return fp
-}
-
-func (p *OutPort) chanFootprint() int64 {
-	return idleChanFootprint(int64(unsafe.Sizeof(outChannel{})), p.capMode)
-}
-
-// errRetired marks channels torn down by Retire.  Shared: AbortedError
-// is immutable once published.
-var errRetired = &AbortedError{Msg: "channel retired"}
 
 // Declare creates a channel and returns the writer the Eject's
 // application code uses to fill it.  In capability mode the channel's
@@ -183,19 +70,7 @@ func (p *OutPort) Declare(name string, num ChannelNum, capacity int) *ChannelWri
 	case capacity == 0:
 		capacity = DefaultCapacity
 	}
-	id := ChannelID{Num: num}
-	if p.capMode {
-		id.Cap = p.mintCap()
-	}
-	ch := acquireOutChannel(p.met, name, id, capacity)
-	gen := ch.generation()
-	p.mu.Lock()
-	ch.slot = len(p.chans)
-	p.chans = append(p.chans, ch)
-	p.mu.Unlock()
-	p.table.register(num, id.Cap, ch, gen)
-	p.met.ChannelsLive.Inc()
-	p.met.IdleChannelBytes.Add(p.chanFootprint())
+	ch, gen := p.declare(name, num, capacity, 1)
 	return &ChannelWriter{ch: ch, gen: gen}
 }
 
@@ -204,77 +79,11 @@ func (p *OutPort) Declare(name string, num ChannelNum, capacity int) *ChannelWri
 // dropped with its slab views released, and the record returns to the
 // pool for the next Declare.  It reports whether this call performed
 // the teardown (false if the writer's channel was already retired).
-func (p *OutPort) Retire(w *ChannelWriter) bool {
-	ch := w.ch
-	ch.mu.Lock()
-	if ch.gen.Load() != w.gen {
-		ch.mu.Unlock()
-		return false
-	}
-	num, cp := ch.id.Num, ch.id.Cap
-	if ch.abortErr == nil {
-		ch.abortErr = errRetired
-	}
-	wire.ReleaseAll(ch.buf[ch.head:])
-	for i := range ch.buf {
-		ch.buf[i] = nil
-	}
-	ch.buf = ch.buf[:0]
-	ch.head = 0
-	ch.gen.Add(1) // every outstanding reference is now stale
-	ch.cond.Broadcast()
-	ch.mu.Unlock()
+func (p *OutPort) Retire(w *ChannelWriter) bool { return p.retire(w.ch, w.gen) }
 
-	p.table.unregister(num, cp)
-	p.mu.Lock()
-	last := len(p.chans) - 1
-	if ch.slot <= last && p.chans[ch.slot] == ch {
-		moved := p.chans[last]
-		p.chans[ch.slot] = moved
-		moved.slot = ch.slot
-		p.chans[last] = nil
-		p.chans = p.chans[:last]
-	}
-	p.mu.Unlock()
-	p.met.ChannelsLive.Dec()
-	p.met.IdleChannelBytes.Sub(p.chanFootprint())
-
-	// Pool the record only when no kernel worker is still parked in it;
-	// a record with waiters is left to the GC (rare — the broadcast
-	// above drains them promptly).
-	ch.mu.Lock()
-	idle := ch.waiters == 0
-	ch.mu.Unlock()
-	if idle {
-		outChanPool.Put(ch)
-	}
-	return true
-}
-
-// lookup resolves a requested ChannelID under the port's addressing
-// mode.  Lock-free on the steady-state path (capability cache hit or
-// stripe snapshot hit).
-func (p *OutPort) lookup(id ChannelID) (*outChannel, uint64, Status) {
-	return p.table.lookup(id)
-}
-
-// Adverts lists the port's channels for OpChannels.  In capability
-// mode this is how a pipeline builder learns the channel UIDs; the
-// security of the scheme "depends on the honesty of the Eject which
-// performs the interconnections" (§5), i.e. of whoever calls this.
-func (p *OutPort) Adverts() []ChannelAdvert {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ads := make([]ChannelAdvert, 0, len(p.chans))
-	for _, ch := range p.chans {
-		ads = append(ads, ChannelAdvert{Name: ch.name, ID: ch.id, Dir: "out"})
-	}
-	return ads
-}
-
-// ServeTransfer handles one Transfer invocation.  It blocks (parking
-// the kernel worker) until at least one item is available or the
-// stream ends — this blocking IS passive output.
+// ServeTransfer handles one Transfer invocation, parking the kernel
+// worker until the channel has something to answer with (see
+// channel.take).
 func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 	req, ok := inv.Payload.(*TransferRequest)
 	if !ok {
@@ -283,63 +92,15 @@ func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 	}
 	p.met.TransferInvocations.Inc()
 	ch, gen, st := p.lookup(req.Channel)
-	if st != StatusOK {
-		inv.Reply(&TransferReply{Status: st})
-		return
+	var rep *TransferReply
+	if st == StatusOK {
+		if rep = ch.take(gen, req.Max); rep == nil {
+			st = p.missStatus() // a retire won the race between lookup and lock
+		}
 	}
-	max := req.Max
-	if max <= 0 {
-		max = 1
+	if rep == nil {
+		rep = &TransferReply{Status: st}
 	}
-
-	ch.mu.Lock()
-	if ch.gen.Load() != gen {
-		// A retire won the race between lookup and lock.
-		ch.mu.Unlock()
-		inv.Reply(&TransferReply{Status: p.table.missStatus()})
-		return
-	}
-	for ch.buffered() == 0 && !ch.closed && ch.abortErr == nil {
-		ch.wait()
-	}
-	if ch.abortErr != nil {
-		msg := ch.abortErr.Msg
-		ch.mu.Unlock()
-		inv.Reply(&TransferReply{Status: StatusAborted, AbortMsg: msg})
-		return
-	}
-	n := ch.buffered()
-	if n > max {
-		n = max
-	}
-	rep := acquireTransferReply(n)
-	copy(rep.Items, ch.buf[ch.head:ch.head+n])
-	// Release references so the GC can reclaim consumed items.
-	for i := ch.head; i < ch.head+n; i++ {
-		ch.buf[i] = nil
-	}
-	ch.head += n
-	switch {
-	case ch.head == len(ch.buf):
-		ch.buf = ch.buf[:0]
-		ch.head = 0
-	case ch.head >= len(ch.buf)-ch.head:
-		// Dead prefix has reached half the slice; slide the live items
-		// down so the array stops growing.
-		ch.buf = append(ch.buf[:0], ch.buf[ch.head:]...)
-		ch.head = 0
-	}
-	if ch.closed && ch.buffered() == 0 {
-		// Combine the final batch with the end indication.
-		rep.Status = StatusEnd
-	}
-	ch.transfersServed++
-	rep.Base = ch.itemsOut // stream offset of Items[0], for windowed readers
-	ch.itemsOut += int64(n)
-	ch.cond.Broadcast() // wake writers waiting for space
-	ch.mu.Unlock()
-
-	p.met.ItemsMoved.Add(int64(n))
 	inv.Reply(rep)
 }
 
@@ -378,109 +139,29 @@ func releaseTransferReply(rep *TransferReply) {
 	transferReplyPool.Put(rep)
 }
 
-// ServeAbort handles OpAbort: it aborts the named channel (or all).
-func (p *OutPort) ServeAbort(inv *kernel.Invocation) {
-	req, ok := inv.Payload.(*AbortRequest)
-	if !ok {
-		inv.Fail(kernel.ErrNoSuchOperation)
-		return
-	}
-	if req.All {
-		p.mu.Lock()
-		chans := append([]*outChannel(nil), p.chans...)
-		p.mu.Unlock()
-		for _, ch := range chans {
-			// If a retire races us the generation check turns the abort
-			// into a no-op, which is the right outcome either way.
-			ch.abort(&AbortedError{Msg: req.Msg}, ch.generation())
-		}
-		inv.Reply(&AbortReply{})
-		return
-	}
-	ch, gen, st := p.lookup(req.Channel)
-	if st != StatusOK {
-		inv.Reply(&AbortReply{}) // aborting a nonexistent channel is a no-op
-		return
-	}
-	ch.abort(&AbortedError{Msg: req.Msg}, gen)
-	inv.Reply(&AbortReply{})
-}
-
 // Serve dispatches the transput operations an OutPort understands.
 // Eject types embed an OutPort and call this from their Serve for the
 // transput op names, handling their own ops otherwise.  It returns
 // false if the op is not a transput operation this port handles.
 func (p *OutPort) Serve(inv *kernel.Invocation) bool {
-	switch inv.Op {
-	case OpTransfer:
+	if inv.Op == OpTransfer {
 		p.ServeTransfer(inv)
-	case OpChannels:
-		inv.Reply(&ChannelsReply{Channels: p.Adverts()})
-	case OpAbort:
-		p.ServeAbort(inv)
-	default:
-		return false
+		return true
 	}
-	return true
+	return p.serveControl(inv)
 }
 
 // TransfersServed reports the total Transfer invocations served across
 // all live (undeclared-to-retired) channels.  The laziness experiment
 // (E5) asserts this is zero before any sink is connected.
 func (p *OutPort) TransfersServed() int64 {
-	p.mu.Lock()
-	chans := append([]*outChannel(nil), p.chans...)
-	p.mu.Unlock()
-	var n int64
-	for _, ch := range chans {
-		ch.mu.Lock()
-		n += ch.transfersServed
-		ch.mu.Unlock()
-	}
-	return n
+	return p.sum(func(c *channel) int64 { return c.transfersServed })
 }
 
 // Buffered reports the total items currently buffered (anticipated but
 // not yet pulled) across all channels.
 func (p *OutPort) Buffered() int {
-	p.mu.Lock()
-	chans := append([]*outChannel(nil), p.chans...)
-	p.mu.Unlock()
-	n := 0
-	for _, ch := range chans {
-		ch.mu.Lock()
-		n += ch.buffered()
-		ch.mu.Unlock()
-	}
-	return n
-}
-
-// abort marks the channel aborted, provided it still carries gen (a
-// retired channel is already dead; aborting its successor through a
-// stale reference would corrupt an unrelated stream).
-func (ch *outChannel) abort(err *AbortedError, gen uint64) {
-	ch.mu.Lock()
-	if ch.gen.Load() != gen {
-		ch.mu.Unlock()
-		return
-	}
-	if ch.abortErr == nil && !ch.closed {
-		ch.abortErr = err
-	}
-	if ch.abortErr != nil {
-		// An aborted channel never serves its backlog (ServeTransfer
-		// replies StatusAborted before looking at the buffer), so the
-		// buffered items are unreachable: drop them, releasing any slab
-		// views among them.
-		wire.ReleaseAll(ch.buf[ch.head:])
-		for i := range ch.buf {
-			ch.buf[i] = nil
-		}
-		ch.buf = ch.buf[:0]
-		ch.head = 0
-	}
-	ch.cond.Broadcast()
-	ch.mu.Unlock()
+	return int(p.sum(func(c *channel) int64 { return int64(c.buffered()) }))
 }
 
 // ChannelWriter is the application-side writer for one OutPort
@@ -489,7 +170,7 @@ func (ch *outChannel) abort(err *AbortedError, gen uint64) {
 // incarnation of the channel record; after Retire every method fails
 // with ErrClosed (the generation check).
 type ChannelWriter struct {
-	ch  *outChannel
+	ch  *channel
 	gen uint64
 }
 
@@ -508,83 +189,9 @@ func (w *ChannelWriter) Put(item []byte) error { return w.ch.put(item, false, w.
 // OwnedItemWriter).  The zero-copy handoff on every intra-node link.
 func (w *ChannelWriter) PutOwned(item []byte) error { return w.ch.put(item, true, w.gen) }
 
-func (ch *outChannel) put(item []byte, owned bool, gen uint64) error {
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	// fail drops the item on a failed put; an owned item is the
-	// channel's to release even when it was never stored.
-	fail := func(err error) error {
-		if owned {
-			wire.Release(item)
-		}
-		return err
-	}
-	if ch.gen.Load() != gen {
-		return fail(ErrClosed)
-	}
-	if ch.capacity == 0 {
-		// Rendezvous semantics: at most one item in flight, and Put
-		// returns only once a Transfer has consumed it.  This is the
-		// "pure laziness" limit of §4: the producer cannot compute
-		// even one item ahead of its consumer.
-		for ch.buffered() > 0 && !ch.closed && ch.abortErr == nil {
-			ch.wait()
-		}
-		if ch.closed {
-			return fail(ErrClosed)
-		}
-		if ch.abortErr != nil {
-			return fail(ch.abortErr)
-		}
-		ch.appendLocked(item, owned)
-		ch.cond.Broadcast()
-		for ch.buffered() > 0 && ch.abortErr == nil && !ch.closed {
-			ch.wait()
-		}
-		if ch.abortErr != nil {
-			// The item was stored; abort released it with the backlog.
-			return ch.abortErr
-		}
-		return nil
-	}
-	for ch.buffered() >= ch.capacity && !ch.closed && ch.abortErr == nil {
-		ch.wait()
-	}
-	if ch.closed {
-		return fail(ErrClosed)
-	}
-	if ch.abortErr != nil {
-		return fail(ch.abortErr)
-	}
-	ch.appendLocked(item, owned)
-	ch.cond.Broadcast()
-	return nil
-}
-
-// appendLocked stores item at the tail; owned items move by reference.
-func (ch *outChannel) appendLocked(item []byte, owned bool) {
-	if owned {
-		ch.met.WireBytesSaved.Add(int64(len(item)))
-		ch.buf = append(ch.buf, item)
-		return
-	}
-	ch.buf = append(ch.buf, append([]byte(nil), item...))
-}
-
 // Close marks normal end of stream.  Buffered items drain first;
 // readers then see StatusEnd.
-func (w *ChannelWriter) Close() error {
-	ch := w.ch
-	ch.mu.Lock()
-	if ch.gen.Load() != w.gen {
-		ch.mu.Unlock()
-		return ErrClosed
-	}
-	ch.closed = true
-	ch.cond.Broadcast()
-	ch.mu.Unlock()
-	return nil
-}
+func (w *ChannelWriter) Close() error { return w.ch.end(w.gen) }
 
 // CloseWithError aborts the channel: readers see StatusAborted with
 // the error's message, and further Puts fail.
@@ -592,6 +199,6 @@ func (w *ChannelWriter) CloseWithError(err error) error {
 	if err == nil {
 		return w.Close()
 	}
-	w.ch.abort(&AbortedError{Msg: err.Error()}, w.gen)
+	w.ch.abort(&AbortedError{Msg: err.Error()}, w.gen, false)
 	return nil
 }

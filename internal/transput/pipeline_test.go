@@ -18,6 +18,17 @@ func testKernel(t testing.TB) *kernel.Kernel {
 	return k
 }
 
+// eventually polls until cond holds, failing the test after five
+// seconds: for state another goroutine reaches on its own schedule.
+func eventually(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
 // numbersSource emits "0".."n-1" as items.
 func numbersSource(n int) SourceFunc {
 	return func(out ItemWriter) error {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"asymstream/internal/uid"
 )
@@ -174,12 +175,13 @@ func TestPusherRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-stB.Done()
-	muA.Lock()
-	nA := len(gotA)
-	muA.Unlock()
-	if nA != 3 {
-		t.Fatalf("sink A got %d items, want 3", nA)
-	}
+	// A's Delivers were acknowledged once buffered; its body drains the
+	// channel on its own schedule, so wait for it.
+	eventually(t, "sink A holds its 3 items", func() bool {
+		muA.Lock()
+		defer muA.Unlock()
+		return len(gotA) == 3
+	})
 	muB.Lock()
 	defer muB.Unlock()
 	if len(gotB) != 1 || string(gotB[0]) != "b0" {
@@ -242,6 +244,21 @@ func buildShardedProducer(t *testing.T, k *kernel.Kernel, prefix string, items, 
 		t.Fatal(err)
 	}
 	src.Start()
+	stages := []*ROStage{src}
+	// Let the stream's teardown — normal end, or the abort cascade a
+	// redirect starts at the tail — reach the source before the kernel
+	// shuts down (this cleanup runs before testKernel's).  A kernel that
+	// is down refuses the cascade's OpAborts, and a stage deactivated
+	// mid-cascade would then wait forever on pulls parked upstream.
+	t.Cleanup(func() {
+		for _, st := range stages {
+			select {
+			case <-st.Done():
+			case <-time.After(5 * time.Second):
+				return // the test already failed mid-stream; let Shutdown cope
+			}
+		}
+	})
 
 	inCfg := InPortConfig{Window: window}
 	ins := make([]ItemReader, P)
@@ -255,6 +272,7 @@ func buildShardedProducer(t *testing.T, k *kernel.Kernel, prefix string, items, 
 			t.Fatal(err)
 		}
 		st.Start()
+		stages = append(stages, st)
 		tailIn := NewInPort(k, k.NewUID(), fUID, st.Writer(0).ID(), inCfg)
 		ins[j] = tailIn
 	}
@@ -267,6 +285,7 @@ func buildShardedProducer(t *testing.T, k *kernel.Kernel, prefix string, items, 
 		t.Fatal(err)
 	}
 	tail.Start()
+	stages = append(stages, tail)
 	return tailUID
 }
 

@@ -30,6 +30,95 @@ const (
 	TypeSink      = "transput.Sink"
 )
 
+// stageRun is the harness every stage Eject embeds: the body, the
+// streams it runs over, and its lifecycle — run once on its own
+// goroutine, keep the result, then end the streams.
+type stageRun struct {
+	ins    []ItemReader
+	outs   []ItemWriter
+	body   Body
+	pinned bool // lock the body's goroutine to an OS thread
+
+	once  sync.Once
+	wg    sync.WaitGroup
+	errMu sync.Mutex
+	err   error
+	done  chan struct{}
+}
+
+func newStageRun(body Body, ins []ItemReader, outs []ItemWriter, pinned bool) stageRun {
+	return stageRun{ins: ins, outs: outs, body: body, pinned: pinned, done: make(chan struct{})}
+}
+
+// Start runs the body (idempotent).  When it returns its result is
+// recorded and the streams are ended: outputs closed — as aborts
+// carrying the body's error, if it failed — and inputs cancelled, which
+// releases any upstream producer, or backlog of slab views, the body
+// did not fully drain.
+func (r *stageRun) Start() {
+	r.once.Do(func() {
+		r.wg.Add(1)
+		go func() {
+			defer r.wg.Done()
+			defer close(r.done)
+			if r.pinned {
+				runtime.LockOSThread()
+				defer runtime.UnlockOSThread()
+			}
+			err := r.body(r.ins, r.outs)
+			r.errMu.Lock()
+			r.err = err
+			r.errMu.Unlock()
+			reason := "stage complete"
+			if err != nil {
+				reason = err.Error()
+			}
+			endStreams(r.ins, r.outs, err, reason)
+		}()
+	})
+}
+
+// Done is closed when the body has finished and its streams are ended.
+func (r *stageRun) Done() <-chan struct{} { return r.done }
+
+// Err returns the body's result once it has finished.
+func (r *stageRun) Err() error {
+	r.wg.Wait()
+	r.errMu.Lock()
+	defer r.errMu.Unlock()
+	return r.err
+}
+
+// OnDeactivate aborts the stage's streams so the body can exit: the
+// Eject is going away.
+func (r *stageRun) OnDeactivate() {
+	endStreams(r.ins, r.outs, errStageDeactivated, errStageDeactivated.Msg)
+}
+
+// endStreams closes every output — normally, or as an abort carrying
+// err — and cancels every input port with reason.
+func endStreams(ins []ItemReader, outs []ItemWriter, err error, reason string) {
+	for _, w := range outs {
+		if err != nil {
+			_ = w.CloseWithError(err)
+		} else {
+			_ = w.Close()
+		}
+	}
+	for _, in := range ins {
+		switch p := in.(type) {
+		case *InPort:
+			p.Cancel(reason)
+		case *ChannelReader:
+			p.Cancel(reason)
+		}
+	}
+}
+
+// errStageDeactivated aborts the streams of a stage whose Eject is going
+// away.  Shared: AbortedError is immutable once published.
+var errStageDeactivated = &AbortedError{Msg: "stage deactivated"}
+
 // ROStage is a source or filter Eject in the read-only discipline: it
 // performs active input on its InPorts and passive output on its
 // OutPort.  Compare Figure 2: "The filters F_i all perform active
@@ -37,16 +126,9 @@ const (
 type ROStage struct {
 	name string
 	out  *OutPort
-	ins  []ItemReader
-	body Body
-	outs []ItemWriter
-
-	lazy  bool
-	pool  kernel.PoolHint
-	once  sync.Once
-	wg    sync.WaitGroup
-	errMu sync.Mutex
-	err   error
+	lazy bool
+	pool kernel.PoolHint
+	stageRun
 }
 
 // ROStageConfig parameterises an ROStage.
@@ -86,19 +168,17 @@ func NewROStage(k *kernel.Kernel, cfg ROStageConfig, body Body, ins ...ItemReade
 		outNames = []string{"Output"}
 	}
 	port := NewOutPort(k, OutPortConfig{CapabilityMode: cfg.CapabilityMode})
-	s := &ROStage{
-		name: cfg.Name,
-		out:  port,
-		ins:  ins,
-		body: body,
-		lazy: cfg.LazyStart,
-		pool: kernel.PoolHint{Workers: cfg.PoolWorkers, Pinned: cfg.PoolPinned},
-	}
+	outs := make([]ItemWriter, len(outNames))
 	for i, nm := range outNames {
-		w := port.Declare(nm, ChannelNum(i), cfg.Anticipation)
-		s.outs = append(s.outs, w)
+		outs[i] = port.Declare(nm, ChannelNum(i), cfg.Anticipation)
 	}
-	return s
+	return &ROStage{
+		name:     cfg.Name,
+		out:      port,
+		lazy:     cfg.LazyStart,
+		pool:     kernel.PoolHint{Workers: cfg.PoolWorkers, Pinned: cfg.PoolPinned},
+		stageRun: newStageRun(body, ins, outs, cfg.PoolPinned),
+	}
 }
 
 // EdenType implements kernel.Eject.
@@ -115,53 +195,6 @@ func (s *ROStage) Out() *OutPort { return s.out }
 // pipeline builder uses its ID to wire capability-mode consumers.
 func (s *ROStage) Writer(i int) *ChannelWriter { return s.outs[i].(*ChannelWriter) }
 
-// Start runs the body (idempotent).
-func (s *ROStage) Start() {
-	s.once.Do(func() {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			if s.pool.Pinned {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
-			s.run()
-		}()
-	})
-}
-
-func (s *ROStage) run() {
-	err := s.body(s.ins, s.outs)
-	s.errMu.Lock()
-	s.err = err
-	s.errMu.Unlock()
-	for _, w := range s.outs {
-		if err != nil {
-			_ = w.CloseWithError(err)
-		} else {
-			_ = w.Close()
-		}
-	}
-	// Release any upstream producer the body did not fully drain.
-	for _, in := range s.ins {
-		if p, ok := in.(*InPort); ok {
-			reason := "stage complete"
-			if err != nil {
-				reason = err.Error()
-			}
-			p.Cancel(reason)
-		}
-	}
-}
-
-// Err returns the body's result once it has finished.
-func (s *ROStage) Err() error {
-	s.wg.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
-
 // Serve implements kernel.Eject: Transfer, Channels and Abort go to
 // the OutPort; in lazy mode the first invocation of any kind starts
 // the body.
@@ -174,34 +207,16 @@ func (s *ROStage) Serve(inv *kernel.Invocation) {
 	}
 }
 
-// OnDeactivate releases upstream ports so the body can exit.
-func (s *ROStage) OnDeactivate() {
-	for _, in := range s.ins {
-		if p, ok := in.(*InPort); ok {
-			p.Cancel("stage deactivated")
-		}
-	}
-	for _, w := range s.outs {
-		_ = w.CloseWithError(&AbortedError{Msg: "stage deactivated"})
-	}
-}
-
 // WOStage is a filter or sink Eject in the write-only discipline: it
 // performs passive input on its WOInPort and active output on its
-// Pushers.
+// Pushers.  Write-only stages are started eagerly: in the push
+// discipline the pipeline is driven by its source, and a stage must
+// already be consuming when data arrives.
 type WOStage struct {
-	name    string
-	in      *WOInPort
-	readers []ItemReader
-	outs    []ItemWriter
-	body    Body
-	pool    kernel.PoolHint
-
-	once  sync.Once
-	wg    sync.WaitGroup
-	errMu sync.Mutex
-	err   error
-	done  chan struct{}
+	name string
+	in   *WOInPort
+	pool kernel.PoolHint
+	stageRun
 }
 
 // WOStageConfig parameterises a WOStage.
@@ -233,23 +248,20 @@ func NewWOStage(k *kernel.Kernel, cfg WOStageConfig, body Body, outs ...ItemWrit
 		inNames = []string{"Input"}
 	}
 	port := NewWOInPort(k, WOInPortConfig{CapabilityMode: cfg.CapabilityMode})
-	s := &WOStage{
-		name: cfg.Name,
-		in:   port,
-		outs: outs,
-		body: body,
-		pool: kernel.PoolHint{Workers: cfg.PoolWorkers, Pinned: cfg.PoolPinned},
-		done: make(chan struct{}),
-	}
+	readers := make([]ItemReader, len(inNames))
 	for i, nm := range inNames {
 		writers := 1
 		if i < len(cfg.Writers) && cfg.Writers[i] > 0 {
 			writers = cfg.Writers[i]
 		}
-		r := port.Declare(nm, ChannelNum(i), cfg.Capacity, writers)
-		s.readers = append(s.readers, r)
+		readers[i] = port.Declare(nm, ChannelNum(i), cfg.Capacity, writers)
 	}
-	return s
+	return &WOStage{
+		name:     cfg.Name,
+		in:       port,
+		pool:     kernel.PoolHint{Workers: cfg.PoolWorkers, Pinned: cfg.PoolPinned},
+		stageRun: newStageRun(body, readers, outs, cfg.PoolPinned),
+	}
 }
 
 // EdenType implements kernel.Eject.
@@ -263,75 +275,12 @@ func (s *WOStage) In() *WOInPort { return s.in }
 
 // Reader returns the i-th input channel reader; the builder uses its
 // ID to wire capability-mode producers.
-func (s *WOStage) Reader(i int) *ChannelReader { return s.readers[i].(*ChannelReader) }
-
-// Start runs the body (idempotent).  Write-only stages start eagerly:
-// in the push discipline the pipeline is driven by its source, and a
-// stage must already be consuming when data arrives.
-func (s *WOStage) Start() {
-	s.once.Do(func() {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer close(s.done)
-			if s.pool.Pinned {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
-			err := s.body(s.readers, s.outs)
-			s.errMu.Lock()
-			s.err = err
-			s.errMu.Unlock()
-			for _, w := range s.outs {
-				if err != nil {
-					_ = w.CloseWithError(err)
-				} else {
-					_ = w.Close()
-				}
-			}
-			// Cancel the input channels unconditionally (mirroring
-			// ROStage): a body that returned without draining leaves a
-			// backlog whose slab views must be released.
-			reason := "stage complete"
-			if err != nil {
-				reason = err.Error()
-			}
-			for _, r := range s.readers {
-				if cr, ok := r.(*ChannelReader); ok {
-					cr.Cancel(reason)
-				}
-			}
-		}()
-	})
-}
-
-// Done is closed when the body has finished and outputs are closed.
-func (s *WOStage) Done() <-chan struct{} { return s.done }
-
-// Err returns the body's result once it has finished.
-func (s *WOStage) Err() error {
-	s.wg.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
+func (s *WOStage) Reader(i int) *ChannelReader { return s.ins[i].(*ChannelReader) }
 
 // Serve implements kernel.Eject.
 func (s *WOStage) Serve(inv *kernel.Invocation) {
 	if !s.in.Serve(inv) {
 		inv.Fail(fmt.Errorf("%w: %q on %s stage %q", kernel.ErrNoSuchOperation, inv.Op, "write-only", s.name))
-	}
-}
-
-// OnDeactivate aborts the stage's streams.
-func (s *WOStage) OnDeactivate() {
-	for _, r := range s.readers {
-		if cr, ok := r.(*ChannelReader); ok {
-			cr.Cancel("stage deactivated")
-		}
-	}
-	for _, w := range s.outs {
-		_ = w.CloseWithError(&AbortedError{Msg: "stage deactivated"})
 	}
 }
 
@@ -344,62 +293,17 @@ func (s *WOStage) OnDeactivate() {
 // OpChannels (with nothing) and rejects the rest.
 type ConvStage struct {
 	name string
-	ins  []ItemReader
-	outs []ItemWriter
-	body Body
-
-	once  sync.Once
-	wg    sync.WaitGroup
-	errMu sync.Mutex
-	err   error
+	stageRun
 }
 
 // NewConvStage builds a conventional stage from its already-wired
 // active ports.
 func NewConvStage(name string, body Body, ins []ItemReader, outs []ItemWriter) *ConvStage {
-	return &ConvStage{name: name, ins: ins, outs: outs, body: body}
+	return &ConvStage{name: name, stageRun: newStageRun(body, ins, outs, false)}
 }
 
 // EdenType implements kernel.Eject.
 func (s *ConvStage) EdenType() string { return TypeConvStage }
-
-// Start runs the body (idempotent).
-func (s *ConvStage) Start() {
-	s.once.Do(func() {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			err := s.body(s.ins, s.outs)
-			s.errMu.Lock()
-			s.err = err
-			s.errMu.Unlock()
-			for _, w := range s.outs {
-				if err != nil {
-					_ = w.CloseWithError(err)
-				} else {
-					_ = w.Close()
-				}
-			}
-			for _, in := range s.ins {
-				if p, ok := in.(*InPort); ok {
-					reason := "stage complete"
-					if err != nil {
-						reason = err.Error()
-					}
-					p.Cancel(reason)
-				}
-			}
-		}()
-	})
-}
-
-// Err returns the body's result once it has finished.
-func (s *ConvStage) Err() error {
-	s.wg.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
 
 // Serve implements kernel.Eject.
 func (s *ConvStage) Serve(inv *kernel.Invocation) {
@@ -410,78 +314,25 @@ func (s *ConvStage) Serve(inv *kernel.Invocation) {
 	inv.Fail(fmt.Errorf("%w: %q on conventional stage %q", kernel.ErrNoSuchOperation, inv.Op, s.name))
 }
 
-// OnDeactivate aborts the stage's streams.
-func (s *ConvStage) OnDeactivate() {
-	for _, in := range s.ins {
-		if p, ok := in.(*InPort); ok {
-			p.Cancel("stage deactivated")
-		}
-	}
-	for _, w := range s.outs {
-		_ = w.CloseWithError(&AbortedError{Msg: "stage deactivated"})
-	}
-}
-
 // SinkEject is a pure consumer in the read-only or conventional
 // discipline: "Output devices such as terminals and printers would
 // provide a potentially infinite supply of Read invocations" (§4).
 // Its pump goroutine owns the active input; it serves no stream
-// operations itself.
+// operations itself.  "Connecting a terminal to a filter Eject would be
+// rather like starting a pump" (§4): Start begins pulling.
 type SinkEject struct {
 	name string
-	ins  []ItemReader
-	body func(ins []ItemReader) error
-
-	once  sync.Once
-	wg    sync.WaitGroup
-	errMu sync.Mutex
-	err   error
-	done  chan struct{}
+	stageRun
 }
 
 // NewSinkEject builds a sink around a consumer function.
 func NewSinkEject(name string, body func(ins []ItemReader) error, ins ...ItemReader) *SinkEject {
-	return &SinkEject{name: name, ins: ins, body: body, done: make(chan struct{})}
+	run := func(ins []ItemReader, _ []ItemWriter) error { return body(ins) }
+	return &SinkEject{name: name, stageRun: newStageRun(run, ins, nil, false)}
 }
 
 // EdenType implements kernel.Eject.
 func (s *SinkEject) EdenType() string { return TypeSink }
-
-// Start begins pulling (idempotent).  "Connecting a terminal to a
-// filter Eject would be rather like starting a pump" (§4).
-func (s *SinkEject) Start() {
-	s.once.Do(func() {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer close(s.done)
-			err := s.body(s.ins)
-			s.errMu.Lock()
-			s.err = err
-			s.errMu.Unlock()
-			for _, in := range s.ins {
-				if p, ok := in.(*InPort); ok {
-					reason := "sink complete"
-					if err != nil {
-						reason = err.Error()
-					}
-					p.Cancel(reason)
-				}
-			}
-		}()
-	})
-}
-
-// Done is closed when the sink's body finishes.
-func (s *SinkEject) Done() <-chan struct{} { return s.done }
-
-// Err returns the body's result once finished.
-func (s *SinkEject) Err() error {
-	s.wg.Wait()
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.err
-}
 
 // Serve implements kernel.Eject; a sink advertises no channels.
 func (s *SinkEject) Serve(inv *kernel.Invocation) {
@@ -490,13 +341,4 @@ func (s *SinkEject) Serve(inv *kernel.Invocation) {
 		return
 	}
 	inv.Fail(fmt.Errorf("%w: %q on sink %q", kernel.ErrNoSuchOperation, inv.Op, s.name))
-}
-
-// OnDeactivate cancels the sink's inputs.
-func (s *SinkEject) OnDeactivate() {
-	for _, in := range s.ins {
-		if p, ok := in.(*InPort); ok {
-			p.Cancel("sink deactivated")
-		}
-	}
 }

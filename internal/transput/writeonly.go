@@ -4,10 +4,8 @@ package transput
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
-	"unsafe"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/metrics"
@@ -36,16 +34,7 @@ import (
 // accept Deliver invocations into bounded buffers, read locally by the
 // owning Eject through ChannelReader.
 type WOInPort struct {
-	met     *metrics.Set
-	capMode bool
-	mintCap func() uid.UID
-
-	// table resolves Deliver requests (see chantable.go): striped maps
-	// with a capability cache, lock-free on the steady-state path.
-	table *chanTable[*woChannel]
-
-	mu    sync.Mutex // guards chans (advert order and slot indices)
-	chans []*woChannel
+	chanRegistry
 }
 
 // WOInPortConfig parameterises a WOInPort.
@@ -61,92 +50,21 @@ type WOInPortConfig struct {
 // NewWOInPort creates a passive-input port.  k may be nil in unit
 // tests.
 func NewWOInPort(k *kernel.Kernel, cfg WOInPortConfig) *WOInPort {
-	var met *metrics.Set
-	mint := uid.New
-	if k != nil {
-		met = k.Metrics()
-		mint = k.NewUID
-	} else {
-		met = &metrics.Set{}
+	p := new(WOInPort)
+	p.init(k, cfg.CapabilityMode, true)
+	return p
+}
+
+// inputCapacity is the passive-input faces' capacity rule: 0 selects
+// DefaultCapacity and a negative value selects single-item handoff.
+func inputCapacity(capacity int) int {
+	switch {
+	case capacity < 0:
+		return 1
+	case capacity == 0:
+		return DefaultCapacity
 	}
-	return &WOInPort{
-		met:     met,
-		capMode: cfg.CapabilityMode,
-		mintCap: mint,
-		table:   newChanTable[*woChannel](cfg.CapabilityMode, met),
-	}
-}
-
-// woChannel is one passive-input stream buffer.  Like outChannel it is
-// a pooled, generation-checked record (see chantable.go); its credit
-// accounting (capacity, buffered, the Credits figure replied to every
-// Deliver) and its writer-sequence gate live inline in the record, so
-// the per-Deliver path allocates nothing.
-type woChannel struct {
-	chanCore
-
-	met      *metrics.Set
-	name     string
-	id       ChannelID
-	capacity int
-	slot     int // index in the port's chans slice; guarded by port mu
-
-	// buf is a head-indexed deque (see outChannel): deliveries append
-	// at the tail, the reader consumes at head, and the dead prefix is
-	// compacted only when it reaches half the slice.
-	buf          [][]byte
-	head         int
-	expectedEnds int
-	ends         int
-	abortErr     *AbortedError
-
-	// seq orders concurrent deliveries from windowed writers: a Deliver
-	// carrying a Writer UID is held (cond-wait) until its Seq is the
-	// writer's next expected one, so a window of K in-flight Delivers
-	// cannot reorder the stream.  Legacy writers (nil Writer, one
-	// outstanding Deliver) bypass the gate entirely.
-	seq seqGate
-
-	deliversServed int64
-	itemsIn        int64
-}
-
-// buffered is the live item count.  Caller holds c.mu.
-func (c *woChannel) buffered() int { return len(c.buf) - c.head }
-
-func (c *woChannel) ended() bool { return c.ends >= c.expectedEnds }
-
-// woChanPool recycles retired passive-input records.
-var woChanPool = sync.Pool{New: func() any {
-	ch := new(woChannel)
-	ch.cond = sync.NewCond(&ch.mu)
-	return ch
-}}
-
-// acquireWoChannel takes a pooled (or fresh) record and re-initialises
-// it for a new stream; see acquireOutChannel for why the re-init runs
-// under mu.
-func acquireWoChannel(met *metrics.Set, name string, id ChannelID, capacity, writers int) *woChannel {
-	ch := woChanPool.Get().(*woChannel)
-	ch.mu.Lock()
-	ch.met = met
-	ch.name = name
-	ch.id = id
-	ch.capacity = capacity
-	ch.buf = ch.buf[:0]
-	ch.head = 0
-	ch.expectedEnds = writers
-	ch.ends = 0
-	ch.abortErr = nil
-	ch.seq.reset()
-	ch.deliversServed = 0
-	ch.itemsIn = 0
-	ch.mu.Unlock()
-	return ch
-}
-
-func (p *WOInPort) chanFootprint() int64 {
-	return idleChanFootprint(int64(unsafe.Sizeof(woChannel{})), p.capMode)
+	return capacity
 }
 
 // Declare creates a channel accepting deliveries and returns the
@@ -155,28 +73,7 @@ func (p *WOInPort) chanFootprint() int64 {
 // 1).  capacity <= -1 selects single-item handoff; 0 selects
 // DefaultCapacity.
 func (p *WOInPort) Declare(name string, num ChannelNum, capacity, writers int) *ChannelReader {
-	switch {
-	case capacity < 0:
-		capacity = 1
-	case capacity == 0:
-		capacity = DefaultCapacity
-	}
-	if writers < 1 {
-		writers = 1
-	}
-	id := ChannelID{Num: num}
-	if p.capMode {
-		id.Cap = p.mintCap()
-	}
-	ch := acquireWoChannel(p.met, name, id, capacity, writers)
-	gen := ch.generation()
-	p.mu.Lock()
-	ch.slot = len(p.chans)
-	p.chans = append(p.chans, ch)
-	p.mu.Unlock()
-	p.table.register(num, id.Cap, ch, gen)
-	p.met.ChannelsLive.Inc()
-	p.met.IdleChannelBytes.Add(p.chanFootprint())
+	ch, gen := p.declare(name, num, inputCapacity(capacity), writers)
 	return &ChannelReader{ch: ch, gen: gen}
 }
 
@@ -184,68 +81,10 @@ func (p *WOInPort) Declare(name string, num ChannelNum, capacity, writers int) *
 // with StatusAborted, stale handles fail their generation checks, the
 // backlog is dropped with slab views released, and the record returns
 // to the pool.  It reports whether this call performed the teardown.
-func (p *WOInPort) Retire(r *ChannelReader) bool {
-	ch := r.ch
-	ch.mu.Lock()
-	if ch.gen.Load() != r.gen {
-		ch.mu.Unlock()
-		return false
-	}
-	num, cp := ch.id.Num, ch.id.Cap
-	if ch.abortErr == nil {
-		ch.abortErr = errRetired
-	}
-	wire.ReleaseAll(ch.buf[ch.head:])
-	for i := range ch.buf {
-		ch.buf[i] = nil
-	}
-	ch.buf = ch.buf[:0]
-	ch.head = 0
-	ch.gen.Add(1)
-	ch.cond.Broadcast()
-	ch.mu.Unlock()
+func (p *WOInPort) Retire(r *ChannelReader) bool { return p.retire(r.ch, r.gen) }
 
-	p.table.unregister(num, cp)
-	p.mu.Lock()
-	last := len(p.chans) - 1
-	if ch.slot <= last && p.chans[ch.slot] == ch {
-		moved := p.chans[last]
-		p.chans[ch.slot] = moved
-		moved.slot = ch.slot
-		p.chans[last] = nil
-		p.chans = p.chans[:last]
-	}
-	p.mu.Unlock()
-	p.met.ChannelsLive.Dec()
-	p.met.IdleChannelBytes.Sub(p.chanFootprint())
-
-	ch.mu.Lock()
-	idle := ch.waiters == 0
-	ch.mu.Unlock()
-	if idle {
-		woChanPool.Put(ch)
-	}
-	return true
-}
-
-func (p *WOInPort) lookup(id ChannelID) (*woChannel, uint64, Status) {
-	return p.table.lookup(id)
-}
-
-// Adverts lists the port's channels for OpChannels.
-func (p *WOInPort) Adverts() []ChannelAdvert {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ads := make([]ChannelAdvert, 0, len(p.chans))
-	for _, ch := range p.chans {
-		ads = append(ads, ChannelAdvert{Name: ch.name, ID: ch.id, Dir: "in"})
-	}
-	return ads
-}
-
-// ServeDeliver handles one Deliver invocation.  The reply is withheld
-// until every item fits in the buffer — the blocking IS passive input,
-// and withholding the reply is how back pressure reaches the writer.
+// ServeDeliver handles one Deliver invocation, withholding the reply
+// until every item fits in the channel's buffer (see channel.absorb).
 func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 	req, ok := inv.Payload.(*DeliverRequest)
 	if !ok {
@@ -254,80 +93,16 @@ func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 	}
 	p.met.DeliverInvocations.Inc()
 	ch, gen, st := p.lookup(req.Channel)
-	if st != StatusOK {
+	var rep *DeliverReply
+	if st == StatusOK {
+		if rep = ch.absorb(gen, req); rep == nil {
+			st = p.missStatus() // a retire won the race between lookup and lock
+		}
+	}
+	if rep == nil {
 		wire.ReleaseAll(req.Items) // never absorbed
-		inv.Reply(&DeliverReply{Status: st})
-		return
+		rep = &DeliverReply{Status: st}
 	}
-
-	ch.mu.Lock()
-	if ch.gen.Load() != gen {
-		// A retire won the race between lookup and lock.
-		ch.mu.Unlock()
-		wire.ReleaseAll(req.Items)
-		inv.Reply(&DeliverReply{Status: p.table.missStatus()})
-		return
-	}
-	if !req.Writer.IsNil() {
-		// Windowed writer: hold this delivery until it is the writer's
-		// next in sequence.  The parked kernel worker is the window's
-		// cost; MaxWindow keeps it below the pool size.
-		for ch.seq.expected(req.Writer) != req.Seq && ch.abortErr == nil {
-			ch.wait()
-		}
-	}
-	// Absorb the item references themselves.  The writer side always
-	// hands over fresh (or already-superseded) slices: Pusher/WOOutPort
-	// copy on Put unless given ownership, and a request decoded off an
-	// encoded node hop is fresh by construction.  Skipping the copy here
-	// is the write-only discipline's zero-copy path.
-	absorbed := 0
-	var saved int64
-	for _, item := range req.Items {
-		for ch.buffered() >= ch.capacity && ch.abortErr == nil {
-			ch.wait()
-		}
-		if ch.abortErr != nil {
-			break
-		}
-		ch.buf = append(ch.buf, item)
-		absorbed++
-		saved += int64(len(item))
-		ch.cond.Broadcast()
-	}
-	p.met.WireBytesSaved.Add(saved)
-	if ch.abortErr != nil {
-		msg := ch.abortErr.Msg
-		ch.mu.Unlock()
-		// Items the channel never absorbed die here.  The sender cannot
-		// know how many were taken, so the server owns the cleanup.
-		wire.ReleaseAll(req.Items[absorbed:])
-		inv.Reply(&DeliverReply{Status: StatusAborted, AbortMsg: msg})
-		return
-	}
-	if req.End {
-		ch.ends++
-		ch.cond.Broadcast()
-	}
-	if !req.Writer.IsNil() {
-		if req.End {
-			ch.seq.drop(req.Writer)
-		} else {
-			ch.seq.advance(req.Writer, req.Seq+1)
-		}
-		ch.cond.Broadcast()
-	}
-	ch.deliversServed++
-	ch.itemsIn += int64(len(req.Items))
-	credits := ch.capacity - ch.buffered()
-	if credits < 0 {
-		credits = 0
-	}
-	ch.mu.Unlock()
-
-	p.met.ItemsMoved.Add(int64(len(req.Items)))
-	rep := acquireDeliverReply()
-	rep.Credits = credits
 	inv.Reply(rep)
 }
 
@@ -352,77 +127,19 @@ func releaseDeliverReply(rep *DeliverReply) {
 	deliverReplyPool.Put(rep)
 }
 
-// ServeAbort handles OpAbort against an input channel.
-func (p *WOInPort) ServeAbort(inv *kernel.Invocation) {
-	req, ok := inv.Payload.(*AbortRequest)
-	if !ok {
-		inv.Fail(kernel.ErrNoSuchOperation)
-		return
-	}
-	abortOne := func(ch *woChannel, gen uint64) {
-		ch.mu.Lock()
-		if ch.gen.Load() != gen {
-			ch.mu.Unlock()
-			return
-		}
-		if ch.abortErr == nil {
-			ch.abortErr = &AbortedError{Msg: req.Msg}
-		}
-		// An aborted channel never serves its backlog (Next returns the
-		// abort error once the buffer is empty, and nothing refills it),
-		// so drop the undrained items now, releasing any slab views —
-		// the same discipline outChannel.abort and ChannelReader.Cancel
-		// apply on their teardown paths.
-		wire.ReleaseAll(ch.buf[ch.head:])
-		for i := ch.head; i < len(ch.buf); i++ {
-			ch.buf[i] = nil
-		}
-		ch.buf = ch.buf[:0]
-		ch.head = 0
-		ch.cond.Broadcast()
-		ch.mu.Unlock()
-	}
-	if req.All {
-		p.mu.Lock()
-		chans := append([]*woChannel(nil), p.chans...)
-		p.mu.Unlock()
-		for _, ch := range chans {
-			abortOne(ch, ch.generation())
-		}
-	} else if ch, gen, st := p.lookup(req.Channel); st == StatusOK {
-		abortOne(ch, gen)
-	}
-	inv.Reply(&AbortReply{})
-}
-
 // Serve dispatches the transput operations a WOInPort understands,
 // returning false for non-transput ops.
 func (p *WOInPort) Serve(inv *kernel.Invocation) bool {
-	switch inv.Op {
-	case OpDeliver:
+	if inv.Op == OpDeliver {
 		p.ServeDeliver(inv)
-	case OpChannels:
-		inv.Reply(&ChannelsReply{Channels: p.Adverts()})
-	case OpAbort:
-		p.ServeAbort(inv)
-	default:
-		return false
+		return true
 	}
-	return true
+	return p.serveControl(inv)
 }
 
 // DeliversServed reports total Deliver invocations accepted.
 func (p *WOInPort) DeliversServed() int64 {
-	p.mu.Lock()
-	chans := append([]*woChannel(nil), p.chans...)
-	p.mu.Unlock()
-	var n int64
-	for _, ch := range chans {
-		ch.mu.Lock()
-		n += ch.deliversServed
-		ch.mu.Unlock()
-	}
-	return n
+	return p.sum(func(c *channel) int64 { return c.deliversServed })
 }
 
 // ChannelReader is the owning Eject's local consumer for one
@@ -431,7 +148,7 @@ func (p *WOInPort) DeliversServed() int64 {
 // The reader is bound to one incarnation of the channel record; after
 // Retire, Next reports io.EOF and Cancel is a no-op.
 type ChannelReader struct {
-	ch  *woChannel
+	ch  *channel
 	gen uint64
 }
 
@@ -440,58 +157,13 @@ func (r *ChannelReader) ID() ChannelID { return r.ch.id }
 
 // Next returns the next delivered item, or io.EOF once every expected
 // writer has sent End and the buffer has drained.
-func (r *ChannelReader) Next() ([]byte, error) {
-	ch := r.ch
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	if ch.gen.Load() != r.gen {
-		return nil, io.EOF
-	}
-	for ch.buffered() == 0 && !ch.ended() && ch.abortErr == nil {
-		ch.wait()
-	}
-	if ch.buffered() > 0 {
-		item := ch.buf[ch.head]
-		ch.buf[ch.head] = nil
-		ch.head++
-		switch {
-		case ch.head == len(ch.buf):
-			ch.buf = ch.buf[:0]
-			ch.head = 0
-		case ch.head >= len(ch.buf)-ch.head:
-			ch.buf = append(ch.buf[:0], ch.buf[ch.head:]...)
-			ch.head = 0
-		}
-		ch.cond.Broadcast() // wake parked Deliver workers
-		return item, nil
-	}
-	if ch.abortErr != nil {
-		return nil, ch.abortErr
-	}
-	return nil, io.EOF
-}
+func (r *ChannelReader) Next() ([]byte, error) { return r.ch.next(r.gen) }
 
 // Cancel aborts the channel locally (consumer going away), releasing
 // parked Deliver workers with StatusAborted.  The undrained backlog is
 // dropped — nothing will ever read it — releasing any slab views.
 func (r *ChannelReader) Cancel(msg string) {
-	ch := r.ch
-	ch.mu.Lock()
-	if ch.gen.Load() != r.gen {
-		ch.mu.Unlock()
-		return
-	}
-	if ch.abortErr == nil {
-		ch.abortErr = &AbortedError{Msg: msg}
-	}
-	wire.ReleaseAll(ch.buf[ch.head:])
-	for i := ch.head; i < len(ch.buf); i++ {
-		ch.buf[i] = nil
-	}
-	ch.buf = ch.buf[:0]
-	ch.head = 0
-	ch.cond.Broadcast()
-	ch.mu.Unlock()
+	r.ch.abort(&AbortedError{Msg: msg}, r.gen, true)
 }
 
 var _ ItemReader = (*ChannelReader)(nil)

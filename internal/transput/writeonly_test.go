@@ -10,7 +10,6 @@ import (
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/uid"
-	"asymstream/internal/wire"
 )
 
 // registerWOSink creates and registers a WOStage that collects its
@@ -344,79 +343,5 @@ func TestPassiveBufferBridgesActives(t *testing.T) {
 		if string(item) != fmt.Sprintf("%d", i) {
 			t.Fatalf("buffer reordered at %d: %q", i, item)
 		}
-	}
-}
-
-func TestPassiveBufferAbort(t *testing.T) {
-	k := testKernel(t)
-	buf := NewPassiveBuffer(k, PassiveBufferConfig{Name: "pipe"})
-	bufID, err := k.Create(buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Invoke(uid.Nil, bufID, OpAbort, &AbortRequest{Channel: Chan(0), Msg: "teardown"}); err != nil {
-		t.Fatal(err)
-	}
-	in := NewInPort(k, uid.Nil, bufID, Chan(0), InPortConfig{})
-	if _, err := in.Next(); !errors.Is(err, ErrAborted) {
-		t.Fatalf("reader after abort: %v", err)
-	}
-	p := NewPusher(k, uid.Nil, bufID, Chan(0), PusherConfig{})
-	if err := p.Put([]byte("x")); !errors.Is(err, ErrAborted) {
-		t.Fatalf("writer after abort: %v", err)
-	}
-}
-
-// woPortEject exposes a bare WOInPort to the kernel so tests can drive
-// Deliver/Abort invocations against it without a stage body draining
-// the channel.
-type woPortEject struct{ p *WOInPort }
-
-func (e *woPortEject) EdenType() string { return "test-wo-port" }
-func (e *woPortEject) Serve(inv *kernel.Invocation) {
-	if !e.p.Serve(inv) {
-		inv.Fail(kernel.ErrNoSuchOperation)
-	}
-}
-
-// TestWOAbortReleasesBacklog pins the remote-abort teardown path: a
-// channel holding undrained slab-backed deliveries is aborted via
-// OpAbort, and every buffered view must be handed back to the slab —
-// the same discipline ChannelReader.Cancel and outChannel.abort apply.
-// Regression test: abortOne used to set abortErr without releasing the
-// backlog, stranding the views until the slab's Close leak audit.
-func TestWOAbortReleasesBacklog(t *testing.T) {
-	k := testKernel(t)
-	met := k.Metrics()
-	port := NewWOInPort(k, WOInPortConfig{})
-	reader := port.Declare("in", 0, 16, 1)
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, &woPortEject{p: port}, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	slab := wire.NewSlab(met, 1<<14)
-	items := make([][]byte, 6)
-	for i := range items {
-		v := slab.Alloc(8)
-		copy(v, fmt.Sprintf("item-%02d", i))
-		items[i] = v
-	}
-	if _, err := k.Invoke(uid.Nil, id, OpDeliver, &DeliverRequest{Channel: Chan(0), Items: items}); err != nil {
-		t.Fatal(err)
-	}
-	// Abort with the whole backlog undrained.
-	if _, err := k.Invoke(uid.Nil, id, OpAbort, &AbortRequest{Channel: Chan(0), Msg: "teardown"}); err != nil {
-		t.Fatal(err)
-	}
-	if ret, rel := met.SlabRetained.Value(), met.SlabReleased.Value(); ret != rel {
-		t.Errorf("slab views retained=%d released=%d after remote abort", ret, rel)
-	}
-	if n := slab.Close(); n != 0 {
-		t.Fatalf("slab leak audit found %d stranded views after abort", n)
-	}
-	var abortErr *AbortedError
-	if _, err := reader.Next(); !errors.As(err, &abortErr) {
-		t.Fatalf("reader after abort: %v", err)
 	}
 }

@@ -67,6 +67,13 @@ type Marshaler interface {
 	AppendWire(dst []byte) ([]byte, error)
 }
 
+// PayloadReleaser is implemented by records whose payload items are
+// refcounted slab views: once the encoded copy is on the wire the
+// sender-side views are dead weight and can go back to their slab.
+// Every link that encodes a payload (netsim, sockets) releases through
+// it.
+type PayloadReleaser interface{ ReleaseWirePayload() }
+
 // DecodeFunc rebuilds a record value from the body AppendWire produced.
 // The returned value must not alias payload.
 type DecodeFunc func(payload []byte) (any, error)
