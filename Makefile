@@ -59,7 +59,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/...
+	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/...
 
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, windowed links, merge, redirect) and the fusion

@@ -748,20 +748,33 @@ func (k *Kernel) CrashNode(node netsim.NodeID) {
 }
 
 // Shutdown stops every Eject and refuses further work.  In-flight
-// workers finish naturally.
+// workers finish naturally.  Every binding is stopped before any
+// OnDeactivate hook runs, and the hooks run concurrently: a hook may
+// wait on work parked in another Eject (a stage cancelling its input
+// waits for pulls parked in its producer), which only that Eject's own
+// hook releases, so no order of serial calls is safe.
 func (k *Kernel) Shutdown() {
 	if !k.down.CompareAndSwap(false, true) {
 		return
 	}
+	var hooks []Deactivatable
 	k.bindings.Range(func(_ uid.UID, b *binding) bool {
-		e, was := b.stop(stateDestroyed)
-		if was {
+		if e, was := b.stop(stateDestroyed); was {
 			if d, ok := e.(Deactivatable); ok {
-				d.OnDeactivate()
+				hooks = append(hooks, d)
 			}
 		}
 		return true
 	})
+	var wg sync.WaitGroup
+	for _, d := range hooks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d.OnDeactivate()
+		}()
+	}
+	wg.Wait()
 	if k.cfg.Link != nil {
 		// The kernel owns a supplied link's lifetime: closing it here
 		// tears down sockets and read slabs (whose leak audit lands in

@@ -475,6 +475,43 @@ func TestShutdownRefusesWork(t *testing.T) {
 	k.Shutdown() // idempotent
 }
 
+// rendezvousEject's OnDeactivate announces itself and then waits for
+// its peer's hook to have started — the shape of a stage whose hook
+// cancels an input and so waits on pulls parked in another stage, which
+// only that stage's own hook releases.
+type rendezvousEject struct {
+	pinger
+	started, peer chan struct{}
+}
+
+func (r *rendezvousEject) OnDeactivate() {
+	close(r.started)
+	<-r.peer
+}
+
+// TestShutdownRunsHooksConcurrently is the regression test for the
+// Shutdown deadlock: hooks called one after another in table order
+// never finish when each waits on the other, whichever comes first.
+func TestShutdownRunsHooksConcurrently(t *testing.T) {
+	k := New(Config{})
+	a, b := make(chan struct{}), make(chan struct{})
+	for _, e := range []*rendezvousEject{{started: a, peer: b}, {started: b, peer: a}} {
+		if _, err := k.Create(e, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	go func() {
+		k.Shutdown()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Shutdown did not return: OnDeactivate hooks that wait on each other deadlocked")
+	}
+}
+
 func TestDirectDispatch(t *testing.T) {
 	k := newTestKernel(t, Config{DirectDispatch: true})
 	p := &pinger{}

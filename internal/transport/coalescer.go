@@ -31,6 +31,14 @@ type coalescer struct {
 	waiters []*xfer
 	writing bool // a sender owns conn and is draining pending
 	err     error
+
+	// The sender holding the writing claim owns these: the emptied
+	// arrays of the generation last written, which the next swap installs
+	// as the queues, and the slice header WriteTo consumes (a field, so
+	// taking its address allocates nothing).
+	sparePending net.Buffers
+	spareOwners  []*[]byte
+	inflight     net.Buffers
 }
 
 // encodeFrame encodes v as one wire frame into a pooled buffer, which
@@ -85,28 +93,34 @@ func (c *coalescer) send(v any) error {
 // writeOut drains the queue, one writev per pass.  The claim is
 // released under the same lock that proves the queue empty, so a frame
 // enqueued after the release always finds writing == false and becomes
-// the writer itself.
+// the writer itself.  The queues are double-buffered: a pass swaps the
+// filled arrays for the ones the pass before emptied, so in steady
+// state neither enqueue nor writeOut allocates.
 func (c *coalescer) writeOut() {
 	for {
 		c.mu.Lock()
 		bufs := c.pending
 		//vet:ok sendown -- empty-queue exit: len(bufs)==0 under c.mu implies owners is empty too
 		owners := c.owners
-		c.pending, c.owners = nil, nil
 		if len(bufs) == 0 {
 			c.writing = false
 			c.mu.Unlock()
 			return
 		}
+		c.pending, c.owners = c.sparePending, c.spareOwners
 		c.mu.Unlock()
-		_, err := bufs.WriteTo(c.conn)
-		for _, b := range owners {
+		c.inflight = bufs
+		_, err := c.inflight.WriteTo(c.conn)
+		for i, b := range owners {
 			wire.PutBuf(b)
+			owners[i] = nil // a parked array must not pin pooled buffers
 		}
 		if err != nil {
 			c.fail(fmt.Errorf("transport: write: %w", err))
 			return
 		}
+		// A complete write has consumed, and so cleared, every entry of bufs.
+		c.sparePending, c.spareOwners = bufs[:0], owners[:0]
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 	"testing"
-	"time"
 
 	"asymstream/internal/uid"
 )
@@ -244,21 +243,6 @@ func buildShardedProducer(t *testing.T, k *kernel.Kernel, prefix string, items, 
 		t.Fatal(err)
 	}
 	src.Start()
-	stages := []*ROStage{src}
-	// Let the stream's teardown — normal end, or the abort cascade a
-	// redirect starts at the tail — reach the source before the kernel
-	// shuts down (this cleanup runs before testKernel's).  A kernel that
-	// is down refuses the cascade's OpAborts, and a stage deactivated
-	// mid-cascade would then wait forever on pulls parked upstream.
-	t.Cleanup(func() {
-		for _, st := range stages {
-			select {
-			case <-st.Done():
-			case <-time.After(5 * time.Second):
-				return // the test already failed mid-stream; let Shutdown cope
-			}
-		}
-	})
 
 	inCfg := InPortConfig{Window: window}
 	ins := make([]ItemReader, P)
@@ -272,7 +256,6 @@ func buildShardedProducer(t *testing.T, k *kernel.Kernel, prefix string, items, 
 			t.Fatal(err)
 		}
 		st.Start()
-		stages = append(stages, st)
 		tailIn := NewInPort(k, k.NewUID(), fUID, st.Writer(0).ID(), inCfg)
 		ins[j] = tailIn
 	}
@@ -285,7 +268,6 @@ func buildShardedProducer(t *testing.T, k *kernel.Kernel, prefix string, items, 
 		t.Fatal(err)
 	}
 	tail.Start()
-	stages = append(stages, tail)
 	return tailUID
 }
 

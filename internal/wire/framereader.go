@@ -8,7 +8,8 @@
 // The zero-copy contract: bytes land in a tracked slab view and are
 // decoded in place.  Records registered with RegisterView may return
 // values whose byte fields alias the buffer; they register each such
-// field as a sub-view (RegisterSubview) so it holds its own reference
+// field as a sub-view (RegisterSubview, or ReadItemsFieldView for an
+// item vector — one registration a frame) so it holds its own reference
 // on the chunk and rides the normal Release/Detach lifecycle.  The
 // reader releases its own handle on a buffer when it rotates to a
 // fresh one; the chunk itself stays alive until the last item view is
@@ -97,8 +98,9 @@ func DecodeViewIn(b, owner []byte) (any, int, error) {
 
 // ReadItemsFieldView parses an item vector like ReadItemsField but
 // zero-copy: every item is a sub-slice of b, registered as a tracked
-// sub-view of owner (empty items stay untracked nils).  On error the
-// views already registered are released, so a malformed frame leaks
+// sub-view of owner (empty items stay untracked nils).  The frame is
+// parsed first and its items registered together — one registry
+// operation a frame — so a malformed frame registers, and leaks,
 // nothing.
 func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 	count, k, err := ReadUvarintField(b)
@@ -113,11 +115,9 @@ func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 	for i := uint64(0); i < count; i++ {
 		n, kk, err := ReadUvarintField(b[off:])
 		if err != nil {
-			ReleaseAll(items)
 			return nil, 0, err
 		}
 		if uint64(len(b)-off-kk) < n {
-			ReleaseAll(items)
 			return nil, 0, fmt.Errorf("%w: short bytes field", ErrTruncated)
 		}
 		start := off + kk
@@ -125,11 +125,11 @@ func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 		var it []byte
 		if n > 0 {
 			it = b[start:end:end]
-			RegisterSubview(owner, it)
 		}
 		items = append(items, it)
 		off = end
 	}
+	registerSubviews(owner, items)
 	return items, off, nil
 }
 

@@ -48,22 +48,38 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzSlabViews drives the slab refcount machinery with an arbitrary
-// op program — alloc, retain, release, detach, integrity sweep — while
-// mirroring every reference in a shadow model.  Invariants checked on
-// every step and at teardown:
+// op program — alloc, retain, release, detach, sub-view registration,
+// non-view probes, Close, integrity sweep — while mirroring every
+// handle in a shadow model: a plain map from a view's base pointer to
+// the handles expected on it.  Invariants checked on every step and at
+// teardown:
 //
-//   - Alloc returns a live view of the requested length and writes to
-//     one view never bleed into another (capacity-clipped subslices);
+//   - Alloc returns a live view of the requested length, never over a
+//     view the model still holds (a recycled chunk is carved again from
+//     the same offsets), and writes to one view never bleed into
+//     another (capacity-clipped subslices);
 //   - Retain/Release on a live view always succeed, and a view dies
-//     exactly when its shadow refcount hits zero;
+//     exactly when its shadow count hits zero;
+//   - RegisterSubview at an interior offset creates a view with a count
+//     of its own that outlives its owner, and at the owner's own base
+//     (or over a view registered before) adds a handle to that view;
+//   - a heap slice, an address inside a chunk that is no view's base and
+//     an already-released view are not views to IsView, Retain, Release
+//     or Detach, and probing them moves no count;
 //   - Detach hands back the view's bytes intact;
-//   - once the shadow model is drained, Outstanding() == 0, Close()
-//     reports zero leaks, and SlabRetained == SlabReleased.
+//   - Close reports the model's handle total, and every later release
+//     still succeeds;
+//   - once the shadow model is drained, Outstanding() == 0,
+//     SlabRetained == SlabReleased, and after Close no chunk of the slab
+//     is still in the address index.
 func FuzzSlabViews(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 2, 0, 3, 0})
 	f.Add([]byte{0, 64, 0, 64, 1, 1, 3, 0, 2, 0, 2, 1, 4, 0})
 	f.Add([]byte{0, 1, 1, 0, 1, 0, 2, 0, 2, 0, 2, 0})
-	f.Add([]byte{0, 200, 0, 200, 0, 200, 4, 0}) // dedicated oversize chunks
+	f.Add([]byte{0, 200, 0, 200, 0, 200, 4, 0})                     // dedicated oversize chunks
+	f.Add([]byte{0, 99, 5, 0, 5, 7, 5, 7, 2, 0, 6, 0, 4, 0, 2, 0})  // sub-views outlive their owner
+	f.Add([]byte{0, 255, 0, 255, 2, 0, 2, 0, 0, 255, 6, 1, 0, 255}) // recycle, re-carve, probe the stale view
+	f.Add([]byte{0, 30, 0, 30, 7, 0, 6, 2, 2, 0, 0, 30, 3, 0})      // Close with live views, late releases, Alloc after
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		met := &metrics.Set{}
 		slab := NewSlab(met, 256)
@@ -72,7 +88,19 @@ func FuzzSlabViews(f *testing.F) {
 			refs int
 			want byte
 		}
-		var live []*shadow
+		var (
+			live   []*shadow
+			model  = map[*byte]*shadow{}
+			stale  [][]byte // views the model saw die
+			closed bool
+			leaked int64
+		)
+		handles := func() (n int64) {
+			for _, s := range live {
+				n += int64(s.refs)
+			}
+			return n
+		}
 		check := func(s *shadow) {
 			t.Helper()
 			for i, b := range s.view {
@@ -87,7 +115,17 @@ func FuzzSlabViews(f *testing.F) {
 			}
 			return live[int(arg)%len(live)]
 		}
-		drop := func(s *shadow) {
+		add := func(v []byte, want byte) {
+			s := &shadow{view: v, refs: 1, want: want}
+			live = append(live, s)
+			model[&v[0]] = s
+		}
+		unref := func(s *shadow) {
+			if s.refs--; s.refs > 0 {
+				return
+			}
+			delete(model, &s.view[0])
+			stale = append(stale, s.view)
 			for i, x := range live {
 				if x == s {
 					live = append(live[:i], live[i+1:]...)
@@ -95,9 +133,24 @@ func FuzzSlabViews(f *testing.F) {
 				}
 			}
 		}
+		// notView probes b — which the model says is no live view's base —
+		// with every operation and checks that none of them took it for one.
+		notView := func(what string, b []byte) {
+			t.Helper()
+			before := slab.Outstanding()
+			if IsView(b) || Retain(b) || Release(b) {
+				t.Fatalf("%s taken for a live view", what)
+			}
+			if out := Detach(b); &out[0] != &b[0] {
+				t.Fatalf("Detach copied %s", what)
+			}
+			if n := slab.Outstanding(); n != before {
+				t.Fatalf("probing %s moved Outstanding() %d -> %d", what, before, n)
+			}
+		}
 		seq := byte(0)
 		for pc := 0; pc+1 < len(prog); pc += 2 {
-			op, arg := prog[pc]%5, prog[pc+1]
+			op, arg := prog[pc]%8, prog[pc+1]
 			switch op {
 			case 0: // alloc
 				n := int(arg)%300 + 1 // crosses the 256-byte chunk size
@@ -108,11 +161,14 @@ func FuzzSlabViews(f *testing.F) {
 				if !IsView(v) {
 					t.Fatal("Alloc result is not a live view")
 				}
+				if model[&v[0]] != nil {
+					t.Fatal("Alloc carved over a view that is still live")
+				}
 				seq++
 				for i := range v {
 					v[i] = seq
 				}
-				live = append(live, &shadow{view: v, refs: 1, want: seq})
+				add(v, seq)
 			case 1: // retain
 				if s := pick(arg); s != nil {
 					if !Retain(s.view) {
@@ -126,13 +182,14 @@ func FuzzSlabViews(f *testing.F) {
 					if !Release(s.view) {
 						t.Fatal("Release on a live view reported non-view")
 					}
-					if s.refs--; s.refs == 0 {
-						drop(s)
-					}
+					unref(s)
 				}
 			case 3: // detach
 				if s := pick(arg); s != nil {
 					out := Detach(s.view)
+					if &out[0] == &s.view[0] {
+						t.Fatal("Detach returned a live view uncopied")
+					}
 					if len(out) != len(s.view) {
 						t.Fatalf("Detach returned %d bytes, view had %d", len(out), len(s.view))
 					}
@@ -141,9 +198,7 @@ func FuzzSlabViews(f *testing.F) {
 							t.Fatalf("Detach copy corrupted at [%d]: got %#x want %#x", i, b, s.want)
 						}
 					}
-					if s.refs--; s.refs == 0 {
-						drop(s)
-					}
+					unref(s)
 				}
 			case 4: // integrity sweep over everything still live
 				for _, s := range live {
@@ -152,6 +207,53 @@ func FuzzSlabViews(f *testing.F) {
 					}
 					check(s)
 				}
+			case 5: // register a sub-view: arg picks the owner and the offset in it
+				if s := pick(arg); s != nil {
+					off := int(arg>>3) % len(s.view) // 0 is the owner's own base
+					sub := s.view[off:]
+					if !RegisterSubview(s.view, sub) {
+						t.Fatal("RegisterSubview on a live owner reported non-view")
+					}
+					if prior := model[&sub[0]]; prior != nil {
+						prior.refs++
+					} else {
+						add(sub, s.want)
+					}
+				}
+			case 6: // probe things that are not views
+				switch arg % 3 {
+				case 0:
+					notView("a heap slice", []byte{1, 2, 3})
+				case 1:
+					for _, b := range stale {
+						if model[&b[0]] == nil { // not carved or registered again since
+							notView("an already-released view", b)
+						}
+					}
+				case 2:
+					if s := pick(arg >> 2); s != nil {
+						for i := 1; i < len(s.view); i++ {
+							if model[&s.view[i]] == nil {
+								notView("an interior pointer", s.view[i:])
+								if RegisterSubview(s.view[i:], s.view[i:]) {
+									t.Fatal("RegisterSubview took an interior pointer for an owner")
+								}
+								break
+							}
+						}
+					}
+				}
+			case 7: // Close: the audit, then late releases
+				want := handles()
+				if got := slab.Close(); got != want {
+					t.Fatalf("Close() = %d, model holds %d handles", got, want)
+				}
+				if !closed {
+					closed, leaked = true, want
+				}
+			}
+			if got, want := slab.Outstanding(), handles(); got != want {
+				t.Fatalf("after op %d: Outstanding() = %d, model holds %d handles", op, got, want)
 			}
 		}
 		// Drain the shadow model; the slab must agree it is empty.
@@ -161,6 +263,9 @@ func FuzzSlabViews(f *testing.F) {
 				if !Release(s.view) {
 					t.Fatalf("drain: Release %d/%d reported non-view", i+1, s.refs)
 				}
+			}
+			if IsView(s.view) {
+				t.Fatal("drain: view survived its last release")
 			}
 		}
 		if n := slab.Outstanding(); n != 0 {
@@ -172,8 +277,11 @@ func FuzzSlabViews(f *testing.F) {
 		if ret, rel := met.SlabRetained.Value(), met.SlabReleased.Value(); ret != rel {
 			t.Fatalf("metrics out of balance: retained=%d released=%d", ret, rel)
 		}
-		if n := met.SlabLeaked.Value(); n != 0 {
-			t.Fatalf("SlabLeaked = %d on a drained slab", n)
+		if n := met.SlabLeaked.Value(); n != leaked {
+			t.Fatalf("SlabLeaked = %d, the first Close saw %d", n, leaked)
+		}
+		if n := chunksListed(slab); n != 0 {
+			t.Fatalf("%d chunks of a closed, drained slab are still in the address index", n)
 		}
 	})
 }

@@ -1,11 +1,34 @@
 // Refcounted slab buffers.  Frames on the parallel engine's links are
 // carved out of large arena chunks instead of being allocated (and
 // copied) per hop.  A carve returns a *view* — a sub-slice of a chunk —
-// registered in a package-global table keyed by the view's base
-// pointer, so any code that ends up holding a view can Release it
-// without threading a slab handle through every channel type.  Code
-// that does not know whether a slice is a view calls Release or Detach
-// anyway: both are tolerant no-ops on ordinary heap slices.
+// and any code that ends up holding a view can Release it without
+// threading a slab handle through every channel type: the view's chunk
+// is found from the slice's base address, and the chunk counts the
+// handles on each of its views itself.  Code that does not know whether
+// a slice is a view calls Release or Detach anyway: both are tolerant
+// no-ops on ordinary heap slices.
+//
+// Bookkeeping is chunk-local; nothing is allocated per view:
+//
+//   - A chunk keeps a table of its live views, keyed by the view's
+//     offset in the chunk, holding the number of handles on it, under
+//     the chunk's own mutex.  The table is dropped when the last view of
+//     a sealed chunk goes, so a parked chunk carries none.
+//   - One package-wide index lists every chunk that may still hold or
+//     be given a view (the carve target, sealed chunks with live views,
+//     the free lists), sorted by base address.  It is copy-on-write and
+//     changes only when a chunk is created or dropped — once per chunk
+//     carved, not once per view — so a lookup is one atomic load and a
+//     binary search, and with no slab in use a single load.
+//   - The index pins what it lists: a listed chunk's backing array stays
+//     reachable, so its address range cannot be handed out again while
+//     it is listed, and an address inside a listed range is inside that
+//     chunk.  Addresses are compared as integers for ordering only and
+//     never converted back to pointers.  A chunk is unlisted wherever it
+//     is dropped for the GC: recycleLocked on a closed slab or a full
+//     free list, and Close for the free list and an unreferenced carve
+//     target.  A sealed chunk of a closed slab is unlisted by the late
+//     Release of its last view.
 //
 // Lifecycle rules (documented in DESIGN.md §8):
 //
@@ -26,8 +49,11 @@
 package wire
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"asymstream/internal/metrics"
 )
@@ -39,29 +65,101 @@ const DefaultChunkBytes = 64 * 1024
 // maxFreeChunks bounds a slab's recycle list.
 const maxFreeChunks = 4
 
+// chunk is one arena block.  A chunk is in one of three states: the
+// slab's carve target (cur), sealed with live views, or dead — parked
+// on the free list or dropped — with no view table.
 type chunk struct {
-	slab   *Slab
-	buf    []byte
-	refs   atomic.Int64 // live views carved from this chunk
-	sealed atomic.Bool  // no longer the carve target
+	slab      *Slab
+	base, end uintptr // buf's address range: ordering keys, never pointers
+	buf       []byte  // len = bytes carved so far (under slab.mu), cap = chunk size
+
+	mu     sync.Mutex
+	views  map[uint32]int32 // live view's offset → handles on it (1 from Alloc, +1 per Retain)
+	sealed bool             // no longer the carve target, and some view is still live
 }
 
-// viewEntry tracks one live view.  refs counts logical handles on the
-// view (1 from Alloc, +1 per Retain); the chunk reference is dropped
-// when the last handle goes.
-type viewEntry struct {
-	c    *chunk
-	refs atomic.Int64
+// span is a listed chunk and, beside it for the search, its address
+// range.
+type span struct {
+	base, end uintptr
+	c         *chunk
 }
 
-// views maps a view's base pointer to its entry.  Base pointers are
-// unique among live views: carving always advances a chunk's offset,
-// and a chunk is only re-carved after every prior view was released
-// (and therefore deleted from this table).
-var views sync.Map // map[*byte]*viewEntry
+// index is the sorted list of chunks findChunk searches.  Readers load
+// it; writers replace it under indexMu and never modify a published
+// slice.  Empty is nil, so the miss path of a process that holds no
+// chunk is one load.
+var (
+	indexMu sync.Mutex
+	index   atomic.Pointer[[]span]
+)
+
+func listedSpans() []span {
+	if p := index.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// spanAfter returns the position of the first span whose base is above
+// addr.  Written out, not slices.BinarySearchFunc: every Release and
+// IsView of a slice inside some chunk's range runs it.
+func spanAfter(spans []span, addr uintptr) int {
+	lo, hi := 0, len(spans)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); spans[m].base <= addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// findChunk returns the listed chunk containing b's base address and
+// the offset of that address in it, or nil.
+func findChunk(b []byte) (*chunk, uint32) {
+	spans := listedSpans()
+	if len(spans) == 0 || len(b) == 0 {
+		return nil, 0
+	}
+	addr := uintptr(unsafe.Pointer(&b[0]))
+	i := spanAfter(spans, addr)
+	if i == 0 || addr >= spans[i-1].end {
+		return nil, 0
+	}
+	sp := &spans[i-1]
+	return sp.c, uint32(addr - sp.base)
+}
+
+func listChunk(c *chunk) {
+	indexMu.Lock()
+	defer indexMu.Unlock()
+	old := listedSpans()
+	next := slices.Insert(slices.Clone(old), spanAfter(old, c.base), span{c.base, c.end, c})
+	index.Store(&next)
+}
+
+func unlistChunk(c *chunk) {
+	indexMu.Lock()
+	defer indexMu.Unlock()
+	old := listedSpans()
+	i := spanAfter(old, c.base) - 1
+	if i < 0 || old[i].c != c {
+		return
+	}
+	if len(old) == 1 {
+		index.Store(nil)
+		return
+	}
+	next := slices.Delete(slices.Clone(old), i, i+1)
+	index.Store(&next)
+}
 
 // Slab is an arena that carves refcounted frame buffers.  One slab is
 // shared per pipeline; Alloc is safe for concurrent producers.
+//
+// Lock order: Slab.mu, then a chunk's mu or indexMu (never both).
 type Slab struct {
 	chunkBytes  int
 	met         *metrics.Set
@@ -69,17 +167,26 @@ type Slab struct {
 	cur         *chunk
 	free        []*chunk
 	closed      bool
-	outstanding atomic.Int64 // live views carved from this slab
+	outstanding atomic.Int64 // live handles on views carved from this slab
 }
 
 // NewSlab returns a slab carving chunks of the given size (bytes).
 // met may be nil; when set, SlabRetained/SlabReleased/SlabLeaked are
-// maintained on it.
+// maintained on it.  A slab must be Closed: until then its carve
+// target and free list stay in the address index, and so reachable.
 func NewSlab(met *metrics.Set, chunkBytes int) *Slab {
 	if chunkBytes <= 0 {
 		chunkBytes = DefaultChunkBytes
 	}
 	return &Slab{chunkBytes: chunkBytes, met: met}
+}
+
+func (s *Slab) newChunk(size int) *chunk {
+	buf := make([]byte, 0, size)
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	c := &chunk{slab: s, buf: buf, base: base, end: base + uintptr(size)}
+	listChunk(c)
+	return c
 }
 
 // Alloc carves an n-byte view holding one reference.  Zero-length
@@ -89,62 +196,87 @@ func (s *Slab) Alloc(n int) []byte {
 	if n <= 0 {
 		return nil
 	}
+	if uint64(n) > math.MaxUint32 {
+		return make([]byte, n) // offsets are 32-bit; a plain slice is a valid non-view
+	}
 	s.mu.Lock()
 	c := s.cur
-	if c == nil || len(c.buf)+n > cap(c.buf) {
+	switch {
+	case s.closed:
+		// Nobody will seal a carve target again: a dedicated chunk, born
+		// sealed below, is unlisted by the release of this one view.
+		c = s.newChunk(n)
+	case c == nil || len(c.buf)+n > cap(c.buf):
 		s.sealCurLocked()
-		size := s.chunkBytes
-		if n > size {
-			size = n
-		}
 		if k := len(s.free); k > 0 && n <= cap(s.free[k-1].buf) {
 			c = s.free[k-1]
 			s.free[k-1] = nil
 			s.free = s.free[:k-1]
 		} else {
-			c = &chunk{slab: s, buf: make([]byte, 0, size)}
+			c = s.newChunk(max(n, s.chunkBytes))
 		}
 		s.cur = c
 	}
 	off := len(c.buf)
 	c.buf = c.buf[:off+n]
 	view := c.buf[off : off+n : off+n]
-	c.refs.Add(1)
+	c.mu.Lock()
+	c.addLocked(uint32(off))
+	if s.closed {
+		c.sealed = true
+	}
+	c.mu.Unlock()
 	s.mu.Unlock()
 
-	e := &viewEntry{c: c}
-	e.refs.Store(1)
-	views.Store(&view[0], e)
-	s.outstanding.Add(1)
-	if s.met != nil {
-		s.met.SlabRetained.Inc()
-	}
+	s.noteRetained(1)
 	return view
 }
 
+// addLocked adds one handle on the view at off, tracking it if it was
+// not.
+func (c *chunk) addLocked(off uint32) {
+	if c.views == nil {
+		c.views = make(map[uint32]int32)
+	}
+	c.views[off]++
+}
+
 func (s *Slab) sealCurLocked() {
-	if c := s.cur; c != nil {
-		c.sealed.Store(true)
-		if c.refs.Load() == 0 {
-			s.recycleLocked(c)
-		}
-		s.cur = nil
+	c := s.cur
+	if c == nil {
+		return
+	}
+	s.cur = nil
+	c.mu.Lock()
+	dead := len(c.views) == 0
+	if dead {
+		c.views = nil
+	} else {
+		c.sealed = true // the last release recycles it
+	}
+	c.mu.Unlock()
+	if dead {
+		s.recycleLocked(c)
 	}
 }
 
-func (s *Slab) recycle(c *chunk) {
-	s.mu.Lock()
-	s.recycleLocked(c)
-	s.mu.Unlock()
-}
-
+// recycleLocked parks a dead chunk on the free list, or drops it —
+// unlisted, so the GC can reclaim it — when the slab is closed or the
+// list is full.
 func (s *Slab) recycleLocked(c *chunk) {
 	if s.closed || len(s.free) >= maxFreeChunks {
-		return // drop; the GC reclaims it
+		unlistChunk(c)
+		return
 	}
 	c.buf = c.buf[:0]
-	c.sealed.Store(false)
 	s.free = append(s.free, c)
+}
+
+func (s *Slab) noteRetained(n int64) {
+	s.outstanding.Add(n)
+	if s.met != nil {
+		s.met.SlabRetained.Add(n)
+	}
 }
 
 // Close seals the slab and returns the number of views still
@@ -159,9 +291,9 @@ func (s *Slab) Close() int64 {
 		return s.outstanding.Load()
 	}
 	s.closed = true
-	if c := s.cur; c != nil {
-		c.sealed.Store(true)
-		s.cur = nil
+	s.sealCurLocked()
+	for _, c := range s.free {
+		unlistChunk(c)
 	}
 	s.free = nil
 	s.mu.Unlock()
@@ -177,31 +309,33 @@ func (s *Slab) Outstanding() int64 { return s.outstanding.Load() }
 
 // IsView reports whether b is (the base of) a live slab view.
 func IsView(b []byte) bool {
-	if len(b) == 0 {
+	c, off := findChunk(b)
+	if c == nil {
 		return false
 	}
-	_, ok := views.Load(&b[0])
+	c.mu.Lock()
+	_, ok := c.views[off]
+	c.mu.Unlock()
 	return ok
 }
 
 // Retain adds a reference to a live view.  It reports whether b was a
 // view; on ordinary slices it is a no-op.
 func Retain(b []byte) bool {
-	if len(b) == 0 {
+	c, off := findChunk(b)
+	if c == nil {
 		return false
 	}
-	v, ok := views.Load(&b[0])
-	if !ok {
-		return false
+	c.mu.Lock()
+	n, ok := c.views[off]
+	if ok {
+		c.views[off] = n + 1
 	}
-	e := v.(*viewEntry)
-	e.refs.Add(1)
-	s := e.c.slab
-	s.outstanding.Add(1)
-	if s.met != nil {
-		s.met.SlabRetained.Inc()
+	c.mu.Unlock()
+	if ok {
+		c.slab.noteRetained(1)
 	}
-	return true
+	return ok
 }
 
 // Release drops one reference from a view, recycling its chunk when it
@@ -209,32 +343,41 @@ func Retain(b []byte) bool {
 // a live view; on ordinary slices (or an already-released view) it is
 // a tolerant no-op.
 func Release(b []byte) bool {
-	if len(b) == 0 {
-		return false
+	c, off := findChunk(b)
+	return c != nil && c.release(off)
+}
+
+// release is Release on a chunk already found.
+func (c *chunk) release(off uint32) bool {
+	c.mu.Lock()
+	n, ok := c.views[off]
+	dead := false
+	switch {
+	case !ok:
+	case n > 1:
+		c.views[off] = n - 1
+	default:
+		delete(c.views, off)
+		// The last view of a sealed chunk: nothing can reach the chunk
+		// through its table again, so it is this caller's to recycle.
+		dead = c.sealed && len(c.views) == 0
+		if dead {
+			c.views, c.sealed = nil, false
+		}
 	}
-	key := &b[0]
-	v, ok := views.Load(key)
+	c.mu.Unlock()
 	if !ok {
 		return false
 	}
-	e := v.(*viewEntry)
-	if e.refs.Add(-1) != 0 {
-		s := e.c.slab
-		s.outstanding.Add(-1)
-		if s.met != nil {
-			s.met.SlabReleased.Inc()
-		}
-		return true
-	}
-	views.Delete(key)
-	c := e.c
 	s := c.slab
 	s.outstanding.Add(-1)
 	if s.met != nil {
 		s.met.SlabReleased.Inc()
 	}
-	if c.refs.Add(-1) == 0 && c.sealed.Load() {
-		s.recycle(c)
+	if dead {
+		s.mu.Lock()
+		s.recycleLocked(c)
+		s.mu.Unlock()
 	}
 	return true
 }
@@ -266,33 +409,43 @@ func ReleaseAll(items [][]byte) int {
 // and each is preceded by at least one length byte).  When sub shares
 // owner's base pointer this degenerates to Retain(owner).  It reports
 // whether owner was a live view; on ordinary slices it is a tolerant
-// no-op and sub stays an untracked alias.
+// no-op and sub stays an untracked alias, as does a sub outside
+// owner's chunk.
 func RegisterSubview(owner, sub []byte) bool {
-	if len(owner) == 0 || len(sub) == 0 {
+	if len(sub) == 0 {
 		return false
 	}
-	v, ok := views.Load(&owner[0])
-	if !ok {
+	one := [1][]byte{sub}
+	return registerSubviews(owner, one[:])
+}
+
+// registerSubviews is RegisterSubview for every non-empty slice of
+// subs at once: one chunk lookup and one lock acquisition, however
+// many there are.
+func registerSubviews(owner []byte, subs [][]byte) bool {
+	c, off := findChunk(owner)
+	if c == nil {
 		return false
 	}
-	e := v.(*viewEntry)
-	if &owner[0] == &sub[0] {
-		// Same base pointer: sub and owner share a view entry, so this
-		// degenerates to an extra reference on it (Retain semantics).
-		e.refs.Add(1)
-	} else {
-		c := e.c
-		c.refs.Add(1)
-		ne := &viewEntry{c: c}
-		ne.refs.Store(1)
-		views.Store(&sub[0], ne)
+	n := int64(0)
+	c.mu.Lock()
+	_, ok := c.views[off]
+	if ok {
+		for _, sub := range subs {
+			if len(sub) == 0 {
+				continue
+			}
+			if addr := uintptr(unsafe.Pointer(&sub[0])); addr >= c.base && addr < c.end {
+				c.addLocked(uint32(addr - c.base))
+				n++
+			}
+		}
 	}
-	s := e.c.slab
-	s.outstanding.Add(1)
-	if s.met != nil {
-		s.met.SlabRetained.Inc()
+	c.mu.Unlock()
+	if n > 0 {
+		c.slab.noteRetained(n)
 	}
-	return true
+	return ok
 }
 
 // Detach converts b into an ordinary heap slice the caller owns
@@ -301,10 +454,17 @@ func RegisterSubview(owner, sub []byte) bool {
 // the data plane still pays, at the boundary where items leave
 // library-controlled lifetimes (user bodies, collecting sinks).
 func Detach(b []byte) []byte {
-	if len(b) == 0 || !IsView(b) {
+	c, off := findChunk(b)
+	if c == nil {
 		return b
 	}
+	// The caller's handle keeps the bytes in place until it is released;
+	// copying first saves a second pass through the chunk's table.  An
+	// address inside a chunk that is not a live view's base wastes the
+	// copy.
 	out := append([]byte(nil), b...)
-	Release(b)
+	if !c.release(off) {
+		return b
+	}
 	return out
 }

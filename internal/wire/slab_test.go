@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -167,5 +168,202 @@ func TestSlabConcurrent(t *testing.T) {
 	}
 	if leaked := s.Close(); leaked != 0 {
 		t.Fatalf("leaked = %d", leaked)
+	}
+}
+
+// chunksListed counts the chunks of s in the address index.
+func chunksListed(s *Slab) int {
+	n := 0
+	for _, sp := range listedSpans() {
+		if sp.c.slab == s {
+			n++
+		}
+	}
+	return n
+}
+
+// TestChunkIndexDrains pins the rule that the index lists only chunks
+// that may still hold or be given a view: each drop point unlists, so a
+// closed slab's chunks go as their last views do.
+func TestChunkIndexDrains(t *testing.T) {
+	s := NewSlab(nil, 64)
+	var parked [][]byte
+	for i := 0; i < maxFreeChunks+2; i++ {
+		parked = append(parked, s.Alloc(64)) // one chunk each
+	}
+	held := s.Alloc(64)
+	cur := s.Alloc(8)
+	if got, want := chunksListed(s), maxFreeChunks+4; got != want {
+		t.Fatalf("%d chunks listed with a view in each, want %d", got, want)
+	}
+	ReleaseAll(parked) // fills the free list; the overflow is dropped
+	if got, want := chunksListed(s), maxFreeChunks+2; got != want {
+		t.Fatalf("%d chunks listed past a full free list, want %d", got, want)
+	}
+	s.Close() // the free list goes; held's chunk and the carve target stay for their views
+	if got := chunksListed(s); got != 2 {
+		t.Fatalf("%d chunks listed after Close with 2 holding views", got)
+	}
+	late := s.Alloc(8) // a closed slab carves dedicated chunks
+	if got := chunksListed(s); got != 3 {
+		t.Fatalf("%d chunks listed after an Alloc on the closed slab, want 3", got)
+	}
+	for _, v := range [][]byte{held, cur, late} {
+		if !Release(v) {
+			t.Fatal("late release failed")
+		}
+	}
+	if got := chunksListed(s); got != 0 {
+		t.Fatalf("%d chunks still listed after Close and the last release", got)
+	}
+
+	idle := NewSlab(nil, 64)
+	Release(idle.Alloc(8))
+	idle.Close() // an unreferenced carve target goes with Close
+	if got := chunksListed(idle); got != 0 {
+		t.Fatalf("%d chunks of an idle closed slab still listed", got)
+	}
+}
+
+// TestSlabStorm is the -race check of the registry: four goroutines
+// carve from two slabs, register sub-views in each other's chunks and
+// retain and release across them, while a fifth closes one slab under
+// them.  Every handle taken is released, so both slabs must drain.
+func TestSlabStorm(t *testing.T) {
+	slabs := [2]*Slab{NewSlab(nil, 512), NewSlab(nil, 512)}
+	shared := make(chan []byte, 64) // views handed to whichever goroutine takes them
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 2000; i++ {
+				v := slabs[(g+i)%2].Alloc(8 + (g+i)%120)
+				v[0] = byte(g)
+				sub := v[1+i%7:]
+				if !RegisterSubview(v, sub) {
+					t.Error("RegisterSubview on a view just carved reported non-view")
+				}
+				if i%3 == 0 {
+					Retain(sub)
+					Release(sub)
+				}
+				Release(v) // sub keeps the chunk
+				select {
+				case shared <- sub:
+				default:
+					Release(sub)
+				}
+				select {
+				case w := <-shared:
+					if !IsView(w) || !Release(w) {
+						t.Error("a handed-over sub-view was not live")
+					}
+				default:
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			Release(slabs[1].Alloc(16))
+		}
+		slabs[1].Close()
+	}()
+	wg.Wait()
+	close(shared)
+	for w := range shared {
+		Release(w)
+	}
+	for i, s := range slabs {
+		if n := s.Outstanding(); n != 0 {
+			t.Errorf("slab %d: outstanding = %d", i, n)
+		}
+		s.Close()
+		if n := chunksListed(s); n != 0 {
+			t.Errorf("slab %d: %d chunks still listed", i, n)
+		}
+	}
+}
+
+// TestViewAllocCeilings pins what the registry may allocate: nothing a
+// view, the copy on Detach, the item vector a frame.
+func TestViewAllocCeilings(t *testing.T) {
+	s := NewSlab(nil, 0)
+	defer s.Close()
+	owner := s.Alloc(4096)
+	defer Release(owner)
+	heap := make([]byte, 64)
+	sub := owner[2000:2064]
+
+	const k = 16
+	items := make([][]byte, k)
+	for i := range items {
+		items[i] = heap[:32]
+	}
+	frame := AppendItemsField(owner[:0], items) // encoded in place, as a frame read off a socket lies in its buffer
+	for _, c := range []struct {
+		name string
+		want float64
+		op   func()
+	}{
+		{"RegisterSubview+Release", 0, func() { RegisterSubview(owner, sub); Release(sub) }},
+		{"IsView(heap)", 0, func() { IsView(heap) }},
+		{"Release(heap)", 0, func() { Release(heap) }},
+		{"Detach(view)", 1, func() { RegisterSubview(owner, sub); Detach(sub) }},
+		{fmt.Sprintf("ReadItemsFieldView(%d items)", k), 1, func() {
+			items, _, err := ReadItemsFieldView(frame, owner)
+			if err != nil || len(items) != k {
+				t.Fatalf("%d items, %v", len(items), err)
+			}
+			ReleaseAll(items)
+		}},
+	} {
+		if n := testing.AllocsPerRun(200, c.op); n != c.want {
+			t.Errorf("%s allocates %.1f/op, want %.0f", c.name, n, c.want)
+		}
+	}
+}
+
+// BenchmarkViewLifecycle times what one item pays the registry on a
+// wire hop — register, IsView, Release — and the miss a heap slice
+// pays, with no chunk listed and with 16.
+func BenchmarkViewLifecycle(b *testing.B) {
+	b.Run("view", func(b *testing.B) {
+		s := NewSlab(nil, 0)
+		defer s.Close()
+		owner := s.Alloc(4096)
+		defer Release(owner)
+		sub := owner[100:164]
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			RegisterSubview(owner, sub)
+			if !IsView(sub) || !Release(sub) {
+				b.Fatal("sub-view not live")
+			}
+		}
+	})
+	heap := make([]byte, 64)
+	for _, chunks := range []int{0, 16} {
+		b.Run(fmt.Sprintf("miss/chunks=%d", chunks), func(b *testing.B) {
+			if n := len(listedSpans()); n != 0 {
+				b.Skipf("%d chunks listed by views leaked earlier in this process", n)
+			}
+			s := NewSlab(nil, 64)
+			defer s.Close()
+			for i := 0; i < chunks; i++ {
+				defer Release(s.Alloc(64))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if IsView(heap) || Release(heap) {
+					b.Fatal("heap slice taken for a view")
+				}
+			}
+		})
 	}
 }
