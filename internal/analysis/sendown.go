@@ -7,17 +7,18 @@ import (
 
 // SendOwn checks the write coalescer's cross-goroutine frame
 // ownership, the contract socketlink.go/bridge.go document in prose:
-// a pooled frame (*[]byte from wire.GetBuf) appended to a coalescer
-// queue ([]*[]byte) is owned by whichever sender drains the queue.
+// a pooled frame (*wire.Frame from wire.GetFrame) appended to a
+// coalescer queue ([]*wire.Frame) is owned by whichever sender drains
+// the queue.
 // Three rules, one per role:
 //
 //   - enqueuer: appending the frame to an owners queue is the handoff;
-//     the enqueuer must not PutBuf it or touch it afterwards (stale
+//     the enqueuer must not PutFrame it or touch it afterwards (stale
 //     dataflow, same engine as poolhygiene's use-after-Put, with the
 //     append recognized as the releasing operation);
 //   - drainer: a queue swapped out of its field (`owners := d.owners;
 //     d.owners = nil`) is an obligation — every path to an exit must
-//     drain it through a PutBuf loop or hand it to a helper that does
+//     drain it through a PutFrame loop or hand it to a helper that does
 //     (obligation dataflow; the drain loop discharges via the range
 //     hook);
 //   - structurally, a package that appends frames into a coalescer
@@ -28,7 +29,7 @@ import (
 // goroutine boundary: the enqueue and the drain are different
 // functions on different goroutines, and the queue field is the only
 // thing connecting them, so the rules meet at the field's type
-// ([]*[]byte) rather than at a call edge.
+// ([]*wire.Frame) rather than at a call edge.
 var SendOwn = &Analyzer{
 	Name: "sendown",
 	Doc:  "check coalescer frame handoff: no touch after enqueue, drain on every path",
@@ -99,18 +100,22 @@ func reportSendLeaks(pass *Pass, spec lifetimeSpec, body *ast.BlockStmt) {
 	for _, l := range lt.leaks() {
 		exit := pass.Prog.Fset.Position(l.exitPos)
 		pass.Reportf(l.allocPos,
-			"swapped-out coalescer queue %s may drop its frames without PutBuf on the path returning at line %d",
+			"swapped-out coalescer queue %s may drop its frames without PutFrame on the path returning at line %d",
 			l.v.Name(), exit.Line)
 	}
 }
 
-// isFrame reports whether t is *[]byte, a pooled frame.
+// isFrame reports whether t is *wire.Frame, a pooled frame.
 func isFrame(t types.Type) bool {
 	p, ok := t.Underlying().(*types.Pointer)
-	return ok && isByteSlice(p.Elem())
+	if !ok {
+		return false
+	}
+	n, ok := p.Elem().(*types.Named)
+	return ok && n.Obj().Name() == "Frame" && n.Obj().Pkg() != nil && isWirePackage(n.Obj().Pkg().Path())
 }
 
-// isOwnersQueue reports whether t is []*[]byte, a coalescer queue.
+// isOwnersQueue reports whether t is []*wire.Frame, a coalescer queue.
 func isOwnersQueue(t types.Type) bool {
 	if t == nil {
 		return false
@@ -151,7 +156,7 @@ func fieldQueueTarget(info *types.Info, call *ast.CallExpr) bool {
 func bodyReleasesFrames(info *types.Info, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isPkgFunc(info, call, isWirePackage, "PutBuf") {
+		if call, ok := n.(*ast.CallExpr); ok && isPkgFunc(info, call, isWirePackage, "PutFrame") {
 			found = true
 		}
 		return !found
@@ -160,16 +165,16 @@ func bodyReleasesFrames(info *types.Info, body *ast.BlockStmt) bool {
 }
 
 // sendEnqueueSpec tracks individual frames in stale mode: after the
-// queue append (or a PutBuf), the frame belongs to someone else.
+// queue append (or a PutFrame), the frame belongs to someone else.
 func sendEnqueueSpec(pkg *Package) lifetimeSpec {
 	info := pkg.Info
 	return lifetimeSpec{
 		pkg: pkg,
 		isAlloc: func(call *ast.CallExpr) bool {
-			return isPkgFunc(info, call, isWirePackage, "GetBuf")
+			return isPkgFunc(info, call, isWirePackage, "GetFrame")
 		},
 		releaseArgs: func(call *ast.CallExpr) []ast.Expr {
-			if isPkgFunc(info, call, isWirePackage, "PutBuf") && len(call.Args) == 1 {
+			if isPkgFunc(info, call, isWirePackage, "PutFrame") && len(call.Args) == 1 {
 				return call.Args[:1]
 			}
 			return ownersAppendArgs(info, call)

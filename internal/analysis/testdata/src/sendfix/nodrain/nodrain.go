@@ -11,12 +11,12 @@ import (
 
 type sink struct {
 	mu     sync.Mutex
-	owners []*[]byte
+	owners []*wire.Frame
 }
 
 func (s *sink) push(payload []byte) {
-	buf := wire.GetBuf()
-	*buf = append((*buf)[:0], payload...)
+	buf := wire.GetFrame()
+	buf.Buf = append(buf.Buf[:0], payload...)
 	s.mu.Lock()
 	s.owners = append(s.owners, buf) // want "no drain loop in this package"
 	s.mu.Unlock()

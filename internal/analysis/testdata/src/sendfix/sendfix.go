@@ -12,13 +12,13 @@ import (
 
 type coal struct {
 	mu     sync.Mutex
-	owners []*[]byte
+	owners []*wire.Frame
 }
 
 // enqueueOK fills the frame first, then hands it off.
 func (c *coal) enqueueOK(payload []byte) {
-	buf := wire.GetBuf()
-	*buf = append((*buf)[:0], payload...)
+	buf := wire.GetFrame()
+	buf.Buf = append(buf.Buf[:0], payload...)
 	c.mu.Lock()
 	c.owners = append(c.owners, buf)
 	c.mu.Unlock()
@@ -27,11 +27,11 @@ func (c *coal) enqueueOK(payload []byte) {
 // enqueueBad touches the frame after the handoff: the drainer may
 // already have released it on another goroutine.
 func (c *coal) enqueueBad(payload []byte) {
-	buf := wire.GetBuf()
+	buf := wire.GetFrame()
 	c.mu.Lock()
 	c.owners = append(c.owners, buf)
 	c.mu.Unlock()
-	n := len(*buf) // want "touched after it was handed"
+	n := len(buf.Buf) // want "touched after it was handed"
 	_ = n
 }
 
@@ -42,7 +42,7 @@ func (c *coal) drainOK() {
 	c.owners = nil
 	c.mu.Unlock()
 	for _, b := range owners {
-		wire.PutBuf(b)
+		wire.PutFrame(b)
 	}
 }
 
@@ -57,6 +57,6 @@ func (c *coal) drainBad(fail bool) {
 		return
 	}
 	for _, b := range owners {
-		wire.PutBuf(b)
+		wire.PutFrame(b)
 	}
 }

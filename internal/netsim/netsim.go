@@ -272,16 +272,16 @@ func (n *Network) Transmit(a, b NodeID, payload any) (any, int64, error) {
 // charging the encoded frame size — header plus payload, the bytes
 // that would actually cross the Ethernet — as wire bytes.
 func (n *Network) encodeRoundTrip(payload any) (any, int64, error) {
-	buf := wire.GetBuf()
-	enc, err := wire.Append((*buf)[:0], payload)
+	f := wire.GetFrame()
+	enc, err := wire.Append(f.Buf[:0], payload)
 	if err != nil {
-		wire.PutBuf(buf)
+		wire.PutFrame(f)
 		return nil, 0, fmt.Errorf("netsim: encode: %w", err)
 	}
 	nb := int64(len(enc))
 	decoded, _, err := wire.Decode(enc)
-	*buf = enc
-	wire.PutBuf(buf)
+	f.Buf = enc
+	wire.PutFrame(f)
 	if err != nil {
 		return nil, 0, fmt.Errorf("netsim: decode: %w", err)
 	}

@@ -1,0 +1,96 @@
+package transport_test
+
+import (
+	"fmt"
+	"testing"
+
+	"asymstream/internal/transport"
+	"asymstream/internal/transput"
+	"asymstream/internal/wire"
+)
+
+// transmitBatch returns one closure that carries a DeliverRequest of
+// batch items of itemBytes each across s and gives the receive buffer's
+// views back, the way a port that has consumed them does.
+func transmitBatch(tb testing.TB, s *transport.SocketNetwork, batch, itemBytes int) func() {
+	items := make([][]byte, batch)
+	for i := range items {
+		items[i] = make([]byte, itemBytes)
+	}
+	req := &transput.DeliverRequest{Items: items}
+	return func() {
+		got, _, err := s.Transmit(0, 1, req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		got.(*transput.DeliverRequest).ReleaseWirePayload()
+	}
+}
+
+// BenchmarkTransmitItemSize is one link crossing of a 16-item Deliver
+// at item sizes on both sides of wire.SpliceCutoff: below it the items
+// are copied into the frame buffer, from it on they ride the iovec.
+// The constant's comment quotes this benchmark run with the cutoff set
+// to 1 (always splice) and to 1<<30 (always copy).
+func BenchmarkTransmitItemSize(b *testing.B) {
+	const batch = 16
+	for _, kind := range kinds {
+		for _, size := range []int{64, 256, 1 << 10, 2 << 10, 3 << 10, 4 << 10, 16 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("%s/%dB", kind, size), func(b *testing.B) {
+				s, err := transport.NewSocketNetwork(kind, 2)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				op := transmitBatch(b, s, batch, size)
+				for i := 0; i < 64; i++ {
+					op()
+				}
+				b.SetBytes(int64(batch * size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op()
+				}
+			})
+		}
+	}
+}
+
+var raceEnabled bool // set by race_test.go
+
+// TestTransmitAllocs pins the send side's bookkeeping inside pooled and
+// parked arrays.  The vectored path's splice list and longer iovec: a
+// warm Transmit whose items are spliced allocates no more than one
+// whose items, a byte shorter each, are copied.  And the waiter queue,
+// whose capacity must survive a pop: a small Transmit allocates only
+// what the far side decodes.  Nothing else runs while AllocsPerRun
+// counts process-wide mallocs.
+func TestTransmitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	for _, kind := range kinds {
+		allocs := func(itemBytes int) float64 {
+			s, err := transport.NewSocketNetwork(kind, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			op := transmitBatch(t, s, 16, itemBytes)
+			for i := 0; i < 256; i++ {
+				op()
+			}
+			return testing.AllocsPerRun(200, op)
+		}
+		copied, spliced := allocs(wire.SpliceCutoff-1), allocs(wire.SpliceCutoff)
+		if spliced > copied {
+			t.Errorf("%s: spliced Transmit %.2f allocs/op, copied %.2f", kind, spliced, copied)
+		}
+		// The far side's decoded record and its item vector; the send
+		// side — frame, waiter, both coalescer queues — allocates nothing.
+		if small := allocs(64); small > 2 {
+			t.Errorf("%s: 64 B Transmit %.2f allocs/op, want <= 2", kind, small)
+		}
+	}
+}

@@ -18,12 +18,22 @@ import (
 // append, and the incumbent's next pass carries them all.  N concurrent
 // senders cost one syscall, not N, and a lone sender pays no scheduler
 // handoff between itself and the syscall.
+//
+// A frame that borrows (wire.Frame.Borrows) puts the sender's own item
+// memory on the iovec, and the sender gets it back when its waiter
+// completes.  The invariant that makes that safe: no waiter completes
+// while an iovec entry of its frame can still reach writev.  A waiter
+// completes either from the read loop, which has then read the whole
+// frame, so the kernel is done with every byte of it; or from drain,
+// which runs only where no pass is in WriteTo and none can start — in
+// the pass itself once its WriteTo has returned, or under a dead
+// connection whose claim nobody holds (fail).
 type coalescer struct {
 	conn net.Conn
 
 	mu      sync.Mutex
 	pending net.Buffers
-	owners  []*[]byte // pooled buffers backing pending, same order
+	owners  []*wire.Frame // pooled frames backing pending, same order
 	// waiters is the completion FIFO for senders that wait on the far
 	// side (socket links): frame and waiter are appended in one critical
 	// section and the socket preserves order, so the k-th frame read
@@ -37,40 +47,31 @@ type coalescer struct {
 	// as the queues, and the slice header WriteTo consumes (a field, so
 	// taking its address allocates nothing).
 	sparePending net.Buffers
-	spareOwners  []*[]byte
+	spareOwners  []*wire.Frame
 	inflight     net.Buffers
-}
-
-// encodeFrame encodes v as one wire frame into a pooled buffer, which
-// the caller owns until it hands it to enqueue.
-func encodeFrame(v any) (*[]byte, error) {
-	buf := wire.GetBuf()
-	enc, err := wire.Append((*buf)[:0], v)
-	if err != nil {
-		wire.PutBuf(buf)
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	*buf = enc
-	return buf, nil
 }
 
 // enqueue takes ownership of an encoded frame and queues it (with its
 // waiter, if any) for the next writev, draining the queue itself when
 // no other sender owns the connection.  It fails only on a connection
 // already dead, in which case x was not queued.
-func (c *coalescer) enqueue(buf *[]byte, x *xfer) error {
+//
+// Keep this function's stack frame small: the bridge server answers
+// each request on a fresh goroutine, and send → enqueue → writeOut →
+// writev sits just under the starting stack size (DESIGN.md).
+func (c *coalescer) enqueue(f *wire.Frame, x *xfer) error {
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		wire.PutBuf(buf)
+		wire.PutFrame(f)
 		return err
 	}
 	if x != nil {
 		c.waiters = append(c.waiters, x)
 	}
-	c.pending = append(c.pending, *buf)
-	c.owners = append(c.owners, buf)
+	c.pending = f.Segments(c.pending)
+	c.owners = append(c.owners, f)
 	claim := !c.writing
 	c.writing = true
 	c.mu.Unlock()
@@ -80,14 +81,34 @@ func (c *coalescer) enqueue(buf *[]byte, x *xfer) error {
 	return nil
 }
 
-// send encodes v and enqueues it with no waiter (the bridge matches
-// replies by id, not by order).
-func (c *coalescer) send(v any) error {
-	buf, err := encodeFrame(v)
-	if err != nil {
-		return err
+// popWaiter removes and returns the oldest waiter, nil if there is
+// none.  It copies the rest down rather than reslicing: `waiters[1:]`
+// gives the popped slot's capacity away, and at a window of one every
+// enqueue would then allocate a new queue.
+func (c *coalescer) popWaiter() *xfer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.waiters) == 0 {
+		return nil
 	}
-	return c.enqueue(buf, nil)
+	x := c.waiters[0]
+	n := copy(c.waiters, c.waiters[1:])
+	c.waiters[n] = nil
+	c.waiters = c.waiters[:n]
+	return x
+}
+
+// send encodes v contiguously — a frame with no waiter has no moment
+// at which borrowed memory could be handed back — and enqueues it (the
+// bridge matches replies by id, not by order).
+func (c *coalescer) send(v any) error {
+	f := wire.GetFrame()
+	var err error
+	if f.Buf, err = wire.Append(f.Buf[:0], v); err != nil {
+		wire.PutFrame(f)
+		return fmt.Errorf("transport: encode: %w", err)
+	}
+	return c.enqueue(f, nil)
 }
 
 // writeOut drains the queue, one writev per pass.  The claim is
@@ -99,6 +120,14 @@ func (c *coalescer) send(v any) error {
 func (c *coalescer) writeOut() {
 	for {
 		c.mu.Lock()
+		if c.err != nil {
+			// Dead, by this pass's write or by a fail that left the
+			// queues to the claim's holder.
+			c.writing = false
+			c.mu.Unlock()
+			c.drain()
+			return
+		}
 		bufs := c.pending
 		//vet:ok sendown -- empty-queue exit: len(bufs)==0 under c.mu implies owners is empty too
 		owners := c.owners
@@ -111,33 +140,54 @@ func (c *coalescer) writeOut() {
 		c.mu.Unlock()
 		c.inflight = bufs
 		_, err := c.inflight.WriteTo(c.conn)
-		for i, b := range owners {
-			wire.PutBuf(b)
-			owners[i] = nil // a parked array must not pin pooled buffers
+		for i, f := range owners {
+			wire.PutFrame(f)
+			owners[i] = nil // a parked array must not pin pooled frames
 		}
 		if err != nil {
-			c.fail(fmt.Errorf("transport: write: %w", err))
-			return
+			c.kill(fmt.Errorf("transport: write: %w", err))
+			continue // to drain under the claim
 		}
 		// A complete write has consumed, and so cleared, every entry of bufs.
 		c.sparePending, c.spareOwners = bufs[:0], owners[:0]
 	}
 }
 
-// fail marks the connection dead and drains every queued frame and
-// waiter.  Idempotent; only the first error sticks.
-func (c *coalescer) fail(err error) {
+// kill marks the connection dead and closes it, which also wakes a pass
+// blocked in WriteTo, and reports whether a sender holds the write
+// claim.  Only the first error sticks.
+func (c *coalescer) kill(err error) (claimed bool) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
-	} else {
-		err = c.err
 	}
+	claimed = c.writing
+	c.mu.Unlock()
+	c.conn.Close()
+	return claimed
+}
+
+// fail kills the connection and sees every queued frame and waiter
+// drained: by the sender holding the write claim once its WriteTo has
+// returned (the invariant above), and by fail itself when there is
+// none, since then nobody is writing or can start.  Idempotent.
+func (c *coalescer) fail(err error) {
+	if !c.kill(err) {
+		c.drain()
+	}
+}
+
+// drain releases every queued frame and completes every waiter with the
+// connection's error.  Only for a dead connection with no pass in
+// WriteTo.
+func (c *coalescer) drain() {
+	c.mu.Lock()
+	err := c.err
 	ws, obs := c.waiters, c.owners
 	c.waiters, c.owners, c.pending = nil, nil, nil
 	c.mu.Unlock()
-	for _, b := range obs {
-		wire.PutBuf(b)
+	for _, f := range obs {
+		wire.PutFrame(f)
 	}
 	for _, x := range ws {
 		x.done <- xres{err: err}
@@ -145,7 +195,4 @@ func (c *coalescer) fail(err error) {
 }
 
 // close fails whatever is queued and closes the connection.
-func (c *coalescer) close() {
-	c.fail(errors.New("transport: connection closed"))
-	c.conn.Close()
-}
+func (c *coalescer) close() { c.fail(errors.New("transport: connection closed")) }

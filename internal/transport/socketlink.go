@@ -7,7 +7,11 @@
 // The perf core is syscall amortization: every (from, to) node
 // direction has a caller-driven write coalescer (coalescer.go), so N
 // concurrent Transmits — many multiplexed channels, windowed
-// invocations in flight — cost one writev, not N.  The read side is a
+// invocations in flight — cost one writev, not N.  Frames are vectored
+// (wire.Frame): an item payload of wire.SpliceCutoff bytes or more is
+// not copied into the frame buffer but rides the writev iovec where it
+// lies, borrowed from the sender until the far side has read the frame
+// (see Transmit and the coalescer's invariant).  The read side is a
 // wire.FrameReader: bytes land in a slab chunk, frames are decoded in
 // place, and item payloads are handed to ports as ownership-transferred
 // sub-views without an intermediate copy, which is how WireBytesSaved
@@ -87,15 +91,14 @@ func (d *dir) readLoop(wg *sync.WaitGroup) {
 			d.fail(err)
 			return
 		}
-		d.mu.Lock()
-		var x *xfer
-		if n := len(d.waiters); n > 0 {
-			x = d.waiters[0]
-			d.waiters[0] = nil
-			d.waiters = d.waiters[1:]
-		}
-		d.mu.Unlock()
+		x := d.popWaiter()
 		if x == nil {
+			// A failed write drained this frame's waiter before the
+			// frame, already in the socket, was read: nobody is left to
+			// own the views it decoded into.
+			if r, ok := v.(wire.PayloadReleaser); ok {
+				r.ReleaseWirePayload()
+			}
 			d.fail(errors.New("transport: frame with no matching transmit"))
 			return
 		}
@@ -221,8 +224,11 @@ func (s *SocketNetwork) start() {
 // Transmit implements netsim.Link: encode the payload as one wire
 // frame, enqueue it on the direction's coalescer, and wait for the far
 // side's read loop to decode it.  Sender-side slab views are released
-// as soon as the frame owns the bytes, exactly as on a netsim encoded
-// hop.
+// once nothing can read them any more: right after the encode when the
+// frame holds a copy of every item, exactly as on a netsim encoded hop,
+// and after the wait when the frame borrows its large items — the far
+// side has then read the whole frame (or the connection is dead and
+// drained; see the coalescer's invariant).
 func (s *SocketNetwork) Transmit(a, b netsim.NodeID, payload any) (any, int64, error) {
 	if int(a) < 0 || int(a) >= s.nodes || int(b) < 0 || int(b) >= s.nodes {
 		return nil, 0, fmt.Errorf("%w: %d->%d (have %d nodes)", netsim.ErrNoSuchNode, a, b, s.nodes)
@@ -236,25 +242,31 @@ func (s *SocketNetwork) Transmit(a, b netsim.NodeID, payload any) (any, int64, e
 	s.startOnce.Do(s.start)
 	d := s.dirs[int(a)*s.nodes+int(b)]
 
-	buf, err := encodeFrame(payload)
-	if err != nil {
-		return nil, 0, err
+	f := wire.GetFrame()
+	if err := f.Encode(payload); err != nil {
+		wire.PutFrame(f)
+		return nil, 0, fmt.Errorf("transport: encode: %w", err)
 	}
-	if r, ok := payload.(wire.PayloadReleaser); ok {
-		r.ReleaseWirePayload()
+	rel, _ := payload.(wire.PayloadReleaser)
+	if rel != nil && !f.Borrows() {
+		rel.ReleaseWirePayload()
+		rel = nil
 	}
-	nb := int64(len(*buf))
+	nb := int64(f.Len())
 
 	x := xferPool.Get().(*xfer)
-	if err := d.enqueue(buf, x); err != nil {
-		xferPool.Put(x)
-		return nil, 0, err
+	err := d.enqueue(f, x)
+	var res xres
+	if err == nil {
+		res = <-x.done
+		err = res.err
 	}
-
-	res := <-x.done
 	xferPool.Put(x)
-	if res.err != nil {
-		return nil, 0, res.err
+	if rel != nil {
+		rel.ReleaseWirePayload()
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	met := s.metp.Load()
 	met.WireBytes.Add(nb)

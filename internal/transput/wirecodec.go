@@ -92,13 +92,16 @@ func decodeTransferRequest(b []byte) (any, error) {
 // WireID implements wire.Marshaler.
 func (r *TransferReply) WireID() uint16 { return wireIDTransferReply }
 
-// AppendWire implements wire.Marshaler.
+// AppendWire implements wire.Marshaler: the scalars; the encoder
+// appends the items field after them (wire.ItemsMarshaler).
 func (r *TransferReply) AppendWire(dst []byte) ([]byte, error) {
 	dst = wire.AppendVarintField(dst, int64(r.Status))
 	dst = wire.AppendStringField(dst, r.AbortMsg)
-	dst = wire.AppendVarintField(dst, r.Base)
-	return wire.AppendItemsField(dst, r.Items), nil
+	return wire.AppendVarintField(dst, r.Base), nil
 }
+
+// WireItems implements wire.ItemsMarshaler.
+func (r *TransferReply) WireItems() [][]byte { return r.Items }
 
 func decodeTransferReply(b []byte) (any, error) {
 	r := &TransferReply{}
@@ -161,7 +164,7 @@ func decodeTransferReplyView(b, owner []byte) (any, error) {
 	return r, nil
 }
 
-// ReleaseWirePayload lets netsim hand slab views back after an encoded
+// ReleaseWirePayload lets a link hand slab views back after an encoded
 // cross-node hop: the decoded copy supersedes the originals, so the
 // sender-side views are done.  Tolerant of ordinary heap items.
 func (r *TransferReply) ReleaseWirePayload() { wire.ReleaseAll(r.Items) }
@@ -171,7 +174,7 @@ func (r *TransferReply) ReleaseWirePayload() { wire.ReleaseAll(r.Items) }
 // WireID implements wire.Marshaler.
 func (r *DeliverRequest) WireID() uint16 { return wireIDDeliverRequest }
 
-// AppendWire implements wire.Marshaler.
+// AppendWire implements wire.Marshaler — see TransferReply.AppendWire.
 func (r *DeliverRequest) AppendWire(dst []byte) ([]byte, error) {
 	dst = appendChannelID(dst, r.Channel)
 	if r.End {
@@ -181,9 +184,11 @@ func (r *DeliverRequest) AppendWire(dst []byte) ([]byte, error) {
 	}
 	w := r.Writer.Bytes()
 	dst = append(dst, w[:]...)
-	dst = wire.AppendUvarintField(dst, r.Seq)
-	return wire.AppendItemsField(dst, r.Items), nil
+	return wire.AppendUvarintField(dst, r.Seq), nil
 }
+
+// WireItems implements wire.ItemsMarshaler.
+func (r *DeliverRequest) WireItems() [][]byte { return r.Items }
 
 func decodeDeliverRequest(b []byte) (any, error) {
 	r := &DeliverRequest{}

@@ -67,11 +67,22 @@ type Marshaler interface {
 	AppendWire(dst []byte) ([]byte, error)
 }
 
+// ItemsMarshaler is a Marshaler whose body ends with an items field.
+// Its AppendWire appends only what precedes that field; the encoder
+// appends WireItems itself, which is where a vectored frame (frame.go)
+// gets to splice a large item instead of copying it.  Decoders see the
+// whole body, items field included.
+type ItemsMarshaler interface {
+	Marshaler
+	WireItems() [][]byte
+}
+
 // PayloadReleaser is implemented by records whose payload items are
-// refcounted slab views: once the encoded copy is on the wire the
+// refcounted slab views: once the far side has the bytes the
 // sender-side views are dead weight and can go back to their slab.
 // Every link that encodes a payload (netsim, sockets) releases through
-// it.
+// it — after the encode when the frame holds a copy, after the frame
+// has been read when it borrows (Frame.Borrows).
 type PayloadReleaser interface{ ReleaseWirePayload() }
 
 // DecodeFunc rebuilds a record value from the body AppendWire produced.
@@ -121,8 +132,10 @@ func openFrame(dst []byte, tag byte) ([]byte, int) {
 	return append(dst, tag, 0, 0, 0, 0), start
 }
 
-func closeFrame(dst []byte, start int) []byte {
-	n := len(dst) - start - HeaderBytes
+// closeFrame backfills the length: what was appended since openFrame
+// plus the spliced bytes that are not in dst.
+func closeFrame(dst []byte, start, spliced int) []byte {
+	n := len(dst) - start - HeaderBytes + spliced
 	binary.BigEndian.PutUint32(dst[start+1:start+HeaderBytes], uint32(n))
 	return dst
 }
@@ -131,7 +144,12 @@ func closeFrame(dst []byte, start int) []byte {
 // []byte, string, int64, [][]byte and Marshaler records; anything else
 // rides the gob fallback inside a TagGob frame.  On error dst is
 // returned truncated to its original length.
-func Append(dst []byte, v any) ([]byte, error) {
+func Append(dst []byte, v any) ([]byte, error) { return appendFrame(dst, v, nil) }
+
+// appendFrame is the one encoder.  With sp nil it is Append: every byte
+// of the frame lands in dst.  With sp set (Frame.Encode) the items of an
+// ItemsMarshaler at or above SpliceCutoff are recorded in *sp instead.
+func appendFrame(dst []byte, v any, sp *[]splice) ([]byte, error) {
 	switch x := v.(type) {
 	case []byte:
 		dst = appendHeader(dst, TagBytes, len(x))
@@ -142,11 +160,11 @@ func Append(dst []byte, v any) ([]byte, error) {
 	case int64:
 		dst, start := openFrame(dst, TagInt64)
 		dst = binary.AppendVarint(dst, x)
-		return closeFrame(dst, start), nil
+		return closeFrame(dst, start, 0), nil
 	case [][]byte:
 		dst, start := openFrame(dst, TagByteSlices)
 		dst = AppendItemsField(dst, x)
-		return closeFrame(dst, start), nil
+		return closeFrame(dst, start, 0), nil
 	}
 	if m, ok := v.(Marshaler); ok {
 		dst, start := openFrame(dst, TagRecord)
@@ -155,7 +173,11 @@ func Append(dst []byte, v any) ([]byte, error) {
 		if err != nil {
 			return dst[:start], err
 		}
-		return closeFrame(out, start), nil
+		spliced := 0
+		if im, ok := m.(ItemsMarshaler); ok {
+			out, spliced = appendItems(out, im.WireItems(), sp)
+		}
+		return closeFrame(out, start, spliced), nil
 	}
 	return appendGob(dst, v)
 }
@@ -310,12 +332,26 @@ func ReadStringField(b []byte) (string, int, error) {
 // per-item uvarint length + bytes.  This is the honest on-wire shape of
 // a batched payload — every item pays its own header.
 func AppendItemsField(dst []byte, items [][]byte) []byte {
+	dst, _ = appendItems(dst, items, nil)
+	return dst
+}
+
+// appendItems appends the items field.  With sp set, an item of
+// SpliceCutoff bytes or more is not copied: its place in dst and the
+// caller's slice go on *sp, and the second result counts those bytes.
+func appendItems(dst []byte, items [][]byte, sp *[]splice) ([]byte, int) {
+	spliced := 0
 	dst = binary.AppendUvarint(dst, uint64(len(items)))
 	for _, it := range items {
 		dst = binary.AppendUvarint(dst, uint64(len(it)))
+		if sp != nil && len(it) >= SpliceCutoff {
+			*sp = append(*sp, splice{Off: len(dst), Data: it})
+			spliced += len(it)
+			continue
+		}
 		dst = append(dst, it...)
 	}
-	return dst
+	return dst, spliced
 }
 
 // ReadItemsField reads a vector of byte slices.  Every item is a fresh
@@ -360,26 +396,4 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// --- pooled scratch ------------------------------------------------
-
-// encode scratch buffers, recycled across frames so steady-state
-// encoding allocates nothing.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
-
 var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// GetBuf borrows an empty scratch buffer from the pool.
-func GetBuf() *[]byte { return bufPool.Get().(*[]byte) }
-
-// PutBuf returns a scratch buffer to the pool.  Oversized buffers are
-// dropped so one huge payload does not pin memory forever.
-func PutBuf(b *[]byte) {
-	if cap(*b) > 1<<20 {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
