@@ -104,9 +104,6 @@ type SystemConfig struct {
 	// EncodePayloads gob-encodes cross-node payloads so serialisation
 	// cost is real.
 	EncodePayloads bool
-	// DirectDispatch is the scheduling ablation: Serve runs in the
-	// invoker's goroutine.
-	DirectDispatch bool
 	// DeterministicUIDs seeds reproducible UIDs (tests).
 	DeterministicUIDs uint64
 }
@@ -125,7 +122,6 @@ func NewSystem(cfg SystemConfig) *System {
 			CrossLatency:   cfg.CrossLatency,
 			EncodePayloads: cfg.EncodePayloads,
 		},
-		DirectDispatch:    cfg.DirectDispatch,
 		DeterministicUIDs: cfg.DeterministicUIDs,
 	})
 	return &System{k: k}

@@ -339,48 +339,6 @@ func BenchmarkCrossNodePipeline(b *testing.B) {
 	})
 }
 
-// BenchmarkDirectDispatch is ablation A4: the kernel's scheduling
-// overhead isolated from its communication accounting.
-func BenchmarkDirectDispatch(b *testing.B) {
-	run := func(b *testing.B, direct bool) {
-		for i := 0; i < b.N; i++ {
-			k := kernel.New(kernel.Config{DirectDispatch: direct})
-			var count int64
-			p, err := transput.BuildPipeline(k, transput.ReadOnly,
-				func(out transput.ItemWriter) error {
-					for j := 0; j < benchItems; j++ {
-						if err := out.Put([]byte("x")); err != nil {
-							return err
-						}
-					}
-					return nil
-				},
-				nil,
-				func(in transput.ItemReader) error {
-					for {
-						_, err := in.Next()
-						if err == io.EOF {
-							return nil
-						}
-						if err != nil {
-							return err
-						}
-						count++
-					}
-				}, transput.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := p.Run(); err != nil {
-				b.Fatal(err)
-			}
-			k.Shutdown()
-		}
-	}
-	b.Run("mailbox", func(b *testing.B) { run(b, false) })
-	b.Run("direct", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkLazinessStartup measures time-to-first-item for a lazy
 // pipeline (nothing precomputed) vs an anticipatory one (buffers
 // already full when the sink arrives) — E5's two poles.

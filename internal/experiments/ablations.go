@@ -7,6 +7,7 @@ import (
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/transput"
+	"asymstream/internal/uid"
 )
 
 // A1BatchSweep ablates the Max parameter of Transfer (items per
@@ -154,42 +155,66 @@ func A3RecordStream(items int) (Table, error) {
 	return t, nil
 }
 
-// A4DirectDispatch ablates the kernel's mailbox + worker scheduling:
-// DirectDispatch runs Serve in the invoker's goroutine, removing the
-// "process switching" the paper counts, while invocation counts stay
-// identical — separating communication cost from scheduling cost.
-func A4DirectDispatch(n, items int) (Table, error) {
+// A4DispatchPaths asks what the coordinator + worker structure costs.
+// The kernel has two ways to get an invocation served, and picks
+// between them from the call alone: a synchronous same-node Invoke
+// takes one of the target's worker slots and runs Serve on the
+// invoker's goroutine; AsyncInvoke goes through the mailbox to a pool
+// worker, and its Wait is woken by that worker.  Both are driven here
+// against one Eject on one kernel: invocation and switch counts are
+// identical — the paper's accounting does not see the difference — and
+// the gap in calls/s is the two goroutine hand-offs.
+func A4DispatchPaths(calls int) (Table, error) {
 	t := Table{
 		ID:      "A4",
-		Title:   fmt.Sprintf("ablation — mailbox dispatch vs direct dispatch (read-only, n=%d)", n),
-		Columns: []string{"dispatch", "items/s", "inv/datum"},
+		Title:   "ablation — dispatch paths: caller-runs Invoke vs mailbox AsyncInvoke+Wait (one Eject, one kernel)",
+		Columns: []string{"dispatch", "calls/s", "inv/call", "switches/call"},
+		Notes: []string{
+			"both paths hold one of the Eject's worker slots while Serve runs; only the goroutine differs",
+		},
 	}
-	for _, direct := range []bool{false, true} {
-		k := kernel.New(kernel.Config{DirectDispatch: direct})
-		var count int64
-		before := k.Metrics().Snapshot()
-		p, err := transput.BuildPipeline(k, transput.ReadOnly, counterSource(items), identityFilters(n), discardSink(&count), transput.Options{})
-		if err != nil {
-			k.Shutdown()
+	k := kernel.New(kernel.Config{})
+	defer k.Shutdown()
+	id, err := k.Create(echoEject{}, 0)
+	if err != nil {
+		return t, err
+	}
+	caller := k.Caller(uid.Nil)
+	req := &transput.ChannelsRequest{}
+	paths := []struct {
+		name   string
+		invoke func() error
+	}{
+		{"Invoke (serves on the invoker's goroutine)", func() error {
+			_, err := caller.Invoke(id, transput.OpChannels, req)
+			return err
+		}},
+		{"AsyncInvoke+Wait (mailbox + pool worker)", func() error {
+			_, err := caller.AsyncInvoke(id, transput.OpChannels, req).Wait()
+			return err
+		}},
+	}
+	for _, path := range paths {
+		if err := path.invoke(); err != nil { // warm the pools and the worker
 			return t, err
 		}
+		before := k.Metrics().Snapshot()
 		start := time.Now()
-		if err := p.Run(); err != nil {
-			k.Shutdown()
-			return t, err
+		for i := 0; i < calls; i++ {
+			if err := path.invoke(); err != nil {
+				return t, err
+			}
 		}
 		elapsed := time.Since(start)
 		after := k.Metrics().Snapshot()
-		data := after.Get("transfer_invocations") - before.Get("transfer_invocations")
-		k.Shutdown()
-		name := "mailbox + workers"
-		if direct {
-			name = "direct (no scheduling)"
+		per := func(name string) string {
+			return fmt.Sprintf("%.3f", float64(after.Get(name)-before.Get(name))/float64(calls))
 		}
 		t.Rows = append(t.Rows, []string{
-			name,
-			fmt.Sprintf("%.0f", float64(count)/elapsed.Seconds()),
-			fmt.Sprintf("%.3f", float64(data)/float64(count)),
+			path.name,
+			fmt.Sprintf("%.0f", float64(calls)/elapsed.Seconds()),
+			per("invocations"),
+			per("process_switches"),
 		})
 	}
 	return t, nil

@@ -164,8 +164,16 @@ func TestAblationsRun(t *testing.T) {
 	if _, err := A3RecordStream(100); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := A4DirectDispatch(2, 150); err != nil {
+	a4, err := A4DispatchPaths(500)
+	if err != nil {
 		t.Fatal(err)
+	}
+	// Two dispatch paths, one accounting: an invocation is one
+	// invocation and two logical switches whichever goroutine serves it.
+	for row := range a4.Rows {
+		if inv, sw := cellFloat(t, a4, row, 2), cellFloat(t, a4, row, 3); inv != 1 || sw != 2 {
+			t.Errorf("A4 %q: %.3f inv/call, %.3f switches/call, want 1 and 2", a4.Rows[row][0], inv, sw)
+		}
 	}
 	if _, err := A5PayloadSweep(2); err != nil {
 		t.Fatal(err)

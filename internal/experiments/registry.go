@@ -102,8 +102,8 @@ func Registry() []Spec {
 		{"a3", "ablation: byte vs gob record streams", func(p Params) (Table, error) {
 			return A3RecordStream(p.Items)
 		}},
-		{"a4", "ablation: mailbox vs direct dispatch", func(p Params) (Table, error) {
-			return A4DirectDispatch(4, p.Items)
+		{"a4", "ablation: caller-runs vs mailbox dispatch", func(p Params) (Table, error) {
+			return A4DispatchPaths(10 * p.Items)
 		}},
 		{"a5", "ablation: item payload size", func(p Params) (Table, error) {
 			return A5PayloadSweep(4)

@@ -3,6 +3,7 @@ package kernel
 import (
 	"testing"
 
+	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
 )
 
@@ -18,11 +19,13 @@ import (
 
 const warmup = 256
 
-// TestInvokeLocalAllocs pins the warm synchronous local hop.
-func TestInvokeLocalAllocs(t *testing.T) {
-	k := New(Config{})
+// warmInvokeAllocs measures a warm synchronous Invoke of a pinger on
+// the given node from an external caller (node 0).
+func warmInvokeAllocs(t *testing.T, cfg Config, node netsim.NodeID) float64 {
+	t.Helper()
+	k := New(cfg)
 	defer k.Shutdown()
-	id, err := k.Create(&pinger{}, 0)
+	id, err := k.Create(&pinger{}, node)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,36 +39,27 @@ func TestInvokeLocalAllocs(t *testing.T) {
 	for i := 0; i < warmup; i++ {
 		hop()
 	}
+	return testing.AllocsPerRun(200, hop)
+}
+
+// TestInvokeLocalAllocs pins the warm synchronous local hop, which is
+// served on the invoker's goroutine.
+func TestInvokeLocalAllocs(t *testing.T) {
 	// Steady state: the pinger's reply record, its boxed field, and
 	// occasional pool refills.
 	const ceiling = 4
-	if n := testing.AllocsPerRun(200, hop); n > ceiling {
+	if n := warmInvokeAllocs(t, Config{}, 0); n > ceiling {
 		t.Errorf("warm local Invoke: %.1f allocs/op, ceiling %d", n, ceiling)
 	}
 }
 
-// TestInvokeDirectDispatchAllocs pins the DirectDispatch ablation,
-// which should allocate no more than the queued path.
-func TestInvokeDirectDispatchAllocs(t *testing.T) {
-	k := New(Config{DirectDispatch: true})
-	defer k.Shutdown()
-	id, err := k.Create(&pinger{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	caller := k.Caller(uid.Nil)
-	req := &pingReq{N: 1}
-	hop := func() {
-		if _, err := caller.Invoke(id, "ping", req); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < warmup; i++ {
-		hop()
-	}
+// TestInvokeQueuedAllocs pins the same hop through the mailbox and a
+// pool worker (a target on another node is never served inline): the
+// pooled Call and Invocation must keep it at the local ceiling.
+func TestInvokeQueuedAllocs(t *testing.T) {
 	const ceiling = 4
-	if n := testing.AllocsPerRun(200, hop); n > ceiling {
-		t.Errorf("warm DirectDispatch Invoke: %.1f allocs/op, ceiling %d", n, ceiling)
+	if n := warmInvokeAllocs(t, Config{Net: netsim.Config{Nodes: 2}}, 1); n > ceiling {
+		t.Errorf("warm queued Invoke: %.1f allocs/op, ceiling %d", n, ceiling)
 	}
 }
 

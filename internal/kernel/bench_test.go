@@ -11,37 +11,66 @@ import (
 // Kernel micro-benchmarks: the primitive costs under the pipeline
 // measurements.  (The paper-level benchmarks live at the repo root.)
 
-func BenchmarkInvokeLocal(b *testing.B) {
+// The two dispatch paths, each with a number of its own.  Invoke from
+// the Eject's own node is caller-runs: the invoker holds one of the
+// target's worker slots and runs Serve itself.  AsyncInvoke(…).Wait()
+// is the mailbox: a pool worker serves, and wakes the waiter.  The
+// Parallel variants put GOMAXPROCS invokers on one Eject, where both
+// paths contend on the binding's lock.
+
+// benchPinger boots a kernel with one pinger on node 0.
+func benchPinger(b *testing.B) (*Kernel, uid.UID) {
+	b.Helper()
 	k := New(Config{})
-	defer k.Shutdown()
+	b.Cleanup(k.Shutdown)
 	id, err := k.Create(&pinger{}, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
+	return k, id
+}
+
+func syncPing(k *Kernel, id uid.UID, req *pingReq) error {
+	_, err := k.Invoke(uid.Nil, id, "ping", req)
+	return err
+}
+
+func asyncPing(k *Kernel, id uid.UID, req *pingReq) error {
+	_, err := k.AsyncInvoke(uid.Nil, id, "ping", req).Wait()
+	return err
+}
+
+func benchPingSerial(b *testing.B, ping func(*Kernel, uid.UID, *pingReq) error) {
+	k, id := benchPinger(b)
 	req := &pingReq{N: 1}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.Invoke(uid.Nil, id, "ping", req); err != nil {
+		if err := ping(k, id, req); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkInvokeDirectDispatch(b *testing.B) {
-	k := New(Config{DirectDispatch: true})
-	defer k.Shutdown()
-	id, err := k.Create(&pinger{}, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := &pingReq{N: 1}
+func benchPingParallel(b *testing.B, ping func(*Kernel, uid.UID, *pingReq) error) {
+	k, id := benchPinger(b)
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.Invoke(uid.Nil, id, "ping", req); err != nil {
-			b.Fatal(err)
+	b.RunParallel(func(pb *testing.PB) {
+		req := &pingReq{N: 1}
+		for pb.Next() {
+			if err := ping(k, id, req); err != nil {
+				b.Error(err)
+				return
+			}
 		}
-	}
+	})
 }
+
+func BenchmarkInvokeLocal(b *testing.B)              { benchPingSerial(b, syncPing) }
+func BenchmarkAsyncInvokeLocal(b *testing.B)         { benchPingSerial(b, asyncPing) }
+func BenchmarkInvokeLocalParallel(b *testing.B)      { benchPingParallel(b, syncPing) }
+func BenchmarkAsyncInvokeLocalParallel(b *testing.B) { benchPingParallel(b, asyncPing) }
 
 func BenchmarkInvokeCrossNodeGob(b *testing.B) {
 	k := New(Config{Net: netsim.Config{Nodes: 2, EncodePayloads: true}})

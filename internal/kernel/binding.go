@@ -37,18 +37,39 @@ func (s ejectState) String() string {
 
 // binding is the kernel's record for one UID: its home node, lifecycle
 // state and, when active, the running Eject with its mailbox and
-// worker pool.  The mailbox is an unbounded ring buffer so that
+// worker slots.  The mailbox is an unbounded ring buffer so that
 // enqueueing never blocks the invoker's goroutine: back pressure in
 // the transput system is the protocol's job (bounded anticipatory
 // buffers), not the kernel's.
 //
-// Workers are persistent goroutines that pull from the mailbox
-// directly — the paper's "coordinator process that receives incoming
-// invocations, and a number of worker processes" (§4 footnote), with
-// the coordinator's hand-off folded into the mailbox itself.  They are
-// spawned lazily, one per enqueue that finds no idle worker, up to the
-// configured cap; a warm invocation therefore costs one ring push and
-// one cond signal, never a goroutine creation.
+// An Eject serves at most maxWorkers invocations at once — the paper's
+// "coordinator process that receives incoming invocations, and a number
+// of worker processes" (§4 footnote) fixes how many, not whose thread.
+// A slot is held in one of two ways:
+//
+//   - by a pool worker: a persistent goroutine that pulls from the
+//     mailbox, with the coordinator's hand-off folded into the mailbox
+//     itself.  Workers are spawned lazily, one per enqueue that finds
+//     no idle worker and a free slot; a warm queued invocation costs
+//     one ring push and one cond signal, never a goroutine creation.
+//   - by an inline server: a synchronous same-node invoker that found
+//     the mailbox empty and a slot free (claim), and runs Serve on its
+//     own goroutine.  It would have parked for the reply anyway, so
+//     nobody can tell its invocation never sat in the mailbox — and the
+//     two goroutine hand-offs of the queued path are not paid.
+//
+// The slot invariant, held at every instant under mu within one epoch:
+//
+//	(workers − idle) + inline ≤ maxWorkers
+//
+// workers − idle counts the pool workers that are serving or have been
+// signalled to.  enqueue wakes or spawns a worker only below the bound,
+// claim takes a slot only below it, and an inline server that leaves a
+// non-empty mailbox behind passes its slot to a pool worker on its way
+// out (release), so a slot taken inline never strands a queued
+// invocation.  Both counts belong to an epoch: tryReactivate zeroes
+// them, and a worker or inline server of an older epoch leaves without
+// touching them.
 //
 // The ring buffer also closes a leak the previous slice-based mailbox
 // had: popping with `queue = queue[1:]` kept every consumed
@@ -72,9 +93,10 @@ type binding struct {
 	epoch uint64
 
 	maxWorkers int
-	pinned     bool // workers lock their OS thread (PoolHint.Pinned)
-	workers    int  // live workers in the current epoch
+	pinned     bool // workers lock their OS thread (PoolHint.Pinned); never served inline
+	workers    int  // live pool workers in the current epoch
 	idle       int  // workers parked in cond.Wait in the current epoch
+	inline     int  // invokers serving on their own goroutine in the current epoch
 }
 
 // ringMinCap is the initial mailbox capacity; it grows by doubling.
@@ -131,26 +153,82 @@ func (b *binding) enqueue(inv *Invocation) bool {
 		return false
 	}
 	b.push(inv)
+	b.startWorkerLocked()
+	b.mu.Unlock()
+	return true
+}
+
+// startWorkerLocked puts a free slot, if there is one, to work on the
+// mailbox: it wakes a parked worker, or spawns one.  With every slot
+// taken it does nothing — a worker pulls from the ring when its current
+// Serve returns, and an inline server calls here again on its way out
+// (release).  Caller holds b.mu and has found the mailbox non-empty.
+func (b *binding) startWorkerLocked() {
 	switch {
+	case b.workers-b.idle+b.inline >= b.maxWorkers:
 	case b.idle > 0:
-		// A parked worker will take it.  The signaler decrements idle
-		// (ownership transfer): a signaled worker leaves the cond's
-		// notify list immediately but may not resume for a while, and
-		// if it were still counted idle a second enqueue in that window
-		// would Signal an empty list — a lost wakeup that strands the
-		// invocation in the mailbox.  Signal, not Broadcast, is safe
-		// because enqueue only runs on an active binding, where every
-		// waiter is current-epoch (stop's Broadcast flushed the rest).
+		// The signaler decrements idle (ownership transfer): a signaled
+		// worker leaves the cond's notify list immediately but may not
+		// resume for a while, and if it were still counted idle a second
+		// enqueue in that window would Signal an empty list — a lost
+		// wakeup that strands the invocation in the mailbox.  Signal, not
+		// Broadcast, is safe because every waiter is current-epoch: stop's
+		// Broadcast flushes the list and zeroes idle.
 		b.idle--
 		b.cond.Signal()
-	case b.workers < b.maxWorkers:
+	default:
 		b.workers++
 		go b.worker(b.epoch)
 	}
-	// Otherwise every worker is busy; one of them will pull this
-	// invocation from the ring when its current Serve returns.
+}
+
+// slot is one worker slot of a binding's epoch, held by an inline
+// server: the Eject to run Serve on, and what release needs to give the
+// slot back.
+type slot struct {
+	b     *binding
+	e     Eject
+	epoch uint64
+}
+
+// claim takes a worker slot for a synchronous same-node invoker, which
+// then runs Serve itself and gives the slot back with release.  It
+// succeeds only where serving inline is indistinguishable from the
+// mailbox: the binding is active, its mailbox is empty (so nothing
+// queued is overtaken) and a slot is free.  Pinned pools never serve
+// inline — their point is which thread runs Serve.  On false the caller
+// enqueues, which also tells it whether the binding is still active.
+func (b *binding) claim() (slot, bool) {
+	if b.pinned { // immutable after newBinding
+		return slot{}, false
+	}
+	b.mu.Lock()
+	if b.state != stateActive || b.quit || b.count > 0 ||
+		b.workers-b.idle+b.inline >= b.maxWorkers {
+		b.mu.Unlock()
+		return slot{}, false
+	}
+	b.inline++
+	s := slot{b: b, e: b.eject, epoch: b.epoch}
 	b.mu.Unlock()
-	return true
+	return s, true
+}
+
+// release returns a slot taken by claim.  Invocations queued behind the
+// inline server get the slot at once, as they would from a pool worker
+// returning to the mailbox; if the binding has quit meanwhile, the
+// worker started for them fails them.  A slot of an epoch that has
+// since been replaced is not the current pool's to count.
+func (s slot) release() {
+	b := s.b
+	b.mu.Lock()
+	if b.epoch == s.epoch {
+		b.inline--
+		if b.count > 0 {
+			b.startWorkerLocked()
+		}
+	}
+	b.mu.Unlock()
 }
 
 // worker is one persistent member of the binding's pool.  It pulls
@@ -169,10 +247,9 @@ func (b *binding) worker(epoch uint64) {
 		for b.count == 0 && !b.quit && b.epoch == epoch {
 			b.idle++
 			b.cond.Wait()
-			// idle is decremented by whoever woke us: enqueue's Signal
-			// transfers ownership of one queued invocation, and the
-			// Broadcast paths (stop, then reactivate) reset the counter
-			// for the next epoch themselves.
+			// idle is decremented by whoever woke us: startWorkerLocked's
+			// Signal transfers ownership of one queued invocation, and
+			// stop's Broadcast zeroes the counter.
 		}
 		if b.epoch != epoch {
 			b.mu.Unlock()
@@ -233,6 +310,7 @@ func (b *binding) stop(next ejectState) (Eject, bool) {
 	b.state = next
 	b.eject = nil
 	b.quit = true
+	b.idle = 0 // every parked worker is woken to drain and exit
 	b.cond.Broadcast()
 	return e, true
 }
@@ -255,5 +333,6 @@ func (b *binding) tryReactivate(e Eject) bool {
 	b.epoch++
 	b.workers = 0
 	b.idle = 0
+	b.inline = 0
 	return true
 }

@@ -13,19 +13,19 @@ import (
 // invocation "is a request to perform some named operation, and may be
 // thought of as a kind of remote procedure call".
 //
-// The Eject's Serve method receives the Invocation on a worker
-// goroutine and must complete it exactly once, with Reply or Fail,
-// before Serve returns.  Serve is free to block first — that is how
-// "passive output" parks an incoming Read until data is available (§4)
-// — because each Eject has a pool of worker processes, mirroring
-// Eden's multi-process Ejects.
+// The Eject's Serve method receives the Invocation while holding one
+// of the Eject's worker slots — on a pool worker's goroutine, or on the
+// goroutine of a synchronous same-node invoker — and must complete it
+// exactly once, with Reply or Fail, before Serve returns.  Serve is free
+// to block first — that is how "passive output" parks an incoming Read
+// until data is available (§4) — because each Eject has a pool of
+// worker slots, mirroring Eden's multi-process Ejects.
 //
 // Invocations are pooled: the kernel recycles them once Serve has
 // returned and the reply has been handed off, so a warm hop performs
 // no Invocation allocation.  Ejects must not retain the *Invocation
-// beyond Serve (retaining it was already unsound: the worker fails
-// unreplied invocations when Serve returns, and a late Reply panicked
-// as a double reply).
+// beyond Serve: the kernel fails unreplied invocations when Serve
+// returns, and a late Reply panics as a double reply.
 type Invocation struct {
 	// MsgID is unique per kernel, for tracing.
 	MsgID uint64
@@ -217,7 +217,8 @@ func (c *Call) finish(r reply) {
 // waitSync collects the reply without touching the Call's mutex or
 // publishing state.  Only the synchronous Invoke path may use it: there
 // the handle never escapes the calling goroutine before release, so no
-// Wait or Done can race with the collection.
+// Wait or Done can race with the collection.  After an inline Serve the
+// reply is already in the channel and the receive does not park.
 func (c *Call) waitSync() (any, error) {
 	r := c.settle(<-c.replyc)
 	if r.err != nil {

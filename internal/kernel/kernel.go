@@ -32,9 +32,11 @@ import (
 )
 
 // Eject is the interface every Eden object implements.  Serve is
-// called on a worker goroutine per invocation and may block (that is
-// how passive transput parks a Read until output is ready); it must
-// complete the invocation exactly once via inv.Reply or inv.Fail.
+// called once per invocation, holding one of the Eject's worker slots —
+// on a pool worker's goroutine, or on that of a synchronous same-node
+// invoker — and may block (that is how passive transput parks a Read
+// until output is ready); it must complete the invocation exactly once
+// via inv.Reply or inv.Fail.
 type Eject interface {
 	// EdenType names the type-code, used to find the ActivateFunc on
 	// re-activation.  It must be stable across runs.
@@ -59,7 +61,8 @@ type Deactivatable interface {
 // PoolHint lets an Eject shape the worker pool the kernel gives its
 // binding.  Workers > 0 caps the pool below Config.WorkersPerEject;
 // Pinned locks each worker goroutine to an OS thread for the life of
-// the binding.  The transput fusion pass uses both for fused stage
+// the binding, and keeps Serve on those goroutines (no invoker serves a
+// pinned pool itself).  The transput fusion pass uses both for fused stage
 // groups: a small pinned pool keeps a datum's whole fused chain on one
 // worker (and one core), instead of bouncing between the mailboxes of
 // the stages the fusion elided.
@@ -102,13 +105,10 @@ type Config struct {
 	// placement checks and the transport agree.
 	Link netsim.Link
 	// WorkersPerEject bounds concurrent Serve calls per Eject
-	// (default 32) — the paper's pool of worker processes.
+	// (default 32) — the paper's pool of worker processes.  A
+	// synchronous same-node invoker serving on its own goroutine
+	// counts against it like any pool worker.
 	WorkersPerEject int
-	// DirectDispatch, when set, runs Serve synchronously in the
-	// invoker's goroutine instead of via mailbox + worker.  This is an
-	// ablation switch: it removes the scheduling cost the paper counts
-	// as "process switching" while keeping invocation counts intact.
-	DirectDispatch bool
 	// DeterministicUIDs, when non-zero, seeds a reproducible UID
 	// stream (tests only).
 	DeterministicUIDs uint64
@@ -481,31 +481,73 @@ func (c *Caller) fromNode() netsim.NodeID {
 
 // AsyncInvoke sends an invocation from the handle's Eject.
 func (c *Caller) AsyncInvoke(target uid.UID, op string, payload any) *Call {
-	return c.k.asyncInvoke(c.from, c.fromNode(), target, op, payload)
+	call, _, _ := c.k.send(c.from, c.fromNode(), target, op, payload, false)
+	return call
 }
 
 // Invoke performs a synchronous invocation from the handle's Eject.
 func (c *Caller) Invoke(target uid.UID, op string, payload any) (any, error) {
-	call := c.k.asyncInvoke(c.from, c.fromNode(), target, op, payload)
-	res, err := call.waitSync()
-	call.release()
-	return res, err
+	return c.k.invokeSync(c.from, c.fromNode(), target, op, payload)
 }
 
 // AsyncInvoke sends an invocation and returns immediately with a Call
 // handle.  This is Eden's native style: "the sender is free to perform
-// other tasks".
+// other tasks".  It always goes through the target's mailbox, so it
+// returns before Serve does however long Serve takes.
 func (k *Kernel) AsyncInvoke(from, target uid.UID, op string, payload any) *Call {
-	return k.asyncInvoke(from, k.nodeOf(from), target, op, payload)
+	c, _, _ := k.send(from, k.nodeOf(from), target, op, payload, false)
+	return c
 }
 
-// asyncInvoke is the invocation hot path.  fromNode is the invoker's
+// Invoke performs a synchronous invocation: send, then wait for the
+// reply.
+func (k *Kernel) Invoke(from, target uid.UID, op string, payload any) (any, error) {
+	return k.invokeSync(from, k.nodeOf(from), target, op, payload)
+}
+
+// invokeSync is Invoke with the invoker's node resolved.  If send
+// claimed one of the target's worker slots, Serve runs here — after
+// send has returned, so that its frame is not under Serve's: the
+// bridge answers each request on a fresh goroutine, whose starting
+// stack this chain must fit (DESIGN §13.2).  The Call never leaves this
+// goroutine, so it is collected without its mutex and recycled.
+func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any) (any, error) {
+	c, inv, s := k.send(from, fromNode, target, op, payload, true)
+	if inv != nil {
+		serveInvocation(s.e, inv)
+		s.release()
+	}
+	res, err := c.waitSync()
+	c.release()
+	return res, err
+}
+
+// send is the invocation hot path.  fromNode is the invoker's
 // already-resolved home node (cached by Caller, or looked up once by
 // the public wrappers).  A warm local hop takes no kernel-wide lock
 // beyond resolve's map read and allocates nothing beyond what the
-// payload itself requires: the Call and Invocation come from pools and
-// the mailbox hand-off reuses a persistent worker.
-func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any) *Call {
+// payload itself requires: the Call and Invocation come from pools.
+//
+// Every invocation is resolved, transmitted through the link, metered
+// and traced here, the same way.  What differs is who runs Serve:
+//
+//   - waits == false (AsyncInvoke: "sending does not suspend the
+//     sender"), a target on another node, a pinned pool, a full pool or
+//     a non-empty mailbox: the invocation goes into the target's
+//     mailbox and a pool worker serves it.  send returns the Call alone.
+//   - otherwise the invoker — which does nothing until the reply comes —
+//     claims one of the target's worker slots, and send hands it the
+//     Invocation and the slot to serve on its own goroutine.  The reply
+//     lands in the Call's capacity-1 channel, so the wait that follows
+//     does not park, and the two goroutine hand-offs of the mailbox path
+//     (wake a worker, be woken by it) are not paid.  A sender that sends
+//     and immediately waits cannot observe whether its message sat in a
+//     queue.
+//
+// The choice is made from the call alone; there is no switch for it.
+// Cross-node invocations stay on the mailbox: served inline they moved
+// the socket workloads' item latency past its bound (DESIGN §6).
+func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool) (*Call, *Invocation, slot) {
 	var inv *Invocation
 	for attempt := 0; ; attempt++ {
 		b, err := k.resolve(target)
@@ -516,7 +558,7 @@ func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UI
 			c := newCall(k, op, target, fromNode, fromNode)
 			k.traceStart(c, from, 0)
 			c.replyc <- reply{err: toWire(err)}
-			return c
+			return c, nil, slot{}
 		}
 
 		// The request payload crosses the network to the target node.
@@ -528,7 +570,7 @@ func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UI
 			c := newCall(k, op, target, fromNode, b.node)
 			k.traceStart(c, from, 0)
 			c.replyc <- reply{err: toWire(terr)}
-			return c
+			return c, nil, slot{}
 		}
 
 		id := k.msgID.Add(1)
@@ -558,12 +600,13 @@ func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UI
 			k.met.BytesMoved.Add(int64(sz.PayloadSize()))
 		}
 
-		if k.cfg.DirectDispatch {
-			k.serveDirect(b, inv)
-			return c
+		if waits && fromNode == b.node {
+			if s, ok := b.claim(); ok {
+				return c, inv, s
+			}
 		}
 		if b.enqueue(inv) {
-			return c
+			return c, nil, slot{}
 		}
 		// The binding deactivated between resolve and enqueue; retry,
 		// which re-activates.  Bound the retries to avoid spinning on
@@ -576,32 +619,9 @@ func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UI
 			c := newCall(k, op, target, fromNode, b.node)
 			k.traceStart(c, from, 0)
 			c.replyc <- reply{err: toWire(ErrDeactivated)}
-			return c
+			return c, nil, slot{}
 		}
 	}
-}
-
-// serveDirect runs Serve synchronously (DirectDispatch ablation).
-func (k *Kernel) serveDirect(b *binding, inv *Invocation) {
-	b.mu.Lock()
-	e := b.eject
-	st := b.state
-	b.mu.Unlock()
-	if st != stateActive || e == nil {
-		inv.Fail(ErrDeactivated)
-		releaseInvocation(inv)
-		return
-	}
-	serveInvocation(e, inv)
-}
-
-// Invoke performs a synchronous invocation: send, then wait for the
-// reply.
-func (k *Kernel) Invoke(from, target uid.UID, op string, payload any) (any, error) {
-	c := k.asyncInvoke(from, k.nodeOf(from), target, op, payload)
-	res, err := c.waitSync()
-	c.release()
-	return res, err
 }
 
 // Checkpoint creates a new passive representation for the Eject (§1).

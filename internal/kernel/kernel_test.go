@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,8 +29,9 @@ func init() {
 	gob.Register(&pingRep{})
 }
 
-// pinger replies N+1 to "ping", sleeps on "slow", panics on "panic",
-// never replies on "mute", and errors on anything else.
+// pinger replies N+1 to "ping", sleeps on "slow", yields on "yield",
+// panics on "panic", never replies on "mute", and errors on anything
+// else.
 type pinger struct {
 	served atomic.Int64
 }
@@ -44,6 +46,9 @@ func (p *pinger) Serve(inv *Invocation) {
 		inv.Reply(&pingRep{N: req.N + 1})
 	case "slow":
 		time.Sleep(50 * time.Millisecond)
+		inv.Reply(&pingRep{})
+	case "yield":
+		runtime.Gosched()
 		inv.Reply(&pingRep{})
 	case "panic":
 		panic("deliberate test panic")
@@ -512,24 +517,6 @@ func TestShutdownRunsHooksConcurrently(t *testing.T) {
 	}
 }
 
-func TestDirectDispatch(t *testing.T) {
-	k := newTestKernel(t, Config{DirectDispatch: true})
-	p := &pinger{}
-	id, _ := k.Create(p, 0)
-	for i := 0; i < 100; i++ {
-		raw, err := k.Invoke(uid.Nil, id, "ping", &pingReq{N: i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep := raw.(*pingRep); rep.N != i+1 {
-			t.Fatalf("direct reply N = %d", rep.N)
-		}
-	}
-	if p.served.Load() != 100 {
-		t.Fatalf("served = %d", p.served.Load())
-	}
-}
-
 func TestConcurrentInvokersManyEjects(t *testing.T) {
 	k := newTestKernel(t, Config{})
 	const ejects = 8
@@ -598,55 +585,6 @@ func TestRemoteErrorPreservesSentinels(t *testing.T) {
 	if toWire(nil) != nil {
 		t.Error("toWire(nil) should be nil")
 	}
-}
-
-func TestWorkerPoolBoundsParkedInvocations(t *testing.T) {
-	// With a worker pool of 2, a third concurrent invocation waits in
-	// the mailbox until a worker frees up — the bounded "worker
-	// processes" of §4's footnote.
-	k := newTestKernel(t, Config{WorkersPerEject: 2})
-	gate := make(chan struct{})
-	e := &gatedEject{gate: gate}
-	id, err := k.Create(e, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := make([]*Call, 3)
-	for i := range calls {
-		calls[i] = k.AsyncInvoke(uid.Nil, id, "wait", &pingReq{N: i})
-	}
-	// Only 2 can be in Serve at once.
-	deadline := time.Now().Add(2 * time.Second)
-	for e.entered.Load() < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	if n := e.entered.Load(); n != 2 {
-		t.Fatalf("entered = %d, want exactly 2 (pool bound)", n)
-	}
-	close(gate)
-	for _, c := range calls {
-		if _, err := c.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := e.entered.Load(); n != 3 {
-		t.Fatalf("entered = %d after release", n)
-	}
-}
-
-// gatedEject parks every invocation until its gate opens.
-type gatedEject struct {
-	gate    chan struct{}
-	entered atomic.Int64
-}
-
-func (g *gatedEject) EdenType() string { return "test.Gated" }
-
-func (g *gatedEject) Serve(inv *Invocation) {
-	g.entered.Add(1)
-	<-g.gate
-	inv.Reply(&pingRep{})
 }
 
 func TestManyParkedTransfersReleasedTogether(t *testing.T) {

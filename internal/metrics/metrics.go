@@ -100,10 +100,13 @@ type Set struct {
 	CrossNodeInvocations Counter
 	// Replies counts invocation replies (== completed invocations).
 	Replies Counter
-	// ProcessSwitches approximates scheduling cost: every delivery of
-	// an invocation to a target Eject and every delivery of a reply to
-	// the invoker counts as one switch, matching the paper's
-	// "communications overhead and process switching" bullet.
+	// ProcessSwitches counts logical switches, as the paper counts
+	// them in its "communications overhead and process switching"
+	// bullet: one per delivery of an invocation to a target Eject and
+	// one per delivery of a reply to the invoker, whichever goroutine
+	// carries them.  It is not a count of goroutine hand-offs: a
+	// synchronous same-node invoker that serves its own invocation on
+	// one of the target's worker slots still makes two.
 	ProcessSwitches Counter
 	// BytesMoved counts payload bytes crossing Eject boundaries.
 	BytesMoved Counter

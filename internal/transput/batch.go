@@ -8,10 +8,10 @@
 // fuller batches are only worth having while they keep amortising the
 // invocation overhead.
 //
-// With BatchMin == BatchMax the controller is pinned and the per-datum
-// invocation counts are exactly those of the fixed-batch engine, which
-// is what `transput-bench -check` asserts for BatchMin=BatchMax=1
-// against the paper's figures.
+// With BatchMin == BatchMax the size is pinned, no controller is built
+// and the link is the fixed-batch engine itself, so the per-datum
+// invocation counts are exactly its counts — what `transput-bench
+// -check` asserts for BatchMin=BatchMax=1 against the paper's figures.
 package transput
 
 import (
@@ -38,22 +38,34 @@ const (
 	batchBackoffOver = 1.5  // decrease when ewma exceeds best by this factor
 )
 
-// newBatchController returns a controller bounded to [min, max].  It
-// returns nil when the bounds pin the size to a single value and that
-// value needs no governing (callers treat a nil controller as "fixed
-// batch").
-func newBatchController(min, max int, hw *metrics.HighWater) *batchController {
+// newBatchController resolves a port's batch configuration into the
+// size it starts at and, if that size is free to move, the controller
+// that moves it.  max <= 0 means no adaptation: the size is the fixed
+// batch (at least 1).  Otherwise the bounds, clamped to 1 <= min <= max,
+// override it: the port starts at min, observed on hw.  Bounds that pin
+// the size to a single value leave nothing to govern, so the controller
+// is nil and the port runs fixed at that size, paying no clock reads or
+// controller locking per exchange.
+func newBatchController(fixed, min, max int, hw *metrics.HighWater) (*batchController, int) {
+	if max <= 0 {
+		if fixed < 1 {
+			fixed = 1
+		}
+		return nil, fixed
+	}
 	if min < 1 {
 		min = 1
 	}
 	if max < min {
 		max = min
 	}
-	c := &batchController{min: min, max: max, hw: hw, size: min}
 	if hw != nil {
 		hw.Observe(int64(min))
 	}
-	return c
+	if min == max {
+		return nil, min
+	}
+	return &batchController{min: min, max: max, hw: hw, size: min}, min
 }
 
 // next returns the batch size to use for the next exchange.

@@ -114,8 +114,11 @@ func BenchmarkChannelWriterPut(b *testing.B) {
 
 const allocWarmup = 512
 
-// TestTransferHopAllocs pins the warm demand-driven pull: item copy at
-// Put, reply record + items slice at ServeTransfer, pending growth.
+// TestTransferHopAllocs pins the warm demand-driven pull.  The hop
+// itself allocates nothing — request, reply record, items slice and the
+// port's pending array are all reused — so what is left is the source's
+// item copy at Put, when the source gets to run during the measurement
+// (the hop is served on this goroutine and never parks it).
 func TestTransferHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
@@ -147,7 +150,7 @@ func TestTransferHopAllocs(t *testing.T) {
 	// item, while the hops are measured; wait until it has parked on the
 	// full buffer, after which each hop wakes it for exactly one Put.
 	eventually(t, "the source has filled its anticipation buffer", func() bool { return st.Out().Buffered() >= 1024 })
-	const ceiling = 6
+	const ceiling = 2 // 0 measured; 1 under -race, or when the source's refill lands in the run
 	if n := testing.AllocsPerRun(200, hop); n > ceiling {
 		t.Errorf("warm Transfer hop: %.1f allocs/op, ceiling %d", n, ceiling)
 	}
@@ -223,7 +226,7 @@ func TestWindowedTransferHopAllocs(t *testing.T) {
 	for i := 0; i < allocWarmup; i++ {
 		hop()
 	}
-	const ceiling = 8
+	const ceiling = 5 // 0 measured, up to 4 under -race (sync.Pool drops Puts there)
 	if n := testing.AllocsPerRun(200, hop); n > ceiling {
 		t.Errorf("warm windowed Transfer hop: %.1f allocs/op, ceiling %d", n, ceiling)
 	}

@@ -237,13 +237,13 @@ func TestPutOwnedTransfersOwnership(t *testing.T) {
 
 // TestBatchControllerAIMD pins the governor's dynamics: additive growth
 // to the cap while exchanges come back full and fast, multiplicative
-// backoff with best re-anchoring on a latency spike, no growth on short
-// exchanges, and bound clamping.
+// backoff with best re-anchoring on a latency spike, and no growth on
+// short exchanges.
 func TestBatchControllerAIMD(t *testing.T) {
 	var set metrics.Set
-	c := newBatchController(2, 8, &set.BatchSizeHighWater)
-	if got := c.next(); got != 2 {
-		t.Fatalf("initial size = %d, want 2", got)
+	c, start := newBatchController(1, 2, 8, &set.BatchSizeHighWater)
+	if got := c.next(); got != 2 || start != 2 {
+		t.Fatalf("initial size = %d, start = %d, want 2", got, start)
 	}
 	// Constant per-item latency, full batches: +1 per exchange to max.
 	for i := 0; i < 20; i++ {
@@ -266,14 +266,121 @@ func TestBatchControllerAIMD(t *testing.T) {
 	if hw := set.BatchSizeHighWater.Value(); hw != 8 {
 		t.Fatalf("BatchSizeHighWater = %d, want 8", hw)
 	}
-	// Degenerate bounds clamp to [1, 1].
-	c0 := newBatchController(0, 0, nil)
-	if got := c0.next(); got != 1 {
-		t.Fatalf("clamped size = %d, want 1", got)
+}
+
+// TestBatchControllerPinnedBoundsNeedNoController: bounds that leave
+// the size no room — equal, or degenerate and clamped to equal — yield
+// no controller, only the fixed size (still observed on the high-water
+// mark); a pinned port then runs the fixed-batch engine and never reads
+// the clock for it.  Without bounds the size is the configured batch.
+func TestBatchControllerPinnedBoundsNeedNoController(t *testing.T) {
+	for _, tc := range []struct{ fixed, min, max, want, hw int }{
+		{7, -3, 1, 1, 1}, {7, 1, 1, 1, 1}, {7, 4, 4, 4, 4}, {7, 8, 2, 8, 8}, // pinned bounds override Batch
+		{7, 0, 0, 7, 0}, {0, 5, 0, 1, 0}, {-2, 0, -1, 1, 0}, // no bounds: Batch, at least 1, unobserved
+	} {
+		var set metrics.Set
+		c, size := newBatchController(tc.fixed, tc.min, tc.max, &set.BatchSizeHighWater)
+		if c != nil || size != tc.want {
+			t.Errorf("batch %d bounds [%d, %d]: controller %v, size %d; want none, %d", tc.fixed, tc.min, tc.max, c, size, tc.want)
+		}
+		if hw := set.BatchSizeHighWater.Value(); hw != int64(tc.hw) {
+			t.Errorf("batch %d bounds [%d, %d]: BatchSizeHighWater = %d, want %d", tc.fixed, tc.min, tc.max, hw, tc.hw)
+		}
 	}
-	c0.record(1, 1, time.Millisecond)
-	if got := c0.next(); got != 1 {
-		t.Fatalf("pinned controller moved to %d", got)
+	if c, size := newBatchController(7, 0, 3, nil); c == nil || size != 1 {
+		t.Errorf("bounds [0, 3]: controller %v, size %d; want one starting at 1", c, size)
+	}
+	k := testKernel(t)
+	in := NewInPort(k, uid.Nil, k.NewUID(), Chan(0), InPortConfig{Batch: 7, BatchMin: 4, BatchMax: 4})
+	if in.ctrl != nil || in.batch != 4 || in.req.Max != 4 {
+		t.Errorf("pinned InPort: ctrl %v, batch %d, Max %d; want fixed batch 4", in.ctrl, in.batch, in.req.Max)
+	}
+	push := NewPusher(k, uid.Nil, k.NewUID(), Chan(0), PusherConfig{Batch: 7, BatchMin: 4, BatchMax: 4})
+	if push.ctrl != nil || push.batch != 4 {
+		t.Errorf("pinned Pusher: ctrl %v, batch %d; want fixed batch 4", push.ctrl, push.batch)
+	}
+	wo := NewWOOutPort(k, uid.Nil, k.NewUID(), Chan(0), WOOutPortConfig{Batch: 7, Window: 2, BatchMin: 4, BatchMax: 4})
+	defer wo.CloseWithError(errors.New("test done"))
+	if wo.ctrl != nil || wo.threshold() != 4 {
+		t.Errorf("pinned WOOutPort: ctrl %v, threshold %d; want fixed batch 4", wo.ctrl, wo.threshold())
+	}
+}
+
+// TestInPortPendingArray: a drained port appends its next batch into
+// the array the last one left — at batch 1 that is what keeps a
+// Transfer from allocating — but does not hold on to the array of a
+// large batch.
+func TestInPortPendingArray(t *testing.T) {
+	const items = 3 * pendingKeep
+	k := testKernel(t)
+	source := func() uid.UID {
+		st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: items},
+			func(_ []ItemReader, outs []ItemWriter) error {
+				for i := 0; i < items; i++ {
+					if err := outs[0].Put([]byte("x")); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		id := k.NewUID()
+		if err := k.CreateWithUID(id, st, 0); err != nil {
+			t.Fatal(err)
+		}
+		st.Start()
+		if err := st.Err(); err != nil { // the whole stream is buffered
+			t.Fatal(err)
+		}
+		return id
+	}
+	next := func(in *InPort) {
+		t.Helper()
+		if _, err := in.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	one := NewInPort(k, uid.Nil, source(), Chan(0), InPortConfig{Batch: 1})
+	defer one.Cancel("test done")
+	next(one)
+	array := &one.pending[:1][0]
+	for i := 0; i < 10; i++ {
+		next(one)
+		if len(one.pending) != 0 || one.head != 0 || &one.pending[:1][0] != array {
+			t.Fatalf("Transfer %d: pending len %d head %d, array reused = %v; want the drained array rewound and reused",
+				i, len(one.pending), one.head, &one.pending[:1][0] == array)
+		}
+	}
+
+	big := NewInPort(k, uid.Nil, source(), Chan(0), InPortConfig{Batch: 2 * pendingKeep})
+	defer big.Cancel("test done")
+	next(big)
+	if got := len(big.pending) - big.head; got != 2*pendingKeep-1 {
+		t.Fatalf("after one Next, %d items pending, want %d", got, 2*pendingKeep-1)
+	}
+	for i := 1; i < 2*pendingKeep; i++ {
+		next(big)
+	}
+	if cap(big.pending) != 0 || big.head != 0 {
+		t.Fatalf("drained a %d-item batch: pending cap %d head %d, want the array dropped", 2*pendingKeep, cap(big.pending), big.head)
+	}
+
+	// Refilled before it drains (prefetch, window): the array must not
+	// grow with the stream.
+	ahead := NewInPort(k, uid.Nil, k.NewUID(), Chan(0), InPortConfig{Batch: 1})
+	defer ahead.Cancel("test done")
+	absorb := func(n int) {
+		ahead.mu.Lock()
+		ahead.absorbLocked(pulled{items: make([][]byte, n)})
+		ahead.mu.Unlock()
+	}
+	absorb(2)
+	for i := 0; i < 1000; i++ {
+		next(ahead)
+		absorb(1)
+	}
+	if got := len(ahead.pending) - ahead.head; got != 2 || cap(ahead.pending) > 8 {
+		t.Fatalf("never-drained port: %d items pending in an array of %d, want 2 in a small one", got, cap(ahead.pending))
 	}
 }
 

@@ -53,6 +53,7 @@ type InPort struct {
 	window  int
 	// ctrl, when non-nil, makes Transfer Max adaptive: the AIMD
 	// controller sizes every request between the configured bounds.
+	// Bounds that pin the size leave it nil and set batch instead.
 	ctrl *batchController
 
 	// req is the port's reusable Transfer request record for the
@@ -60,8 +61,15 @@ type InPort struct {
 	// puller); windowed pullers carry their own records.
 	req TransferRequest
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// pending[head:] are the items absorbed and not yet handed out.
+	// Next pops by advancing head and, once drained, rewinds both to the
+	// start of the backing array, so the next batch is appended into the
+	// capacity this one left: at batch 1 that is the difference between
+	// no allocation per Transfer and one.  A port refilled before it
+	// drains is compacted instead, once half the slice is dead.
 	pending   [][]byte
+	head      int
 	done      bool
 	err       error // nil for normal EOF
 	cancelled bool
@@ -102,6 +110,12 @@ func releasePulled(res pulled) {
 	}
 }
 
+// pendingKeep is the largest pending array (in items; 1.5 KiB) a
+// drained port keeps for its next batch.  A larger batch amortises the
+// array's allocation over its own items, and keeping every port's
+// high-water array would hold that memory for as long as the port lives.
+const pendingKeep = 64
+
 // MaxWindow caps the flow-control window so that parked stream
 // invocations can never exhaust an Eject's kernel worker pool (32 by
 // default): a windowed port holds at most MaxWindow workers blocked at
@@ -139,10 +153,6 @@ func NewInPort(k *kernel.Kernel, self, source uid.UID, channel ChannelID, cfg In
 	if k == nil {
 		panic("transput: NewInPort requires a kernel")
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
 	pref := cfg.Prefetch
 	if pref < 0 {
 		pref = 0
@@ -154,9 +164,11 @@ func NewInPort(k *kernel.Kernel, self, source uid.UID, channel ChannelID, cfg In
 	if window > MaxWindow {
 		window = MaxWindow
 	}
+	met := k.Metrics()
+	ctrl, batch := newBatchController(cfg.Batch, cfg.BatchMin, cfg.BatchMax, &met.BatchSizeHighWater)
 	p := &InPort{
 		k:       k,
-		met:     k.Metrics(),
+		met:     met,
 		caller:  k.Caller(self),
 		self:    self,
 		source:  source,
@@ -164,10 +176,8 @@ func NewInPort(k *kernel.Kernel, self, source uid.UID, channel ChannelID, cfg In
 		batch:   batch,
 		pref:    pref,
 		window:  window,
+		ctrl:    ctrl,
 		req:     TransferRequest{Channel: channel, Max: batch},
-	}
-	if cfg.BatchMax > 0 {
-		p.ctrl = newBatchController(cfg.BatchMin, cfg.BatchMax, &p.met.BatchSizeHighWater)
 	}
 	if window > 1 {
 		p.nextBase = -1
@@ -387,10 +397,25 @@ func (p *InPort) Next() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if len(p.pending) > 0 {
-			item := p.pending[0]
-			p.pending[0] = nil
-			p.pending = p.pending[1:]
+		if p.head < len(p.pending) {
+			item := p.pending[p.head]
+			p.pending[p.head] = nil
+			p.head++
+			switch {
+			case p.head == len(p.pending):
+				if cap(p.pending) > pendingKeep {
+					p.pending = nil
+				}
+				p.pending, p.head = p.pending[:0], 0
+			case p.head >= len(p.pending)-p.head:
+				// A port that is refilled before it drains (prefetch,
+				// window) never rewinds: slide the live items down once
+				// the dead prefix is half the slice, as channel.consume
+				// does, so the array does not grow with the stream.
+				n := copy(p.pending, p.pending[p.head:])
+				clear(p.pending[n:])
+				p.pending, p.head = p.pending[:n], 0
+			}
 			p.itemsIn.Add(1)
 			return item, nil
 		}
@@ -505,8 +530,8 @@ func (p *InPort) Cancel(msg string) {
 	if p.err == nil {
 		p.err = &AbortedError{Msg: msg}
 	}
-	wire.ReleaseAll(p.pending) // undelivered items die with the stream
-	p.pending = nil
+	wire.ReleaseAll(p.pending[p.head:]) // undelivered items die with the stream
+	p.pending, p.head = nil, 0
 	if p.reorder != nil {
 		p.releaseReorderLocked()
 	}

@@ -108,10 +108,6 @@ func NewWOOutPort(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg
 	if k == nil {
 		panic("transput: NewWOOutPort requires a kernel")
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
 	window := cfg.Window
 	if window < 1 {
 		window = 1
@@ -119,22 +115,22 @@ func NewWOOutPort(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg
 	if window > MaxWindow {
 		window = MaxWindow
 	}
+	met := k.Metrics()
+	ctrl, batch := newBatchController(cfg.Batch, cfg.BatchMin, cfg.BatchMax, &met.BatchSizeHighWater)
 	w := &WOOutPort{
 		k:       k,
-		met:     k.Metrics(),
+		met:     met,
 		caller:  k.Caller(self),
 		self:    self,
 		target:  target,
 		channel: channel,
 		batch:   batch,
 		window:  window,
+		ctrl:    ctrl,
 		writer:  k.NewUID(),
 		sendq:   make(chan deliverJob, window),
 		free:    make(chan [][]byte, window+1),
 		limit:   window,
-	}
-	if cfg.BatchMax > 0 {
-		w.ctrl = newBatchController(cfg.BatchMin, cfg.BatchMax, &w.met.BatchSizeHighWater)
 	}
 	w.credCond = sync.NewCond(&w.credMu)
 	w.wg.Add(window)

@@ -215,24 +215,19 @@ func NewPusher(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg Pu
 	if k == nil {
 		panic("transput: NewPusher requires a kernel")
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
-	w := &Pusher{
+	met := k.Metrics()
+	ctrl, batch := newBatchController(cfg.Batch, cfg.BatchMin, cfg.BatchMax, &met.BatchSizeHighWater)
+	return &Pusher{
 		k:       k,
-		met:     k.Metrics(),
+		met:     met,
 		caller:  k.Caller(self),
 		self:    self,
 		target:  target,
 		channel: channel,
 		batch:   batch,
+		ctrl:    ctrl,
 		req:     DeliverRequest{Channel: channel},
 	}
-	if cfg.BatchMax > 0 {
-		w.ctrl = newBatchController(cfg.BatchMin, cfg.BatchMax, &w.met.BatchSizeHighWater)
-	}
-	return w
 }
 
 // Target returns the UID this pusher delivers to.
