@@ -4,7 +4,8 @@ GO ?= go
 
 ## check: the pre-merge gate — vet (stock + staticcheck + the repo's
 ## own transput-vet analyzers), build, full tests, the race detector
-## over the concurrency-heavy packages, and the coverage floor.  CI and
+## over the concurrency-heavy packages (the striped counters of
+## internal/metrics among them), and the coverage floor.  CI and
 ## contributors run this before merging.
 check: vet vet-custom build test race cover-floor
 
@@ -59,7 +60,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/...
+	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, windowed links, merge, redirect) and the fusion
@@ -71,7 +72,7 @@ race-sharded:
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## plus the parallel engine's end-to-end throughput benchmark.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkInvoke' -benchmem ./internal/kernel/ ./internal/transput/
+	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkInvoke|BenchmarkCounterParallel' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/
 	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/
 
 ## bench-json: regenerate the committed measurement files —

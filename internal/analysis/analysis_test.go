@@ -41,8 +41,10 @@ func TestFusableFixture(t *testing.T) {
 func TestMetricsTableFixture(t *testing.T) {
 	diags := runFixture(t, MetricsTable, "metricsfix")
 	mustFind(t, diags, "missing from fieldTable")
+	mustFind(t, diags, "Set field Skipped is missing") // promoted from an embedded ledger
 	mustFind(t, diags, "duplicate metric name")
 	mustFind(t, diags, "hoist the Inc handle")
+	mustFind(t, diags, "hoist the AddAt handle")
 	mustFind(t, diags, "no such metric")
 }
 

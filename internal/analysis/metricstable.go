@@ -11,7 +11,8 @@ import (
 
 // MetricsTable keeps the metrics surface honest.  It recognizes any
 // package shaped like internal/metrics — a struct type `Set` whose
-// fields are that package's Counter/Gauge/HighWater types, next to a
+// fields, direct or promoted from the package's own embedded structs,
+// are that package's Counter/Gauge/HighWater types, next to a
 // package-level `fieldTable` composite literal mapping snapshot names
 // to getters — and checks three things:
 //
@@ -21,7 +22,7 @@ import (
 //  2. no two table entries claim the same name;
 //  3. Snapshot.Get("name") calls anywhere in the program use names the
 //     table actually declares;
-//  4. hot-path mutations (Inc/Dec/Add/Sub/Observe) act on hoisted
+//  4. hot-path mutations (Inc/Dec/Add/AddAt/Sub/Observe) act on hoisted
 //     handles — a receiver chain that re-fetches the Set through a
 //     call on every increment (k.Metrics().Invocations.Inc()) is
 //     flagged.  Reads (Value, Snapshot) are exempt: they belong to
@@ -83,12 +84,7 @@ func findMetricsShapes(pass *Pass) []*metricsShape {
 			counters:   make(map[string]bool),
 			tableNames: make(map[string]bool),
 		}
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			if isCounterLike(pkg.Types, f.Type()) {
-				shape.counters[f.Name()] = true
-			}
-		}
+		collectCounters(pkg.Types, st, shape.counters)
 		lit, litPos := findTableLiteral(pkg, tableVar)
 		if lit == nil {
 			continue
@@ -150,6 +146,29 @@ func findMetricsShapes(pass *Pass) []*metricsShape {
 		shapes = append(shapes, shape)
 	}
 	return shapes
+}
+
+// collectCounters records the counter-like fields of st, following the
+// package's own embedded structs: a Set may group the counters that
+// tick together into embedded records (the striped ledgers of
+// internal/metrics), and a promoted field is as much a field of Set —
+// and as easily left out of fieldTable — as a direct one.
+func collectCounters(tpkg *types.Package, st *types.Struct, into map[string]bool) {
+	for i := 0; i < st.NumFields(); i++ {
+		f := st.Field(i)
+		if isCounterLike(tpkg, f.Type()) {
+			into[f.Name()] = true
+			continue
+		}
+		if !f.Embedded() {
+			continue
+		}
+		if n := namedOrPtr(f.Type()); n != nil && n.Obj().Pkg() == tpkg {
+			if est, ok := n.Underlying().(*types.Struct); ok {
+				collectCounters(tpkg, est, into)
+			}
+		}
+	}
 }
 
 // findTableLiteral returns the composite literal assigned to the
@@ -215,7 +234,7 @@ func checkMetricsUses(pass *Pass, pkg *Package, shapes map[*types.Package]*metri
 				return true
 			}
 			switch sel.Sel.Name {
-			case "Inc", "Dec", "Add", "Sub", "Observe":
+			case "Inc", "Dec", "Add", "AddAt", "Sub", "Observe":
 				tv, ok := pkg.Info.Types[sel.X]
 				if !ok {
 					return true

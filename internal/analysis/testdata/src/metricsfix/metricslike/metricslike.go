@@ -1,8 +1,9 @@
 // Package metricslike is a miniature of internal/metrics, shaped so
 // the metricstable analyzer recognizes it: a Set struct of counters
-// plus a package-level fieldTable.  Three deliberate table bugs live
-// here: the Dropped counter and the IdleBytes gauge are missing from
-// the table, and "ops" is declared twice.
+// plus a package-level fieldTable.  Four deliberate table bugs live
+// here: the Dropped counter, the IdleBytes gauge and the Skipped
+// counter of the embedded ledger are missing from the table, and "ops"
+// is declared twice.
 package metricslike
 
 import "sync/atomic"
@@ -50,8 +51,31 @@ func (h *HighWater) Observe(n int64) {
 // Value reads the mark.
 func (h *HighWater) Value() int64 { return h.v.Load() }
 
+// stripedCounter is a counter spread over several words.
+type stripedCounter struct{ v [4]atomic.Int64 }
+
+// AddAt adds n on one stripe.
+func (c *stripedCounter) AddAt(st uint8, n int64) { c.v[st%4].Add(n) }
+
+// Value sums the stripes.
+func (c *stripedCounter) Value() int64 {
+	var sum int64
+	for i := range c.v {
+		sum += c.v[i].Load()
+	}
+	return sum
+}
+
+// hopLedger groups the counters one hot path ticks together.  Set
+// embeds it, so its fields are Set's by promotion.
+type hopLedger struct {
+	Hops    stripedCounter
+	Skipped stripedCounter
+}
+
 // Set is the package's metric surface.
 type Set struct {
+	hopLedger
 	Ops       Counter
 	Dropped   Counter
 	Live      Gauge
@@ -59,7 +83,7 @@ type Set struct {
 	PeakHW    HighWater
 }
 
-var fieldTable = []struct { // want "Set field Dropped is missing from fieldTable" "Set field IdleBytes is missing from fieldTable"
+var fieldTable = []struct { // want "Set field Dropped is missing from fieldTable" "Set field IdleBytes is missing from fieldTable" "Set field Skipped is missing from fieldTable"
 	name string
 	get  func(*Set) int64
 }{
@@ -67,6 +91,7 @@ var fieldTable = []struct { // want "Set field Dropped is missing from fieldTabl
 	{"ops", func(s *Set) int64 { return s.Ops.Value() }}, // want "fieldTable declares duplicate metric name .ops." "fieldTable references Set field Ops more than once"
 	{"live", func(s *Set) int64 { return s.Live.Value() }},
 	{"peak_hw", func(s *Set) int64 { return s.PeakHW.Value() }},
+	{"hops", func(s *Set) int64 { return s.Hops.Value() }},
 }
 
 // Snapshot is a point-in-time copy.

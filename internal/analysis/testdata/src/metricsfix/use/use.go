@@ -18,6 +18,7 @@ func hotLoop(n *node, iters int) {
 	n.Metrics().PeakHW.Observe(int64(iters)) // want "hoist the Observe handle"
 	n.Metrics().Live.Dec()                   // want "hoist the Dec handle"
 	n.Metrics().IdleBytes.Sub(64)            // want "hoist the Sub handle"
+	n.Metrics().Hops.AddAt(0, 1)             // want "hoist the AddAt handle"
 }
 
 // hoisted is clean: the handle is fetched once, outside the loop.
@@ -29,7 +30,8 @@ func hoisted(n *node, iters int) {
 	n.met.Dropped.Add(2) // selector chain without calls: fine
 	live := &n.met.Live
 	live.Inc()
-	live.Dec() // hoisted gauge handle: fine
+	live.Dec()             // hoisted gauge handle: fine
+	n.met.Hops.AddAt(1, 1) // promoted ledger field, no call in the chain: fine
 }
 
 // coldRead is clean: Value/Snapshot reads are exempt from the rule.

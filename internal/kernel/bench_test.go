@@ -88,6 +88,13 @@ func BenchmarkInvokeCrossNodeGob(b *testing.B) {
 	}
 }
 
+// BenchmarkInvokeParallel puts GOMAXPROCS invokers on one kernel.  With
+// ejects=1 and ejects=8 they share the targets' bindings; with
+// disjoint, each invoker has its own Eject and its own Caller, so all
+// they share is the kernel's own bookkeeping — the table read, the
+// pools, the meters — and ns/op should be BenchmarkInvokeLocal's divided
+// by the number of Ps.  What it is above that is contention the kernel
+// adds (DESIGN §6).
 func BenchmarkInvokeParallel(b *testing.B) {
 	for _, ejects := range []int{1, 8} {
 		b.Run(fmt.Sprintf("ejects=%d", ejects), func(b *testing.B) {
@@ -114,6 +121,25 @@ func BenchmarkInvokeParallel(b *testing.B) {
 			})
 		})
 	}
+	b.Run("disjoint", func(b *testing.B) {
+		k, _ := benchPinger(b)
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			id, err := k.Create(&pinger{}, 0)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			caller := k.Caller(uid.Nil)
+			req := &pingReq{N: 1}
+			for pb.Next() {
+				if _, err := caller.Invoke(id, "ping", req); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+	})
 }
 
 func BenchmarkCheckpoint(b *testing.B) {

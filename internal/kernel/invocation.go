@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"asymstream/internal/metrics"
 	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
 )
@@ -27,7 +28,11 @@ import (
 // beyond Serve: the kernel fails unreplied invocations when Serve
 // returns, and a late Reply panics as a double reply.
 type Invocation struct {
-	// MsgID is unique per kernel, for tracing.
+	// MsgID is unique per kernel and never 0, for tracing.  It is not a
+	// sequence: ids are drawn per stripe of the metrics ledger
+	// (metrics.Set.NextID), so of two invocations sent from different
+	// goroutines — or from one whose stack has moved — the later may
+	// carry the smaller id.
 	MsgID uint64
 	// From is the invoking Eject (uid.Nil for external drivers such as
 	// test harnesses).  The paper (§5) is emphatic that user code must
@@ -123,6 +128,14 @@ type Call struct {
 
 	replyc chan reply // capacity 1, reused across pooled lives
 
+	// msgID is the invocation's message id, set by send once it is on its
+	// way to a slot or a mailbox.  A Call left at 0 (refuse) answers an
+	// invocation no Eject received, and ticks no reply meter.  stripe is
+	// the ledger stripe send metered the invocation on; the reply is
+	// metered there too — one line an invocation, whoever collects it.
+	msgID  uint64
+	stripe metrics.Stripe
+
 	mu    sync.Mutex
 	state callState
 	done  chan struct{} // lazily allocated
@@ -131,7 +144,6 @@ type Call struct {
 	// tracing (set only when the kernel's Trace hook is installed)
 	traced     bool
 	traceFrom  uid.UID
-	traceMsgID uint64
 	traceStart time.Time
 }
 
@@ -148,13 +160,12 @@ var callPool = sync.Pool{New: func() any {
 }}
 
 // newCall takes a recycled (or fresh) Call and arms it.
-func newCall(k *Kernel, op string, target uid.UID, from, to netsim.NodeID) *Call {
+func newCall(k *Kernel, op string, target uid.UID, from netsim.NodeID) *Call {
 	c := callPool.Get().(*Call)
 	c.k = k
 	c.op = op
 	c.target = target
 	c.fromNode = from
-	c.toNode = to
 	return c
 }
 
@@ -168,34 +179,38 @@ func (c *Call) release() {
 	c.target = uid.Nil
 	c.fromNode = 0
 	c.toNode = 0
+	c.msgID = 0
 	c.state = callPending
 	c.done = nil
 	c.res = reply{}
 	c.traced = false
 	c.traceFrom = uid.Nil
-	c.traceMsgID = 0
 	c.traceStart = time.Time{}
 	callPool.Put(c)
 }
 
 // settle runs the reply path: the reply payload crosses the network
 // from the target's node back to the invoker's node, and the reply
-// meters tick.  It returns the settled reply.
+// meters tick — unless the invocation was refused, which no Eject
+// answered.  It returns the settled reply.
 func (c *Call) settle(r reply) reply {
-	k := c.k
-	if r.err == nil {
-		payload, _, terr := k.link.Transmit(c.toNode, c.fromNode, r.payload)
-		if terr != nil {
-			r = reply{err: toWire(terr)}
-		} else {
-			r.payload = payload
+	if c.msgID != 0 {
+		k := c.k
+		if r.err == nil {
+			payload, _, terr := k.link.Transmit(c.toNode, c.fromNode, r.payload)
+			if terr != nil {
+				r = reply{err: toWire(terr)}
+			} else {
+				r.payload = payload
+			}
 		}
-	}
-	k.met.Replies.Inc()
-	k.met.ProcessSwitches.Inc()
-	if r.err == nil {
-		if sz, ok := r.payload.(Sizer); ok {
-			k.met.BytesMoved.Add(int64(sz.PayloadSize()))
+		st := c.stripe
+		k.met.Replies.AddAt(st, 1)
+		k.met.ProcessSwitches.AddAt(st, 1)
+		if r.err == nil {
+			if sz, ok := r.payload.(Sizer); ok {
+				k.met.BytesMoved.AddAt(st, int64(sz.PayloadSize()))
+			}
 		}
 	}
 	c.traceFinish(r)

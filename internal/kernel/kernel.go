@@ -140,8 +140,6 @@ type Kernel struct {
 	store *storage.Store
 	gen   *uid.Generator
 
-	msgID atomic.Uint64
-
 	// bindings is the striped UID→binding table.  Lookups on the
 	// invocation hot path are lock-free snapshot hits; Create and
 	// teardown lock only one stripe, so million-channel storms never
@@ -547,81 +545,100 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // The choice is made from the call alone; there is no switch for it.
 // Cross-node invocations stay on the mailbox: served inline they moved
 // the socket workloads' item latency past its bound (DESIGN §6).
+//
+// An invocation is one message however many times a deactivating target
+// makes send resolve it again: it has one Call, draws one id, and is
+// counted once, at the moment a slot or the mailbox takes it.  One that
+// nothing takes is answered by refuse and ticks no meter on either
+// side.  The id and the counts go to one stripe of the metrics ledger,
+// taken once.
+//
+// send's frame is part of the chain that must fit a fresh goroutine's
+// stack on the bridge (resolve's map lookup is its deepest point;
+// DESIGN §13.2).  It is 216 bytes of locals; at 288 bridge-echo lost a
+// sixth of its throughput to copystack.  A callee with many arguments
+// grows it — hence refuse reads what it needs from the Call.
 func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool) (*Call, *Invocation, slot) {
+	st := metrics.Here()
+	c := newCall(k, op, target, fromNode)
 	var inv *Invocation
 	for attempt := 0; ; attempt++ {
 		b, err := k.resolve(target)
 		if err != nil {
-			if inv != nil {
-				releaseInvocation(inv)
-			}
-			c := newCall(k, op, target, fromNode, fromNode)
-			k.traceStart(c, from, 0)
-			c.replyc <- reply{err: toWire(err)}
+			c.refuse(inv, from, err)
 			return c, nil, slot{}
 		}
-
 		// The request payload crosses the network to the target node.
-		sent, _, terr := k.link.Transmit(fromNode, b.node, payload)
-		if terr != nil {
-			if inv != nil {
-				releaseInvocation(inv)
-			}
-			c := newCall(k, op, target, fromNode, b.node)
-			k.traceStart(c, from, 0)
-			c.replyc <- reply{err: toWire(terr)}
+		c.toNode = b.node
+		sent, _, err := k.link.Transmit(fromNode, b.node, payload)
+		if err != nil {
+			c.refuse(inv, from, err)
 			return c, nil, slot{}
 		}
-
-		id := k.msgID.Add(1)
-
-		c := newCall(k, op, target, fromNode, b.node)
-		k.traceStart(c, from, id)
 		if inv == nil {
 			inv = acquireInvocation()
+			inv.MsgID = k.met.NextID(st)
+			inv.From = from
+			inv.Target = target
+			inv.Op = op
+			inv.fromNode = fromNode
+			inv.replyc = c.replyc
+			c.msgID, c.stripe = inv.MsgID, st
+			k.traceStart(c, from)
 		}
-		inv.MsgID = id
-		inv.From = from
-		inv.Target = target
-		inv.Op = op
-		inv.Payload = sent
-		inv.fromNode = fromNode
 		inv.toNode = b.node
-		inv.replyc = c.replyc
+		inv.Payload = sent
 
-		k.met.Invocations.Inc()
-		k.met.ProcessSwitches.Inc()
-		if fromNode == b.node {
-			k.met.LocalInvocations.Inc()
-		} else {
-			k.met.CrossNodeInvocations.Inc()
+		// A slot or the mailbox takes it: that is the delivery, and the
+		// one place it is metered.  Once enqueued, inv belongs to the
+		// target and may already have been served and recycled; its reply
+		// is not collected before send returns, so replies never run
+		// ahead of invocations.
+		local := fromNode == b.node
+		var s slot
+		inline := waits && local
+		if inline {
+			s, inline = b.claim()
 		}
-		if sz, ok := payload.(Sizer); ok {
-			k.met.BytesMoved.Add(int64(sz.PayloadSize()))
-		}
-
-		if waits && fromNode == b.node {
-			if s, ok := b.claim(); ok {
-				return c, inv, s
+		if inline || b.enqueue(inv) {
+			m := k.met
+			m.Invocations.AddAt(st, 1)
+			m.ProcessSwitches.AddAt(st, 1)
+			if local {
+				m.LocalInvocations.AddAt(st, 1)
+			} else {
+				m.CrossNodeInvocations.AddAt(st, 1)
 			}
-		}
-		if b.enqueue(inv) {
-			return c, nil, slot{}
+			if sz, ok := payload.(Sizer); ok {
+				m.BytesMoved.AddAt(st, int64(sz.PayloadSize()))
+			}
+			if !inline {
+				inv = nil
+			}
+			return c, inv, s
 		}
 		// The binding deactivated between resolve and enqueue; retry,
 		// which re-activates.  Bound the retries to avoid spinning on
-		// an Eject that deactivates in a tight loop.  The invocation
-		// is reused across attempts (enqueue did not take it); the
-		// attempt's Call is recycled (nothing was sent on its channel).
-		c.release()
+		// an Eject that deactivates in a tight loop.
 		if attempt >= 3 {
-			releaseInvocation(inv)
-			c := newCall(k, op, target, fromNode, b.node)
-			k.traceStart(c, from, 0)
-			c.replyc <- reply{err: toWire(ErrDeactivated)}
+			c.refuse(inv, from, ErrDeactivated)
 			return c, nil, slot{}
 		}
 	}
+}
+
+// refuse answers an invocation no Eject received: the Call's reply is
+// err, its trace event carries message id 0, and it ticks no meter.
+// inv, if send had already armed it, was handed to nobody and is
+// recycled.
+func (c *Call) refuse(inv *Invocation, from uid.UID, err error) {
+	if inv != nil {
+		releaseInvocation(inv)
+	} else {
+		c.k.traceStart(c, from)
+	}
+	c.msgID = 0
+	c.replyc <- reply{err: toWire(err)}
 }
 
 // Checkpoint creates a new passive representation for the Eject (§1).

@@ -12,6 +12,9 @@ import (
 // invocation traffic, and a reproduction should let you *look at* that
 // traffic — but at per-event rather than aggregate granularity.
 type TraceEvent struct {
+	// MsgID is the Invocation's: unique per kernel, not ordered across
+	// goroutines.  0 marks an invocation that reached no Eject (unknown
+	// UID, partitioned link, an Eject that kept deactivating).
 	MsgID    uint64
 	From     uid.UID
 	Target   uid.UID
@@ -32,13 +35,13 @@ type TraceEvent struct {
 // the intended consumer.
 type TraceFunc func(TraceEvent)
 
-// traceStart stamps the call if tracing is enabled.
-func (k *Kernel) traceStart(c *Call, from uid.UID, msgID uint64) {
+// traceStart stamps the call if tracing is enabled: once the request
+// has crossed the link, or at the point send gave up before that.
+func (k *Kernel) traceStart(c *Call, from uid.UID) {
 	if k.cfg.Trace == nil {
 		return
 	}
 	c.traceFrom = from
-	c.traceMsgID = msgID
 	c.traceStart = time.Now()
 	c.traced = true
 }
@@ -49,7 +52,7 @@ func (c *Call) traceFinish(r reply) {
 		return
 	}
 	ev := TraceEvent{
-		MsgID:    c.traceMsgID,
+		MsgID:    c.msgID,
 		From:     c.traceFrom,
 		Target:   c.target,
 		Op:       c.op,

@@ -3,9 +3,29 @@
 // paper's unit of communication cost), process switches, bytes moved,
 // and — for the Unix baseline of Figure 1 — system calls.
 //
-// All counters are cheap atomics so that metering does not distort the
-// throughput benchmarks that compare the transput disciplines.  A
-// Snapshot captures every counter at an instant; Diff subtracts two
+// Metering must not distort the throughput benchmarks that compare the
+// transput disciplines, and what distorts them is not the atomic add
+// but the cache line under it: once a same-node invocation costs no
+// goroutine hand-off, a line that every core writes on every invocation
+// is the dearest thing on the path (DESIGN §6).  So the counters come
+// in two kinds:
+//
+//   - The counters that tick per invocation or per item are striped.
+//     They are grouped by who ticks them together — the kernel's
+//     invocation path, the ports, the wire — and each group is a ledger
+//     of 16 cache lines, one per stripe, a counter being the same word
+//     of every line.  An increment takes the calling goroutine's stripe
+//     (Here) and does one atomic add on a line no other running
+//     goroutine is likely to be writing; a layer that ticks several
+//     counters of a group takes the stripe once (AddAt) and touches one
+//     line.  Value and Snapshot sum the stripes.  Nothing is sampled or
+//     dropped: a striped counter is exact.
+//   - Gauges, high-water marks and the counters that tick per Eject,
+//     per checkpoint or per build (Counter) are single atomic words.
+//     Nothing contends for them, and a gauge or a maximum has no
+//     per-stripe meaning.
+//
+// A Snapshot captures every counter at an instant; Diff subtracts two
 // snapshots, which is how the benchmark harness attributes costs to a
 // single pipeline run.
 package metrics
@@ -16,9 +36,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Counter is a monotonically increasing atomic counter.
+// Counter is a monotonically increasing atomic counter: one word, for
+// the events too rare to contend (see the package comment).
 type Counter struct {
 	v atomic.Int64
 }
@@ -34,6 +56,85 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Set forces the counter to n.  Only tests use this.
 func (c *Counter) Set(n int64) { c.v.Store(n) }
+
+const (
+	// stripes is the number of lines in a ledger.  16 keeps two of a
+	// pipeline's half-dozen stage goroutines off the same line most of
+	// the time at 1 KiB a ledger; the Set's size is pinned by
+	// TestSetLayout.
+	stripeBits = 4
+	stripes    = 1 << stripeBits
+	// lineBytes is the cache-line size the ledgers are laid out for.
+	lineBytes = 64
+)
+
+// Stripe names one line of every ledger.  Every value is valid: a
+// stripe argument is taken modulo the stripe count.
+type Stripe uint8
+
+// Here returns the calling goroutine's stripe: a hash of where its
+// stack is, in 4 KiB units.  A goroutine deep enough to be invoking has
+// grown past its 2 KiB first stack, so two of them seldom share a unit,
+// and one keeps its stripe from call to call unless its stack moves or
+// its depth crosses a unit — affinity, not identity, which is all a
+// stripe needs: any stripe is correct, an uncontended one is fast.  (At
+// 2 KiB units a stage goroutine's frames straddled several stripes and
+// pull-local-b1 lost a fifth of the gain; 8 and 16 KiB measured no
+// better than 4.)  The multiplier is 2⁶⁴/φ: stacks carved side by side
+// from one span land on well-separated stripes.
+func Here() Stripe {
+	var mark byte
+	at := uint64(uintptr(unsafe.Pointer(&mark))) >> 12
+	return Stripe(at * 0x9E3779B97F4A7C15 >> (64 - stripeBits))
+}
+
+// stripeWord returns stripe st's copy of w, a word in the first line of
+// a ledger: the same word, st lines further on.
+func stripeWord(w *atomic.Int64, st Stripe) *atomic.Int64 {
+	return (*atomic.Int64)(unsafe.Add(unsafe.Pointer(w), uintptr(st%stripes)*lineBytes))
+}
+
+// stripedCounter is a monotonically increasing counter spread over the
+// stripes of a ledger: its value is the sum of one word in each line.
+// It finds the other stripes relative to itself, so it exists only as a
+// field of a ledger's first line (TestSetLayout checks every one), which
+// is why the type is not exported: a stripedCounter declared anywhere
+// else would write past itself.
+type stripedCounter struct {
+	v atomic.Int64
+}
+
+func (c *stripedCounter) cell(st Stripe) *atomic.Int64 { return stripeWord(&c.v, st) }
+
+// Add increments the counter by n on the caller's stripe.
+func (c *stripedCounter) Add(n int64) { c.cell(Here()).Add(n) }
+
+// Inc increments the counter by one on the caller's stripe.
+func (c *stripedCounter) Inc() { c.cell(Here()).Add(1) }
+
+// AddAt increments the counter by n on the given stripe.  A path that
+// ticks several counters of one ledger calls Here once and AddAt for
+// each, and so writes a single line.
+func (c *stripedCounter) AddAt(st Stripe, n int64) { c.cell(st).Add(n) }
+
+// Value returns the current count: the sum over the stripes.  Each
+// stripe only grows, so successive Values never decrease and none
+// exceeds what had been added when it returned.
+func (c *stripedCounter) Value() int64 {
+	var sum int64
+	for st := Stripe(0); st < stripes; st++ {
+		sum += c.cell(st).Load()
+	}
+	return sum
+}
+
+// Set forces the counter to n.  Only tests use this.
+func (c *stripedCounter) Set(n int64) {
+	c.v.Store(n)
+	for st := Stripe(1); st < stripes; st++ {
+		c.cell(st).Store(0)
+	}
+}
 
 // HighWater is an atomic maximum tracker: Observe folds a sample in,
 // Value reads the largest sample seen.  The parallel stream engine uses
@@ -86,20 +187,28 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Set forces the gauge to n.  Only tests use this.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Set is the fixed collection of counters the reproduction meters.  A
-// single Set is shared by one simulated Eden system (kernel + network
-// + devices); independent systems have independent Sets, so parallel
-// benchmarks do not contaminate each other.
-type Set struct {
+// otherStripes is the tail of every ledger: the lines of stripes 1 to
+// 15.  A ledger is its first line, whose fields are the counters'
+// names, followed by the other stripes' lines — the same words, unnamed.
+type otherStripes [stripes - 1][lineBytes / 8]atomic.Int64
+
+// kernelLedger's line is what Kernel.send and Call.settle tick for one
+// invocation, and the message-id sequence send draws from while it
+// holds the line.
+type kernelLedger struct {
 	// Invocations counts every inter-Eject invocation routed through
-	// the kernel, the paper's fundamental cost unit.
-	Invocations Counter
+	// the kernel, the paper's fundamental cost unit: one per invocation
+	// handed to its target's mailbox or to a worker slot.  An invocation
+	// that never reaches its target (unknown UID, partitioned link, an
+	// Eject that keeps deactivating) is not counted, here or below.
+	Invocations stripedCounter
 	// LocalInvocations / CrossNodeInvocations partition Invocations by
 	// whether source and target Ejects share a simulated node.
-	LocalInvocations     Counter
-	CrossNodeInvocations Counter
-	// Replies counts invocation replies (== completed invocations).
-	Replies Counter
+	LocalInvocations     stripedCounter
+	CrossNodeInvocations stripedCounter
+	// Replies counts the replies invokers have collected to counted
+	// invocations (== completed invocations).
+	Replies stripedCounter
 	// ProcessSwitches counts logical switches, as the paper counts
 	// them in its "communications overhead and process switching"
 	// bullet: one per delivery of an invocation to a target Eject and
@@ -107,12 +216,86 @@ type Set struct {
 	// carries them.  It is not a count of goroutine hand-offs: a
 	// synchronous same-node invoker that serves its own invocation on
 	// one of the target's worker slots still makes two.
-	ProcessSwitches Counter
+	ProcessSwitches stripedCounter
 	// BytesMoved counts payload bytes crossing Eject boundaries.
-	BytesMoved Counter
-	// WireBytes counts gob-encoded bytes on cross-node hops (0 when
-	// serialisation is disabled).
-	WireBytes Counter
+	BytesMoved stripedCounter
+	// msgSeq is the stripe's count of message ids drawn (NextID).
+	msgSeq atomic.Int64
+	_      [lineBytes - 7*8]byte
+	rest   otherStripes
+}
+
+// portLedger's line is what the transput ports tick while serving or
+// issuing one Transfer or Deliver.
+type portLedger struct {
+	// TransferInvocations counts stream-protocol Transfer (pull)
+	// invocations specifically, and DeliverInvocations the write-only
+	// dual, so the per-datum counts of E1–E4 can be isolated from
+	// control-plane invocations (initialisation, close, lookup...).
+	TransferInvocations stripedCounter
+	DeliverInvocations  stripedCounter
+	// ItemsMoved counts stream items (records or byte chunks) that
+	// crossed an Eject boundary inside Transfer/Deliver payloads.
+	ItemsMoved stripedCounter
+	// WireBytesSaved counts payload bytes handed across a port boundary
+	// by ownership transfer (PutOwned / zero-copy Deliver absorption)
+	// instead of being copied — the data plane's copy-elision meter.
+	WireBytesSaved stripedCounter
+	// ShardFrames counts framed items (data, punctuation, epilogue)
+	// moved across sharded pipeline links by the parallel engine.
+	ShardFrames stripedCounter
+	// CapabilityCacheHits / CapabilityCacheMisses count capability-mode
+	// channel verifications served by the direct-mapped capability
+	// cache versus those that had to re-verify against the striped
+	// table (first use per channel-binding epoch, or cache eviction).
+	CapabilityCacheHits   stripedCounter
+	CapabilityCacheMisses stripedCounter
+	_                     [lineBytes - 7*8]byte
+	rest                  otherStripes
+}
+
+// wireLedger's line is what a link and the slab behind it tick for one
+// frame.
+type wireLedger struct {
+	// WireBytes counts the bytes of the wire-codec frames that crossed
+	// a link — header and payload, on the simulated network when it
+	// encodes payloads and on the socket links always.
+	WireBytes stripedCounter
+	// WireFramesEncoded counts payloads pushed through the compact wire
+	// codec on cross-node hops (gob-fallback encodes are included; the
+	// codec wraps them in a tagged frame too).
+	WireFramesEncoded stripedCounter
+	// SlabRetained / SlabReleased count references taken on and dropped
+	// from refcounted slab views (frame buffers carved from arenas).
+	// At quiescence the two are equal; the difference is the number of
+	// live views.
+	SlabRetained stripedCounter
+	SlabReleased stripedCounter
+	_            [lineBytes - 4*8]byte
+	rest         otherStripes
+}
+
+// Set is the fixed collection of counters the reproduction meters.  A
+// single Set is shared by one simulated Eden system (kernel + network
+// + devices); independent systems have independent Sets, so parallel
+// benchmarks do not contaminate each other.
+//
+// The three ledgers come first so that, a Set being allocated on its
+// own, every line starts a cache line; their counters are fields of the
+// Set like the rest (s.Invocations, s.ItemsMoved, s.WireBytes).
+//
+// The kernel ledger balances.  Once every reply has been collected,
+//
+//	replies == invocations
+//	process_switches == invocations + replies
+//	local_invocations + cross_node_invocations == invocations
+//
+// on every path, failures included (kernel.TestLedgerIdentity).
+type Set struct {
+	kernelLedger
+	portLedger
+	wireLedger
+
 	// Activations counts kernel activations of passive Ejects.
 	Activations Counter
 	// Checkpoints counts Checkpoint operations (stable storage writes).
@@ -123,32 +306,6 @@ type Set struct {
 	// EjectsCreated counts Eject registrations, so experiments can
 	// report the paper's n+2 vs 2n+3 Eject counts directly.
 	EjectsCreated Counter
-	// TransferInvocations counts stream-protocol Transfer (pull)
-	// invocations specifically, and DeliverInvocations the write-only
-	// dual, so the per-datum counts of E1–E4 can be isolated from
-	// control-plane invocations (initialisation, close, lookup...).
-	TransferInvocations Counter
-	DeliverInvocations  Counter
-	// ItemsMoved counts stream items (records or byte chunks) that
-	// crossed an Eject boundary inside Transfer/Deliver payloads.
-	ItemsMoved Counter
-	// ShardFrames counts framed items (data, punctuation, epilogue)
-	// moved across sharded pipeline links by the parallel engine.
-	ShardFrames Counter
-	// WireFramesEncoded counts payloads pushed through the compact wire
-	// codec on cross-node hops (gob-fallback encodes are included; the
-	// codec wraps them in a tagged frame too).
-	WireFramesEncoded Counter
-	// WireBytesSaved counts payload bytes handed across a port boundary
-	// by ownership transfer (PutOwned / zero-copy Deliver absorption)
-	// instead of being copied — the data plane's copy-elision meter.
-	WireBytesSaved Counter
-	// SlabRetained / SlabReleased count references taken on and dropped
-	// from refcounted slab views (frame buffers carved from arenas).
-	// At quiescence the two are equal; the difference is the number of
-	// live views.
-	SlabRetained Counter
-	SlabReleased Counter
 	// SlabLeaked counts views still outstanding when their slab was
 	// closed (pipeline teardown) — the refcount-audit failure counter.
 	// It stays zero when every drop path releases its views.
@@ -176,12 +333,6 @@ type Set struct {
 	// and fell back to the striped table's locked slow path — the
 	// control plane's serialisation meter.  Zero in steady state.
 	ChannelLookupContention Counter
-	// CapabilityCacheHits / CapabilityCacheMisses count capability-mode
-	// channel verifications served by the direct-mapped capability
-	// cache versus those that had to re-verify against the striped
-	// table (first use per channel-binding epoch, or cache eviction).
-	CapabilityCacheHits   Counter
-	CapabilityCacheMisses Counter
 	// WindowDepthHighWater tracks the peak number of concurrently
 	// outstanding Transfer/Deliver invocations on any windowed port.
 	WindowDepthHighWater HighWater
@@ -191,6 +342,17 @@ type Set struct {
 	// BatchSizeHighWater tracks the largest batch size any adaptive
 	// per-link AIMD controller reached (Transfer Max / Deliver batch).
 	BatchSizeHighWater HighWater
+}
+
+// NextID draws a message id on the given stripe: that stripe's next
+// sequence number, times the stripe count, plus the stripe.  Ids are
+// never 0 and never repeat within a Set; they are not one sequence — an
+// id drawn later on another stripe may be smaller.  The sequence sits
+// in the kernel ledger because kernel.send draws an id per invocation
+// it counts, and here the draw writes the line send already holds.
+func (s *Set) NextID(st Stripe) uint64 {
+	st %= stripes
+	return uint64(stripeWord(&s.msgSeq, st).Add(1))*stripes + uint64(st)
 }
 
 // Snapshot is a point-in-time copy of every counter in a Set.

@@ -1,9 +1,13 @@
 package metrics
 
 import (
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -178,4 +182,267 @@ func TestRegistry(t *testing.T) {
 	if s, _ := r.Get("beta"); s != s2 {
 		t.Error("Register should replace")
 	}
+}
+
+// TestStripedCounterExact: G goroutines tick a striped counter by Inc
+// and by Add(k) while readers take Value and Snapshot.  Every read is
+// at most what had been added by the time it returned and no less than
+// the reader's previous one; the final Value is the exact sum.
+func TestStripedCounterExact(t *testing.T) {
+	const writers, perWriter, k = 16, 20000, 7
+	var (
+		s      Set
+		issued atomic.Int64 // ticks announced; runs ahead of the counters
+		stop   = make(chan struct{})
+		rd     sync.WaitGroup
+	)
+	reader := func(read func() (inc, add int64)) {
+		defer rd.Done()
+		var lastInc, lastAdd int64
+		for {
+			inc, add := read()
+			bound := issued.Load()
+			if inc < lastInc || add < lastAdd {
+				t.Errorf("read went backwards: %d after %d, %d after %d", inc, lastInc, add, lastAdd)
+				return
+			}
+			if inc > bound || add > bound*k {
+				t.Errorf("read %d / %d with only %d ticks issued", inc, add, bound)
+				return
+			}
+			lastInc, lastAdd = inc, add
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}
+	rd.Add(2)
+	go reader(func() (int64, int64) { return s.Invocations.Value(), s.BytesMoved.Value() })
+	go reader(func() (int64, int64) {
+		snap := s.Snapshot()
+		return snap.Get("invocations"), snap.Get("bytes_moved")
+	})
+	var wr sync.WaitGroup
+	for range writers {
+		wr.Add(1)
+		go func() {
+			defer wr.Done()
+			for range perWriter {
+				issued.Add(1)
+				s.Invocations.Inc()
+				s.BytesMoved.Add(k)
+			}
+		}()
+	}
+	wr.Wait()
+	close(stop)
+	rd.Wait()
+	if got := s.Invocations.Value(); got != writers*perWriter {
+		t.Errorf("Inc total = %d, want %d", got, writers*perWriter)
+	}
+	if got := s.BytesMoved.Value(); got != writers*perWriter*k {
+		t.Errorf("Add total = %d, want %d", got, writers*perWriter*k)
+	}
+}
+
+// TestSnapshotDiffIsTheBurst: whatever stripes a burst lands on, the
+// Diff of the snapshots around it is the burst, on every striped counter
+// and on none of the others.
+func TestSnapshotDiffIsTheBurst(t *testing.T) {
+	var s Set
+	s.ItemsMoved.Add(1000) // history the Diff must cancel
+	before := s.Snapshot()
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := Here()
+			for range 100 {
+				s.Invocations.AddAt(st, 1)
+				s.Replies.AddAt(st, 1)
+				s.ProcessSwitches.AddAt(st, 2)
+				s.ItemsMoved.Add(int64(g))
+				s.SlabRetained.Inc()
+				s.WireBytes.Add(64)
+			}
+		}()
+	}
+	wg.Wait()
+	d := Diff(before, s.Snapshot())
+	want := map[string]int64{
+		"invocations": 800, "replies": 800, "process_switches": 1600,
+		"items_moved": 100 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7), "slab_retained": 800, "wire_bytes": 800 * 64,
+	}
+	for name, got := range d.Values {
+		if got != want[name] {
+			t.Errorf("diff[%s] = %d, want %d", name, got, want[name])
+		}
+	}
+}
+
+func TestStripedCounterSet(t *testing.T) {
+	var s Set
+	for st := Stripe(0); st < stripes; st++ {
+		s.Replies.AddAt(st, int64(st)+1)
+	}
+	if got, want := s.Replies.Value(), int64(stripes*(stripes+1)/2); got != want {
+		t.Fatalf("sum over stripes = %d, want %d", got, want)
+	}
+	s.Replies.Set(7)
+	if got := s.Replies.Value(); got != 7 {
+		t.Fatalf("after Set: %d, want 7", got)
+	}
+	s.Replies.Inc()
+	if got := s.Replies.Value(); got != 8 {
+		t.Fatalf("after Set and Inc: %d, want 8", got)
+	}
+	if s.Invocations.Value() != 0 || s.ProcessSwitches.Value() != 0 {
+		t.Fatal("Set reached a neighbouring counter")
+	}
+}
+
+// TestSetLayout pins what the striping rests on: each ledger is 16
+// lines of 64 bytes starting at a 64-byte offset, every stripedCounter
+// in the Set lies in the first line of one (it addresses the other 15
+// relative to itself), and the whole Set stays within 4 KiB of the 240
+// bytes its thirty single-word counters took.
+func TestSetLayout(t *testing.T) {
+	const unstriped = 30 * 8
+	if size := unsafe.Sizeof(Set{}); size > unstriped+4096 {
+		t.Errorf("Set is %d bytes, budget %d", size, unstriped+4096)
+	}
+	var s Set
+	for _, l := range []struct {
+		name               string
+		offset, size, rest uintptr
+	}{
+		{"kernel", unsafe.Offsetof(s.kernelLedger), unsafe.Sizeof(s.kernelLedger), unsafe.Offsetof(s.kernelLedger.rest)},
+		{"port", unsafe.Offsetof(s.portLedger), unsafe.Sizeof(s.portLedger), unsafe.Offsetof(s.portLedger.rest)},
+		{"wire", unsafe.Offsetof(s.wireLedger), unsafe.Sizeof(s.wireLedger), unsafe.Offsetof(s.wireLedger.rest)},
+	} {
+		if l.offset%lineBytes != 0 || l.rest != lineBytes || l.size != stripes*lineBytes {
+			t.Errorf("%s ledger: at offset %d, first line %d bytes, %d bytes in all; want a multiple of %d, %d, %d",
+				l.name, l.offset, l.rest, l.size, lineBytes, lineBytes, stripes*lineBytes)
+		}
+	}
+
+	striped := reflect.TypeOf(stripedCounter{})
+	found := 0
+	var walk func(typ reflect.Type, inFirstLine bool, path string)
+	walk = func(typ reflect.Type, inFirstLine bool, path string) {
+		switch typ.Kind() {
+		case reflect.Array:
+			walk(typ.Elem(), false, path+"[]")
+		case reflect.Struct:
+			if typ == striped {
+				found++
+				if !inFirstLine {
+					t.Errorf("%s: a stripedCounter outside the first line of a ledger", path)
+				}
+				return
+			}
+			for i := range typ.NumField() {
+				f := typ.Field(i)
+				// A ledger's first line is its fields before rest.
+				first := strings.HasSuffix(typ.Name(), "Ledger") && f.Offset < lineBytes
+				walk(f.Type, first, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeOf(&s).Elem(), false, "Set")
+	if found != 17 {
+		t.Errorf("%d striped counters, want 17", found)
+	}
+}
+
+func TestNextID(t *testing.T) {
+	var s Set
+	seen := make(map[uint64]bool)
+	for round := range 3 {
+		for st := Stripe(0); st < stripes; st++ {
+			id := s.NextID(st)
+			if id == 0 || seen[id] {
+				t.Fatalf("round %d stripe %d: id %d is zero or repeated", round, st, id)
+			}
+			if Stripe(id%stripes) != st {
+				t.Fatalf("id %d drawn on stripe %d carries stripe %d", id, st, id%stripes)
+			}
+			seen[id] = true
+		}
+	}
+	if s.NextID(stripes+3) != 4*stripes+3 { // out of range wraps, like every stripe argument
+		t.Fatal("stripe argument not reduced")
+	}
+}
+
+// TestHereSpreadsGoroutines guards the hint against collapsing to a
+// constant, which would be correct and silently as slow as one cell.
+func TestHereSpreadsGoroutines(t *testing.T) {
+	const goroutines = 64
+	var (
+		mu      sync.Mutex
+		stripes = make(map[Stripe]bool)
+		wg      sync.WaitGroup
+		hold    = make(chan struct{})
+	)
+	for range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st := Here()
+			mu.Lock()
+			stripes[st] = true
+			mu.Unlock()
+			<-hold // keep every stack alive, so that none is reused
+		}()
+	}
+	for {
+		mu.Lock()
+		n := len(stripes)
+		mu.Unlock()
+		if n >= 4 {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(hold)
+	wg.Wait()
+}
+
+// BenchmarkCounterParallel is the contention figure: GOMAXPROCS
+// goroutines ticking one counter of a Set, alone and with a reader
+// summing it once per thousand ticks.  `cold` is a single-word Counter
+// under the same load, for the difference.
+func BenchmarkCounterParallel(b *testing.B) {
+	b.Run("inc", func(b *testing.B) {
+		var s Set
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				s.Invocations.Inc()
+			}
+		})
+	})
+	b.Run("inc+value", func(b *testing.B) {
+		var s Set
+		var sink atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 1; pb.Next(); i++ {
+				s.Invocations.Inc()
+				if i%1000 == 0 {
+					sink.Store(s.Invocations.Value())
+				}
+			}
+		})
+	})
+	b.Run("cold/inc", func(b *testing.B) {
+		var s Set
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				s.Activations.Inc()
+			}
+		})
+	})
 }
