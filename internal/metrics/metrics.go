@@ -268,7 +268,9 @@ type wireLedger struct {
 	// SlabRetained / SlabReleased count references taken on and dropped
 	// from refcounted slab views (frame buffers carved from arenas).
 	// At quiescence the two are equal; the difference is the number of
-	// live views.
+	// live views.  On a socket link that is the read buffers and the
+	// items of wire.SpliceCutoff bytes or more: smaller items are copied
+	// out of the buffer by the frame reader and are never views.
 	SlabRetained stripedCounter
 	SlabReleased stripedCounter
 	_            [lineBytes - 4*8]byte

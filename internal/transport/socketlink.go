@@ -12,10 +12,13 @@
 // not copied into the frame buffer but rides the writev iovec where it
 // lies, borrowed from the sender until the far side has read the frame
 // (see Transmit and the coalescer's invariant).  The read side is a
-// wire.FrameReader: bytes land in a slab chunk, frames are decoded in
-// place, and item payloads are handed to ports as ownership-transferred
-// sub-views without an intermediate copy, which is how WireBytesSaved
-// and SlabLeaked==0 keep holding across a real socket.
+// wire.FrameReader under the same rule: bytes land in a slab chunk,
+// frames are decoded in place, and item payloads of SpliceCutoff bytes
+// or more are handed to ports as ownership-transferred sub-views
+// without an intermediate copy, while the smaller items of a frame are
+// copied out together into one heap block.  Ports own what they are
+// handed either way, which is how WireBytesSaved and SlabLeaked==0 keep
+// holding across a real socket.
 //
 // This file is the single-process form: all N simulated nodes live in
 // one OS process and each unordered node pair shares one full-duplex
@@ -76,8 +79,9 @@ type dir struct {
 
 // readLoop re-assembles and decodes frames off the socket and
 // completes waiters in order.  Item-bearing records decode in place;
-// their views are owned by whichever port the kernel delivers the
-// payload to.
+// their items — views of the read buffer from wire.SpliceCutoff bytes
+// up, heap copies below — are owned by whichever port the kernel
+// delivers the payload to.
 func (d *dir) readLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	fr := wire.NewFrameReader(d.rconn, d.readSlab, 0)

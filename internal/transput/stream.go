@@ -54,11 +54,16 @@ func PutOwned(w ItemWriter, item []byte) error {
 }
 
 // detachReader hands the consuming body outright ownership of every
-// item.  Over a real link the items surfacing from a port are slab
-// views of the receive buffer; a user body may keep or drop them
-// freely, so they are detached here — the one copy per item the real
-// wire pays, at the same boundary shard frames pay it (detachPayload).
-// Heap items (netsim, sources) pass through untouched.
+// item: you own the bytes.  Over a real link an item of
+// wire.SpliceCutoff bytes or more surfaces from a port as a slab view of
+// the receive buffer; a user body may keep or drop it freely, so it is
+// detached here — the one copy a large item pays on the real wire, at
+// the same boundary shard frames pay it (detachPayload).  Smaller items
+// paid that copy at the frame reader and pass through untouched, as do
+// the heap items of netsim and sources; the small items of one frame
+// share a backing array (disjoint, cap == len), so a body that retains
+// one of them keeps that frame's block — at most BatchMax items under
+// the cutoff — reachable with it.
 type detachReader struct{ r ItemReader }
 
 func (d detachReader) Next() ([]byte, error) {

@@ -33,9 +33,10 @@ func init() {
 
 	// The two item-bearing records also get in-place decoders: a real
 	// transport's read loop (wire.FrameReader) decodes them straight out
-	// of the receive buffer, registering each item as a slab sub-view
-	// the receiving port then owns — the same ownership-transfer
-	// contract a local hop uses, now across a socket.
+	// of the receive buffer, and the receiving port owns the items it is
+	// handed (wire.ReadItemsFieldView: large ones as slab sub-views,
+	// small ones copied out) — the same ownership-transfer contract a
+	// local hop uses, now across a socket.
 	wire.RegisterView(wireIDTransferReply, decodeTransferReplyView)
 	wire.RegisterView(wireIDDeliverRequest, decodeDeliverRequestView)
 }
@@ -132,9 +133,10 @@ func decodeTransferReply(b []byte) (any, error) {
 	return r, nil
 }
 
-// decodeTransferReplyView is the zero-copy dual of decodeTransferReply:
-// Items alias the receive buffer as tracked sub-views of owner, which
-// the caller (and ultimately the receiving port) owns and releases.
+// decodeTransferReplyView is the in-place dual of decodeTransferReply:
+// Items of wire.SpliceCutoff bytes or more alias the receive buffer as
+// tracked sub-views of owner, which the caller (and ultimately the
+// receiving port) owns and releases; smaller ones are heap copies.
 func decodeTransferReplyView(b, owner []byte) (any, error) {
 	r := &TransferReply{}
 	st, k, err := wire.ReadVarintField(b)
@@ -222,7 +224,7 @@ func decodeDeliverRequest(b []byte) (any, error) {
 	return r, nil
 }
 
-// decodeDeliverRequestView is the zero-copy dual of
+// decodeDeliverRequestView is the in-place dual of
 // decodeDeliverRequest — see decodeTransferReplyView.
 func decodeDeliverRequestView(b, owner []byte) (any, error) {
 	r := &DeliverRequest{}

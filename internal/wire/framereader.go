@@ -5,15 +5,19 @@
 // buffer filled by Read, parsed frame by frame, with the partial tail
 // carried across buffer rotations.
 //
-// The zero-copy contract: bytes land in a tracked slab view and are
+// The ownership contract: bytes land in a tracked slab view and are
 // decoded in place.  Records registered with RegisterView may return
 // values whose byte fields alias the buffer; they register each such
-// field as a sub-view (RegisterSubview, or ReadItemsFieldView for an
-// item vector — one registration a frame) so it holds its own reference
-// on the chunk and rides the normal Release/Detach lifecycle.  The
-// reader releases its own handle on a buffer when it rotates to a
-// fresh one; the chunk itself stays alive until the last item view is
-// released by whoever the ports handed it to.
+// field as a sub-view (RegisterSubview) so it holds its own reference
+// on the chunk and rides the normal Release/Detach lifecycle.  An item
+// vector goes through ReadItemsFieldView, which copies small and
+// borrows large: items shorter than SpliceCutoff leave the reader as
+// sub-slices of one heap block per frame, and only items of the cutoff
+// or more become sub-views — one registration a frame that has any,
+// none otherwise.  The reader releases its own handle on a buffer when
+// it rotates to a fresh one; the chunk stays alive until the last large
+// item it holds is released by whoever the ports handed it to, and a
+// chunk that carried only small frames recycles at once.
 package wire
 
 import (
@@ -96,12 +100,23 @@ func DecodeViewIn(b, owner []byte) (any, int, error) {
 	return Decode(b)
 }
 
-// ReadItemsFieldView parses an item vector like ReadItemsField but
-// zero-copy: every item is a sub-slice of b, registered as a tracked
-// sub-view of owner (empty items stay untracked nils).  The frame is
-// parsed first and its items registered together — one registry
-// operation a frame — so a malformed frame registers, and leaks,
-// nothing.
+// ReadItemsFieldView parses an item vector like ReadItemsField, copying
+// small and borrowing large — the rule Frame.Encode follows on the write
+// side, with the same SpliceCutoff.  Items shorter than the cutoff are
+// copied into one heap block per frame and returned as disjoint
+// sub-slices of it with cap == len, so an append or a scribble on one
+// reaches neither a neighbour nor the receive buffer.  Items of the
+// cutoff or more stay sub-slices of b, registered together as tracked
+// sub-views of owner.  Empty items are untracked nils.  A frame with no
+// large item performs no registry operation and takes no reference on
+// owner's chunk; a malformed frame registers, and leaks, nothing.
+//
+// The caller owns the bytes either way.  The retention unit differs: a
+// large item keeps its read chunk alive until it is Released or
+// Detached; a small item keeps its frame's block alive, so a consumer
+// that holds one item in k pins the other small items of that frame
+// with it (the trade bytes.Split makes), for one allocation a frame
+// instead of k.  BenchmarkReadItems is the cutoff's read-side figure.
 func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 	count, k, err := ReadUvarintField(b)
 	if err != nil {
@@ -112,6 +127,7 @@ func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 	}
 	items := make([][]byte, 0, count)
 	off := k
+	small, large := 0, false // bytes to copy; anything to register
 	for i := uint64(0); i < count; i++ {
 		n, kk, err := ReadUvarintField(b[off:])
 		if err != nil {
@@ -125,11 +141,31 @@ func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 		var it []byte
 		if n > 0 {
 			it = b[start:end:end]
+			if n < SpliceCutoff {
+				small += int(n)
+			} else {
+				large = true
+			}
 		}
 		items = append(items, it)
 		off = end
 	}
-	registerSubviews(owner, items)
+	if small > 0 {
+		block := make([]byte, small)
+		p := 0
+		for i, it := range items {
+			if n := len(it); n > 0 && n < SpliceCutoff {
+				items[i] = block[p : p+n : p+n]
+				copy(items[i], it)
+				p += n
+			}
+		}
+	}
+	if large {
+		// The small items are in the heap block by now, outside every
+		// chunk, and registerSubviews skips them.
+		registerSubviews(owner, items)
+	}
 	return items, off, nil
 }
 
@@ -147,16 +183,13 @@ type FrameReader struct {
 }
 
 // NewFrameReader wraps r.  Frames are decoded from views carved out of
-// slab; a nil slab gets a private, unmetered one (closed by Close).
-// chunkBytes sizes the receive buffer (<=0 means DefaultChunkBytes).
+// slab, in buffers of the slab's chunk size.  A nil slab gets a private,
+// unmetered one (closed by Close) whose chunks are chunkBytes long
+// (<=0 means DefaultChunkBytes); with a slab, chunkBytes is ignored.
 func NewFrameReader(r io.Reader, slab *Slab, chunkBytes int) *FrameReader {
-	own := false
-	if slab == nil {
+	own := slab == nil
+	if own {
 		slab = NewSlab(nil, chunkBytes)
-		own = true
-	}
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunkBytes
 	}
 	return &FrameReader{r: r, slab: slab, ownSlab: own}
 }
@@ -188,8 +221,8 @@ func (fr *FrameReader) Next() (any, int, error) {
 
 // ensure makes at least n unparsed bytes available at fr.start,
 // rotating to a fresh buffer when the current one cannot hold them.
-// Consumed bytes before fr.start are never reclaimed in place — item
-// views may alias them — so rotation is the only recycling.
+// Consumed bytes before fr.start are never reclaimed in place — large
+// item views may alias them — so rotation is the only recycling.
 func (fr *FrameReader) ensure(n int) error {
 	for fr.end-fr.start < n {
 		if fr.buf == nil || fr.start+n > len(fr.buf) {
@@ -220,14 +253,7 @@ func (fr *FrameReader) ensure(n int) error {
 // at least need bytes, releasing the reader's handle on the old one.
 // Sub-views handed out from the old buffer keep its chunk alive.
 func (fr *FrameReader) rotate(need int) {
-	size := fr.slab.chunkBytes
-	if size <= 0 {
-		size = DefaultChunkBytes
-	}
-	if need > size {
-		size = need
-	}
-	nb := fr.slab.Alloc(size)
+	nb := fr.slab.Alloc(max(need, fr.slab.chunkBytes))
 	tail := 0
 	if fr.buf != nil {
 		tail = copy(nb, fr.buf[fr.start:fr.end])
@@ -239,7 +265,7 @@ func (fr *FrameReader) rotate(need int) {
 }
 
 // Close releases the reader's buffer view (and its private slab, when
-// it owns one).  Item views already handed out stay valid.
+// it owns one).  Items already handed out, views or not, stay valid.
 func (fr *FrameReader) Close() {
 	if fr.buf != nil {
 		Release(fr.buf)

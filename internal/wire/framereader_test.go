@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"testing"
 
 	"asymstream/internal/metrics"
@@ -128,22 +129,26 @@ func canon(v any) string {
 	}
 }
 
-// releaseDecoded drops any slab views a decoded value carries.
-func releaseDecoded(v any) {
+// decodedItems returns the items a decoded value carries, if any.
+func decodedItems(v any) [][]byte {
 	switch x := v.(type) {
 	case [][]byte:
-		ReleaseAll(x)
+		return x
 	case *viewRec:
-		ReleaseAll(x.Items)
+		return x.Items
 	}
+	return nil
 }
+
+// releaseDecoded drops any slab views a decoded value carries.
+func releaseDecoded(v any) { ReleaseAll(decodedItems(v)) }
 
 func TestFrameReaderTornReads(t *testing.T) {
 	stream, vals := encodeStream(t)
 	for _, cuts := range [][]byte{nil, {1}, {2}, {3, 1, 7}, {64}, {255}} {
 		met := &metrics.Set{}
 		slab := NewSlab(met, 128) // far smaller than the stream: forces rotation
-		fr := NewFrameReader(&chunkedReader{data: stream, cuts: cuts}, slab, 128)
+		fr := NewFrameReader(&chunkedReader{data: stream, cuts: cuts}, slab, 0)
 		var wire int
 		for i, want := range vals {
 			v, n, err := fr.Next()
@@ -169,51 +174,212 @@ func TestFrameReaderTornReads(t *testing.T) {
 	}
 }
 
-// TestFrameReaderViewsSurviveRotation pins the zero-copy contract: an
-// item view handed out stays valid (and owns its chunk) after the
-// reader rotates to fresh buffers and even after the reader closes.
+// TestFrameReaderViewsSurviveRotation pins the ownership contract on
+// both sides of SpliceCutoff: an item handed out stays valid after the
+// reader rotates to fresh buffers and even after the reader closes.  A
+// large item does so as a view that owns the chunk it arrived in; a
+// small one as a heap copy, so the chunk it arrived in recycles while
+// the item is still held.
 func TestFrameReaderViewsSurviveRotation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		item []byte
+		view bool
+	}{
+		{"large", bytes.Repeat([]byte("keepme"), SpliceCutoff/6+1), true},
+		{"small", []byte("keepme"), false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stream, err := Append(nil, &viewRec{Items: [][]byte{c.item}, Seq: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Enough follow-on data to force several 128-byte rotations.
+			for i := 0; i < 8; i++ {
+				if stream, err = Append(stream, bytes.Repeat([]byte{byte('a' + i)}, 100)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			slab := NewSlab(&metrics.Set{}, 128)
+			fr := NewFrameReader(&chunkedReader{data: stream, cuts: []byte{5}}, slab, 0)
+			v, _, err := fr.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := v.(*viewRec).Items[0]
+			if IsView(held) != c.view {
+				t.Fatalf("IsView = %v, want %v", !c.view, c.view)
+			}
+			arrival, _ := findChunk(fr.buf)
+			for {
+				w, _, err := fr.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				releaseDecoded(w)
+			}
+			want := int64(1) // the reader's current buffer
+			if c.view {
+				want++ // and the item
+			}
+			if got := slab.Outstanding(); got != want {
+				t.Fatalf("%d views outstanding after rotation, want %d", got, want)
+			}
+			arrival.mu.Lock()
+			pinned := arrival.sealed
+			arrival.mu.Unlock()
+			if pinned != c.view {
+				t.Fatalf("arrival chunk pinned = %v with the item held, want %v", pinned, c.view)
+			}
+			fr.Close()
+			if !bytes.Equal(held, c.item) {
+				t.Fatalf("item corrupted after rotation/close: %q", held)
+			}
+			if Release(held) != c.view {
+				t.Fatalf("Release = %v, want %v", !c.view, c.view)
+			}
+			if leaked := slab.Close(); leaked != 0 {
+				t.Fatalf("slab leaked %d views", leaked)
+			}
+		})
+	}
+}
+
+// scribbleSmall overwrites every item that is not a view and appends to
+// it, as a body that owns its input may.  With the items disjoint and
+// cap == len, neither reaches another item or the receive buffer.
+func scribbleSmall(items [][]byte) {
+	for _, it := range items {
+		if !IsView(it) {
+			for j := range it {
+				it[j] = 0xFF
+			}
+			_ = append(it, 0xEE, 0xEE)
+		}
+	}
+}
+
+// checkCopySmallBorrowLarge is the read side's rule as a property:
+// three frames of items with the given lengths, read through a torn
+// stream, decode to what the copying Decode sees; an item is a view
+// exactly when it reaches SpliceCutoff; every item has cap == len; and
+// scribbling over a frame's small items changes no large item and no
+// later frame.
+func checkCopySmallBorrowLarge(t *testing.T, lens []int, cuts []byte) {
+	t.Helper()
+	const frames = 3
 	var stream []byte
-	first := &viewRec{Items: [][]byte{[]byte("keepme")}, Seq: 1}
-	enc, err := Append(nil, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream = enc
-	// Enough follow-on data to force several 128-byte rotations.
-	for i := 0; i < 8; i++ {
-		if stream, err = Append(stream, bytes.Repeat([]byte{byte('a' + i)}, 100)); err != nil {
+	want := make([][][]byte, frames)
+	for f := range want {
+		items := make([][]byte, len(lens))
+		for i, n := range lens {
+			items[i] = make([]byte, n)
+			for j := range items[i] {
+				items[i][j] = byte(f*101 + i*31 + j)
+			}
+		}
+		from := len(stream)
+		var err error
+		if stream, err = Append(stream, &viewRec{Items: items, Seq: int64(f)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	met := &metrics.Set{}
-	slab := NewSlab(met, 128)
-	fr := NewFrameReader(&chunkedReader{data: stream, cuts: []byte{5}}, slab, 128)
-	v, _, err := fr.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := v.(*viewRec)
-	if !IsView(rec.Items[0]) {
-		t.Fatal("view decoder returned a non-view item")
-	}
-	for {
-		w, _, err := fr.Next()
-		if err == io.EOF {
-			break
-		}
+		ref, _, err := Decode(stream[from:])
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("lens %v: reference Decode: %v", lens, err)
 		}
-		releaseDecoded(w)
+		want[f] = ref.(*viewRec).Items
+	}
+
+	slab := NewSlab(&metrics.Set{}, 4096)
+	fr := NewFrameReader(&chunkedReader{data: stream, cuts: cuts}, slab, 0)
+	got := make([][][]byte, 0, frames)
+	largeIntact := func(when string) {
+		for f, items := range got {
+			for i, it := range items {
+				if IsView(it) && !bytes.Equal(it, want[f][i]) {
+					t.Fatalf("lens %v: frame %d item %d changed %s", lens, f, i, when)
+				}
+			}
+		}
+	}
+	for f := 0; f < frames; f++ {
+		v, _, err := fr.Next()
+		if err != nil {
+			t.Fatalf("lens %v: frame %d: %v", lens, f, err)
+		}
+		rec := v.(*viewRec)
+		if rec.Seq != int64(f) || len(rec.Items) != len(lens) {
+			t.Fatalf("lens %v: frame %d decoded as seq %d with %d items", lens, f, rec.Seq, len(rec.Items))
+		}
+		for i, it := range rec.Items {
+			if !bytes.Equal(it, want[f][i]) {
+				t.Fatalf("lens %v: frame %d item %d differs from Decode's", lens, f, i)
+			}
+			if cap(it) != len(it) {
+				t.Fatalf("lens %v: frame %d item %d has cap %d, len %d", lens, f, i, cap(it), len(it))
+			}
+			if view := len(it) >= SpliceCutoff; IsView(it) != view {
+				t.Fatalf("lens %v: frame %d item %d (%d bytes): IsView = %v", lens, f, i, len(it), !view)
+			}
+		}
+		got = append(got, rec.Items)
+		scribbleSmall(rec.Items)
+		largeIntact("under a scribble")
+	}
+	if _, _, err := fr.Next(); err != io.EOF {
+		t.Fatalf("lens %v: want io.EOF after %d frames, got %v", lens, frames, err)
 	}
 	fr.Close()
-	if string(rec.Items[0]) != "keepme" {
-		t.Fatalf("view corrupted after rotation/close: %q", rec.Items[0])
+	largeIntact("by the end of the stream")
+	for _, items := range got {
+		ReleaseAll(items)
 	}
-	ReleaseAll(rec.Items)
 	if leaked := slab.Close(); leaked != 0 {
-		t.Fatalf("slab leaked %d views", leaked)
+		t.Fatalf("lens %v: %d views leaked", lens, leaked)
+	}
+}
+
+func TestReadItemsCopySmallBorrowLarge(t *testing.T) {
+	const c = SpliceCutoff
+	bulk := make([]int, 64)
+	for i := range bulk {
+		bulk[i] = 16 << 10
+	}
+	for _, lens := range [][]int{
+		nil, {0}, {1}, {c - 1}, {c}, {c + 1},
+		{0, 1, 64, c - 1}, // all small
+		{c, 4 * c, c},     // all large
+		{c - 1, c, 0, c, c - 1, 3 * c, 1},
+		bulk,
+	} {
+		for _, cuts := range [][]byte{{1}, {3, 1, 7}, {255}} {
+			if len(cuts) == 1 && cuts[0] == 1 && len(lens) == len(bulk) {
+				continue // a megabyte a byte at a time proves nothing more
+			}
+			checkCopySmallBorrowLarge(t, lens, cuts)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 200; i++ {
+		lens := make([]int, rng.Intn(24))
+		for j := range lens {
+			switch rng.Intn(3) {
+			case 0:
+				lens[j] = rng.Intn(c) // small
+			case 1:
+				lens[j] = c - 2 + rng.Intn(4) // straddling
+			default:
+				lens[j] = c + rng.Intn(8*c) // large
+			}
+		}
+		cuts := make([]byte, 1+rng.Intn(4))
+		for j := range cuts {
+			cuts[j] = byte(16 + rng.Intn(240))
+		}
+		checkCopySmallBorrowLarge(t, lens, cuts)
 	}
 }
 
@@ -277,7 +443,7 @@ func FuzzFrameReader(f *testing.F) {
 
 		met := &metrics.Set{}
 		slab := NewSlab(met, 256)
-		fr := NewFrameReader(&chunkedReader{data: data, cuts: cuts}, slab, 256)
+		fr := NewFrameReader(&chunkedReader{data: data, cuts: cuts}, slab, 0)
 		for i := 0; ; i++ {
 			v, n, err := fr.Next()
 			if err != nil {
@@ -302,6 +468,9 @@ func FuzzFrameReader(f *testing.F) {
 			if n < HeaderBytes {
 				t.Fatalf("frame %d: consumed %d < header", i, n)
 			}
+			// What a consumer does to items it owns must not reach the
+			// frames still to come.
+			scribbleSmall(decodedItems(v))
 			releaseDecoded(v)
 		}
 		fr.Close()
@@ -309,4 +478,69 @@ func FuzzFrameReader(f *testing.F) {
 			t.Fatalf("slab leaked %d views", leaked)
 		}
 	})
+}
+
+// loopReader serves the same bytes over and over, as much a Read as the
+// caller has room for.
+type loopReader struct {
+	data []byte
+	pos  int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.data[l.pos:])
+	l.pos = (l.pos + n) % len(l.data)
+	return n, nil
+}
+
+// BenchmarkReadItems is the read side of transport's
+// BenchmarkTransmitItemSize: one 16-item frame through FrameReader.Next
+// and its consumer, at item sizes on both sides of SpliceCutoff — below
+// it the reader copies the items out, from it on they are views.  The
+// consumer is either a body's boundary, which Detaches every item (a
+// miss below the cutoff, the copy from it on), or plumbing that passes
+// the items on and Releases them once sent.  ns/op and allocs/op are
+// per frame.
+func BenchmarkReadItems(b *testing.B) {
+	const batch = 16
+	for _, consumer := range []string{"detach", "release"} {
+		for _, size := range []int{64, 256, 1 << 10, SpliceCutoff - 1, SpliceCutoff, 4 << 10, 16 << 10} {
+			b.Run(fmt.Sprintf("%s/%dB", consumer, size), func(b *testing.B) {
+				items := make([][]byte, batch)
+				for i := range items {
+					items[i] = make([]byte, size)
+				}
+				frame, err := Append(nil, &viewRec{Items: items})
+				if err != nil {
+					b.Fatal(err)
+				}
+				slab := NewSlab(nil, 0)
+				defer slab.Close()
+				fr := NewFrameReader(&loopReader{data: frame}, slab, 0)
+				defer fr.Close()
+				var kept []byte
+				b.SetBytes(int64(batch * size))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					v, _, err := fr.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					got := v.(*viewRec).Items
+					if consumer == "release" {
+						kept = got[batch-1]
+						ReleaseAll(got)
+						continue
+					}
+					for _, it := range got {
+						kept = Detach(it)
+					}
+				}
+				if len(kept) != size {
+					b.Fatalf("last item is %d bytes, want %d", len(kept), size)
+				}
+			})
+		}
+	}
 }

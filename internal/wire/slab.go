@@ -43,7 +43,10 @@
 //     copy and releases the view, otherwise it returns the slice
 //     unchanged.  Bodies and sinks own what they are handed, so views
 //     are detached at the library/user boundary and flow zero-copy
-//     everywhere in between.
+//     everywhere in between.  Off a socket only items of SpliceCutoff
+//     bytes or more are views (ReadItemsFieldView copies the smaller
+//     ones out at the reader), so there Detach is the boundary copy of
+//     large items and one index miss for the rest.
 //   - Close seals the slab and reports how many views are still
 //     outstanding — the refcount audit pipelines run at Destroy.
 package wire
@@ -399,9 +402,10 @@ func ReleaseAll(items [][]byte) int {
 // owner's chunk.  After registration, sub participates in the normal
 // Retain/Release/Detach lifecycle independently of owner: releasing
 // owner does not invalidate sub, and the chunk recycles only when both
-// are gone.  This is how the transport's read loop hands frame-decoded
-// item slices to ports with ownership transfer instead of a copy: the
-// items alias the receive buffer, and each carries its own refcount.
+// are gone.  This is how the transport's read loop hands the large
+// items of a decoded frame to ports with ownership transfer instead of
+// a copy: they alias the receive buffer, and each carries its own
+// refcount.
 //
 // Preconditions (the frame layout guarantees both): sub must lie
 // within owner's chunk, and sub's base pointer must not collide with
@@ -421,7 +425,7 @@ func RegisterSubview(owner, sub []byte) bool {
 
 // registerSubviews is RegisterSubview for every non-empty slice of
 // subs at once: one chunk lookup and one lock acquisition, however
-// many there are.
+// many there are.  Slices outside owner's chunk are skipped.
 func registerSubviews(owner []byte, subs [][]byte) bool {
 	c, off := findChunk(owner)
 	if c == nil {
@@ -451,8 +455,9 @@ func registerSubviews(owner []byte, subs [][]byte) bool {
 // Detach converts b into an ordinary heap slice the caller owns
 // outright.  If b is a live view the bytes are copied out and the view
 // released; otherwise b is returned unchanged.  This is the one copy
-// the data plane still pays, at the boundary where items leave
-// library-controlled lifetimes (user bodies, collecting sinks).
+// a view pays, at the boundary where items leave library-controlled
+// lifetimes (user bodies, collecting sinks); an item the frame reader
+// already copied out pays it there instead and passes through here.
 func Detach(b []byte) []byte {
 	c, off := findChunk(b)
 	if c == nil {

@@ -289,7 +289,9 @@ func TestSlabStorm(t *testing.T) {
 }
 
 // TestViewAllocCeilings pins what the registry may allocate: nothing a
-// view, the copy on Detach, the item vector a frame.
+// view, the copy on Detach, and a frame its item vector plus — when it
+// has small items — their one block.  A frame of small items alone does
+// not touch the registry at all.
 func TestViewAllocCeilings(t *testing.T) {
 	s := NewSlab(nil, 0)
 	defer s.Close()
@@ -298,12 +300,38 @@ func TestViewAllocCeilings(t *testing.T) {
 	heap := make([]byte, 64)
 	sub := owner[2000:2064]
 
+	// Frames encoded in place, as a frame read off a socket lies in its
+	// buffer.
 	const k = 16
-	items := make([][]byte, k)
-	for i := range items {
-		items[i] = heap[:32]
+	frameOf := func(size func(i int) int) (owner, frame []byte) {
+		items := make([][]byte, k)
+		total := 0
+		for i := range items {
+			items[i] = make([]byte, size(i))
+			total += size(i) + 4
+		}
+		owner = s.Alloc(total)
+		return owner, AppendItemsField(owner[:0], items)
 	}
-	frame := AppendItemsField(owner[:0], items) // encoded in place, as a frame read off a socket lies in its buffer
+	smallOwner, small := frameOf(func(int) int { return 32 })
+	largeOwner, large := frameOf(func(int) int { return SpliceCutoff })
+	mixedOwner, mixed := frameOf(func(i int) int { return SpliceCutoff - 1 + i%2 })
+	defer ReleaseAll([][]byte{smallOwner, largeOwner, mixedOwner})
+	readItems := func(frame, owner []byte, views int) func() {
+		return func() {
+			before := s.Outstanding()
+			items, _, err := ReadItemsFieldView(frame, owner)
+			if err != nil || len(items) != k {
+				t.Fatalf("%d items, %v", len(items), err)
+			}
+			if got := s.Outstanding() - before; got != int64(views) {
+				t.Fatalf("registered %d views, want %d", got, views)
+			}
+			if got := ReleaseAll(items); got != views {
+				t.Fatalf("released %d views, want %d", got, views)
+			}
+		}
+	}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -313,13 +341,10 @@ func TestViewAllocCeilings(t *testing.T) {
 		{"IsView(heap)", 0, func() { IsView(heap) }},
 		{"Release(heap)", 0, func() { Release(heap) }},
 		{"Detach(view)", 1, func() { RegisterSubview(owner, sub); Detach(sub) }},
-		{fmt.Sprintf("ReadItemsFieldView(%d items)", k), 1, func() {
-			items, _, err := ReadItemsFieldView(frame, owner)
-			if err != nil || len(items) != k {
-				t.Fatalf("%d items, %v", len(items), err)
-			}
-			ReleaseAll(items)
-		}},
+		{"Detach(heap)", 0, func() { Detach(heap) }},
+		{"ReadItemsFieldView(16 small)", 2, readItems(small, smallOwner, 0)},
+		{"ReadItemsFieldView(16 large)", 1, readItems(large, largeOwner, k)},
+		{"ReadItemsFieldView(8 small, 8 large)", 2, readItems(mixed, mixedOwner, k/2)},
 	} {
 		if n := testing.AllocsPerRun(200, c.op); n != c.want {
 			t.Errorf("%s allocates %.1f/op, want %.0f", c.name, n, c.want)
