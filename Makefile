@@ -70,10 +70,11 @@ race-sharded:
 	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestRedirectShardedWindowed|TestPipelinePreservesArbitraryData|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint' ./internal/transput/ ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
-## the frame reader's item-size sweep across wire.SpliceCutoff, plus the
-## parallel engine's end-to-end throughput benchmark.
+## the frame reader's item-size sweep across wire.SpliceCutoff, the
+## bridge's round trip, plus the parallel engine's end-to-end throughput
+## benchmark.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkInvoke|BenchmarkCounterParallel|BenchmarkReadItems' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/
+	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
 	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/
 
 ## bench-json: regenerate the committed measurement files —

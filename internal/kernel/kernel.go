@@ -504,11 +504,9 @@ func (k *Kernel) Invoke(from, target uid.UID, op string, payload any) (any, erro
 }
 
 // invokeSync is Invoke with the invoker's node resolved.  If send
-// claimed one of the target's worker slots, Serve runs here — after
-// send has returned, so that its frame is not under Serve's: the
-// bridge answers each request on a fresh goroutine, whose starting
-// stack this chain must fit (DESIGN §13.2).  The Call never leaves this
-// goroutine, so it is collected without its mutex and recycled.
+// claimed one of the target's worker slots, Serve runs here, once send
+// has returned.  The Call never leaves this goroutine, so it is
+// collected without its mutex and recycled.
 func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any) (any, error) {
 	c, inv, s := k.send(from, fromNode, target, op, payload, true)
 	if inv != nil {
@@ -552,12 +550,6 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // nothing takes is answered by refuse and ticks no meter on either
 // side.  The id and the counts go to one stripe of the metrics ledger,
 // taken once.
-//
-// send's frame is part of the chain that must fit a fresh goroutine's
-// stack on the bridge (resolve's map lookup is its deepest point;
-// DESIGN §13.2).  It is 216 bytes of locals; at 288 bridge-echo lost a
-// sixth of its throughput to copystack.  A callee with many arguments
-// grows it — hence refuse reads what it needs from the Call.
 func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool) (*Call, *Invocation, slot) {
 	st := metrics.Here()
 	c := newCall(k, op, target, fromNode)

@@ -9,18 +9,31 @@
 // windowed invocations share a socket and the write coalescer batches
 // their frames into single writevs.
 //
-// Bridge frames are ordinary wire frames carrying two records:
+// Bridge frames are ordinary wire frames carrying two records, each
+// ending in the invocation's value as a nested wire frame:
 //
-//	rpcRequest{ID, Target, Op, Payload}   Payload = nested wire frame
-//	rpcReply{ID, ErrMsg, Payload}
+//	rpcRequest   uvarint ID | 16-byte Target | string Op | frame(Value)
+//	rpcReply     uvarint ID | string ErrMsg | frame(Value) iff ErrMsg == ""
 //
-// The nested payload round-trips through the copying codec on both
-// sides — a bridge hop crosses an address-space boundary, so the
-// zero-copy slab contract (which is per-process) ends and restarts at
-// each kernel's own ports.
+// The nested frame is the record's last field, so it needs no length
+// of its own: it runs to the end of the record, and bytes after it are
+// malformed, as is a value that is itself one of these two records (so
+// the grammar nests exactly one level).  The encoder appends it in place (wire.Append into the
+// frame being built) and the record decoder decodes it where it lies,
+// so a value is encoded once and decoded once a crossing, and nothing
+// between Peer.Invoke's argument and the far kernel's is a []byte.  The
+// decode is the copying one — a bridge hop crosses an address-space
+// boundary, so the zero-copy slab contract (which is per-process) ends
+// and restarts at each kernel's own ports — and it runs on the read
+// loop, so a value never aliases a read buffer that could rotate under
+// the request it was handed off with.
+//
+// Both ends of a bridge are built from this tree: the layout carries no
+// version and has never been negotiated.
 package transport
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -47,12 +60,28 @@ func init() {
 	wire.Register(wireIDRPCReply, "transport.rpcReply", decodeRPCReply)
 }
 
+// ErrBridgeClosed is what an Invoke returns, wrapped, when the
+// connection and not the remote Eject failed it: the call was pending
+// when the connection died, or was made after.
+var ErrBridgeClosed = errors.New("transport: bridge connection closed")
+
 type rpcRequest struct {
-	ID      uint64
-	Target  uid.UID
-	Op      string
-	Payload []byte // nested wire frame
+	ID     uint64
+	Target uid.UID
+	Op     string
+	Value  any
+	// err is why a received request has no Value: its nested frame did
+	// not decode.  The record itself did, so the stream is in sync and
+	// the failure is this request's, answered under its ID.
+	err error
 }
+
+// The encode side's records live only until coalescer.send has encoded
+// them, which is before it returns.
+var (
+	requestPool = sync.Pool{New: func() any { return new(rpcRequest) }}
+	replyPool   = sync.Pool{New: func() any { return new(rpcReply) }}
+)
 
 // WireID implements wire.Marshaler.
 func (r *rpcRequest) WireID() uint16 { return wireIDRPCRequest }
@@ -63,7 +92,7 @@ func (r *rpcRequest) AppendWire(dst []byte) ([]byte, error) {
 	t := r.Target.Bytes()
 	dst = append(dst, t[:]...)
 	dst = wire.AppendStringField(dst, r.Op)
-	return wire.AppendBytesField(dst, r.Payload), nil
+	return wire.Append(dst, r.Value)
 }
 
 func decodeRPCRequest(b []byte) (any, error) {
@@ -85,19 +114,39 @@ func decodeRPCRequest(b []byte) (any, error) {
 		return nil, err
 	}
 	r.Op = op
-	k += n
-	pay, _, err := wire.ReadBytesField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	r.Payload = pay
+	r.Value, r.err = decodeValue(b[k+n:])
 	return r, nil
 }
 
+// decodeValue decodes the nested frame that is the rest of a record.
+// A bridge record is never a value: refusing one here is what bounds
+// the decoders' recursion (they reach wire.Decode only through this
+// function), which a hostile peer could otherwise drive, eight bytes a
+// level, through the goroutine's whole stack.
+func decodeValue(rest []byte) (any, error) {
+	if len(rest) > wire.HeaderBytes && rest[0] == wire.TagRecord {
+		if id, _ := binary.Uvarint(rest[wire.HeaderBytes:]); id == wireIDRPCRequest || id == wireIDRPCReply {
+			return nil, fmt.Errorf("%w: bridge record %d as a value", wire.ErrMalformed, id)
+		}
+	}
+	v, n, err := wire.Decode(rest)
+	if err != nil {
+		return nil, err
+	}
+	if n != len(rest) {
+		return nil, fmt.Errorf("%w: %d bytes after the nested frame", wire.ErrMalformed, len(rest)-n)
+	}
+	return v, nil
+}
+
 type rpcReply struct {
-	ID      uint64
-	ErrMsg  string // "" means success
-	Payload []byte // nested wire frame (valid only on success)
+	ID     uint64
+	ErrMsg string // what the far kernel's invocation failed with; "" means success
+	Value  any    // on success
+	// err is a failure on this side of the wire, which Invoke returns as
+	// it is: the reply's nested frame did not decode, or the connection
+	// died with the call pending.
+	err error
 }
 
 // WireID implements wire.Marshaler.
@@ -107,7 +156,10 @@ func (r *rpcReply) WireID() uint16 { return wireIDRPCReply }
 func (r *rpcReply) AppendWire(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarintField(dst, r.ID)
 	dst = wire.AppendStringField(dst, r.ErrMsg)
-	return wire.AppendBytesField(dst, r.Payload), nil
+	if r.ErrMsg != "" {
+		return dst, nil
+	}
+	return wire.Append(dst, r.Value)
 }
 
 func decodeRPCReply(b []byte) (any, error) {
@@ -122,20 +174,21 @@ func decodeRPCReply(b []byte) (any, error) {
 		return nil, err
 	}
 	r.ErrMsg = msg
-	k += n
-	pay, _, err := wire.ReadBytesField(b[k:])
-	if err != nil {
-		return nil, err
+	rest := b[k+n:]
+	if msg == "" {
+		r.Value, err = decodeValue(rest)
+	} else if len(rest) != 0 {
+		err = fmt.Errorf("%w: %d bytes after an error reply", wire.ErrMalformed, len(rest))
 	}
-	r.Payload = pay
+	if err != nil {
+		r.err = fmt.Errorf("transport: decode reply: %w", err)
+	}
 	return r, nil
 }
 
 // Serve accepts bridge connections and dispatches their requests into
 // k as kernel invocations (from uid.Nil, like any external driver).
-// It returns when the listener closes.  Each request runs on its own
-// goroutine, so a parked invocation (passive output waiting for data)
-// never blocks the connection's other channels.
+// It returns when the listener closes.
 func Serve(ln net.Listener, k *kernel.Kernel) error {
 	for {
 		conn, err := ln.Accept()
@@ -149,17 +202,38 @@ func Serve(ln net.Listener, k *kernel.Kernel) error {
 	}
 }
 
+// maxIdleWorkers bounds the workers one connection keeps parked.  It
+// bounds nothing else: a request that finds no worker parked always
+// gets a new one.
+const maxIdleWorkers = 16
+
+// connServer is the serving end of one bridge connection, the paper's
+// coordinator and worker processes: the read loop decodes requests and
+// hands each to a worker, and the workers invoke and reply.  A parked
+// invocation (a passive output waiting for data) holds its worker, never
+// the read loop, so it does not block the connection's other channels.
+type connServer struct {
+	k    *kernel.Kernel
+	out  *coalescer
+	srcs *connSources
+
+	// work is unbuffered, so a send succeeds only into a worker parked
+	// on it; closed when the connection ends, which is what ends them.
+	work chan *rpcRequest
+	idle atomic.Int32 // workers parked on work, or about to be
+	wg   sync.WaitGroup
+}
+
 func serveConn(conn net.Conn, k *kernel.Kernel) {
-	out := &coalescer{conn: conn}
-	defer out.close()
+	s := &connServer{k: k, out: &coalescer{conn: conn}, srcs: newConnSources(k), work: make(chan *rpcRequest)}
+	defer s.out.close()
 	fr := wire.NewFrameReader(conn, nil, 0)
 	defer fr.Close()
-	srcs := newConnSources(k)
 	// Registered before the WaitGroup's defer so it runs after Wait:
 	// the disconnect sweep must not race in-flight pulls.
-	defer srcs.closeAll()
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer s.srcs.closeAll()
+	defer s.wg.Wait()
+	defer close(s.work)
 	for {
 		v, _, err := fr.Next()
 		if err != nil {
@@ -169,26 +243,58 @@ func serveConn(conn net.Conn, k *kernel.Kernel) {
 		if !ok {
 			return // protocol error; drop the connection
 		}
-		wg.Add(1)
-		go func(req *rpcRequest) {
-			defer wg.Done()
-			rep := &rpcReply{ID: req.ID}
-			payload, _, err := wire.Decode(req.Payload)
-			if err != nil {
-				rep.ErrMsg = err.Error()
-			} else if res, err := k.Invoke(uid.Nil, req.Target, req.Op, payload); err != nil {
-				rep.ErrMsg = err.Error()
-			} else {
-				srcs.note(req.Target, req.Op, res)
-				if enc, err := wire.Append(nil, res); err != nil {
-					rep.ErrMsg = err.Error()
-				} else {
-					rep.Payload = enc
-				}
-			}
-			_ = out.send(rep) // fails only once the connection is gone: nobody left to tell
-		}(req)
+		select {
+		case s.work <- req:
+		default:
+			s.wg.Add(1)
+			go s.worker(req)
+		}
 	}
+}
+
+// worker serves req and then whatever the read loop hands it, until
+// the connection ends or enough workers are parked without it.  It is
+// started only for a request no parked worker could take, so a steady
+// connection is served by goroutines whose stacks have already grown
+// to what an invocation needs.
+func (s *connServer) worker(req *rpcRequest) {
+	defer s.wg.Done()
+	for {
+		s.serve(req)
+		if s.idle.Add(1) > maxIdleWorkers {
+			s.idle.Add(-1)
+			return
+		}
+		var ok bool
+		req, ok = <-s.work
+		s.idle.Add(-1)
+		if !ok {
+			return
+		}
+	}
+}
+
+// serve runs one request as a kernel invocation and sends its reply.
+func (s *connServer) serve(req *rpcRequest) {
+	rep := replyPool.Get().(*rpcReply)
+	rep.ID = req.ID
+	if req.err != nil {
+		rep.ErrMsg = req.err.Error()
+	} else if res, err := s.k.Invoke(uid.Nil, req.Target, req.Op, req.Value); err != nil {
+		rep.ErrMsg = err.Error()
+	} else {
+		s.srcs.note(req.Target, req.Op, res)
+		rep.Value = res
+	}
+	// A send fails otherwise only once the connection is gone, with
+	// nobody left to tell.
+	if err := s.out.send(rep); errors.Is(err, errEncode) {
+		// The result has no wire form; the caller still gets an answer.
+		rep.Value, rep.ErrMsg = nil, err.Error()
+		_ = s.out.send(rep)
+	}
+	*rep = rpcReply{}
+	replyPool.Put(rep)
 }
 
 // Peer is a client-side bridge connection to a remote kernel.  Safe
@@ -201,8 +307,13 @@ type Peer struct {
 
 	cmu   sync.Mutex
 	calls map[uint64]chan *rpcReply
-	cerr  error
+	cerr  error // wraps ErrBridgeClosed; set once, by the read loop as it ends
 }
+
+// replyChans recycles the capacity-1 channels pending calls wait on.  A
+// registered channel gets exactly one send — whoever takes it out of
+// Peer.calls owns that send — so it is empty again once received from.
+var replyChans = sync.Pool{New: func() any { return make(chan *rpcReply, 1) }}
 
 // splitAddr parses the bridge address notation: "unix:PATH",
 // "tcp:HOST:PORT", or a bare "HOST:PORT" (TCP).
@@ -242,14 +353,15 @@ func (p *Peer) readLoop() {
 		v, _, err := fr.Next()
 		if err != nil {
 			if err == io.EOF {
-				err = errors.New("transport: bridge connection closed")
+				p.failCalls(ErrBridgeClosed)
+			} else {
+				p.failCalls(fmt.Errorf("%w: %w", ErrBridgeClosed, err))
 			}
-			p.failCalls(err)
 			return
 		}
 		rep, ok := v.(*rpcReply)
 		if !ok {
-			p.failCalls(errors.New("transport: unexpected bridge frame"))
+			p.failCalls(fmt.Errorf("%w: unexpected frame %T", ErrBridgeClosed, v))
 			return
 		}
 		p.cmu.Lock()
@@ -262,52 +374,64 @@ func (p *Peer) readLoop() {
 	}
 }
 
+// failCalls refuses every later call with err and fails the pending
+// ones with it.
 func (p *Peer) failCalls(err error) {
 	p.cmu.Lock()
-	if p.cerr == nil {
-		p.cerr = err
-	}
+	p.cerr = err
 	calls := p.calls
-	p.calls = make(map[uint64]chan *rpcReply)
+	p.calls = nil
 	p.cmu.Unlock()
+	failed := &rpcReply{err: err}
 	for _, ch := range calls {
-		ch <- &rpcReply{ErrMsg: err.Error()}
+		ch <- failed
 	}
 }
 
-// Invoke performs one remote invocation: payload is wire-encoded,
-// carried to the server, dispatched into its kernel, and the reply
-// decoded back.
+// Invoke performs one remote invocation: payload is wire-encoded into
+// the request's frame, carried to the server and dispatched into its
+// kernel, and the reply's value decoded back.  An error the far kernel
+// returned reads "transport: remote <op>: <its message>"; one that
+// wraps ErrBridgeClosed is the connection's and says nothing about the
+// remote Eject.
 func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
-	nested, err := wire.Append(nil, payload)
-	if err != nil {
-		return nil, fmt.Errorf("transport: encode payload: %w", err)
-	}
 	id := p.nextID.Add(1)
-	ch := make(chan *rpcReply, 1)
+	ch := replyChans.Get().(chan *rpcReply)
 	p.cmu.Lock()
 	if p.cerr != nil {
 		err := p.cerr
 		p.cmu.Unlock()
+		replyChans.Put(ch)
 		return nil, err
 	}
 	p.calls[id] = ch
 	p.cmu.Unlock()
-	if err := p.out.send(&rpcRequest{ID: id, Target: target, Op: op, Payload: nested}); err != nil {
+
+	req := requestPool.Get().(*rpcRequest)
+	req.ID, req.Target, req.Op, req.Value = id, target, op, payload
+	err := p.out.send(req)
+	*req = rpcRequest{}
+	requestPool.Put(req)
+	if err != nil {
+		// ch is dropped, not recycled: if the read loop ended meanwhile,
+		// failCalls has taken the call and its send.
 		p.cmu.Lock()
 		delete(p.calls, id)
 		p.cmu.Unlock()
-		return nil, err
+		if errors.Is(err, errEncode) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("%w: %w", ErrBridgeClosed, err)
 	}
 	rep := <-ch
+	replyChans.Put(ch)
+	if rep.err != nil {
+		return nil, rep.err
+	}
 	if rep.ErrMsg != "" {
 		return nil, fmt.Errorf("transport: remote %s: %s", op, rep.ErrMsg)
 	}
-	res, _, err := wire.Decode(rep.Payload)
-	if err != nil {
-		return nil, fmt.Errorf("transport: decode reply: %w", err)
-	}
-	return res, nil
+	return rep.Value, nil
 }
 
 // Close tears the connection down; outstanding Invokes fail.

@@ -1,12 +1,17 @@
 package transport_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +19,9 @@ import (
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/transport"
+	"asymstream/internal/transput"
 	"asymstream/internal/uid"
+	"asymstream/internal/wire"
 )
 
 // countSource yields "0\n".."N-1\n", the bridge twin of the shell's
@@ -41,8 +48,36 @@ func openCount(spec string) (transport.ItemSource, error) {
 	return &countSource{n: n}, nil
 }
 
-// startServer boots a serving kernel on a Unix listener and returns
-// the dial address plus the echo Eject's UID.
+// serve serves k on a Unix listener and returns its dial address and a
+// stop that closes the listener and returns what Serve did; a test that
+// has not stopped it by its end has it stopped then.
+func serve(tb testing.TB, k *kernel.Kernel) (addr string, stop func() error) {
+	tb.Helper()
+	ln, err := transport.Listen("unix:" + filepath.Join(tb.TempDir(), "bridge.sock"))
+	if err != nil {
+		tb.Fatalf("listen: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- transport.Serve(ln, k) }()
+	stop = sync.OnceValue(func() error { ln.Close(); return <-served })
+	tb.Cleanup(func() { _ = stop() })
+	return "unix:" + ln.Addr().String(), stop
+}
+
+// serveAndDial serves k and returns a Peer connected to it, for the
+// caller to close.
+func serveAndDial(tb testing.TB, k *kernel.Kernel) (*transport.Peer, func() error) {
+	tb.Helper()
+	addr, stop := serve(tb, k)
+	p, err := transport.Dial(addr)
+	if err != nil {
+		tb.Fatalf("Dial: %v", err)
+	}
+	return p, stop
+}
+
+// startServer boots a serving kernel with an echo Eject and the count
+// sources, and returns the dial address plus the echo's UID.
 func startServer(t *testing.T) (addr string, echo uid.UID) {
 	t.Helper()
 	k := kernel.New(kernel.Config{})
@@ -54,14 +89,8 @@ func startServer(t *testing.T) (addr string, echo uid.UID) {
 	if err := transport.RegisterControl(k, openCount); err != nil {
 		t.Fatalf("RegisterControl: %v", err)
 	}
-	sock := filepath.Join(t.TempDir(), "bridge.sock")
-	ln, err := net.Listen("unix", sock)
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() { _ = transport.Serve(ln, k) }()
-	return "unix:" + sock, id
+	addr, _ = serve(t, k)
+	return addr, id
 }
 
 func TestBridgeInvoke(t *testing.T) {
@@ -163,6 +192,419 @@ func TestRemoteSource(t *testing.T) {
 
 	if _, err := transport.OpenRemote(p, "bogus spec"); err == nil {
 		t.Fatal("expected error for bad spec")
+	}
+}
+
+// bridgeShapes is every payload shape the bridge carries on a fast path
+// or the gob fallback; FuzzBridgeRecords seeds from it too.  spliced is
+// the one that arrives through a proxy: an ItemsMarshaler with items on
+// both sides of wire.SpliceCutoff.
+var bridgeShapes = []struct {
+	name string
+	v    any
+}{
+	{"bytes", []byte("sixty-four bytes would be the benchmark's; these are fewer")},
+	{"string", "a string"},
+	{"int64", int64(-1 << 40)},
+	{"items", [][]byte{[]byte("a"), nil, []byte("ccc")}},
+	{"nil", nil},
+	{"bytes-1MiB", bytes.Repeat([]byte{0xa5}, 1<<20)},
+}
+
+var spliced = &transput.TransferReply{Base: 7, Items: [][]byte{
+	bytes.Repeat([]byte{1}, wire.SpliceCutoff-1),
+	bytes.Repeat([]byte{2}, wire.SpliceCutoff),
+	[]byte("small"),
+	bytes.Repeat([]byte{3}, 4*wire.SpliceCutoff),
+}}
+
+// viaCodec is what one encode and one decode make of v: the bridge
+// must hand the far kernel, and hand back, exactly that.
+func viaCodec(t *testing.T, v any) any {
+	t.Helper()
+	enc, err := wire.Append(nil, v)
+	if err != nil {
+		t.Fatalf("Append(%T): %v", v, err)
+	}
+	got, _, err := wire.Decode(enc)
+	if err != nil {
+		t.Fatalf("Decode(%T): %v", v, err)
+	}
+	return got
+}
+
+// TestBridgeShapes sends each shape through Peer.Invoke to an echo, and
+// a TransferReply with items on both sides of wire.SpliceCutoff through
+// a proxy (an ItemsMarshaler nested in the request and in the reply).
+func TestBridgeShapes(t *testing.T) {
+	addr, echo := startServer(t)
+	p, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer p.Close()
+	for _, sh := range bridgeShapes {
+		got, err := p.Invoke(echo, "Echo", sh.v)
+		if err != nil {
+			t.Errorf("%s: %v", sh.name, err)
+		} else if want := viaCodec(t, sh.v); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %T %.40v, want %T %.40v", sh.name, got, got, want, want)
+		}
+	}
+
+	local := kernel.New(kernel.Config{})
+	defer local.Shutdown()
+	if err := transport.AttachProxy(local, p, echo, 0); err != nil {
+		t.Fatalf("AttachProxy: %v", err)
+	}
+	got, err := local.Invoke(uid.Nil, echo, "Echo", spliced)
+	if err != nil {
+		t.Fatalf("TransferReply via proxy: %v", err)
+	}
+	if want := viaCodec(t, spliced); !reflect.DeepEqual(got, want) {
+		t.Errorf("TransferReply via proxy: got %T, want %T with the same fields", got, want)
+	}
+}
+
+// TestBridgeInvokeAllocs holds the round trip to what the two decoders
+// must allocate: the caller's boxing, the request record, its Op and
+// its value (block and box), the reply record and its value.  Both ends
+// are in this process, so AllocsPerRun counts both.
+func TestBridgeInvokeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	addr, echo := startServer(t)
+	p, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer p.Close()
+	payload := make([]byte, 64)
+	op := func() {
+		if _, err := p.Invoke(echo, "Echo", payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 256; i++ {
+		op()
+	}
+	if got := testing.AllocsPerRun(500, op); got > 10 {
+		t.Errorf("64 B bridge round trip: %.2f allocs, want <= 10", got)
+	}
+}
+
+// gateEject parks every invocation until the gate opens, then echoes.
+// Its pool admits the whole burst, so entered counts invocations that
+// each hold one of the bridge connection's workers.
+type gateEject struct {
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (g *gateEject) EdenType() string { return "test.Gate" }
+
+func (g *gateEject) PoolHint() kernel.PoolHint { return kernel.PoolHint{Workers: cap(g.entered)} }
+
+func (g *gateEject) Serve(inv *kernel.Invocation) {
+	g.entered <- struct{}{}
+	<-g.open
+	inv.Reply(inv.Payload)
+}
+
+// settle polls until the goroutine count is at most limit, and returns
+// the count it last saw.
+func settle(limit int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= limit || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// workerRig is a serving kernel with an echo and a gate Eject, and one
+// Peer connected to it.
+type workerRig struct {
+	k          *kernel.Kernel
+	echo, gate uid.UID
+	g          *gateEject
+	p          *transport.Peer
+	stop       func() error // closes the listener and returns what Serve did
+}
+
+func startWorkerRig(t *testing.T, burst int) *workerRig {
+	t.Helper()
+	r := &workerRig{k: kernel.New(kernel.Config{})}
+	r.g = &gateEject{entered: make(chan struct{}, burst), open: make(chan struct{})}
+	var err error
+	if r.echo, err = r.k.Create(echoEject{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if r.gate, err = r.k.Create(r.g, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.p, r.stop = serveAndDial(t, r.k)
+	return r
+}
+
+func (r *workerRig) echoes(t *testing.T, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if res, err := r.p.Invoke(r.echo, "Echo", "e"); err != nil || res != "e" {
+			t.Fatalf("echo: %v, %v", res, err)
+		}
+	}
+}
+
+// park starts n invocations of the gate and returns once all of them
+// are inside it.  drain opens the gate and checks that each comes back
+// with its own payload.
+func (r *workerRig) park(t *testing.T, n int) (drain func()) {
+	var wg sync.WaitGroup
+	errc := make(chan error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			want := fmt.Sprintf("parked-%d", i)
+			if res, err := r.p.Invoke(r.gate, "Wait", want); err != nil || res != want {
+				errc <- fmt.Errorf("parked %d: got %v, %v", i, res, err)
+			}
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		<-r.g.entered
+	}
+	return func() {
+		close(r.g.open)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	}
+}
+
+// TestBridgeParkedInvocationDoesNotBlockConnection: a parked invocation
+// holds a worker and never the read loop, so behind a burst of them an
+// echo on the same Peer still completes.
+func TestBridgeParkedInvocationDoesNotBlockConnection(t *testing.T) {
+	const burst = 64
+	r := startWorkerRig(t, burst)
+	defer r.k.Shutdown()
+	defer r.stop()
+	defer r.p.Close()
+	drain := r.park(t, burst)
+	r.echoes(t, 1)
+	drain()
+}
+
+// TestBridgeWorkersReturnToBaseline: the workers a burst needed are
+// given back — all but the idle bound once it drains, after which a
+// steady caller starts no goroutine, and the rest with the connection.
+func TestBridgeWorkersReturnToBaseline(t *testing.T) {
+	const burst = 64
+	baseline := runtime.NumGoroutine()
+	r := startWorkerRig(t, burst)
+	r.echoes(t, 1)
+	before := runtime.NumGoroutine()
+
+	r.park(t, burst)()
+	limit := before + transport.MaxIdleWorkers
+	if n := settle(limit); n > limit {
+		t.Errorf("%d goroutines after the burst drained, %d before it: more than %d workers kept", n, before, transport.MaxIdleWorkers)
+	}
+	steady := runtime.NumGoroutine()
+	r.echoes(t, 1000)
+	if n := runtime.NumGoroutine(); n > steady {
+		t.Errorf("1000 sequential echoes took the goroutine count from %d to %d", steady, n)
+	}
+
+	r.p.Close()
+	if err := r.stop(); err != nil {
+		t.Errorf("Serve: %v", err)
+	}
+	r.k.Shutdown()
+	if n := settle(baseline); n > baseline {
+		t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
+	}
+}
+
+// TestBridgeNestedDecodeErrorIsPerRequest speaks the wire by hand: a
+// well-framed request whose nested frame is malformed is answered with
+// an error under its own id, and the connection carries on.
+func TestBridgeNestedDecodeErrorIsPerRequest(t *testing.T) {
+	addr, echo := startServer(t)
+	conn, err := net.Dial("unix", strings.TrimPrefix(addr, "unix:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	good, _ := wire.Append(nil, "still here")
+	nested := map[uint64][]byte{
+		1: {0xff, 0, 0, 0, 0},                      // no such tag
+		2: append(append([]byte(nil), good...), 0), // a byte after the nested frame
+		3: good[:len(good)-1],                      // truncated
+		4: nestedRecords(33, []byte{1, 0}, 3),      // a bridge record as the value
+		5: good,
+	}
+	last := uint64(len(nested))
+	var out []byte
+	for id := uint64(1); id <= last; id++ {
+		// bridge.go's request layout, by hand.
+		body := wire.AppendUvarintField(nil, id)
+		t16 := echo.Bytes()
+		body = append(body, t16[:]...)
+		body = wire.AppendStringField(body, "Echo")
+		out = append(out, recordFrame(32, append(body, nested[id]...))...)
+	}
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	fr := wire.NewFrameReader(conn, nil, 0)
+	defer fr.Close()
+	seen := map[uint64]bool{}
+	for len(seen) < len(nested) { // replies come in any order
+		v, _, err := fr.Next()
+		if err != nil {
+			t.Fatalf("after %d replies: %v", len(seen), err)
+		}
+		rep, ok := v.(*transport.RPCReply)
+		if !ok || seen[rep.ID] {
+			t.Fatalf("unexpected frame %T %+v", v, v)
+		}
+		seen[rep.ID] = true
+		if rep.ID == last {
+			if rep.ErrMsg != "" || rep.Value != "still here" {
+				t.Errorf("good request: ErrMsg %q, value %v", rep.ErrMsg, rep.Value)
+			}
+		} else if rep.ErrMsg == "" {
+			t.Errorf("request %d: a malformed nested frame was answered with %v", rep.ID, rep.Value)
+		}
+	}
+}
+
+// nestedRecords is depth bridge records of the given id, each with the
+// same fields and the next as its value, around a string — what no
+// encoder here produces, built from the innermost frame outwards.
+func nestedRecords(id byte, fields []byte, depth int) []byte {
+	leaf, _ := wire.Append(nil, "leaf")
+	per := wire.HeaderBytes + 1 + len(fields)
+	buf := make([]byte, depth*per+len(leaf))
+	copy(buf[depth*per:], leaf)
+	for off := (depth - 1) * per; off >= 0; off -= per {
+		buf[off] = wire.TagRecord
+		binary.BigEndian.PutUint32(buf[off+1:], uint32(len(buf)-off-wire.HeaderBytes))
+		buf[off+wire.HeaderBytes] = id
+		copy(buf[off+wire.HeaderBytes+1:], fields)
+	}
+	return buf
+}
+
+// TestBridgeRecordsDoNotNest: a bridge record whose value is a bridge
+// record is malformed at the second level, however many follow.  One
+// frame under wire.MaxFrameBytes holds millions of levels; decoding
+// them by recursion would end the process (a stack overflow is not a
+// panic), on the strength of one frame from a peer.
+func TestBridgeRecordsDoNotNest(t *testing.T) {
+	const depth = 4 << 20
+	request := append([]byte{1}, make([]byte, 16+1)...) // ID 1, a zero Target, Op ""
+	for _, tc := range []struct {
+		name   string
+		id     byte
+		fields []byte
+		depth  int
+	}{
+		{"reply", 33, []byte{1, 0}, depth}, // ID 1, ErrMsg ""
+		{"request", 32, request, depth / 4},
+	} {
+		frame := nestedRecords(tc.id, tc.fields, tc.depth)
+		if len(frame) > wire.MaxFrameBytes {
+			t.Fatalf("%s: the rig's frame is %d bytes, more than a FrameReader admits", tc.name, len(frame))
+		}
+		v, _, err := wire.Decode(frame)
+		if err != nil {
+			t.Fatalf("%s: %v; the outer record is well formed", tc.name, err)
+		}
+		if err := recordErr(t, v); !errors.Is(err, wire.ErrMalformed) {
+			t.Errorf("%s: %d nested records decoded with err = %v, want ErrMalformed", tc.name, tc.depth, err)
+		}
+	}
+	// Each inside the other, too.
+	mixed := recordFrame(33, append([]byte{1, 0}, nestedRecords(32, request, 1)...))
+	if v, _, err := wire.Decode(mixed); err != nil || !errors.Is(recordErr(t, v), wire.ErrMalformed) {
+		t.Errorf("a request as a reply's value: %v, %v", v, err)
+	}
+}
+
+// TestBridgeUnencodableResult: a value with no wire form fails its own
+// call, on whichever side it turns up, and not the connection.
+func TestBridgeUnencodableResult(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	defer k.Shutdown()
+	echo, err := k.Create(echoEject{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chanReply, err := k.Create(chanEject{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := serveAndDial(t, k)
+	defer p.Close()
+
+	if _, err := p.Invoke(chanReply, "Chan", "x"); err == nil || !strings.Contains(err.Error(), "remote Chan") {
+		t.Errorf("a chan result: err = %v, want the remote side's encode failure", err)
+	}
+	if _, err := p.Invoke(echo, "Echo", make(chan int)); err == nil || errors.Is(err, transport.ErrBridgeClosed) {
+		t.Errorf("a chan payload: err = %v, want an encode failure that does not blame the connection", err)
+	}
+	if res, err := p.Invoke(echo, "Echo", "after"); err != nil || res != "after" {
+		t.Errorf("the call after: %v, %v", res, err)
+	}
+}
+
+// chanEject replies with a value the codec cannot carry.
+type chanEject struct{}
+
+func (chanEject) EdenType() string             { return "test.Chan" }
+func (chanEject) Serve(inv *kernel.Invocation) { inv.Reply(make(chan int)) }
+
+// TestBridgeClosedIsNotRemote: however a dead connection fails a call —
+// pending when it died, refused on entry, or refused by the write side
+// — the error is the connection's, matchable, and does not read as if
+// the remote Eject had failed.
+func TestBridgeClosedIsNotRemote(t *testing.T) {
+	k := kernel.New(kernel.Config{})
+	defer k.Shutdown()
+	g := &gateEject{entered: make(chan struct{}, 1), open: make(chan struct{})}
+	gate, err := k.Create(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close(g.open)
+	p, _ := serveAndDial(t, k)
+
+	pending := make(chan error, 1)
+	go func() {
+		_, err := p.Invoke(gate, "Wait", "x")
+		pending <- err
+	}()
+	<-g.entered
+	p.Close()
+	// Pending's return orders the read loop's end before the next call,
+	// which is therefore refused on entry.
+	errs := map[string]error{"pending": <-pending}
+	_, errs["on entry"] = p.Invoke(gate, "Wait", "x")
+	_, errs["in send"] = transport.ClosedPeer().Invoke(gate, "Wait", "x")
+	for how, err := range errs {
+		if !errors.Is(err, transport.ErrBridgeClosed) || strings.Contains(err.Error(), "remote") {
+			t.Errorf("%s: err = %v, want one wrapping ErrBridgeClosed that does not say remote", how, err)
+		}
 	}
 }
 

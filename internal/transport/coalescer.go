@@ -55,10 +55,6 @@ type coalescer struct {
 // waiter, if any) for the next writev, draining the queue itself when
 // no other sender owns the connection.  It fails only on a connection
 // already dead, in which case x was not queued.
-//
-// Keep this function's stack frame small: the bridge server answers
-// each request on a fresh goroutine, and send → enqueue → writeOut →
-// writev sits just under the starting stack size (DESIGN.md).
 func (c *coalescer) enqueue(f *wire.Frame, x *xfer) error {
 	c.mu.Lock()
 	if c.err != nil {
@@ -98,15 +94,20 @@ func (c *coalescer) popWaiter() *xfer {
 	return x
 }
 
+// errEncode marks a send that failed because v has no wire form: the
+// connection is as alive as it was and nothing was queued.
+var errEncode = errors.New("transport: encode")
+
 // send encodes v contiguously — a frame with no waiter has no moment
 // at which borrowed memory could be handed back — and enqueues it (the
-// bridge matches replies by id, not by order).
+// bridge matches replies by id, not by order).  Its error wraps
+// errEncode or is the dead connection's.
 func (c *coalescer) send(v any) error {
 	f := wire.GetFrame()
 	var err error
 	if f.Buf, err = wire.Append(f.Buf[:0], v); err != nil {
 		wire.PutFrame(f)
-		return fmt.Errorf("transport: encode: %w", err)
+		return fmt.Errorf("%w: %w", errEncode, err)
 	}
 	return c.enqueue(f, nil)
 }

@@ -8,3 +8,27 @@ func (s *SocketNetwork) TearDir(a, b int) (write, read *net.Conn) {
 	d := s.dirs[a*s.nodes+b]
 	return &d.conn, &d.rconn
 }
+
+// MaxIdleWorkers is the bound on one connection's parked workers.
+const MaxIdleWorkers = maxIdleWorkers
+
+// The bridge's two records, for tests that speak its wire by hand.
+type (
+	RPCRequest = rpcRequest
+	RPCReply   = rpcReply
+)
+
+// Err is why a decoded request carries no value.
+func (r *rpcRequest) Err() error { return r.err }
+
+// Err is the local failure a reply carries instead of a value.
+func (r *rpcReply) Err() error { return r.err }
+
+// ClosedPeer is a Peer whose write side is dead and whose read loop
+// never ran, so that an Invoke gets as far as send.
+func ClosedPeer() *Peer {
+	c, _ := net.Pipe()
+	p := &Peer{conn: c, out: &coalescer{conn: c}, calls: make(map[uint64]chan *rpcReply)}
+	p.Close()
+	return p
+}

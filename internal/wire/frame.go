@@ -105,8 +105,8 @@ func (f *Frame) Len() int {
 
 // Segments appends the frame's bytes to dst in wire order, as slices
 // of Buf interleaved with the spliced items — the iovec of one writev.
-// Never inlined: its loop must not grow the stack frame of the
-// coalescer's enqueue (see DESIGN.md, the serveConn stack cliff).
+// Kept out of line: inlined into the coalescer's enqueue it runs under
+// the connection's mutex and costs push-tcp-bulk CPU (DESIGN.md §13.2).
 //
 //go:noinline
 func (f *Frame) Segments(dst [][]byte) [][]byte {
