@@ -63,11 +63,12 @@ race:
 	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## race-sharded: a short, focused race run over the parallel engine
-## (sharded rows, windowed links, merge, redirect) and the fusion
+## (sharded rows, the one active engine's window in both directions,
+## merge, redirect) and the fusion
 ## compiler (fused groups, fused aborts, fused pools) — the subset CI
 ## runs on every push in addition to the full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestRedirectShardedWindowed|TestPipelinePreservesArbitraryData|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint' ./internal/transput/ ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint' ./internal/transput/ ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the frame reader's item-size sweep across wire.SpliceCutoff, the

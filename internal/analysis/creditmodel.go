@@ -7,7 +7,7 @@ import (
 )
 
 // An explicit-state model of the windowed credit protocol between
-// WOOutPort (the K-worker windowed sender) and WOInPort (the passive
+// a windowed Pusher (the K-helper sender) and WOInPort (the passive
 // sink with a bounded buffer, per-writer sequence gate, and
 // credit-carrying DeliverReply).  protomodel.go extracts the protocol
 // shape from the real source (the 1+credits/bsz floor, the strict

@@ -10,7 +10,7 @@ import (
 // Discipline enforces the paper's asymmetry at compile time: a
 // discipline exposes exactly one corresponding pair of transput
 // primitives, so code tagged read-only must never reach the push-side
-// API (Deliver world: Pusher, WOOutPort, WOInPort) and code tagged
+// API (Deliver world: Pusher, WOInPort) and code tagged
 // write-only must never reach the pull side (Transfer world: InPort,
 // OutPort).  Tags are file comments:
 //
@@ -33,8 +33,8 @@ const disciplineTagPrefix = "transput:discipline"
 // forbidden symbol names in the transput package, per side.
 var pushSideNames = map[string]bool{
 	// Active-output / passive-input world: write-only discipline only.
-	"Pusher": true, "WOOutPort": true, "WOInPort": true,
-	"NewPusher": true, "NewWOOutPort": true, "NewWOInPort": true,
+	"Pusher": true, "WOInPort": true,
+	"NewPusher": true, "NewWOInPort": true,
 	"OpDeliver": true, "DeliverRequest": true, "DeliverReply": true,
 }
 

@@ -21,7 +21,7 @@ func TestProtoExtractionRealTree(t *testing.T) {
 		t.Fatal("window gate (for active >= limit wait loop) not extracted")
 	}
 	if !sh.gateStrict {
-		t.Error("gate extracted as non-strict; wooutport.go waits while active >= limit")
+		t.Error("gate extracted as non-strict; Pusher.send (writeonly.go) waits while active >= limit")
 	}
 	if sh.limitPos == 0 {
 		t.Fatal("credit-limit update not extracted")

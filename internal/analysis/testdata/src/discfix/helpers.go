@@ -10,7 +10,7 @@ import (
 func helperHop() any { return pusherMaker() }
 
 func pusherMaker() any {
-	var w *transput.WOOutPort
+	var w *transput.Pusher
 	return w
 }
 

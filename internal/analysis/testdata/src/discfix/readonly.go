@@ -3,7 +3,7 @@
 // Package discfix exercises the discipline analyzer.  This file is
 // tagged read-only: it may use the pull side (InPort/OutPort,
 // Transfer) freely, and must never reach the push side (Pusher,
-// WOOutPort, Deliver).
+// WOInPort, Deliver).
 package discfix
 
 import (

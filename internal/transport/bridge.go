@@ -3,7 +3,7 @@
 // link uses.  A server process calls Serve on a listener; a client
 // process Dials it and either invokes remote Ejects directly
 // (Peer.Invoke) or attaches a proxy Eject under the remote UID, after
-// which every local invocation of that UID — InPort pulls, WOOutPort
+// which every local invocation of that UID — InPort pulls, Pusher
 // deliveries, anything — transparently crosses the socket.  Requests
 // are multiplexed by id on one connection, so many channels and many
 // windowed invocations share a socket and the write coalescer batches

@@ -1,12 +1,12 @@
 // Adaptive per-link batching.  The paper's accounting fixes one datum
 // per invocation; Options.Batch generalised that to a fixed batch, and
 // Options.BatchMin/BatchMax generalise it again to a runtime-tuned one.
-// Each link (InPort, Pusher, WOOutPort) owns an AIMD controller that
-// sizes the next Transfer Max or Deliver batch: additive increase while
-// exchanges come back full, multiplicative decrease when the observed
-// latency per item rises well above the best this link has seen —
-// fuller batches are only worth having while they keep amortising the
-// invocation overhead.
+// Each active link (link.go, under InPort and Pusher alike) owns an AIMD
+// controller that sizes the next Transfer Max or Deliver batch: additive
+// increase while exchanges come back full, multiplicative decrease when
+// the observed latency per item rises well above the best this link has
+// seen — fuller batches are only worth having while they keep amortising
+// the invocation overhead.
 //
 // With BatchMin == BatchMax the size is pinned, no controller is built
 // and the link is the fixed-batch engine itself, so the per-datum

@@ -3,6 +3,7 @@ package transput
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,26 +21,63 @@ func benchKernel(b *testing.B) *kernel.Kernel {
 	return k
 }
 
-// BenchmarkTransferHop measures one pull over a warm channel at
-// several batch sizes.
-func BenchmarkTransferHop(b *testing.B) {
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			k := benchKernel(b)
-			st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: 1024},
-				func(_ []ItemReader, outs []ItemWriter) error {
-					for {
-						if err := outs[0].Put([]byte("sixteen-byte-pay")); err != nil {
-							return nil
-						}
-					}
-				})
-			id := k.NewUID()
-			if err := k.CreateWithUID(id, st, 0); err != nil {
-				b.Fatal(err)
+// hopSource registers and starts an endless source of 16-byte items
+// behind a 1024-item anticipation buffer.
+func hopSource(tb testing.TB, k *kernel.Kernel) (uid.UID, *ROStage) {
+	tb.Helper()
+	st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: 1024},
+		func(_ []ItemReader, outs []ItemWriter) error {
+			for {
+				if err := outs[0].Put([]byte("sixteen-byte-pay")); err != nil {
+					return nil
+				}
 			}
-			st.Start()
-			in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: batch})
+		})
+	id := k.NewUID()
+	if err := k.CreateWithUID(id, st, 0); err != nil {
+		tb.Fatal(err)
+	}
+	st.Start()
+	return id, st
+}
+
+// hopSink registers and starts a sink that drains a 1024-item buffer.
+func hopSink(tb testing.TB, k *kernel.Kernel) (uid.UID, *WOStage) {
+	tb.Helper()
+	st := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 1024},
+		func(ins []ItemReader, _ []ItemWriter) error {
+			_, err := Drain(ins[0])
+			return err
+		})
+	id := k.NewUID()
+	if err := k.CreateWithUID(id, st, 0); err != nil {
+		tb.Fatal(err)
+	}
+	st.Start()
+	return id, st
+}
+
+// BenchmarkTransferHop measures one pull over a warm channel: the
+// demand-driven hop at two batch sizes, then the one engine's three
+// regimes at batch 1 through the one constructor — Window 1 (the same
+// inline exchange as the batch=1 row: the default *is* Window 1), one
+// read-ahead helper, and a window of four.
+func BenchmarkTransferHop(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		cfg  InPortConfig
+	}{
+		{"batch=1", InPortConfig{Batch: 1}},
+		{"batch=16", InPortConfig{Batch: 16}},
+		{"window=1", InPortConfig{Batch: 1, Window: 1}},
+		{"prefetch=1", InPortConfig{Batch: 1, Prefetch: 1}},
+		{"window=4", InPortConfig{Batch: 1, Window: 4}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			k := benchKernel(b)
+			id, _ := hopSource(b, k)
+			in := NewInPort(k, uid.Nil, id, Chan(0), row.cfg)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := in.Next(); err != nil {
@@ -52,23 +90,26 @@ func BenchmarkTransferHop(b *testing.B) {
 	}
 }
 
-// BenchmarkDeliverHop measures one push into a draining sink.
+// BenchmarkDeliverHop measures one push into a draining sink: the
+// stop-and-wait hop at two batch sizes, then Window 1 spelled out (the
+// same inline exchange) and a send window of four, through the one
+// constructor.
 func BenchmarkDeliverHop(b *testing.B) {
-	for _, batch := range []int{1, 16} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+	for _, row := range []struct {
+		name string
+		cfg  PusherConfig
+	}{
+		{"batch=1", PusherConfig{Batch: 1}},
+		{"batch=16", PusherConfig{Batch: 16}},
+		{"window=1", PusherConfig{Batch: 1, Window: 1}},
+		{"window=4", PusherConfig{Batch: 1, Window: 4}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
 			k := benchKernel(b)
-			st := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 1024},
-				func(ins []ItemReader, _ []ItemWriter) error {
-					_, err := Drain(ins[0])
-					return err
-				})
-			id := k.NewUID()
-			if err := k.CreateWithUID(id, st, 0); err != nil {
-				b.Fatal(err)
-			}
-			st.Start()
-			p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: batch})
+			id, _ := hopSink(b, k)
+			p := NewPusher(k, uid.Nil, id, Chan(0), row.cfg)
 			item := []byte("sixteen-byte-pay")
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := p.Put(item); err != nil {
@@ -122,21 +163,19 @@ const allocWarmup = 512
 func TestTransferHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
-	st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: 1024},
-		func(_ []ItemReader, outs []ItemWriter) error {
-			for {
-				if err := outs[0].Put([]byte("sixteen-byte-pay")); err != nil {
-					return nil
-				}
-			}
-		})
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	st.Start()
+	id, st := hopSource(t, k)
 	in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 1})
 	defer in.Cancel("alloc test done")
+	if n := warmTransferHopAllocs(t, st, in); n > transferHopCeiling {
+		t.Errorf("warm Transfer hop: %.1f allocs/op, ceiling %d", n, transferHopCeiling)
+	}
+}
+
+const transferHopCeiling = 2 // 0 measured; 1 under -race, or when the source's refill lands in the run
+
+// warmTransferHopAllocs warms the pull up and measures one hop.
+func warmTransferHopAllocs(t *testing.T, st *ROStage, in *InPort) float64 {
+	t.Helper()
 	hop := func() {
 		if _, err := in.Next(); err != nil {
 			t.Fatal(err)
@@ -150,10 +189,7 @@ func TestTransferHopAllocs(t *testing.T) {
 	// item, while the hops are measured; wait until it has parked on the
 	// full buffer, after which each hop wakes it for exactly one Put.
 	eventually(t, "the source has filled its anticipation buffer", func() bool { return st.Out().Buffered() >= 1024 })
-	const ceiling = 2 // 0 measured; 1 under -race, or when the source's refill lands in the run
-	if n := testing.AllocsPerRun(200, hop); n > ceiling {
-		t.Errorf("warm Transfer hop: %.1f allocs/op, ceiling %d", n, ceiling)
-	}
+	return testing.AllocsPerRun(200, hop)
 }
 
 // TestDeliverHopAllocs pins the warm push: item copies on each side of
@@ -161,18 +197,19 @@ func TestTransferHopAllocs(t *testing.T) {
 func TestDeliverHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
-	st := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 1024},
-		func(ins []ItemReader, _ []ItemWriter) error {
-			_, err := Drain(ins[0])
-			return err
-		})
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	st.Start()
+	id, _ := hopSink(t, k)
 	p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1})
 	defer p.Close()
+	if n := warmDeliverHopAllocs(t, p); n > deliverHopCeiling {
+		t.Errorf("warm Deliver hop: %.1f allocs/op, ceiling %d", n, deliverHopCeiling)
+	}
+}
+
+const deliverHopCeiling = 3
+
+// warmDeliverHopAllocs warms the push up and measures one hop.
+func warmDeliverHopAllocs(t *testing.T, p *Pusher) float64 {
+	t.Helper()
 	item := []byte("sixteen-byte-pay")
 	hop := func() {
 		if err := p.Put(item); err != nil {
@@ -182,10 +219,74 @@ func TestDeliverHopAllocs(t *testing.T) {
 	for i := 0; i < allocWarmup; i++ {
 		hop()
 	}
-	const ceiling = 3
-	if n := testing.AllocsPerRun(200, hop); n > ceiling {
-		t.Errorf("warm Deliver hop: %.1f allocs/op, ceiling %d", n, ceiling)
-	}
+	return testing.AllocsPerRun(200, hop)
+}
+
+// TestWindowOneRunsOnTheCaller pins DESIGN §7.2's sentence "at Window 1
+// both ports are exactly the sequential implementations": a port built
+// with Window 1 spelled out (and no Prefetch) is the stop-and-wait port.
+// Constructing it and running a thousand hops starts no goroutine —
+// every exchange runs on the port's own caller — at the stop-and-wait
+// allocation ceilings, and a push carries no Writer, so the sink never
+// attaches a sequence gate.
+func TestWindowOneRunsOnTheCaller(t *testing.T) {
+	t.Run("pull", func(t *testing.T) {
+		k := kernel.New(kernel.Config{})
+		defer k.Shutdown()
+		id, st := hopSource(t, k)
+		eventually(t, "the source is running", func() bool { return st.Out().Buffered() > 0 })
+		before := settledGoroutines()
+		in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 1, Window: 1})
+		defer in.Cancel("test done")
+		n := warmTransferHopAllocs(t, st, in)
+		for i := 0; i < 1000-allocWarmup-201; i++ {
+			if _, err := in.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("goroutines %d -> %d across 1000 Window-1 pulls; the exchanges must run on the caller", before, after)
+		}
+		if n > transferHopCeiling {
+			t.Errorf("warm Window-1 Transfer hop: %.1f allocs/op, ceiling %d", n, transferHopCeiling)
+		}
+		if got := in.TransfersIssued(); got != 1000 {
+			t.Errorf("1000 hops at batch 1 issued %d Transfers", got)
+		}
+	})
+	t.Run("push", func(t *testing.T) {
+		k := kernel.New(kernel.Config{})
+		defer k.Shutdown()
+		id, st := hopSink(t, k)
+		before := settledGoroutines()
+		p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: 1})
+		defer p.Close()
+		n := warmDeliverHopAllocs(t, p)
+		for i := 0; i < 1000-allocWarmup-201; i++ {
+			if err := p.Put([]byte("sixteen-byte-pay")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if after := runtime.NumGoroutine(); after != before {
+			t.Errorf("goroutines %d -> %d across 1000 Window-1 pushes; the exchanges must run on the caller", before, after)
+		}
+		if n > deliverHopCeiling {
+			t.Errorf("warm Window-1 Deliver hop: %.1f allocs/op, ceiling %d", n, deliverHopCeiling)
+		}
+		if got := p.DeliversIssued(); got != 1000 {
+			t.Errorf("1000 hops at batch 1 issued %d Delivers", got)
+		}
+		if !p.req.Writer.IsNil() || !p.writer.IsNil() {
+			t.Errorf("Window-1 pusher carries Writer %v / %v, want none", p.req.Writer, p.writer)
+		}
+		ch := st.Reader(0).ch
+		ch.mu.Lock()
+		gate := ch.seq
+		ch.mu.Unlock()
+		if gate != nil {
+			t.Error("the sink attached a sequence gate for a Window-1 writer")
+		}
+	})
 }
 
 // TestWindowedTransferHopAllocs pins the windowed pull path: the
@@ -238,29 +339,11 @@ func TestWindowedTransferHopAllocs(t *testing.T) {
 func TestWindowedDeliverHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
-	st := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 1024},
-		func(ins []ItemReader, _ []ItemWriter) error {
-			_, err := Drain(ins[0])
-			return err
-		})
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	st.Start()
-	w := NewWOOutPort(k, uid.Nil, id, Chan(0), WOOutPortConfig{Batch: 1, Window: 4})
+	id, _ := hopSink(t, k)
+	w := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: 4})
 	defer w.Close()
-	item := []byte("sixteen-byte-pay")
-	hop := func() {
-		if err := w.Put(item); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < allocWarmup; i++ {
-		hop()
-	}
 	const ceiling = 5
-	if n := testing.AllocsPerRun(200, hop); n > ceiling {
+	if n := warmDeliverHopAllocs(t, w); n > ceiling {
 		t.Errorf("warm windowed Deliver hop: %.1f allocs/op, ceiling %d", n, ceiling)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -49,9 +50,15 @@ var passiveFaces = []string{"OutPort", "WOInPort", "PassiveBuffer"}
 // schedule and compares against a plain FIFO model — the same schedule
 // per seed through each face: put→take (OutPort, capacity 0 included),
 // absorb→next (WOInPort) and absorb→take (PassiveBuffer).  The passive
-// input faces take one or two writers, stop-and-wait or windowed (two
-// windowed writers exercise the sequence gate); fan-in merges
-// indistinguishably, so the model is FIFO per writer.
+// input faces take one or two writers (two windowed writers exercise
+// the sequence gate); fan-in merges indistinguishably, so the model is
+// FIFO per writer.
+//
+// The active side of every face — the InPort that takes, the Pushers
+// that fill, both around a PassiveBuffer — is drawn from one grid, the
+// one engine's regimes × its sizing: {Window 1, Window 1 + Prefetch,
+// Window 2–4} × {fixed batch, BatchMin < BatchMax}.  Seeds 1–6 cover
+// the six rows once each, for pull and push alike.
 func TestPassiveBufferAgainstFIFOModel(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -60,6 +67,33 @@ func TestPassiveBufferAgainstFIFOModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// activeRow is one row of the active grid, as both faces' configuration.
+type activeRow struct {
+	pull InPortConfig
+	push PusherConfig
+}
+
+// drawActive picks the seed's row: the regime cycles every two seeds,
+// the sizing alternates, and the free parameters come from rng.
+func drawActive(seed int64, rng *rand.Rand) activeRow {
+	window, prefetch := 1, 0
+	switch (seed - 1) / 2 % 3 {
+	case 1:
+		prefetch = 1 + rng.Intn(3)
+	case 2:
+		window = 2 + rng.Intn(3)
+	}
+	row := activeRow{
+		pull: InPortConfig{Window: window, Prefetch: prefetch, Batch: rng.Intn(7) + 1},
+		push: PusherConfig{Window: window, Batch: rng.Intn(5) + 1},
+	}
+	if seed%2 == 0 {
+		row.pull.BatchMin, row.pull.BatchMax = 1, 2+rng.Intn(7)
+		row.push.BatchMin, row.push.BatchMax = 1, 2+rng.Intn(7)
+	}
+	return row
 }
 
 func faceAgainstFIFOModel(t *testing.T, face string, seed int64) {
@@ -73,7 +107,6 @@ func faceAgainstFIFOModel(t *testing.T, face string, seed int64) {
 	if face != "OutPort" {
 		nWriters += rng.Intn(2)
 	}
-	windowed := seed%2 == 0 // even seeds: every writer holds a send window
 	model := make([][][]byte, nWriters)
 	for w := range model {
 		for i, n := 0, rng.Intn(200)+1; i < n; i++ {
@@ -83,8 +116,7 @@ func faceAgainstFIFOModel(t *testing.T, face string, seed int64) {
 			model[w] = append(model[w], item)
 		}
 	}
-	pushBatch, pushWindow := rng.Intn(5)+1, rng.Intn(3)+2
-	pull := InPortConfig{Batch: rng.Intn(7) + 1, Window: rng.Intn(4) + 1}
+	row := drawActive(seed, rng)
 
 	// Wire the face: writers[w] fills the record, reader drains it.
 	id := k.NewUID()
@@ -107,20 +139,21 @@ func faceAgainstFIFOModel(t *testing.T, face string, seed int64) {
 		t.Fatal(err)
 	}
 	if reader == nil {
-		reader = NewInPort(k, uid.Nil, id, Chan(0), pull)
+		reader = NewInPort(k, uid.Nil, id, Chan(0), row.pull)
 	}
+	var pushers []*Pusher
 	for w := range writers {
-		switch {
-		case writers[w] != nil: // local put
-		case windowed:
-			writers[w] = NewWOOutPort(k, uid.Nil, id, Chan(0), WOOutPortConfig{Batch: pushBatch, Window: pushWindow})
-		default:
-			writers[w] = NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: pushBatch})
+		if writers[w] == nil { // not a local put
+			p := NewPusher(k, uid.Nil, id, Chan(0), row.push)
+			writers[w], pushers = p, append(pushers, p)
 		}
 	}
 
+	var closed sync.WaitGroup
 	for w, out := range writers {
+		closed.Add(1)
 		go func() {
+			defer closed.Done()
 			for _, item := range model[w] {
 				if err := out.Put(item); err != nil {
 					return
@@ -145,13 +178,138 @@ func faceAgainstFIFOModel(t *testing.T, face string, seed int64) {
 	}
 	for w := range model {
 		if len(got[w]) != len(model[w]) {
-			t.Fatalf("cap=%d writer %d: got %d items, want %d", capacity, w, len(got[w]), len(model[w]))
+			t.Fatalf("cap=%d %+v writer %d: got %d items, want %d", capacity, row, w, len(got[w]), len(model[w]))
 		}
 		for i := range model[w] {
 			if !bytes.Equal(got[w][i], model[w][i]) {
-				t.Fatalf("cap=%d writer %d: item %d differs", capacity, w, i)
+				t.Fatalf("cap=%d %+v writer %d: item %d differs", capacity, row, w, i)
 			}
 		}
+	}
+	// At a fixed batch the invocation count is the paper's arithmetic in
+	// every regime: one Deliver per full batch, and one carrying End.
+	closed.Wait()
+	for w, p := range pushers {
+		if want := int64(len(model[w])/p.batch + 1); row.push.BatchMax == 0 && p.DeliversIssued() != want {
+			t.Errorf("%+v writer %d: %d items took %d Delivers, want %d", row.push, w, len(model[w]), p.DeliversIssued(), want)
+		}
+	}
+}
+
+// TestActivePortTeardownMidWindow is the active engine's one table for
+// ending a stream early: both faces × the engine's three regimes, each
+// torn down — Cancel on the pull face, CloseWithError on the push face —
+// while its window of exchanges is parked at a stalled peer and slab
+// views sit at every stage of the hop.  Whatever the row, the helpers
+// leave, nobody stays parked in the peer's record, every view goes back
+// to the slab, and the peer's surviving end sees the abort.
+func TestActivePortTeardownMidWindow(t *testing.T) {
+	const capacity = 2
+	for _, row := range []struct {
+		name             string
+		window, prefetch int
+	}{{"window=1", 1, 0}, {"prefetch=2", 1, 2}, {"window=4", 4, 0}} {
+		rig := func(t *testing.T) (*kernel.Kernel, uid.UID, *wire.Slab, func() []byte, int) {
+			k := testKernel(t)
+			slab := wire.NewSlab(k.Metrics(), 1<<14)
+			view := func() []byte { return append(slab.Alloc(8)[:0], "a-view!!"...) }
+			return k, k.NewUID(), slab, view, settledGoroutines()
+		}
+		audit := func(t *testing.T, k *kernel.Kernel, slab *wire.Slab, ch *channel, baseline int) {
+			t.Helper()
+			eventually(t, "the helpers have left", func() bool { return runtime.NumGoroutine() <= baseline })
+			ch.mu.Lock()
+			waiters := ch.waiters
+			ch.mu.Unlock()
+			if waiters != 0 {
+				t.Errorf("%d workers still parked in the peer's record", waiters)
+			}
+			if n := slab.Close(); n != 0 || k.Metrics().SlabLeaked.Value() != 0 {
+				t.Errorf("slab leak audit: %d stranded views (SlabLeaked=%d)", n, k.Metrics().SlabLeaked.Value())
+			}
+		}
+		t.Run("pull/"+row.name, func(t *testing.T) {
+			k, id, slab, view, baseline := rig(t)
+			port := NewOutPort(k, OutPortConfig{})
+			w := port.Declare("c", 0, 64)
+			if err := k.CreateWithUID(id, portEject{port.Serve}, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ { // three batches: two consumed below, one read ahead (or left behind)
+				if err := w.PutOwned(view()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 2, Window: row.window, Prefetch: row.prefetch})
+			for i := 0; i < 3; i++ { // an odd count: one view stays in pending
+				item, err := in.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				wire.Release(item)
+			}
+			// Every helper ends up parked on the drained, unended channel.
+			helpers := 0
+			if row.window > 1 || row.prefetch > 0 {
+				helpers = row.window
+				eventually(t, "the window is parked at the source", func() bool {
+					w.ch.mu.Lock()
+					defer w.ch.mu.Unlock()
+					return w.ch.waiters == helpers
+				})
+			}
+			in.Cancel("enough")
+			if _, err := in.Next(); !errors.Is(err, ErrAborted) {
+				t.Errorf("Next after Cancel: %v, want ErrAborted", err)
+			}
+			if err := w.PutOwned(view()); !errors.Is(err, ErrAborted) {
+				t.Errorf("source's Put after Cancel: %v, want ErrAborted", err)
+			}
+			audit(t, k, slab, w.ch, baseline)
+		})
+		if row.prefetch > 0 {
+			continue // read-ahead is the pull face's alone
+		}
+		t.Run("push/"+row.name, func(t *testing.T) {
+			k, id, slab, view, baseline := rig(t)
+			port := NewWOInPort(k, WOInPortConfig{})
+			r := port.Declare("c", 0, capacity, 1) // never read: the sink is stalled
+			if err := k.CreateWithUID(id, portEject{port.Serve}, 0); err != nil {
+				t.Fatal(err)
+			}
+			p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: row.window})
+			// Fill the sink; a window then parks a delivery on the full
+			// buffer — one once the credit gate has seen the sink's
+			// replies, more if the first Window went out before any came
+			// back — and holds the rest in the helpers and the queue,
+			// where one slot would park the producer itself.
+			n := capacity
+			if row.window > 1 {
+				n += 1 + row.window
+			}
+			for i := 0; i < n; i++ {
+				if err := p.PutOwned(view()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if row.window > 1 {
+				eventually(t, "a delivery is parked at the sink", func() bool {
+					r.ch.mu.Lock()
+					defer r.ch.mu.Unlock()
+					return r.ch.waiters >= 1
+				})
+			}
+			if err := p.CloseWithError(errors.New("producer failed")); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.PutOwned(view()); !errors.Is(err, ErrClosed) {
+				t.Errorf("Put after CloseWithError: %v, want ErrClosed", err)
+			}
+			if _, err := r.Next(); !errors.Is(err, ErrAborted) {
+				t.Errorf("sink's Next after CloseWithError: %v, want ErrAborted", err)
+			}
+			audit(t, k, slab, r.ch, baseline)
+		})
 	}
 }
 

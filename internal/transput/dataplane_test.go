@@ -299,10 +299,9 @@ func TestBatchControllerPinnedBoundsNeedNoController(t *testing.T) {
 	if push.ctrl != nil || push.batch != 4 {
 		t.Errorf("pinned Pusher: ctrl %v, batch %d; want fixed batch 4", push.ctrl, push.batch)
 	}
-	wo := NewWOOutPort(k, uid.Nil, k.NewUID(), Chan(0), WOOutPortConfig{Batch: 7, Window: 2, BatchMin: 4, BatchMax: 4})
-	defer wo.CloseWithError(errors.New("test done"))
-	if wo.ctrl != nil || wo.threshold() != 4 {
-		t.Errorf("pinned WOOutPort: ctrl %v, threshold %d; want fixed batch 4", wo.ctrl, wo.threshold())
+	wo := NewPusher(k, uid.Nil, k.NewUID(), Chan(0), PusherConfig{Batch: 7, Window: 2, BatchMin: 4, BatchMax: 4})
+	if wo.ctrl != nil || wo.size() != 4 {
+		t.Errorf("pinned windowed Pusher: ctrl %v, size %d; want fixed batch 4", wo.ctrl, wo.size())
 	}
 }
 

@@ -7,10 +7,8 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"asymstream/internal/kernel"
-	"asymstream/internal/metrics"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -18,47 +16,42 @@ import (
 // InPort is the active-input half of the read-only discipline: it
 // issues Transfer invocations against a source Eject's channel and
 // hands the resulting items to the application through the
-// conventional-looking Next (Read) interface.
+// conventional-looking Next (Read) interface.  It is the face of the
+// active engine (link.go) whose data rides the *reply*, and adds only
+// what that needs: ordering replies by TransferReply.Base, the pending
+// items, and the read-ahead queue.
 //
-// Two knobs correspond to the paper's ablations:
+// Three knobs correspond to the paper's ablations:
 //
 //   - Batch is the Max parameter on each Transfer (how many items one
 //     invocation may return).  Batch 1 reproduces the paper's
 //     one-datum-per-invocation accounting.
 //
-//   - Prefetch enables anticipatory pulling: a background process (a
-//     goroutine — one of the Eject's "worker processes") pulls ahead
-//     of the consumer into a local buffer of the given number of
-//     batches.  Prefetch 0 is the demand-driven (lazy) limit: a
-//     Transfer is issued only when the consumer actually needs data.
+//   - Prefetch enables anticipatory pulling: a helper (a goroutine —
+//     one of the Eject's "worker processes") pulls ahead of the
+//     consumer into a local queue of the given number of batches.
+//     Prefetch 0 at Window 1 is the demand-driven (lazy) limit: a
+//     Transfer is issued only when the consumer actually needs data,
+//     on the consumer's own goroutine.
 //
-// Stream order is preserved in two regimes.  At Window<=1 (the
-// default) at most one Transfer is outstanding per InPort at any
-// instant, so no sequencing is needed; overlap comes from pulling
-// *ahead*, never from pulling *concurrently*.  At Window=K>1 the port
-// keeps K Transfer invocations in flight from K puller goroutines and
-// reassembles the batches in stream order using TransferReply.Base
+//   - Window is how many Transfers are kept in flight, one per helper.
+//
+// Stream order is preserved in both regimes.  At Window 1 at most one
+// Transfer is outstanding per InPort at any instant, so arrival order
+// is stream order and no sequencing is consulted; overlap comes from
+// pulling *ahead*, never from pulling *concurrently*.  At Window K>1 the
+// port reassembles the batches in stream order using TransferReply.Base
 // (the server-stamped stream offset), so the consumer still observes
-// exactly the sequential stream.  A windowed port must be its
-// channel's sole consumer — Base offsets are only dense in that case.
+// exactly the sequential stream.  A windowed port must be its channel's
+// sole consumer — Base offsets are only dense in that case; a Window 1
+// port may share its channel with competing readers.
 type InPort struct {
-	k       *kernel.Kernel
-	met     *metrics.Set
-	caller  *kernel.Caller
-	self    uid.UID
-	source  uid.UID
-	channel ChannelID
-	batch   int
-	pref    int
-	window  int
-	// ctrl, when non-nil, makes Transfer Max adaptive: the AIMD
-	// controller sizes every request between the configured bounds.
-	// Bounds that pin the size leave it nil and set batch instead.
-	ctrl *batchController
+	link
+	pref int
 
-	// req is the port's reusable Transfer request record for the
-	// single-outstanding paths (demand-driven and the lone prefetch
-	// puller); windowed pullers carry their own records.
+	// req is the consumer's own Transfer request record, reused by every
+	// exchange it runs inline; helpers carry their own, because several
+	// Transfers are on the wire at once.
 	req TransferRequest
 
 	mu sync.Mutex
@@ -70,29 +63,25 @@ type InPort struct {
 	// drains is compacted instead, once half the slice is dead.
 	pending   [][]byte
 	head      int
-	done      bool
-	err       error // nil for normal EOF
+	done      bool // the stream is over: link.failed() says how
 	cancelled bool
 
-	// background pull machinery (pref > 0 or window > 1)
-	ahead    chan pulled
-	pullerOn bool
-	stopPull chan struct{}
-	pullerWG sync.WaitGroup
+	// Read-ahead: helpers fill ahead until stop closes.  Both are nil
+	// while no helpers are attached.
+	ahead chan pulled
+	stop  chan struct{}
 
-	// windowed reassembly state (window > 1), guarded by mu.
-	nextBase  int64            // stream offset the consumer expects next; -1 until probed
+	// Reassembly state (window > 1), guarded by mu.
+	nextBase  int64            // stream offset the consumer expects next; -1 until anchored
 	streamLen int64            // total stream length once an End is seen; -1 before
 	reorder   map[int64]pulled // out-of-order batches keyed by Base
 
-	inflight        atomic.Int64 // Transfers currently on the wire (windowed)
-	transfersIssued atomic.Int64
-	itemsIn         atomic.Int64
+	itemsIn atomic.Int64
 }
 
-// pulled is one Transfer's worth of results moving from the puller
-// goroutine to the consumer.  rep, when set, is the reply record the
-// items alias; it is recycled once the items have been absorbed.
+// pulled is one Transfer's worth of results moving from a helper to the
+// consumer.  rep, when set, is the reply record the items alias; it is
+// recycled once the items have been absorbed.
 type pulled struct {
 	items  [][]byte
 	status Status
@@ -116,18 +105,11 @@ func releasePulled(res pulled) {
 // high-water array would hold that memory for as long as the port lives.
 const pendingKeep = 64
 
-// MaxWindow caps the flow-control window so that parked stream
-// invocations can never exhaust an Eject's kernel worker pool (32 by
-// default): a windowed port holds at most MaxWindow workers blocked at
-// the passive side.
-const MaxWindow = 16
-
 // InPortConfig parameterises an InPort.
 type InPortConfig struct {
 	// Batch is Max per Transfer; <=0 means 1.
 	Batch int
-	// Prefetch is the local read-ahead buffer in batches; <=0 means
-	// demand-driven.
+	// Prefetch is the local read-ahead queue in batches; <=0 means none.
 	Prefetch int
 	// Window is the number of Transfer invocations kept in flight
 	// concurrently.  <=1 preserves the classic one-outstanding
@@ -150,65 +132,26 @@ type InPortConfig struct {
 // them is the Unique Identifier of the Eject from which it is to
 // obtain its input", plus the channel identifier of §5).
 func NewInPort(k *kernel.Kernel, self, source uid.UID, channel ChannelID, cfg InPortConfig) *InPort {
-	if k == nil {
-		panic("transput: NewInPort requires a kernel")
-	}
-	pref := cfg.Prefetch
-	if pref < 0 {
-		pref = 0
-	}
-	window := cfg.Window
-	if window < 1 {
-		window = 1
-	}
-	if window > MaxWindow {
-		window = MaxWindow
-	}
-	met := k.Metrics()
-	ctrl, batch := newBatchController(cfg.Batch, cfg.BatchMin, cfg.BatchMax, &met.BatchSizeHighWater)
-	p := &InPort{
-		k:       k,
-		met:     met,
-		caller:  k.Caller(self),
-		self:    self,
-		source:  source,
-		channel: channel,
-		batch:   batch,
-		pref:    pref,
-		window:  window,
-		ctrl:    ctrl,
-		req:     TransferRequest{Channel: channel, Max: batch},
-	}
-	if window > 1 {
-		p.nextBase = -1
-		p.streamLen = -1
+	p := &InPort{pref: max(cfg.Prefetch, 0), nextBase: -1, streamLen: -1}
+	p.init(k, self, source, channel, OpTransfer, cfg.Batch, cfg.BatchMin, cfg.BatchMax, cfg.Window)
+	p.req = TransferRequest{Channel: channel, Max: p.batch}
+	if p.window > 1 {
 		p.reorder = make(map[int64]pulled)
 	}
 	return p
 }
 
 // Source returns the UID this port pulls from.
-func (p *InPort) Source() uid.UID { return p.source }
+func (p *InPort) Source() uid.UID { return p.peer }
 
 // Channel returns the channel identifier this port reads.
 func (p *InPort) Channel() ChannelID { return p.channel }
 
-// transfer issues one synchronous Transfer and normalises the result.
-func (p *InPort) transfer() pulled { return p.transferWith(&p.req) }
-
-// transferWith issues one synchronous Transfer using the given request
-// record.  Windowed pullers each own a record, because several
-// Transfers are on the wire at once.
-func (p *InPort) transferWith(req *TransferRequest) pulled {
-	asked := req.Max
-	var start time.Time
-	if p.ctrl != nil {
-		asked = p.ctrl.next()
-		req.Max = asked
-		start = time.Now()
-	}
-	p.transfersIssued.Add(1)
-	raw, err := p.caller.Invoke(p.source, OpTransfer, req)
+// transfer runs one Transfer exchange with the given request record and
+// normalises the result.
+func (p *InPort) transfer(req *TransferRequest) pulled {
+	req.Max = p.size()
+	raw, start, err := p.exchange(req)
 	if err != nil {
 		return pulled{err: err}
 	}
@@ -216,175 +159,125 @@ func (p *InPort) transferWith(req *TransferRequest) pulled {
 	if !ok {
 		return pulled{err: fmt.Errorf("transput: bad Transfer reply type %T", raw)}
 	}
-	switch rep.Status {
-	case StatusOK, StatusEnd:
-		if p.ctrl != nil {
-			p.ctrl.record(asked, len(rep.Items), time.Since(start))
-		}
-		return pulled{items: rep.Items, status: rep.Status, rep: rep, base: rep.Base}
-	default:
+	if rep.Status != StatusOK && rep.Status != StatusEnd {
 		// statusErr copies what it needs; the record can recycle now.
 		err := statusErr(rep.Status, rep.AbortMsg)
 		releaseTransferReply(rep)
 		return pulled{err: err}
 	}
+	p.settle(start, req.Max, len(rep.Items))
+	return pulled{items: rep.Items, status: rep.Status, rep: rep, base: rep.Base}
 }
 
-// startPullerLocked arms the anticipatory puller.  Caller holds p.mu.
-func (p *InPort) startPullerLocked() {
-	// The goroutine works on local copies of the channels: Redirect
-	// nils p.ahead (under p.mu) while the puller is still draining, so
-	// reading the fields from the closure would race.
-	ahead := make(chan pulled, p.pref)
+// attachLocked starts the read-ahead: window helpers, each keeping one
+// Transfer on the wire, all feeding one bounded queue that the last one
+// out closes, so a consumer blocked mid-stream (after Cancel) wakes up.
+// The queue parks Prefetch batches and has room besides for every other
+// helper's final End result, so helpers of a stream that ended normally
+// exit even if nobody reads them.  Caller holds p.mu; a windowed port
+// is already anchored (p.nextBase >= 0).
+func (p *InPort) attachLocked() {
+	// The helpers work on their own copies of the channels: Redirect and
+	// Cancel detach p.ahead (under p.mu) while helpers are still running.
+	ahead := make(chan pulled, p.pref+p.window-1)
 	stop := make(chan struct{})
-	p.ahead = ahead
-	p.stopPull = stop
-	p.pullerOn = true
-	p.pullerWG.Add(1)
-	go func() {
-		defer p.pullerWG.Done()
-		defer close(ahead)
+	p.ahead, p.stop = ahead, stop
+	p.start(p.window, func() {
+		req := TransferRequest{Channel: p.channel}
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			res := p.transfer()
+			res := p.transfer(&req)
 			select {
 			case ahead <- res:
 			case <-stop:
+				releasePulled(res)
 				return
 			}
 			if res.err != nil || res.status == StatusEnd {
 				return
 			}
 		}
-	}()
+	}, func() { close(ahead) })
 }
 
-// startWindowLocked arms the windowed pull engine: p.window puller
-// goroutines, each keeping one Transfer on the wire, all feeding one
-// bounded ahead channel.  The channel's capacity covers the worst-case
-// tail (every puller delivering its final End result after the
-// consumer has stopped reading), so pullers never leak.  Caller holds
-// p.mu and has already probed the stream (p.nextBase >= 0).
-func (p *InPort) startWindowLocked() {
-	ahead := make(chan pulled, p.window+p.pref)
-	stop := make(chan struct{})
-	p.ahead = ahead
-	p.stopPull = stop
-	p.pullerOn = true
-	var wg sync.WaitGroup
-	for i := 0; i < p.window; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			req := TransferRequest{Channel: p.channel, Max: p.batch}
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				depth := p.inflight.Add(1)
-				p.met.WindowDepthHighWater.Observe(depth)
-				res := p.transferWith(&req)
-				p.inflight.Add(-1)
-				select {
-				case ahead <- res:
-				case <-stop:
-					releasePulled(res)
-					return
-				}
-				if res.err != nil || res.status == StatusEnd {
-					return
-				}
-			}
-		}()
+// detachLocked tells the helpers to stop and hands their queue to the
+// caller, who — once the helpers have returned — ranges over it to
+// settle what they had fetched.  It returns nil when there are none.
+// Caller holds p.mu.
+func (p *InPort) detachLocked() chan pulled {
+	ahead := p.ahead
+	if ahead != nil {
+		close(p.stop)
+		p.ahead, p.stop = nil, nil
 	}
-	// A single closer waits for every puller, then closes ahead so a
-	// consumer blocked mid-stream (after Cancel) wakes up.  pullerWG
-	// tracks the closer, so Cancel/Redirect wait for the whole window.
-	p.pullerWG.Add(1)
-	go func() {
-		defer p.pullerWG.Done()
-		wg.Wait()
-		close(ahead)
-	}()
+	return ahead
 }
 
-// absorb integrates one pulled batch under p.mu.
+// absorbLocked integrates one pulled batch.  With one slot, arrival
+// order is stream order and the batch goes straight to pending — Base
+// is not consulted, so the port may share its channel.  With several, a
+// batch that is not the next in stream order is stashed by offset until
+// its predecessors have arrived.  Caller holds p.mu.
 func (p *InPort) absorbLocked(res pulled) {
 	if res.err != nil {
 		p.done = true
-		p.err = res.err
+		p.fail(res.err)
+		p.releaseStashLocked()
 		return
 	}
+	if p.window == 1 {
+		p.surfaceLocked(res)
+		p.done = res.status == StatusEnd
+		return
+	}
+	if p.nextBase < 0 {
+		p.nextBase = res.base // the first exchange anchors the stream
+	}
+	if res.status == StatusEnd {
+		p.streamLen = max(p.streamLen, res.base+int64(len(res.items)))
+	}
+	if res.base != p.nextBase {
+		// Duplicate bases can only be empty End replies (several helpers
+		// observing the end of the drained stream); keep one.
+		if old, ok := p.reorder[res.base]; ok {
+			releasePulled(old)
+		}
+		p.reorder[res.base] = res
+		p.met.MergeReorderHighWater.Observe(int64(len(p.reorder)))
+		return
+	}
+	// In order: surface it, and whatever it was holding back.  (An empty
+	// End reply does not advance the offset, and nothing else is stashed
+	// at it.)
+	for ok := true; ok; {
+		p.surfaceLocked(res)
+		p.nextBase += int64(len(res.items))
+		if res, ok = p.reorder[p.nextBase]; ok {
+			delete(p.reorder, p.nextBase)
+		}
+	}
+	if p.streamLen >= 0 && p.nextBase >= p.streamLen {
+		p.done = true
+		p.releaseStashLocked() // empty End stragglers, if any
+	}
+}
+
+// surfaceLocked appends a batch that is next in stream order to pending
+// and recycles its reply record.  Caller holds p.mu.
+func (p *InPort) surfaceLocked(res pulled) {
 	p.pending = append(p.pending, res.items...)
 	if res.rep != nil {
 		releaseTransferReply(res.rep)
 	}
-	if res.status == StatusEnd {
-		p.done = true
-	}
 }
 
-// absorbWindowedLocked integrates one windowed result: batches are
-// stashed by stream offset and released to pending in order.  Caller
-// holds p.mu.
-func (p *InPort) absorbWindowedLocked(res pulled) {
-	if res.err != nil {
-		p.done = true
-		p.err = res.err
-		p.releaseReorderLocked()
-		return
-	}
-	if res.status == StatusEnd {
-		if end := res.base + int64(len(res.items)); p.streamLen < 0 || end > p.streamLen {
-			p.streamLen = end
-		}
-	}
-	// Duplicate bases can only be empty End replies (several pullers
-	// observing the end of the drained stream); keep one.
-	if old, ok := p.reorder[res.base]; ok {
-		releasePulled(old)
-	}
-	p.reorder[res.base] = res
-	p.advanceLocked()
-	if n := len(p.reorder); n > 0 {
-		p.met.MergeReorderHighWater.Observe(int64(n))
-	}
-}
-
-// advanceLocked drains the reorder buffer's contiguous prefix into
-// pending and marks the stream done once everything up to the End
-// offset has been surfaced.  Caller holds p.mu.
-func (p *InPort) advanceLocked() {
-	for {
-		res, ok := p.reorder[p.nextBase]
-		if !ok {
-			break
-		}
-		delete(p.reorder, p.nextBase)
-		p.pending = append(p.pending, res.items...)
-		if res.rep != nil {
-			releaseTransferReply(res.rep)
-		}
-		if len(res.items) == 0 {
-			break // empty End reply: the offset does not advance
-		}
-		p.nextBase += int64(len(res.items))
-	}
-	if p.streamLen >= 0 && p.nextBase >= p.streamLen {
-		p.done = true
-		p.releaseReorderLocked() // empty End stragglers, if any
-	}
-}
-
-// releaseReorderLocked recycles and discards every stashed batch.
+// releaseStashLocked recycles and discards every stashed batch.
 // Caller holds p.mu.
-func (p *InPort) releaseReorderLocked() {
+func (p *InPort) releaseStashLocked() {
 	for base, res := range p.reorder {
 		releasePulled(res)
 		delete(p.reorder, base)
@@ -420,88 +313,39 @@ func (p *InPort) Next() ([]byte, error) {
 			return item, nil
 		}
 		if p.done {
-			if p.err != nil {
-				return nil, p.err
+			if err := p.failed(); err != nil {
+				return nil, err
 			}
 			return nil, io.EOF
 		}
-		if p.window > 1 {
-			if p.nextBase < 0 {
-				// Probe: one synchronous Transfer learns the stream
-				// offset this port starts at, so the reorder logic has
-				// an anchor before concurrent pulls begin.
-				p.mu.Unlock()
-				res := p.transfer()
-				p.mu.Lock()
-				if p.done && p.err != nil {
-					releasePulled(res)
-					continue // cancelled while waiting
-				}
-				if res.err == nil {
-					p.nextBase = res.base + int64(len(res.items))
-					if res.status == StatusEnd {
-						p.streamLen = p.nextBase
-					}
-				}
-				p.absorbLocked(res)
-				continue
-			}
-			if !p.pullerOn {
-				p.startWindowLocked()
+		var res pulled
+		open := true
+		if p.window == 1 && p.pref == 0 || p.window > 1 && p.nextBase < 0 {
+			// Inline: the exchange runs on the consumer's own goroutine,
+			// without the lock so Cancel can proceed.  That is every
+			// exchange of a demand-driven port, and the first of a
+			// windowed one, which learns the stream offset it starts at
+			// before concurrent replies have to be ordered against it.
+			p.mu.Unlock()
+			res = p.transfer(&p.req)
+			p.mu.Lock()
+		} else {
+			if p.ahead == nil {
+				p.attachLocked()
 			}
 			ahead := p.ahead
 			p.mu.Unlock()
-			res, ok := <-ahead
+			res, open = <-ahead
 			p.mu.Lock()
-			if p.done && p.err != nil {
-				if ok {
-					releasePulled(res)
-				}
-				continue // cancelled while waiting
-			}
-			if !ok {
-				if !p.done {
-					p.done = true
-				}
-				continue
-			}
-			p.absorbWindowedLocked(res)
-			continue
 		}
-		if p.pref > 0 {
-			if !p.pullerOn {
-				p.startPullerLocked()
-			}
-			ahead := p.ahead
-			p.mu.Unlock()
-			res, ok := <-ahead
-			p.mu.Lock()
-			if p.done && p.err != nil {
-				if ok {
-					releasePulled(res)
-				}
-				continue // cancelled while waiting
-			}
-			if !ok {
-				// Puller exited without a final status (cancelled).
-				if !p.done {
-					p.done = true
-				}
-				continue
-			}
-			p.absorbLocked(res)
-			continue
-		}
-		// Demand-driven: one synchronous Transfer, issued without
-		// holding the lock so Cancel can proceed.
-		p.mu.Unlock()
-		res := p.transfer()
-		p.mu.Lock()
-		if p.done && p.err != nil {
+		switch {
+		case p.done: // cancelled while waiting
 			releasePulled(res)
-			continue // cancelled while waiting
+		case !open: // the helpers left without a final status
+			p.done = true
+		default:
+			p.absorbLocked(res)
 		}
-		p.absorbLocked(res)
 	}
 }
 
@@ -516,54 +360,36 @@ func (p *InPort) Cancel(msg string) {
 		return
 	}
 	p.cancelled = true
-	if p.done {
-		// The stream already ended normally (or failed); there is
-		// nothing upstream to release, and sending an Abort would
-		// pollute the invocation counts the experiments measure.
-		ahead := p.ahead
-		p.mu.Unlock()
-		p.pullerWG.Wait()
-		p.drainAhead(ahead)
-		return
+	live := !p.done
+	if live {
+		p.done = true
+		p.fail(&AbortedError{Msg: msg})
+		wire.ReleaseAll(p.pending[p.head:]) // undelivered items die with the stream
+		p.pending, p.head = nil, 0
+		p.releaseStashLocked()
 	}
-	p.done = true
-	if p.err == nil {
-		p.err = &AbortedError{Msg: msg}
-	}
-	wire.ReleaseAll(p.pending[p.head:]) // undelivered items die with the stream
-	p.pending, p.head = nil, 0
-	if p.reorder != nil {
-		p.releaseReorderLocked()
-	}
-	ahead := p.ahead
-	if p.pullerOn {
-		close(p.stopPull)
-	}
+	ahead := p.detachLocked()
 	p.mu.Unlock()
-	// The abort wakes any Transfer worker parked on the channel
-	// (including our own in-flight pull).
-	_, _ = p.caller.Invoke(p.source, OpAbort, &AbortRequest{Channel: p.channel, Msg: msg})
-	p.pullerWG.Wait()
-	p.drainAhead(ahead)
-}
-
-// drainAhead releases results the pullers parked in the read-ahead
-// buffer after the consumer stopped taking them.  Unlike Redirect
-// (which salvages arrived data for the new stream), a cancelled port
-// has no further consumer, so everything still buffered dies here.
-// The channel is closed once pullerWG settles, so the drain ends.
-func (p *InPort) drainAhead(ahead chan pulled) {
-	if ahead == nil {
-		return
+	// A stream that already ended normally (or failed) has nothing
+	// upstream to release, and sending an Abort would pollute the
+	// invocation counts the experiments measure.
+	if live {
+		_ = p.abort(msg)
 	}
-	for res := range ahead {
-		releasePulled(res)
+	p.helpers.Wait()
+	// Unlike Redirect (which salvages arrived data for the new stream), a
+	// cancelled port has no further consumer, so everything the helpers
+	// parked dies here.
+	if ahead != nil {
+		for res := range ahead {
+			releasePulled(res)
+		}
 	}
 }
 
 // TransfersIssued reports how many Transfer invocations this port has
 // sent; the E1–E4 experiments derive invocations-per-datum from it.
-func (p *InPort) TransfersIssued() int64 { return p.transfersIssued.Load() }
+func (p *InPort) TransfersIssued() int64 { return p.issued.Load() }
 
 // ItemsRead reports how many items the consumer has taken.
 func (p *InPort) ItemsRead() int64 { return p.itemsIn.Load() }

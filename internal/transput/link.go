@@ -1,0 +1,158 @@
+package transput
+
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"asymstream/internal/kernel"
+	"asymstream/internal/metrics"
+	"asymstream/internal/uid"
+)
+
+// This file states the active half of the paper's duality once, the way
+// channel.go states the passive half.  §5 calls write-only transput "the
+// exact dual" of read-only: the same exchange with the initiative
+// reversed.  An active port is therefore one windowed exchange loop,
+// parameterised by the operation it invokes — that is, by which message
+// of the exchange carries the data — and the two active entities are
+// faces over it:
+//
+//	face    operation  data rides   stream order kept by     throttled by
+//	InPort  Transfer   the reply    the port (reply Base)    the read-ahead queue
+//	Pusher  Deliver    the request  the sink (request Seq)   the sink's credits
+//
+// The link owns what does not depend on that choice: whom the exchanges
+// go to, how large and how many at once, the exchange itself with its
+// metering, the helper goroutines that keep a window of exchanges in
+// flight, the stream's first error, and the abort that tells the peer
+// the stream is over.  How many exchanges overlap is a matter of who
+// runs them, not of a different implementation: with no helper the
+// port's own caller runs each exchange inline (stop-and-wait, and with
+// the kernel's caller-runs invocation one goroutine end to end); one
+// helper is read-ahead; K helpers are a window of K.
+
+// MaxWindow caps the flow-control window so that parked stream
+// invocations can never exhaust an Eject's kernel worker pool (32 by
+// default): a windowed port holds at most MaxWindow workers blocked at
+// the passive side.
+const MaxWindow = 16
+
+// link is the engine under an active port.
+type link struct {
+	met     *metrics.Set
+	caller  *kernel.Caller
+	op      string // OpTransfer or OpDeliver
+	peer    uid.UID
+	channel ChannelID
+	// batch is the fixed exchange size.  ctrl, when non-nil, makes it
+	// adaptive: the AIMD controller sizes every exchange between the
+	// configured bounds.  Bounds that pin the size leave ctrl nil.
+	batch  int
+	ctrl   *batchController
+	window int // exchanges kept in flight, 1..MaxWindow
+
+	issued   atomic.Int64
+	inflight atomic.Int64 // exchanges on the wire right now (window > 1)
+
+	helpers sync.WaitGroup
+	left    atomic.Int32 // helpers of the current start still running
+
+	// err is the stream's first failure, nil while it has none.  Helpers
+	// set it and every Put reads it, under no lock of the port's.
+	err atomic.Pointer[error]
+}
+
+// init resolves an active port's configuration.  self identifies the
+// invoking Eject (uid.Nil for external drivers such as device pumps or
+// tests); peer and channel name the stream's passive end.
+func (l *link) init(k *kernel.Kernel, self, peer uid.UID, channel ChannelID, op string, batch, batchMin, batchMax, window int) {
+	if k == nil {
+		panic("transput: an active port requires a kernel")
+	}
+	l.met = k.Metrics()
+	l.caller = k.Caller(self)
+	l.op, l.peer, l.channel = op, peer, channel
+	l.ctrl, l.batch = newBatchController(batch, batchMin, batchMax, &l.met.BatchSizeHighWater)
+	l.window = min(max(window, 1), MaxWindow)
+}
+
+// size is the exchange size in force: the Max of the next Transfer, the
+// batch a Deliver fills toward.
+func (l *link) size() int {
+	if l.ctrl != nil {
+		return l.ctrl.next()
+	}
+	return l.batch
+}
+
+// exchange issues one synchronous invocation of the link's operation
+// and returns the peer's reply with the instant the exchange began
+// (read only when a controller will want the sample).  Every caller
+// blocks for its reply: a window is several callers, never an
+// asynchronous invocation.
+func (l *link) exchange(req any) (any, time.Time, error) {
+	var start time.Time
+	if l.ctrl != nil {
+		start = time.Now()
+	}
+	l.issued.Add(1)
+	if l.window > 1 {
+		l.met.WindowDepthHighWater.Observe(l.inflight.Add(1))
+	}
+	raw, err := l.caller.Invoke(l.peer, l.op, req)
+	if l.window > 1 {
+		l.inflight.Add(-1)
+	}
+	return raw, start, err
+}
+
+// settle feeds a completed exchange to the controller: asked is the
+// size it aimed for, got how many items it moved.
+func (l *link) settle(start time.Time, asked, got int) {
+	if l.ctrl != nil && got > 0 {
+		l.ctrl.record(asked, got, time.Since(start))
+	}
+}
+
+// start launches n helper goroutines, each running body until it
+// returns; the last one out runs then (nil for nothing).  Whoever ends
+// the stream waits on helpers, and only then may start again.
+func (l *link) start(n int, body func(), then func()) {
+	l.left.Store(int32(n))
+	l.helpers.Add(n)
+	for range n {
+		go func() {
+			defer l.helpers.Done()
+			body()
+			if l.left.Add(-1) == 0 && then != nil {
+				then()
+			}
+		}()
+	}
+}
+
+// fail records the stream's failure; the first one sticks.
+func (l *link) fail(err error) { l.err.CompareAndSwap(nil, &err) }
+
+// failed returns the stream's failure, if any.
+func (l *link) failed() error {
+	if e := l.err.Load(); e != nil {
+		return *e
+	}
+	return nil
+}
+
+// retarget points the link at a new stream, which starts unfailed.  No
+// exchange may be in flight.
+func (l *link) retarget(peer uid.UID, channel ChannelID) {
+	l.peer, l.channel = peer, channel
+	l.err.Store(nil)
+}
+
+// abort tells the peer the stream is over, waking whatever is parked on
+// the channel there — this port's own in-flight exchanges included.
+func (l *link) abort(msg string) error {
+	_, err := l.caller.Invoke(l.peer, OpAbort, &AbortRequest{Channel: l.channel, Msg: msg})
+	return err
+}

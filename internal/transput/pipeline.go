@@ -100,8 +100,8 @@ type Options struct {
 	// Window is the number of stream invocations kept in flight per
 	// link (clamped to [1, MaxWindow]).  At 1 (the default) every link
 	// is stop-and-wait, the paper's model; above 1 the active side
-	// overlaps round trips — pullers in the read-only and buffered
-	// disciplines, a WOOutPort send window in the write-only one.
+	// overlaps round trips, keeping Window Transfers (InPort) or Delivers
+	// (Pusher) in flight from as many helper goroutines.
 	Window int
 	// Shards is the default replication degree for every filter body
 	// (<=1 means sequential); Filter.Shards overrides per filter.
@@ -197,21 +197,6 @@ func channelNames(prefix string, n int) []string {
 type endpoint struct {
 	u uid.UID
 	c ChannelID
-}
-
-// newActiveOut builds the active-output port for one link: a Pusher
-// when the link is stop-and-wait, a WOOutPort when a send window is
-// requested.
-func newActiveOut(k *kernel.Kernel, self, target uid.UID, ch ChannelID, opt Options) ItemWriter {
-	if opt.Window > 1 {
-		return NewWOOutPort(k, self, target, ch, WOOutPortConfig{
-			Batch: opt.Batch, Window: opt.Window,
-			BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
-		})
-	}
-	return NewPusher(k, self, target, ch, PusherConfig{
-		Batch: opt.Batch, BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
-	})
 }
 
 // Pipeline is a built, runnable pipeline and its Eject inventory.
@@ -545,6 +530,10 @@ func buildWriteOnly(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc
 	}
 	p := &Pipeline{K: k, Discipline: WriteOnly}
 	slab := p.frameSlab(met, counts)
+	outCfg := PusherConfig{
+		Batch: opt.Batch, Window: opt.Window,
+		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
+	}
 	woCfg := func(name string, ins int, fused bool) WOStageConfig {
 		cfg := WOStageConfig{
 			Name:           name,
@@ -604,7 +593,7 @@ func buildWriteOnly(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc
 			rowUIDs := make([]uid.UID, 0, P)
 			for j := 0; j < P; j++ {
 				fUID := k.NewUID()
-				out := newActiveOut(k, fUID, next[j].u, next[j].c, opt)
+				out := NewPusher(k, fUID, next[j].u, next[j].c, outCfg)
 				loads[j] = new(atomic.Int64)
 				st := NewWOStage(k, woCfg(fmt.Sprintf("%s#%d", f.Name, j), 1, false),
 					shardBody(met, slab, loads[j], f.Body), out)
@@ -628,7 +617,7 @@ func buildWriteOnly(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc
 		body := detachBody(f.Body)
 		outs := make([]ItemWriter, len(next))
 		for j := range next {
-			outs[j] = newActiveOut(k, fUID, next[j].u, next[j].c, opt)
+			outs[j] = NewPusher(k, fUID, next[j].u, next[j].c, outCfg)
 		}
 		if len(next) > 1 {
 			body = splitBody(met, slab, body)
@@ -659,7 +648,7 @@ func buildWriteOnly(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc
 	srcUID := k.NewUID()
 	outs := make([]ItemWriter, len(next))
 	for j := range next {
-		outs[j] = newActiveOut(k, srcUID, next[j].u, next[j].c, opt)
+		outs[j] = NewPusher(k, srcUID, next[j].u, next[j].c, outCfg)
 	}
 	srcBody := func(_ []ItemReader, outs []ItemWriter) error {
 		return src(outs[0])
@@ -693,6 +682,10 @@ func buildBuffered(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc,
 	slab := p.frameSlab(met, counts)
 	inCfg := InPortConfig{
 		Batch: opt.Batch, Prefetch: opt.Prefetch, Window: opt.Window,
+		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
+	}
+	outCfg := PusherConfig{
+		Batch: opt.Batch, Window: opt.Window,
 		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
 	}
 
@@ -739,7 +732,7 @@ func buildBuffered(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc,
 	srcUID := k.NewUID()
 	srcOuts := make([]ItemWriter, len(bufs[0]))
 	for j, b := range bufs[0] {
-		srcOuts[j] = newActiveOut(k, srcUID, b, Chan(0), opt)
+		srcOuts[j] = NewPusher(k, srcUID, b, Chan(0), outCfg)
 	}
 	srcBody := func(_ []ItemReader, outs []ItemWriter) error {
 		return src(outs[0])
@@ -765,7 +758,7 @@ func buildBuffered(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc,
 			for j := 0; j < P; j++ {
 				fUID := k.NewUID()
 				in := NewInPort(k, fUID, bufs[i][j], Chan(0), inCfg)
-				out := newActiveOut(k, fUID, bufs[i+1][j], Chan(0), opt)
+				out := NewPusher(k, fUID, bufs[i+1][j], Chan(0), outCfg)
 				loads[j] = new(atomic.Int64)
 				st := NewConvStage(fmt.Sprintf("%s#%d", f.Name, j),
 					shardBody(met, slab, loads[j], f.Body),
@@ -790,7 +783,7 @@ func buildBuffered(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc,
 		}
 		outs := make([]ItemWriter, len(bufs[i+1]))
 		for j, b := range bufs[i+1] {
-			outs[j] = newActiveOut(k, fUID, b, Chan(0), opt)
+			outs[j] = NewPusher(k, fUID, b, Chan(0), outCfg)
 		}
 		if len(ins) > 1 {
 			body = mergeBody(met, body)

@@ -13,8 +13,13 @@
 //
 //   - The "write only" discipline is the exact dual: active output +
 //     passive input.  A producer invokes Deliver on its sink; the sink
-//     responds by accepting the data.  Types: WOOutPort (active
-//     output) and WOInPort (passive input).
+//     responds by accepting the data.  Types: Pusher (active output)
+//     and WOInPort (passive input).
+//
+//     The two active types are faces over one windowed exchange engine
+//     (link.go), as the three passive ones are over one channel record
+//     (channel.go): stop-and-wait is that engine at Window 1, run on the
+//     port's own caller.
 //
 //   - The conventional discipline (the Unix model transliterated into
 //     Eden, the paper's baseline) uses both active operations with a
@@ -199,9 +204,9 @@ type DeliverRequest struct {
 	// End marks this writer's final delivery.  Items may accompany it.
 	End bool
 	// Writer identifies the active-output port when it keeps several
-	// Deliver invocations in flight (the windowed WOOutPort).  The sink
+	// Deliver invocations in flight (a Pusher at Window > 1).  The sink
 	// serialises deliveries per writer by Seq, so concurrency cannot
-	// reorder the stream.  A nil Writer (the classic Pusher, one
+	// reorder the stream.  A nil Writer (a Pusher at Window 1, one
 	// outstanding Deliver) bypasses sequencing entirely.
 	Writer uid.UID
 	// Seq numbers this writer's deliveries from 0; the End delivery

@@ -1,8 +1,6 @@
 package transput
 
-import (
-	"asymstream/internal/uid"
-)
+import "asymstream/internal/uid"
 
 // Dynamic stream redirection — §8: "Redirection of input and output
 // can be provided very naturally in a system where each entity is
@@ -32,107 +30,72 @@ func (p *InPort) Redirect(source uid.UID, channel ChannelID, msg string) error {
 		p.mu.Unlock()
 		return ErrClosed
 	}
-	oldSource, oldChannel := p.source, p.channel
-	oldDone := p.done
-	pullerWasOn := p.pullerOn
-	var oldAhead chan pulled
-	if pullerWasOn {
-		close(p.stopPull)
-		p.pullerOn = false
-		oldAhead = p.ahead
-		p.ahead = nil
-	}
+	live := !p.done
+	ahead := p.detachLocked()
 	p.mu.Unlock()
 
 	// Release anything parked at the old source (our own in-flight
-	// prefetch, or the producer blocked on a full buffer).  Skip the
+	// read-ahead, or the producer blocked on a full buffer).  Skip the
 	// abort when the old stream already ended: there is nothing to
 	// release and the control invocation would distort the counts.
-	if !oldDone {
+	if live {
 		if msg == "" {
 			msg = "redirected"
 		}
-		_, _ = p.k.Invoke(p.self, oldSource, OpAbort, &AbortRequest{Channel: oldChannel, Msg: msg})
+		_ = p.abort(msg)
 	}
-	if pullerWasOn {
-		p.pullerWG.Wait()
-	}
+	p.helpers.Wait()
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Salvage data the pullers had already fetched before the abort
-	// reached the old source — arrived data is kept, per the contract.
-	if oldAhead != nil {
-		if p.window > 1 {
-			// Windowed: batches arrive out of order, so reassemble the
-			// contiguous prefix from the expected offset.  A batch
-			// beyond a gap is indistinguishable from one that never
-			// arrived (its predecessor was lost to the abort), so it is
-			// discarded rather than surfaced out of order.
-			for res := range oldAhead {
-				if res.err != nil {
-					continue
-				}
-				if old, ok := p.reorder[res.base]; ok && old.rep != nil {
-					releaseTransferReply(old.rep)
-				}
-				p.reorder[res.base] = res
-			}
-			for {
-				res, ok := p.reorder[p.nextBase]
-				if !ok || len(res.items) == 0 {
-					break
-				}
-				delete(p.reorder, p.nextBase)
-				p.pending = append(p.pending, res.items...)
-				if res.rep != nil {
-					releaseTransferReply(res.rep)
-				}
-				p.nextBase += int64(len(res.items))
-			}
-			p.releaseReorderLocked()
-		} else {
-			for res := range oldAhead {
-				if res.err == nil {
-					p.pending = append(p.pending, res.items...)
-					if res.rep != nil {
-						releaseTransferReply(res.rep)
-					}
-				}
+	// Salvage data the helpers had already fetched before the abort
+	// reached the old source — arrived data is kept, per the contract —
+	// through the same absorb that orders a live stream.  A windowed
+	// batch beyond a gap is indistinguishable from one that never
+	// arrived (its predecessor was lost to the abort), so what is still
+	// stashed afterwards is discarded rather than surfaced out of order.
+	if ahead != nil {
+		for res := range ahead {
+			if res.err == nil {
+				p.absorbLocked(res)
 			}
 		}
 	}
-	p.source = source
-	p.channel = channel
+	p.releaseStashLocked()
+	p.retarget(source, channel)
 	p.req.Channel = channel // the reused request must follow the retarget
 	p.done = false
-	p.err = nil
-	if p.window > 1 {
-		// The new stream has its own offsets: re-anchor via a fresh
-		// probe on the next read.
-		p.nextBase = -1
-		p.streamLen = -1
-	}
+	// The new stream has its own offsets: a windowed port re-anchors on
+	// its next read.
+	p.nextBase, p.streamLen = -1, -1
 	return nil
 }
 
-// Redirect retargets a Pusher at a new sink/channel.  Any buffered
-// partial batch is flushed to the OLD target first (those items were
-// written before the redirection), and the old channel is left open —
-// in the write-only discipline a sink must expect its writers to come
-// and go; End is only sent by Close.  A closed pusher cannot be
-// redirected.
+// Redirect retargets a Pusher at a new sink/channel.  Everything written
+// so far goes to the OLD target first (those items were written before
+// the redirection): the partial batch is flushed and, on a windowed
+// pusher, the send window drained.  The old channel is left open — in
+// the write-only discipline a sink must expect its writers to come and
+// go; End is only sent by Close.  The new stream numbers its deliveries
+// from 0 under a fresh Writer UID.  A closed pusher cannot be
+// redirected, nor one whose stream has failed.
 func (w *Pusher) Redirect(target uid.UID, channel ChannelID) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	if err := w.flushLocked(false); err != nil {
+	_ = w.flushLocked(false, w.size()) // a failure here is the stream's: the drain reports it
+	if err := w.drainLocked(); err != nil {
 		return err
 	}
-	w.target = target
-	w.channel = channel
+	w.retarget(target, channel)
 	w.req.Channel = channel // the reused request must follow the retarget
+	if w.window > 1 {
+		w.writer, w.seq = w.k.NewUID(), 0
+		w.credMu.Lock()
+		w.sendNext = 0
+		w.credMu.Unlock()
+	}
 	return nil
 }

@@ -5,10 +5,8 @@ package transput
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"asymstream/internal/kernel"
-	"asymstream/internal/metrics"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -21,8 +19,11 @@ import (
 // process would respond to incoming Write invocations and use the data
 // thus obtained to fill the same buffer."
 //
-// WOInPort is that internal buffer plus the responder (passive input);
-// Pusher is the active-output client that issues Deliver invocations.
+// WOInPort is that internal buffer plus the responder (passive input),
+// a face over the one channel record (channel.go); Pusher is the
+// active-output client that issues Deliver invocations, a face over the
+// one active engine (link.go) — stop-and-wait at Window 1, a credit-gated
+// send window above it.
 //
 // The duality of fan-in/fan-out is visible directly in the code: a
 // WOInPort channel cannot tell its writers apart (deliveries merge
@@ -171,32 +172,79 @@ var _ ItemReader = (*ChannelReader)(nil)
 // Pusher is the active-output client: it issues Deliver invocations
 // against a target Eject's input channel.  It implements ItemWriter.
 // One Eject may hold many Pushers — that is the write-only
-// discipline's arbitrary fan-out (Figure 3).
+// discipline's arbitrary fan-out (Figure 3).  It is the face of the
+// active engine (link.go) whose data rides the *request*, and adds only
+// what that needs: the per-writer sequence ticket, the credit gate, and
+// the batch freelist.
+//
+// At Window 1 (the default) the producer's own goroutine runs every
+// Deliver inline and blocks on the reply — that is its back pressure —
+// so Put, Flush and Close report the delivery's own error.  Deliveries
+// carry no Writer and the sink sequences nothing.
+//
+// At Window K>1 up to K Deliver invocations are in flight at once, one
+// per helper, overlapping round-trip latency the same way the InPort's
+// window overlaps Transfer latency.  Order is preserved by the protocol,
+// not by the port: every delivery carries the port's Writer UID and a
+// sequence number, and the passive side (WOInPort or PassiveBuffer)
+// holds a delivery until its Seq is the writer's next expected one.
+// Concurrency therefore cannot reorder the stream, and the End mark —
+// carrying the final sequence number — is applied after every data
+// delivery.  A delivery failure anywhere in the window is reported on
+// the next Put, and by Close, which drains the window.
+//
+// Flow control in the window is credit-based: each DeliverReply reports
+// how many more items the sink could buffer (Credits).  The port shrinks
+// its effective window when credits run low, so it does not park sink
+// workers on a full buffer; at least one delivery is always allowed,
+// which is how the window re-learns the credit level.
 type Pusher struct {
-	k       *kernel.Kernel
-	met     *metrics.Set
-	caller  *kernel.Caller
-	self    uid.UID
-	target  uid.UID
-	channel ChannelID
-	batch   int
-	// ctrl, when non-nil, sizes batches adaptively (AIMD) instead of
-	// the fixed batch.
-	ctrl *batchController
+	link
+	k *kernel.Kernel // mints Writer UIDs
 
+	// Producer state.  Producers (Put/Flush/Close/Redirect) hold mu across
+	// an inline delivery — blocking there is exactly the back pressure the
+	// protocol intends — and may block on sendq while holding it; helpers
+	// never take mu, so that block always drains.
 	mu      sync.Mutex
 	pending [][]byte
 	closed  bool
 
-	// req is the pusher's reusable Deliver request record.  At most
-	// one Deliver is outstanding per Pusher (flushLocked runs under
-	// w.mu) and the server copies items into its buffer before
-	// replying, so the record and the pending backing array are both
-	// safe to reuse once Invoke returns.
+	// req is the producer's own Deliver request record, reused by every
+	// exchange it runs inline.  Only one is outstanding (flushLocked runs
+	// under mu) and the server copies the item references into its buffer
+	// before replying, so the record and the pending backing array are
+	// both safe to reuse once the exchange returns.  Its Writer is nil.
 	req DeliverRequest
 
-	deliversIssued int64
-	itemsOut       int64
+	// Send window (window > 1).  sendq is nil while no helpers are
+	// attached: they start with the first delivery and leave at a drain.
+	writer uid.UID
+	seq    uint64
+	sendq  chan deliverJob
+	free   chan [][]byte // recycled batch backing arrays
+
+	// Credit gate.  active counts deliveries currently on the wire;
+	// limit is the credit-adjusted window (1..window); sendNext forces
+	// wire slots to be acquired in sequence order, which guarantees the
+	// lowest in-flight seq is never held by the server's sequencing
+	// gate (its predecessors have all been applied) — without it, a
+	// shrunken window could give its only slot to an out-of-order
+	// delivery whose reply the server withholds, deadlocking the port.
+	// With one slot the gate is vacuous and the inline path skips it.
+	credMu   sync.Mutex
+	credCond *sync.Cond
+	active   int
+	limit    int
+	sendNext uint64
+}
+
+// deliverJob is one batch on its way to the sink.
+type deliverJob struct {
+	items [][]byte
+	seq   uint64
+	end   bool
+	asked int // batch size the producer was aiming for (adaptive feedback)
 }
 
 // PusherConfig parameterises a Pusher.
@@ -204,6 +252,9 @@ type PusherConfig struct {
 	// Batch is the number of items per Deliver; <=0 means 1 (the
 	// paper-faithful count of one datum per invocation).
 	Batch int
+	// Window is the number of Deliver invocations kept in flight;
+	// clamped to [1, MaxWindow].
+	Window int
 	// BatchMax > 0 makes the batch size adaptive within
 	// [max(1, BatchMin), BatchMax], overriding Batch (see InPortConfig).
 	BatchMin int
@@ -212,77 +263,154 @@ type PusherConfig struct {
 
 // NewPusher creates an active-output port pushing to target's channel.
 func NewPusher(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg PusherConfig) *Pusher {
-	if k == nil {
-		panic("transput: NewPusher requires a kernel")
+	w := &Pusher{k: k, req: DeliverRequest{Channel: channel}}
+	w.init(k, self, target, channel, OpDeliver, cfg.Batch, cfg.BatchMin, cfg.BatchMax, cfg.Window)
+	if w.window > 1 {
+		w.writer = k.NewUID()
+		w.free = make(chan [][]byte, w.window+1) // every helper's array, and the producer's
+		w.credCond = sync.NewCond(&w.credMu)
+		w.limit = w.window
 	}
-	met := k.Metrics()
-	ctrl, batch := newBatchController(cfg.Batch, cfg.BatchMin, cfg.BatchMax, &met.BatchSizeHighWater)
-	return &Pusher{
-		k:       k,
-		met:     met,
-		caller:  k.Caller(self),
-		self:    self,
-		target:  target,
-		channel: channel,
-		batch:   batch,
-		ctrl:    ctrl,
-		req:     DeliverRequest{Channel: channel},
-	}
+	return w
 }
 
 // Target returns the UID this pusher delivers to.
-func (w *Pusher) Target() uid.UID { return w.target }
+func (w *Pusher) Target() uid.UID { return w.peer }
 
 // Channel returns the channel identifier this pusher delivers on.
 func (w *Pusher) Channel() ChannelID { return w.channel }
 
-// flushLocked sends pending items (and optionally End).  Caller holds
-// w.mu; the invocation itself runs without the lock is NOT needed —
-// blocking here is exactly the back pressure the protocol intends.
-func (w *Pusher) flushLocked(end bool) error {
+// deliver runs one Deliver exchange carrying job, using the given
+// request record, and returns the sink's credit grant (-1 with an
+// error, which is also recorded as the stream's).
+func (w *Pusher) deliver(req *DeliverRequest, job deliverJob) (int, error) {
+	req.Items, req.Seq, req.End = job.items, job.seq, job.end
+	raw, start, err := w.exchange(req)
+	req.Items = nil
+	rep, ok := raw.(*DeliverReply)
+	switch {
+	case err != nil:
+		// The invocation never reached the sink; the batch dies here.
+		// (On a non-OK reply the sink owns the cleanup of whatever it did
+		// not absorb; on success it has absorbed the item references — or,
+		// across an encoded node hop, the decoded copies superseded them
+		// and the link released any views.)
+		wire.ReleaseAll(job.items)
+	case !ok:
+		err = fmt.Errorf("transput: bad Deliver reply type %T", raw)
+	case rep.Status != StatusOK:
+		err = statusErr(rep.Status, rep.AbortMsg) // copies the message
+	default:
+		credits := rep.Credits
+		releaseDeliverReply(rep)
+		w.settle(start, job.asked, len(job.items))
+		return credits, nil
+	}
+	w.fail(err)
+	return -1, err
+}
+
+// send is one of the window's helpers: it takes batches off q and keeps
+// one synchronous Deliver on the wire, gated by the sink's credits.
+func (w *Pusher) send(q <-chan deliverJob) {
+	req := DeliverRequest{Channel: w.channel, Writer: w.writer}
+	for job := range q {
+		// Once the stream has failed, later batches (and the End mark) are
+		// dropped — the sink's abort released any gated deliveries.  The
+		// slot sequence still advances so helpers parked on seq order do
+		// not stall.
+		live := w.failed() == nil
+		w.credMu.Lock()
+		for w.sendNext != job.seq || live && w.active >= w.limit {
+			w.credCond.Wait()
+		}
+		w.sendNext++
+		if live {
+			w.active++
+		}
+		w.credCond.Broadcast() // the next seq may proceed concurrently
+		w.credMu.Unlock()
+		if !live {
+			wire.ReleaseAll(job.items)
+			w.recycle(job.items)
+			continue
+		}
+
+		credits, _ := w.deliver(&req, job)
+		w.recycle(job.items)
+
+		w.credMu.Lock()
+		w.active--
+		if credits >= 0 {
+			// Credit rule: leave the sink at least one batch of slack
+			// per in-flight delivery; never stall completely, so the
+			// next reply can raise the limit again.
+			lim := 1 + credits/w.size()
+			if lim > w.window {
+				lim = w.window
+			}
+			w.limit = lim
+		}
+		w.credCond.Broadcast()
+		w.credMu.Unlock()
+	}
+}
+
+// recycle returns a drained batch backing array to the freelist.
+func (w *Pusher) recycle(items [][]byte) {
+	clear(items)
+	select {
+	case w.free <- items[:0]:
+	default:
+	}
+}
+
+// flushLocked delivers the pending items (and optionally End); asked is
+// the batch size the producer was filling toward.  Caller holds w.mu.
+// With one slot the delivery runs here, on the producer, and its error
+// is returned; with a window the batch is handed to the helpers — the
+// hand-off blocks when Window batches are already in flight, which is
+// the port's back pressure — and the error returned is whatever the
+// stream has already suffered.
+func (w *Pusher) flushLocked(end bool, asked int) error {
 	if len(w.pending) == 0 && !end {
 		return nil
 	}
-	asked := w.batch
-	var start time.Time
-	if w.ctrl != nil {
-		asked = w.ctrl.next()
-		start = time.Now()
-	}
-	n := len(w.pending)
-	w.deliversIssued++
-	w.itemsOut += int64(n)
-	w.req.Items = w.pending
-	w.req.End = end
-	raw, err := w.caller.Invoke(w.target, OpDeliver, &w.req)
-	// On success the sink has absorbed the item references (or, across
-	// an encoded node hop, the decoded copies superseded them and netsim
-	// released any views).  Drop our pointers but keep the backing array
-	// for the next batch.  An invocation that never reached the sink
-	// leaves the items to die here.
-	if err != nil {
-		wire.ReleaseAll(w.pending)
-	}
-	for i := range w.pending {
-		w.pending[i] = nil
-	}
-	w.pending = w.pending[:0]
-	w.req.Items = nil
-	if err != nil {
+	job := deliverJob{items: w.pending, end: end, asked: asked}
+	if w.window == 1 {
+		_, err := w.deliver(&w.req, job)
+		// Drop our pointers but keep the backing array for the next batch.
+		clear(w.pending)
+		w.pending = w.pending[:0]
 		return err
 	}
-	rep, ok := raw.(*DeliverReply)
-	if !ok {
-		return fmt.Errorf("transput: bad Deliver reply type %T", raw)
+	job.seq = w.seq
+	w.seq++
+	select {
+	case w.pending = <-w.free:
+	default:
+		w.pending = nil
 	}
-	if rep.Status != StatusOK {
-		return statusErr(rep.Status, rep.AbortMsg) // copies the message
+	if w.sendq == nil {
+		q := make(chan deliverJob, w.window) // one batch queued behind each one in flight
+		w.sendq = q
+		w.start(w.window, func() { w.send(q) }, nil)
 	}
-	if w.ctrl != nil && n > 0 {
-		w.ctrl.record(asked, n, time.Since(start))
+	w.sendq <- job
+	return w.failed()
+}
+
+// drainLocked waits until every delivery handed to the window has been
+// made (or dropped, on a failed stream) and reports the stream's first
+// failure.  The helpers leave; the next delivery starts new ones.
+// Caller holds w.mu.
+func (w *Pusher) drainLocked() error {
+	if w.sendq != nil {
+		close(w.sendq)
+		w.sendq = nil
+		w.helpers.Wait()
 	}
-	releaseDeliverReply(rep)
-	return nil
+	return w.failed()
 }
 
 // Put queues one item, delivering when a full batch accumulates.  The
@@ -296,11 +424,15 @@ func (w *Pusher) PutOwned(item []byte) error { return w.put(item, true) }
 func (w *Pusher) put(item []byte, owned bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	err := w.failed()
 	if w.closed {
+		err = ErrClosed
+	}
+	if err != nil {
 		if owned {
 			wire.Release(item)
 		}
-		return ErrClosed
+		return err
 	}
 	if owned {
 		w.met.WireBytesSaved.Add(int64(len(item)))
@@ -308,27 +440,26 @@ func (w *Pusher) put(item []byte, owned bool) error {
 	} else {
 		w.pending = append(w.pending, append([]byte(nil), item...))
 	}
-	threshold := w.batch
-	if w.ctrl != nil {
-		threshold = w.ctrl.next()
-	}
-	if len(w.pending) >= threshold {
-		return w.flushLocked(false)
+	if t := w.size(); len(w.pending) >= t {
+		return w.flushLocked(false, t)
 	}
 	return nil
 }
 
-// Flush forces out any partial batch.
+// Flush forces out any partial batch.  On a windowed pusher it does not
+// wait for the delivery to be acknowledged.
 func (w *Pusher) Flush() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	return w.flushLocked(false)
+	return w.flushLocked(false, w.size())
 }
 
-// Close flushes and sends this writer's End mark.
+// Close sends the final delivery (any partial batch plus this writer's
+// End mark), drains the window, and reports the stream's first delivery
+// failure, if any.
 func (w *Pusher) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -336,34 +467,32 @@ func (w *Pusher) Close() error {
 		return nil
 	}
 	w.closed = true
-	return w.flushLocked(true)
+	_ = w.flushLocked(true, w.size()) // a failure here is the stream's: the drain reports it
+	return w.drainLocked()
 }
 
-// CloseWithError aborts the target channel.
+// CloseWithError aborts the target channel — which also releases any of
+// the window's deliveries parked at the sink — and drains the window.
 func (w *Pusher) CloseWithError(err error) error {
 	if err == nil {
 		return w.Close()
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
 	wire.ReleaseAll(w.pending) // the abort drops the partial batch
 	w.pending = nil
-	w.mu.Unlock()
-	_, aerr := w.caller.Invoke(w.target, OpAbort, &AbortRequest{Channel: w.channel, Msg: err.Error()})
+	aerr := w.abort(err.Error())
+	_ = w.drainLocked()
 	return aerr
 }
 
 // DeliversIssued reports how many Deliver invocations this pusher has
 // sent.
-func (w *Pusher) DeliversIssued() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.deliversIssued
-}
+func (w *Pusher) DeliversIssued() int64 { return w.issued.Load() }
 
 var _ ItemWriter = (*Pusher)(nil)
 

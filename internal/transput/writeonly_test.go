@@ -315,33 +315,3 @@ func TestMultiWriterFanOut(t *testing.T) {
 		t.Fatalf("Put after Close: %v", err)
 	}
 }
-
-func TestPassiveBufferBridgesActives(t *testing.T) {
-	// The conventional discipline's core: active writer + passive
-	// buffer + active reader.
-	k := testKernel(t)
-	buf := NewPassiveBuffer(k, PassiveBufferConfig{Name: "pipe", Capacity: 4})
-	bufID, err := k.Create(buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPusher(k, uid.Nil, bufID, Chan(0), PusherConfig{Batch: 2})
-	go func() {
-		for i := 0; i < 25; i++ {
-			if err := p.Put([]byte(fmt.Sprintf("%d", i))); err != nil {
-				return
-			}
-		}
-		_ = p.Close()
-	}()
-	in := NewInPort(k, uid.Nil, bufID, Chan(0), InPortConfig{Batch: 3})
-	got := drainAll(t, in)
-	if len(got) != 25 {
-		t.Fatalf("buffer passed %d items", len(got))
-	}
-	for i, item := range got {
-		if string(item) != fmt.Sprintf("%d", i) {
-			t.Fatalf("buffer reordered at %d: %q", i, item)
-		}
-	}
-}
