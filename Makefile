@@ -49,7 +49,8 @@ cover-floor:
 
 ## loc: non-test, non-testdata Go lines per package and in total — the
 ## number the ROADMAP's "least code" items are judged by.  A PR that
-## claims a simplification reports this next to its benchmark medians.
+## claims a simplification reports this next to its benchmark medians;
+## `scripts/loc.sh --against REF` prints the change since REF.
 loc:
 	@./scripts/loc.sh
 
@@ -68,14 +69,15 @@ race:
 ## compiler (fused groups, fused aborts, fused pools) — the subset CI
 ## runs on every push in addition to the full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint' ./internal/transput/ ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint' ./internal/transput/ ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
-## the frame reader's item-size sweep across wire.SpliceCutoff, the
+## the pipeline builder's build + destroy cost, the frame reader's
+## item-size sweep across wire.SpliceCutoff, the
 ## bridge's round trip, plus the parallel engine's end-to-end throughput
 ## benchmark.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
+	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
 	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/
 
 ## bench-json: regenerate the committed measurement files —

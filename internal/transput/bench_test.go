@@ -429,6 +429,35 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildPipeline measures the builder alone: wire a pipeline of
+// n filters and destroy it, never started.  The end-to-end benchmark's
+// setup_s is kernel and socket setup and cannot resolve a change to the
+// build walk; this row can.
+func BenchmarkBuildPipeline(b *testing.B) {
+	sink := func(in ItemReader) error { _, err := Drain(in); return err }
+	for _, d := range disciplines {
+		for _, n := range []int{2, 8} {
+			for _, shards := range []int{1, 4} {
+				b.Run(fmt.Sprintf("%v/n=%d/shards=%d", d, n, shards), func(b *testing.B) {
+					k := benchKernel(b)
+					fs := make([]Filter, n)
+					for i := range fs {
+						fs[i] = Filter{Name: fmt.Sprintf("f%d", i), Body: passFilter}
+					}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						p, err := BuildPipeline(k, d, numbersSource(0), fs, sink, Options{Shards: shards})
+						if err != nil {
+							b.Fatal(err)
+						}
+						p.Destroy()
+					}
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkRecordCodec measures §6 framing alone.
 func BenchmarkRecordCodec(b *testing.B) {
 	type rec struct {

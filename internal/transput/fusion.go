@@ -3,19 +3,22 @@
 // Stage fusion — the pipeline builder's answer to §6's cost model.
 // Invocation is dear *because* it is location-independent; between two
 // stages that share a node the port hop (frame codec, windowed link,
-// mailbox bounce) buys nothing.  Fusion partitions the filter chain
-// into groups of adjacent co-located stages at Build time and compiles
-// each group into a single Eject whose body is the direct composition
-// of the member bodies: items flow from member to member through an
-// in-stack coroutine edge, with no frame, no port and no invocation.
+// mailbox bounce) buys nothing.  Fusion partitions the pipeline's chain
+// of elements into groups of adjacent co-located stages at Build time and
+// compiles each group into a single element — one Eject — whose body is
+// the direct composition of the member bodies: items flow from member to
+// member through an in-stack coroutine edge, with no frame, no port and
+// no invocation.  The pass takes the chain and returns the chain; the
+// walk in pipeline.go wires a group exactly as it wires any element, and
+// learns what it is from the element itself (its node, its fused mark).
 //
-// Boundaries stay real.  A shard split (counts[i] > 1), an explicit
-// Filter.NoFuse, a cross-node edge, and every buffered-discipline
-// PassiveBuffer remain genuine windowed links — fusion only elides
-// hops that are provably unobservable, which is what the discipline
-// tags guarantee (cf. Palamidessi's encodings between the synchronous
-// and asynchronous π-calculi: semantics-preserving exactly when no
-// observable choice depends on the intermediate link).
+// Boundaries stay real.  A shard split (an element of several shards),
+// an explicit Filter.NoFuse, a cross-node edge, and every
+// buffered-discipline PassiveBuffer remain genuine windowed links —
+// fusion only elides hops that are provably unobservable, which is what
+// the discipline tags guarantee (cf. Palamidessi's encodings between the
+// synchronous and asynchronous π-calculi: semantics-preserving exactly
+// when no observable choice depends on the intermediate link).
 //
 // This file is tagged //transput:fusable: the `fusable` analyzer in
 // internal/analysis proves that nothing reachable from the fusion
@@ -29,7 +32,6 @@ import (
 	"runtime"
 	"strings"
 
-	"asymstream/internal/netsim"
 	"asymstream/internal/wire"
 )
 
@@ -53,12 +55,6 @@ func (m FusionMode) String() string {
 		return "on"
 	}
 	return "off"
-}
-
-// fusionResult reports what fuseChain did, for Pipeline bookkeeping.
-type fusionResult struct {
-	groups int // fusion groups compiled
-	stages int // member stages inside them (folded source/sink included)
 }
 
 // fusedEdge is the in-stack link between two composed bodies: the
@@ -186,147 +182,71 @@ func composeBodies(bodies []Body) Body {
 	return composed
 }
 
-// sourceAsBody adapts a SourceFunc into a Body so it can lead a fusion
-// group (read-only discipline: the source is co-located with the first
-// filters and folds into their Eject).
-func sourceAsBody(src SourceFunc) Body {
-	return func(_ []ItemReader, outs []ItemWriter) error { return src(outs[0]) }
-}
-
-// sinkAsBody adapts a SinkFunc dually (write-only discipline: the sink
-// folds into the last group).
-func sinkAsBody(sink SinkFunc) Body {
-	return func(ins []ItemReader, _ []ItemWriter) error { return sink(ins[0]) }
-}
-
-// fuseChain is the fusion pass: a pre-pass over the user's chain that
-// rewrites (src, fs, sink, opt) before the per-discipline builders
-// run.  It groups maximal runs of adjacent sequential (effective shard
-// count 1), co-located, fusion-eligible filters; in the read-only
-// discipline the source folds into a leading group (the sink remains
-// the separate pump that drives the pipeline), and in the write-only
-// discipline the sink folds into a trailing group (the source remains
-// the driver).  The buffered discipline refuses fusion outright: every
-// one of its links is an explicit PassiveBuffer boundary.
+// fuseChain is the fusion pass: it takes the chain BuildPipeline is about
+// to wire and returns it with every maximal run of adjacent, co-located,
+// fusion-eligible elements collapsed into one element whose body is the
+// direct composition of the members', reporting how many groups it
+// compiled and how many members they hold.  A filter is eligible when it
+// is sequential (effective shard count 1) and not NoFuse.  In the
+// read-only discipline the source is eligible too and folds into a leading
+// group (the sink remains the separate pump that drives the pipeline); in
+// the write-only discipline the sink folds into a trailing group (the
+// source remains the driver).  The buffered discipline refuses fusion
+// outright: every one of its links is an explicit PassiveBuffer boundary.
 //
 // With everything co-located the asymmetric pipelines collapse to two
 // Ejects — driver plus fused chain — and one stream invocation per
 // datum, against the paper's n+2 and n+1.
-func fuseChain(d Discipline, src SourceFunc, fs []Filter, sink SinkFunc, opt Options) (SourceFunc, []Filter, SinkFunc, Options, fusionResult) {
-	var res fusionResult
-	if opt.Fusion != FusionOn || d == Buffered || len(fs) == 0 {
-		return src, fs, sink, opt, res
+func fuseChain(d Discipline, chain []element, mode FusionMode) (fused []element, groups, stages int) {
+	if mode != FusionOn || d == Buffered {
+		return chain, 0, 0
 	}
-	counts := shardCounts(fs, opt)
-	fusable := func(i int) bool { return counts[i] == 1 && !fs[i].NoFuse }
-
-	// Maximal runs of adjacent fusable filters on one node.
-	type run struct{ a, b int }
-	var runs []run
-	for i := 0; i < len(fs); {
-		if !fusable(i) {
-			i++
-			continue
+	eligible := func(e element) bool {
+		switch e.role {
+		case RoleSource:
+			return d == ReadOnly
+		case RoleSink:
+			return d == WriteOnly
 		}
-		j := i
-		for j+1 < len(fs) && fusable(j+1) && opt.node(RoleFilter, j+1) == opt.node(RoleFilter, i) {
-			j++
-		}
-		runs = append(runs, run{i, j})
-		i = j + 1
+		return e.shards == 1 && !e.noFuse
 	}
-
-	foldSrc := d == ReadOnly && len(runs) > 0 && runs[0].a == 0 &&
-		opt.node(RoleSource, 0) == opt.node(RoleFilter, 0)
-	foldSink := d == WriteOnly && len(runs) > 0 && runs[len(runs)-1].b == len(fs)-1 &&
-		opt.node(RoleSink, 0) == opt.node(RoleFilter, len(fs)-1)
-
-	newSrc, newSink := src, sink
-	var newFs []Filter
-	var nodes []netsim.NodeID
-	ri := 0
-	for i := 0; i < len(fs); {
-		if ri >= len(runs) || runs[ri].a != i {
-			newFs = append(newFs, fs[i])
-			nodes = append(nodes, opt.node(RoleFilter, i))
-			i++
-			continue
-		}
-		r := runs[ri]
-		ri++
-		srcHere := foldSrc && r.a == 0
-		sinkHere := foldSink && r.b == len(fs)-1
-		size := r.b - r.a + 1
-		if srcHere {
-			size++
-		}
-		if sinkHere {
-			size++
-		}
-		if size < 2 {
-			// A lone fusable filter with no neighbour to join: there is
-			// no hop to elide, so it stays an ordinary stage.
-			newFs = append(newFs, fs[i])
-			nodes = append(nodes, opt.node(RoleFilter, i))
-			i++
-			continue
-		}
-		bodies := make([]Body, 0, size)
-		names := make([]string, 0, size)
-		if srcHere {
-			bodies = append(bodies, sourceAsBody(src))
-			names = append(names, "source")
-		}
-		for _, m := range fs[r.a : r.b+1] {
-			bodies = append(bodies, m.Body)
-			names = append(names, m.Name)
-		}
-		if sinkHere {
-			bodies = append(bodies, sinkAsBody(sink))
-			names = append(names, "sink")
-		}
-		composed := composeBodies(bodies)
-		res.groups++
-		res.stages += size
-		switch {
-		case srcHere:
-			newSrc = func(out ItemWriter) error { return composed(nil, []ItemWriter{out}) }
-			opt.srcFused = true
-		case sinkHere:
-			newSink = func(in ItemReader) error { return composed([]ItemReader{in}, nil) }
-			opt.sinkFused = true
-		default:
-			newFs = append(newFs, Filter{
-				Name:   strings.Join(names, "+"),
-				Body:   composed,
-				Shards: 1,
-				fused:  true,
-			})
-			nodes = append(nodes, opt.node(RoleFilter, r.a))
-		}
-		i = r.b + 1
-	}
-
-	if res.groups == 0 {
-		return src, fs, sink, opt, res
-	}
-	// Filter indices shifted: remap placement through the node table
-	// recorded while assembling the new list.  Other roles keep their
-	// original (index-stable) placement.
-	if opt.Placement != nil {
-		orig := opt.Placement
-		table := nodes
-		opt.Placement = func(role Role, index int) netsim.NodeID {
-			if role == RoleFilter {
-				if index >= 0 && index < len(table) {
-					return table[index]
-				}
-				return 0
+	for i := 0; i < len(chain); {
+		j := i + 1
+		if eligible(chain[i]) {
+			for j < len(chain) && eligible(chain[j]) && chain[j].node == chain[i].node {
+				j++
 			}
-			return orig(role, index)
 		}
+		run := chain[i:j]
+		i = j
+		if len(run) < 2 {
+			// No neighbour to join: there is no hop to elide, so the element
+			// stays an ordinary stage.
+			fused = append(fused, run[0])
+			continue
+		}
+		bodies := make([]Body, len(run))
+		names := make([]string, len(run))
+		for m, e := range run {
+			bodies[m], names[m] = e.body, e.name
+		}
+		// The group is a filter unless it swallowed the source or the sink,
+		// whose place in the chain (and name) it then takes.
+		g := element{
+			role: RoleFilter, name: strings.Join(names, "+"), body: composeBodies(bodies),
+			shards: 1, node: run[0].node, fused: true,
+		}
+		switch first, end := run[0], run[len(run)-1]; {
+		case first.role == RoleSource:
+			g.role, g.name = RoleSource, first.name
+		case end.role == RoleSink:
+			g.role, g.name = RoleSink, end.name
+		}
+		fused = append(fused, g)
+		groups++
+		stages += len(run)
 	}
-	return newSrc, newFs, newSink, opt, res
+	return fused, groups, stages
 }
 
 // fusedPoolWorkers sizes a fused stage's kernel worker pool: enough

@@ -1,5 +1,22 @@
 package transput
 
+// The pipeline builder.  A pipeline is one chain of elements — source,
+// filters, sink, every user body adapted to Body at BuildPipeline's door —
+// and one walk wires it under any discipline.  A link between neighbours
+// has a width (the shard count of its sharded side, 1 otherwise) and a
+// direction, and the direction is the discipline: which side is passive.
+//
+//	            declares (passive)     constructs (active)      walk         the link is
+//	read-only   upstream: OutPort      downstream: InPort       head → tail  the upstream's channels
+//	write-only  downstream: WOInPort   upstream: Pusher         tail → head  the downstream's channels
+//	buffered    neither                both: Pusher and InPort  head → tail  width PassiveBuffer Ejects
+//
+// The passive end is built first because the active end needs its UID
+// (and, in capability mode, its channel UID); write-only is read-only with
+// the initiative reversed (§5), and buffered is their composition through
+// a passive buffer (Figure 1).  Shard resolution, the body wrap, the port
+// settings, the inventory and the error exit are written once, in wire.
+
 import (
 	"errors"
 	"fmt"
@@ -65,10 +82,6 @@ type Filter struct {
 	// Options.Fusion: its links stay real ports, so they can be
 	// redirected, metered or cut independently.
 	NoFuse bool
-
-	// fused marks a filter the fusion pass synthesised from a group of
-	// member bodies; the builders give it a pinned worker pool.
-	fused bool
 }
 
 // Role identifies a pipeline element for placement decisions.
@@ -139,12 +152,6 @@ type Options struct {
 	// that the kernel's link matches, so a benchmark row labelled
 	// "unix" provably ran over real sockets.
 	Transport Transport
-
-	// srcFused / sinkFused are set by the fusion pass when the source
-	// (read-only) or sink (write-only) was folded into a fusion group,
-	// so the builders give that endpoint the fused pool treatment.
-	srcFused  bool
-	sinkFused bool
 }
 
 func (o Options) node(role Role, index int) netsim.NodeID {
@@ -154,31 +161,57 @@ func (o Options) node(role Role, index int) netsim.NodeID {
 	return o.Placement(role, index)
 }
 
-// shardCounts resolves the effective shard count of every filter.
-func shardCounts(fs []Filter, opt Options) []int {
-	counts := make([]int, len(fs))
+// element is one stage of the chain the walk wires: the source, a filter
+// or the sink, or a fusion group standing in for several of them.
+type element struct {
+	role   Role
+	name   string
+	body   Body
+	shards int // 1 is one sequential Eject; P > 1 a row of P shard Ejects
+	node   netsim.NodeID
+	noFuse bool // Filter.NoFuse
+	fused  bool // a fusion group: its Eject gets the fused worker pool
+}
+
+// sourceAsBody adapts a SourceFunc to the Body every element carries.
+func sourceAsBody(src SourceFunc) Body {
+	return func(_ []ItemReader, outs []ItemWriter) error { return src(outs[0]) }
+}
+
+// sinkAsBody adapts a SinkFunc dually.
+func sinkAsBody(sink SinkFunc) Body {
+	return func(ins []ItemReader, _ []ItemWriter) error { return sink(ins[0]) }
+}
+
+// newChain turns the user's pipeline into the chain, resolving each
+// filter's effective shard count and every element's node.  Adjacent
+// sharded filters with unequal counts are rejected: their link is wired
+// shard-to-shard, so the rows must align.
+func newChain(src SourceFunc, fs []Filter, sink SinkFunc, opt Options) ([]element, error) {
+	chain := make([]element, 0, len(fs)+2)
+	chain = append(chain, element{
+		role: RoleSource, name: "source", body: sourceAsBody(src),
+		shards: 1, node: opt.node(RoleSource, 0),
+	})
 	for i, f := range fs {
 		n := f.Shards
 		if n == 0 {
 			n = opt.Shards
 		}
-		if n < 1 {
-			n = 1
+		n = max(n, 1)
+		if prev := chain[i].shards; n > 1 && prev > 1 && n != prev {
+			return nil, fmt.Errorf("transput: adjacent filters %d and %d have unequal shard counts %d and %d; align them or insert a sequential filter between", i-1, i, prev, n)
 		}
-		counts[i] = n
+		chain = append(chain, element{
+			role: RoleFilter, name: f.Name, body: f.Body,
+			shards: n, node: opt.node(RoleFilter, i), noFuse: f.NoFuse,
+		})
 	}
-	return counts
-}
-
-// validateShards rejects adjacent sharded filters with unequal counts:
-// their link is wired shard-to-shard, so the rows must align.
-func validateShards(counts []int) error {
-	for i := 1; i < len(counts); i++ {
-		if counts[i] > 1 && counts[i-1] > 1 && counts[i] != counts[i-1] {
-			return fmt.Errorf("transput: adjacent filters %d and %d have unequal shard counts %d and %d; align them or insert a sequential filter between", i-1, i, counts[i-1], counts[i])
-		}
-	}
-	return nil
+	chain = append(chain, element{
+		role: RoleSink, name: "sink", body: sinkAsBody(sink),
+		shards: 1, node: opt.node(RoleSink, 0),
+	})
+	return chain, nil
 }
 
 // channelNames generates n channel names from a prefix.
@@ -308,9 +341,9 @@ func (p *Pipeline) Destroy() {
 // frameSlab lazily creates the pipeline's shared frame arena; sharded
 // frames are carved from it and refcounted across links.  Sequential
 // pipelines never frame, so they never pay for a slab.
-func (p *Pipeline) frameSlab(met *metrics.Set, counts []int) *wire.Slab {
-	for _, c := range counts {
-		if c > 1 {
+func (p *Pipeline) frameSlab(met *metrics.Set, chain []element) *wire.Slab {
+	for _, e := range chain {
+		if e.shards > 1 {
 			s := wire.NewSlab(met, 0)
 			p.slabs = append(p.slabs, s)
 			return s
@@ -322,508 +355,255 @@ func (p *Pipeline) frameSlab(met *metrics.Set, counts []int) *wire.Slab {
 // BuildPipeline wires src | filters... | sink under the given
 // discipline and returns the (not yet started) pipeline.  When
 // opt.Fusion is on, the fusion pass first collapses adjacent
-// co-located sequential stages (see fusion.go); the per-discipline
-// builders then wire the reduced chain exactly as they would any
-// other.
+// co-located sequential elements of the chain (see fusion.go); the walk
+// then wires the reduced chain exactly as it would any other.  A build
+// that fails leaves nothing behind: whatever it had bound is destroyed.
 func BuildPipeline(k *kernel.Kernel, d Discipline, src SourceFunc, fs []Filter, sink SinkFunc, opt Options) (*Pipeline, error) {
 	if err := opt.Transport.check(k); err != nil {
 		return nil, err
 	}
-	logical := len(fs) + 2
-	src, fs, sink, opt, fr := fuseChain(d, src, fs, sink, opt)
-	var p *Pipeline
-	var err error
-	switch d {
-	case ReadOnly:
-		p, err = buildReadOnly(k, src, fs, sink, opt)
-	case WriteOnly:
-		p, err = buildWriteOnly(k, src, fs, sink, opt)
-	case Buffered:
-		p, err = buildBuffered(k, src, fs, sink, opt)
-	default:
+	if d != ReadOnly && d != WriteOnly && d != Buffered {
 		return nil, fmt.Errorf("transput: unknown discipline %v", d)
 	}
+	chain, err := newChain(src, fs, sink, opt)
 	if err != nil {
 		return nil, err
 	}
-	p.LogicalStages = logical
-	p.FusionGroups = fr.groups
-	p.FusedStages = fr.stages
-	if fr.groups > 0 {
+	p := &Pipeline{K: k, Discipline: d, LogicalStages: len(chain)}
+	chain, p.FusionGroups, p.FusedStages = fuseChain(d, chain, opt.Fusion)
+	if err := p.wire(chain, opt); err != nil {
+		p.Destroy()
+		return nil, err
+	}
+	if p.FusionGroups > 0 {
 		met := k.Metrics()
-		met.FusionGroups.Add(int64(fr.groups))
-		met.FusedStages.Add(int64(fr.stages))
+		met.FusionGroups.Add(int64(p.FusionGroups))
+		met.FusedStages.Add(int64(p.FusedStages))
 	}
 	return p, nil
 }
 
-// addShardRow appends a filter's shard bookkeeping to the pipeline.
-func (p *Pipeline) addShardRow(uids []uid.UID, loads []*atomic.Int64, count int) {
-	p.ShardUIDs = append(p.ShardUIDs, uids)
-	p.ShardCounts = append(p.ShardCounts, count)
-	p.shardLoads = append(p.shardLoads, loads)
+// stage is what the four stage Ejects share through stageRun.
+type stage interface {
+	kernel.Eject
+	Start()
+	Err() error
+	Done() <-chan struct{}
 }
 
-// buildReadOnly realises Figure 2: data pulled end to end by the sink;
-// every inter-Eject link is a Transfer invocation.  A sharded filter
-// becomes P parallel shard Ejects: the producer upstream of the row
-// declares P channels and deals sequence-tagged frames across them,
-// and the consumer downstream reassembles the sequential order.
-func buildReadOnly(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc, opt Options) (*Pipeline, error) {
+// wire is the walk.  Link i joins chain[i] to chain[i+1].  Each step
+// builds one element — a sequential Eject attached to its whole inbound
+// and outbound links, or a row of shard Ejects each attached to its own
+// lane of both — and leaves behind the link the next step attaches to:
+// the channels the element declared, or (buffered) the buffers it pushes
+// into.  Read-only (Figure 2) and buffered (Figure 1 inside Eden: 2n+3
+// Ejects, 2n+2 invocations per datum) walk head to tail; write-only (§5)
+// walks tail to head.  On error the caller destroys what was bound.
+func (p *Pipeline) wire(chain []element, opt Options) error {
+	k, d := p.K, p.Discipline
 	met := k.Metrics()
-	counts := shardCounts(fs, opt)
-	if err := validateShards(counts); err != nil {
-		return nil, err
-	}
-	p := &Pipeline{K: k, Discipline: ReadOnly}
-	slab := p.frameSlab(met, counts)
+	slab := p.frameSlab(met, chain)
+	// pull: a link's downstream end is an InPort; push: its upstream end
+	// is a Pusher.  An end that is neither is declared by its element.
+	pull, push := d != WriteOnly, d != ReadOnly
+	lazy := opt.LazyStart && d == ReadOnly // the option is read-only's alone
 	inCfg := InPortConfig{
 		Batch: opt.Batch, Prefetch: opt.Prefetch, Window: opt.Window,
 		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
 	}
-	roCfg := func(name string, outs int, fused bool) ROStageConfig {
-		cfg := ROStageConfig{
-			Name:           name,
-			OutNames:       channelNames("Output", outs),
-			Anticipation:   opt.Anticipation,
-			CapabilityMode: opt.CapabilityMode,
-			LazyStart:      opt.LazyStart,
-		}
-		if fused {
-			cfg.PoolWorkers = fusedPoolWorkers(opt)
-			cfg.PoolPinned = fusedPoolPinned()
-		}
-		return cfg
+	outCfg := PusherConfig{
+		Batch: opt.Batch, Window: opt.Window,
+		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
 	}
-	// width reports the fan-out a producer must declare toward the
-	// element after filter i (the sink is sequential).
+	last := len(chain) - 1
+	// width of link i: the shard count of its sharded side, 1 when both
+	// sides are sequential, 0 beyond the chain's ends.
 	width := func(i int) int {
-		if i < len(fs) {
-			return counts[i]
+		if i < 0 || i >= last {
+			return 0
 		}
-		return 1
+		return max(chain[i].shards, chain[i+1].shards)
 	}
+	p.ShardUIDs = make([][]uid.UID, last-1)
+	p.ShardCounts = make([]int, last-1)
+	p.shardLoads = make([][]*atomic.Int64, last-1)
 
-	// Source.
-	srcUID := k.NewUID()
-	srcBody := func(_ []ItemReader, outs []ItemWriter) error {
-		return src(outs[0])
-	}
-	if width(0) > 1 {
-		srcBody = splitBody(met, slab, srcBody)
-	}
-	srcStage := NewROStage(k, roCfg("source", width(0), opt.srcFused), srcBody)
-	if err := k.CreateWithUID(srcUID, srcStage, opt.node(RoleSource, 0)); err != nil {
-		return nil, err
-	}
-	p.SourceUID = srcUID
-	p.allUIDs = append(p.allUIDs, srcUID)
-	p.stageErr = append(p.stageErr, srcStage.Err)
-	if !opt.LazyStart {
-		p.starters = append(p.starters, srcStage)
-	}
-
-	prev := make([]endpoint, width(0))
-	for j := range prev {
-		prev[j] = endpoint{srcUID, srcStage.Writer(j).ID()}
-	}
-
-	// Filters.
-	for i, f := range fs {
-		if counts[i] > 1 {
-			// Sharded row: one stage Eject per shard, each on its own
-			// aligned link.
-			P := counts[i]
-			uids := make([]uid.UID, P)
-			loads := make([]*atomic.Int64, P)
-			next := make([]endpoint, P)
-			for j := 0; j < P; j++ {
-				fUID := k.NewUID()
-				in := NewInPort(k, fUID, prev[j].u, prev[j].c, inCfg)
-				loads[j] = new(atomic.Int64)
-				st := NewROStage(k, roCfg(fmt.Sprintf("%s#%d", f.Name, j), 1, false),
-					shardBody(met, slab, loads[j], f.Body), in)
-				if err := k.CreateWithUID(fUID, st, opt.node(RoleFilter, i)); err != nil {
-					return nil, err
-				}
-				uids[j] = fUID
-				p.FilterUIDs = append(p.FilterUIDs, fUID)
-				p.allUIDs = append(p.allUIDs, fUID)
-				p.stageErr = append(p.stageErr, st.Err)
-				if !opt.LazyStart {
-					p.starters = append(p.starters, st)
-				}
-				next[j] = endpoint{fUID, st.Writer(0).ID()}
+	var made []endpoint // the link the previous step left for this one
+	for step := range chain {
+		i := step
+		if !pull {
+			i = last - step
+		}
+		e := chain[i]
+		win, wout := width(i-1), width(i)
+		up, down := made, []endpoint(nil)
+		switch d {
+		case WriteOnly:
+			up, down = nil, made
+		case Buffered:
+			var err error
+			if down, err = p.buffers(i, wout, opt); err != nil {
+				return err
 			}
-			p.addShardRow(uids, loads, P)
-			prev = next
-			continue
 		}
-		// Sequential filter: merges a sharded upstream, splits toward a
-		// sharded downstream.
-		fUID := k.NewUID()
-		body := detachBody(f.Body)
-		if len(prev) > 1 {
-			body = mergeBody(met, body)
+		if e.role == RoleFilter {
+			p.ShardUIDs[i-1] = make([]uid.UID, e.shards)
+			p.ShardCounts[i-1] = e.shards
+			if e.shards > 1 {
+				p.shardLoads[i-1] = make([]*atomic.Int64, e.shards)
+			}
 		}
-		if width(i+1) > 1 {
-			body = splitBody(met, slab, body)
+		var poolWorkers int
+		var poolPinned bool
+		if e.fused {
+			poolWorkers, poolPinned = fusedPoolWorkers(opt), fusedPoolPinned()
 		}
-		ins := make([]ItemReader, len(prev))
-		for j := range prev {
-			ins[j] = NewInPort(k, fUID, prev[j].u, prev[j].c, inCfg)
-		}
-		st := NewROStage(k, roCfg(f.Name, width(i+1), f.fused), body, ins...)
-		if err := k.CreateWithUID(fUID, st, opt.node(RoleFilter, i)); err != nil {
-			return nil, err
-		}
-		p.FilterUIDs = append(p.FilterUIDs, fUID)
-		p.allUIDs = append(p.allUIDs, fUID)
-		p.stageErr = append(p.stageErr, st.Err)
-		if !opt.LazyStart {
-			p.starters = append(p.starters, st)
-		}
-		p.addShardRow([]uid.UID{fUID}, nil, 1)
-		prev = make([]endpoint, width(i+1))
-		for j := range prev {
-			prev[j] = endpoint{fUID, st.Writer(j).ID()}
-		}
-	}
 
-	// Sink.
-	sinkUID := k.NewUID()
-	ins := make([]ItemReader, len(prev))
-	for j := range prev {
-		ins[j] = NewInPort(k, sinkUID, prev[j].u, prev[j].c, inCfg)
-	}
-	sinkBody := func(ins []ItemReader) error {
-		return sink(detachReader{ins[0]})
-	}
-	if len(prev) > 1 {
-		sinkBody = func(ins []ItemReader) error {
-			return sink(newShardMerger(met, ins))
+		var declared []endpoint
+		for j := 0; j < e.shards; j++ {
+			id := k.NewUID()
+			name := e.name
+			var body Body
+			lup, ldown, nin, nout := up, down, win, wout
+			if e.shards > 1 {
+				// A shard: frames in on its lane, frames out on its lane; the
+				// shard reader detaches what it hands the body (detachPayload).
+				p.shardLoads[i-1][j] = new(atomic.Int64)
+				name = fmt.Sprintf("%s#%d", e.name, j)
+				body = shardBody(met, slab, p.shardLoads[i-1][j], e.body)
+				lup, ldown, nin, nout = lane(up, j), lane(down, j), 1, 1
+			} else {
+				// Sequential: the user body owns what it reads; it merges a
+				// sharded upstream and splits toward a sharded downstream.
+				body = detachBody(e.body)
+				if win > 1 {
+					body = mergeBody(met, body)
+				}
+				if wout > 1 {
+					body = splitBody(met, slab, body)
+				}
+			}
+			ins := make([]ItemReader, len(lup))
+			for c, ep := range lup {
+				ins[c] = NewInPort(k, id, ep.u, ep.c, inCfg)
+			}
+			outs := make([]ItemWriter, len(ldown))
+			for c, ep := range ldown {
+				outs[c] = NewPusher(k, id, ep.u, ep.c, outCfg)
+			}
+
+			var st stage
+			switch {
+			case !push && e.role != RoleSink: // passive output
+				ro := NewROStage(k, ROStageConfig{
+					Name:           name,
+					OutNames:       channelNames("Output", nout),
+					Anticipation:   opt.Anticipation,
+					CapabilityMode: opt.CapabilityMode,
+					LazyStart:      lazy,
+					PoolWorkers:    poolWorkers,
+					PoolPinned:     poolPinned,
+				}, body, ins...)
+				for c := 0; c < nout; c++ {
+					declared = append(declared, endpoint{id, ro.Writer(c).ID()})
+				}
+				st = ro
+			case !pull && e.role != RoleSource: // passive input
+				wo := NewWOStage(k, WOStageConfig{
+					Name:           name,
+					InNames:        channelNames("Input", nin),
+					Capacity:       opt.Anticipation,
+					CapabilityMode: opt.CapabilityMode,
+					PoolWorkers:    poolWorkers,
+					PoolPinned:     poolPinned,
+				}, body, outs...)
+				for c := 0; c < nin; c++ {
+					declared = append(declared, endpoint{id, wo.Reader(c).ID()})
+				}
+				st = wo
+			case e.role == RoleSink: // the pump: active input, no output
+				st = NewSinkEject(name, func(ins []ItemReader) error { return body(ins, nil) }, ins...)
+			default: // active at both ends: a buffered stage, or the write-only source
+				st = NewConvStage(name, body, ins, outs)
+			}
+			if err := p.add(e, i-1, j, id, st, lazy); err != nil {
+				return err
+			}
+		}
+		made = declared
+		if d == Buffered {
+			made = down
 		}
 	}
-	se := NewSinkEject("sink", sinkBody, ins...)
-	if err := k.CreateWithUID(sinkUID, se, opt.node(RoleSink, 0)); err != nil {
-		return nil, err
+	for _, row := range p.ShardUIDs {
+		p.FilterUIDs = append(p.FilterUIDs, row...)
 	}
-	p.SinkUID = sinkUID
-	p.allUIDs = append(p.allUIDs, sinkUID)
-	p.starters = append(p.starters, se)
-	p.sinkDone = se.Done()
-	p.sinkErr = se.Err
-	return p, nil
+	return nil
 }
 
-// buildWriteOnly realises the §5 dual: data pushed end to end by the
-// source; every link is a Deliver invocation.  Stages are wired tail
-// first because each needs its successor's UID (and, in capability
-// mode, channel UID).  A sharded row's consumer declares one input
-// channel per shard and merges; its producer deals frames across the
-// row's channels.
-func buildWriteOnly(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc, opt Options) (*Pipeline, error) {
-	met := k.Metrics()
-	counts := shardCounts(fs, opt)
-	if err := validateShards(counts); err != nil {
-		return nil, err
+// lane is shard j's share of a link its row attaches to (nil stays nil:
+// the end the row declares instead).
+func lane(link []endpoint, j int) []endpoint {
+	if link == nil {
+		return nil
 	}
-	p := &Pipeline{K: k, Discipline: WriteOnly}
-	slab := p.frameSlab(met, counts)
-	outCfg := PusherConfig{
-		Batch: opt.Batch, Window: opt.Window,
-		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
-	}
-	woCfg := func(name string, ins int, fused bool) WOStageConfig {
-		cfg := WOStageConfig{
-			Name:           name,
-			InNames:        channelNames("Input", ins),
-			Capacity:       opt.Anticipation,
-			CapabilityMode: opt.CapabilityMode,
-		}
-		if fused {
-			cfg.PoolWorkers = fusedPoolWorkers(opt)
-			cfg.PoolPinned = fusedPoolPinned()
-		}
-		return cfg
-	}
-	// upWidth reports the fan-in an element must declare toward the
-	// element before filter i (the source is sequential).
-	upWidth := func(i int) int {
-		if i > 0 {
-			return counts[i-1]
-		}
-		return 1
-	}
-
-	// Sink.
-	sinkUID := k.NewUID()
-	lastP := upWidth(len(fs))
-	sinkBody := func(ins []ItemReader, _ []ItemWriter) error {
-		return sink(detachReader{ins[0]})
-	}
-	if lastP > 1 {
-		sinkBody = mergeBody(met, sinkBody)
-	}
-	sinkStage := NewWOStage(k, woCfg("sink", lastP, opt.sinkFused), sinkBody)
-	if err := k.CreateWithUID(sinkUID, sinkStage, opt.node(RoleSink, 0)); err != nil {
-		return nil, err
-	}
-	p.SinkUID = sinkUID
-	p.allUIDs = append(p.allUIDs, sinkUID)
-	p.starters = append(p.starters, sinkStage)
-	p.sinkDone = sinkStage.Done()
-	p.sinkErr = sinkStage.Err
-
-	next := make([]endpoint, lastP)
-	for j := range next {
-		next[j] = endpoint{sinkUID, sinkStage.Reader(j).ID()}
-	}
-	shardRows := make([][]uid.UID, len(fs))
-	shardLoads := make([][]*atomic.Int64, len(fs))
-
-	// Filters, tail to head.
-	for i := len(fs) - 1; i >= 0; i-- {
-		f := fs[i]
-		if counts[i] > 1 {
-			P := counts[i]
-			uids := make([]uid.UID, P)
-			loads := make([]*atomic.Int64, P)
-			row := make([]endpoint, P)
-			rowUIDs := make([]uid.UID, 0, P)
-			for j := 0; j < P; j++ {
-				fUID := k.NewUID()
-				out := NewPusher(k, fUID, next[j].u, next[j].c, outCfg)
-				loads[j] = new(atomic.Int64)
-				st := NewWOStage(k, woCfg(fmt.Sprintf("%s#%d", f.Name, j), 1, false),
-					shardBody(met, slab, loads[j], f.Body), out)
-				if err := k.CreateWithUID(fUID, st, opt.node(RoleFilter, i)); err != nil {
-					return nil, err
-				}
-				uids[j] = fUID
-				rowUIDs = append(rowUIDs, fUID)
-				p.allUIDs = append(p.allUIDs, fUID)
-				p.stageErr = append(p.stageErr, st.Err)
-				p.starters = append(p.starters, st)
-				row[j] = endpoint{fUID, st.Reader(0).ID()}
-			}
-			p.FilterUIDs = append(rowUIDs, p.FilterUIDs...)
-			shardRows[i] = uids
-			shardLoads[i] = loads
-			next = row
-			continue
-		}
-		fUID := k.NewUID()
-		body := detachBody(f.Body)
-		outs := make([]ItemWriter, len(next))
-		for j := range next {
-			outs[j] = NewPusher(k, fUID, next[j].u, next[j].c, outCfg)
-		}
-		if len(next) > 1 {
-			body = splitBody(met, slab, body)
-		}
-		inW := upWidth(i)
-		if inW > 1 {
-			body = mergeBody(met, body)
-		}
-		st := NewWOStage(k, woCfg(f.Name, inW, f.fused), body, outs...)
-		if err := k.CreateWithUID(fUID, st, opt.node(RoleFilter, i)); err != nil {
-			return nil, err
-		}
-		p.FilterUIDs = append([]uid.UID{fUID}, p.FilterUIDs...)
-		p.allUIDs = append(p.allUIDs, fUID)
-		p.stageErr = append(p.stageErr, st.Err)
-		p.starters = append(p.starters, st)
-		shardRows[i] = []uid.UID{fUID}
-		next = make([]endpoint, inW)
-		for j := range next {
-			next[j] = endpoint{fUID, st.Reader(j).ID()}
-		}
-	}
-	for i := range fs {
-		p.addShardRow(shardRows[i], shardLoads[i], counts[i])
-	}
-
-	// Source: an Eject with active output only.
-	srcUID := k.NewUID()
-	outs := make([]ItemWriter, len(next))
-	for j := range next {
-		outs[j] = NewPusher(k, srcUID, next[j].u, next[j].c, outCfg)
-	}
-	srcBody := func(_ []ItemReader, outs []ItemWriter) error {
-		return src(outs[0])
-	}
-	if len(next) > 1 {
-		srcBody = splitBody(met, slab, srcBody)
-	}
-	srcStage := NewConvStage("source", srcBody, nil, outs)
-	if err := k.CreateWithUID(srcUID, srcStage, opt.node(RoleSource, 0)); err != nil {
-		return nil, err
-	}
-	p.SourceUID = srcUID
-	p.allUIDs = append(p.allUIDs, srcUID)
-	p.stageErr = append(p.stageErr, srcStage.Err)
-	p.starters = append(p.starters, srcStage)
-	return p, nil
+	return link[j : j+1]
 }
 
-// buildBuffered realises Figure 1 inside Eden: every stage performs
-// active input and active output, with a PassiveBuffer Eject between
-// each pair — 2n+3 Ejects and 2n+2 invocations per datum in the
-// sequential case.  A sharded link gets one buffer per shard, so the
-// paper's buffer overhead scales with the parallelism it feeds.
-func buildBuffered(k *kernel.Kernel, src SourceFunc, fs []Filter, sink SinkFunc, opt Options) (*Pipeline, error) {
-	met := k.Metrics()
-	counts := shardCounts(fs, opt)
-	if err := validateShards(counts); err != nil {
-		return nil, err
+// bind registers an Eject the pipeline owns.
+func (p *Pipeline) bind(id uid.UID, e kernel.Eject, node netsim.NodeID) error {
+	if err := p.K.CreateWithUID(id, e, node); err != nil {
+		return err
 	}
-	p := &Pipeline{K: k, Discipline: Buffered}
-	slab := p.frameSlab(met, counts)
-	inCfg := InPortConfig{
-		Batch: opt.Batch, Prefetch: opt.Prefetch, Window: opt.Window,
-		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
-	}
-	outCfg := PusherConfig{
-		Batch: opt.Batch, Window: opt.Window,
-		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
-	}
+	p.allUIDs = append(p.allUIDs, id)
+	return nil
+}
 
-	// Link i sits between element i and i+1 (elements: source, the
-	// filters, sink); its width is the shard count of its sharded
-	// side, 1 when both sides are sequential.
-	n := len(fs)
-	linkWidth := func(i int) int {
-		w := 1
-		if i > 0 && counts[i-1] > w {
-			w = counts[i-1]
-		}
-		if i < n && counts[i] > w {
-			w = counts[i]
-		}
-		return w
+// add binds a built stage (lane j of filter fi, when it is a filter) and
+// enters it in the inventory.  starters and stageErr are in construction
+// order, passive end first: a write-only stage must already be consuming
+// when data arrives, and Wait reports the first failed stage in that
+// order.  lazy keeps read-only producers out of starters — their first
+// invocation starts them — but never the sink, which pumps.
+func (p *Pipeline) add(e element, fi, j int, id uid.UID, st stage, lazy bool) error {
+	if err := p.bind(id, st, e.node); err != nil {
+		return err
 	}
-	bufs := make([][]uid.UID, n+1)
-	bufIndex := 0
-	for i := range bufs {
-		w := linkWidth(i)
-		bufs[i] = make([]uid.UID, w)
-		for j := 0; j < w; j++ {
-			name := fmt.Sprintf("pipe%d", i)
-			if w > 1 {
-				name = fmt.Sprintf("pipe%d#%d", i, j)
-			}
-			b := NewPassiveBuffer(k, PassiveBufferConfig{
-				Name:     name,
-				Capacity: opt.BufferCapacity,
-			})
-			id, err := k.Create(b, opt.node(RoleBuffer, bufIndex))
-			if err != nil {
-				return nil, err
-			}
-			bufs[i][j] = id
-			bufIndex++
-		}
-		p.BufferUIDs = append(p.BufferUIDs, bufs[i]...)
+	switch e.role {
+	case RoleSource:
+		p.SourceUID = id
+	case RoleFilter:
+		p.ShardUIDs[fi][j] = id
+	case RoleSink:
+		p.SinkUID, p.sinkDone, p.sinkErr = id, st.Done(), st.Err
 	}
-	p.allUIDs = append(p.allUIDs, p.BufferUIDs...)
+	if e.role != RoleSink {
+		p.stageErr = append(p.stageErr, st.Err)
+	}
+	if e.role == RoleSink || !lazy {
+		p.starters = append(p.starters, st)
+	}
+	return nil
+}
 
-	// Source pushes into link 0.
-	srcUID := k.NewUID()
-	srcOuts := make([]ItemWriter, len(bufs[0]))
-	for j, b := range bufs[0] {
-		srcOuts[j] = NewPusher(k, srcUID, b, Chan(0), outCfg)
-	}
-	srcBody := func(_ []ItemReader, outs []ItemWriter) error {
-		return src(outs[0])
-	}
-	if len(srcOuts) > 1 {
-		srcBody = splitBody(met, slab, srcBody)
-	}
-	srcStage := NewConvStage("source", srcBody, nil, srcOuts)
-	if err := k.CreateWithUID(srcUID, srcStage, opt.node(RoleSource, 0)); err != nil {
-		return nil, err
-	}
-	p.SourceUID = srcUID
-	p.allUIDs = append(p.allUIDs, srcUID)
-	p.stageErr = append(p.stageErr, srcStage.Err)
-	p.starters = append(p.starters, srcStage)
-
-	// Filters: active input from link i, active output to link i+1.
-	for i, f := range fs {
-		if counts[i] > 1 {
-			P := counts[i]
-			uids := make([]uid.UID, P)
-			loads := make([]*atomic.Int64, P)
-			for j := 0; j < P; j++ {
-				fUID := k.NewUID()
-				in := NewInPort(k, fUID, bufs[i][j], Chan(0), inCfg)
-				out := NewPusher(k, fUID, bufs[i+1][j], Chan(0), outCfg)
-				loads[j] = new(atomic.Int64)
-				st := NewConvStage(fmt.Sprintf("%s#%d", f.Name, j),
-					shardBody(met, slab, loads[j], f.Body),
-					[]ItemReader{in}, []ItemWriter{out})
-				if err := k.CreateWithUID(fUID, st, opt.node(RoleFilter, i)); err != nil {
-					return nil, err
-				}
-				uids[j] = fUID
-				p.FilterUIDs = append(p.FilterUIDs, fUID)
-				p.allUIDs = append(p.allUIDs, fUID)
-				p.stageErr = append(p.stageErr, st.Err)
-				p.starters = append(p.starters, st)
-			}
-			p.addShardRow(uids, loads, P)
-			continue
+// buffers materialises link i of a buffered pipeline: w PassiveBuffer
+// Ejects, one per lane, so the paper's buffer overhead scales with the
+// parallelism it feeds.  A buffer's placement index is the running count
+// of buffers, in link-then-lane order.
+func (p *Pipeline) buffers(link, w int, opt Options) ([]endpoint, error) {
+	eps := make([]endpoint, w)
+	for j := range eps {
+		name := fmt.Sprintf("pipe%d", link)
+		if w > 1 {
+			name = fmt.Sprintf("pipe%d#%d", link, j)
 		}
-		fUID := k.NewUID()
-		body := detachBody(f.Body)
-		ins := make([]ItemReader, len(bufs[i]))
-		for j, b := range bufs[i] {
-			ins[j] = NewInPort(k, fUID, b, Chan(0), inCfg)
-		}
-		outs := make([]ItemWriter, len(bufs[i+1]))
-		for j, b := range bufs[i+1] {
-			outs[j] = NewPusher(k, fUID, b, Chan(0), outCfg)
-		}
-		if len(ins) > 1 {
-			body = mergeBody(met, body)
-		}
-		if len(outs) > 1 {
-			body = splitBody(met, slab, body)
-		}
-		st := NewConvStage(f.Name, body, ins, outs)
-		if err := k.CreateWithUID(fUID, st, opt.node(RoleFilter, i)); err != nil {
+		id := p.K.NewUID()
+		b := NewPassiveBuffer(p.K, PassiveBufferConfig{Name: name, Capacity: opt.BufferCapacity})
+		if err := p.bind(id, b, opt.node(RoleBuffer, len(p.BufferUIDs))); err != nil {
 			return nil, err
 		}
-		p.FilterUIDs = append(p.FilterUIDs, fUID)
-		p.allUIDs = append(p.allUIDs, fUID)
-		p.stageErr = append(p.stageErr, st.Err)
-		p.starters = append(p.starters, st)
-		p.addShardRow([]uid.UID{fUID}, nil, 1)
+		p.BufferUIDs = append(p.BufferUIDs, id)
+		eps[j] = endpoint{id, Chan(0)}
 	}
-
-	// Sink pulls from the last link.
-	sinkUID := k.NewUID()
-	ins := make([]ItemReader, len(bufs[n]))
-	for j, b := range bufs[n] {
-		ins[j] = NewInPort(k, sinkUID, b, Chan(0), inCfg)
-	}
-	sinkBody := func(ins []ItemReader) error {
-		return sink(detachReader{ins[0]})
-	}
-	if len(ins) > 1 {
-		sinkBody = func(ins []ItemReader) error {
-			return sink(newShardMerger(met, ins))
-		}
-	}
-	se := NewSinkEject("sink", sinkBody, ins...)
-	if err := k.CreateWithUID(sinkUID, se, opt.node(RoleSink, 0)); err != nil {
-		return nil, err
-	}
-	p.SinkUID = sinkUID
-	p.allUIDs = append(p.allUIDs, sinkUID)
-	p.starters = append(p.starters, se)
-	p.sinkDone = se.Done()
-	p.sinkErr = se.Err
-	return p, nil
+	return eps, nil
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"asymstream/internal/kernel"
+	"asymstream/internal/netsim"
 )
 
 // testKernel returns a single-node kernel suitable for unit tests.
@@ -135,27 +137,75 @@ func TestPipelineDisciplinesPreserveData(t *testing.T) {
 }
 
 func TestPipelineEjectCounts(t *testing.T) {
-	// Figure 2 vs Figure 1: n+2 Ejects asymmetric, 2n+3 buffered.
+	// Figure 2 vs Figure 1: n+2 Ejects asymmetric (either direction),
+	// 2n+3 buffered.
 	for _, n := range []int{1, 4} {
 		k := testKernel(t)
 		var fs []Filter
 		for i := 0; i < n; i++ {
 			fs = append(fs, Filter{Name: "f", Body: upcaseFilter})
 		}
-		var got [][]byte
-		ro, err := BuildPipeline(k, ReadOnly, numbersSource(1), fs, collectSink(&got), Options{})
-		if err != nil {
-			t.Fatal(err)
+		for d, want := range map[Discipline]int{ReadOnly: n + 2, WriteOnly: n + 2, Buffered: 2*n + 3} {
+			var got [][]byte
+			p, err := BuildPipeline(k, d, numbersSource(1), fs, collectSink(&got), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Ejects() != want {
+				t.Errorf("%v n=%d: %d Ejects, want %d", d, n, p.Ejects(), want)
+			}
 		}
-		if ro.Ejects() != n+2 {
-			t.Errorf("read-only n=%d: %d Ejects, want %d", n, ro.Ejects(), n+2)
+	}
+}
+
+// TestFailedBuildLeavesNothingBound: a build that fails part-way — the
+// kernel refuses an element or a buffer placed on a node it does not
+// have — returns that error with every Eject it had already bound
+// destroyed.  The caller gets no Pipeline, so nothing else could.
+func TestFailedBuildLeavesNothingBound(t *testing.T) {
+	const bad = netsim.NodeID(7)
+	on := func(role Role, index int) func(Role, int) netsim.NodeID {
+		return func(r Role, i int) netsim.NodeID {
+			if r == role && i == index {
+				return bad
+			}
+			return 0
 		}
-		bu, err := BuildPipeline(k, Buffered, numbersSource(1), fs, collectSink(&got), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bu.Ejects() != 2*n+3 {
-			t.Errorf("buffered n=%d: %d Ejects, want %d", n, bu.Ejects(), 2*n+3)
+	}
+	// source | f0 | f1 (two shards) | sink.  Read-only and buffered build
+	// source first and sink last, write-only the reverse; the buffered
+	// links hold buffers 0 | 1 2 | 3 4.
+	cases := []struct {
+		name      string
+		placement func(Role, int) netsim.NodeID
+		only      []Discipline
+	}{
+		{"source", on(RoleSource, 0), disciplines},
+		{"sink", on(RoleSink, 0), disciplines},
+		{"sequential filter", on(RoleFilter, 0), disciplines},
+		{"sharded row", on(RoleFilter, 1), disciplines},
+		{"second buffer of a wide link", on(RoleBuffer, 2), []Discipline{Buffered}},
+		{"last buffer", on(RoleBuffer, 4), []Discipline{Buffered}},
+	}
+	for _, tc := range cases {
+		for _, d := range tc.only {
+			t.Run(fmt.Sprintf("%v/%s", d, tc.name), func(t *testing.T) {
+				k := kernel.New(kernel.Config{})
+				fs := []Filter{{Name: "f0", Body: upcaseFilter}, {Name: "f1", Body: upcaseFilter, Shards: 2}}
+				var got [][]byte
+				before := k.ActiveCount()
+				p, err := BuildPipeline(k, d, numbersSource(1), fs, collectSink(&got), Options{Placement: tc.placement})
+				if err == nil || p != nil || !strings.Contains(err.Error(), "create on node 7") {
+					t.Fatalf("BuildPipeline = %v, %v; want the kernel's placement error", p, err)
+				}
+				if n := k.ActiveCount(); n != before {
+					t.Errorf("%d Ejects left bound by the failed build", n-before)
+				}
+				k.Shutdown()
+				if leaked := k.Metrics().SlabLeaked.Value(); leaked != 0 {
+					t.Errorf("SlabLeaked = %d", leaked)
+				}
+			})
 		}
 	}
 }
