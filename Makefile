@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded bench bench-json json loc
+.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded bench bench-json json loc pairs
 
 ## check: the pre-merge gate — vet (stock + staticcheck + the repo's
 ## own transput-vet analyzers), build, full tests, the race detector
@@ -54,6 +54,17 @@ cover-floor:
 loc:
 	@./scripts/loc.sh
 
+## pairs: the paired parent/change comparison a PR's benchmark table is
+## made of — `make pairs PARENT=<commit> WORKLOAD=<name> [PAIRS=10]
+## [SECONDS=12]` runs the harness command in an export of PARENT and in
+## the working tree, alternating, and prints per metric the per-pair
+## ratios, their median and quartiles, and the sign count
+## (scripts/pairs.sh; it also takes two directories).
+PAIRS ?= 10
+SECONDS ?= 12
+pairs:
+	@./scripts/pairs.sh --against $(PARENT) $(WORKLOAD) $(PAIRS) $(SECONDS)
+
 build:
 	$(GO) build ./...
 
@@ -77,7 +88,7 @@ race-sharded:
 ## bridge's round trip, plus the parallel engine's end-to-end throughput
 ## benchmark.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
+	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCallerInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
 	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/
 
 ## bench-json: regenerate the committed measurement files —

@@ -64,19 +64,35 @@ func Map(fn func(item []byte) [][]byte) transput.Body {
 	}
 }
 
+// mapOne is Map for a transformation with at most one output item per
+// input item — most filters — without a result slice per datum.  fn
+// reports false to drop the item; the output itself may be empty or nil,
+// which is an item like any other.
+func mapOne(fn func(item []byte) ([]byte, bool)) transput.Body {
+	return func(ins []transput.ItemReader, outs []transput.ItemWriter) error {
+		return forEach(ins[0], func(item []byte) error {
+			out, ok := fn(item)
+			if !ok {
+				return nil
+			}
+			return transput.PutOwned(outs[0], out) // ownership as in Map
+		})
+	}
+}
+
 // Identity copies input to output unchanged.
 func Identity() transput.Body {
-	return Map(func(item []byte) [][]byte { return [][]byte{item} })
+	return mapOne(func(item []byte) ([]byte, bool) { return item, true })
 }
 
 // UpperCase maps every item to upper case.
 func UpperCase() transput.Body {
-	return Map(func(item []byte) [][]byte { return [][]byte{bytes.ToUpper(item)} })
+	return mapOne(func(item []byte) ([]byte, bool) { return bytes.ToUpper(item), true })
 }
 
 // LowerCase maps every item to lower case.
 func LowerCase() transput.Body {
-	return Map(func(item []byte) [][]byte { return [][]byte{bytes.ToLower(item)} })
+	return mapOne(func(item []byte) ([]byte, bool) { return bytes.ToLower(item), true })
 }
 
 // StripComments omits lines beginning with prefix — the paper's own
@@ -85,12 +101,7 @@ func LowerCase() transput.Body {
 // be used to strip comment lines from a Fortran program" (§3).
 func StripComments(prefix string) transput.Body {
 	p := []byte(prefix)
-	return Map(func(item []byte) [][]byte {
-		if bytes.HasPrefix(item, p) {
-			return nil
-		}
-		return [][]byte{item}
-	})
+	return mapOne(func(item []byte) ([]byte, bool) { return item, !bytes.HasPrefix(item, p) })
 }
 
 // Grep passes only lines matching pattern (inverted when invert is
@@ -100,14 +111,11 @@ func StripComments(prefix string) transput.Body {
 // so misconfiguration surfaces at pipeline build time.
 func Grep(pattern string, invert bool) transput.Body {
 	re := regexp.MustCompile(pattern)
-	return Map(func(item []byte) [][]byte {
+	return mapOne(func(item []byte) ([]byte, bool) {
 		// Match against the line content, excluding the terminator, so
 		// anchors like "7$" behave as in grep(1).
 		line := bytes.TrimSuffix(item, []byte("\n"))
-		if re.Match(line) != invert {
-			return [][]byte{item}
-		}
-		return nil
+		return item, re.Match(line) != invert
 	})
 }
 
@@ -115,14 +123,12 @@ func Grep(pattern string, invert bool) transput.Body {
 func Replace(pattern, repl string) transput.Body {
 	re := regexp.MustCompile(pattern)
 	r := []byte(repl)
-	return Map(func(item []byte) [][]byte {
-		return [][]byte{re.ReplaceAll(item, r)}
-	})
+	return mapOne(func(item []byte) ([]byte, bool) { return re.ReplaceAll(item, r), true })
 }
 
 // Rot13 applies the classic involution to ASCII letters.
 func Rot13() transput.Body {
-	return Map(func(item []byte) [][]byte {
+	return mapOne(func(item []byte) ([]byte, bool) {
 		out := make([]byte, len(item))
 		for i, c := range item {
 			switch {
@@ -134,7 +140,7 @@ func Rot13() transput.Body {
 				out[i] = c
 			}
 		}
-		return [][]byte{out}
+		return out, true
 	})
 }
 
@@ -144,7 +150,7 @@ func ExpandTabs(width int) transput.Body {
 	if width <= 0 {
 		width = 8
 	}
-	return Map(func(item []byte) [][]byte {
+	return mapOne(func(item []byte) ([]byte, bool) {
 		var out bytes.Buffer
 		col := 0
 		for _, c := range item {
@@ -163,7 +169,7 @@ func ExpandTabs(width int) transput.Body {
 				col++
 			}
 		}
-		return [][]byte{out.Bytes()}
+		return out.Bytes(), true
 	})
 }
 

@@ -423,3 +423,46 @@ func eqStrings(a, b []string) bool {
 	}
 	return true
 }
+
+// TestMapShapes: Map stays the one-to-many lift; the one-output filters
+// go through mapOne, which must pass an empty item — even a nil one —
+// exactly as Map's [][]byte{item} did, drop only what the filter drops,
+// and allocate nothing per item of its own.
+func TestMapShapes(t *testing.T) {
+	split := Map(func(item []byte) [][]byte { return bytes.SplitAfter(item, []byte(",")) })
+	out := apply(t, split, [][][]byte{lines("a,b,", "", "c")}, 1)
+	if got := strs(out[0]); strings.Join(got, "|") != "a,|b,|||c" || len(got) != 5 {
+		t.Fatalf("one-to-many Map: %q", got)
+	}
+
+	in := [][]byte{[]byte("x\n"), {}, nil, []byte("C drop\n"), []byte("y\n")}
+	for name, body := range map[string]transput.Body{
+		"identity": Identity(), "replace": Replace("z", "w"), "expand": ExpandTabs(4),
+		"rot13": Rot13(), "upper": UpperCase(), "grep": Grep("^C", true), "strip": StripComments("C"),
+	} {
+		want := 5
+		if name == "grep" || name == "strip" {
+			want = 4
+		}
+		out := apply(t, body, [][][]byte{in}, 1)
+		if len(out[0]) != want || len(out[0][1]) != 0 || len(out[0][2]) != 0 || len(out[0][want-1]) != 2 {
+			t.Errorf("%s: %q, want %d items with the two empty ones kept", name, strs(out[0]), want)
+		}
+	}
+
+	items, sink := lines("a\n", "b\n", "c\n", "d\n"), discard{}
+	id := Identity()
+	if n := testing.AllocsPerRun(100, func() {
+		if err := id([]transput.ItemReader{transput.NewSliceReader(items)}, []transput.ItemWriter{sink}); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 { // the reader and the interface slices, not one per item
+		t.Errorf("Identity over %d items: %.0f allocs", len(items), n)
+	}
+}
+
+type discard struct{}
+
+func (discard) Put([]byte) error           { return nil }
+func (discard) Close() error               { return nil }
+func (discard) CloseWithError(error) error { return nil }

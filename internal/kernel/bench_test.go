@@ -72,6 +72,20 @@ func BenchmarkAsyncInvokeLocal(b *testing.B)         { benchPingSerial(b, asyncP
 func BenchmarkInvokeLocalParallel(b *testing.B)      { benchPingParallel(b, syncPing) }
 func BenchmarkAsyncInvokeLocalParallel(b *testing.B) { benchPingParallel(b, asyncPing) }
 
+// BenchmarkCallerInvokeLocal is the inline path as every port takes it:
+// through a Caller, which remembers the binding it invokes
+// (BenchmarkInvokeLocal's Kernel.Invoke resolves it every time).
+func BenchmarkCallerInvokeLocal(b *testing.B) {
+	var c *Caller
+	benchPingSerial(b, func(k *Kernel, id uid.UID, req *pingReq) error {
+		if c == nil {
+			c = k.Caller(uid.Nil)
+		}
+		_, err := c.Invoke(id, "ping", req)
+		return err
+	})
+}
+
 func BenchmarkInvokeCrossNodeGob(b *testing.B) {
 	k := New(Config{Net: netsim.Config{Nodes: 2, EncodePayloads: true}})
 	defer k.Shutdown()

@@ -26,7 +26,9 @@ import (
 // returned and the reply has been handed off, so a warm hop performs
 // no Invocation allocation.  Ejects must not retain the *Invocation
 // beyond Serve: the kernel fails unreplied invocations when Serve
-// returns, and a late Reply panics as a double reply.
+// returns, and a late Reply panics as a double reply — or, once the
+// record is recycled, finds neither of its reply destinations (both are
+// nil) and hangs; that is no guard, on either dispatch path.
 type Invocation struct {
 	// MsgID is unique per kernel and never 0, for tracing.  It is not a
 	// sequence: ids are drawn per stripe of the metrics ledger
@@ -53,7 +55,13 @@ type Invocation struct {
 	fromNode netsim.NodeID
 	toNode   netsim.NodeID
 	replied  atomic.Bool
-	replyc   chan reply
+	// The reply goes to exactly one of two places.  slot is set when the
+	// invoker itself holds the worker slot (send claimed it): it points
+	// into the invoker's Call, which reads it once Serve has returned on
+	// its own goroutine.  Otherwise the reply is sent on replyc, the
+	// Call's channel, and whoever collects the Call receives it.
+	slot   *reply
+	replyc chan reply
 }
 
 type reply struct {
@@ -77,6 +85,7 @@ func releaseInvocation(inv *Invocation) {
 	inv.Payload = nil
 	inv.fromNode = 0
 	inv.toNode = 0
+	inv.slot = nil
 	inv.replyc = nil
 	inv.replied.Store(false)
 	invocationPool.Put(inv)
@@ -85,22 +94,28 @@ func releaseInvocation(inv *Invocation) {
 // Reply completes the invocation successfully with the given result
 // payload.  Calling Reply or Fail more than once panics: a double
 // reply is always a programming error in the Eject.
-func (inv *Invocation) Reply(payload any) {
-	if !inv.replied.CompareAndSwap(false, true) {
-		panic("kernel: double reply to invocation " + inv.Op)
-	}
-	inv.replyc <- reply{payload: payload}
-}
+func (inv *Invocation) Reply(payload any) { inv.complete(reply{payload: payload}) }
 
 // Fail completes the invocation with an error.
 func (inv *Invocation) Fail(err error) {
 	if err == nil {
 		panic("kernel: Fail(nil)")
 	}
+	inv.complete(reply{err: toWire(err)})
+}
+
+// complete delivers the reply, once.  It may run on any goroutine Serve
+// joins before it returns: the inline invoker reads the slot only after
+// Serve has.
+func (inv *Invocation) complete(r reply) {
 	if !inv.replied.CompareAndSwap(false, true) {
 		panic("kernel: double reply to invocation " + inv.Op)
 	}
-	inv.replyc <- reply{err: toWire(err)}
+	if inv.slot != nil {
+		*inv.slot = r
+		return
+	}
+	inv.replyc <- r
 }
 
 // Replied reports whether the invocation has been completed.
@@ -139,7 +154,10 @@ type Call struct {
 	mu    sync.Mutex
 	state callState
 	done  chan struct{} // lazily allocated
-	res   reply
+	// res is the settled reply Wait and Done publish (state == callDone).
+	// On the synchronous path, whose Call nothing else can see, it is
+	// instead the slot an inline-served Invocation's reply is written to.
+	res reply
 
 	// tracing (set only when the kernel's Trace hook is installed)
 	traced     bool
@@ -170,9 +188,9 @@ func newCall(k *Kernel, op string, target uid.UID, from netsim.NodeID) *Call {
 }
 
 // release recycles a Call.  Only the synchronous Invoke path calls it,
-// after Wait has returned and before the Call could escape; the reply
-// channel is empty again at that point (Wait consumed the single
-// send), so the channel itself is reused.
+// once the reply is collected and before the Call could escape; the
+// reply channel is empty at that point (its single send, if the mailbox
+// path made one, has been received), so the channel itself is reused.
 func (c *Call) release() {
 	c.k = nil
 	c.op = ""
@@ -229,13 +247,8 @@ func (c *Call) finish(r reply) {
 	c.mu.Unlock()
 }
 
-// waitSync collects the reply without touching the Call's mutex or
-// publishing state.  Only the synchronous Invoke path may use it: there
-// the handle never escapes the calling goroutine before release, so no
-// Wait or Done can race with the collection.  After an inline Serve the
-// reply is already in the channel and the receive does not park.
-func (c *Call) waitSync() (any, error) {
-	r := c.settle(<-c.replyc)
+// result is a settled reply as Invoke and Wait return it.
+func (c *Call) result(r reply) (any, error) {
 	if r.err != nil {
 		return nil, &OpError{Op: c.op, Target: c.target.String(), Err: r.err}
 	}
@@ -284,10 +297,7 @@ func (c *Call) Wait() (any, error) {
 	case callDone:
 		c.mu.Unlock()
 	}
-	if c.res.err != nil {
-		return nil, &OpError{Op: c.op, Target: c.target.String(), Err: c.res.err}
-	}
-	return c.res.payload, nil
+	return c.result(c.res)
 }
 
 // Sizer lets a payload report its size in bytes so the kernel can

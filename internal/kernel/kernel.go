@@ -457,6 +457,12 @@ type Caller struct {
 	// cache is 0 when unresolved, else home node + 1.  Unknown UIDs
 	// are not cached (the Eject may be created later, on any node).
 	cache atomic.Uint64
+	// peer is the binding send last resolved for this handle — a port
+	// invokes one peer all its life.  send tries it before the table,
+	// unverified: claim and enqueue check its state themselves.  It may
+	// pin one stopped binding (whose eject is nil) until the handle's
+	// next call, or its own collection.
+	peer atomic.Pointer[binding]
 }
 
 // Caller returns an invoker handle for from.  Ports that invoke
@@ -477,15 +483,28 @@ func (c *Caller) fromNode() netsim.NodeID {
 	return node
 }
 
+// remembered returns the binding the handle last resolved, if it is
+// target's and the kernel is up.  It may have stopped since, or been
+// superseded in the table.
+func (c *Caller) remembered(target uid.UID) *binding {
+	if c == nil {
+		return nil
+	}
+	if b := c.peer.Load(); b != nil && b.id == target && !c.k.down.Load() {
+		return b
+	}
+	return nil
+}
+
 // AsyncInvoke sends an invocation from the handle's Eject.
 func (c *Caller) AsyncInvoke(target uid.UID, op string, payload any) *Call {
-	call, _, _ := c.k.send(c.from, c.fromNode(), target, op, payload, false)
+	call, _, _ := c.k.send(c.from, c.fromNode(), target, op, payload, false, c)
 	return call
 }
 
 // Invoke performs a synchronous invocation from the handle's Eject.
 func (c *Caller) Invoke(target uid.UID, op string, payload any) (any, error) {
-	return c.k.invokeSync(c.from, c.fromNode(), target, op, payload)
+	return c.k.invokeSync(c.from, c.fromNode(), target, op, payload, c)
 }
 
 // AsyncInvoke sends an invocation and returns immediately with a Call
@@ -493,36 +512,43 @@ func (c *Caller) Invoke(target uid.UID, op string, payload any) (any, error) {
 // other tasks".  It always goes through the target's mailbox, so it
 // returns before Serve does however long Serve takes.
 func (k *Kernel) AsyncInvoke(from, target uid.UID, op string, payload any) *Call {
-	c, _, _ := k.send(from, k.nodeOf(from), target, op, payload, false)
+	c, _, _ := k.send(from, k.nodeOf(from), target, op, payload, false, nil)
 	return c
 }
 
 // Invoke performs a synchronous invocation: send, then wait for the
 // reply.
 func (k *Kernel) Invoke(from, target uid.UID, op string, payload any) (any, error) {
-	return k.invokeSync(from, k.nodeOf(from), target, op, payload)
+	return k.invokeSync(from, k.nodeOf(from), target, op, payload, nil)
 }
 
 // invokeSync is Invoke with the invoker's node resolved.  If send
 // claimed one of the target's worker slots, Serve runs here, once send
-// has returned.  The Call never leaves this goroutine, so it is
-// collected without its mutex and recycled.
-func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any) (any, error) {
-	c, inv, s := k.send(from, fromNode, target, op, payload, true)
+// has returned, and has left its reply in the Call (serveInvocation
+// fails an invocation Serve did not answer); otherwise the reply comes
+// through the Call's channel.  The Call never leaves this goroutine, so
+// it is collected without its mutex or published state, and recycled.
+func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, via *Caller) (any, error) {
+	c, inv, s := k.send(from, fromNode, target, op, payload, true, via)
+	var r reply
 	if inv != nil {
 		serveInvocation(s.e, inv)
 		s.release()
+		r = c.res
+	} else {
+		r = <-c.replyc
 	}
-	res, err := c.waitSync()
+	res, err := c.result(c.settle(r))
 	c.release()
 	return res, err
 }
 
 // send is the invocation hot path.  fromNode is the invoker's
 // already-resolved home node (cached by Caller, or looked up once by
-// the public wrappers).  A warm local hop takes no kernel-wide lock
-// beyond resolve's map read and allocates nothing beyond what the
-// payload itself requires: the Call and Invocation come from pools.
+// the public wrappers); via is the Caller it came through, if any.  A
+// warm local hop through a Caller does not read the binding table at
+// all, and allocates nothing beyond what the payload itself requires:
+// the Call and Invocation come from pools.
 //
 // Every invocation is resolved, transmitted through the link, metered
 // and traced here, the same way.  What differs is who runs Serve:
@@ -530,19 +556,20 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 //   - waits == false (AsyncInvoke: "sending does not suspend the
 //     sender"), a target on another node, a pinned pool, a full pool or
 //     a non-empty mailbox: the invocation goes into the target's
-//     mailbox and a pool worker serves it.  send returns the Call alone.
+//     mailbox and a pool worker serves it, replying on the Call's
+//     channel.  send returns the Call alone.
 //   - otherwise the invoker — which does nothing until the reply comes —
 //     claims one of the target's worker slots, and send hands it the
 //     Invocation and the slot to serve on its own goroutine.  The reply
-//     lands in the Call's capacity-1 channel, so the wait that follows
-//     does not park, and the two goroutine hand-offs of the mailbox path
-//     (wake a worker, be woken by it) are not paid.  A sender that sends
-//     and immediately waits cannot observe whether its message sat in a
+//     is written straight into the Call (Invocation.slot): no channel
+//     operation, and none of the mailbox path's two goroutine hand-offs
+//     (wake a worker, be woken by it).  A sender that sends and
+//     immediately waits cannot observe whether its message sat in a
 //     queue.
 //
-// The choice is made from the call alone; there is no switch for it.
-// Cross-node invocations stay on the mailbox: served inline they moved
-// the socket workloads' item latency past its bound (DESIGN §6).
+// The choice, and with it where the reply goes, is made from the call
+// alone; there is no switch for it.  Cross-node invocations stay on the
+// mailbox (DESIGN §6 says what serving them inline costs).
 //
 // An invocation is one message however many times a deactivating target
 // makes send resolve it again: it has one Call, draws one id, and is
@@ -550,15 +577,25 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // nothing takes is answered by refuse and ticks no meter on either
 // side.  The id and the counts go to one stripe of the metrics ledger,
 // taken once.
-func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool) (*Call, *Invocation, slot) {
+func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool, via *Caller) (*Call, *Invocation, slot) {
 	st := metrics.Here()
 	c := newCall(k, op, target, fromNode)
 	var inv *Invocation
-	for attempt := 0; ; attempt++ {
-		b, err := k.resolve(target)
-		if err != nil {
-			c.refuse(inv, from, err)
-			return c, nil, slot{}
+	// A remembered binding is tried without resolving it.  If it has
+	// stopped, claim and enqueue both refuse it and the loop resolves
+	// afresh, with every retry left.
+	b := via.remembered(target)
+	for resolves := 0; ; {
+		if b == nil {
+			var err error
+			if b, err = k.resolve(target); err != nil {
+				c.refuse(inv, from, err)
+				return c, nil, slot{}
+			}
+			resolves++
+			if via != nil {
+				via.peer.Store(b)
+			}
 		}
 		// The request payload crosses the network to the target node.
 		c.toNode = b.node
@@ -605,14 +642,16 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 				m.BytesMoved.AddAt(st, int64(sz.PayloadSize()))
 			}
 			if !inline {
-				inv = nil
+				return c, nil, s
 			}
+			inv.slot = &c.res
 			return c, inv, s
 		}
 		// The binding deactivated between resolve and enqueue; retry,
-		// which re-activates.  Bound the retries to avoid spinning on
-		// an Eject that deactivates in a tight loop.
-		if attempt >= 3 {
+		// which re-activates.  Bound the retries (three) to avoid
+		// spinning on an Eject that deactivates in a tight loop.
+		b = nil
+		if resolves > 3 {
 			c.refuse(inv, from, ErrDeactivated)
 			return c, nil, slot{}
 		}

@@ -10,6 +10,7 @@ import (
 	"asymstream/internal/kernel"
 	"asymstream/internal/transport"
 	"asymstream/internal/transput"
+	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
 
@@ -152,4 +153,70 @@ func TestTransmitAllocs(t *testing.T) {
 			t.Errorf("%s: 64 B Transmit %.2f allocs/op, want <= 3", kind, small)
 		}
 	}
+}
+
+// TestSocketHopAllocs holds one stop-and-wait exchange over a socket
+// link, each way, to what its decoders must allocate: the request
+// record and the block the frame's one small item is copied into (in a
+// Transfer's reply, in a Deliver's request).  The reply records and a
+// Transfer reply's item vector come from the ports' pools on the decode
+// side, and the link hands the server's originals back to them.
+func TestSocketHopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	link, err := transport.NewSocketNetwork(transport.KindUnix, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := kernel.New(kernel.Config{Link: link})
+	defer k.Shutdown()
+	item := make([]byte, 32)
+	measure := func(name string, ceiling float64, hop func() error) {
+		t.Helper()
+		op := func() {
+			if err := hop(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 512; i++ {
+			op()
+		}
+		if n := testing.AllocsPerRun(500, op); n > ceiling {
+			t.Errorf("%s over a Unix socket at batch 1: %.2f allocs a round trip, want <= %.0f", name, n, ceiling)
+		}
+	}
+
+	src := transput.NewROStage(k, transput.ROStageConfig{Name: "src"},
+		func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+			// One slice handed over again and again: it is only ever
+			// encoded, and producing a fresh one would be the test's own
+			// allocation.
+			for transput.PutOwned(outs[0], item) == nil {
+			}
+			return nil
+		})
+	srcID, err := k.Create(src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.Start()
+	in := transput.NewInPort(k, uid.Nil, srcID, transput.Chan(0), transput.InPortConfig{Batch: 1})
+	measure("Transfer", 2, func() error { _, err := in.Next(); return err })
+	in.Cancel("measured")
+
+	sink := transput.NewWOStage(k, transput.WOStageConfig{Name: "sink"},
+		func(ins []transput.ItemReader, _ []transput.ItemWriter) error {
+			_, err := transput.Drain(ins[0])
+			return err
+		})
+	sinkID, err := k.Create(sink, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink.Start()
+	out := transput.NewPusher(k, uid.Nil, sinkID, transput.Chan(0), transput.PusherConfig{Batch: 1})
+	// The pusher's copy of the item as well: Put does not take ownership.
+	measure("Deliver", 4, func() error { return out.Put(item) })
+	_ = out.Close()
 }

@@ -376,12 +376,13 @@ func (c *channel) next(gen uint64) ([]byte, error) {
 const tableEntryBytes = 64
 
 // idleChanFootprint is the fixed accounting charge for one idle
-// channel: the record itself plus its index entries (two indices and a
-// cache entry in capability mode, one index otherwise).
+// channel: the record itself plus its index entries (two indices in
+// capability mode, one otherwise).  The capability cache is a fixed
+// array of the port's, not a per-channel cost.
 func idleChanFootprint(capMode bool) int64 {
 	fp := int64(unsafe.Sizeof(channel{})) + tableEntryBytes
 	if capMode {
-		fp += tableEntryBytes + int64(unsafe.Sizeof(capEntry{}))
+		fp += tableEntryBytes
 	}
 	return fp
 }

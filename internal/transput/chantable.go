@@ -85,31 +85,62 @@ type tableEntry struct {
 // capCacheSlots sizes the direct-mapped capability cache.  Power of
 // two; at 1<<12 slots a gateway's hot working set (the channels
 // actively streaming, not the million idle ones) fits with few
-// conflict evictions while the cache itself stays at pointer-array
-// scale (32 KiB per port).  Grown from 1<<10 after the E13 gateway
+// conflict evictions while the cache itself stays small (160 KiB per
+// port).  Grown from 1<<10 after the E13 gateway
 // measured an 84% hit rate: the hot set plus its churn tail conflicted
 // in a 1k-slot map, and quadrupling the slots moved the hit rate into
 // the high-90s without warranting associativity's extra probe.
 const capCacheSlots = 1 << 12
 
-// capEntry is one cached capability verification: this UID named this
-// record at this generation.  Immutable after publication.
-type capEntry struct {
-	cap uid.UID
-	ch  *channel
-	gen uint64
+// capSlot is one cached capability verification — this UID named this
+// record at this generation — stored by value, so installing one on a
+// miss allocates nothing.  The sequence word makes the fields one unit:
+// a writer holds it odd while it stores them, and a reader that finds
+// it odd, or changed across its reads, has seen a mixture and takes the
+// slot for empty.  Every field is an atomic, which is what keeps the
+// lock-free readers race-free.
+type capSlot struct {
+	seq    atomic.Uint64
+	hi, lo atomic.Uint64 // the capability
+	ch     atomic.Pointer[channel]
+	gen    atomic.Uint64
+}
+
+// load returns the record and generation cached for cp, if the slot
+// holds cp's entry and no writer was in it.
+func (s *capSlot) load(cp uid.UID) (*channel, uint64, bool) {
+	seq := s.seq.Load()
+	hi, lo, ch, gen := s.hi.Load(), s.lo.Load(), s.ch.Load(), s.gen.Load()
+	if seq&1 != 0 || s.seq.Load() != seq || ch == nil || hi != cp.Hi || lo != cp.Lo {
+		return nil, 0, false
+	}
+	return ch, gen, true
+}
+
+// store installs an entry, evicting the slot's last.  A writer that
+// finds another in the slot gives up: the cache is lossy by contract.
+func (s *capSlot) store(cp uid.UID, ch *channel, gen uint64) {
+	seq := s.seq.Load()
+	if seq&1 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
+		return
+	}
+	s.hi.Store(cp.Hi)
+	s.lo.Store(cp.Lo)
+	s.ch.Store(ch)
+	s.gen.Store(gen)
+	s.seq.Store(seq + 2)
 }
 
 // capCache is a direct-mapped, lossy cache in front of the byCap
-// stripemap: one atomic load and two compares on a hit, versus a hash,
-// a snapshot load and a map probe on a miss.  Entries are installed on
-// miss and evicted only by conflict — invalidation is free because
-// every entry carries its generation, and a retired channel's bumped
-// generation makes the entry fail validation (§5's rights check is
-// therefore performed once per channel-binding epoch, exactly as the
+// stripemap: a handful of atomic loads and compares on a hit, versus a
+// hash, a snapshot load and a map probe on a miss.  Entries are
+// installed on miss and evicted only by conflict — invalidation is free
+// because every entry carries its generation, and a retired channel's
+// bumped generation makes the entry fail validation (§5's rights check
+// is therefore performed once per channel-binding epoch, exactly as the
 // kernel caches binding lookups per activation epoch).
 type capCache struct {
-	slots [capCacheSlots]atomic.Pointer[capEntry]
+	slots [capCacheSlots]capSlot
 }
 
 // chanTable is a port's channel registry: striped lookup maps plus the
@@ -184,10 +215,11 @@ func (t *chanTable) lookup(id ChannelID) (*channel, uint64, Status) {
 			return nil, 0, StatusNotPermitted
 		}
 		slot := &t.cache.slots[id.Cap.Hash()&(capCacheSlots-1)]
+		ch, gen, cached := slot.load(id.Cap)
 		//vet:ok epochguard -- lock-free cache precheck; callers re-verify gen under ch.mu before acting
-		if e := slot.Load(); e != nil && e.cap == id.Cap && e.ch.generation() == e.gen {
+		if cached && ch.generation() == gen {
 			t.met.CapabilityCacheHits.Inc()
-			return e.ch, e.gen, StatusOK
+			return ch, gen, StatusOK
 		}
 		t.met.CapabilityCacheMisses.Inc()
 		ent, ok := t.byCap.Load(id.Cap)
@@ -195,7 +227,7 @@ func (t *chanTable) lookup(id ChannelID) (*channel, uint64, Status) {
 		if !ok || ent.ch.generation() != ent.gen {
 			return nil, 0, StatusNotPermitted
 		}
-		slot.Store(&capEntry{cap: id.Cap, ch: ent.ch, gen: ent.gen})
+		slot.store(id.Cap, ent.ch, ent.gen)
 		return ent.ch, ent.gen, StatusOK
 	}
 	ent, ok := t.byNum.Load(id.Num)

@@ -3,6 +3,8 @@ package transput
 import (
 	"errors"
 	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"asymstream/internal/uid"
@@ -194,6 +196,104 @@ func TestCapLookupAllocFree(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("warm capability lookup allocates %.1f/op; want 0", n)
+	}
+
+	// The miss path: two live channels whose capabilities share a cache
+	// slot evict each other on every lookup.
+	p.mintCap = capsOnSlot(7)
+	a, b := p.Declare("a", 1, 4, 1).ID(), p.Declare("b", 2, 4, 1).ID()
+	misses := p.met.CapabilityCacheMisses.Value()
+	if n := testing.AllocsPerRun(500, func() {
+		for _, id := range []ChannelID{a, b} {
+			if _, _, st := p.lookup(id); st != StatusOK {
+				t.Fatal(st)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("capability lookup that misses the cache allocates %.1f/op; want 0", n)
+	}
+	if got := p.met.CapabilityCacheMisses.Value() - misses; got < 1000 {
+		t.Fatalf("%d cache misses in 1000 conflicting lookups", got)
+	}
+}
+
+// capsOnSlot mints capabilities that all fall in one slot of the
+// capability cache.
+func capsOnSlot(slot uint64) func() uid.UID {
+	var lo atomic.Uint64
+	return func() uid.UID {
+		for {
+			cp := uid.UID{Hi: 1, Lo: lo.Add(1)}
+			if cp.Hash()&(capCacheSlots-1) == slot {
+				return cp
+			}
+		}
+	}
+}
+
+// TestCapCacheStormOnOneSlot: lookups against Retire and re-Declare with
+// every capability in one cache slot, so each install evicts a live
+// entry while readers are in it.  A lookup must never resolve a
+// capability to a (record, generation) that was issued for another —
+// which a reader that mixed two entries' fields would.
+func TestCapCacheStormOnOneSlot(t *testing.T) {
+	p := NewWOInPort(nil, WOInPortConfig{CapabilityMode: true})
+	p.mintCap = capsOnSlot(11)
+	type issue struct {
+		ch  *channel
+		gen uint64
+	}
+	var (
+		issued sync.Map // issue -> capability it was declared under
+		recent [8]atomic.Pointer[ChannelID]
+		stop   atomic.Bool
+		wg     sync.WaitGroup // readers
+		churn  sync.WaitGroup // writers
+	)
+	const writers, readers, cycles = 2, 4, 1000
+	for w := range writers {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := range cycles {
+				r := p.Declare("c", ChannelNum(w*cycles+i), 4, 1)
+				id := r.ID()
+				issued.Store(issue{r.ch, r.gen}, id.Cap)
+				recent[(w+i*writers)%len(recent)].Store(&id)
+				p.lookup(id)
+				if i%4 != 0 { // some stay live a while, so hits and misses interleave
+					p.Retire(r)
+				}
+			}
+		}()
+	}
+	var resolved atomic.Int64
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; !stop.Load(); i++ {
+				id := recent[i%len(recent)].Load()
+				if id == nil {
+					continue
+				}
+				ch, gen, st := p.lookup(*id)
+				if st != StatusOK {
+					continue
+				}
+				resolved.Add(1)
+				if cp, ok := issued.Load(issue{ch, gen}); !ok || cp != id.Cap {
+					t.Errorf("capability %v resolved to a record issued for %v", id.Cap, cp)
+					return
+				}
+			}
+		}()
+	}
+	churn.Wait()
+	stop.Store(true)
+	wg.Wait()
+	if resolved.Load() < cycles {
+		t.Fatalf("only %d lookups resolved while %d channels came and went", resolved.Load(), writers*cycles)
 	}
 }
 

@@ -107,10 +107,11 @@ func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 // transferReplyPool recycles TransferReply records and their Items
 // slices across warm hops.  Servers acquire and hand ownership to the
 // invoker with the reply; the read-only client (InPort) releases once
-// the item pointers are absorbed.  Replies that never reach a
-// releasing client — abandoned pulls, gob-encoded hops where the
-// server's original is superseded by the decoded copy — simply fall to
-// the GC; the pool is best-effort.
+// the item pointers are absorbed.  Across an encoded hop the decoder
+// acquires the client's copy and the link returns the server's original
+// it supersedes (ReleaseWirePayload).  Replies that never reach a
+// releasing client — abandoned pulls — simply fall to the GC; the pool
+// is best-effort.
 var transferReplyPool = sync.Pool{New: func() any { return new(TransferReply) }}
 
 // acquireTransferReply takes a recycled (or fresh) OK reply with Items
@@ -125,6 +126,7 @@ func acquireTransferReply(n int) *TransferReply {
 	rep.Status = StatusOK
 	rep.AbortMsg = ""
 	rep.Base = 0
+	rep.pooled = true
 	return rep
 }
 
@@ -136,6 +138,7 @@ func releaseTransferReply(rep *TransferReply) {
 	}
 	rep.Items = rep.Items[:0]
 	rep.AbortMsg = ""
+	rep.pooled = false
 	transferReplyPool.Put(rep)
 }
 

@@ -195,6 +195,12 @@ type TransferReply struct {
 	// batches in stream order; with a single outstanding Transfer the
 	// field is redundant and ignored.
 	Base int64
+
+	// pooled marks a record the reply pool issued (a server's OK reply,
+	// a decoded copy) and has not taken back.  Only such a record may be
+	// recycled by a link on its sender's behalf: one a caller built is
+	// the caller's to reuse.
+	pooled bool
 }
 
 // DeliverRequest pushes data at a sink (active output).
@@ -226,6 +232,8 @@ type DeliverReply struct {
 	// window when credits run low so it does not park sink workers.
 	// Unbounded sinks report a large value.
 	Credits int
+
+	pooled bool // see TransferReply.pooled
 }
 
 // ChannelsRequest asks an Eject to advertise its channels.

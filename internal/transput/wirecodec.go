@@ -104,72 +104,66 @@ func (r *TransferReply) AppendWire(dst []byte) ([]byte, error) {
 // WireItems implements wire.ItemsMarshaler.
 func (r *TransferReply) WireItems() [][]byte { return r.Items }
 
-func decodeTransferReply(b []byte) (any, error) {
-	r := &TransferReply{}
-	st, k, err := wire.ReadVarintField(b)
-	if err != nil {
-		return nil, err
-	}
-	r.Status = Status(st)
-	msg, n, err := wire.ReadStringField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	r.AbortMsg = msg
-	k += n
-	base, n, err := wire.ReadVarintField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	r.Base = base
-	k += n
-	items, _, err := wire.ReadItemsField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	if len(items) > 0 {
-		r.Items = items
-	}
-	return r, nil
-}
+func decodeTransferReply(b []byte) (any, error) { return readTransferReply(b, nil, false) }
 
 // decodeTransferReplyView is the in-place dual of decodeTransferReply:
 // Items of wire.SpliceCutoff bytes or more alias the receive buffer as
 // tracked sub-views of owner, which the caller (and ultimately the
 // receiving port) owns and releases; smaller ones are heap copies.
-func decodeTransferReplyView(b, owner []byte) (any, error) {
-	r := &TransferReply{}
+func decodeTransferReplyView(b, owner []byte) (any, error) { return readTransferReply(b, owner, true) }
+
+// readTransferReply decodes into a record of the reply pool — the
+// receiving port releases it as it does a local server's — and, for a
+// view, into the item vector the record brings with it.
+func readTransferReply(b, owner []byte, view bool) (any, error) {
+	r := acquireTransferReply(0)
+	if err := r.readWire(b, owner, view); err != nil {
+		releaseTransferReply(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *TransferReply) readWire(b, owner []byte, view bool) error {
 	st, k, err := wire.ReadVarintField(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Status = Status(st)
 	msg, n, err := wire.ReadStringField(b[k:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.AbortMsg = msg
 	k += n
 	base, n, err := wire.ReadVarintField(b[k:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Base = base
 	k += n
-	items, _, err := wire.ReadItemsFieldView(b[k:], owner)
-	if err != nil {
-		return nil, err
+	if view {
+		r.Items, _, err = wire.ReadItemsFieldViewInto(r.Items, b[k:], owner)
+	} else {
+		r.Items, _, err = wire.ReadItemsField(b[k:])
 	}
-	if len(items) > 0 {
-		r.Items = items
+	if len(r.Items) == 0 {
+		r.Items = nil // an empty vector decodes to one thing, whatever the pool held
 	}
-	return r, nil
+	return err
 }
 
 // ReleaseWirePayload lets a link hand slab views back after an encoded
-// cross-node hop: the decoded copy supersedes the originals, so the
-// sender-side views are done.  Tolerant of ordinary heap items.
-func (r *TransferReply) ReleaseWirePayload() { wire.ReleaseAll(r.Items) }
+// cross-node hop: the decoded copy supersedes the original, so the
+// sender-side views are done — and so is the record, if it is the
+// pool's (a server's reply, which nothing reads once it is sent).
+// Tolerant of ordinary heap items.
+func (r *TransferReply) ReleaseWirePayload() {
+	wire.ReleaseAll(r.Items)
+	if r.pooled {
+		releaseTransferReply(r)
+	}
+}
 
 // --- DeliverRequest ------------------------------------------------
 
@@ -274,22 +268,36 @@ func (r *DeliverReply) AppendWire(dst []byte) ([]byte, error) {
 }
 
 func decodeDeliverReply(b []byte) (any, error) {
-	r := &DeliverReply{}
+	r := acquireDeliverReply()
+	if err := r.readWire(b); err != nil {
+		releaseDeliverReply(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *DeliverReply) readWire(b []byte) error {
 	st, k, err := wire.ReadVarintField(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Status = Status(st)
 	msg, n, err := wire.ReadStringField(b[k:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.AbortMsg = msg
 	k += n
 	credits, _, err := wire.ReadVarintField(b[k:])
-	if err != nil {
-		return nil, err
-	}
 	r.Credits = int(credits)
-	return r, nil
+	return err
+}
+
+// ReleaseWirePayload recycles a pool record once an encoded hop has
+// superseded it — see TransferReply.ReleaseWirePayload.  It holds no
+// views.
+func (r *DeliverReply) ReleaseWirePayload() {
+	if r.pooled {
+		releaseDeliverReply(r)
+	}
 }

@@ -110,8 +110,9 @@ func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 // deliverReplyPool recycles successful Deliver replies.  The server
 // acquires one per delivery (replies now carry per-delivery Credits so
 // a shared immutable record no longer works); the client releases it
-// after reading Status and Credits.  Replies that cross a
-// gob-encoding node boundary fall to the GC — the pool is best-effort.
+// after reading Status and Credits.  Across an encoded hop the decoder
+// acquires the client's copy and the link returns the server's original
+// (ReleaseWirePayload), as for transferReplyPool.
 var deliverReplyPool = sync.Pool{New: func() any { return new(DeliverReply) }}
 
 // acquireDeliverReply takes a recycled (or fresh) OK reply.
@@ -120,11 +121,13 @@ func acquireDeliverReply() *DeliverReply {
 	rep.Status = StatusOK
 	rep.AbortMsg = ""
 	rep.Credits = 0
+	rep.pooled = true
 	return rep
 }
 
 // releaseDeliverReply recycles a reply the client has absorbed.
 func releaseDeliverReply(rep *DeliverReply) {
+	rep.pooled = false
 	deliverReplyPool.Put(rep)
 }
 

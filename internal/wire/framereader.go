@@ -118,23 +118,34 @@ func DecodeViewIn(b, owner []byte) (any, int, error) {
 // with it (the trade bytes.Split makes), for one allocation a frame
 // instead of k.  BenchmarkReadItems is the cutoff's read-side figure.
 func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
+	return ReadItemsFieldViewInto(nil, b, owner)
+}
+
+// ReadItemsFieldViewInto is ReadItemsFieldView appending to dst, for a
+// decoder whose record brings its item vector with it from a pool.  On
+// error it returns dst as it was given.
+func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte) ([][]byte, int, error) {
 	count, k, err := ReadUvarintField(b)
 	if err != nil {
-		return nil, 0, err
+		return dst, 0, err
 	}
 	if count > uint64(len(b)) { // each item needs ≥1 length byte
-		return nil, 0, fmt.Errorf("%w: item count %d exceeds payload", ErrMalformed, count)
+		return dst, 0, fmt.Errorf("%w: item count %d exceeds payload", ErrMalformed, count)
 	}
-	items := make([][]byte, 0, count)
+	base := len(dst)
+	if need := base + int(count); need > cap(dst) {
+		dst = append(make([][]byte, 0, need), dst...)
+	}
+	items := dst[base:]
 	off := k
 	small, large := 0, false // bytes to copy; anything to register
 	for i := uint64(0); i < count; i++ {
 		n, kk, err := ReadUvarintField(b[off:])
 		if err != nil {
-			return nil, 0, err
+			return dst, 0, err
 		}
 		if uint64(len(b)-off-kk) < n {
-			return nil, 0, fmt.Errorf("%w: short bytes field", ErrTruncated)
+			return dst, 0, fmt.Errorf("%w: short bytes field", ErrTruncated)
 		}
 		start := off + kk
 		end := start + int(n)
@@ -166,7 +177,7 @@ func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
 		// chunk, and registerSubviews skips them.
 		registerSubviews(owner, items)
 	}
-	return items, off, nil
+	return dst[:base+len(items)], off, nil
 }
 
 // FrameReader re-assembles wire frames from an io.Reader with

@@ -383,6 +383,51 @@ func TestReadItemsCopySmallBorrowLarge(t *testing.T) {
 	}
 }
 
+// TestReadItemsFieldViewInto: the appending form keeps what the vector
+// held, reuses its capacity, follows the same copy-small/borrow-large
+// rule, and on a malformed field hands the vector back as it came with
+// nothing registered.
+func TestReadItemsFieldViewInto(t *testing.T) {
+	s := NewSlab(nil, 0)
+	defer s.Close()
+	src := [][]byte{make([]byte, 32), make([]byte, SpliceCutoff), nil, bytes.Repeat([]byte{9}, 7)}
+	owner := s.Alloc(4096)
+	defer Release(owner)
+	field := AppendItemsField(owner[:0], src)
+
+	keep := []byte("kept")
+	vec := append(make([][]byte, 0, 16), keep)
+	got, n, err := ReadItemsFieldViewInto(vec, field, owner)
+	if err != nil || n != len(field) || len(got) != 1+len(src) || &got[0] != &vec[0] || string(got[0]) != "kept" {
+		t.Fatalf("%d items, %d of %d bytes, %v; want the caller's vector extended in place", len(got), n, len(field), err)
+	}
+	for i, it := range got[1:] {
+		if !bytes.Equal(it, src[i]) || IsView(it) != (len(it) >= SpliceCutoff) {
+			t.Fatalf("item %d: %d bytes, view %v", i, len(it), IsView(it))
+		}
+	}
+	if ReleaseAll(got) != 1 {
+		t.Fatal("want exactly the one large item registered")
+	}
+
+	small := AppendItemsField(nil, [][]byte{make([]byte, 8), make([]byte, 8)})
+	if a := testing.AllocsPerRun(100, func() {
+		if got, _, err = ReadItemsFieldViewInto(vec[:0], small, nil); err != nil || len(got) != 2 {
+			t.Fatal(len(got), err)
+		}
+	}); a != 1 {
+		t.Errorf("%.0f allocations into a vector with room, want the block alone", a)
+	}
+
+	before := s.Outstanding()
+	for cut := 1; cut < len(field); cut += 7 {
+		got, _, err := ReadItemsFieldViewInto(vec, field[:cut], owner)
+		if err == nil || len(got) != len(vec) || s.Outstanding() != before {
+			t.Fatalf("field cut at %d: %d items, %v, %d views registered", cut, len(got), err, s.Outstanding()-before)
+		}
+	}
+}
+
 func TestFrameReaderErrors(t *testing.T) {
 	stream, _ := encodeStream(t)
 
