@@ -354,9 +354,11 @@ func exploreCreditModel(p modelParams, maxStates int) exploreResult {
 		// I2: window bound.  Note active > limit is legal transiently (a
 		// credit reply may shrink the limit below what is already in
 		// flight); the gate only blocks new acquisitions.  The hard
-		// invariant is that in-flight work never exceeds the window.
+		// invariant is that in-flight work never exceeds the window, nor
+		// does the limit that admits it (only an unclamped rule can get
+		// there: the witness for a dropped clamp).
 		for w := range s.js {
-			if int(s.active[w]) > p.Window || (p.ClampWin && int(s.limit[w]) > p.Window) {
+			if int(s.active[w]) > p.Window || int(s.limit[w]) > p.Window {
 				report("I2", fmt.Sprintf("window exceeded for writer %d: active=%d limit=%d window=%d",
 					w, s.active[w], s.limit[w], p.Window), key)
 			}

@@ -61,6 +61,19 @@ func TestProtoModelFixtureMissingAbortWake(t *testing.T) {
 	mustFind(t, diags, "I3 violated")
 }
 
+func TestProtoModelFixtureDroppedClamp(t *testing.T) {
+	protoBounds(t, 2, 1)
+	diags := runFixture(t, ProtoModel, "protobad4")
+	mustFind(t, diags, "lacks the window clamp")
+	mustFind(t, diags, "I2 violated")
+}
+
+func TestProtoModelFixtureSecondGate(t *testing.T) {
+	protoBounds(t, 2, 1)
+	diags := runFixture(t, ProtoModel, "protobad5")
+	mustFind(t, diags, "window gate stated 2 times")
+}
+
 func TestStaleSuppression(t *testing.T) {
 	diags := runFixture(t, Goroleak, "staleok")
 	mustFind(t, diags, "stale suppression")

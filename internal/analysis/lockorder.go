@@ -10,7 +10,7 @@ import (
 
 // LockOrder derives the program's mutex acquisition graph and reports
 // inversions.  A lock class is a (type, field) pair — kernel.Kernel.mu,
-// kernel.binding.mu, transput.Pusher.credMu — or a package-level
+// kernel.binding.mu, transput.link.gateMu — or a package-level
 // mutex variable; instances are not distinguished, which is exactly
 // the granularity at which the kernel's worker-pool/mailbox deadlocks
 // live (PR 1's lost wakeup was a cousin of this class).

@@ -18,12 +18,16 @@ import (
 //
 // The extracted shapes, each anchored to a source position:
 //
-//   - the sender's window gate: the wait loop comparing the in-flight
-//     count against the credit limit (strict `active >= limit` parks
-//     the sender; `>` would admit window+1 deliveries — I2);
-//   - the credit-limit update: the `1 + credits/batch` floor (without
-//     it a zero-credit reply parks every sender with nothing in
-//     flight to raise the limit — I3) and the window clamp (I2);
+//   - the window gate: the wait loop comparing the in-flight count
+//     against the limit (strict `active >= limit` parks the helper; `>`
+//     would admit window+1 exchanges — I2).  The active engine states
+//     it once (transput's link.go) for both faces — Deliver against
+//     the sink's credits, Transfer against the source's backlog — and
+//     a second gate anywhere in the package is a finding;
+//   - the limit update: the `1 + grant/batch` floor (without it a
+//     zero-grant reply parks every helper with nothing in flight to
+//     raise the limit — I3) and the window clamp (I2), spelt either
+//     `min(x.window, 1+grant/batch)` or as an `if lim > x.window`;
 //   - the sink's wait loops on chanCore-family channels: each must
 //     re-check abortErr so parked deliveries drain on abort (I3);
 //   - the abort writers on chanCore-family channels: each must drop
@@ -68,6 +72,7 @@ func runProtoModel(pass *Pass) error {
 type protoShapes struct {
 	gatePos    token.Pos
 	gateStrict bool
+	gates      int // wait loops of the gate's shape in the package
 
 	limitPos token.Pos
 	floorOne bool
@@ -109,6 +114,9 @@ func checkProtoPackage(pass *Pass, pkg *Package) {
 		flip["gate"] = sh.gatePos
 		pass.Reportf(sh.gatePos, "window gate admits active == limit (waits only while active > limit): one delivery beyond the window can be in flight")
 	}
+	if sh.gates > 1 {
+		pass.Reportf(sh.gatePos, "window gate stated %d times: the model checks one gate, which both faces of the active engine must share", sh.gates)
+	}
 
 	if sh.limitPos == token.NoPos {
 		pass.Reportf(anchor, "cannot extract credit-limit update (a store to the limit field); credit liveness unproven")
@@ -120,6 +128,9 @@ func checkProtoPackage(pass *Pass, pkg *Package) {
 		}
 		if !sh.clampWin {
 			p.ClampWin = false
+			// The model's sink grants at most Cap, so the breach shows only
+			// at a window no wider than that.
+			p.Window = min(p.Window, p.Cap)
 			flip["clamp"] = sh.limitPos
 			pass.Reportf(sh.limitPos, "credit-limit update lacks the window clamp: a large credit grant raises the limit past the worker count")
 		}
@@ -216,6 +227,7 @@ func extractFromFunc(pkg *Package, body *ast.BlockStmt, sh *protoShapes) {
 		if op, ok := gateComparison(fs.Cond); ok {
 			sh.gatePos = fs.Pos()
 			sh.gateStrict = op == token.GEQ
+			sh.gates++
 			return true
 		}
 		if owner := waitOwnerType(info, waitCall); owner != nil && isChanCoreFamily(owner) {
@@ -246,8 +258,10 @@ func extractFromFunc(pkg *Package, body *ast.BlockStmt, sh *protoShapes) {
 				switch sel.Sel.Name {
 				case "limit":
 					limitStore = n.Pos()
-					if isOnePlus(rhs) {
-						floor = true
+					floor = floor || isOnePlus(rhs)
+					for _, e := range minArgs(info, rhs) {
+						floor = floor || isOnePlus(ast.Unparen(e))
+						clamp = clamp || isWindowField(e)
 					}
 				case "abortErr":
 					if id, ok := rhs.(*ast.Ident); !ok || id.Name != "nil" {
@@ -265,10 +279,8 @@ func extractFromFunc(pkg *Package, body *ast.BlockStmt, sh *protoShapes) {
 				floor = floor || limitCandidate(info, n)
 			}
 		case *ast.IfStmt:
-			if be, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr); ok && be.Op == token.GTR {
-				if sel, ok := ast.Unparen(be.Y).(*ast.SelectorExpr); ok && sel.Sel.Name == "window" {
-					clamp = true
-				}
+			if be, ok := ast.Unparen(n.Cond).(*ast.BinaryExpr); ok && be.Op == token.GTR && isWindowField(be.Y) {
+				clamp = true
 			}
 		case *ast.CallExpr:
 			if isCondMethod(info, n, "Broadcast") {
@@ -409,6 +421,30 @@ func isOnePlus(e ast.Expr) bool {
 		return false
 	}
 	return isLitOne(be.X) || isLitOne(be.Y)
+}
+
+// minArgs returns the arguments of e if it is a call to the builtin
+// min — the terms the stored limit is the least of — and nil otherwise.
+func minArgs(info *types.Info, e ast.Expr) []ast.Expr {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return nil
+	}
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != "min" {
+		return nil
+	}
+	if _, builtin := info.Uses[id].(*types.Builtin); !builtin {
+		return nil
+	}
+	return call.Args
+}
+
+// isWindowField matches `x.window`, the bound the clamp holds the limit
+// to.
+func isWindowField(e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "window"
 }
 
 func isLitOne(e ast.Expr) bool {

@@ -14,23 +14,32 @@ func TestProtoExtractionRealTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module from source")
 	}
-	_, pkg := loadRealTransput(t)
+	prog, pkg := loadRealTransput(t)
 	sh := extractProtoShapes(pkg)
 
 	if sh.gatePos == 0 {
 		t.Fatal("window gate (for active >= limit wait loop) not extracted")
 	}
 	if !sh.gateStrict {
-		t.Error("gate extracted as non-strict; Pusher.send (writeonly.go) waits while active >= limit")
+		t.Error("gate extracted as non-strict; link.enterLocked (link.go) waits while active >= limit")
+	}
+	if sh.gates != 1 {
+		t.Errorf("%d window gates extracted, want 1: InPort and Pusher share the link's", sh.gates)
 	}
 	if sh.limitPos == 0 {
-		t.Fatal("credit-limit update not extracted")
+		t.Fatal("limit update not extracted")
 	}
 	if !sh.floorOne {
-		t.Error("1+credits/batch floor not extracted")
+		t.Error("1+grant/size floor not extracted")
 	}
 	if !sh.clampWin {
 		t.Error("window clamp not extracted")
+	}
+	// Gate, floor and clamp are the engine's, read once for both faces.
+	for what, pos := range map[string]token.Pos{"gate": sh.gatePos, "limit update": sh.limitPos} {
+		if file := filepath.Base(prog.Fset.Position(pos).Filename); file != "link.go" {
+			t.Errorf("%s extracted from %s, want link.go", what, file)
+		}
 	}
 	if len(sh.waitLoops) < 6 {
 		t.Errorf("extracted %d chanCore-family wait loops, want >= 6 (channel.go: put 2, take 1, absorb 2, next 1)", len(sh.waitLoops))

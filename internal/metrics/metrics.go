@@ -250,8 +250,12 @@ type portLedger struct {
 	// table (first use per channel-binding epoch, or cache eviction).
 	CapabilityCacheHits   stripedCounter
 	CapabilityCacheMisses stripedCounter
-	_                     [lineBytes - 7*8]byte
-	rest                  otherStripes
+	// WindowGateStalls counts the times a helper of a windowed port
+	// (either face) parked at the window gate: the peer's last grant —
+	// the sink's credits, the source's backlog — allowed no further
+	// exchange in flight.  The line's eighth and last word.
+	WindowGateStalls stripedCounter
+	rest             otherStripes
 }
 
 // wireLedger's line is what a link and the slab behind it tick for one
@@ -396,6 +400,7 @@ var fieldTable = []struct {
 	{"channel_lookup_contention", func(s *Set) int64 { return s.ChannelLookupContention.Value() }},
 	{"cap_cache_hits", func(s *Set) int64 { return s.CapabilityCacheHits.Value() }},
 	{"cap_cache_misses", func(s *Set) int64 { return s.CapabilityCacheMisses.Value() }},
+	{"window_gate_stalls", func(s *Set) int64 { return s.WindowGateStalls.Value() }},
 	{"window_depth_hw", func(s *Set) int64 { return s.WindowDepthHighWater.Value() }},
 	{"merge_reorder_hw", func(s *Set) int64 { return s.MergeReorderHighWater.Value() }},
 	{"batch_size_hw", func(s *Set) int64 { return s.BatchSizeHighWater.Value() }},

@@ -123,7 +123,7 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 		"slab_retained", "slab_released", "slab_leaked",
 		"fusion_groups", "fused_stages",
 		"channels_live", "idle_channel_bytes", "channel_lookup_contention",
-		"cap_cache_hits", "cap_cache_misses",
+		"cap_cache_hits", "cap_cache_misses", "window_gate_stalls",
 		"window_depth_hw", "merge_reorder_hw", "batch_size_hw",
 	}
 	if len(snap.Values) != len(want) {
@@ -267,6 +267,7 @@ func TestSnapshotDiffIsTheBurst(t *testing.T) {
 				s.ItemsMoved.Add(int64(g))
 				s.SlabRetained.Inc()
 				s.WireBytes.Add(64)
+				s.WindowGateStalls.Inc() // the last word of the port ledger's line
 			}
 		}()
 	}
@@ -275,11 +276,15 @@ func TestSnapshotDiffIsTheBurst(t *testing.T) {
 	want := map[string]int64{
 		"invocations": 800, "replies": 800, "process_switches": 1600,
 		"items_moved": 100 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7), "slab_retained": 800, "wire_bytes": 800 * 64,
+		"window_gate_stalls": 800,
 	}
 	for name, got := range d.Values {
 		if got != want[name] {
 			t.Errorf("diff[%s] = %d, want %d", name, got, want[name])
 		}
+	}
+	if n := testing.AllocsPerRun(100, s.WindowGateStalls.Inc); n != 0 {
+		t.Errorf("a striped tick allocates %v times, want 0", n)
 	}
 }
 
@@ -353,8 +358,8 @@ func TestSetLayout(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(&s).Elem(), false, "Set")
-	if found != 17 {
-		t.Errorf("%d striped counters, want 17", found)
+	if found != 18 {
+		t.Errorf("%d striped counters, want 18", found)
 	}
 }
 

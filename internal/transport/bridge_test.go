@@ -211,7 +211,7 @@ var bridgeShapes = []struct {
 	{"bytes-1MiB", bytes.Repeat([]byte{0xa5}, 1<<20)},
 }
 
-var spliced = &transput.TransferReply{Base: 7, Items: [][]byte{
+var spliced = &transput.TransferReply{Base: 7, Backlog: 300, Items: [][]byte{
 	bytes.Repeat([]byte{1}, wire.SpliceCutoff-1),
 	bytes.Repeat([]byte{2}, wire.SpliceCutoff),
 	[]byte("small"),

@@ -16,6 +16,7 @@ package transput
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"asymstream/internal/metrics"
@@ -26,8 +27,11 @@ type batchController struct {
 	min, max int
 	hw       *metrics.HighWater
 
+	// size is the batch size in force.  record moves it under mu; the
+	// link reads it on every Put and every reply without the lock.
+	size atomic.Int64
+
 	mu   sync.Mutex
-	size int
 	ewma float64 // smoothed ns per item
 	best float64 // lowest smoothed ns/item observed at the current level
 }
@@ -65,16 +69,13 @@ func newBatchController(fixed, min, max int, hw *metrics.HighWater) (*batchContr
 	if min == max {
 		return nil, min
 	}
-	return &batchController{min: min, max: max, hw: hw, size: min}, min
+	c := &batchController{min: min, max: max, hw: hw}
+	c.size.Store(int64(min))
+	return c, min
 }
 
 // next returns the batch size to use for the next exchange.
-func (c *batchController) next() int {
-	c.mu.Lock()
-	s := c.size
-	c.mu.Unlock()
-	return s
-}
+func (c *batchController) next() int { return int(c.size.Load()) }
 
 // record folds in one completed exchange: asked is the batch size that
 // was requested, got how many items actually moved, elapsed the
@@ -94,20 +95,19 @@ func (c *batchController) record(asked, got int, elapsed time.Duration) {
 	if c.best == 0 || c.ewma < c.best {
 		c.best = c.ewma
 	}
+	size := int(c.size.Load())
 	switch {
-	case c.ewma > c.best*batchBackoffOver && c.size > c.min:
-		c.size /= 2
-		if c.size < c.min {
-			c.size = c.min
-		}
+	case c.ewma > c.best*batchBackoffOver && size > c.min:
+		size = max(size/2, c.min)
 		// Re-anchor so a transient spike does not pin the link at the
 		// floor forever; the controller re-probes upward from here.
 		c.best = c.ewma
-	case got >= asked && c.size < c.max:
-		c.size++
+	case got >= asked && size < c.max:
+		size++
 	}
+	c.size.Store(int64(size))
 	if c.hw != nil {
-		c.hw.Observe(int64(c.size))
+		c.hw.Observe(int64(size))
 	}
 	c.mu.Unlock()
 }

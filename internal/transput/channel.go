@@ -269,6 +269,7 @@ func (c *channel) take(gen uint64, max int) *TransferReply {
 	}
 	c.transfersServed++
 	rep.Base = c.itemsOut
+	rep.Backlog = c.buffered()
 	c.itemsOut += int64(n)
 	c.met.ItemsMoved.Add(int64(n))
 	c.cond.Broadcast() // wake producers waiting for space

@@ -248,14 +248,14 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 				}
 				wire.Release(item)
 			}
-			// Every helper ends up parked on the drained, unended channel.
-			helpers := 0
+			// A helper ends up parked on the drained, unended channel — one
+			// once the window gate has seen the source's replies, more if
+			// the first Window went out before any came back.
 			if row.window > 1 || row.prefetch > 0 {
-				helpers = row.window
-				eventually(t, "the window is parked at the source", func() bool {
+				eventually(t, "a Transfer is parked at the source", func() bool {
 					w.ch.mu.Lock()
 					defer w.ch.mu.Unlock()
-					return w.ch.waiters == helpers
+					return w.ch.waiters >= 1
 				})
 			}
 			in.Cancel("enough")
@@ -269,6 +269,71 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 		})
 		if row.prefetch > 0 {
 			continue // read-ahead is the pull face's alone
+		}
+		// The same early end with the window's helpers parked *at the gate*:
+		// a source fed one item at a time answers every Transfer "nothing
+		// left", so the limit is 1, one Transfer waits at the source and
+		// the other helpers wait for its slot.  Cancel and Redirect must
+		// dismiss those too.
+		for _, end := range []string{"Cancel", "Redirect"} {
+			if row.window == 1 {
+				break // one slot has no gate
+			}
+			t.Run("pull/"+row.name+"/gate/"+end, func(t *testing.T) {
+				k, id, slab, view, baseline := rig(t)
+				port := NewOutPort(k, OutPortConfig{})
+				w := port.Declare("c", 0, 64)
+				next := port.Declare("next", 1, 64)
+				if err := k.CreateWithUID(id, portEject{port.Serve}, 0); err != nil {
+					t.Fatal(err)
+				}
+				in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 2, Window: row.window})
+				// The first item anchors the stream inline and the second
+				// starts the helpers; a Transfer that went out before the
+				// first "nothing left" came back waits at the source, and
+				// each item after that brings one such back to the gate.
+				for i := 0; i < row.window+1; i++ {
+					if err := w.PutOwned(view()); err != nil {
+						t.Fatal(err)
+					}
+					item, err := in.Next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					wire.Release(item)
+				}
+				eventually(t, "one Transfer is at the source and the other helpers at the gate", func() bool {
+					w.ch.mu.Lock()
+					defer w.ch.mu.Unlock()
+					return w.ch.waiters == 1 && k.Metrics().WindowGateStalls.Value() >= int64(row.window-1)
+				})
+				if end == "Cancel" {
+					in.Cancel("enough")
+					if _, err := in.Next(); !errors.Is(err, ErrAborted) {
+						t.Errorf("Next after Cancel: %v, want ErrAborted", err)
+					}
+				} else {
+					if err := next.PutOwned(view()); err != nil {
+						t.Fatal(err)
+					}
+					_ = next.Close()
+					if err := in.Redirect(id, Chan(1), ""); err != nil {
+						t.Fatal(err)
+					}
+					item, err := in.Next()
+					if err != nil {
+						t.Fatalf("Next after Redirect: %v", err)
+					}
+					wire.Release(item)
+					if _, err := in.Next(); err != io.EOF {
+						t.Errorf("end of the redirected stream: %v, want io.EOF", err)
+					}
+				}
+				if err := w.PutOwned(view()); !errors.Is(err, ErrAborted) {
+					t.Errorf("source's Put after %s: %v, want ErrAborted", end, err)
+				}
+				audit(t, k, slab, w.ch, baseline)
+			})
 		}
 		t.Run("push/"+row.name, func(t *testing.T) {
 			k, id, slab, view, baseline := rig(t)

@@ -34,7 +34,9 @@ import (
 //     Transfer is issued only when the consumer actually needs data,
 //     on the consumer's own goroutine.
 //
-//   - Window is how many Transfers are kept in flight, one per helper.
+//   - Window is how many Transfers are kept in flight, one per helper —
+//     as many of them as the source's backlog could fill (the link's
+//     gate, granted in TransferReply.Backlog), one at least.
 //
 // Stream order is preserved in both regimes.  At Window 1 at most one
 // Transfer is outstanding per InPort at any instant, so arrival order
@@ -174,9 +176,16 @@ func (p *InPort) transfer(req *TransferRequest) pulled {
 // out closes, so a consumer blocked mid-stream (after Cancel) wakes up.
 // The queue parks Prefetch batches and has room besides for every other
 // helper's final End result, so helpers of a stream that ended normally
-// exit even if nobody reads them.  Caller holds p.mu; a windowed port
-// is already anchored (p.nextBase >= 0).
+// exit even if nobody reads them.  A window's helpers take a slot at the
+// link's gate for each Transfer and give it back before they queue the
+// result, so a parked result never holds one; a lone helper has no gate
+// to pass.  Caller holds p.mu; a windowed port is already anchored
+// (p.nextBase >= 0).
 func (p *InPort) attachLocked() {
+	gated := p.window > 1
+	if gated {
+		p.openGate()
+	}
 	// The helpers work on their own copies of the channels: Redirect and
 	// Cancel detach p.ahead (under p.mu) while helpers are still running.
 	ahead := make(chan pulled, p.pref+p.window-1)
@@ -190,14 +199,27 @@ func (p *InPort) attachLocked() {
 				return
 			default:
 			}
+			if gated && !p.enter() {
+				return
+			}
 			res := p.transfer(&req)
+			over := res.err != nil || res.status == StatusEnd
+			if gated {
+				grant := -1
+				if over {
+					p.shutGate() // nothing is left to ask for
+				} else {
+					grant = res.rep.Backlog
+				}
+				p.leave(grant)
+			}
 			select {
 			case ahead <- res:
 			case <-stop:
 				releasePulled(res)
 				return
 			}
-			if res.err != nil || res.status == StatusEnd {
+			if over {
 				return
 			}
 		}
@@ -212,6 +234,9 @@ func (p *InPort) detachLocked() chan pulled {
 	ahead := p.ahead
 	if ahead != nil {
 		close(p.stop)
+		if p.window > 1 {
+			p.shutGate()
+		}
 		p.ahead, p.stop = nil, nil
 	}
 	return ahead

@@ -19,13 +19,14 @@ import (
 // faces over it:
 //
 //	face    operation  data rides   stream order kept by     throttled by
-//	InPort  Transfer   the reply    the port (reply Base)    the read-ahead queue
+//	InPort  Transfer   the reply    the port (reply Base)    the source's backlog, then the read-ahead queue
 //	Pusher  Deliver    the request  the sink (request Seq)   the sink's credits
 //
 // The link owns what does not depend on that choice: whom the exchanges
 // go to, how large and how many at once, the exchange itself with its
 // metering, the helper goroutines that keep a window of exchanges in
-// flight, the stream's first error, and the abort that tells the peer
+// flight, the gate that holds that window to what the peer could still
+// exchange, the stream's first error, and the abort that tells the peer
 // the stream is over.  How many exchanges overlap is a matter of who
 // runs them, not of a different implementation: with no helper the
 // port's own caller runs each exchange inline (stop-and-wait, and with
@@ -58,6 +59,23 @@ type link struct {
 	helpers sync.WaitGroup
 	left    atomic.Int32 // helpers of the current start still running
 
+	// The window gate (window > 1; nil gateCond otherwise).  Every reply
+	// carries a grant — what the peer could still exchange once it had
+	// served this one: free space after a Deliver (DeliverReply.Credits),
+	// backlog after a Transfer (TransferReply.Backlog) — and the window
+	// keeps 1 + grant/size exchanges at the peer, at most window.  More
+	// would each park a kernel worker at a full sink, or split one refill
+	// of a drained source into that many partial replies; the one always
+	// allowed is how the limit is learned again, and the only worker a
+	// stalled peer holds.  active counts the exchanges holding a slot;
+	// shut says the stream is over or the helpers detached, and empties
+	// the gate.
+	gateMu   sync.Mutex
+	gateCond *sync.Cond
+	active   int
+	limit    int
+	shut     bool
+
 	// err is the stream's first failure, nil while it has none.  Helpers
 	// set it and every Put reads it, under no lock of the port's.
 	err atomic.Pointer[error]
@@ -75,6 +93,10 @@ func (l *link) init(k *kernel.Kernel, self, peer uid.UID, channel ChannelID, op 
 	l.op, l.peer, l.channel = op, peer, channel
 	l.ctrl, l.batch = newBatchController(batch, batchMin, batchMax, &l.met.BatchSizeHighWater)
 	l.window = min(max(window, 1), MaxWindow)
+	if l.window > 1 {
+		l.gateCond = sync.NewCond(&l.gateMu)
+		l.limit = l.window
+	}
 }
 
 // size is the exchange size in force: the Max of the next Transfer, the
@@ -84,6 +106,62 @@ func (l *link) size() int {
 		return l.ctrl.next()
 	}
 	return l.batch
+}
+
+// openGate readies the gate for a new set of helpers: the whole window,
+// until the peer's first reply says otherwise.  None of the last set
+// may still be running.
+func (l *link) openGate() {
+	l.gateMu.Lock()
+	l.limit, l.shut = l.window, false
+	l.gateMu.Unlock()
+}
+
+// enterLocked takes a slot at the gate for one exchange, parking the
+// helper while the limit's worth are at the peer.  It reports false,
+// and takes nothing, once the gate is shut.  Caller holds l.gateMu.
+func (l *link) enterLocked() bool {
+	for parked := false; l.active >= l.limit && !l.shut; parked = true {
+		if !parked {
+			l.met.WindowGateStalls.Inc()
+		}
+		l.gateCond.Wait()
+	}
+	if l.shut {
+		return false
+	}
+	l.active++
+	return true
+}
+
+// enter is enterLocked for a helper with no business of its own at the
+// gate.
+func (l *link) enter() bool {
+	l.gateMu.Lock()
+	defer l.gateMu.Unlock()
+	return l.enterLocked()
+}
+
+// leave gives the slot back when its exchange has returned, and sets
+// the limit from the grant the reply carried; a negative grant (the
+// exchange failed, or ended the stream) leaves the limit alone.
+func (l *link) leave(grant int) {
+	l.gateMu.Lock()
+	l.active--
+	if grant >= 0 {
+		l.limit = min(l.window, 1+grant/l.size())
+	}
+	l.gateCond.Broadcast()
+	l.gateMu.Unlock()
+}
+
+// shutGate empties the gate: helpers parked at it leave, and enter
+// refuses until the next openGate.
+func (l *link) shutGate() {
+	l.gateMu.Lock()
+	l.shut = true
+	l.gateCond.Broadcast()
+	l.gateMu.Unlock()
 }
 
 // exchange issues one synchronous invocation of the link's operation

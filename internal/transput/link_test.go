@@ -1,0 +1,270 @@
+package transput
+
+import (
+	"fmt"
+	"io"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"asymstream/internal/kernel"
+	"asymstream/internal/metrics"
+	"asymstream/internal/netsim"
+	"asymstream/internal/uid"
+	"asymstream/internal/wire"
+)
+
+// meteredPort serves a passive port's Eject and watches the data
+// exchanges at it: how many are being served at this instant and, while
+// slow is set, the most there have been, each one held long enough that
+// a window's worth overlap.
+type meteredPort struct {
+	serve func(*kernel.Invocation) bool
+	slow  atomic.Bool
+	now   atomic.Int64
+	most  metrics.HighWater
+}
+
+func (*meteredPort) EdenType() string { return "test-metered-port" }
+func (e *meteredPort) Serve(inv *kernel.Invocation) {
+	if inv.Op == OpTransfer || inv.Op == OpDeliver {
+		now := e.now.Add(1)
+		defer e.now.Add(-1)
+		if e.slow.Load() {
+			e.most.Observe(now)
+			time.Sleep(200 * time.Microsecond)
+		}
+	}
+	if !e.serve(inv) {
+		inv.Fail(kernel.ErrNoSuchOperation)
+	}
+}
+
+// TestTransferReplyBacklog: the grant a Transfer reply carries is what
+// the channel still held once the reply's items were taken — stamped by
+// the one record, so by OutPort and PassiveBuffer alike — it survives
+// the wire codec, and a recycled record does not bring an old one along.
+func TestTransferReplyBacklog(t *testing.T) {
+	for _, face := range []string{"OutPort", "PassiveBuffer"} {
+		t.Run(face, func(t *testing.T) {
+			k := testKernel(t)
+			var eject kernel.Eject
+			var fill ItemWriter
+			id := k.NewUID()
+			if face == "OutPort" {
+				port := NewOutPort(k, OutPortConfig{})
+				fill, eject = port.Declare("c", 0, 8), portEject{port.Serve}
+			} else {
+				eject = NewPassiveBuffer(k, PassiveBufferConfig{Name: "c", Capacity: 8, Writers: 1})
+				fill = NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{})
+			}
+			if err := k.CreateWithUID(id, eject, 0); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 5; i++ {
+				if err := fill.Put([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, want := range []int{3, 1, 0} { // 5 items, two at a time
+				raw, err := k.Invoke(uid.Nil, id, OpTransfer, &TransferRequest{Channel: Chan(0), Max: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep := raw.(*TransferReply)
+				if rep.Backlog != want {
+					t.Errorf("Transfer of %d items from base %d: Backlog = %d, want %d", len(rep.Items), rep.Base, rep.Backlog, want)
+				}
+				enc, err := wire.Append(nil, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dec, _, err := wire.Decode(enc)
+				if got, ok := dec.(*TransferReply); err != nil || !ok || got.Backlog != want || got.Base != rep.Base {
+					t.Errorf("over the wire: %+v, %v; want Backlog %d at Base %d", dec, err, want, rep.Base)
+				}
+				releaseTransferReply(rep)
+			}
+		})
+	}
+}
+
+// gateState reads a link's gate.
+func gateState(l *link) (active, limit int) {
+	l.gateMu.Lock()
+	defer l.gateMu.Unlock()
+	return l.active, l.limit
+}
+
+// TestWindowGateDual holds the two faces of the active engine to the
+// one gate (link.go): what a reply says the peer could still exchange —
+// free space after a Deliver, backlog after a Transfer — sets how many
+// of the window's exchanges go out.  Each face first meets a peer that
+// can exchange nothing more (a drained source, a full sink), where the
+// exchanges in flight must settle at one, and then the same peer with
+// Window × batch and more to exchange, where the whole window must come
+// back.  A last row is the guard against a gate that starves a
+// latency-bound link: over a 100 µs netsim wire, from a source that
+// keeps up, Window 4 must still move at least three times what Window 1
+// does.
+func TestWindowGateDual(t *testing.T) {
+	const window, batch, items = 4, 2, 240
+	item := []byte("datum")
+	for _, face := range []string{"pull", "push"} {
+		t.Run(face, func(t *testing.T) {
+			k := testKernel(t)
+			id := k.NewUID()
+			var (
+				eject *meteredPort
+				gate  *link
+				// step moves one item through the starved peer; flood
+				// moves the rest with the peer holding plenty.
+				step  func()
+				flood func()
+			)
+			if face == "pull" {
+				port := NewOutPort(k, OutPortConfig{})
+				w := port.Declare("c", 0, 2*items)
+				eject = &meteredPort{serve: port.Serve}
+				in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: batch, Window: window})
+				gate = &in.link
+				read := func() bool {
+					_, err := in.Next()
+					if err != nil && err != io.EOF {
+						t.Fatal(err)
+					}
+					return err == nil
+				}
+				step = func() { // the source never holds more than the item asked for
+					if err := w.Put(item); err != nil {
+						t.Fatal(err)
+					}
+					read()
+				}
+				flood = func() {
+					for i := 0; i < items; i++ {
+						if err := w.Put(item); err != nil {
+							t.Fatal(err)
+						}
+					}
+					_ = w.Close()
+					for read() {
+					}
+				}
+			} else {
+				port := NewWOInPort(k, WOInPortConfig{})
+				r := port.Declare("c", 0, window*batch*2, 1)
+				eject = &meteredPort{serve: port.Serve}
+				p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: batch, Window: window})
+				gate = &p.link
+				var fed sync.WaitGroup
+				fed.Add(1)
+				go func() { // the producer keeps the sink full for as long as it is slow to read
+					defer fed.Done()
+					for i := 0; i < items; i++ {
+						if err := p.Put(item); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if err := p.Close(); err != nil {
+						t.Error(err)
+					}
+				}()
+				read := func() bool {
+					_, err := r.Next()
+					if err != nil && err != io.EOF {
+						t.Fatal(err)
+					}
+					return err == nil
+				}
+				step = func() { // the sink never has room for more than the batch just read
+					for i := 0; i < batch; i++ {
+						read()
+					}
+					eventually(t, "the sink is full again", func() bool {
+						r.ch.mu.Lock()
+						defer r.ch.mu.Unlock()
+						return r.ch.buffered() == r.ch.capacity
+					})
+				}
+				flood = func() {
+					for read() {
+					}
+					fed.Wait()
+				}
+			}
+			if err := k.CreateWithUID(id, eject, 0); err != nil {
+				t.Fatal(err)
+			}
+
+			// Whatever the first Window did before a reply came back, a
+			// peer that grants nothing brings the port to one exchange, the
+			// other helpers waiting at the gate and counted there: the rest
+			// of a pull window, the next in sequence of a push.
+			for i := 0; i < 2*window; i++ {
+				step()
+			}
+			stalled := int64(1)
+			if face == "pull" {
+				stalled = window - 1
+			}
+			eventually(t, "the exchanges in flight settle at one", func() bool {
+				active, limit := gateState(gate)
+				return active == 1 && limit == 1 && eject.now.Load() == 1 &&
+					k.Metrics().WindowGateStalls.Value() >= stalled
+			})
+			eject.slow.Store(true)
+			flood()
+			if most := eject.most.Value(); most != window {
+				t.Errorf("a peer granting Window x batch and more saw %d exchanges at once, want %d", most, window)
+			}
+			if hw := k.Metrics().WindowDepthHighWater.Value(); hw != window {
+				t.Errorf("WindowDepthHighWater = %d, want %d", hw, window)
+			}
+		})
+	}
+
+	t.Run("pull/latency-bound", func(t *testing.T) {
+		rate := func(window int) float64 {
+			k := kernel.New(kernel.Config{Net: netsim.Config{Nodes: 2, CrossLatency: 100 * time.Microsecond}})
+			defer k.Shutdown()
+			port := NewOutPort(k, OutPortConfig{})
+			w := port.Declare("c", 0, 0)
+			src, err := k.Create(portEject{port.Serve}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			self, err := k.Create(portEject{func(*kernel.Invocation) bool { return false }}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 320
+			go func() { // a source that keeps up: its buffer is full whenever asked
+				for i := 0; i < n; i++ {
+					if w.Put(item) != nil {
+						return
+					}
+				}
+				_ = w.Close()
+			}()
+			in := NewInPort(k, self, src, Chan(0), InPortConfig{Batch: 4, Window: window})
+			start := time.Now()
+			got, err := Drain(in)
+			if err != nil || got != n {
+				t.Fatalf("Window %d: drained %d items, %v; want %d", window, got, err, n)
+			}
+			return n / time.Since(start).Seconds()
+		}
+		var report string
+		for attempt := 0; attempt < 3; attempt++ { // a loaded host can cost one attempt its overlap
+			one, four := rate(1), rate(4)
+			if four >= 3*one {
+				return
+			}
+			report += fmt.Sprintf(" [Window 1: %.0f items/s, Window 4: %.0f]", one, four)
+		}
+		t.Errorf("Window 4 moved less than 3x Window 1 over a 100 µs wire in three attempts:%s", report)
+	})
+}

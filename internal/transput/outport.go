@@ -126,6 +126,7 @@ func acquireTransferReply(n int) *TransferReply {
 	rep.Status = StatusOK
 	rep.AbortMsg = ""
 	rep.Base = 0
+	rep.Backlog = 0
 	rep.pooled = true
 	return rep
 }

@@ -195,6 +195,13 @@ type TransferReply struct {
 	// batches in stream order; with a single outstanding Transfer the
 	// field is redundant and ignored.
 	Base int64
+	// Backlog is the passive side's flow-control grant, the dual of
+	// DeliverReply.Credits: how many items the channel still held once
+	// this reply's were taken.  A windowed reader keeps no more Transfers
+	// at the source than that could fill, so it neither parks workers on
+	// a drained channel nor splits one refill into several partial
+	// replies.  A server that leaves it 0 gets one Transfer at a time.
+	Backlog int
 
 	// pooled marks a record the reply pool issued (a server's OK reply,
 	// a decoded copy) and has not taken back.  Only such a record may be

@@ -93,9 +93,9 @@ func (w *Pusher) Redirect(target uid.UID, channel ChannelID) error {
 	w.req.Channel = channel // the reused request must follow the retarget
 	if w.window > 1 {
 		w.writer, w.seq = w.k.NewUID(), 0
-		w.credMu.Lock()
+		w.gateMu.Lock()
 		w.sendNext = 0
-		w.credMu.Unlock()
+		w.gateMu.Unlock()
 	}
 	return nil
 }

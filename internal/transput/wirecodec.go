@@ -98,7 +98,8 @@ func (r *TransferReply) WireID() uint16 { return wireIDTransferReply }
 func (r *TransferReply) AppendWire(dst []byte) ([]byte, error) {
 	dst = wire.AppendVarintField(dst, int64(r.Status))
 	dst = wire.AppendStringField(dst, r.AbortMsg)
-	return wire.AppendVarintField(dst, r.Base), nil
+	dst = wire.AppendVarintField(dst, r.Base)
+	return wire.AppendVarintField(dst, int64(r.Backlog)), nil
 }
 
 // WireItems implements wire.ItemsMarshaler.
@@ -141,6 +142,12 @@ func (r *TransferReply) readWire(b, owner []byte, view bool) error {
 		return err
 	}
 	r.Base = base
+	k += n
+	backlog, n, err := wire.ReadVarintField(b[k:])
+	if err != nil {
+		return err
+	}
+	r.Backlog = int(backlog)
 	k += n
 	if view {
 		r.Items, _, err = wire.ReadItemsFieldViewInto(r.Items, b[k:], owner)

@@ -177,8 +177,8 @@ var _ ItemReader = (*ChannelReader)(nil)
 // One Eject may hold many Pushers — that is the write-only
 // discipline's arbitrary fan-out (Figure 3).  It is the face of the
 // active engine (link.go) whose data rides the *request*, and adds only
-// what that needs: the per-writer sequence ticket, the credit gate, and
-// the batch freelist.
+// what that needs: the per-writer sequence ticket and the batch
+// freelist.
 //
 // At Window 1 (the default) the producer's own goroutine runs every
 // Deliver inline and blocks on the reply — that is its back pressure —
@@ -196,11 +196,11 @@ var _ ItemReader = (*ChannelReader)(nil)
 // delivery.  A delivery failure anywhere in the window is reported on
 // the next Put, and by Close, which drains the window.
 //
-// Flow control in the window is credit-based: each DeliverReply reports
-// how many more items the sink could buffer (Credits).  The port shrinks
-// its effective window when credits run low, so it does not park sink
-// workers on a full buffer; at least one delivery is always allowed,
-// which is how the window re-learns the credit level.
+// Flow control in the window is the link's gate, granted in credits: each
+// DeliverReply reports how many more items the sink could buffer
+// (Credits).  The window shrinks when credits run low, so it does not
+// park sink workers on a full buffer; at least one delivery is always
+// allowed, which is how the window re-learns the credit level.
 type Pusher struct {
 	link
 	k *kernel.Kernel // mints Writer UIDs
@@ -227,18 +227,13 @@ type Pusher struct {
 	sendq  chan deliverJob
 	free   chan [][]byte // recycled batch backing arrays
 
-	// Credit gate.  active counts deliveries currently on the wire;
-	// limit is the credit-adjusted window (1..window); sendNext forces
-	// wire slots to be acquired in sequence order, which guarantees the
-	// lowest in-flight seq is never held by the server's sequencing
-	// gate (its predecessors have all been applied) — without it, a
-	// shrunken window could give its only slot to an out-of-order
+	// sendNext is the sequence ticket on top of the link's window gate,
+	// guarded by gateMu: wire slots are acquired in sequence order, which
+	// guarantees the lowest in-flight seq is never held by the server's
+	// sequencing gate (its predecessors have all been applied) — without
+	// it, a shrunken window could give its only slot to an out-of-order
 	// delivery whose reply the server withholds, deadlocking the port.
 	// With one slot the gate is vacuous and the inline path skips it.
-	credMu   sync.Mutex
-	credCond *sync.Cond
-	active   int
-	limit    int
 	sendNext uint64
 }
 
@@ -271,8 +266,6 @@ func NewPusher(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg Pu
 	if w.window > 1 {
 		w.writer = k.NewUID()
 		w.free = make(chan [][]byte, w.window+1) // every helper's array, and the producer's
-		w.credCond = sync.NewCond(&w.credMu)
-		w.limit = w.window
 	}
 	return w
 }
@@ -314,7 +307,8 @@ func (w *Pusher) deliver(req *DeliverRequest, job deliverJob) (int, error) {
 }
 
 // send is one of the window's helpers: it takes batches off q and keeps
-// one synchronous Deliver on the wire, gated by the sink's credits.
+// one synchronous Deliver on the wire, its slot taken at the link's gate
+// in sequence order.
 func (w *Pusher) send(q <-chan deliverJob) {
 	req := DeliverRequest{Channel: w.channel, Writer: w.writer}
 	for job := range q {
@@ -323,16 +317,16 @@ func (w *Pusher) send(q <-chan deliverJob) {
 		// slot sequence still advances so helpers parked on seq order do
 		// not stall.
 		live := w.failed() == nil
-		w.credMu.Lock()
-		for w.sendNext != job.seq || live && w.active >= w.limit {
-			w.credCond.Wait()
+		w.gateMu.Lock()
+		for w.sendNext != job.seq {
+			w.gateCond.Wait()
+		}
+		if live {
+			w.enterLocked() // never shut: a Pusher's helpers leave when their queue closes
 		}
 		w.sendNext++
-		if live {
-			w.active++
-		}
-		w.credCond.Broadcast() // the next seq may proceed concurrently
-		w.credMu.Unlock()
+		w.gateCond.Broadcast() // the next seq may proceed concurrently
+		w.gateMu.Unlock()
 		if !live {
 			wire.ReleaseAll(job.items)
 			w.recycle(job.items)
@@ -341,21 +335,7 @@ func (w *Pusher) send(q <-chan deliverJob) {
 
 		credits, _ := w.deliver(&req, job)
 		w.recycle(job.items)
-
-		w.credMu.Lock()
-		w.active--
-		if credits >= 0 {
-			// Credit rule: leave the sink at least one batch of slack
-			// per in-flight delivery; never stall completely, so the
-			// next reply can raise the limit again.
-			lim := 1 + credits/w.size()
-			if lim > w.window {
-				lim = w.window
-			}
-			w.limit = lim
-		}
-		w.credCond.Broadcast()
-		w.credMu.Unlock()
+		w.leave(credits)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -141,7 +142,13 @@ func decodedItems(v any) [][]byte {
 }
 
 // releaseDecoded drops any slab views a decoded value carries.
-func releaseDecoded(v any) { ReleaseAll(decodedItems(v)) }
+func releaseDecoded(v any) {
+	if r, ok := v.(PayloadReleaser); ok { // a registered record of another package's
+		r.ReleaseWirePayload()
+		return
+	}
+	ReleaseAll(decodedItems(v))
+}
 
 func TestFrameReaderTornReads(t *testing.T) {
 	stream, vals := encodeStream(t)
@@ -472,6 +479,17 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(stream[:len(stream)-2], []byte{64})
 	f.Add([]byte{TagBytes, 0xFF, 0xFF, 0xFF, 0xFF, 'x'}, []byte{2})
 	f.Add([]byte{TagRecord, 0, 0, 0, 2, viewRecID, 0x00}, []byte{1, 2})
+	// A transput.TransferReply as its encoder writes it — record 2:
+	// Status, AbortMsg, Base, Backlog, then the items — whose decoders
+	// frame_test.go links into this binary.
+	rep, start := openFrame(nil, TagRecord)
+	rep = binary.AppendUvarint(rep, 2)
+	rep = AppendVarintField(rep, 0)
+	rep = AppendStringField(rep, "")
+	rep = AppendVarintField(rep, 1<<20)
+	rep = AppendVarintField(rep, 48)
+	rep = AppendItemsField(rep, [][]byte{[]byte("ab"), {}, bytes.Repeat([]byte("Z"), SpliceCutoff)})
+	f.Add(closeFrame(rep, start, 0), []byte{5, 2})
 	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		// Reference: frame-by-frame copying Decode over the whole
 		// buffer, stopping at the first error.
