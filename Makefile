@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded bench bench-json json loc pairs
+.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs bench bench-json json loc pairs
 
 ## check: the pre-merge gate — vet (stock + staticcheck + the repo's
 ## own transput-vet analyzers), build, full tests, the race detector
@@ -74,13 +74,21 @@ test:
 race:
 	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
+## allocs: the allocation pins (the batch-1 hops at zero, in one process
+## and over a socket, and the batch-1 chain's zero a datum) three times
+## over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
+## so `test` is otherwise the only strict run they get, and it is one.
+allocs:
+	$(GO) test -run 'Allocs|AllocFree' -count=3 ./internal/wire ./internal/transput ./internal/transport
+
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, the one active engine's window and its gate in both
-## directions, merge, redirect) and the fusion
-## compiler (fused groups, fused aborts, fused pools) — the subset CI
+## directions, merge, redirect), the fusion
+## compiler (fused groups, fused aborts, fused pools) and the writers'
+## shared copy arenas under concurrent Puts — the subset CI
 ## runs on every push in addition to the full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint' ./internal/transput/ ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm' ./internal/transput/ ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's

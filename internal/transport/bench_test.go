@@ -122,8 +122,8 @@ var raceEnabled bool // set by race_test.go
 // the far side — a chunk's view table a frame — does the same work for
 // either, and what is left to differ is the send side).  And the waiter
 // queue, whose capacity must survive a pop: a small Transmit allocates
-// only what the far side decodes.  Nothing else runs while AllocsPerRun
-// counts process-wide mallocs.
+// nothing.  Nothing else runs while AllocsPerRun counts process-wide
+// mallocs.
 func TestTransmitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -146,21 +146,23 @@ func TestTransmitAllocs(t *testing.T) {
 			t.Errorf("%s: spliced Transmit %.2f allocs/op at %d B an item, %.2f at the cutoff",
 				kind, nearTwice, 2*wire.SpliceCutoff-64, atCutoff)
 		}
-		// The far side's decoded record, its item vector and the block
-		// its small items are copied into; the send side — frame,
-		// waiter, both coalescer queues — allocates nothing.
-		if small := allocs(64); small > 3 {
-			t.Errorf("%s: 64 B Transmit %.2f allocs/op, want <= 3", kind, small)
+		// Nothing on either side: the far side's decoded record and its
+		// item vector come back to the request pool with the views, and
+		// its small items share the frame reader's arena blocks; the send
+		// side — frame, waiter, both coalescer queues — allocates nothing.
+		if small := allocs(64); small > 0 {
+			t.Errorf("%s: 64 B Transmit %.2f allocs/op, want 0", kind, small)
 		}
 	}
 }
 
 // TestSocketHopAllocs holds one stop-and-wait exchange over a socket
-// link, each way, to what its decoders must allocate: the request
-// record and the block the frame's one small item is copied into (in a
-// Transfer's reply, in a Deliver's request).  The reply records and a
-// Transfer reply's item vector come from the ports' pools on the decode
-// side, and the link hands the server's originals back to them.
+// link, each way, to nothing.  Every record a hop decodes comes from a
+// pool with its item vector — the request, which its server releases
+// once read or absorbed, and the reply, which the port releases, the
+// link handing the server's original back — and the frame's one small
+// item, like the pusher's copy of it at Put, goes into an arena block
+// (the frame reader's, the pusher's) shared with the next hundred.
 func TestSocketHopAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -202,7 +204,7 @@ func TestSocketHopAllocs(t *testing.T) {
 	}
 	src.Start()
 	in := transput.NewInPort(k, uid.Nil, srcID, transput.Chan(0), transput.InPortConfig{Batch: 1})
-	measure("Transfer", 2, func() error { _, err := in.Next(); return err })
+	measure("Transfer", 0, func() error { _, err := in.Next(); return err })
 	in.Cancel("measured")
 
 	sink := transput.NewWOStage(k, transput.WOStageConfig{Name: "sink"},
@@ -216,7 +218,7 @@ func TestSocketHopAllocs(t *testing.T) {
 	}
 	sink.Start()
 	out := transput.NewPusher(k, uid.Nil, sinkID, transput.Chan(0), transput.PusherConfig{Batch: 1})
-	// The pusher's copy of the item as well: Put does not take ownership.
-	measure("Deliver", 4, func() error { return out.Put(item) })
+	// Put, unlike the source's PutOwned, copies the item.
+	measure("Deliver", 0, func() error { return out.Put(item) })
 	_ = out.Close()
 }

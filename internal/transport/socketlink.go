@@ -15,8 +15,10 @@
 // wire.FrameReader under the same rule: bytes land in a slab chunk,
 // frames are decoded in place, and item payloads of SpliceCutoff bytes
 // or more are handed to ports as ownership-transferred sub-views
-// without an intermediate copy, while the smaller items of a frame are
-// copied out together into one heap block.  Ports own what they are
+// without an intermediate copy, while the smaller items are copied into
+// the reader's wire.Arena, whose 4 KiB blocks successive frames share.
+// The decoded records come from the ports' pools, requests and replies
+// alike, so a batch-1 hop allocates nothing.  Ports own what they are
 // handed either way, which is how WireBytesSaved and SlabLeaked==0 keep
 // holding across a real socket.
 //
@@ -80,8 +82,8 @@ type dir struct {
 // readLoop re-assembles and decodes frames off the socket and
 // completes waiters in order.  Item-bearing records decode in place;
 // their items — views of the read buffer from wire.SpliceCutoff bytes
-// up, heap copies below — are owned by whichever port the kernel
-// delivers the payload to.
+// up, copies in the reader's arena below — are owned by whichever port
+// the kernel delivers the payload to.
 func (d *dir) readLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	fr := wire.NewFrameReader(d.rconn, d.readSlab, 0)

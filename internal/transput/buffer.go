@@ -77,6 +77,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 			wire.ReleaseAll(req.Items) // never absorbed
 			rep = &DeliverReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
 		}
+		releaseDeliverRequest(req)
 		inv.Reply(rep)
 		return
 	case OpTransfer:
@@ -86,6 +87,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		}
 		b.met.TransferInvocations.Inc()
 		rep := b.ch.take(b.gen, req.Max)
+		releaseTransferRequest(req)
 		if rep == nil {
 			rep = &TransferReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
 		}

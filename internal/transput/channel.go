@@ -59,6 +59,12 @@ type channel struct {
 	// idle records of a gateway do not each carry its lanes.
 	seq *seqGate
 
+	// arena holds the copies put makes for a ChannelWriter's Put, created
+	// by the first and dropped at the end of the stream, so that a channel
+	// fed only by PutOwned or Deliver — every gateway record — holds none.
+	// One pointer keeps the record in its 256-byte size class.
+	arena *wire.Arena
+
 	// itemsOut is the stream offset of the next item taken; it stamps
 	// TransferReply.Base so windowed readers reassemble in order.
 	itemsOut        int64
@@ -135,6 +141,7 @@ func (c *channel) abortLocked(err *AbortedError) {
 	clear(c.buf)
 	c.buf = c.buf[:0]
 	c.head = 0
+	c.arena = nil
 	c.cond.Broadcast()
 }
 
@@ -188,6 +195,7 @@ func (c *channel) end(gen uint64) error {
 		return ErrClosed
 	}
 	c.ends++
+	c.arena = nil
 	c.cond.Broadcast()
 	return nil
 }
@@ -224,7 +232,7 @@ func (c *channel) put(item []byte, owned bool, gen uint64) error {
 	if owned {
 		c.met.WireBytesSaved.Add(int64(len(item)))
 	} else {
-		item = append([]byte(nil), item...)
+		item = copyItem(&c.arena, item)
 	}
 	c.buf = append(c.buf, item)
 	c.cond.Broadcast()

@@ -66,6 +66,7 @@ type fusedEdge struct {
 	upErr  error // upstream body's return value, set before next() reports done
 	abort  error // upstream CloseWithError reason
 	closed bool
+	arena  *wire.Arena // Put's copies; set by the first, dropped by Close
 }
 
 // fusedEdgeWriter is the upstream side: an ItemWriter whose Put is a
@@ -79,7 +80,7 @@ func (w *fusedEdgeWriter) Put(item []byte) error {
 	if w.e.closed {
 		return ErrClosed
 	}
-	if !w.e.yield(append([]byte(nil), item...)) {
+	if !w.e.yield(copyItem(&w.e.arena, item)) {
 		return &AbortedError{Msg: "fused consumer stopped"}
 	}
 	return nil
@@ -101,14 +102,14 @@ func (w *fusedEdgeWriter) PutOwned(item []byte) error {
 
 // Close marks normal end of stream; later Puts fail with ErrClosed.
 func (w *fusedEdgeWriter) Close() error {
-	w.e.closed = true
+	w.e.closed, w.e.arena = true, nil
 	return nil
 }
 
 // CloseWithError records the abort reason the downstream reader will
 // surface once the upstream body returns.
 func (w *fusedEdgeWriter) CloseWithError(err error) error {
-	w.e.closed = true
+	w.e.closed, w.e.arena = true, nil
 	if err != nil && w.e.abort == nil {
 		w.e.abort = err
 	}

@@ -98,6 +98,7 @@ func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 			st = p.missStatus() // a retire won the race between lookup and lock
 		}
 	}
+	releaseTransferRequest(req)
 	if rep == nil {
 		rep = &TransferReply{Status: st}
 	}
@@ -141,6 +142,30 @@ func releaseTransferReply(rep *TransferReply) {
 	rep.AbortMsg = ""
 	rep.pooled = false
 	transferReplyPool.Put(rep)
+}
+
+// transferRequestPool recycles the TransferRequest records decoded off an
+// encoded hop.  The serving face (OutPort, PassiveBuffer) releases one
+// once take has read it; a server that does not (device.ClockSource)
+// leaves it to the GC.
+var transferRequestPool = sync.Pool{New: func() any { return new(TransferRequest) }}
+
+// acquireTransferRequest takes a recycled (or fresh) request, marked as
+// the pool's.
+func acquireTransferRequest() *TransferRequest {
+	req := transferRequestPool.Get().(*TransferRequest)
+	req.pooled = true
+	return req
+}
+
+// releaseTransferRequest recycles a request its server has read, if the
+// pool issued it: a port's own request is left to the port.
+func releaseTransferRequest(req *TransferRequest) {
+	if !req.pooled {
+		return
+	}
+	*req = TransferRequest{}
+	transferRequestPool.Put(req)
 }
 
 // Serve dispatches the transput operations an OutPort understands.

@@ -178,6 +178,11 @@ type TransferRequest struct {
 	// one-datum-per-invocation accounting; larger values are the A1
 	// batching ablation.  Max<=0 means 1.
 	Max int
+
+	// pooled marks a record the request pool issued (a copy decoded off
+	// an encoded hop), which its server releases once it has read it.  A
+	// port's own request, reused every exchange, is never marked.
+	pooled bool
 }
 
 // TransferReply carries data back (passive output).
@@ -216,6 +221,10 @@ type DeliverRequest struct {
 	Items   [][]byte
 	// End marks this writer's final delivery.  Items may accompany it.
 	End bool
+	// pooled (see TransferRequest.pooled) sits in End's padding, so a
+	// Pusher, which holds a request by value, does not grow by it.  Its
+	// server releases a pooled request once it has absorbed the items.
+	pooled bool
 	// Writer identifies the active-output port when it keeps several
 	// Deliver invocations in flight (a Pusher at Window > 1).  The sink
 	// serialises deliveries per writer by Seq, so concurrency cannot

@@ -177,7 +177,8 @@ type shardIO struct {
 	eof     bool   // input exhausted
 	epiIn   bool   // current input came from an epilogue frame
 
-	pre [][]byte // outputs produced before any input was consumed
+	pre   [][]byte    // outputs produced before any input was consumed
+	arena *wire.Arena // pre's copies; set by the first, dropped with pre
 }
 
 // emit frames one payload onto the output link by ownership transfer.
@@ -199,7 +200,7 @@ func (s *shardIO) flushPre(class byte, seq uint64) error {
 		}
 		s.wrote = true
 	}
-	s.pre = nil
+	s.pre, s.arena = nil, nil
 	return nil
 }
 
@@ -280,7 +281,7 @@ func (w *shardWriter) Put(item []byte) error {
 		return s.emit(frameEpilogue, s.cur, item)
 	case !s.started:
 		// Output before any input: held until attribution is known.
-		s.pre = append(s.pre, append([]byte(nil), item...))
+		s.pre = append(s.pre, copyItem(&s.arena, item))
 		return nil
 	default:
 		if err := s.emit(frameData, s.cur, item); err != nil {

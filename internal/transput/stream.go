@@ -40,6 +40,18 @@ type OwnedItemWriter interface {
 	PutOwned(item []byte) error
 }
 
+// copyItem is the copy every copying Put makes (wire.Arena: small items
+// share a heap block, so a datum is not an allocation), into the
+// writer's arena, which the writer's first copy creates — a writer that
+// never copies holds none.  The caller serialises it with the rest of
+// its Put.
+func copyItem(a **wire.Arena, item []byte) []byte {
+	if *a == nil {
+		*a = new(wire.Arena)
+	}
+	return (*a).Copy(item)
+}
+
 // PutOwned hands item to w with ownership transfer when w supports it.
 // Otherwise it falls back to the copying Put and releases item's slab
 // view (if it is one) on the caller's behalf — the caller has given the
@@ -60,10 +72,10 @@ func PutOwned(w ItemWriter, item []byte) error {
 // detached here — the one copy a large item pays on the real wire, at
 // the same boundary shard frames pay it (detachPayload).  Smaller items
 // paid that copy at the frame reader and pass through untouched, as do
-// the heap items of netsim and sources; the small items of one frame
-// share a backing array (disjoint, cap == len), so a body that retains
-// one of them keeps that frame's block — at most BatchMax items under
-// the cutoff — reachable with it.
+// the heap items of netsim and sources; small items share arena blocks
+// (disjoint, cap == len), so a body that retains one of them keeps its
+// block — 4 KiB of the reader's or writer's recent items — reachable
+// with it.
 type detachReader struct{ r ItemReader }
 
 func (d detachReader) Next() ([]byte, error) {
@@ -125,6 +137,7 @@ type CollectWriter struct {
 	Items  [][]byte
 	closed bool
 	err    error
+	arena  *wire.Arena
 }
 
 // Put appends a copy of item.
@@ -132,16 +145,19 @@ func (w *CollectWriter) Put(item []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	w.Items = append(w.Items, append([]byte(nil), item...))
+	w.Items = append(w.Items, copyItem(&w.arena, item))
 	return nil
 }
 
 // Close marks the writer finished.
-func (w *CollectWriter) Close() error { w.closed = true; return nil }
+func (w *CollectWriter) Close() error {
+	w.closed, w.arena = true, nil
+	return nil
+}
 
 // CloseWithError records the abort reason.
 func (w *CollectWriter) CloseWithError(err error) error {
-	w.closed = true
+	w.closed, w.arena = true, nil
 	w.err = err
 	return nil
 }

@@ -34,9 +34,14 @@ func init() {
 	// The two item-bearing records also get in-place decoders: a real
 	// transport's read loop (wire.FrameReader) decodes them straight out
 	// of the receive buffer, and the receiving port owns the items it is
-	// handed (wire.ReadItemsFieldView: large ones as slab sub-views,
-	// small ones copied out) — the same ownership-transfer contract a
-	// local hop uses, now across a socket.
+	// handed (wire.ReadItemsFieldViewInto: large ones as slab sub-views,
+	// small ones copied into the reader's arena) — the same
+	// ownership-transfer contract a local hop uses, now across a socket.
+	//
+	// All four decoders take their record from a pool: a reply from the
+	// reply pools, which the client releases, and a request from the
+	// request pools, which the serving face releases once it has read the
+	// request (a Transfer) or absorbed its items (a Deliver).
 	wire.RegisterView(wireIDTransferReply, decodeTransferReplyView)
 	wire.RegisterView(wireIDDeliverRequest, decodeDeliverRequestView)
 }
@@ -74,18 +79,22 @@ func (r *TransferRequest) AppendWire(dst []byte) ([]byte, error) {
 }
 
 func decodeTransferRequest(b []byte) (any, error) {
-	r := &TransferRequest{}
+	r := acquireTransferRequest()
+	if err := r.readWire(b); err != nil {
+		releaseTransferRequest(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *TransferRequest) readWire(b []byte) error {
 	ch, k, err := readChannelID(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.Channel = ch
 	max, _, err := wire.ReadVarintField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	r.Max = int(max)
-	return r, nil
+	r.Channel, r.Max = ch, int(max)
+	return err
 }
 
 // --- TransferReply -------------------------------------------------
@@ -105,27 +114,47 @@ func (r *TransferReply) AppendWire(dst []byte) ([]byte, error) {
 // WireItems implements wire.ItemsMarshaler.
 func (r *TransferReply) WireItems() [][]byte { return r.Items }
 
-func decodeTransferReply(b []byte) (any, error) { return readTransferReply(b, nil, false) }
+func decodeTransferReply(b []byte) (any, error) { return readTransferReply(b, nil, nil) }
 
 // decodeTransferReplyView is the in-place dual of decodeTransferReply:
 // Items of wire.SpliceCutoff bytes or more alias the receive buffer as
 // tracked sub-views of owner, which the caller (and ultimately the
-// receiving port) owns and releases; smaller ones are heap copies.
-func decodeTransferReplyView(b, owner []byte) (any, error) { return readTransferReply(b, owner, true) }
+// receiving port) owns and releases; smaller ones are copies in the
+// frame reader's arena a.
+func decodeTransferReplyView(b, owner []byte, a *wire.Arena) (any, error) {
+	return readTransferReply(b, owner, a)
+}
 
 // readTransferReply decodes into a record of the reply pool — the
 // receiving port releases it as it does a local server's — and, for a
 // view, into the item vector the record brings with it.
-func readTransferReply(b, owner []byte, view bool) (any, error) {
+func readTransferReply(b, owner []byte, a *wire.Arena) (any, error) {
 	r := acquireTransferReply(0)
-	if err := r.readWire(b, owner, view); err != nil {
+	if err := r.readWire(b, owner, a); err != nil {
 		releaseTransferReply(r)
 		return nil, err
 	}
 	return r, nil
 }
 
-func (r *TransferReply) readWire(b, owner []byte, view bool) error {
+// readWireItems reads an item-bearing record's last field into dst: in
+// place when a frame reader passed its arena (wire.ReadItemsFieldViewInto),
+// as heap copies for the copying decoder, which has none.  An empty
+// vector decodes to nil, whatever dst held.
+func readWireItems(dst [][]byte, b, owner []byte, a *wire.Arena) ([][]byte, error) {
+	var err error
+	if a != nil {
+		dst, _, err = wire.ReadItemsFieldViewInto(dst, b, owner, a)
+	} else {
+		dst, _, err = wire.ReadItemsField(b)
+	}
+	if len(dst) == 0 {
+		dst = nil
+	}
+	return dst, err
+}
+
+func (r *TransferReply) readWire(b, owner []byte, a *wire.Arena) error {
 	st, k, err := wire.ReadVarintField(b)
 	if err != nil {
 		return err
@@ -148,15 +177,7 @@ func (r *TransferReply) readWire(b, owner []byte, view bool) error {
 		return err
 	}
 	r.Backlog = int(backlog)
-	k += n
-	if view {
-		r.Items, _, err = wire.ReadItemsFieldViewInto(r.Items, b[k:], owner)
-	} else {
-		r.Items, _, err = wire.ReadItemsField(b[k:])
-	}
-	if len(r.Items) == 0 {
-		r.Items = nil // an empty vector decodes to one thing, whatever the pool held
-	}
+	r.Items, err = readWireItems(r.Items, b[k+n:], owner, a)
 	return err
 }
 
@@ -193,49 +214,34 @@ func (r *DeliverRequest) AppendWire(dst []byte) ([]byte, error) {
 // WireItems implements wire.ItemsMarshaler.
 func (r *DeliverRequest) WireItems() [][]byte { return r.Items }
 
-func decodeDeliverRequest(b []byte) (any, error) {
-	r := &DeliverRequest{}
-	ch, k, err := readChannelID(b)
-	if err != nil {
-		return nil, err
-	}
-	r.Channel = ch
-	if len(b)-k < 1+16 {
-		return nil, fmt.Errorf("%w: short deliver header", wire.ErrTruncated)
-	}
-	r.End = b[k] == 1
-	k++
-	var w16 [16]byte
-	copy(w16[:], b[k:k+16])
-	r.Writer = uid.FromBytes(w16)
-	k += 16
-	seq, n, err := wire.ReadUvarintField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	r.Seq = seq
-	k += n
-	items, _, err := wire.ReadItemsField(b[k:])
-	if err != nil {
-		return nil, err
-	}
-	if len(items) > 0 {
-		r.Items = items
-	}
-	return r, nil
-}
+func decodeDeliverRequest(b []byte) (any, error) { return readDeliverRequest(b, nil, nil) }
 
 // decodeDeliverRequestView is the in-place dual of
 // decodeDeliverRequest — see decodeTransferReplyView.
-func decodeDeliverRequestView(b, owner []byte) (any, error) {
-	r := &DeliverRequest{}
+func decodeDeliverRequestView(b, owner []byte, a *wire.Arena) (any, error) {
+	return readDeliverRequest(b, owner, a)
+}
+
+// readDeliverRequest decodes into a record of the request pool, and its
+// item vector into the one the record brings with it; the serving face
+// releases both once the items are absorbed.
+func readDeliverRequest(b, owner []byte, a *wire.Arena) (any, error) {
+	r := acquireDeliverRequest()
+	if err := r.readWire(b, owner, a); err != nil {
+		releaseDeliverRequest(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *DeliverRequest) readWire(b, owner []byte, a *wire.Arena) error {
 	ch, k, err := readChannelID(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Channel = ch
 	if len(b)-k < 1+16 {
-		return nil, fmt.Errorf("%w: short deliver header", wire.ErrTruncated)
+		return fmt.Errorf("%w: short deliver header", wire.ErrTruncated)
 	}
 	r.End = b[k] == 1
 	k++
@@ -245,22 +251,21 @@ func decodeDeliverRequestView(b, owner []byte) (any, error) {
 	k += 16
 	seq, n, err := wire.ReadUvarintField(b[k:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.Seq = seq
-	k += n
-	items, _, err := wire.ReadItemsFieldView(b[k:], owner)
-	if err != nil {
-		return nil, err
-	}
-	if len(items) > 0 {
-		r.Items = items
-	}
-	return r, nil
+	r.Items, err = readWireItems(r.Items, b[k+n:], owner, a)
+	return err
 }
 
-// ReleaseWirePayload — see TransferReply.ReleaseWirePayload.
-func (r *DeliverRequest) ReleaseWirePayload() { wire.ReleaseAll(r.Items) }
+// ReleaseWirePayload — see TransferReply.ReleaseWirePayload.  A link
+// calls it on the sender's request, a Pusher's own, which stays the
+// Pusher's; a decoded request that reaches no server goes back to the
+// pool.
+func (r *DeliverRequest) ReleaseWirePayload() {
+	wire.ReleaseAll(r.Items)
+	releaseDeliverRequest(r)
+}
 
 // --- DeliverReply --------------------------------------------------
 

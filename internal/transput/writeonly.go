@@ -104,7 +104,36 @@ func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 		wire.ReleaseAll(req.Items) // never absorbed
 		rep = &DeliverReply{Status: st}
 	}
+	releaseDeliverRequest(req)
 	inv.Reply(rep)
+}
+
+// deliverRequestPool recycles the DeliverRequest records decoded off an
+// encoded hop, with their item vectors — the dual of transferRequestPool.
+// The serving face (WOInPort, PassiveBuffer) releases one once absorb has
+// taken its items, or released those it did not take; a windowed
+// delivery parked at the sink's sequence gate keeps its record until
+// then.
+var deliverRequestPool = sync.Pool{New: func() any { return new(DeliverRequest) }}
+
+// acquireDeliverRequest takes a recycled (or fresh) request, marked as
+// the pool's, with an empty item vector.
+func acquireDeliverRequest() *DeliverRequest {
+	req := deliverRequestPool.Get().(*DeliverRequest)
+	req.pooled = true
+	return req
+}
+
+// releaseDeliverRequest recycles a request whose items its server has
+// absorbed or released, if the pool issued it.  The vector goes with it,
+// emptied: the items are no longer the record's.
+func releaseDeliverRequest(req *DeliverRequest) {
+	if !req.pooled {
+		return
+	}
+	clear(req.Items)
+	*req = DeliverRequest{Items: req.Items[:0]}
+	deliverRequestPool.Put(req)
 }
 
 // deliverReplyPool recycles successful Deliver replies.  The server
@@ -212,6 +241,7 @@ type Pusher struct {
 	mu      sync.Mutex
 	pending [][]byte
 	closed  bool
+	arena   *wire.Arena // Put's copies; set by the first, dropped by Close
 
 	// req is the producer's own Deliver request record, reused by every
 	// exchange it runs inline.  Only one is outstanding (flushLocked runs
@@ -419,10 +449,10 @@ func (w *Pusher) put(item []byte, owned bool) error {
 	}
 	if owned {
 		w.met.WireBytesSaved.Add(int64(len(item)))
-		w.pending = append(w.pending, item)
 	} else {
-		w.pending = append(w.pending, append([]byte(nil), item...))
+		item = copyItem(&w.arena, item)
 	}
+	w.pending = append(w.pending, item)
 	if t := w.size(); len(w.pending) >= t {
 		return w.flushLocked(false, t)
 	}
@@ -449,7 +479,7 @@ func (w *Pusher) Close() error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
+	w.closed, w.arena = true, nil
 	_ = w.flushLocked(true, w.size()) // a failure here is the stream's: the drain reports it
 	return w.drainLocked()
 }
@@ -465,7 +495,7 @@ func (w *Pusher) CloseWithError(err error) error {
 	if w.closed {
 		return nil
 	}
-	w.closed = true
+	w.closed, w.arena = true, nil
 	wire.ReleaseAll(w.pending) // the abort drops the partial batch
 	w.pending = nil
 	aerr := w.abort(err.Error())

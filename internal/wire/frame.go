@@ -22,7 +22,7 @@ import "sync"
 // the noise (16 KiB: 74 → 40).  The cutoff is the break-even point, so
 // no size pays for the mechanism.
 //
-// The read side (ReadItemsFieldView) consults the same constant: an
+// The read side (ReadItemsFieldViewInto) consults the same constant: an
 // item shorter than the cutoff is copied out of the receive buffer, a
 // longer one becomes a sub-view of it.  There the break-even depends on
 // what the consumer does next.  BenchmarkReadItems (one 16-item frame

@@ -10,14 +10,15 @@
 // values whose byte fields alias the buffer; they register each such
 // field as a sub-view (RegisterSubview) so it holds its own reference
 // on the chunk and rides the normal Release/Detach lifecycle.  An item
-// vector goes through ReadItemsFieldView, which copies small and
+// vector goes through ReadItemsFieldViewInto, which copies small and
 // borrows large: items shorter than SpliceCutoff leave the reader as
-// sub-slices of one heap block per frame, and only items of the cutoff
-// or more become sub-views — one registration a frame that has any,
-// none otherwise.  The reader releases its own handle on a buffer when
-// it rotates to a fresh one; the chunk stays alive until the last large
-// item it holds is released by whoever the ports handed it to, and a
-// chunk that carried only small frames recycles at once.
+// copies in the reader's Arena, whose 4 KiB blocks the small items of
+// successive frames share, and only items of the cutoff or more become
+// sub-views — one registration a frame that has any, none otherwise.
+// The reader releases its own handle on a buffer when it rotates to a
+// fresh one; the chunk stays alive until the last large item it holds is
+// released by whoever the ports handed it to, and a chunk that carried
+// only small frames recycles at once.
 package wire
 
 import (
@@ -41,9 +42,9 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameBytes")
 // the returned value may alias payload.  owner is the live slab view
 // containing payload; implementations register every aliasing byte
 // field with RegisterSubview(owner, field) so each carries its own
-// reference.  Non-aliasing fields (strings, scalars) are decoded as
-// usual.
-type ViewDecodeFunc func(payload, owner []byte) (any, error)
+// reference, and copy small items into a (ReadItemsFieldViewInto).
+// Non-aliasing fields (strings, scalars) are decoded as usual.
+type ViewDecodeFunc func(payload, owner []byte, a *Arena) (any, error)
 
 var (
 	viewRegMu    sync.RWMutex
@@ -73,9 +74,10 @@ func lookupViewDecoder(id uint16) (ViewDecodeFunc, bool) {
 // DecodeViewIn parses one frame from the front of b like Decode, but
 // TagRecord frames whose id has a RegisterView decoder are decoded in
 // place: the returned value may alias b, with aliasing fields
-// registered as sub-views of owner (the live slab view containing b).
-// Every other frame shape falls back to the copying Decode.
-func DecodeViewIn(b, owner []byte) (any, int, error) {
+// registered as sub-views of owner (the live slab view containing b)
+// and small items copied into a.  Every other frame shape falls back to
+// the copying Decode.
+func DecodeViewIn(b, owner []byte, a *Arena) (any, int, error) {
 	if len(b) < HeaderBytes {
 		return nil, 0, ErrTruncated
 	}
@@ -90,7 +92,7 @@ func DecodeViewIn(b, owner []byte) (any, int, error) {
 			return nil, 0, fmt.Errorf("%w: record id varint", ErrMalformed)
 		}
 		if dec, ok := lookupViewDecoder(uint16(id)); ok {
-			v, err := dec(payload[k:], owner)
+			v, err := dec(payload[k:], owner, a)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -100,31 +102,27 @@ func DecodeViewIn(b, owner []byte) (any, int, error) {
 	return Decode(b)
 }
 
-// ReadItemsFieldView parses an item vector like ReadItemsField, copying
-// small and borrowing large — the rule Frame.Encode follows on the write
-// side, with the same SpliceCutoff.  Items shorter than the cutoff are
-// copied into one heap block per frame and returned as disjoint
-// sub-slices of it with cap == len, so an append or a scribble on one
-// reaches neither a neighbour nor the receive buffer.  Items of the
+// ReadItemsFieldViewInto parses an item vector like ReadItemsField,
+// appending to dst (a decoder's record brings its vector with it from a
+// pool), copying small and borrowing large — the rule Frame.Encode
+// follows on the write side, with the same SpliceCutoff.  Items shorter
+// than the cutoff are copied into a (Arena.Copy: disjoint, cap == len,
+// so an append or a scribble on one reaches neither a neighbour nor the
+// receive buffer), the frame's together in one block.  Items of the
 // cutoff or more stay sub-slices of b, registered together as tracked
 // sub-views of owner.  Empty items are untracked nils.  A frame with no
 // large item performs no registry operation and takes no reference on
-// owner's chunk; a malformed frame registers, and leaks, nothing.
+// owner's chunk; a malformed frame registers, and leaks, nothing, and
+// returns dst as it was given.
 //
 // The caller owns the bytes either way.  The retention unit differs: a
 // large item keeps its read chunk alive until it is Released or
-// Detached; a small item keeps its frame's block alive, so a consumer
-// that holds one item in k pins the other small items of that frame
-// with it (the trade bytes.Split makes), for one allocation a frame
-// instead of k.  BenchmarkReadItems is the cutoff's read-side figure.
-func ReadItemsFieldView(b, owner []byte) ([][]byte, int, error) {
-	return ReadItemsFieldViewInto(nil, b, owner)
-}
-
-// ReadItemsFieldViewInto is ReadItemsFieldView appending to dst, for a
-// decoder whose record brings its item vector with it from a pool.  On
-// error it returns dst as it was given.
-func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte) ([][]byte, int, error) {
+// Detached; a small item keeps its arena block alive, so a consumer that
+// holds one item pins up to 4 KiB of the reader's recent small items
+// with it (the trade bytes.Split makes), for one allocation per block
+// instead of one an item.  BenchmarkReadItems is the cutoff's read-side
+// figure.
+func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte, a *Arena) ([][]byte, int, error) {
 	count, k, err := ReadUvarintField(b)
 	if err != nil {
 		return dst, 0, err
@@ -162,19 +160,16 @@ func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte) ([][]byte, int, error
 		off = end
 	}
 	if small > 0 {
-		block := make([]byte, small)
-		p := 0
+		a.reserve(small)
 		for i, it := range items {
 			if n := len(it); n > 0 && n < SpliceCutoff {
-				items[i] = block[p : p+n : p+n]
-				copy(items[i], it)
-				p += n
+				items[i] = a.Copy(it)
 			}
 		}
 	}
 	if large {
-		// The small items are in the heap block by now, outside every
-		// chunk, and registerSubviews skips them.
+		// The small items are in the arena by now, outside every chunk,
+		// and registerSubviews skips them.
 		registerSubviews(owner, items)
 	}
 	return dst[:base+len(items)], off, nil
@@ -191,6 +186,7 @@ type FrameReader struct {
 	buf     []byte // current tracked slab view (nil before first read)
 	start   int    // parse cursor within buf
 	end     int    // filled bytes within buf
+	arena   Arena  // where the small items of decoded frames are copied
 }
 
 // NewFrameReader wraps r.  Frames are decoded from views carved out of
@@ -222,7 +218,7 @@ func (fr *FrameReader) Next() (any, int, error) {
 	if err := fr.ensure(total); err != nil {
 		return nil, 0, err
 	}
-	v, k, err := DecodeViewIn(fr.buf[fr.start:fr.start+total], fr.buf)
+	v, k, err := DecodeViewIn(fr.buf[fr.start:fr.start+total], fr.buf, &fr.arena)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -285,5 +281,5 @@ func (fr *FrameReader) Close() {
 	if fr.ownSlab {
 		fr.slab.Close()
 	}
-	fr.start, fr.end = 0, 0
+	fr.start, fr.end, fr.arena = 0, 0, Arena{}
 }

@@ -44,9 +44,10 @@
 //     unchanged.  Bodies and sinks own what they are handed, so views
 //     are detached at the library/user boundary and flow zero-copy
 //     everywhere in between.  Off a socket only items of SpliceCutoff
-//     bytes or more are views (ReadItemsFieldView copies the smaller
-//     ones out at the reader), so there Detach is the boundary copy of
-//     large items and one index miss for the rest.
+//     bytes or more are views (the frame reader copies the smaller ones
+//     into its Arena), so there Detach is the boundary copy of large
+//     items and one index miss for the rest.  Arena copies, like every
+//     item a copying Put stored, are heap slices to all of these calls.
 //   - Close seals the slab and reports how many views are still
 //     outstanding — the refcount audit pipelines run at Destroy.
 package wire

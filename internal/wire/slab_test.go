@@ -290,8 +290,10 @@ func TestSlabStorm(t *testing.T) {
 
 // TestViewAllocCeilings pins what the registry may allocate: nothing a
 // view, the copy on Detach, and a frame its item vector plus — when it
-// has small items — their one block.  A frame of small items alone does
-// not touch the registry at all.
+// has small items — at most one arena block: a share of one while the
+// frame's small items fit a block with others, one of their own above
+// that.  A frame of small items alone does not touch the registry at
+// all.
 func TestViewAllocCeilings(t *testing.T) {
 	s := NewSlab(nil, 0)
 	defer s.Close()
@@ -317,10 +319,11 @@ func TestViewAllocCeilings(t *testing.T) {
 	largeOwner, large := frameOf(func(int) int { return SpliceCutoff })
 	mixedOwner, mixed := frameOf(func(i int) int { return SpliceCutoff - 1 + i%2 })
 	defer ReleaseAll([][]byte{smallOwner, largeOwner, mixedOwner})
+	var a Arena
 	readItems := func(frame, owner []byte, views int) func() {
 		return func() {
 			before := s.Outstanding()
-			items, _, err := ReadItemsFieldView(frame, owner)
+			items, _, err := ReadItemsFieldViewInto(nil, frame, owner, &a)
 			if err != nil || len(items) != k {
 				t.Fatalf("%d items, %v", len(items), err)
 			}
@@ -342,9 +345,9 @@ func TestViewAllocCeilings(t *testing.T) {
 		{"Release(heap)", 0, func() { Release(heap) }},
 		{"Detach(view)", 1, func() { RegisterSubview(owner, sub); Detach(sub) }},
 		{"Detach(heap)", 0, func() { Detach(heap) }},
-		{"ReadItemsFieldView(16 small)", 2, readItems(small, smallOwner, 0)},
-		{"ReadItemsFieldView(16 large)", 1, readItems(large, largeOwner, k)},
-		{"ReadItemsFieldView(8 small, 8 large)", 2, readItems(mixed, mixedOwner, k/2)},
+		{"ReadItemsFieldViewInto(16 small)", 1, readItems(small, smallOwner, 0)},
+		{"ReadItemsFieldViewInto(16 large)", 1, readItems(large, largeOwner, k)},
+		{"ReadItemsFieldViewInto(8 small, 8 large)", 2, readItems(mixed, mixedOwner, k/2)},
 	} {
 		if n := testing.AllocsPerRun(200, c.op); n != c.want {
 			t.Errorf("%s allocates %.1f/op, want %.0f", c.name, n, c.want)
