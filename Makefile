@@ -27,9 +27,12 @@ staticcheck:
 ## purity (readonly files never reach the push side and vice versa),
 ## fusion purity (fusable-tagged plumbing never reaches a port or a
 ## kernel invocation), pool hygiene (no use-after-Put, no missing Put),
-## metrics-table completeness, lock-order consistency, goroutine
-## termination, cond-wait discipline, and — via the protomodel
+## metrics-table completeness, goroutine termination, and one wait-for
+## graph for cond-wait discipline, lock order (cycles of any length)
+## and mixed mutex/channel/cond cycles, and — via the protomodel
 ## analyzer — credit-protocol liveness by exhaustive model checking.
+## Atomics are left to the types: every shared word is a typed atomic,
+## and `go vet` (the `vet` target) reports a copied one.
 ## The self-test first proves the model checker catches its own seeded
 ## mutants, so the zero-finding run that follows actually means
 ## something.  Zero findings is a merge requirement.

@@ -38,8 +38,8 @@ import (
 	"asymstream/internal/experiments"
 )
 
-// suiteNames are the files the -json suite writes, in write order.
-// The deprecated -json-out-* flags override them one-for-one.
+// suiteNames are the files the -json suite writes into -json-dir, in
+// write order.
 var suiteNames = [...]string{
 	"BENCH_kernel.json",
 	"BENCH_transput.json",
@@ -47,21 +47,6 @@ var suiteNames = [...]string{
 	"BENCH_fusion.json",
 	"BENCH_gateway.json",
 	"BENCH_transport.json",
-}
-
-// resolveSuitePaths maps -json-dir plus the deprecated per-file
-// overrides onto the suite's output paths: an override wins only for
-// its own file, everything else lands in dir under its canonical name.
-func resolveSuitePaths(dir string, overrides [len(suiteNames)]string) [len(suiteNames)]string {
-	var out [len(suiteNames)]string
-	for i, name := range suiteNames {
-		if overrides[i] != "" {
-			out[i] = overrides[i]
-			continue
-		}
-		out[i] = filepath.Join(dir, name)
-	}
-	return out
 }
 
 func main() {
@@ -73,18 +58,11 @@ func main() {
 		check = flag.Bool("check", false, "verify the paper's counting claims and exit")
 		jsonl = flag.Bool("json", false, "write the machine-readable BENCH_*.json suite into -json-dir, then exit")
 		jdir  = flag.String("json-dir", ".", "directory the -json suite is written into")
-		jout  = flag.String("json-out", "", "deprecated: overrides the BENCH_kernel.json path (use -json-dir)")
-		tout  = flag.String("json-out-transput", "", "deprecated: overrides the BENCH_transput.json path (use -json-dir)")
-		cout  = flag.String("json-out-codec", "", "deprecated: overrides the BENCH_codec.json path (use -json-dir)")
-		fout  = flag.String("json-out-fusion", "", "deprecated: overrides the BENCH_fusion.json path (use -json-dir)")
-		gout  = flag.String("json-out-gateway", "", "deprecated: overrides the BENCH_gateway.json path (use -json-dir)")
-		wout  = flag.String("json-out-transport", "", "deprecated: overrides the BENCH_transport.json path (use -json-dir)")
 		jn    = flag.Int("json-n", 4, "filter count for the -json pipelines")
 	)
 	flag.Parse()
 
-	paths := resolveSuitePaths(*jdir, [len(suiteNames)]string{*jout, *tout, *cout, *fout, *gout, *wout})
-	dest := func(i int) string { return paths[i] }
+	dest := func(i int) string { return filepath.Join(*jdir, suiteNames[i]) }
 
 	if *jsonl {
 		if err := os.MkdirAll(*jdir, 0o755); err != nil {

@@ -1,36 +1,6 @@
 package main
 
-import (
-	"path/filepath"
-	"testing"
-)
-
-// TestResolveSuitePaths pins the deprecated -json-out-* aliases to the
-// -json-dir layout: with no overrides every suite file lands in the
-// directory under its canonical name, and an override redirects its
-// own file without disturbing the others.
-func TestResolveSuitePaths(t *testing.T) {
-	defaults := resolveSuitePaths("out", [len(suiteNames)]string{})
-	for i, name := range suiteNames {
-		if want := filepath.Join("out", name); defaults[i] != want {
-			t.Errorf("default path[%d] = %q, want %q", i, defaults[i], want)
-		}
-	}
-
-	var overrides [len(suiteNames)]string
-	overrides[0] = "legacy/kernel.json"
-	overrides[5] = "legacy/wire.json"
-	got := resolveSuitePaths("out", overrides)
-	for i := range suiteNames {
-		want := defaults[i]
-		if overrides[i] != "" {
-			want = overrides[i]
-		}
-		if got[i] != want {
-			t.Errorf("path[%d] = %q, want %q", i, got[i], want)
-		}
-	}
-}
+import "testing"
 
 // TestSuiteNamesStable keeps the file set itself from drifting: tools
 // downstream (Makefile bench targets, EXPERIMENTS.md) key on these

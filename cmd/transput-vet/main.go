@@ -16,7 +16,9 @@
 // run: -protomodel-window, -protomodel-writers and
 // -protomodel-max-states override the defaults (4, 2, 4M), and
 // -protomodel-stats FILE writes the explored-space summary
-// (states/transitions/violations) as JSON for upload as a CI artifact.
+// (states/transitions/violations) of the exploration the run made —
+// protomodel's, or the self-test's clean one — as JSON for upload as a
+// CI artifact.
 package main
 
 import (
@@ -83,7 +85,7 @@ func main() {
 		}
 		fmt.Printf("protomodel self-test ok: clean protocol explores clean at K=%d P=%d; all 3 seeded mutants detected\n", *pmWin, *pmWr)
 		if *pmStats != "" {
-			if err := writeStats(*pmStats, *pmWin, *pmWr, *pmMax); err != nil {
+			if err := writeStats(*pmStats); err != nil {
 				fmt.Fprintf(os.Stderr, "transput-vet: %v\n", err)
 				os.Exit(2)
 			}
@@ -157,7 +159,7 @@ func main() {
 	}
 
 	if *pmStats != "" {
-		if err := writeStats(*pmStats, *pmWin, *pmWr, *pmMax); err != nil {
+		if err := writeStats(*pmStats); err != nil {
 			fmt.Fprintf(os.Stderr, "transput-vet: %v\n", err)
 			os.Exit(2)
 		}
@@ -168,9 +170,11 @@ func main() {
 	}
 }
 
-func writeStats(path string, window, writers, maxStates int) error {
-	rep := analysis.ProtoModelRun(window, writers, maxStates)
-	data, err := json.MarshalIndent(rep, "", "  ")
+func writeStats(path string) error {
+	if analysis.ProtoLastRun == nil {
+		return fmt.Errorf("-protomodel-stats: protomodel did not run (select it with -run)")
+	}
+	data, err := json.MarshalIndent(analysis.ProtoLastRun, "", "  ")
 	if err != nil {
 		return err
 	}

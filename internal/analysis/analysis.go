@@ -9,9 +9,12 @@
 // The analyzers are whole-program: a Pass sees every package of the
 // module at once (shared FileSet, per-package *types.Info), because
 // the properties they prove — slab ownership, discipline purity over
-// the call graph, lock ordering — are inherently interprocedural.
-// Dataflow runs over a hand-rolled statement-level CFG (cfg.go) with
-// a small fixpoint engine (lifetime.go) standing in for SSA.
+// the call graph, lock order and wait cycles — are inherently
+// interprocedural.  Dataflow runs over a hand-rolled statement-level
+// CFG (cfg.go) with a small fixpoint engine (lifetime.go) standing in
+// for SSA.  An invariant a type can enforce gets no analyzer: every
+// shared word is a typed atomic (a plain access does not compile, and
+// `go vet`'s copylocks check catches a copy).
 package analysis
 
 import (
@@ -193,9 +196,7 @@ func All() []*Analyzer {
 		Fusable,
 		PoolHygiene,
 		MetricsTable,
-		LockOrder,
 		EpochGuard,
-		AtomicMix,
 		ConnLife,
 		SendOwn,
 		Goroleak,

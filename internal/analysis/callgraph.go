@@ -10,8 +10,9 @@ import (
 // Direct static call graph over the analyzed program.  Function
 // literals are their own nodes (a closure's effects belong to whoever
 // runs it); dynamic dispatch through interface values is not followed
-// — the analyzers that use the graph (discipline, lockorder) document
-// that limit and the module's hot paths are all direct calls.
+// — the analyzers that use the graph (discipline, fusable, goroleak,
+// waitcycle) document that limit and the module's hot paths are all
+// direct calls.
 
 type edgeKind int
 

@@ -2,25 +2,6 @@ package analysis
 
 import "testing"
 
-// TestCreditModelCorrect: the extracted-correct configuration explores
-// clean at the in-gate bound (K=4, P=2) — zero violations, exhaustive
-// (not capped).
-func TestCreditModelCorrect(t *testing.T) {
-	res := exploreCreditModel(defaultModelParams(4, 2), 0)
-	if res.Capped {
-		t.Fatalf("exploration capped at %d states; raise the budget", res.States)
-	}
-	if len(res.Violations) != 0 {
-		for _, v := range res.Violations {
-			t.Errorf("%s: %s\ntrace:\n  %s", v.Invariant, v.Desc, traceLines(v.Trace))
-		}
-	}
-	if res.States < 1000 {
-		t.Errorf("suspiciously small state space (%d states) — model degenerated?", res.States)
-	}
-	t.Logf("K=4 P=2: %d states, %d transitions", res.States, res.Transitions)
-}
-
 // TestCreditModelMutants: the seeded-mutant gate.  Each deliberately
 // broken protocol must be re-detected by the named invariant — a
 // checker that cannot catch its own mutants proves nothing with a
@@ -30,7 +11,7 @@ func TestCreditModelMutants(t *testing.T) {
 		mutant creditMutant
 		inv    string
 	}{
-		{MutantDropCreditGrant, "I3"},  // limit hits 0, nothing in flight: stall
+		{MutantDropCreditGrant, "I3"},   // limit hits 0, nothing in flight: stall
 		{MutantMissingAbortDrain, "I4"}, // buffered items stranded after abort
 		{MutantWindowOffByOne, "I2"},    // active exceeds limit
 	}

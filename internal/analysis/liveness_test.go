@@ -20,6 +20,10 @@ func TestWaitCycleFixture(t *testing.T) {
 	mustFind(t, diags, "never signaled")
 	mustFind(t, diags, "without holding its associated mutex")
 	mustFind(t, diags, "possible wait cycle")
+
+	diags = runFixture(t, WaitCycle, "lockfix")
+	mustFind(t, diags, "lock order cycle between lock lockfix.mu.* <-> lock lockfix.mu")
+	mustFind(t, diags, "<-> .*<-> ") // the three-class ring
 }
 
 // protoBounds shrinks the model for fixture runs; the broken fixtures

@@ -58,6 +58,12 @@ var (
 	ProtoMaxStates = 4_000_000
 )
 
+// ProtoLastRun summarises the last exploration protomodel ran — the
+// analyzer's or the self-test's clean one — and is nil before either
+// has run.  cmd/transput-vet writes it for -protomodel-stats, and
+// TestModuleIsClean checks it, so neither explores the space again.
+var ProtoLastRun *ProtoModelReport
+
 func runProtoModel(pass *Pass) error {
 	for _, pkg := range pass.Prog.Pkgs {
 		if !liveScope(pkg.Path) || !strings.HasSuffix(pkg.Path, "internal/transput") {
@@ -163,6 +169,7 @@ func checkProtoPackage(pass *Pass, pkg *Package) {
 	}
 
 	res := exploreCreditModel(p, ProtoMaxStates)
+	ProtoLastRun = protoReport(p, res)
 	for _, v := range res.Violations {
 		pos := anchor
 		switch v.Invariant {
@@ -496,14 +503,9 @@ type ProtoModelReport struct {
 	Violations  []string `json:"violations"`
 }
 
-// ProtoModelRun explores the correct-protocol configuration at the
-// given bounds and reports the explored-space statistics.  transput-vet
-// proving the real tree's extracted shapes all-correct makes this the
-// real protocol's state space.
-func ProtoModelRun(window, writers, maxStates int) ProtoModelReport {
-	res := exploreCreditModel(defaultModelParams(window, writers), maxStates)
-	rep := ProtoModelReport{
-		Window: window, Writers: writers, Cap: 2,
+func protoReport(p modelParams, res exploreResult) *ProtoModelReport {
+	rep := &ProtoModelReport{
+		Window: p.Window, Writers: p.Writers, Cap: p.Cap,
 		States: res.States, Transitions: res.Transitions, Capped: res.Capped,
 	}
 	for _, v := range res.Violations {
@@ -519,7 +521,9 @@ func ProtoModelRun(window, writers, maxStates int) ProtoModelReport {
 // catch its own seeded bugs proves nothing with a clean run; this is
 // the gate that keeps the zero-finding result meaningful.
 func ProtoModelSelfTest(window, writers, maxStates int) error {
-	res := exploreCreditModel(defaultModelParams(window, writers), maxStates)
+	p := defaultModelParams(window, writers)
+	res := exploreCreditModel(p, maxStates)
+	ProtoLastRun = protoReport(p, res)
 	if len(res.Violations) > 0 {
 		return fmt.Errorf("correct protocol reported %s: %s", res.Violations[0].Invariant, res.Violations[0].Desc)
 	}
@@ -532,7 +536,7 @@ func ProtoModelSelfTest(window, writers, maxStates int) error {
 		MutantWindowOffByOne:    "I2",
 	}
 	for m, inv := range expect {
-		mres := exploreCreditModel(defaultModelParams(window, writers).apply(m), maxStates)
+		mres := exploreCreditModel(p.apply(m), maxStates)
 		found := false
 		for _, v := range mres.Violations {
 			if v.Invariant == inv {

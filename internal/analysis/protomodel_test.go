@@ -11,9 +11,6 @@ import (
 // a matcher regression could silently extract nothing and the model
 // would "prove" the default configuration instead of the tree.
 func TestProtoExtractionRealTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module from source")
-	}
 	prog, pkg := loadRealTransput(t)
 	sh := extractProtoShapes(pkg)
 
@@ -65,9 +62,6 @@ func TestProtoExtractionRealTree(t *testing.T) {
 // Deliver and Transfer faces run, because the buffer is a face over the
 // one chanCore-family record.
 func TestProtoExtractionCoversPassiveBuffer(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the whole module from source")
-	}
 	prog, pkg := loadRealTransput(t)
 	sh := extractProtoShapes(pkg)
 
@@ -117,18 +111,7 @@ func TestProtoExtractionCoversPassiveBuffer(t *testing.T) {
 
 func loadRealTransput(t *testing.T) (*Program, *Package) {
 	t.Helper()
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := loader.Load("asymstream/internal/transput")
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := loadModule(t)
 	pkg := prog.Package("asymstream/internal/transput")
 	if pkg == nil {
 		t.Fatal("transput package not loaded")

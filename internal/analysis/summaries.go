@@ -107,9 +107,9 @@ type funcSummary struct {
 	// by calling a divergent function.  Range loops are excluded here
 	// (they always have a structural exit edge; whether the ranged
 	// channel is ever closed is goroleak's separate check).
-	divergent bool
-	divergeAt token.Pos // the loop or call that diverges
-	divergeVia string   // callee chain note, "" when direct
+	divergent  bool
+	divergeAt  token.Pos // the loop or call that diverges
+	divergeVia string    // callee chain note, "" when direct
 
 	// waitLike: the function calls sync.Cond.Wait (or a wait-like
 	// callee) outside any enclosing loop, i.e. it is a wait wrapper and
@@ -422,4 +422,19 @@ func varDisplay(prog *Program, v *types.Var) string {
 		return fmt.Sprintf("%s%s(%s:%d)", pkg, v.Name(), shortFile(pos.Filename), pos.Line)
 	}
 	return pkg + v.Name()
+}
+
+// shortFile trims a position's filename to its last two path elements
+// for compact diagnostics.
+func shortFile(name string) string {
+	slash := 0
+	for i := len(name) - 1; i >= 0; i-- {
+		if name[i] == '/' {
+			slash++
+			if slash == 2 {
+				return name[i+1:]
+			}
+		}
+	}
+	return name
 }

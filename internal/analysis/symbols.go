@@ -26,6 +26,14 @@ func namedOrPtr(t types.Type) *types.Named {
 	return nil
 }
 
+// exprType returns the value type of e, or nil.
+func exprType(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
+}
+
 // isNamedType reports whether t (or *t) is the named type pkgPath.name.
 func isNamedType(t types.Type, pkgPath, name string) bool {
 	n := namedOrPtr(t)

@@ -20,10 +20,12 @@ func SpawnReviewed() {
 
 // Stale: nothing fires on or below the annotation; the annotation
 // itself becomes the finding.
+//
 //vet:ok goroleak -- was reviewed once, the code moved on // want "stale suppression"
 func Quiet() {}
 
-// Out of scope: lockorder did not run, so a goroleak-only run cannot
+// Out of scope: waitcycle did not run, so a goroleak-only run cannot
 // judge this annotation and must not flag it.
-//vet:ok lockorder -- judged only when lockorder runs
+//
+//vet:ok waitcycle -- judged only when waitcycle runs
 func AlsoQuiet() {}

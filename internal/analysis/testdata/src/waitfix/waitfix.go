@@ -159,13 +159,13 @@ func newPipe() *pipe {
 
 func (p *pipe) produce() {
 	p.mu.Lock()
-	p.ch <- 1 // want "possible wait cycle"
+	p.ch <- 1
 	p.mu.Unlock()
 }
 
 func (p *pipe) consume() {
 	p.mu2.Lock()
-	v := <-p.ch
+	v := <-p.ch // want "possible wait cycle"
 	_ = v
 	p.mu2.Unlock()
 }

@@ -5,44 +5,48 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
 
 // WaitCycle unifies the module's three blocking primitives — mutexes,
 // sync.Cond wait/signal pairs, and unbuffered channels — into one
-// heterogeneous wait-for graph and reports the liveness hazards
-// lockorder's mutex-only view cannot see:
+// heterogeneous wait-for graph and reports its liveness hazards:
 //
-//   W1  cond.Wait must sit in a predicate loop.  A function whose Wait
-//       is bare becomes *wait-like* (chanCore.wait is the module's
-//       example); the loop obligation then moves to its callers,
-//       bottom-up over the call graph, and is reported at the first
-//       frame that neither loops nor has a caller to delegate to.
-//   W2  a condition variable that is waited on but never signaled or
-//       broadcast anywhere in the program is a permanent sleep.
-//   W3  Signal/Broadcast must hold the cond's associated mutex (the
-//       one passed to sync.NewCond).  Unlike Wait, the runtime does
-//       not enforce this; an unlocked signal can slip between a
-//       waiter's predicate check and its park — the classic lost
-//       wakeup.  The obligation crosses function boundaries: a helper
-//       that signals without the lock is fine if every caller holds
-//       it.
-//   W4  cycles in the combined wait-for graph: a lock held while
-//       blocking on an unbuffered channel whose peer needs that lock,
-//       a cond waiter holding an extra lock its signaler needs, and
-//       every mixed form.  Condition variables and their own
-//       associated mutex never form an edge (Wait releases it).
+//	W1  cond.Wait must sit in a predicate loop.  A function whose Wait
+//	    is bare becomes *wait-like* (chanCore.wait is the module's
+//	    example); the loop obligation then moves to its callers,
+//	    bottom-up over the call graph, and is reported at the first
+//	    frame that neither loops nor has a caller to delegate to.
+//	W2  a condition variable that is waited on but never signaled or
+//	    broadcast anywhere in the program is a permanent sleep.
+//	W3  Signal/Broadcast must hold the cond's associated mutex (the
+//	    one passed to sync.NewCond).  Unlike Wait, the runtime does
+//	    not enforce this; an unlocked signal can slip between a
+//	    waiter's predicate check and its park — the classic lost
+//	    wakeup.  The obligation crosses function boundaries: a helper
+//	    that signals without the lock is fine if every caller holds
+//	    it.
+//	W4  cycles in the combined wait-for graph: locks taken in
+//	    opposite orders (of any length: A→B→C→A), a lock held while
+//	    blocking on an unbuffered channel whose peer needs that lock,
+//	    a cond waiter holding an extra lock its signaler needs, and
+//	    every mixed form.  Condition variables and their own
+//	    associated mutex never form an edge (Wait releases it).
 //
 // Identity is by storage object (*types.Var), so promoted fields
-// unify: channel.cond is chanCore.cond.
-// Mutex-held sets are must-hold (intersection at joins), so W3 never
-// reports a path that provably holds the lock.  lockorder remains the
-// authority on lock-lock inversions; W4 deliberately skips pure
-// mutex-mutex cycles to avoid double-reporting.
+// unify (channel.cond is chanCore.cond) and all instances of a struct
+// share their mutex field's node; two instances of one lock make a
+// self-edge, which no cycle needs.  Must-held sets (intersection at
+// joins) feed W3 and the channel/cond edges, so neither reports a path
+// that provably holds the lock.  May-held sets (union) feed the
+// program-wide lock-order edges, which also run from the locks held at
+// a call to every lock the callee may take, transitively, except
+// through `go`.
 var WaitCycle = &Analyzer{
 	Name: "waitcycle",
-	Doc:  "cond wait/signal pairing and mixed mutex/cond/channel wait cycles",
+	Doc:  "cond wait/signal pairing, lock-order cycles and mixed mutex/cond/channel wait cycles",
 	Run:  runWaitCycle,
 }
 
@@ -53,8 +57,9 @@ func runWaitCycle(pass *Pass) error {
 	assoc := condAssociations(pass.Prog)
 	unbuffered := unbufferedChans(pass.Prog)
 
-	// Per-function facts: wait/signal/chan-op sites with must-held
-	// mutex sets, plus resolved call sites for obligation propagation.
+	// Per-function facts: wait/signal/chan-op sites and lock
+	// acquisitions with their held sets, plus resolved call sites for
+	// obligation and lock-order propagation.
 	facts := make(map[*FuncNode]*waitFacts, len(graph.Nodes))
 	for _, n := range graph.Nodes {
 		facts[n] = analyzeWaitFacts(n, graph)
@@ -208,7 +213,7 @@ func reportW3(pass *Pass, graph *CallGraph, facts map[*FuncNode]*waitFacts, asso
 }
 
 // ---------------------------------------------------------------------
-// W4: mixed wait-for cycles.
+// W4: wait-for cycles, lock-only and mixed.
 
 // wfNode is one resource in the heterogeneous wait-for graph.
 type wfNode struct {
@@ -263,9 +268,26 @@ func reportW4(pass *Pass, graph *CallGraph, facts map[*FuncNode]*waitFacts, asso
 		}
 	}
 
-	inScope := func(n *FuncNode) bool { return liveScope(n.Pkg.Path) }
+	// Lock order: each acquisition waits for every lock that may be held
+	// there, and a call waits for every lock its callee may take.
+	acq := lockAcquisitions(graph, facts)
 	for _, n := range graph.Nodes {
-		if !inScope(n) {
+		for _, a := range facts[n].acquires {
+			for h := range a.mayHeld {
+				addEdge(wfNode{kind: "lock", v: h}, wfNode{kind: "lock", v: a.lock}, a.pos)
+			}
+		}
+		for _, c := range facts[n].calls {
+			for h := range c.mayHeld {
+				for l := range acq[c.callee] {
+					addEdge(wfNode{kind: "lock", v: h}, wfNode{kind: "lock", v: l}, c.pos)
+				}
+			}
+		}
+	}
+
+	for _, n := range graph.Nodes {
+		if !liveScope(n.Pkg.Path) {
 			continue
 		}
 		for _, op := range facts[n].chanOps {
@@ -309,9 +331,7 @@ func reportW4(pass *Pass, graph *CallGraph, facts map[*FuncNode]*waitFacts, asso
 		}
 	}
 
-	// Cycle detection: report every SCC with two or more nodes (pure
-	// lock-lock cycles cannot arise — lock nodes only link through a
-	// channel or cond node, and lockorder owns the mutex-only case).
+	// Cycle detection: report every SCC with two or more nodes, once.
 	comps := wfSCCs(adj)
 	for _, comp := range comps {
 		if len(comp) < 2 {
@@ -321,28 +341,60 @@ func reportW4(pass *Pass, graph *CallGraph, facts map[*FuncNode]*waitFacts, asso
 		for _, nd := range comp {
 			inComp[nd] = true
 		}
-		// Describe the cycle along component-internal edges.
 		sort.Slice(comp, func(i, j int) bool {
 			return wfDisplay(pass.Prog, comp[i]) < wfDisplay(pass.Prog, comp[j])
 		})
-		var parts []string
+		// Report where the cycle closes: at the latest of its nodes'
+		// first edges into it (for two locks, the second order written).
 		var at token.Pos
+		what := "lock order cycle"
+		var parts []string
 		for _, nd := range comp {
 			parts = append(parts, wfDisplay(pass.Prog, nd))
-			if at == token.NoPos {
-				for _, e := range adj[nd] {
-					if inComp[e.to] {
-						at = e.pos
-						break
+			if nd.kind != "lock" {
+				what = "possible wait cycle"
+			}
+			first := token.NoPos
+			for _, e := range adj[nd] {
+				if inComp[e.to] && e.to != nd && (first == token.NoPos || e.pos < first) {
+					first = e.pos
+				}
+			}
+			at = max(at, first)
+		}
+		pass.Reportf(at, "%s between %s", what, strings.Join(parts, " <-> "))
+	}
+}
+
+// lockAcquisitions gives each function the locks it may take: its own,
+// and those of every function it calls, defers or creates, but not of
+// one it spawns with `go`, which starts with nothing held.
+func lockAcquisitions(graph *CallGraph, facts map[*FuncNode]*waitFacts) map[*FuncNode]map[*types.Var]bool {
+	acq := make(map[*FuncNode]map[*types.Var]bool, len(graph.Nodes))
+	for _, n := range graph.Nodes {
+		s := make(map[*types.Var]bool)
+		for _, a := range facts[n].acquires {
+			s[a.lock] = true
+		}
+		acq[n] = s
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, n := range graph.Nodes {
+			for _, e := range n.Edges {
+				if e.Kind == edgeGo {
+					continue
+				}
+				for l := range acq[e.Callee] {
+					if !acq[n][l] {
+						acq[n][l] = true
+						changed = true
 					}
 				}
 			}
 		}
-		if at == token.NoPos {
-			continue
-		}
-		pass.Reportf(at, "possible wait cycle between %s", strings.Join(parts, " <-> "))
 	}
+	return acq
 }
 
 func wfDisplay(prog *Program, n wfNode) string {
@@ -541,7 +593,6 @@ type condSite struct {
 	cond *types.Var
 	pos  token.Pos
 	held map[*types.Var]bool
-	op   string
 }
 
 type chanOpSite struct {
@@ -552,24 +603,33 @@ type chanOpSite struct {
 }
 
 type waitCall struct {
-	callee *FuncNode
-	pos    token.Pos
-	held   map[*types.Var]bool
+	callee  *FuncNode
+	pos     token.Pos
+	held    map[*types.Var]bool
+	mayHeld map[*types.Var]bool
+}
+
+// lockSite is one Lock/RLock call and the locks that may be held there.
+type lockSite struct {
+	lock    *types.Var
+	pos     token.Pos
+	mayHeld map[*types.Var]bool
 }
 
 type waitFacts struct {
-	waits   []condSite
-	signals []condSite
-	chanOps []chanOpSite
-	calls   []waitCall
+	waits    []condSite
+	signals  []condSite
+	chanOps  []chanOpSite
+	calls    []waitCall
+	acquires []lockSite
 }
 
 // analyzeWaitFacts interprets one function's CFG with a must-held
-// mutex-object set (intersection at joins) and records every cond
-// operation, blocking channel operation, and resolved call together
-// with the locks provably held there.  Channel operations inside
-// select communication clauses are non-blocking by construction and
-// skipped.
+// mutex-object set (intersection at joins) and a may-held one (union)
+// and records every cond operation, blocking channel operation, lock
+// acquisition and resolved call together with the locks held there.
+// Channel operations inside select communication clauses are
+// non-blocking by construction and skipped.
 func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 	res := &waitFacts{}
 	body := node.Body()
@@ -599,15 +659,11 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 		return res
 	}
 
-	type state map[*types.Var]bool
-	clone := func(s state) state {
-		c := make(state, len(s))
-		for k := range s {
-			c[k] = true
-		}
-		return c
-	}
-	apply := func(n *cfgNode, st state, sink *waitFacts) {
+	// held is the lock state at a CFG point: must (intersection at
+	// joins) and may (union).
+	type held struct{ must, may map[*types.Var]bool }
+	clone := func(s held) held { return held{maps.Clone(s.must), maps.Clone(s.may)} }
+	apply := func(n *cfgNode, st held, sink *waitFacts) {
 		if n.n == nil || n.kind == nkRange {
 			return
 		}
@@ -627,22 +683,26 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 			case *ast.SendStmt:
 				if !skipComm {
 					if v := storageVar(node.Pkg.Info, x.Chan); v != nil && sink != nil {
-						sink.chanOps = append(sink.chanOps, chanOpSite{ch: v, send: true, pos: x.Pos(), held: clone(st)})
+						sink.chanOps = append(sink.chanOps, chanOpSite{ch: v, send: true, pos: x.Pos(), held: maps.Clone(st.must)})
 					}
 				}
 			case *ast.UnaryExpr:
 				if x.Op == token.ARROW && !skipComm {
 					if v := storageVar(node.Pkg.Info, x.X); v != nil && sink != nil {
-						sink.chanOps = append(sink.chanOps, chanOpSite{ch: v, send: false, pos: x.Pos(), held: clone(st)})
+						sink.chanOps = append(sink.chanOps, chanOpSite{ch: v, send: false, pos: x.Pos(), held: maps.Clone(st.must)})
 					}
 				}
 			case *ast.CallExpr:
 				if v, op := mutexOpVar(node.Pkg.Info, x); v != nil {
 					switch op {
 					case "Lock", "RLock":
-						st[v] = true
+						if sink != nil {
+							sink.acquires = append(sink.acquires, lockSite{lock: v, pos: x.Pos(), mayHeld: maps.Clone(st.may)})
+						}
+						st.must[v], st.may[v] = true, true
 					case "Unlock", "RUnlock":
-						delete(st, v)
+						delete(st.must, v)
+						delete(st.may, v)
 					}
 					return true
 				}
@@ -650,22 +710,16 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 				switch {
 				case isCondMethod(info, x, "Wait"):
 					if sink != nil {
-						sink.waits = append(sink.waits, condSite{cond: condVarOf(info, x), pos: x.Pos(), held: clone(st), op: "Wait"})
+						sink.waits = append(sink.waits, condSite{cond: condVarOf(info, x), pos: x.Pos(), held: maps.Clone(st.must)})
 					}
 				case isCondMethod(info, x, "Signal"), isCondMethod(info, x, "Broadcast"):
-					if sink != nil {
-						op := "Signal"
-						if isCondMethod(info, x, "Broadcast") {
-							op = "Broadcast"
-						}
-						if cv := condVarOf(info, x); cv != nil {
-							sink.signals = append(sink.signals, condSite{cond: cv, pos: x.Pos(), held: clone(st), op: op})
-						}
+					if cv := condVarOf(info, x); cv != nil && sink != nil {
+						sink.signals = append(sink.signals, condSite{cond: cv, pos: x.Pos(), held: maps.Clone(st.must)})
 					}
 				default:
 					if sink != nil {
-						if callee := lockResolve(node, graph, x); callee != nil {
-							sink.calls = append(sink.calls, waitCall{callee: callee, pos: x.Pos(), held: clone(st)})
+						if callee := resolveCallee(node.Pkg, graph, nil, x); callee != nil {
+							sink.calls = append(sink.calls, waitCall{callee: callee, pos: x.Pos(), held: maps.Clone(st.must), mayHeld: maps.Clone(st.may)})
 						}
 					}
 				}
@@ -674,9 +728,9 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 		})
 	}
 
-	// Must-held fixpoint: first visit copies, revisits intersect.
-	in := make(map[*cfgNode]state)
-	in[g.entry] = state{}
+	// Fixpoint: first visit copies, revisits intersect must and unite may.
+	in := make(map[*cfgNode]held)
+	in[g.entry] = held{map[*types.Var]bool{}, map[*types.Var]bool{}}
 	work := []*cfgNode{g.entry}
 	for len(work) > 0 {
 		n := work[len(work)-1]
@@ -691,9 +745,15 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 				continue
 			}
 			changed := false
-			for v := range st {
-				if !out[v] {
-					delete(st, v)
+			for v := range st.must {
+				if !out.must[v] {
+					delete(st.must, v)
+					changed = true
+				}
+			}
+			for v := range out.may {
+				if !st.may[v] {
+					st.may[v] = true
 					changed = true
 				}
 			}
