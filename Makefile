@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs bench bench-json json loc pairs
+.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs fuzz-smoke bench bench-json json loc pairs
 
 ## check: the pre-merge gate — vet (stock + staticcheck + the repo's
 ## own transput-vet analyzers), build, full tests, the race detector
@@ -78,11 +78,20 @@ race:
 	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## allocs: the allocation pins (the batch-1 hops at zero, in one process
-## and over a socket, and the batch-1 chain's zero a datum) three times
-## over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
+## and over a socket, the batch-1 chain's zero a datum, and the bridge's
+## round trip and remote batch at their boxes) three times over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
 	$(GO) test -run 'Allocs|AllocFree' -count=3 ./internal/wire ./internal/transput ./internal/transport
+
+## fuzz-smoke: the decoders that read what a peer sends, fuzzed past
+## their seed corpus for 10 s each — the bridge's two records (both
+## decode paths, pooled records), the frame reader over torn reads, and
+## the codec.  One -fuzz target per go test invocation, as go requires.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzBridgeRecords$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, the one active engine's window and its gate in both

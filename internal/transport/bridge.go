@@ -26,7 +26,13 @@
 // boundary, so the zero-copy slab contract (which is per-process) ends
 // and restarts at each kernel's own ports — and it runs on the read
 // loop, so a value never aliases a read buffer that could rotate under
-// the request it was handed off with.
+// the request it was handed off with.  It copies by the arena rule
+// (wire.DecodeIn with the frame reader's Arena): a value's small bytes
+// land in the reader's shared 4 KiB blocks, so a held value pins at most
+// that much of its neighbours, and larger ones get their own allocation.
+// The records themselves come from pools, and a request's Op from a
+// bounded intern table, so a round trip allocates only the boxes of the
+// values it carries.
 //
 // Both ends of a bridge are built from this tree: the layout carries no
 // version and has never been negotiated.
@@ -37,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -58,6 +65,11 @@ const (
 func init() {
 	wire.Register(wireIDRPCRequest, "transport.rpcRequest", decodeRPCRequest)
 	wire.Register(wireIDRPCReply, "transport.rpcReply", decodeRPCReply)
+	// The read loops decode through these, which copy a value's bytes
+	// into the frame reader's arena.  They register no sub-view: nothing
+	// of a bridge record aliases the read chunk.
+	wire.RegisterView(wireIDRPCRequest, decodeRPCRequestView)
+	wire.RegisterView(wireIDRPCReply, decodeRPCReplyView)
 }
 
 // ErrBridgeClosed is what an Invoke returns, wrapped, when the
@@ -76,12 +88,86 @@ type rpcRequest struct {
 	err error
 }
 
-// The encode side's records live only until coalescer.send has encoded
-// them, which is before it returns.
+// Every record the bridge builds comes from these pools, on both sides:
+// an encoded one lives until coalescer.send has encoded it, which is
+// before it returns, and a decoded one until it has been served (a
+// request) or read (a reply).
 var (
 	requestPool = sync.Pool{New: func() any { return new(rpcRequest) }}
 	replyPool   = sync.Pool{New: func() any { return new(rpcReply) }}
 )
+
+// acquireRequest takes a zero request from the pool.
+func acquireRequest() *rpcRequest { return requestPool.Get().(*rpcRequest) }
+
+// releaseRequest zeroes r and recycles it.
+func releaseRequest(r *rpcRequest) {
+	*r = rpcRequest{}
+	requestPool.Put(r)
+}
+
+// acquireReply takes a zero reply from the pool.
+func acquireReply() *rpcReply { return replyPool.Get().(*rpcReply) }
+
+// releaseReply zeroes r and recycles it.
+func releaseReply(r *rpcReply) {
+	*r = rpcReply{}
+	replyPool.Put(r)
+}
+
+// Bounds on the op intern table: room for every op a program names, and
+// too little for a peer that sends a fresh one a request to grow memory.
+const (
+	maxInternedOps     = 256
+	maxInternedOpBytes = 64
+)
+
+// opTable interns the Op of a decoded request, so that an op seen before
+// costs no allocation.  Readers load the map without a lock; a new op is
+// added to a copy under mu, which is then published.  A full table, or a
+// name longer than maxInternedOpBytes, gets a string of its own, as it
+// would with no table.  There is one a process, like the record pools:
+// the decoders reach it through the wire registry, which passes them no
+// connection.
+type opTable struct {
+	m  atomic.Pointer[map[string]string]
+	mu sync.Mutex
+}
+
+var ops opTable
+
+// load is the current table, nil before the first op.
+func (t *opTable) load() map[string]string {
+	if p := t.m.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+func (t *opTable) intern(b []byte) string {
+	m := t.load()
+	if s, ok := m[string(b)]; ok {
+		return s
+	}
+	if len(m) >= maxInternedOps || len(b) > maxInternedOpBytes {
+		return string(b)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	m = t.load()
+	if s, ok := m[string(b)]; ok {
+		return s
+	}
+	if len(m) >= maxInternedOps {
+		return string(b)
+	}
+	next := make(map[string]string, len(m)+1)
+	maps.Copy(next, m)
+	s := string(b)
+	next[s] = s
+	t.m.Store(&next)
+	return s
+}
 
 // WireID implements wire.Marshaler.
 func (r *rpcRequest) WireID() uint16 { return wireIDRPCRequest }
@@ -95,41 +181,56 @@ func (r *rpcRequest) AppendWire(dst []byte) ([]byte, error) {
 	return wire.Append(dst, r.Value)
 }
 
-func decodeRPCRequest(b []byte) (any, error) {
-	r := &rpcRequest{}
+// The two decoders of each record share one body: the copying one,
+// which wire.Decode reaches, passes no arena, and the read loops' passes
+// the frame reader's.
+func decodeRPCRequest(b []byte) (any, error) { return readRPCRequest(b, nil) }
+
+func decodeRPCRequestView(b, _ []byte, a *wire.Arena) (any, error) { return readRPCRequest(b, a) }
+
+func readRPCRequest(b []byte, a *wire.Arena) (any, error) {
+	r := acquireRequest()
+	if err := r.readWire(b, a); err != nil {
+		releaseRequest(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *rpcRequest) readWire(b []byte, a *wire.Arena) error {
 	id, k, err := wire.ReadUvarintField(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.ID = id
 	if len(b)-k < 16 {
-		return nil, fmt.Errorf("%w: short rpc target", wire.ErrTruncated)
+		return fmt.Errorf("%w: short rpc target", wire.ErrTruncated)
 	}
 	var t16 [16]byte
 	copy(t16[:], b[k:k+16])
 	r.Target = uid.FromBytes(t16)
 	k += 16
-	op, n, err := wire.ReadStringField(b[k:])
+	op, n, err := wire.BorrowBytesField(b[k:])
 	if err != nil {
-		return nil, err
+		return err
 	}
-	r.Op = op
-	r.Value, r.err = decodeValue(b[k+n:])
-	return r, nil
+	r.Op = ops.intern(op)
+	r.Value, r.err = decodeValue(b[k+n:], a)
+	return nil
 }
 
 // decodeValue decodes the nested frame that is the rest of a record.
 // A bridge record is never a value: refusing one here is what bounds
-// the decoders' recursion (they reach wire.Decode only through this
+// the decoders' recursion (they reach wire.DecodeIn only through this
 // function), which a hostile peer could otherwise drive, eight bytes a
 // level, through the goroutine's whole stack.
-func decodeValue(rest []byte) (any, error) {
+func decodeValue(rest []byte, a *wire.Arena) (any, error) {
 	if len(rest) > wire.HeaderBytes && rest[0] == wire.TagRecord {
 		if id, _ := binary.Uvarint(rest[wire.HeaderBytes:]); id == wireIDRPCRequest || id == wireIDRPCReply {
 			return nil, fmt.Errorf("%w: bridge record %d as a value", wire.ErrMalformed, id)
 		}
 	}
-	v, n, err := wire.Decode(rest)
+	v, n, err := wire.DecodeIn(rest, a)
 	if err != nil {
 		return nil, err
 	}
@@ -162,28 +263,40 @@ func (r *rpcReply) AppendWire(dst []byte) ([]byte, error) {
 	return wire.Append(dst, r.Value)
 }
 
-func decodeRPCReply(b []byte) (any, error) {
-	r := &rpcReply{}
+func decodeRPCReply(b []byte) (any, error) { return readRPCReply(b, nil) }
+
+func decodeRPCReplyView(b, _ []byte, a *wire.Arena) (any, error) { return readRPCReply(b, a) }
+
+func readRPCReply(b []byte, a *wire.Arena) (any, error) {
+	r := acquireReply()
+	if err := r.readWire(b, a); err != nil {
+		releaseReply(r)
+		return nil, err
+	}
+	return r, nil
+}
+
+func (r *rpcReply) readWire(b []byte, a *wire.Arena) error {
 	id, k, err := wire.ReadUvarintField(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.ID = id
 	msg, n, err := wire.ReadStringField(b[k:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r.ErrMsg = msg
 	rest := b[k+n:]
 	if msg == "" {
-		r.Value, err = decodeValue(rest)
+		r.Value, err = decodeValue(rest, a)
 	} else if len(rest) != 0 {
 		err = fmt.Errorf("%w: %d bytes after an error reply", wire.ErrMalformed, len(rest))
 	}
 	if err != nil {
 		r.err = fmt.Errorf("transport: decode reply: %w", err)
 	}
-	return r, nil
+	return nil
 }
 
 // Serve accepts bridge connections and dispatches their requests into
@@ -261,6 +374,7 @@ func (s *connServer) worker(req *rpcRequest) {
 	defer s.wg.Done()
 	for {
 		s.serve(req)
+		releaseRequest(req)
 		if s.idle.Add(1) > maxIdleWorkers {
 			s.idle.Add(-1)
 			return
@@ -276,7 +390,7 @@ func (s *connServer) worker(req *rpcRequest) {
 
 // serve runs one request as a kernel invocation and sends its reply.
 func (s *connServer) serve(req *rpcRequest) {
-	rep := replyPool.Get().(*rpcReply)
+	rep := acquireReply()
 	rep.ID = req.ID
 	if req.err != nil {
 		rep.ErrMsg = req.err.Error()
@@ -293,8 +407,7 @@ func (s *connServer) serve(req *rpcRequest) {
 		rep.Value, rep.ErrMsg = nil, err.Error()
 		_ = s.out.send(rep)
 	}
-	*rep = rpcReply{}
-	replyPool.Put(rep)
+	releaseReply(rep)
 }
 
 // Peer is a client-side bridge connection to a remote kernel.  Safe
@@ -369,22 +482,26 @@ func (p *Peer) readLoop() {
 		delete(p.calls, rep.ID)
 		p.cmu.Unlock()
 		if ch != nil {
-			ch <- rep
+			ch <- rep // Invoke releases it
+		} else {
+			releaseReply(rep)
 		}
 	}
 }
 
 // failCalls refuses every later call with err and fails the pending
-// ones with it.
+// ones with it, each through a reply of its own, which its Invoke
+// releases like any other.
 func (p *Peer) failCalls(err error) {
 	p.cmu.Lock()
 	p.cerr = err
 	calls := p.calls
 	p.calls = nil
 	p.cmu.Unlock()
-	failed := &rpcReply{err: err}
 	for _, ch := range calls {
-		ch <- failed
+		rep := acquireReply()
+		rep.err = err
+		ch <- rep
 	}
 }
 
@@ -407,11 +524,10 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	p.calls[id] = ch
 	p.cmu.Unlock()
 
-	req := requestPool.Get().(*rpcRequest)
+	req := acquireRequest()
 	req.ID, req.Target, req.Op, req.Value = id, target, op, payload
 	err := p.out.send(req)
-	*req = rpcRequest{}
-	requestPool.Put(req)
+	releaseRequest(req)
 	if err != nil {
 		// ch is dropped, not recycled: if the read loop ended meanwhile,
 		// failCalls has taken the call and its send.
@@ -425,13 +541,15 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	}
 	rep := <-ch
 	replyChans.Put(ch)
-	if rep.err != nil {
-		return nil, rep.err
+	v, msg, err := rep.Value, rep.ErrMsg, rep.err
+	releaseReply(rep)
+	if err != nil {
+		return nil, err
 	}
-	if rep.ErrMsg != "" {
-		return nil, fmt.Errorf("transport: remote %s: %s", op, rep.ErrMsg)
+	if msg != "" {
+		return nil, fmt.Errorf("transport: remote %s: %s", op, msg)
 	}
-	return rep.Value, nil
+	return v, nil
 }
 
 // Close tears the connection down; outstanding Invokes fail.

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/transport"
@@ -266,10 +267,12 @@ func TestBridgeShapes(t *testing.T) {
 	}
 }
 
-// TestBridgeInvokeAllocs holds the round trip to what the two decoders
-// must allocate: the caller's boxing, the request record, its Op and
-// its value (block and box), the reply record and its value.  Both ends
-// are in this process, so AllocsPerRun counts both.
+// TestBridgeInvokeAllocs holds the round trip to its boxes: the
+// caller's, and the one each decoder puts its value in.  The records
+// come from pools, the Op from the intern table, and a small value's
+// bytes from the read loop's arena block; a value of SpliceCutoff or
+// more gets an allocation of its own on each side.  Both ends are in
+// this process, so AllocsPerRun counts both.
 func TestBridgeInvokeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -281,17 +284,141 @@ func TestBridgeInvokeAllocs(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer p.Close()
-	payload := make([]byte, 64)
-	op := func() {
-		if _, err := p.Invoke(echo, "Echo", payload); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		size    int
+		ceiling float64
+	}{{64, 3}, {16 << 10, 6}} {
+		payload := make([]byte, tc.size)
+		op := func() {
+			if _, err := p.Invoke(echo, "Echo", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 256; i++ {
+			op()
+		}
+		if got := testing.AllocsPerRun(500, op); got > tc.ceiling {
+			t.Errorf("%d B bridge round trip: %.2f allocs, want <= %.0f", tc.size, got, tc.ceiling)
 		}
 	}
-	for i := 0; i < 256; i++ {
-		op()
+}
+
+// TestRemoteNextAllocs holds a 64-item batch of 64 B items to the
+// source's vector and box, the client's vector and box, and the arena
+// block its items share: the request is pooled and interned, and the
+// vector is sized once.
+func TestRemoteNextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
-	if got := testing.AllocsPerRun(500, op); got > 10 {
-		t.Errorf("64 B bridge round trip: %.2f allocs, want <= 10", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	item := make([]byte, 64)
+	addr, _ := startTrackedServer(t, func(string) (transport.ItemSource, error) {
+		return repeatSource(item), nil
+	})
+	p, err := transport.Dial(addr)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer p.Close()
+	src, err := transport.OpenRemote(p, "repeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	batch := func() {
+		for i := 0; i < 64; i++ {
+			if it, err := src.Next(); err != nil || len(it) != len(item) {
+				t.Fatalf("Next: %d bytes, %v", len(it), err)
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		batch()
+	}
+	if got := testing.AllocsPerRun(100, batch); got > 6 {
+		t.Errorf("64 items of %d B through RemoteSource.Next: %.2f allocs, want <= 6", len(item), got)
+	}
+}
+
+// repeatSource hands out the same item for ever, allocating nothing.
+type repeatSource []byte
+
+func (r repeatSource) Next() ([]byte, error) { return r, nil }
+func (r repeatSource) Close() error          { return nil }
+
+// TestBridgeOpInternIsBounded: peers that send 10 000 distinct ops get
+// each its Eject's answer, naming that op, under its own id; the intern
+// table, which every connection's read loop shares, stops at its bound
+// and not in memory; and an op interned before the flood still decodes
+// to the table's one string after it.
+func TestBridgeOpInternIsBounded(t *testing.T) {
+	transport.FreshOps(t)
+	addr, _ := startServer(t)
+	peers := make([]*transport.Peer, 4)
+	for i := range peers {
+		p, err := transport.Dial(addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer p.Close()
+		peers[i] = p
+	}
+	src, err := transport.OpenRemote(peers[0], "count 1") // interns Remote.Open
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = src.Close()
+
+	const flood, callers = 10000, 8
+	var wg sync.WaitGroup
+	errc := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			p := peers[c%len(peers)]
+			for i := c; i < flood; i += callers {
+				op := fmt.Sprintf("Flood.%05d", i)
+				if i%100 == 0 {
+					op += strings.Repeat("-", 64) // over the length bound
+				}
+				_, err := p.Invoke(transport.ControlUID, op, "x")
+				if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("unknown op %q", op)) {
+					errc <- fmt.Errorf("op %s: err = %v, want the control Eject's unknown op", op, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if n := transport.InternedOps(); n != transport.MaxInternedOps {
+		t.Errorf("%d ops interned after %d distinct ones, want the bound %d", n, flood, transport.MaxInternedOps)
+	}
+
+	request := func(op string) *transport.RPCRequest {
+		enc, err := wire.Append(nil, &transport.RPCRequest{ID: 1, Op: op, Value: "x"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _, err := wire.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.(*transport.RPCRequest)
+	}
+	if a, b := request("Remote.Open"), request("Remote.Open"); unsafe.StringData(a.Op) != unsafe.StringData(b.Op) {
+		t.Error("Remote.Open, interned before the flood, decodes to a fresh string after it")
+	}
+	if a, b := request("After.Flood"), request("After.Flood"); unsafe.StringData(a.Op) == unsafe.StringData(b.Op) {
+		t.Error("an op new after the flood was interned past the bound")
+	}
+	if n := transport.InternedOps(); n != transport.MaxInternedOps {
+		t.Errorf("%d ops interned, want the bound %d", n, transport.MaxInternedOps)
 	}
 }
 

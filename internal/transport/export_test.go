@@ -1,6 +1,10 @@
 package transport
 
-import "net"
+import (
+	"fmt"
+	"net"
+	"testing"
+)
 
 // TearDir hands a test the two ends of direction a→b by address, to
 // wrap before the first Transmit (and to close under traffic).
@@ -23,6 +27,51 @@ func (r *rpcRequest) Err() error { return r.err }
 
 // Err is the local failure a reply carries instead of a value.
 func (r *rpcReply) Err() error { return r.err }
+
+// ReleaseRecord hands a decoded bridge record back to its pool, as its
+// worker or Invoke would.
+func ReleaseRecord(v any) {
+	switch r := v.(type) {
+	case *rpcRequest:
+		releaseRequest(r)
+	case *rpcReply:
+		releaseReply(r)
+	}
+}
+
+// DecodeFresh decodes the body of bridge record id into a zero record
+// that no pool issued: what a recycled record must be equal to.
+func DecodeFresh(id byte, body []byte) (any, error) {
+	switch id {
+	case wireIDRPCRequest:
+		r := &rpcRequest{}
+		return r, r.readWire(body, nil)
+	case wireIDRPCReply:
+		r := &rpcReply{}
+		return r, r.readWire(body, nil)
+	}
+	return nil, fmt.Errorf("no bridge record %d", id)
+}
+
+// MaxInternedOps is the op intern table's bound.
+const MaxInternedOps = maxInternedOps
+
+// InternedOps is how many ops the table holds.
+func InternedOps() int { return len(ops.load()) }
+
+// FreshOps gives the rest of a test an empty op table and the process
+// its own one back at cleanup, so that a test which fills the table
+// leaves the ops other tests intern alone.
+func FreshOps(tb testing.TB) {
+	ops.mu.Lock()
+	old := ops.m.Swap(nil)
+	ops.mu.Unlock()
+	tb.Cleanup(func() {
+		ops.mu.Lock()
+		ops.m.Store(old)
+		ops.mu.Unlock()
+	})
+}
 
 // ClosedPeer is a Peer whose write side is dead and whose read loop
 // never ran, so that an Invoke gets as far as send.

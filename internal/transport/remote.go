@@ -81,6 +81,10 @@ func RegisterControl(k *kernel.Kernel, open OpenFunc) error {
 	return k.CreateWithUID(ControlUID, &controlEject{k: k, open: open}, 0)
 }
 
+// maxNextPrealloc bounds the batch vector Remote.Next allocates up
+// front, at four of RemoteSource's batches; a larger max grows it.
+const maxNextPrealloc = 256
+
 // remoteSourceEject adapts one ItemSource to the Remote.Next /
 // Remote.Close protocol.  The mutex serializes batch pulls — remote
 // reads of one stream are inherently ordered anyway.
@@ -105,7 +109,8 @@ func (e *remoteSourceEject) Serve(inv *kernel.Invocation) {
 			max = 1
 		}
 		e.mu.Lock()
-		var items [][]byte
+		// Sized once; the cap keeps a hostile max from sizing it.
+		items := make([][]byte, 0, min(max, maxNextPrealloc))
 		for int64(len(items)) < max && !e.eof {
 			it, err := e.src.Next()
 			if err == io.EOF {

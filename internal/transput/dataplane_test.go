@@ -3,6 +3,7 @@ package transput
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,8 +21,10 @@ func waitSlabQuiet(t *testing.T, met *metrics.Set) {
 	deadline := time.Now().Add(2 * time.Second)
 	for met.SlabRetained.Value() != met.SlabReleased.Value() {
 		if time.Now().After(deadline) {
-			t.Fatalf("slab views still outstanding: retained=%d released=%d",
-				met.SlabRetained.Value(), met.SlabReleased.Value())
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("slab views still outstanding: retained=%d released=%d; goroutines:\n%s",
+				met.SlabRetained.Value(), met.SlabReleased.Value(), buf)
 		}
 		time.Sleep(time.Millisecond)
 	}

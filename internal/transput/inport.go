@@ -377,7 +377,8 @@ func (p *InPort) Next() ([]byte, error) {
 // Cancel abandons the stream early and tells the source to abort the
 // channel, so an upstream producer blocked on a full buffer does not
 // wait forever.  Filters with early exit (head, grep -m) need this.
-// Cancel is idempotent; after it, Next returns an AbortedError.
+// Cancel is idempotent; after it, Next returns an AbortedError, unless
+// the stream had already ended (or failed) with nothing undelivered.
 func (p *InPort) Cancel(msg string) {
 	p.mu.Lock()
 	if p.cancelled {
@@ -386,13 +387,16 @@ func (p *InPort) Cancel(msg string) {
 	}
 	p.cancelled = true
 	live := !p.done
-	if live {
+	// Undelivered items die with the port, also when the stream had
+	// ended: the last batch arrives with StatusEnd, so a port can be done
+	// with items still pending, and its stream is then cut short too.
+	if live || p.head < len(p.pending) {
 		p.done = true
 		p.fail(&AbortedError{Msg: msg})
-		wire.ReleaseAll(p.pending[p.head:]) // undelivered items die with the stream
-		p.pending, p.head = nil, 0
-		p.releaseStashLocked()
 	}
+	wire.ReleaseAll(p.pending[p.head:])
+	p.pending, p.head = nil, 0
+	p.releaseStashLocked()
 	ahead := p.detachLocked()
 	p.mu.Unlock()
 	// A stream that already ended normally (or failed) has nothing

@@ -11,6 +11,7 @@ import (
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/uid"
+	"asymstream/internal/wire"
 )
 
 // registerItems creates and registers an ROStage serving the given
@@ -235,6 +236,59 @@ func TestCancelAfterEOFSendsNoAbort(t *testing.T) {
 	in.Cancel("post-EOF")
 	if after := k.Metrics().Invocations.Value(); after != before {
 		t.Fatalf("Cancel after EOF issued %d invocations", after-before)
+	}
+}
+
+// TestCancelAfterEndReleasesPending is the abort path of a consumer that
+// bails after its source has ended (under load, a source can finish
+// while the abort is still on its way).  The last batch arrives with
+// StatusEnd, so a port can be done with items pending (one slot, one
+// batch of eight), and Cancel must release them all the same.  An ended
+// channel ignores the consumer's Abort and keeps its backlog for a
+// reader to drain (a window, batches of four), and deactivating its
+// Eject must release that.  Before either fix, TestFusedAbortDrains'
+// sink-bails case failed in about one full-suite run in four.
+func TestCancelAfterEndReleasesPending(t *testing.T) {
+	for _, cfg := range []InPortConfig{{Batch: 8}, {Batch: 4, Window: 2}} {
+		t.Run(fmt.Sprintf("window=%d", max(cfg.Window, 1)), func(t *testing.T) {
+			k := testKernel(t)
+			met := k.Metrics()
+			slab := wire.NewSlab(met, 0)
+			defer slab.Close()
+			st := NewROStage(k, ROStageConfig{Name: "views"}, func(_ []ItemReader, outs []ItemWriter) error {
+				for i := 0; i < 8; i++ {
+					if err := PutOwned(outs[0], slab.Alloc(16)); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			id, err := k.Create(st, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.Start()
+			<-st.Done() // the stream has ended, all eight items buffered
+			in := NewInPort(k, uid.Nil, id, Chan(0), cfg)
+			item, err := in.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wire.Release(item)
+			in.Cancel("the consumer's output failed")
+			// The stream was cut short, and Next says so rather than EOF.
+			var aborted *AbortedError
+			if _, err := in.Next(); !errors.As(err, &aborted) {
+				t.Fatalf("Next after Cancel dropped items: %v, want an AbortedError", err)
+			}
+			// An ended channel keeps what nobody took until it is retired.
+			if err := k.Destroy(id); err != nil {
+				t.Fatal(err)
+			}
+			if r, rel := met.SlabRetained.Value(), met.SlabReleased.Value(); r != rel {
+				t.Fatalf("%d of %d views still outstanding after Cancel", r-rel, r)
+			}
+		})
 	}
 }
 

@@ -90,9 +90,17 @@ func (r *stageRun) Err() error {
 }
 
 // OnDeactivate aborts the stage's streams so the body can exit: the
-// Eject is going away.
+// Eject is going away.  An output that had already ended drops its
+// backlog too, which passive output otherwise keeps for a reader to
+// drain: no Transfer reaches this instance again, and the backlog's slab
+// views would outlive it.
 func (r *stageRun) OnDeactivate() {
 	endStreams(r.ins, r.outs, errStageDeactivated, errStageDeactivated.Msg)
+	for _, w := range r.outs {
+		if cw, ok := w.(*ChannelWriter); ok {
+			cw.ch.abort(errStageDeactivated, cw.gen, true)
+		}
+	}
 }
 
 // endStreams closes every output — normally, or as an abort carrying

@@ -137,17 +137,12 @@ func readTransferReply(b, owner []byte, a *wire.Arena) (any, error) {
 	return r, nil
 }
 
-// readWireItems reads an item-bearing record's last field into dst: in
-// place when a frame reader passed its arena (wire.ReadItemsFieldViewInto),
-// as heap copies for the copying decoder, which has none.  An empty
-// vector decodes to nil, whatever dst held.
+// readWireItems reads an item-bearing record's last field into dst
+// (wire.ReadItemsFieldViewInto): in place when a frame reader passed its
+// slab view and arena, as heap copies for the copying decoder, which has
+// neither.  An empty vector decodes to nil, whatever dst held.
 func readWireItems(dst [][]byte, b, owner []byte, a *wire.Arena) ([][]byte, error) {
-	var err error
-	if a != nil {
-		dst, _, err = wire.ReadItemsFieldViewInto(dst, b, owner, a)
-	} else {
-		dst, _, err = wire.ReadItemsField(b)
-	}
+	dst, _, err := wire.ReadItemsFieldViewInto(dst, b, owner, a)
 	if len(dst) == 0 {
 		dst = nil
 	}

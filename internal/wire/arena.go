@@ -20,7 +20,8 @@ const arenaBlockBytes = 4 << 10
 //
 // The zero Arena is ready to use.  It has one owner, which serialises
 // Copy: a FrameReader's read loop, or a writer under the lock its Put
-// already holds.
+// already holds.  A nil *Arena is one too, with no block: every item it
+// copies gets an allocation of its own.
 type Arena struct {
 	block []byte // len: bytes handed out; cap: the block's size
 }
@@ -31,7 +32,7 @@ func (a *Arena) Copy(p []byte) []byte {
 	switch {
 	case n == 0:
 		return nil
-	case n >= SpliceCutoff:
+	case a == nil || n >= SpliceCutoff:
 		out := make([]byte, n)
 		copy(out, p)
 		return out
@@ -48,7 +49,7 @@ func (a *Arena) Copy(p []byte) []byte {
 // with at most one allocation however many there are; only such a frame,
 // with more than 4 KiB of small items, gets a block above the usual size.
 func (a *Arena) reserve(n int) {
-	if len(a.block)+n > cap(a.block) {
+	if a != nil && len(a.block)+n > cap(a.block) {
 		a.block = make([]byte, 0, max(n, arenaBlockBytes))
 	}
 }

@@ -18,7 +18,8 @@
 // Decode never panics: truncated frames, malformed varints, foreign
 // tags and unregistered record ids all return errors, which is what the
 // fuzz target pins.  Decoded values never alias the input buffer; the
-// caller may recycle it immediately.
+// caller may recycle it immediately.  DecodeIn is the one decode body:
+// Decode is DecodeIn with no Arena.
 package wire
 
 import (
@@ -203,7 +204,15 @@ func appendGob(dst []byte, v any) ([]byte, error) {
 
 // Decode parses one frame from the front of b, returning the decoded
 // value and the number of bytes consumed.  The value never aliases b.
-func Decode(b []byte) (any, int, error) {
+func Decode(b []byte) (any, int, error) { return DecodeIn(b, nil) }
+
+// DecodeIn is Decode with the Arena's copy rule for a value's bytes: a
+// TagBytes value, and the items of a TagByteSlices vector, are copied
+// through a (Arena.Copy; ReadItemsFieldViewInto with no owner), so small
+// ones share its blocks.  With a nil a every copy is an allocation of its
+// own.  Records and gob values decode alike either way.  The value never
+// aliases b.
+func DecodeIn(b []byte, a *Arena) (any, int, error) {
 	if len(b) < HeaderBytes {
 		return nil, 0, ErrTruncated
 	}
@@ -216,7 +225,7 @@ func Decode(b []byte) (any, int, error) {
 	total := HeaderBytes + n
 	switch tag {
 	case TagBytes:
-		return append([]byte(nil), payload...), total, nil
+		return a.Copy(payload), total, nil
 	case TagString:
 		return string(payload), total, nil
 	case TagInt64:
@@ -226,7 +235,8 @@ func Decode(b []byte) (any, int, error) {
 		}
 		return v, total, nil
 	case TagByteSlices:
-		items, k, err := ReadItemsField(payload)
+		// Into an empty vector, not nil: an empty vector decodes to one.
+		items, k, err := ReadItemsFieldViewInto([][]byte{}, payload, nil, a)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -295,18 +305,19 @@ func AppendBytesField(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// ReadBytesField reads a length-prefixed byte field.  The returned
-// slice is a fresh copy, never a view of b.
-func ReadBytesField(b []byte) ([]byte, int, error) {
+// BorrowBytesField reads a length-prefixed byte or string field and
+// returns it in place, a sub-slice of b, for a caller that converts it
+// itself (an intern table).
+func BorrowBytesField(b []byte) ([]byte, int, error) {
 	n, k, err := ReadUvarintField(b)
 	if err != nil {
 		return nil, 0, err
 	}
 	if uint64(len(b)-k) < n {
-		return nil, 0, fmt.Errorf("%w: short bytes field", ErrTruncated)
+		return nil, 0, fmt.Errorf("%w: short field", ErrTruncated)
 	}
 	end := k + int(n)
-	return append([]byte(nil), b[k:end]...), end, nil
+	return b[k:end:end], end, nil
 }
 
 // AppendStringField appends a length-prefixed string field.
@@ -317,15 +328,8 @@ func AppendStringField(dst []byte, s string) []byte {
 
 // ReadStringField reads a length-prefixed string field.
 func ReadStringField(b []byte) (string, int, error) {
-	n, k, err := ReadUvarintField(b)
-	if err != nil {
-		return "", 0, err
-	}
-	if uint64(len(b)-k) < n {
-		return "", 0, fmt.Errorf("%w: short string field", ErrTruncated)
-	}
-	end := k + int(n)
-	return string(b[k:end]), end, nil
+	p, end, err := BorrowBytesField(b)
+	return string(p), end, err
 }
 
 // AppendItemsField appends a vector of byte slices: uvarint count, then
@@ -355,26 +359,9 @@ func appendItems(dst []byte, items [][]byte, sp *[]splice) ([]byte, int) {
 }
 
 // ReadItemsField reads a vector of byte slices.  Every item is a fresh
-// copy.
+// copy: ReadItemsFieldViewInto with no owner and no arena.
 func ReadItemsField(b []byte) ([][]byte, int, error) {
-	count, k, err := ReadUvarintField(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if count > uint64(len(b)) { // each item needs ≥1 length byte
-		return nil, 0, fmt.Errorf("%w: item count %d exceeds payload", ErrMalformed, count)
-	}
-	items := make([][]byte, 0, count)
-	off := k
-	for i := uint64(0); i < count; i++ {
-		it, n, err := ReadBytesField(b[off:])
-		if err != nil {
-			return nil, 0, err
-		}
-		items = append(items, it)
-		off += n
-	}
-	return items, off, nil
+	return ReadItemsFieldViewInto(nil, b, nil, nil)
 }
 
 // ItemsFieldSize returns the encoded size of AppendItemsField(items)

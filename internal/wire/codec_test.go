@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -146,6 +147,55 @@ func TestDecodeNeverAliases(t *testing.T) {
 	items := got2.([][]byte)
 	if string(items[0]) != "one" || string(items[1]) != "two" {
 		t.Error("decoded items alias the input buffer")
+	}
+}
+
+// TestDecodeInCopiesThroughTheArena: DecodeIn decodes what Decode does,
+// with the arena's rule for a value's bytes — a small TagBytes value and
+// a vector's small items land in the arena's block, a large one gets an
+// allocation of its own — and nothing it returns aliases the input.
+func TestDecodeInCopiesThroughTheArena(t *testing.T) {
+	var a Arena
+	small, large := []byte("small value"), bytes.Repeat([]byte{7}, SpliceCutoff)
+	for _, v := range []any{small, large, [][]byte{small, nil, large}, [][]byte{}, "s", int64(3), &testRec{A: 1, B: "b"}} {
+		enc, err := Append(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, n, err := DecodeIn(enc, &a)
+		if err != nil || n != len(enc) {
+			t.Fatalf("%T: %d of %d bytes, %v", v, n, len(enc), err)
+		}
+		for i := range enc {
+			enc[i] ^= 0xFF
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%T: DecodeIn gave %.40v, Decode %.40v, or it aliases its input", v, got, want)
+		}
+		switch g := got.(type) {
+		case []byte:
+			if inBlock(&a, g) != (len(g) < SpliceCutoff) || cap(g) != len(g) {
+				t.Errorf("%d B value: in the block %v, cap %d", len(g), inBlock(&a, g), cap(g))
+			}
+		case [][]byte:
+			for i, it := range g {
+				if inBlock(&a, it) != (len(it) > 0 && len(it) < SpliceCutoff) {
+					t.Errorf("item %d of %d B: in the block %v", i, len(it), inBlock(&a, it))
+				}
+			}
+		}
+	}
+	enc, _ := Append(nil, small)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, _, err := DecodeIn(enc, &a); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Errorf("DecodeIn(bytes) allocates %.1f/op, want <= 1 (boxing; the copy shares a block)", n)
 	}
 }
 

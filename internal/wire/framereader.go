@@ -76,7 +76,7 @@ func lookupViewDecoder(id uint16) (ViewDecodeFunc, bool) {
 // place: the returned value may alias b, with aliasing fields
 // registered as sub-views of owner (the live slab view containing b)
 // and small items copied into a.  Every other frame shape falls back to
-// the copying Decode.
+// the copying DecodeIn, through the same arena.
 func DecodeViewIn(b, owner []byte, a *Arena) (any, int, error) {
 	if len(b) < HeaderBytes {
 		return nil, 0, ErrTruncated
@@ -99,7 +99,7 @@ func DecodeViewIn(b, owner []byte, a *Arena) (any, int, error) {
 			return v, HeaderBytes + n, nil
 		}
 	}
-	return Decode(b)
+	return DecodeIn(b, a)
 }
 
 // ReadItemsFieldViewInto parses an item vector like ReadItemsField,
@@ -110,10 +110,13 @@ func DecodeViewIn(b, owner []byte, a *Arena) (any, int, error) {
 // so an append or a scribble on one reaches neither a neighbour nor the
 // receive buffer), the frame's together in one block.  Items of the
 // cutoff or more stay sub-slices of b, registered together as tracked
-// sub-views of owner.  Empty items are untracked nils.  A frame with no
-// large item performs no registry operation and takes no reference on
-// owner's chunk; a malformed frame registers, and leaks, nothing, and
-// returns dst as it was given.
+// sub-views of owner; with a nil owner (a decoder whose value must not
+// alias b) they are copied too, each into its own allocation, as small
+// ones are with a nil a (ReadItemsField is that case).  Empty
+// items are untracked nils.  A frame with no large item performs no
+// registry operation and takes no reference on owner's chunk; a
+// malformed frame registers, and leaks, nothing, and returns dst as it
+// was given.
 //
 // The caller owns the bytes either way.  The retention unit differs: a
 // large item keeps its read chunk alive until it is Released or
@@ -143,7 +146,7 @@ func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte, a *Arena) ([][]byte, 
 			return dst, 0, err
 		}
 		if uint64(len(b)-off-kk) < n {
-			return dst, 0, fmt.Errorf("%w: short bytes field", ErrTruncated)
+			return dst, 0, fmt.Errorf("%w: short field", ErrTruncated)
 		}
 		start := off + kk
 		end := start + int(n)
@@ -167,7 +170,15 @@ func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte, a *Arena) ([][]byte, 
 			}
 		}
 	}
-	if large {
+	switch {
+	case large && owner == nil:
+		// Nothing to borrow from: each large item gets a copy of its own.
+		for i, it := range items {
+			if len(it) >= SpliceCutoff {
+				items[i] = a.Copy(it)
+			}
+		}
+	case large:
 		// The small items are in the arena by now, outside every chunk,
 		// and registerSubviews skips them.
 		registerSubviews(owner, items)
