@@ -78,29 +78,34 @@ race:
 	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## allocs: the allocation pins (the batch-1 hops at zero, in one process
-## and over a socket, the batch-1 chain's zero a datum, and the bridge's
-## round trip and remote batch at their boxes) three times over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
+## and over a socket, the batch-1 chain's zero a datum, the bridge's
+## round trip and remote batch at their boxes, and a bulk frame whose
+## items are detached in place) three times over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
 	$(GO) test -run 'Allocs|AllocFree' -count=3 ./internal/wire ./internal/transput ./internal/transport
 
-## fuzz-smoke: the decoders that read what a peer sends, fuzzed past
-## their seed corpus for 10 s each — the bridge's two records (both
-## decode paths, pooled records), the frame reader over torn reads, and
-## the codec.  One -fuzz target per go test invocation, as go requires.
+## fuzz-smoke: the decoders that read what a peer sends, and the slab
+## registry they hand views out of, fuzzed past their seed corpus for
+## 10 s each — the bridge's two records (both decode paths, pooled
+## records), the frame reader over torn reads, the codec, and the slab's
+## handle counts and Detach's two outcomes against a shadow model.  One
+## -fuzz target per go test invocation, as go requires.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzBridgeRecords$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzSlabViews$$' -fuzztime 10s ./internal/wire
 
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, the one active engine's window and its gate in both
 ## directions, merge, redirect), the fusion
-## compiler (fused groups, fused aborts, fused pools) and the writers'
-## shared copy arenas under concurrent Puts — the subset CI
-## runs on every push in addition to the full gate.
+## compiler (fused groups, fused aborts, fused pools), the writers'
+## shared copy arenas under concurrent Puts, and bodies holding 16 KiB
+## items handed over in place off real sockets — the subset CI runs on
+## every push in addition to the full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm' ./internal/transput/ ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets' ./internal/transput/ ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's

@@ -33,14 +33,15 @@ func transmitBatch(tb testing.TB, s *transport.SocketNetwork, batch, itemBytes i
 }
 
 // BenchmarkTransmitItemSize is one link crossing of a 16-item Deliver
-// at item sizes on both sides of wire.SpliceCutoff: below it the items
-// are copied into the frame buffer, from it on they ride the iovec.
-// The constant's comment quotes this benchmark run with the cutoff set
-// to 1 (always splice) and to 1<<30 (always copy).
+// at item sizes from 16 B to 1 MiB, on both sides of wire.SpliceCutoff:
+// below it the items are copied into the frame buffer, from it on they
+// ride the iovec; MB/s is the payload's rate.  The constant's comment
+// quotes this benchmark run with the cutoff set to 1 (always splice) and
+// to 1<<30 (always copy).
 func BenchmarkTransmitItemSize(b *testing.B) {
 	const batch = 16
 	for _, kind := range kinds {
-		for _, size := range []int{64, 256, 1 << 10, 2 << 10, 3 << 10, 4 << 10, 16 << 10, 64 << 10} {
+		for _, size := range []int{16, 64, 256, 1 << 10, 2 << 10, 3 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20} {
 			b.Run(fmt.Sprintf("%s/%dB", kind, size), func(b *testing.B) {
 				s, err := transport.NewSocketNetwork(kind, 2)
 				if err != nil {

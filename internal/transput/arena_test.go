@@ -19,6 +19,19 @@ func stormItem(buf []byte, w, seq int) []byte {
 	if seq%97 == 0 {
 		n = wire.SpliceCutoff + seq%5
 	}
+	return fillStormItem(buf, w, seq, n)
+}
+
+// bulkItem is stormItem with one item in four 16 KiB long.
+func bulkItem(buf []byte, w, seq int) []byte {
+	n := 5 + seq*7%61
+	if seq%4 == 0 {
+		n = 16 << 10
+	}
+	return fillStormItem(buf, w, seq, n)
+}
+
+func fillStormItem(buf []byte, w, seq, n int) []byte {
 	buf = append(buf[:0], byte(w), byte(seq>>8), byte(seq))
 	for len(buf) < n {
 		buf = append(buf, byte(w*31+seq))
@@ -29,23 +42,33 @@ func stormItem(buf []byte, w, seq int) []byte {
 // stormChecker consumes storm items: each must be intact, and each
 // producer's must arrive in its order.  It keeps every item, appending
 // to it as an owner may, and verify checks at the end that none was
-// overwritten since — by a later copy into a reused block, or by an
-// append that reached it from a neighbour.
+// overwritten since — by a later copy into a reused block, by an append
+// that reached it from a neighbour, or by a carve into a chunk a body
+// took it from in place.
 type stormChecker struct {
 	t    *testing.T
+	item func(buf []byte, w, seq int) []byte // how the producers built them
 	next []int
 	kept [][]byte
+	want []byte
+}
+
+func newStormChecker(t *testing.T, producers int, item func(buf []byte, w, seq int) []byte) *stormChecker {
+	return &stormChecker{t: t, item: item, next: make([]int, producers)}
 }
 
 // intact reports whether item is a storm item as its producer built it.
-func intact(item []byte) bool {
-	var want [wire.SpliceCutoff + 8]byte
-	return len(item) >= 3 && string(item) == string(stormItem(want[:0], int(item[0]), int(item[1])<<8|int(item[2])))
+func (c *stormChecker) intact(item []byte) bool {
+	if len(item) < 3 {
+		return false
+	}
+	c.want = c.item(c.want[:0], int(item[0]), int(item[1])<<8|int(item[2]))
+	return string(item) == string(c.want)
 }
 
 func (c *stormChecker) check(item []byte) {
 	c.kept = append(c.kept, item)
-	if !intact(item) || int(item[0]) >= len(c.next) {
+	if !c.intact(item) || int(item[0]) >= len(c.next) {
 		c.t.Errorf("item %d bytes long arrived damaged", len(item))
 		return
 	}
@@ -62,17 +85,17 @@ func (c *stormChecker) verify(want int) {
 		c.t.Errorf("consumed %d items, want %d", len(c.kept), want)
 	}
 	for i, item := range c.kept {
-		if !intact(item) {
+		if !c.intact(item) {
 			c.t.Errorf("item %d of the %d consumed changed after it arrived", i, len(c.kept))
 			return
 		}
 	}
 }
 
-// stormPuts runs producers goroutines putting perProducer storm items
-// each through put, every producer reusing (and scribbling on) its own
-// buffer as the copying Put allows.
-func stormPuts(producers, perProducer int, put func([]byte) error) error {
+// stormPuts runs producers goroutines putting perProducer items built by
+// item each through put, every producer reusing (and scribbling on) its
+// own buffer as the copying Put allows.
+func stormPuts(producers, perProducer int, item func(buf []byte, w, seq int) []byte, put func([]byte) error) error {
 	var wg sync.WaitGroup
 	errs := make(chan error, producers)
 	for w := 0; w < producers; w++ {
@@ -81,7 +104,7 @@ func stormPuts(producers, perProducer int, put func([]byte) error) error {
 			defer wg.Done()
 			var buf []byte
 			for seq := 0; seq < perProducer; seq++ {
-				buf = stormItem(buf, w, seq)
+				buf = item(buf, w, seq)
 				if err := put(buf); err != nil {
 					errs <- fmt.Errorf("producer %d, item %d: %w", w, seq, err)
 					return
@@ -107,7 +130,7 @@ func TestPutArenaStorm(t *testing.T) {
 	t.Run("ChannelWriter", func(t *testing.T) {
 		port := NewOutPort(nil, OutPortConfig{})
 		w := port.Declare("Output", 0, 16)
-		c := &stormChecker{t: t, next: make([]int, producers)}
+		c := newStormChecker(t, producers, stormItem)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -123,7 +146,7 @@ func TestPutArenaStorm(t *testing.T) {
 				}
 			}
 		}()
-		if err := stormPuts(producers, perProducer, w.Put); err != nil {
+		if err := stormPuts(producers, perProducer, stormItem, w.Put); err != nil {
 			t.Error(err)
 		}
 		_ = w.Close()
@@ -134,7 +157,7 @@ func TestPutArenaStorm(t *testing.T) {
 	t.Run("Pusher", func(t *testing.T) {
 		k := kernel.New(kernel.Config{})
 		defer k.Shutdown()
-		c := &stormChecker{t: t, next: make([]int, producers)}
+		c := newStormChecker(t, producers, stormItem)
 		sink := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 16},
 			func(ins []ItemReader, _ []ItemWriter) error {
 				for {
@@ -154,7 +177,7 @@ func TestPutArenaStorm(t *testing.T) {
 		}
 		sink.Start()
 		p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 4, Window: 4})
-		if err := stormPuts(producers, perProducer, p.Put); err != nil {
+		if err := stormPuts(producers, perProducer, stormItem, p.Put); err != nil {
 			t.Error(err)
 		}
 		if err := p.Close(); err != nil {

@@ -3,6 +3,7 @@ package transput
 import (
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -174,6 +175,78 @@ func TestSlabLeakAuditOnAbort(t *testing.T) {
 			if n := met.SlabLeaked.Value(); n != 0 {
 				t.Fatalf("SlabLeaked = %d after aborted teardown", n)
 			}
+		})
+	}
+}
+
+// TestBulkItemsHeldAcrossSockets carries items of which one in four is
+// 16 KiB over real sockets, source and sink on one node and the filter
+// on the other, to a sink whose stormChecker keeps every item and
+// appends to it.  The 16 KiB items reach the filter and the
+// sink as sub-views of a read chunk (or inside one, as shard frames),
+// and a body's Detach hands them over in place.  At teardown every kept
+// item must be as its producer built it — no chunk a body took bytes
+// from was carved again — every handle must be released, the in-place
+// ones included (SlabRetained == SlabReleased), and none leaked.
+func TestBulkItemsHeldAcrossSockets(t *testing.T) {
+	const items = 400
+	filterAway := func(role Role, _ int) netsim.NodeID {
+		if role == RoleFilter {
+			return 1
+		}
+		return 0
+	}
+	for _, row := range []struct {
+		d      Discipline
+		tr     Transport
+		shards int
+	}{
+		{ReadOnly, TransportUnix, 1},
+		{WriteOnly, TransportUnix, 1},
+		{ReadOnly, TransportTCP, 1},
+		{WriteOnly, TransportTCP, 1},
+		{ReadOnly, TransportUnix, 2},
+	} {
+		t.Run(fmt.Sprintf("%v/%s/shards=%d", row.d, row.tr, row.shards), func(t *testing.T) {
+			k, err := NewTransportKernel(kernel.Config{Net: netsim.Config{Nodes: 2}}, row.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer k.Shutdown()
+			met := k.Metrics()
+			c := newStormChecker(t, 1, bulkItem)
+			src := func(out ItemWriter) error { return stormPuts(1, items, bulkItem, out.Put) }
+			sink := func(in ItemReader) error {
+				for {
+					item, err := in.Next()
+					if err == io.EOF {
+						return nil
+					}
+					if err != nil {
+						return err
+					}
+					c.check(item)
+				}
+			}
+			fs := []Filter{{Name: "f", Body: passFilter, Shards: row.shards}}
+			p, err := BuildPipeline(k, row.d, src, fs, sink,
+				Options{Window: 4, Batch: 4, Transport: row.tr, Placement: filterAway})
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			if err := p.Run(); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			p.Destroy()
+			k.Shutdown() // the links' frame readers hand back their buffers, and their slabs are audited
+			if met.SlabRetained.Value() == 0 {
+				t.Fatal("no slab view was carved")
+			}
+			waitSlabQuiet(t, met)
+			if n := met.SlabLeaked.Value(); n != 0 {
+				t.Fatalf("SlabLeaked = %d after teardown", n)
+			}
+			c.verify(items)
 		})
 	}
 }

@@ -77,27 +77,23 @@ func allocFrame(slab *wire.Slab, class byte, seq uint64, payload []byte) []byte 
 	return f
 }
 
-// detachPayload returns payload as an independently owned slice.  When
-// the enclosing frame is a slab view the payload is copied out and the
-// frame released: the ItemReader contract gives callers (user bodies,
-// collecting sinks) outright ownership, which a recyclable view cannot
-// provide.  This is the one copy per item the sharded data plane pays.
-func detachPayload(frame, payload []byte) []byte {
-	if !wire.IsView(frame) {
-		return payload
-	}
-	out := append([]byte(nil), payload...)
-	wire.Release(frame)
-	return out
+// detachPayload returns a frame's payload as an independently owned
+// slice: the ItemReader contract gives callers (user bodies, collecting
+// sinks) outright ownership, which a recyclable view cannot provide.
+// The frame goes through wire.Detach's rule, so a large frame that is
+// the caller's last handle is handed over in place and any other view
+// is copied — the one copy per item the sharded data plane pays, and
+// none for a large one.
+func detachPayload(frame []byte) []byte {
+	return wire.Detach(frame)[frameHeader:]
 }
 
-// decodeFrame splits a frame into its parts.  The payload aliases the
-// frame's backing array.
-func decodeFrame(item []byte) (class byte, seq uint64, payload []byte, err error) {
+// decodeFrame reads a frame's header.  The payload is item[frameHeader:].
+func decodeFrame(item []byte) (class byte, seq uint64, err error) {
 	if len(item) < frameHeader {
-		return 0, 0, nil, fmt.Errorf("transput: malformed shard frame (%d bytes)", len(item))
+		return 0, 0, fmt.Errorf("transput: malformed shard frame (%d bytes)", len(item))
 	}
-	return item[0], binary.BigEndian.Uint64(item[1:frameHeader]), item[frameHeader:], nil
+	return item[0], binary.BigEndian.Uint64(item[1:frameHeader]), nil
 }
 
 // shardSplitter is an ItemWriter that deals items round-robin across P
@@ -226,7 +222,7 @@ func (r *shardReader) Next() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		class, seq, payload, derr := decodeFrame(item)
+		class, seq, derr := decodeFrame(item)
 		if derr != nil {
 			wire.Release(item)
 			return nil, derr
@@ -247,7 +243,7 @@ func (r *shardReader) Next() ([]byte, error) {
 				wire.Release(item)
 				return nil, err
 			}
-			return detachPayload(item, payload), nil
+			return detachPayload(item), nil
 		default:
 			s.epiIn = false
 			s.cur, s.started, s.wrote = seq, true, false
@@ -258,7 +254,7 @@ func (r *shardReader) Next() ([]byte, error) {
 				wire.Release(item)
 				return nil, err
 			}
-			return detachPayload(item, payload), nil
+			return detachPayload(item), nil
 		}
 	}
 }
@@ -477,14 +473,14 @@ func (m *shardMerger) head(l int) (stashedFrame, bool, error) {
 	if err != nil {
 		return stashedFrame{}, false, err
 	}
-	class, seq, payload, derr := decodeFrame(item)
+	class, seq, derr := decodeFrame(item)
 	if derr != nil {
 		wire.Release(item)
 		return stashedFrame{}, false, derr
 	}
 	// Detach here: the payload may sit in the stash or ready queue for
 	// a while, and the surfaced items belong to the consuming body.
-	return stashedFrame{class: class, seq: seq, payload: detachPayload(item, payload)}, true, nil
+	return stashedFrame{class: class, seq: seq, payload: detachPayload(item)}, true, nil
 }
 
 // observeDepth reports the reorder footprint to the metric set.

@@ -382,16 +382,17 @@ func TestFrameCodecRoundTrip(t *testing.T) {
 		{frameEpilogue, 42, "tail"},
 	} {
 		buf = appendFrame(buf, tc.class, tc.seq, []byte(tc.payload))
-		class, seq, payload, err := decodeFrame(buf)
+		class, seq, err := decodeFrame(buf)
 		if err != nil {
 			t.Fatal(err)
 		}
+		payload := buf[frameHeader:]
 		if class != tc.class || seq != tc.seq || string(payload) != tc.payload {
 			t.Fatalf("round trip = (%d,%d,%q), want (%d,%d,%q)",
 				class, seq, payload, tc.class, tc.seq, tc.payload)
 		}
 	}
-	if _, _, _, err := decodeFrame([]byte("short")); err == nil {
+	if _, _, err := decodeFrame([]byte("short")); err == nil {
 		t.Fatal("decodeFrame accepted a truncated frame")
 	}
 }

@@ -69,13 +69,15 @@ func PutOwned(w ItemWriter, item []byte) error {
 // item: you own the bytes.  Over a real link an item of
 // wire.SpliceCutoff bytes or more surfaces from a port as a slab view of
 // the receive buffer; a user body may keep or drop it freely, so it is
-// detached here — the one copy a large item pays on the real wire, at
-// the same boundary shard frames pay it (detachPayload).  Smaller items
-// paid that copy at the frame reader and pass through untouched, as do
-// the heap items of netsim and sources; small items share arena blocks
-// (disjoint, cap == len), so a body that retains one of them keeps its
-// block — 4 KiB of the reader's or writer's recent items — reachable
-// with it.
+// detached here, at the same boundary shard frames are (detachPayload):
+// handed over in place when the port's handle is its last, its read
+// chunk then never recycled, so a body that retains it keeps that chunk
+// — at most max(64 KiB, its frame) — reachable; copied otherwise.
+// Smaller items were copied at the frame reader and pass through
+// untouched, as do the heap items of netsim and sources; small items
+// share arena blocks (disjoint, cap == len), so a body that retains one
+// of them keeps its block — 4 KiB of the reader's or writer's recent
+// items — reachable with it.
 type detachReader struct{ r ItemReader }
 
 func (d detachReader) Next() ([]byte, error) {

@@ -24,25 +24,28 @@ import "sync"
 //
 // The read side (ReadItemsFieldViewInto) consults the same constant: an
 // item shorter than the cutoff is copied out of the receive buffer, a
-// longer one becomes a sub-view of it.  There the break-even depends on
-// what the consumer does next.  BenchmarkReadItems (one 16-item frame
-// through FrameReader.Next and its consumer, same host, -benchtime
-// 20000x, µs per frame, medians of 5 runs) with every item a view →
-// every item copied, for a body, which Detaches each item, and for
-// plumbing, which passes the items on and Releases them:
+// longer one becomes a sub-view of it, and Detach hands a view of the
+// cutoff or more over in place.  There the break-even depends on what
+// the consumer does next.  BenchmarkReadItems (one 16-item frame through
+// FrameReader.Next and its consumer, 2 cores, go1.24, -benchtime 20000x,
+// µs per frame, medians of 10 runs) with every item a view → every item
+// copied, for a body, which Detaches each item, and for plumbing, which
+// passes the items on and Releases them:
 //
 //	         body            plumbing               body            plumbing
-//	 64 B   2.2 →  1.0      1.4 →   1.2    2 KiB  18.5 → 14.9     3.8 →  15.9
-//	256 B   3.5 →  2.3      1.8 →   2.6    4 KiB  36.1 → 26.5     5.3 →  31.7
-//	1 KiB   8.7 →  6.4      2.4 →   7.4   16 KiB   106 →   96    10.4 →   129
+//	 64 B   1.6 →  1.0      1.6 →   0.9    2 KiB  15.9 → 10.2     4.0 →  10.8
+//	256 B   2.4 →  1.8      1.6 →   1.7    4 KiB  17.4 → 18.7     6.0 →  20.3
+//	1 KiB   5.8 →  4.5      2.1 →   4.7   16 KiB    56 →   67    10.7 →    79
 //
-// A body copies the item anyway, so a view only adds the registry round
-// trip and a malloc of its own (0.2–0.6 µs an item) until the copy
-// itself dwarfs both, near 16 KiB; plumbing never copies, so a view wins
-// from 256 B and by twelve times at 16 KiB.  One constant sits between
-// the two: below it the most a forwarder loses is a memmove of under
-// 2 KiB an item, above it the most a body loses is a third of what the
-// item costs it anyway.
+// A body that takes a view in place saves the copy but keeps the read
+// chunk: that chunk is never carved again, so the reader pays a fresh one
+// (and its view table) per 64 KiB the body took bytes from.  For small
+// items that share costs more than their copy; the two meet near 4 KiB,
+// and above it the view wins.  Plumbing never copies and never keeps a
+// chunk, so a view wins from 256 B and by seven times at 16 KiB.  One
+// constant sits between the two: below it the most a forwarder loses is
+// a memmove of under 2 KiB an item, and between it and 4 KiB the most a
+// body loses is half again what a copy would cost it.
 const SpliceCutoff = 2048
 
 // splice is one borrowed item of a vectored frame: Data goes on the

@@ -18,7 +18,8 @@
 // The reader releases its own handle on a buffer when it rotates to a
 // fresh one; the chunk stays alive until the last large item it holds is
 // released by whoever the ports handed it to, and a chunk that carried
-// only small frames recycles at once.
+// only small frames recycles at once.  A chunk a body took a large item
+// from in place (Detach) is not recycled but left to the GC.
 package wire
 
 import (
@@ -119,12 +120,13 @@ func DecodeViewIn(b, owner []byte, a *Arena) (any, int, error) {
 // was given.
 //
 // The caller owns the bytes either way.  The retention unit differs: a
-// large item keeps its read chunk alive until it is Released or
-// Detached; a small item keeps its arena block alive, so a consumer that
-// holds one item pins up to 4 KiB of the reader's recent small items
-// with it (the trade bytes.Split makes), for one allocation per block
-// instead of one an item.  BenchmarkReadItems is the cutoff's read-side
-// figure.
+// large item keeps its read chunk alive until it is Released, or for as
+// long as a body holds it once Detach has handed it over in place (the
+// chunk is then never recycled); a small item keeps its arena block
+// alive, so a consumer that holds one item pins up to 4 KiB of the
+// reader's recent small items with it (the trade bytes.Split makes), for
+// one allocation per block instead of one an item.  BenchmarkReadItems
+// is the cutoff's read-side figure.
 func ReadItemsFieldViewInto(dst [][]byte, b, owner []byte, a *Arena) ([][]byte, int, error) {
 	count, k, err := ReadUvarintField(b)
 	if err != nil {

@@ -558,6 +558,50 @@ func (l *loopReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// TestBulkDetachAllocs pins what a body pays a frame of 16 items of
+// 16 KiB read off a wire, Detaching every item: each is handed over in
+// place, so the frame costs its read chunk — never parked again, since a
+// body holds bytes in it — with that chunk's bookkeeping, and the
+// decoded record, but no copy and no malloc an item.
+func TestBulkDetachAllocs(t *testing.T) {
+	const batch, size = 16, 16 << 10
+	items := make([][]byte, batch)
+	for i := range items {
+		items[i] = make([]byte, size)
+	}
+	frame, err := Append(nil, &viewRec{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := NewSlab(nil, 0)
+	defer slab.Close()
+	fr := NewFrameReader(&loopReader{data: frame}, slab, 0)
+	defer fr.Close()
+	body := func() {
+		v, _, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range v.(*viewRec).Items {
+			if out := Detach(it); &out[0] != &it[0] {
+				t.Fatal("a 16 KiB item the body held the last handle on was copied")
+			}
+		}
+	}
+	for i := 0; i < 16; i++ {
+		body()
+	}
+	if n := testing.AllocsPerRun(100, body); n > bulkDetachCeiling {
+		t.Errorf("a 16-item frame of 16 KiB items, every item detached: %.1f allocs, want <= %d", n, bulkDetachCeiling)
+	}
+}
+
+// bulkDetachCeiling is the figure measured, with and without -race: the
+// frame-sized chunk and its header (2), its view table growing to 17
+// entries (9), the index listing and unlisting it (5), and the record
+// with its vector (2).
+const bulkDetachCeiling = 18
+
 // BenchmarkReadItems is the read side of transport's
 // BenchmarkTransmitItemSize: one 16-item frame through FrameReader.Next
 // and its consumer, at item sizes on both sides of SpliceCutoff — below

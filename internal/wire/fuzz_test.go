@@ -2,6 +2,7 @@ package wire
 
 import (
 	"testing"
+	"unsafe"
 
 	"asymstream/internal/metrics"
 )
@@ -69,7 +70,16 @@ func FuzzDecode(f *testing.F) {
 //   - a heap slice, an address inside a chunk that is no view's base and
 //     an already-released view are not views to IsView, Retain, Release
 //     or Detach, and probing them moves no count;
-//   - Detach hands back the view's bytes intact;
+//   - Detach hands back the view's bytes intact, in place exactly when
+//     the view is of SpliceCutoff bytes or more and the model holds one
+//     handle on it, and as a copy otherwise;
+//   - a slice Detach handed over in place keeps its bytes through every
+//     later op (nothing is carved over it again) and is no view to any
+//     call;
+//   - Detach's precondition holds in the model: once it hands a view
+//     over in place, every other live view over those bytes (an owner
+//     or a sub-view) is only released — no longer read, detached or
+//     registered from;
 //   - Close reports the model's handle total, and every later release
 //     still succeeds;
 //   - once the shadow model is drained, Outstanding() == 0,
@@ -79,22 +89,34 @@ func FuzzSlabViews(f *testing.F) {
 	f.Add([]byte{0, 4, 1, 0, 2, 0, 3, 0})
 	f.Add([]byte{0, 64, 0, 64, 1, 1, 3, 0, 2, 0, 2, 1, 4, 0})
 	f.Add([]byte{0, 1, 1, 0, 1, 0, 2, 0, 2, 0, 2, 0})
-	f.Add([]byte{0, 200, 0, 200, 0, 200, 4, 0})                     // dedicated oversize chunks
+	f.Add([]byte{0, 250, 0, 250, 0, 250, 4, 0})                     // dedicated oversize chunks
 	f.Add([]byte{0, 99, 5, 0, 5, 7, 5, 7, 2, 0, 6, 0, 4, 0, 2, 0})  // sub-views outlive their owner
 	f.Add([]byte{0, 255, 0, 255, 2, 0, 2, 0, 0, 255, 6, 1, 0, 255}) // recycle, re-carve, probe the stale view
+	f.Add([]byte{0, 255, 0, 0, 2, 0, 2, 0, 0, 255, 0, 0, 4, 0})     // park two sizes: the top one misses, then fits
 	f.Add([]byte{0, 30, 0, 30, 7, 0, 6, 2, 2, 0, 0, 30, 3, 0})      // Close with live views, late releases, Alloc after
+	f.Add([]byte{0, 102, 0, 127, 3, 0, 0, 102, 4, 0})               // a kept chunk dies sealed: never carved again
+	f.Add([]byte{0, 150, 3, 0, 0, 150, 0, 150, 6, 1})               // a kept carve target is sealed empty
+	f.Add([]byte{0, 150, 1, 0, 3, 0, 3, 0, 0, 150})                 // shared: a copy, then in place
+	f.Add([]byte{0, 255, 5, 8, 2, 0, 3, 0, 0, 255, 5, 0, 4, 0})     // a large sub-view outlives its owner, in place
+	f.Add([]byte{0, 150, 5, 8, 3, 1, 4, 0, 2, 0, 0, 150, 4, 0})     // the reader's way: a sub-view in place, its owner only released
+	f.Add([]byte{0, 150, 5, 8, 3, 0, 3, 0, 4, 0, 2, 0, 0, 150})     // the owner in place: its sub-view only released
+	f.Add([]byte{0, 150, 0, 40, 3, 0, 7, 0, 2, 0, 0, 150})          // Close a kept carve target's slab
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		met := &metrics.Set{}
-		slab := NewSlab(met, 256)
+		slab := NewSlab(met, 2*SpliceCutoff)
 		type shadow struct {
 			view []byte
 			refs int
 			want byte
+			// handedOver: Detach gave another view's bytes, which this one
+			// shares, away in place, so it is only released from now on.
+			handedOver bool
 		}
 		var (
 			live   []*shadow
 			model  = map[*byte]*shadow{}
-			stale  [][]byte // views the model saw die
+			stale  [][]byte  // views the model saw die
+			kept   []*shadow // what Detach handed over in place, with the bytes it held
 			closed bool
 			leaked int64
 		)
@@ -151,12 +173,25 @@ func FuzzSlabViews(f *testing.F) {
 				t.Fatalf("probing %s moved Outstanding() %d -> %d", what, before, n)
 			}
 		}
+		overlap := func(a, b []byte) bool {
+			pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+			return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+		}
+		// checkKept: what Detach handed over in place is the caller's for
+		// good — its bytes as they were, and no view to any call.
+		checkKept := func() {
+			t.Helper()
+			for _, k := range kept {
+				check(k)
+				notView("a slice Detach handed over in place", k.view)
+			}
+		}
 		seq := byte(0)
 		for pc := 0; pc+1 < len(prog); pc += 2 {
 			op, arg := prog[pc]%8, prog[pc+1]
 			switch op {
 			case 0: // alloc
-				n := int(arg)%300 + 1 // crosses the 256-byte chunk size
+				n := (int(arg) + 1) * 20 // 20 B–5 KiB: SpliceCutoff from arg 102, past the 4 KiB chunk from 204
 				v := slab.Alloc(n)
 				if len(v) != n {
 					t.Fatalf("Alloc(%d) returned %d bytes", n, len(v))
@@ -181,37 +216,49 @@ func FuzzSlabViews(f *testing.F) {
 				}
 			case 2: // release
 				if s := pick(arg); s != nil {
-					check(s)
+					if !s.handedOver {
+						check(s)
+					}
 					if !Release(s.view) {
 						t.Fatal("Release on a live view reported non-view")
 					}
 					unref(s)
 				}
-			case 3: // detach
-				if s := pick(arg); s != nil {
+			case 3: // detach: in place iff large and the last handle, a copy otherwise
+				if s := pick(arg); s != nil && !s.handedOver {
+					inPlace := len(s.view) >= SpliceCutoff && s.refs == 1
 					out := Detach(s.view)
-					if &out[0] == &s.view[0] {
-						t.Fatal("Detach returned a live view uncopied")
+					if got := &out[0] == &s.view[0]; got != inPlace {
+						t.Fatalf("Detach of a %d-byte view with %d handles: in place = %v, want %v",
+							len(s.view), s.refs, got, inPlace)
 					}
-					if len(out) != len(s.view) {
-						t.Fatalf("Detach returned %d bytes, view had %d", len(out), len(s.view))
+					if len(out) != len(s.view) || inPlace && cap(out) != len(out) {
+						t.Fatalf("Detach returned %d bytes (cap %d), view had %d", len(out), cap(out), len(s.view))
 					}
 					for i, b := range out {
 						if b != s.want {
-							t.Fatalf("Detach copy corrupted at [%d]: got %#x want %#x", i, b, s.want)
+							t.Fatalf("Detach result corrupted at [%d]: got %#x want %#x", i, b, s.want)
 						}
 					}
 					unref(s)
+					if inPlace {
+						kept = append(kept, &shadow{view: out, want: s.want})
+						for _, x := range live {
+							x.handedOver = x.handedOver || overlap(x.view, out)
+						}
+					}
 				}
 			case 4: // integrity sweep over everything still live
 				for _, s := range live {
 					if !IsView(s.view) {
 						t.Fatalf("live view (refs=%d) no longer registered", s.refs)
 					}
-					check(s)
+					if !s.handedOver {
+						check(s)
+					}
 				}
 			case 5: // register a sub-view: arg picks the owner and the offset in it
-				if s := pick(arg); s != nil {
+				if s := pick(arg); s != nil && !s.handedOver {
 					off := int(arg>>3) % len(s.view) // 0 is the owner's own base
 					sub := s.view[off:]
 					if !RegisterSubview(s.view, sub) {
@@ -258,10 +305,13 @@ func FuzzSlabViews(f *testing.F) {
 			if got, want := slab.Outstanding(), handles(); got != want {
 				t.Fatalf("after op %d: Outstanding() = %d, model holds %d handles", op, got, want)
 			}
+			checkKept()
 		}
 		// Drain the shadow model; the slab must agree it is empty.
 		for _, s := range live {
-			check(s)
+			if !s.handedOver {
+				check(s)
+			}
 			for i := 0; i < s.refs; i++ {
 				if !Release(s.view) {
 					t.Fatalf("drain: Release %d/%d reported non-view", i+1, s.refs)
@@ -271,6 +321,7 @@ func FuzzSlabViews(f *testing.F) {
 				t.Fatal("drain: view survived its last release")
 			}
 		}
+		checkKept()
 		if n := slab.Outstanding(); n != 0 {
 			t.Fatalf("Outstanding() = %d after drain", n)
 		}

@@ -25,10 +25,10 @@
 //     it is listed, and an address inside a listed range is inside that
 //     chunk.  Addresses are compared as integers for ordering only and
 //     never converted back to pointers.  A chunk is unlisted wherever it
-//     is dropped for the GC: recycleLocked on a closed slab or a full
-//     free list, and Close for the free list and an unreferenced carve
-//     target.  A sealed chunk of a closed slab is unlisted by the late
-//     Release of its last view.
+//     is dropped for the GC: recycleLocked on a kept chunk, a closed slab
+//     or a full free list, and Close for the free list and an
+//     unreferenced carve target.  A sealed chunk of a closed slab, and a
+//     kept one, is unlisted by the Release of its last view.
 //
 // Lifecycle rules (documented in DESIGN.md §8):
 //
@@ -39,15 +39,26 @@
 //   - Release/Detach must be passed the exact slice Alloc returned
 //     (same base pointer); interior sub-slices are not tracked.
 //   - Detach replaces "copy because someone downstream might retain
-//     this": if the slice is a live view it returns an ordinary heap
-//     copy and releases the view, otherwise it returns the slice
-//     unchanged.  Bodies and sinks own what they are handed, so views
-//     are detached at the library/user boundary and flow zero-copy
+//     this".  A live view of SpliceCutoff bytes or more whose handle is
+//     the caller's last is handed over in place: the handle is dropped
+//     and the view's chunk is *kept*.  Any other live view comes back as
+//     an ordinary heap copy, its handle released; anything else is
+//     returned unchanged.  Bodies and sinks own what they are handed, so
+//     views are detached at the library/user boundary and flow zero-copy
 //     everywhere in between.  Off a socket only items of SpliceCutoff
 //     bytes or more are views (the frame reader copies the smaller ones
-//     into its Arena), so there Detach is the boundary copy of large
-//     items and one index miss for the rest.  Arena copies, like every
-//     item a copying Put stored, are heap slices to all of these calls.
+//     into its Arena), so there Detach hands large items over and is one
+//     index miss for the rest.  Arena copies, like every item a copying
+//     Put stored, are heap slices to all of these calls.
+//   - A kept chunk never goes back on the free list: the release that
+//     empties it unlists it, and the GC frees it once the last slice
+//     handed over in place is dropped.  Plumbing that forwards and
+//     Releases recycles its chunks as before; only a chunk a body took
+//     bytes from costs a fresh chunk, where a copy would cost every
+//     item taken from it a malloc and a memmove.
+//   - Detach counts one view's handles, not the other views over its
+//     bytes: once a view is handed over in place, a RegisterSubview
+//     owner or sub-view sharing those bytes is only ever Released.
 //   - Close seals the slab and reports how many views are still
 //     outstanding — the refcount audit pipelines run at Destroy.
 package wire
@@ -71,7 +82,8 @@ const maxFreeChunks = 4
 
 // chunk is one arena block.  A chunk is in one of three states: the
 // slab's carve target (cur), sealed with live views, or dead — parked
-// on the free list or dropped — with no view table.
+// on the free list or dropped — with no view table.  Any of the first
+// two may also be kept, and a kept chunk is dropped when it dies.
 type chunk struct {
 	slab      *Slab
 	base, end uintptr // buf's address range: ordering keys, never pointers
@@ -80,6 +92,7 @@ type chunk struct {
 	mu     sync.Mutex
 	views  map[uint32]int32 // live view's offset → handles on it (1 from Alloc, +1 per Retain)
 	sealed bool             // no longer the carve target, and some view is still live
+	kept   bool             // a view was handed over in place; set under mu, settled once dead
 }
 
 // span is a listed chunk and, beside it for the search, its address
@@ -265,10 +278,10 @@ func (s *Slab) sealCurLocked() {
 }
 
 // recycleLocked parks a dead chunk on the free list, or drops it —
-// unlisted, so the GC can reclaim it — when the slab is closed or the
-// list is full.
+// unlisted, so the GC can reclaim it — when it is kept, the slab is
+// closed or the list is full.
 func (s *Slab) recycleLocked(c *chunk) {
-	if s.closed || len(s.free) >= maxFreeChunks {
+	if c.kept || s.closed || len(s.free) >= maxFreeChunks {
 		unlistChunk(c)
 		return
 	}
@@ -347,21 +360,30 @@ func Retain(b []byte) bool {
 // a live view; on ordinary slices (or an already-released view) it is
 // a tolerant no-op.
 func Release(b []byte) bool {
-	c, off := findChunk(b)
-	return c != nil && c.release(off)
+	if c, off := findChunk(b); c != nil {
+		live, _ := c.release(off, false)
+		return live
+	}
+	return false
 }
 
-// release is Release on a chunk already found.
-func (c *chunk) release(off uint32) bool {
+// release is Release on a chunk already found: it reports whether off
+// was a live view's.  With keep it drops only a last handle, handing
+// the view over in place and keeping the chunk (kept reports that), and
+// leaves a handle others share alone.
+func (c *chunk) release(off uint32, keep bool) (live, kept bool) {
 	c.mu.Lock()
 	n, ok := c.views[off]
+	if !ok || keep && n > 1 {
+		c.mu.Unlock()
+		return ok, false
+	}
 	dead := false
-	switch {
-	case !ok:
-	case n > 1:
+	if n > 1 {
 		c.views[off] = n - 1
-	default:
+	} else {
 		delete(c.views, off)
+		c.kept = c.kept || keep
 		// The last view of a sealed chunk: nothing can reach the chunk
 		// through its table again, so it is this caller's to recycle.
 		dead = c.sealed && len(c.views) == 0
@@ -370,9 +392,6 @@ func (c *chunk) release(off uint32) bool {
 		}
 	}
 	c.mu.Unlock()
-	if !ok {
-		return false
-	}
 	s := c.slab
 	s.outstanding.Add(-1)
 	if s.met != nil {
@@ -383,7 +402,7 @@ func (c *chunk) release(off uint32) bool {
 		s.recycleLocked(c)
 		s.mu.Unlock()
 	}
-	return true
+	return true, keep
 }
 
 // ReleaseAll releases every view in items (tolerant of non-views) and
@@ -416,6 +435,11 @@ func ReleaseAll(items [][]byte) int {
 // whether owner was a live view; on ordinary slices it is a tolerant
 // no-op and sub stays an untracked alias, as does a sub outside
 // owner's chunk.
+//
+// Owner and sub share bytes, and Detach may hand either over in place
+// (see its doc): an owner whose sub-views may be handed over must from
+// then on only be Released, never Detached, and the sub-views' bytes
+// never read through it.
 func RegisterSubview(owner, sub []byte) bool {
 	if len(sub) == 0 {
 		return false
@@ -453,23 +477,44 @@ func registerSubviews(owner []byte, subs [][]byte) bool {
 	return ok
 }
 
-// Detach converts b into an ordinary heap slice the caller owns
-// outright.  If b is a live view the bytes are copied out and the view
-// released; otherwise b is returned unchanged.  This is the one copy
-// a view pays, at the boundary where items leave library-controlled
-// lifetimes (user bodies, collecting sinks); an item the frame reader
-// already copied out pays it there instead and passes through here.
+// Detach converts b into a slice the caller owns outright, at the
+// boundary where items leave library-controlled lifetimes (user bodies,
+// collecting sinks).  A live view of SpliceCutoff bytes or more whose
+// handle is the caller's last is handed over in place: the handle is
+// dropped, and its chunk is kept — never recycled, so nothing else is
+// ever carved over those bytes — and left to the GC once its last view
+// goes.  Any other live view — a smaller one, or one others still hold —
+// is copied out and its handle released.  Anything else — a heap slice,
+// an item the frame reader already copied out, a view already released
+// — is returned unchanged.
+//
+// Detach counts the handles on b alone; it does not look for other live
+// views over the same bytes (a RegisterSubview owner and its sub-views).
+// So once it hands a view over in place, any other view sharing those
+// bytes must only be Released — never Detached or used as an owner
+// again, and those bytes never read through it.  The frame reader keeps
+// to this: its read buffer, the owner of every large item it hands out,
+// is only ever Released, and read or written only past those items.
 func Detach(b []byte) []byte {
 	c, off := findChunk(b)
 	if c == nil {
 		return b
+	}
+	if len(b) >= SpliceCutoff {
+		live, kept := c.release(off, true)
+		if kept {
+			return b[:len(b):len(b)]
+		}
+		if !live {
+			return b
+		}
 	}
 	// The caller's handle keeps the bytes in place until it is released;
 	// copying first saves a second pass through the chunk's table.  An
 	// address inside a chunk that is not a live view's base wastes the
 	// copy.
 	out := append([]byte(nil), b...)
-	if !c.release(off) {
+	if live, _ := c.release(off, false); !live {
 		return b
 	}
 	return out

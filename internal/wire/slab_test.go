@@ -75,20 +75,63 @@ func TestSlabRetainAddsHandle(t *testing.T) {
 	}
 }
 
+// TestSlabDetachCopies: a view under SpliceCutoff, or one whose handle
+// is not the caller's last, comes back as a heap copy, and the caller's
+// handle is gone.
 func TestSlabDetachCopies(t *testing.T) {
 	s := NewSlab(nil, 0)
 	defer s.Close()
-	v := s.Alloc(4)
+	for _, c := range []struct {
+		name    string
+		size    int
+		handles int
+	}{
+		{"small", 4, 1},
+		{"large, shared", SpliceCutoff, 2},
+	} {
+		v := s.Alloc(c.size)
+		for i := 1; i < c.handles; i++ {
+			Retain(v)
+		}
+		copy(v, "data")
+		out := Detach(v)
+		if IsView(out) || &out[0] == &v[0] {
+			t.Fatalf("%s: Detach must copy out of the arena", c.name)
+		}
+		if !bytes.Equal(out, v) {
+			t.Fatalf("%s: detached %q", c.name, out[:4])
+		}
+		if got, want := s.Outstanding(), int64(c.handles-1); got != want {
+			t.Fatalf("%s: outstanding = %d after detach, want %d", c.name, got, want)
+		}
+		Release(v) // the other handle, if any
+	}
+}
+
+// TestSlabDetachInPlace: a view of SpliceCutoff bytes or more whose
+// handle is the caller's last is handed over as it is — no copy, the
+// handle counted as released, and no longer a view.
+func TestSlabDetachInPlace(t *testing.T) {
+	met := &metrics.Set{}
+	s := NewSlab(met, 0)
+	defer s.Close()
+	v := s.Alloc(SpliceCutoff)
 	copy(v, "data")
 	out := Detach(v)
-	if IsView(out) || &out[0] == &v[0] {
-		t.Fatal("Detach must copy out of the arena")
+	if &out[0] != &v[0] || len(out) != len(v) || cap(out) != len(out) {
+		t.Fatal("Detach must hand a large view that is its caller's last over in place, cap == len")
 	}
-	if !bytes.Equal(out, []byte("data")) {
-		t.Fatalf("detached %q", out)
+	if IsView(out) || Release(out) {
+		t.Fatal("a view handed over in place is still a view")
 	}
-	if s.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after detach", s.Outstanding())
+	if string(out[:4]) != "data" {
+		t.Fatalf("handed over %q", out[:4])
+	}
+	if n := s.Outstanding(); n != 0 {
+		t.Fatalf("outstanding = %d after detach", n)
+	}
+	if ret, rel := met.SlabRetained.Value(), met.SlabReleased.Value(); ret != 1 || rel != 1 {
+		t.Fatalf("retained/released = %d/%d, want 1/1", ret, rel)
 	}
 }
 
@@ -223,21 +266,76 @@ func TestChunkIndexDrains(t *testing.T) {
 	if got := chunksListed(idle); got != 0 {
 		t.Fatalf("%d chunks of an idle closed slab still listed", got)
 	}
+
+	// A kept chunk is unlisted by its last release and never parked,
+	// though the free list has room: sealed with a view left, and as an
+	// empty carve target.
+	ks := NewSlab(nil, 2*SpliceCutoff)
+	defer ks.Close()
+	big, small := ks.Alloc(SpliceCutoff), ks.Alloc(8) // one chunk
+	Detach(big)
+	Release(ks.Alloc(2 * SpliceCutoff)) // seals the kept chunk under small; a fresh carve target
+	if got := chunksListed(ks); got != 2 {
+		t.Fatalf("%d chunks listed with a kept chunk holding a view, want 2", got)
+	}
+	Release(small)
+	if got := chunksListed(ks); got != 1 || len(ks.free) != 0 {
+		t.Fatalf("a kept chunk's last release: %d chunks listed, %d parked; want 1, 0", got, len(ks.free))
+	}
+	Detach(ks.Alloc(2 * SpliceCutoff)) // keeps the carve target, which has no view left
+	Release(ks.Alloc(8))               // seals it empty
+	if got := chunksListed(ks); got != 1 || len(ks.free) != 0 {
+		t.Fatalf("a kept carve target sealed empty: %d chunks listed, %d parked; want 1, 0", got, len(ks.free))
+	}
 }
 
 // TestSlabStorm is the -race check of the registry: four goroutines
 // carve from two slabs, register sub-views in each other's chunks and
 // retain and release across them, while a fifth closes one slab under
-// them.  Every handle taken is released, so both slabs must drain.
+// them.  Every sixteenth round also carves a large view, splits it into
+// two large sub-views and detaches one in place itself and the other on
+// whichever goroutine takes it, scribbling on both.  Every handle taken
+// is released, so both slabs must drain, and nothing may have been
+// carved over a slice handed over in place.
 func TestSlabStorm(t *testing.T) {
 	slabs := [2]*Slab{NewSlab(nil, 512), NewSlab(nil, 512)}
 	shared := make(chan []byte, 64) // views handed to whichever goroutine takes them
+	bulk := make(chan []byte, 16)   // large sub-views, likewise
+	var kept [5][][]byte            // what each goroutine (4: this one) took in place
+	keep := func(g int, v []byte) {
+		out := Detach(v)
+		if &out[0] != &v[0] {
+			t.Error("a large sub-view that was its caller's last was copied")
+		}
+		for j := range out {
+			out[j] = 0xA0 | byte(g)
+		}
+		kept[g] = append(kept[g], out)
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
+				if i%16 == 0 {
+					big := slabs[(g+i)%2].Alloc(2*SpliceCutoff + 2 + i%64)
+					half := SpliceCutoff + 1
+					RegisterSubview(big, big[:half:half]) // at big's base: one more handle on it
+					RegisterSubview(big, big[half:])
+					Release(big)
+					select {
+					case bulk <- big[half:]:
+					default:
+						keep(g, big[half:])
+					}
+					keep(g, big[:half:half])
+					select {
+					case w := <-bulk:
+						keep(g, w)
+					default:
+					}
+				}
 				v := slabs[(g+i)%2].Alloc(8 + (g+i)%120)
 				v[0] = byte(g)
 				sub := v[1+i%7:]
@@ -277,6 +375,17 @@ func TestSlabStorm(t *testing.T) {
 	for w := range shared {
 		Release(w)
 	}
+	close(bulk)
+	for w := range bulk {
+		keep(4, w)
+	}
+	for g, vs := range kept {
+		for _, v := range vs {
+			if bytes.Count(v, []byte{0xA0 | byte(g)}) != len(v) {
+				t.Fatalf("a slice goroutine %d took in place was written over", g)
+			}
+		}
+	}
 	for i, s := range slabs {
 		if n := s.Outstanding(); n != 0 {
 			t.Errorf("slab %d: outstanding = %d", i, n)
@@ -289,18 +398,19 @@ func TestSlabStorm(t *testing.T) {
 }
 
 // TestViewAllocCeilings pins what the registry may allocate: nothing a
-// view, the copy on Detach, and a frame its item vector plus — when it
-// has small items — at most one arena block: a share of one while the
-// frame's small items fit a block with others, one of their own above
-// that.  A frame of small items alone does not touch the registry at
-// all.
+// view, the copy on Detach of a small view and nothing on Detach of a
+// large one, and a frame its item vector plus — when it has small items
+// — at most one arena block: a share of one while the frame's small
+// items fit a block with others, one of their own above that.  A frame
+// of small items alone does not touch the registry at all.
 func TestViewAllocCeilings(t *testing.T) {
 	s := NewSlab(nil, 0)
 	defer s.Close()
-	owner := s.Alloc(4096)
+	owner := s.Alloc(8 << 10)
 	defer Release(owner)
 	heap := make([]byte, 64)
 	sub := owner[2000:2064]
+	bulk := owner[4096 : 4096+SpliceCutoff]
 
 	// Frames encoded in place, as a frame read off a socket lies in its
 	// buffer.
@@ -344,6 +454,7 @@ func TestViewAllocCeilings(t *testing.T) {
 		{"IsView(heap)", 0, func() { IsView(heap) }},
 		{"Release(heap)", 0, func() { Release(heap) }},
 		{"Detach(view)", 1, func() { RegisterSubview(owner, sub); Detach(sub) }},
+		{"Detach(large view)", 0, func() { RegisterSubview(owner, bulk); Detach(bulk) }},
 		{"Detach(heap)", 0, func() { Detach(heap) }},
 		{"ReadItemsFieldViewInto(16 small)", 1, readItems(small, smallOwner, 0)},
 		{"ReadItemsFieldViewInto(16 large)", 1, readItems(large, largeOwner, k)},
