@@ -87,12 +87,12 @@ allocs:
 
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for
-## 10 s each — the bridge's two records (both decode paths, pooled
-## records), the frame reader over torn reads, the codec, and the slab's
-## handle counts and Detach's two outcomes against a shadow model.  One
-## -fuzz target per go test invocation, as go requires.
+## 10 s each — every registered protocol record (both decode paths,
+## pooled records), the frame reader over torn reads, the codec, and the
+## slab's handle counts and Detach's two outcomes against a shadow model.
+## One -fuzz target per go test invocation, as go requires.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzBridgeRecords$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzRecords$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSlabViews$$' -fuzztime 10s ./internal/wire

@@ -504,6 +504,11 @@ func (lt *lifetime) useExpr(e ast.Expr, st varState, consume bool) {
 	case *ast.ParenExpr:
 		lt.useExpr(e.X, st, consume)
 	case *ast.CallExpr:
+		if tv, ok := lt.spec.pkg.Info.Types[e.Fun]; ok && tv.IsType() && len(e.Args) == 1 {
+			// A conversion is its operand: P(r).m() hands r to nobody.
+			lt.useExpr(e.Args[0], st, consume)
+			return
+		}
 		lt.useCall(e, st)
 	case *ast.SelectorExpr:
 		// Field read or method value: the base is not consumed, but in

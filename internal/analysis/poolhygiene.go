@@ -6,16 +6,20 @@ import (
 )
 
 // PoolHygiene checks the lifecycle of pooled records (the Invocation/
-// Call/TransferReply/DeliverReply records from the invocation fast
-// path).  Producers and consumers are classified structurally rather
+// Call records of the invocation fast path, and the protocol records of
+// wire.Pool).  Producers and consumers are classified structurally rather
 // than by name:
 //
 //   - a producer is a function whose body draws from a sync.Pool
 //     (pool.Get()) and returns a pointer — acquireInvocation, newCall,
-//     acquireTransferReply, ...
+//     (*wire.Pool[T]).Get, ...
 //   - a consumer is a function (or method) that passes one of its
 //     parameters (or its receiver) to pool.Put — releaseInvocation,
-//     (*Call).release, ...
+//     (*Call).release, (*wire.Pool[T]).Put, ...
+//
+// A call of a generic type's method resolves to its declaration
+// (calleeFunc), so every instantiation of wire.Pool is one producer and
+// one consumer.
 //
 // With that classification, two dataflow passes run per function:
 // obligation mode reports records acquired from a producer that can
@@ -206,10 +210,15 @@ func poolSpec(pkg *Package, roles *poolRoles) lifetimeSpec {
 				return false
 			}
 			// Pointers to named structs — the shape of every pooled
-			// record.  Interfaces, slices, and scalars are out of scope.
+			// record — and, in a generic body, to a type parameter (a
+			// wire.Pool's record).  Interfaces, slices, and scalars are
+			// out of scope.
 			p, ok := v.Type().Underlying().(*types.Pointer)
 			if !ok {
 				return false
+			}
+			if _, ok := p.Elem().(*types.TypeParam); ok {
+				return true
 			}
 			n := namedOrPtr(p.Elem())
 			if n == nil {

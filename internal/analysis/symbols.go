@@ -50,17 +50,29 @@ func isWirePackage(path string) bool {
 }
 
 // calleeFunc resolves the called function object for direct calls and
-// method calls; nil for builtins, conversions and dynamic calls.
+// method calls; nil for builtins, conversions and dynamic calls.  A
+// generic function or a method of a generic type resolves to its
+// declaration (Origin), whatever it is instantiated with, explicitly
+// (f[T](x)) or not.
 func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	var id *ast.Ident
+	switch x := fun.(type) {
 	case *ast.Ident:
-		if f, ok := info.Uses[fun].(*types.Func); ok {
-			return f
-		}
+		id = x
 	case *ast.SelectorExpr:
-		if f, ok := info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
+		id = x.Sel
+	default:
+		return nil
+	}
+	if f, ok := info.Uses[id].(*types.Func); ok {
+		return f.Origin()
 	}
 	return nil
 }

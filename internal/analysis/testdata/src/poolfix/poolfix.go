@@ -2,7 +2,8 @@
 // from a sync.Pool must go back (or be handed off), and must not be
 // touched after they do.  The producer/consumer pair below matches the
 // structural classification the analyzer uses for the real module's
-// acquireInvocation/releaseInvocation and friends.
+// acquireInvocation/releaseInvocation and friends; the generic cases
+// at the end draw from a pool shaped like wire.Pool.
 package poolfix
 
 import "sync"
@@ -109,4 +110,67 @@ func reassigned() int {
 	n := r.n
 	release(r)
 	return n
+}
+
+// genPool is wire.Pool's shape: a producer and a consumer that are the
+// methods of a generic type, called on its instantiations.
+type genPool[T any] struct{ p sync.Pool }
+
+func (g *genPool[T]) Get() *T {
+	r, _ := g.p.Get().(*T)
+	if r == nil {
+		r = new(T)
+	}
+	return r
+}
+
+func (g *genPool[T]) Put(r *T) { g.p.Put(r) }
+
+var recs genPool[record]
+
+// genericMissingPut leaks a generic pool's record on the early return.
+func genericMissingPut(fail bool) int {
+	r := recs.Get() // want "pooled record r may reach the return"
+	if fail {
+		return -1
+	}
+	n := r.n
+	recs.Put(r)
+	return n
+}
+
+// genericUseAfterPut reads a generic pool's record after it went back.
+func genericUseAfterPut() int {
+	r := recs.Get()
+	recs.Put(r)
+	return r.n // want "use of pooled record r after it was released"
+}
+
+type reader interface{ read() error }
+
+// decodeStep is wire's decode step without its release on error: the
+// record's type is a type parameter, and calling a method through the
+// conversion P(r) does not hand r off.
+func decodeStep[T any, P interface {
+	*T
+	reader
+}](pool *genPool[T]) (*T, error) {
+	r := pool.Get() // want "pooled record r may reach the return"
+	if err := P(r).read(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeStepBalanced is clean: the record goes back on the error path.
+func decodeStepBalanced[T any, P interface {
+	*T
+	reader
+}](pool *genPool[T]) (*T, error) {
+	r := pool.Get()
+	if err := P(r).read(); err != nil {
+		pool.Put(r)
+		return nil, err
+	}
+	return r, nil
 }

@@ -63,13 +63,8 @@ const (
 )
 
 func init() {
-	wire.Register(wireIDRPCRequest, "transport.rpcRequest", decodeRPCRequest)
-	wire.Register(wireIDRPCReply, "transport.rpcReply", decodeRPCReply)
-	// The read loops decode through these, which copy a value's bytes
-	// into the frame reader's arena.  They register no sub-view: nothing
-	// of a bridge record aliases the read chunk.
-	wire.RegisterView(wireIDRPCRequest, decodeRPCRequestView)
-	wire.RegisterView(wireIDRPCReply, decodeRPCReplyView)
+	wire.Register(rpcRequests)
+	wire.Register(rpcReplies)
 }
 
 // ErrBridgeClosed is what an Invoke returns, wrapped, when the
@@ -85,7 +80,8 @@ type rpcRequest struct {
 	// err is why a received request has no Value: its nested frame did
 	// not decode.  The record itself did, so the stream is in sync and
 	// the failure is this request's, answered under its ID.
-	err error
+	err    error
+	pooled bool
 }
 
 // Every record the bridge builds comes from these pools, on both sides:
@@ -93,27 +89,9 @@ type rpcRequest struct {
 // before it returns, and a decoded one until it has been served (a
 // request) or read (a reply).
 var (
-	requestPool = sync.Pool{New: func() any { return new(rpcRequest) }}
-	replyPool   = sync.Pool{New: func() any { return new(rpcReply) }}
+	rpcRequests = wire.NewPool(func(r *rpcRequest) *bool { return &r.pooled }, nil)
+	rpcReplies  = wire.NewPool(func(r *rpcReply) *bool { return &r.pooled }, nil)
 )
-
-// acquireRequest takes a zero request from the pool.
-func acquireRequest() *rpcRequest { return requestPool.Get().(*rpcRequest) }
-
-// releaseRequest zeroes r and recycles it.
-func releaseRequest(r *rpcRequest) {
-	*r = rpcRequest{}
-	requestPool.Put(r)
-}
-
-// acquireReply takes a zero reply from the pool.
-func acquireReply() *rpcReply { return replyPool.Get().(*rpcReply) }
-
-// releaseReply zeroes r and recycles it.
-func releaseReply(r *rpcReply) {
-	*r = rpcReply{}
-	replyPool.Put(r)
-}
 
 // Bounds on the op intern table: room for every op a program names, and
 // too little for a peer that sends a fresh one a request to grow memory.
@@ -181,30 +159,19 @@ func (r *rpcRequest) AppendWire(dst []byte) ([]byte, error) {
 	return wire.Append(dst, r.Value)
 }
 
-// The two decoders of each record share one body: the copying one,
-// which wire.Decode reaches, passes no arena, and the read loops' passes
-// the frame reader's.
-func decodeRPCRequest(b []byte) (any, error) { return readRPCRequest(b, nil) }
-
-func decodeRPCRequestView(b, _ []byte, a *wire.Arena) (any, error) { return readRPCRequest(b, a) }
-
-func readRPCRequest(b []byte, a *wire.Arena) (any, error) {
-	r := acquireRequest()
-	if err := r.readWire(b, a); err != nil {
-		releaseRequest(r)
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *rpcRequest) readWire(b []byte, a *wire.Arena) error {
+// ReadWire implements wire.Record.  The nested frame runs to the end of
+// the body, which a record therefore always consumes whole: what is
+// wrong with the frame, bytes after it included, is the record's err.
+// Nothing aliases the read chunk (a value is copied through a), so owner
+// goes unused.
+func (r *rpcRequest) ReadWire(b, _ []byte, a *wire.Arena) (int, error) {
 	id, k, err := wire.ReadUvarintField(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.ID = id
 	if len(b)-k < 16 {
-		return fmt.Errorf("%w: short rpc target", wire.ErrTruncated)
+		return 0, fmt.Errorf("%w: short rpc target", wire.ErrTruncated)
 	}
 	var t16 [16]byte
 	copy(t16[:], b[k:k+16])
@@ -212,11 +179,11 @@ func (r *rpcRequest) readWire(b []byte, a *wire.Arena) error {
 	k += 16
 	op, n, err := wire.BorrowBytesField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Op = ops.intern(op)
 	r.Value, r.err = decodeValue(b[k+n:], a)
-	return nil
+	return len(b), nil
 }
 
 // decodeValue decodes the nested frame that is the rest of a record.
@@ -247,7 +214,8 @@ type rpcReply struct {
 	// err is a failure on this side of the wire, which Invoke returns as
 	// it is: the reply's nested frame did not decode, or the connection
 	// died with the call pending.
-	err error
+	err    error
+	pooled bool
 }
 
 // WireID implements wire.Marshaler.
@@ -263,28 +231,16 @@ func (r *rpcReply) AppendWire(dst []byte) ([]byte, error) {
 	return wire.Append(dst, r.Value)
 }
 
-func decodeRPCReply(b []byte) (any, error) { return readRPCReply(b, nil) }
-
-func decodeRPCReplyView(b, _ []byte, a *wire.Arena) (any, error) { return readRPCReply(b, a) }
-
-func readRPCReply(b []byte, a *wire.Arena) (any, error) {
-	r := acquireReply()
-	if err := r.readWire(b, a); err != nil {
-		releaseReply(r)
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *rpcReply) readWire(b []byte, a *wire.Arena) error {
+// ReadWire implements wire.Record — see rpcRequest.ReadWire.
+func (r *rpcReply) ReadWire(b, _ []byte, a *wire.Arena) (int, error) {
 	id, k, err := wire.ReadUvarintField(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.ID = id
 	msg, n, err := wire.ReadStringField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.ErrMsg = msg
 	rest := b[k+n:]
@@ -296,7 +252,7 @@ func (r *rpcReply) readWire(b []byte, a *wire.Arena) error {
 	if err != nil {
 		r.err = fmt.Errorf("transport: decode reply: %w", err)
 	}
-	return nil
+	return len(b), nil
 }
 
 // Serve accepts bridge connections and dispatches their requests into
@@ -374,7 +330,7 @@ func (s *connServer) worker(req *rpcRequest) {
 	defer s.wg.Done()
 	for {
 		s.serve(req)
-		releaseRequest(req)
+		rpcRequests.Put(req)
 		if s.idle.Add(1) > maxIdleWorkers {
 			s.idle.Add(-1)
 			return
@@ -390,7 +346,7 @@ func (s *connServer) worker(req *rpcRequest) {
 
 // serve runs one request as a kernel invocation and sends its reply.
 func (s *connServer) serve(req *rpcRequest) {
-	rep := acquireReply()
+	rep := rpcReplies.Get()
 	rep.ID = req.ID
 	if req.err != nil {
 		rep.ErrMsg = req.err.Error()
@@ -407,7 +363,7 @@ func (s *connServer) serve(req *rpcRequest) {
 		rep.Value, rep.ErrMsg = nil, err.Error()
 		_ = s.out.send(rep)
 	}
-	releaseReply(rep)
+	rpcReplies.Put(rep)
 }
 
 // Peer is a client-side bridge connection to a remote kernel.  Safe
@@ -484,7 +440,7 @@ func (p *Peer) readLoop() {
 		if ch != nil {
 			ch <- rep // Invoke releases it
 		} else {
-			releaseReply(rep)
+			rpcReplies.Put(rep)
 		}
 	}
 }
@@ -499,7 +455,7 @@ func (p *Peer) failCalls(err error) {
 	p.calls = nil
 	p.cmu.Unlock()
 	for _, ch := range calls {
-		rep := acquireReply()
+		rep := rpcReplies.Get()
 		rep.err = err
 		ch <- rep
 	}
@@ -524,10 +480,10 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	p.calls[id] = ch
 	p.cmu.Unlock()
 
-	req := acquireRequest()
+	req := rpcRequests.Get()
 	req.ID, req.Target, req.Op, req.Value = id, target, op, payload
 	err := p.out.send(req)
-	releaseRequest(req)
+	rpcRequests.Put(req)
 	if err != nil {
 		// ch is dropped, not recycled: if the read loop ended meanwhile,
 		// failCalls has taken the call and its send.
@@ -542,7 +498,7 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	rep := <-ch
 	replyChans.Put(ch)
 	v, msg, err := rep.Value, rep.ErrMsg, rep.err
-	releaseReply(rep)
+	rpcReplies.Put(rep)
 	if err != nil {
 		return nil, err
 	}

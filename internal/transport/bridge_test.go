@@ -197,7 +197,7 @@ func TestRemoteSource(t *testing.T) {
 }
 
 // bridgeShapes is every payload shape the bridge carries on a fast path
-// or the gob fallback; FuzzBridgeRecords seeds from it too.  spliced is
+// or the gob fallback; FuzzRecords seeds from it too.  spliced is
 // the one that arrives through a proxy: an ItemsMarshaler with items on
 // both sides of wire.SpliceCutoff.
 var bridgeShapes = []struct {
@@ -264,6 +264,36 @@ func TestBridgeShapes(t *testing.T) {
 	}
 	if want := viaCodec(t, spliced); !reflect.DeepEqual(got, want) {
 		t.Errorf("TransferReply via proxy: got %T, want %T with the same fields", got, want)
+	}
+}
+
+// TestBridgeValueRecordCopiesThroughTheArena: a TransferReply carried as
+// a bridge value decodes by the read loop's rule (wire.DecodeIn with its
+// arena): its small items land side by side in one arena block, and its
+// large ones are copies of their own, not slab views.
+func TestBridgeValueRecordCopiesThroughTheArena(t *testing.T) {
+	enc, err := wire.Append(nil, &transport.RPCReply{ID: 1, Value: spliced})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var arena wire.Arena
+	v, _, err := wire.DecodeIn(enc, &arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := v.(*transport.RPCReply).Value.(*transput.TransferReply).Items
+	if !reflect.DeepEqual(items, spliced.Items) {
+		t.Fatal("the nested reply's items differ from the ones sent")
+	}
+	// spliced's items are SpliceCutoff-1, SpliceCutoff, 5 and
+	// 4*SpliceCutoff bytes long.
+	if end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(items[0])), len(items[0])); end != unsafe.Pointer(unsafe.SliceData(items[2])) {
+		t.Error("the small items are not side by side in one arena block")
+	}
+	for _, i := range []int{1, 3} {
+		if wire.IsView(items[i]) {
+			t.Errorf("the %d B item is a slab view", len(items[i]))
+		}
 	}
 }
 
@@ -657,13 +687,13 @@ func TestBridgeRecordsDoNotNest(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v; the outer record is well formed", tc.name, err)
 		}
-		if err := recordErr(t, v); !errors.Is(err, wire.ErrMalformed) {
+		if err := recordErr(v); !errors.Is(err, wire.ErrMalformed) {
 			t.Errorf("%s: %d nested records decoded with err = %v, want ErrMalformed", tc.name, tc.depth, err)
 		}
 	}
 	// Each inside the other, too.
 	mixed := recordFrame(33, append([]byte{1, 0}, nestedRecords(32, request, 1)...))
-	if v, _, err := wire.Decode(mixed); err != nil || !errors.Is(recordErr(t, v), wire.ErrMalformed) {
+	if v, _, err := wire.Decode(mixed); err != nil || !errors.Is(recordErr(v), wire.ErrMalformed) {
 		t.Errorf("a request as a reply's value: %v, %v", v, err)
 	}
 }

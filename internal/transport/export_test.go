@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"net"
 	"testing"
 )
@@ -27,31 +26,6 @@ func (r *rpcRequest) Err() error { return r.err }
 
 // Err is the local failure a reply carries instead of a value.
 func (r *rpcReply) Err() error { return r.err }
-
-// ReleaseRecord hands a decoded bridge record back to its pool, as its
-// worker or Invoke would.
-func ReleaseRecord(v any) {
-	switch r := v.(type) {
-	case *rpcRequest:
-		releaseRequest(r)
-	case *rpcReply:
-		releaseReply(r)
-	}
-}
-
-// DecodeFresh decodes the body of bridge record id into a zero record
-// that no pool issued: what a recycled record must be equal to.
-func DecodeFresh(id byte, body []byte) (any, error) {
-	switch id {
-	case wireIDRPCRequest:
-		r := &rpcRequest{}
-		return r, r.readWire(body, nil)
-	case wireIDRPCReply:
-		r := &rpcReply{}
-		return r, r.readWire(body, nil)
-	}
-	return nil, fmt.Errorf("no bridge record %d", id)
-}
 
 // MaxInternedOps is the op intern table's bound.
 const MaxInternedOps = maxInternedOps

@@ -3,31 +3,28 @@ package transport_test
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"runtime"
 	"testing"
 
 	"asymstream/internal/transport"
+	"asymstream/internal/transput"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
 
 // recordFrame frames body as the record with the given id (below 128,
 // so its varint is the byte), the way wire.Append would.
-func recordFrame(id byte, body []byte) []byte {
+func recordFrame(id uint16, body []byte) []byte {
 	n := 1 + len(body)
-	return append([]byte{wire.TagRecord, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), id}, body...)
+	return append([]byte{wire.TagRecord, byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n), byte(id)}, body...)
 }
 
-// recordErr is the Err of a decoded bridge record.
-func recordErr(t *testing.T, v any) error {
-	switch r := v.(type) {
-	case *transport.RPCRequest:
-		return r.Err()
-	case *transport.RPCReply:
+// recordErr is the failure a decoded record carries in place of a value
+// (a bridge record's Err), nil for a record that has none.
+func recordErr(v any) error {
+	if r, ok := v.(interface{ Err() error }); ok {
 		return r.Err()
 	}
-	t.Fatalf("decoded a %T from a bridge record id", v)
 	return nil
 }
 
@@ -39,60 +36,123 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// sameValue reports whether two decoded values encode alike.
-func sameValue(a, b any) bool {
+// sameRecord reports whether two decoded records carry the same fields,
+// whichever pool (if any) each came from: they encode alike and carry the
+// same error.  A value that decodes but does not encode is gob's; two
+// such compare by the encode error.
+func sameRecord(a, b any) bool {
 	ea, errA := wire.Append(nil, a)
 	eb, errB := wire.Append(nil, b)
-	if errA != nil || errB != nil {
-		return errText(errA) == errText(errB) && reflect.DeepEqual(a, b)
-	}
-	return bytes.Equal(ea, eb)
+	return bytes.Equal(ea, eb) && errText(errA) == errText(errB) &&
+		errText(recordErr(a)) == errText(recordErr(b))
 }
 
-// sameRecord reports whether two decoded bridge records carry the same
-// fields, whichever pool (if any) each came from.
-func sameRecord(a, b any) bool {
-	switch x := a.(type) {
-	case *transport.RPCRequest:
-		y, ok := b.(*transport.RPCRequest)
-		return ok && x.ID == y.ID && x.Target == y.Target && x.Op == y.Op &&
-			errText(x.Err()) == errText(y.Err()) && sameValue(x.Value, y.Value)
-	case *transport.RPCReply:
-		y, ok := b.(*transport.RPCReply)
-		return ok && x.ID == y.ID && x.ErrMsg == y.ErrMsg &&
-			errText(x.Err()) == errText(y.Err()) && sameValue(x.Value, y.Value)
+// freshRecord is a zero record of type id that no pool issued.
+func freshRecord(t testing.TB, id uint16) wire.Record {
+	for _, r := range wire.Records() {
+		if r.WireID() == id {
+			return r
+		}
 	}
-	return false
+	t.Fatalf("no record %d registered", id)
+	return nil
 }
 
-// fuzzArena is the read loop's arena for FuzzBridgeRecords: one for
-// every input, as one connection's reader has.
+// readFresh decodes body into fresh by the registry's rule: the body
+// must parse and end where the record does.
+func readFresh(fresh wire.Record, body []byte) error {
+	n, err := fresh.ReadWire(body, nil, nil)
+	if err == nil && n != len(body) {
+		err = wire.ErrMalformed
+	}
+	return err
+}
+
+// sampleRecords is one record of each registered type, fields set.
+var sampleRecords = []wire.Marshaler{
+	&transput.TransferRequest{Channel: transput.CapChan(uid.UID{Hi: 5, Lo: 6}), Max: 64},
+	spliced,
+	&transput.DeliverRequest{Channel: transput.Chan(2), Items: [][]byte{[]byte("x"), nil, []byte("yz")},
+		End: true, Writer: uid.UID{Hi: 1, Lo: 9}, Seq: 12},
+	&transput.DeliverReply{Status: transput.StatusAborted, AbortMsg: "gone", Credits: 3},
+	&transport.RPCRequest{ID: 7, Target: uid.UID{Hi: 1, Lo: 2}, Op: "Op", Value: "v"},
+	&transport.RPCReply{ID: 9, ErrMsg: "no such Eject"},
+}
+
+// TestEverySampleRecordIsRegistered keeps sampleRecords, and the rows of
+// the tests below, in step with the registry.
+func TestEverySampleRecordIsRegistered(t *testing.T) {
+	ids := make(map[uint16]bool)
+	for _, r := range sampleRecords {
+		ids[r.WireID()] = true
+	}
+	for _, r := range wire.Records() {
+		if !ids[r.WireID()] {
+			t.Errorf("record %d (%T) has no sample", r.WireID(), r)
+		}
+	}
+}
+
+// TestRecordsEncodeAsRecords: every protocol record takes its own
+// encoding, never the gob fallback (which the four transput records are
+// not registered with).
+func TestRecordsEncodeAsRecords(t *testing.T) {
+	for _, r := range sampleRecords {
+		enc, err := wire.Append(nil, r)
+		if err != nil {
+			t.Fatalf("%T: %v", r, err)
+		}
+		if enc[0] != wire.TagRecord {
+			t.Errorf("%T: tag %d, want TagRecord (%d)", r, enc[0], wire.TagRecord)
+		}
+	}
+}
+
+// TestRecordsRejectTrailingBytes: a body with bytes after its last field
+// is malformed, on both decode paths — a decode error, or for a bridge
+// record the record's own error, so the connection stays in sync.
+func TestRecordsRejectTrailingBytes(t *testing.T) {
+	var arena wire.Arena
+	for _, r := range sampleRecords {
+		enc, err := wire.Append(nil, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := recordFrame(r.WireID(), append(enc[wire.HeaderBytes+1:len(enc):len(enc)], 0, 0))
+		for name, a := range map[string]*wire.Arena{"Decode": nil, "DecodeIn": &arena} {
+			v, _, err := wire.DecodeIn(frame, a)
+			if !errors.Is(err, wire.ErrMalformed) && !errors.Is(recordErr(v), wire.ErrMalformed) {
+				t.Errorf("%s %T with two bytes more: %v, %v; want wire.ErrMalformed", name, r, v, err)
+			}
+			wire.Recycle(v)
+		}
+	}
+}
+
+// fuzzArena is the read loop's arena for FuzzRecords: one for every
+// input, as one connection's reader has.
 var fuzzArena wire.Arena
 
-// FuzzBridgeRecords feeds arbitrary bytes to the bridge's two record
-// decoders, which internal/wire's FuzzDecode cannot reach, through both
-// paths: wire.Decode, and wire.DecodeViewIn with an arena shared across
-// inputs, which is the read loop's.  Both decode into pooled records,
-// which go back to their pools after each input, so every record after
-// the first few is a recycled one.  Hostile input is an error and never
-// a panic; the two paths agree with a decode into a record no pool
-// issued, so no field survives reuse; a record that does decode does
-// not alias the input, and if it decoded whole it round-trips and stops
-// doing so with one byte more after its nested frame.
-func FuzzBridgeRecords(f *testing.F) {
-	values := []any{spliced}
+// FuzzRecords feeds arbitrary bytes to every registered record's decoder
+// through both paths: wire.Decode, and wire.DecodeIn with an arena shared
+// across inputs, which is the read loop's.  Both decode into pooled
+// records, which go back to their pools after each input, so every
+// record after the first few is a recycled one.  Hostile input is an
+// error and never a panic; the two paths agree with a decode into a
+// record no pool issued, so no field survives reuse; a record that does
+// decode does not alias the input, and if it decoded whole it
+// round-trips and stops doing so with one byte more.
+func FuzzRecords(f *testing.F) {
+	records := append([]wire.Marshaler(nil), sampleRecords...)
 	for _, sh := range bridgeShapes {
 		if b, ok := sh.v.([]byte); ok && len(b) > 1<<16 {
 			continue // a megabyte to mutate, to reach the branch the short one reaches
 		}
-		values = append(values, sh.v)
-	}
-	records := []any{&transport.RPCReply{ID: 9, ErrMsg: "no such Eject"}}
-	for _, v := range values {
 		records = append(records,
-			&transport.RPCRequest{ID: 7, Target: uid.UID{Hi: 1, Lo: 2}, Op: "Op", Value: v},
-			&transport.RPCReply{ID: 1 << 40, Value: v})
+			&transport.RPCRequest{ID: 7, Target: uid.UID{Hi: 1, Lo: 2}, Op: "Op", Value: sh.v},
+			&transport.RPCReply{ID: 1 << 40, Value: sh.v})
 	}
+	records = append(records, &transport.RPCReply{ID: 3, Value: spliced})
 	for _, rec := range records {
 		enc, err := wire.Append(nil, rec)
 		if err != nil {
@@ -104,22 +164,23 @@ func FuzzBridgeRecords(f *testing.F) {
 	// TestBridgeRecordsDoNotNest has the depth mutation will not reach.
 	f.Add(nestedRecords(33, []byte{1, 0}, 4)[wire.HeaderBytes+1:])
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, id := range []byte{32, 33} {
-			fuzzRecord(t, id, body)
+		for _, fresh := range wire.Records() {
+			fuzzRecord(t, fresh, body)
 		}
 	})
 }
 
-// fuzzRecord is FuzzBridgeRecords on one record id.
-func fuzzRecord(t *testing.T, id byte, body []byte) {
+// fuzzRecord is FuzzRecords on one record type.
+func fuzzRecord(t *testing.T, fresh wire.Record, body []byte) {
+	id := fresh.WireID()
 	frame := recordFrame(id, body)
-	fresh, freshErr := transport.DecodeFresh(id, body)
+	freshErr := readFresh(fresh, body)
 	v, n, err := wire.Decode(frame)
-	w, m, werr := wire.DecodeViewIn(frame, nil, &fuzzArena)
-	defer transport.ReleaseRecord(v)
-	defer transport.ReleaseRecord(w)
+	w, m, werr := wire.DecodeIn(frame, &fuzzArena)
+	defer wire.Recycle(v)
+	defer wire.Recycle(w)
 	if (err == nil) != (freshErr == nil) || (werr == nil) != (freshErr == nil) {
-		t.Fatalf("id %d: Decode %v, DecodeViewIn %v, a fresh record %v", id, err, werr, freshErr)
+		t.Fatalf("id %d: Decode %v, DecodeIn %v, a fresh record %v", id, err, werr, freshErr)
 	}
 	if err != nil {
 		return
@@ -142,12 +203,12 @@ func fuzzRecord(t *testing.T, id byte, body []byte) {
 			t.Fatalf("id %d: the decoded record aliases its input", id)
 		}
 	}
-	if recordErr(t, v) != nil {
+	if recordErr(v) != nil {
 		return
 	}
 	back, _, err := wire.Decode(enc)
-	defer transport.ReleaseRecord(back)
-	if err != nil || recordErr(t, back) != nil {
+	defer wire.Recycle(back)
+	if err != nil || recordErr(back) != nil {
 		t.Fatalf("id %d: re-decode: %v, %v", id, err, back)
 	}
 	if again, _ := wire.Append(nil, back); !bytes.Equal(enc, again) {
@@ -155,9 +216,9 @@ func fuzzRecord(t *testing.T, id byte, body []byte) {
 	}
 	longer := append(append([]byte(nil), body...), 0)
 	u, _, err := wire.Decode(recordFrame(id, longer))
-	defer transport.ReleaseRecord(u)
-	if err == nil && !errors.Is(recordErr(t, u), wire.ErrMalformed) {
-		t.Fatalf("id %d: a byte after the nested frame went unnoticed", id)
+	defer wire.Recycle(u)
+	if !errors.Is(err, wire.ErrMalformed) && !errors.Is(recordErr(u), wire.ErrMalformed) {
+		t.Fatalf("id %d: a byte after the record went unnoticed: %v", id, err)
 	}
 }
 
@@ -195,16 +256,10 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 		badRequest,
 	}
 	var arena wire.Arena
-	decoders := map[string]func([]byte) (any, error){
-		"Decode": func(b []byte) (any, error) { v, _, err := wire.Decode(b); return v, err },
-		"DecodeViewIn": func(b []byte) (any, error) {
-			v, _, err := wire.DecodeViewIn(b, nil, &arena)
-			return v, err
-		},
-	}
-	for name, decode := range decoders {
+	for name, a := range map[string]*wire.Arena{"Decode": nil, "DecodeIn": &arena} {
+		decode := func(b []byte) (any, error) { v, _, err := wire.DecodeIn(b, a); return v, err }
 		for _, kind := range []struct {
-			id     byte
+			id     uint16
 			bodies [][]byte
 		}{{33, replies}, {32, requests}} {
 			for i, before := range kind.bodies {
@@ -216,7 +271,7 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					transport.ReleaseRecord(first)
+					wire.Recycle(first)
 					second, err := decode(recordFrame(kind.id, after))
 					if err != nil {
 						t.Fatal(err)
@@ -224,9 +279,9 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 					if !raceEnabled && second != first {
 						t.Fatalf("%s: the pool did not hand the record back; the test checks nothing", name)
 					}
-					fresh, _ := transport.DecodeFresh(kind.id, after)
-					if !sameRecord(second, fresh) {
-						t.Errorf("%s, record %d, body %d after body %d: decoded %+v, want %+v", name, kind.id, j, i, second, fresh)
+					fresh := freshRecord(t, kind.id)
+					if err := readFresh(fresh, after); err != nil || !sameRecord(second, fresh) {
+						t.Errorf("%s, record %d, body %d after body %d: decoded %+v, want %+v (%v)", name, kind.id, j, i, second, fresh, err)
 					}
 					switch r := second.(type) {
 					case *transport.RPCReply:
@@ -238,7 +293,7 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 							t.Errorf("%s: a bad request after a good one: err %v, value %v", name, r.Err(), r.Value)
 						}
 					}
-					transport.ReleaseRecord(second)
+					wire.Recycle(second)
 				}
 			}
 		}

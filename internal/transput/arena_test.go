@@ -140,7 +140,7 @@ func TestPutArenaStorm(t *testing.T) {
 					c.check(it)
 				}
 				end := rep.Status != StatusOK
-				releaseTransferReply(rep)
+				transferReplies.Put(rep)
 				if end {
 					return
 				}

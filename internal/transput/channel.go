@@ -269,8 +269,8 @@ func (c *channel) take(gen uint64, max int) *TransferReply {
 		return &TransferReply{Status: StatusAborted, AbortMsg: msg}
 	}
 	n := min(c.buffered(), max)
-	rep := acquireTransferReply(n)
-	copy(rep.Items, c.buf[c.head:c.head+n])
+	rep := transferReplies.Get()
+	rep.Items = append(rep.Items, c.buf[c.head:c.head+n]...)
 	c.consume(n)
 	if c.ended() && c.buffered() == 0 {
 		rep.Status = StatusEnd // combine the final batch with the end indication
@@ -348,7 +348,7 @@ func (c *channel) absorb(gen uint64, req *DeliverRequest) *DeliverReply {
 		c.cond.Broadcast()
 	}
 	c.deliversServed++
-	rep := acquireDeliverReply()
+	rep := deliverReplies.Get()
 	rep.Credits = max(c.capacity-c.buffered(), 0)
 	c.met.ItemsMoved.Add(int64(len(req.Items)))
 	c.mu.Unlock()

@@ -97,7 +97,7 @@ type pulled struct {
 func releasePulled(res pulled) {
 	wire.ReleaseAll(res.items)
 	if res.rep != nil {
-		releaseTransferReply(res.rep)
+		transferReplies.Put(res.rep)
 	}
 }
 
@@ -164,7 +164,7 @@ func (p *InPort) transfer(req *TransferRequest) pulled {
 	if rep.Status != StatusOK && rep.Status != StatusEnd {
 		// statusErr copies what it needs; the record can recycle now.
 		err := statusErr(rep.Status, rep.AbortMsg)
-		releaseTransferReply(rep)
+		transferReplies.Put(rep)
 		return pulled{err: err}
 	}
 	p.settle(start, req.Max, len(rep.Items))
@@ -296,7 +296,7 @@ func (p *InPort) absorbLocked(res pulled) {
 func (p *InPort) surfaceLocked(res pulled) {
 	p.pending = append(p.pending, res.items...)
 	if res.rep != nil {
-		releaseTransferReply(res.rep)
+		transferReplies.Put(res.rep)
 	}
 }
 

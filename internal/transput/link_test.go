@@ -84,7 +84,7 @@ func TestTransferReplyBacklog(t *testing.T) {
 				if got, ok := dec.(*TransferReply); err != nil || !ok || got.Backlog != want || got.Base != rep.Base {
 					t.Errorf("over the wire: %+v, %v; want Backlog %d at Base %d", dec, err, want, rep.Base)
 				}
-				releaseTransferReply(rep)
+				transferReplies.Put(rep)
 			}
 		})
 	}

@@ -3,8 +3,6 @@
 package transput
 
 import (
-	"sync"
-
 	"asymstream/internal/kernel"
 )
 
@@ -98,74 +96,11 @@ func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 			st = p.missStatus() // a retire won the race between lookup and lock
 		}
 	}
-	releaseTransferRequest(req)
+	transferRequests.Put(req)
 	if rep == nil {
 		rep = &TransferReply{Status: st}
 	}
 	inv.Reply(rep)
-}
-
-// transferReplyPool recycles TransferReply records and their Items
-// slices across warm hops.  Servers acquire and hand ownership to the
-// invoker with the reply; the read-only client (InPort) releases once
-// the item pointers are absorbed.  Across an encoded hop the decoder
-// acquires the client's copy and the link returns the server's original
-// it supersedes (ReleaseWirePayload).  Replies that never reach a
-// releasing client — abandoned pulls — simply fall to the GC; the pool
-// is best-effort.
-var transferReplyPool = sync.Pool{New: func() any { return new(TransferReply) }}
-
-// acquireTransferReply takes a recycled (or fresh) OK reply with Items
-// sized to n.
-func acquireTransferReply(n int) *TransferReply {
-	rep := transferReplyPool.Get().(*TransferReply)
-	if cap(rep.Items) >= n {
-		rep.Items = rep.Items[:n]
-	} else {
-		rep.Items = make([][]byte, n)
-	}
-	rep.Status = StatusOK
-	rep.AbortMsg = ""
-	rep.Base = 0
-	rep.Backlog = 0
-	rep.pooled = true
-	return rep
-}
-
-// releaseTransferReply recycles a reply whose items have been absorbed
-// by the consumer.
-func releaseTransferReply(rep *TransferReply) {
-	for i := range rep.Items {
-		rep.Items[i] = nil
-	}
-	rep.Items = rep.Items[:0]
-	rep.AbortMsg = ""
-	rep.pooled = false
-	transferReplyPool.Put(rep)
-}
-
-// transferRequestPool recycles the TransferRequest records decoded off an
-// encoded hop.  The serving face (OutPort, PassiveBuffer) releases one
-// once take has read it; a server that does not (device.ClockSource)
-// leaves it to the GC.
-var transferRequestPool = sync.Pool{New: func() any { return new(TransferRequest) }}
-
-// acquireTransferRequest takes a recycled (or fresh) request, marked as
-// the pool's.
-func acquireTransferRequest() *TransferRequest {
-	req := transferRequestPool.Get().(*TransferRequest)
-	req.pooled = true
-	return req
-}
-
-// releaseTransferRequest recycles a request its server has read, if the
-// pool issued it: a port's own request is left to the port.
-func releaseTransferRequest(req *TransferRequest) {
-	if !req.pooled {
-		return
-	}
-	*req = TransferRequest{}
-	transferRequestPool.Put(req)
 }
 
 // Serve dispatches the transput operations an OutPort understands.

@@ -33,9 +33,9 @@
 // capability.
 //
 // This file defines the wire protocol: operation names, request/reply
-// records, status codes, and channel identifiers.  The records are
-// plain gob-encodable structs because they cross simulated node
-// boundaries.
+// records, status codes, and channel identifiers.  The Transfer and
+// Deliver records are wire.Records (wirecodec.go); the control-plane
+// records (Channels, Abort) still cross a node boundary as gob.
 package transput
 
 import (
@@ -309,10 +309,6 @@ func (r *DeliverRequest) PayloadSize() int { return itemsSize(r.Items) }
 func (r *DeliverReply) PayloadSize() int { return msgHeaderBytes }
 
 func init() {
-	gob.Register(&TransferRequest{})
-	gob.Register(&TransferReply{})
-	gob.Register(&DeliverRequest{})
-	gob.Register(&DeliverReply{})
 	gob.Register(&ChannelsRequest{})
 	gob.Register(&ChannelsReply{})
 	gob.Register(&AbortRequest{})

@@ -5,9 +5,9 @@
 // reflective walk.  The control-plane records (Channels, Abort) stay on
 // the gob fallback — they run once per stream, not once per batch.
 //
-// The decoders are registered with the wire package by id, which keeps
-// internal/wire free of an import of this package.  Ids are part of the
-// simulated wire format; renumbering them is a protocol change.
+// Each record is a wire.Record registered with its pool by id, which
+// keeps internal/wire free of an import of this package.  Ids are part
+// of the simulated wire format; renumbering them is a protocol change.
 package transput
 
 import (
@@ -26,25 +26,26 @@ const (
 )
 
 func init() {
-	wire.Register(wireIDTransferRequest, "transput.TransferRequest", decodeTransferRequest)
-	wire.Register(wireIDTransferReply, "transput.TransferReply", decodeTransferReply)
-	wire.Register(wireIDDeliverRequest, "transput.DeliverRequest", decodeDeliverRequest)
-	wire.Register(wireIDDeliverReply, "transput.DeliverReply", decodeDeliverReply)
-
-	// The two item-bearing records also get in-place decoders: a real
-	// transport's read loop (wire.FrameReader) decodes them straight out
-	// of the receive buffer, and the receiving port owns the items it is
-	// handed (wire.ReadItemsFieldViewInto: large ones as slab sub-views,
-	// small ones copied into the reader's arena) — the same
-	// ownership-transfer contract a local hop uses, now across a socket.
-	//
-	// All four decoders take their record from a pool: a reply from the
-	// reply pools, which the client releases, and a request from the
-	// request pools, which the serving face releases once it has read the
-	// request (a Transfer) or absorbed its items (a Deliver).
-	wire.RegisterView(wireIDTransferReply, decodeTransferReplyView)
-	wire.RegisterView(wireIDDeliverRequest, decodeDeliverRequestView)
+	wire.Register(transferRequests)
+	wire.Register(transferReplies)
+	wire.Register(deliverRequests)
+	wire.Register(deliverReplies)
 }
+
+// Every decoded record comes from these pools, and so does every reply a
+// channel serves.  A reply goes back once its client has absorbed it (or
+// a link has encoded it: ReleaseWirePayload), and a decoded request once
+// its serving face has read it (a Transfer) or absorbed its items (a
+// Deliver).  A record that reaches no releaser falls to the GC; the pools
+// are best-effort.  A vector goes back with its record, emptied.
+var (
+	transferRequests = wire.NewPool(func(r *TransferRequest) *bool { return &r.pooled }, nil)
+	transferReplies  = wire.NewPool(func(r *TransferReply) *bool { return &r.pooled },
+		func(r *TransferReply) { clear(r.Items); *r = TransferReply{Items: r.Items[:0]} })
+	deliverRequests = wire.NewPool(func(r *DeliverRequest) *bool { return &r.pooled },
+		func(r *DeliverRequest) { clear(r.Items); *r = DeliverRequest{Items: r.Items[:0]} })
+	deliverReplies = wire.NewPool(func(r *DeliverReply) *bool { return &r.pooled }, nil)
+)
 
 // --- ChannelID -----------------------------------------------------
 
@@ -78,23 +79,15 @@ func (r *TransferRequest) AppendWire(dst []byte) ([]byte, error) {
 	return wire.AppendVarintField(dst, int64(r.Max)), nil
 }
 
-func decodeTransferRequest(b []byte) (any, error) {
-	r := acquireTransferRequest()
-	if err := r.readWire(b); err != nil {
-		releaseTransferRequest(r)
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *TransferRequest) readWire(b []byte) error {
+// ReadWire implements wire.Record.
+func (r *TransferRequest) ReadWire(b, _ []byte, _ *wire.Arena) (int, error) {
 	ch, k, err := readChannelID(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	max, _, err := wire.ReadVarintField(b[k:])
+	max, n, err := wire.ReadVarintField(b[k:])
 	r.Channel, r.Max = ch, int(max)
-	return err
+	return k + n, err
 }
 
 // --- TransferReply -------------------------------------------------
@@ -114,66 +107,46 @@ func (r *TransferReply) AppendWire(dst []byte) ([]byte, error) {
 // WireItems implements wire.ItemsMarshaler.
 func (r *TransferReply) WireItems() [][]byte { return r.Items }
 
-func decodeTransferReply(b []byte) (any, error) { return readTransferReply(b, nil, nil) }
-
-// decodeTransferReplyView is the in-place dual of decodeTransferReply:
-// Items of wire.SpliceCutoff bytes or more alias the receive buffer as
-// tracked sub-views of owner, which the caller (and ultimately the
-// receiving port) owns and releases; smaller ones are copies in the
-// frame reader's arena a.
-func decodeTransferReplyView(b, owner []byte, a *wire.Arena) (any, error) {
-	return readTransferReply(b, owner, a)
-}
-
-// readTransferReply decodes into a record of the reply pool — the
-// receiving port releases it as it does a local server's — and, for a
-// view, into the item vector the record brings with it.
-func readTransferReply(b, owner []byte, a *wire.Arena) (any, error) {
-	r := acquireTransferReply(0)
-	if err := r.readWire(b, owner, a); err != nil {
-		releaseTransferReply(r)
-		return nil, err
-	}
-	return r, nil
-}
-
 // readWireItems reads an item-bearing record's last field into dst
-// (wire.ReadItemsFieldViewInto): in place when a frame reader passed its
-// slab view and arena, as heap copies for the copying decoder, which has
-// neither.  An empty vector decodes to nil, whatever dst held.
-func readWireItems(dst [][]byte, b, owner []byte, a *wire.Arena) ([][]byte, error) {
-	dst, _, err := wire.ReadItemsFieldViewInto(dst, b, owner, a)
+// (wire.ReadItemsFieldViewInto).  An empty vector decodes to nil,
+// whatever dst held.
+func readWireItems(dst [][]byte, b, owner []byte, a *wire.Arena) ([][]byte, int, error) {
+	dst, n, err := wire.ReadItemsFieldViewInto(dst, b, owner, a)
 	if len(dst) == 0 {
 		dst = nil
 	}
-	return dst, err
+	return dst, n, err
 }
 
-func (r *TransferReply) readWire(b, owner []byte, a *wire.Arena) error {
+// ReadWire implements wire.Record: Items of wire.SpliceCutoff bytes or
+// more alias the receive buffer as tracked sub-views of owner, which the
+// receiving port owns and releases; smaller ones are copies in a.
+func (r *TransferReply) ReadWire(b, owner []byte, a *wire.Arena) (int, error) {
 	st, k, err := wire.ReadVarintField(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Status = Status(st)
 	msg, n, err := wire.ReadStringField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.AbortMsg = msg
 	k += n
 	base, n, err := wire.ReadVarintField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Base = base
 	k += n
 	backlog, n, err := wire.ReadVarintField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Backlog = int(backlog)
-	r.Items, err = readWireItems(r.Items, b[k+n:], owner, a)
-	return err
+	k += n
+	r.Items, n, err = readWireItems(r.Items, b[k:], owner, a)
+	return k + n, err
 }
 
 // ReleaseWirePayload lets a link hand slab views back after an encoded
@@ -183,9 +156,7 @@ func (r *TransferReply) readWire(b, owner []byte, a *wire.Arena) error {
 // Tolerant of ordinary heap items.
 func (r *TransferReply) ReleaseWirePayload() {
 	wire.ReleaseAll(r.Items)
-	if r.pooled {
-		releaseTransferReply(r)
-	}
+	transferReplies.Put(r)
 }
 
 // --- DeliverRequest ------------------------------------------------
@@ -209,34 +180,15 @@ func (r *DeliverRequest) AppendWire(dst []byte) ([]byte, error) {
 // WireItems implements wire.ItemsMarshaler.
 func (r *DeliverRequest) WireItems() [][]byte { return r.Items }
 
-func decodeDeliverRequest(b []byte) (any, error) { return readDeliverRequest(b, nil, nil) }
-
-// decodeDeliverRequestView is the in-place dual of
-// decodeDeliverRequest — see decodeTransferReplyView.
-func decodeDeliverRequestView(b, owner []byte, a *wire.Arena) (any, error) {
-	return readDeliverRequest(b, owner, a)
-}
-
-// readDeliverRequest decodes into a record of the request pool, and its
-// item vector into the one the record brings with it; the serving face
-// releases both once the items are absorbed.
-func readDeliverRequest(b, owner []byte, a *wire.Arena) (any, error) {
-	r := acquireDeliverRequest()
-	if err := r.readWire(b, owner, a); err != nil {
-		releaseDeliverRequest(r)
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *DeliverRequest) readWire(b, owner []byte, a *wire.Arena) error {
+// ReadWire implements wire.Record — see TransferReply.ReadWire.
+func (r *DeliverRequest) ReadWire(b, owner []byte, a *wire.Arena) (int, error) {
 	ch, k, err := readChannelID(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Channel = ch
 	if len(b)-k < 1+16 {
-		return fmt.Errorf("%w: short deliver header", wire.ErrTruncated)
+		return 0, fmt.Errorf("%w: short deliver header", wire.ErrTruncated)
 	}
 	r.End = b[k] == 1
 	k++
@@ -246,11 +198,12 @@ func (r *DeliverRequest) readWire(b, owner []byte, a *wire.Arena) error {
 	k += 16
 	seq, n, err := wire.ReadUvarintField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Seq = seq
-	r.Items, err = readWireItems(r.Items, b[k+n:], owner, a)
-	return err
+	k += n
+	r.Items, n, err = readWireItems(r.Items, b[k:], owner, a)
+	return k + n, err
 }
 
 // ReleaseWirePayload — see TransferReply.ReleaseWirePayload.  A link
@@ -259,7 +212,7 @@ func (r *DeliverRequest) readWire(b, owner []byte, a *wire.Arena) error {
 // pool.
 func (r *DeliverRequest) ReleaseWirePayload() {
 	wire.ReleaseAll(r.Items)
-	releaseDeliverRequest(r)
+	deliverRequests.Put(r)
 }
 
 // --- DeliverReply --------------------------------------------------
@@ -274,37 +227,25 @@ func (r *DeliverReply) AppendWire(dst []byte) ([]byte, error) {
 	return wire.AppendVarintField(dst, int64(r.Credits)), nil
 }
 
-func decodeDeliverReply(b []byte) (any, error) {
-	r := acquireDeliverReply()
-	if err := r.readWire(b); err != nil {
-		releaseDeliverReply(r)
-		return nil, err
-	}
-	return r, nil
-}
-
-func (r *DeliverReply) readWire(b []byte) error {
+// ReadWire implements wire.Record.
+func (r *DeliverReply) ReadWire(b, _ []byte, _ *wire.Arena) (int, error) {
 	st, k, err := wire.ReadVarintField(b)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.Status = Status(st)
 	msg, n, err := wire.ReadStringField(b[k:])
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.AbortMsg = msg
 	k += n
-	credits, _, err := wire.ReadVarintField(b[k:])
+	credits, n, err := wire.ReadVarintField(b[k:])
 	r.Credits = int(credits)
-	return err
+	return k + n, err
 }
 
 // ReleaseWirePayload recycles a pool record once an encoded hop has
 // superseded it — see TransferReply.ReleaseWirePayload.  It holds no
 // views.
-func (r *DeliverReply) ReleaseWirePayload() {
-	if r.pooled {
-		releaseDeliverReply(r)
-	}
-}
+func (r *DeliverReply) ReleaseWirePayload() { deliverReplies.Put(r) }

@@ -104,60 +104,8 @@ func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 		wire.ReleaseAll(req.Items) // never absorbed
 		rep = &DeliverReply{Status: st}
 	}
-	releaseDeliverRequest(req)
+	deliverRequests.Put(req)
 	inv.Reply(rep)
-}
-
-// deliverRequestPool recycles the DeliverRequest records decoded off an
-// encoded hop, with their item vectors — the dual of transferRequestPool.
-// The serving face (WOInPort, PassiveBuffer) releases one once absorb has
-// taken its items, or released those it did not take; a windowed
-// delivery parked at the sink's sequence gate keeps its record until
-// then.
-var deliverRequestPool = sync.Pool{New: func() any { return new(DeliverRequest) }}
-
-// acquireDeliverRequest takes a recycled (or fresh) request, marked as
-// the pool's, with an empty item vector.
-func acquireDeliverRequest() *DeliverRequest {
-	req := deliverRequestPool.Get().(*DeliverRequest)
-	req.pooled = true
-	return req
-}
-
-// releaseDeliverRequest recycles a request whose items its server has
-// absorbed or released, if the pool issued it.  The vector goes with it,
-// emptied: the items are no longer the record's.
-func releaseDeliverRequest(req *DeliverRequest) {
-	if !req.pooled {
-		return
-	}
-	clear(req.Items)
-	*req = DeliverRequest{Items: req.Items[:0]}
-	deliverRequestPool.Put(req)
-}
-
-// deliverReplyPool recycles successful Deliver replies.  The server
-// acquires one per delivery (replies now carry per-delivery Credits so
-// a shared immutable record no longer works); the client releases it
-// after reading Status and Credits.  Across an encoded hop the decoder
-// acquires the client's copy and the link returns the server's original
-// (ReleaseWirePayload), as for transferReplyPool.
-var deliverReplyPool = sync.Pool{New: func() any { return new(DeliverReply) }}
-
-// acquireDeliverReply takes a recycled (or fresh) OK reply.
-func acquireDeliverReply() *DeliverReply {
-	rep := deliverReplyPool.Get().(*DeliverReply)
-	rep.Status = StatusOK
-	rep.AbortMsg = ""
-	rep.Credits = 0
-	rep.pooled = true
-	return rep
-}
-
-// releaseDeliverReply recycles a reply the client has absorbed.
-func releaseDeliverReply(rep *DeliverReply) {
-	rep.pooled = false
-	deliverReplyPool.Put(rep)
 }
 
 // Serve dispatches the transput operations a WOInPort understands,
@@ -328,7 +276,7 @@ func (w *Pusher) deliver(req *DeliverRequest, job deliverJob) (int, error) {
 		err = statusErr(rep.Status, rep.AbortMsg) // copies the message
 	default:
 		credits := rep.Credits
-		releaseDeliverReply(rep)
+		deliverReplies.Put(rep)
 		w.settle(start, job.asked, len(job.items))
 		return credits, nil
 	}

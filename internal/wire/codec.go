@@ -18,8 +18,10 @@
 // Decode never panics: truncated frames, malformed varints, foreign
 // tags and unregistered record ids all return errors, which is what the
 // fuzz target pins.  Decoded values never alias the input buffer; the
-// caller may recycle it immediately.  DecodeIn is the one decode body:
-// Decode is DecodeIn with no Arena.
+// caller may recycle it immediately.  One body decodes every frame:
+// Decode, DecodeIn and FrameReader.Next differ only in the Arena and the
+// slab view they pass it.  A protocol record is a type (Record) with a
+// Pool, registered once (Register, record.go).
 package wire
 
 import (
@@ -85,40 +87,6 @@ type ItemsMarshaler interface {
 // it — after the encode when the frame holds a copy, after the frame
 // has been read when it borrows (Frame.Borrows).
 type PayloadReleaser interface{ ReleaseWirePayload() }
-
-// DecodeFunc rebuilds a record value from the body AppendWire produced.
-// The returned value must not alias payload.
-type DecodeFunc func(payload []byte) (any, error)
-
-var (
-	regMu    sync.RWMutex
-	decoders = make(map[uint16]registration)
-)
-
-type registration struct {
-	name string
-	dec  DecodeFunc
-}
-
-// Register installs the decoder for a record type id.  It panics on a
-// duplicate id, which would be a build-time wiring mistake.  Packages
-// register their records in init; the indirection keeps this package
-// free of imports of the packages whose records it carries.
-func Register(id uint16, name string, dec DecodeFunc) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := decoders[id]; ok {
-		panic(fmt.Sprintf("wire: record id %d registered twice (%s, %s)", id, prev.name, name))
-	}
-	decoders[id] = registration{name: name, dec: dec}
-}
-
-func lookupDecoder(id uint16) (DecodeFunc, bool) {
-	regMu.RLock()
-	r, ok := decoders[id]
-	regMu.RUnlock()
-	return r.dec, ok
-}
 
 // appendHeader appends a frame header with a known payload length.
 func appendHeader(dst []byte, tag byte, n int) []byte {
@@ -204,15 +172,19 @@ func appendGob(dst []byte, v any) ([]byte, error) {
 
 // Decode parses one frame from the front of b, returning the decoded
 // value and the number of bytes consumed.  The value never aliases b.
-func Decode(b []byte) (any, int, error) { return DecodeIn(b, nil) }
+func Decode(b []byte) (any, int, error) { return decode(b, nil, nil) }
 
 // DecodeIn is Decode with the Arena's copy rule for a value's bytes: a
-// TagBytes value, and the items of a TagByteSlices vector, are copied
-// through a (Arena.Copy; ReadItemsFieldViewInto with no owner), so small
-// ones share its blocks.  With a nil a every copy is an allocation of its
-// own.  Records and gob values decode alike either way.  The value never
-// aliases b.
-func DecodeIn(b []byte, a *Arena) (any, int, error) {
+// TagBytes value, the items of a TagByteSlices vector and a record's
+// items are copied through a (Arena.Copy; ReadItemsFieldViewInto with no
+// owner), so small ones share its blocks.  With a nil a every copy is an
+// allocation of its own.  The value never aliases b.
+func DecodeIn(b []byte, a *Arena) (any, int, error) { return decode(b, nil, a) }
+
+// decode is the one decode body.  owner is the live slab view b lies in
+// (FrameReader.Next) or nil; only a record's large items use it, as
+// sub-views of owner instead of copies (Record).
+func decode(b, owner []byte, a *Arena) (any, int, error) {
 	if len(b) < HeaderBytes {
 		return nil, 0, ErrTruncated
 	}
@@ -249,11 +221,11 @@ func DecodeIn(b []byte, a *Arena) (any, int, error) {
 		if k <= 0 || id > 0xFFFF {
 			return nil, 0, fmt.Errorf("%w: record id varint", ErrMalformed)
 		}
-		dec, ok := lookupDecoder(uint16(id))
+		r, ok := registry[uint16(id)]
 		if !ok {
 			return nil, 0, fmt.Errorf("%w: id %d", ErrUnknownType, id)
 		}
-		v, err := dec(payload[k:])
+		v, err := r.decode(payload[k:], owner, a)
 		if err != nil {
 			return nil, 0, err
 		}

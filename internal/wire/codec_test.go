@@ -9,11 +9,12 @@ import (
 	"testing"
 )
 
-// testRec exercises the Marshaler/Register path without importing the
+// testRec exercises the Record/Register path without importing the
 // transput package (which imports this one).
 type testRec struct {
-	A int64
-	B string
+	A      int64
+	B      string
+	pooled bool
 }
 
 const testRecID = 100
@@ -26,21 +27,19 @@ func (r *testRec) AppendWire(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-func init() {
-	Register(testRecID, "wire.testRec", func(payload []byte) (any, error) {
-		r := &testRec{}
-		a, k, err := ReadVarintField(payload)
-		if err != nil {
-			return nil, err
-		}
-		b, _, err := ReadStringField(payload[k:])
-		if err != nil {
-			return nil, err
-		}
-		r.A, r.B = a, b
-		return r, nil
-	})
+func (r *testRec) ReadWire(b, _ []byte, _ *Arena) (int, error) {
+	a, k, err := ReadVarintField(b)
+	if err != nil {
+		return 0, err
+	}
+	s, n, err := ReadStringField(b[k:])
+	r.A, r.B = a, s
+	return k + n, err
 }
+
+var testRecs = NewPool(func(r *testRec) *bool { return &r.pooled }, nil)
+
+func init() { Register(testRecs) }
 
 func roundTrip(t *testing.T, v any) any {
 	t.Helper()
@@ -152,12 +151,14 @@ func TestDecodeNeverAliases(t *testing.T) {
 
 // TestDecodeInCopiesThroughTheArena: DecodeIn decodes what Decode does,
 // with the arena's rule for a value's bytes — a small TagBytes value and
-// a vector's small items land in the arena's block, a large one gets an
-// allocation of its own — and nothing it returns aliases the input.
+// the small items of a vector or a record land in the arena's block, a
+// large one gets an allocation of its own, never a view — and nothing it
+// returns aliases the input.
 func TestDecodeInCopiesThroughTheArena(t *testing.T) {
 	var a Arena
 	small, large := []byte("small value"), bytes.Repeat([]byte{7}, SpliceCutoff)
-	for _, v := range []any{small, large, [][]byte{small, nil, large}, [][]byte{}, "s", int64(3), &testRec{A: 1, B: "b"}} {
+	for _, v := range []any{small, large, [][]byte{small, nil, large}, [][]byte{}, "s", int64(3),
+		&testRec{A: 1, B: "b"}, &viewRec{Items: [][]byte{small, nil, large}, Seq: 2}} {
 		enc, err := Append(nil, v)
 		if err != nil {
 			t.Fatal(err)
@@ -182,11 +183,9 @@ func TestDecodeInCopiesThroughTheArena(t *testing.T) {
 				t.Errorf("%d B value: in the block %v, cap %d", len(g), inBlock(&a, g), cap(g))
 			}
 		case [][]byte:
-			for i, it := range g {
-				if inBlock(&a, it) != (len(it) > 0 && len(it) < SpliceCutoff) {
-					t.Errorf("item %d of %d B: in the block %v", i, len(it), inBlock(&a, it))
-				}
-			}
+			checkItemsInBlock(t, &a, g)
+		case *viewRec:
+			checkItemsInBlock(t, &a, g.Items)
 		}
 	}
 	enc, _ := Append(nil, small)
@@ -196,6 +195,17 @@ func TestDecodeInCopiesThroughTheArena(t *testing.T) {
 		}
 	}); n > 1 {
 		t.Errorf("DecodeIn(bytes) allocates %.1f/op, want <= 1 (boxing; the copy shares a block)", n)
+	}
+}
+
+// checkItemsInBlock: a decoded vector's small items are in a's block,
+// and none is a slab view.
+func checkItemsInBlock(t *testing.T, a *Arena, items [][]byte) {
+	t.Helper()
+	for i, it := range items {
+		if inBlock(a, it) != (len(it) > 0 && len(it) < SpliceCutoff) || IsView(it) {
+			t.Errorf("item %d of %d B: in the block %v, a view %v", i, len(it), inBlock(a, it), IsView(it))
+		}
 	}
 }
 
@@ -264,7 +274,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register(testRecID, "dup", func([]byte) (any, error) { return nil, nil })
+	Register(NewPool(func(r *testRec) *bool { return &r.pooled }, nil))
 }
 
 // TestAllocCeilings pins the allocation behaviour of the hot paths:

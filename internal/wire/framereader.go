@@ -6,15 +6,15 @@
 // carried across buffer rotations.
 //
 // The ownership contract: bytes land in a tracked slab view and are
-// decoded in place.  Records registered with RegisterView may return
-// values whose byte fields alias the buffer; they register each such
-// field as a sub-view (RegisterSubview) so it holds its own reference
-// on the chunk and rides the normal Release/Detach lifecycle.  An item
-// vector goes through ReadItemsFieldViewInto, which copies small and
-// borrows large: items shorter than SpliceCutoff leave the reader as
-// copies in the reader's Arena, whose 4 KiB blocks the small items of
-// successive frames share, and only items of the cutoff or more become
-// sub-views — one registration a frame that has any, none otherwise.
+// decoded in place.  A record's items field — the only field that may
+// alias the buffer — goes through ReadItemsFieldViewInto, which copies
+// small and borrows large, registering each borrowed item as a sub-view
+// (RegisterSubview) that holds its own reference on the chunk and rides
+// the normal Release/Detach lifecycle.  Items shorter than SpliceCutoff
+// leave the reader as copies in the reader's Arena, whose 4 KiB blocks
+// the small items of successive frames share, and only items of the
+// cutoff or more become sub-views — one registration a frame that has
+// any, none otherwise.
 // The reader releases its own handle on a buffer when it rotates to a
 // fresh one; the chunk stays alive until the last large item it holds is
 // released by whoever the ports handed it to, and a chunk that carried
@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 )
 
 // MaxFrameBytes bounds a single frame's payload so a corrupt or
@@ -38,70 +37,6 @@ const MaxFrameBytes = 1 << 26
 
 // ErrFrameTooLarge reports a length prefix above MaxFrameBytes.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrameBytes")
-
-// ViewDecodeFunc rebuilds a record from a frame payload *in place*:
-// the returned value may alias payload.  owner is the live slab view
-// containing payload; implementations register every aliasing byte
-// field with RegisterSubview(owner, field) so each carries its own
-// reference, and copy small items into a (ReadItemsFieldViewInto).
-// Non-aliasing fields (strings, scalars) are decoded as usual.
-type ViewDecodeFunc func(payload, owner []byte, a *Arena) (any, error)
-
-var (
-	viewRegMu    sync.RWMutex
-	viewDecoders = make(map[uint16]ViewDecodeFunc)
-)
-
-// RegisterView installs the in-place decoder for a record id already
-// registered with Register.  Frames decoded through DecodeViewIn use
-// it; Decode keeps using the copying decoder, so existing callers are
-// unaffected.  Panics on a duplicate id.
-func RegisterView(id uint16, dec ViewDecodeFunc) {
-	viewRegMu.Lock()
-	defer viewRegMu.Unlock()
-	if _, ok := viewDecoders[id]; ok {
-		panic(fmt.Sprintf("wire: view decoder for record id %d registered twice", id))
-	}
-	viewDecoders[id] = dec
-}
-
-func lookupViewDecoder(id uint16) (ViewDecodeFunc, bool) {
-	viewRegMu.RLock()
-	d, ok := viewDecoders[id]
-	viewRegMu.RUnlock()
-	return d, ok
-}
-
-// DecodeViewIn parses one frame from the front of b like Decode, but
-// TagRecord frames whose id has a RegisterView decoder are decoded in
-// place: the returned value may alias b, with aliasing fields
-// registered as sub-views of owner (the live slab view containing b)
-// and small items copied into a.  Every other frame shape falls back to
-// the copying DecodeIn, through the same arena.
-func DecodeViewIn(b, owner []byte, a *Arena) (any, int, error) {
-	if len(b) < HeaderBytes {
-		return nil, 0, ErrTruncated
-	}
-	if b[0] == TagRecord {
-		n := int(binary.BigEndian.Uint32(b[1:HeaderBytes]))
-		if n < 0 || n > len(b)-HeaderBytes {
-			return nil, 0, ErrTruncated
-		}
-		payload := b[HeaderBytes : HeaderBytes+n]
-		id, k := binary.Uvarint(payload)
-		if k <= 0 || id > 0xFFFF {
-			return nil, 0, fmt.Errorf("%w: record id varint", ErrMalformed)
-		}
-		if dec, ok := lookupViewDecoder(uint16(id)); ok {
-			v, err := dec(payload[k:], owner, a)
-			if err != nil {
-				return nil, 0, err
-			}
-			return v, HeaderBytes + n, nil
-		}
-	}
-	return DecodeIn(b, a)
-}
 
 // ReadItemsFieldViewInto parses an item vector like ReadItemsField,
 // appending to dst (a decoder's record brings its vector with it from a
@@ -217,8 +152,8 @@ func NewFrameReader(r io.Reader, slab *Slab, chunkBytes int) *FrameReader {
 // Next reads, re-assembles and decodes the next frame, returning the
 // decoded value and the frame's size on the wire (header + payload).
 // A clean end of stream at a frame boundary returns io.EOF; an end of
-// stream mid-frame returns io.ErrUnexpectedEOF.  Values from records
-// with view decoders may hold slab views the caller now owns.
+// stream mid-frame returns io.ErrUnexpectedEOF.  A record's large items
+// are slab views the caller now owns.
 func (fr *FrameReader) Next() (any, int, error) {
 	if err := fr.ensure(HeaderBytes); err != nil {
 		return nil, 0, err
@@ -231,7 +166,7 @@ func (fr *FrameReader) Next() (any, int, error) {
 	if err := fr.ensure(total); err != nil {
 		return nil, 0, err
 	}
-	v, k, err := DecodeViewIn(fr.buf[fr.start:fr.start+total], fr.buf, &fr.arena)
+	v, k, err := decode(fr.buf[fr.start:fr.start+total], fr.buf, &fr.arena)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -12,14 +12,15 @@ import (
 	"asymstream/internal/metrics"
 )
 
-// viewRecID is a record with both a copying and an in-place decoder,
-// so decode equivalence across the two paths is testable: one [][]byte
-// field (aliasing under the view decoder) and one varint.
+// viewRecID is a record whose items field is not its last, so decode
+// equivalence across the copying and in-place paths is testable: one
+// [][]byte field (aliasing large items in place) and one varint.
 const viewRecID = 101
 
 type viewRec struct {
-	Items [][]byte
-	Seq   int64
+	Items  [][]byte
+	Seq    int64
+	pooled bool
 }
 
 func (r *viewRec) WireID() uint16 { return viewRecID }
@@ -29,31 +30,27 @@ func (r *viewRec) AppendWire(dst []byte) ([]byte, error) {
 	return AppendVarintField(dst, r.Seq), nil
 }
 
-func decodeViewRecFrom(items [][]byte, rest []byte) (any, error) {
-	seq, _, err := ReadVarintField(rest)
+func (r *viewRec) ReadWire(b, owner []byte, a *Arena) (int, error) {
+	items, k, err := ReadItemsFieldViewInto(r.Items, b, owner, a)
 	if err != nil {
-		ReleaseAll(items)
-		return nil, err
+		return 0, err
 	}
-	return &viewRec{Items: items, Seq: seq}, nil
+	seq, n, err := ReadVarintField(b[k:])
+	r.Items, r.Seq = items, seq
+	return k + n, err
 }
 
-func init() {
-	Register(viewRecID, "wire.viewRec", func(payload []byte) (any, error) {
-		items, k, err := ReadItemsField(payload)
-		if err != nil {
-			return nil, err
-		}
-		return decodeViewRecFrom(items, payload[k:])
-	})
-	RegisterView(viewRecID, func(payload, owner []byte, a *Arena) (any, error) {
-		items, k, err := ReadItemsFieldViewInto(nil, payload, owner, a)
-		if err != nil {
-			return nil, err
-		}
-		return decodeViewRecFrom(items, payload[k:])
-	})
+// ReleaseWirePayload releases the items of a rejected body.
+func (r *viewRec) ReleaseWirePayload() {
+	ReleaseAll(r.Items)
+	viewRecs.Put(r)
 }
+
+// viewRecs zeroes a recycled record's vector rather than keep it: tests
+// hold on to a decoded record's vector.
+var viewRecs = NewPool(func(r *viewRec) *bool { return &r.pooled }, nil)
+
+func init() { Register(viewRecs) }
 
 // chunkedReader serves a byte stream in caller-chosen cut sizes,
 // simulating a socket that tears frames across arbitrary reads.
