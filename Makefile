@@ -79,8 +79,9 @@ race:
 
 ## allocs: the allocation pins (the batch-1 hops at zero, in one process
 ## and over a socket, the batch-1 chain's zero a datum, the bridge's
-## round trip and remote batch at their boxes, and a bulk frame whose
-## items are detached in place) three times over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
+## round trip and remote batch at their boxes, a bulk frame whose
+## items are detached in place, and the slab's chunk index listing and
+## unlisting at zero) three times over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
 	$(GO) test -run 'Allocs|AllocFree' -count=3 ./internal/wire ./internal/transput ./internal/transport
@@ -109,11 +110,13 @@ race-sharded:
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's
-## item-size sweep across wire.SpliceCutoff, the
+## item-size sweep across wire.SpliceCutoff, the slab registry's
+## lookup (a view's lifecycle, and the miss a heap slice pays with 0 and
+## 16 chunks listed), the
 ## bridge's round trip, plus the parallel engine's end-to-end throughput
 ## benchmark.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCallerInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
+	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCallerInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkViewLifecycle|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
 	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/
 
 ## bench-json: regenerate the committed measurement files —

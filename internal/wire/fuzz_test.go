@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -101,6 +103,11 @@ func FuzzSlabViews(f *testing.F) {
 	f.Add([]byte{0, 150, 5, 8, 3, 1, 4, 0, 2, 0, 0, 150, 4, 0})     // the reader's way: a sub-view in place, its owner only released
 	f.Add([]byte{0, 150, 5, 8, 3, 0, 3, 0, 4, 0, 2, 0, 0, 150})     // the owner in place: its sub-view only released
 	f.Add([]byte{0, 150, 0, 40, 3, 0, 7, 0, 2, 0, 0, 150})          // Close a kept carve target's slab
+	// More views on one chunk than the table it carries holds: the table
+	// spills to the heap; the chunk dies, is parked, and is carved again
+	// past that size into the spilled table it kept.
+	f.Add(slices.Concat(bytes.Repeat([]byte{0, 0}, 70), []byte{0, 199},
+		bytes.Repeat([]byte{2, 0}, 70), bytes.Repeat([]byte{0, 0}, 75), []byte{4, 0, 7, 0}))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		met := &metrics.Set{}
 		slab := NewSlab(met, 2*SpliceCutoff)

@@ -8,18 +8,25 @@
 // a slice is a view calls Release or Detach anyway: both are tolerant
 // no-ops on ordinary heap slices.
 //
-// Bookkeeping is chunk-local; nothing is allocated per view:
+// Bookkeeping is chunk-local, and in steady state nothing is allocated
+// for it at all:
 //
-//   - A chunk keeps a table of its live views, keyed by the view's
-//     offset in the chunk, holding the number of handles on it, under
-//     the chunk's own mutex.  The table is dropped when the last view of
-//     a sealed chunk goes, so a parked chunk carries none.
+//   - A chunk keeps a table of its live views, sorted by the view's
+//     offset in the chunk, each with the number of handles on it, under
+//     the chunk's own mutex.  The table lives in an array inside the
+//     chunk, room for a 64-item frame and the buffer it was read into;
+//     only a chunk with more live views than that spills it to the heap.
+//     A chunk that dies keeps its table, emptied, so a recycled chunk
+//     never builds one again.
 //   - One package-wide index lists every chunk that may still hold or
 //     be given a view (the carve target, sealed chunks with live views,
-//     the free lists), sorted by base address.  It is copy-on-write and
-//     changes only when a chunk is created or dropped — once per chunk
-//     carved, not once per view — so a lookup is one atomic load and a
-//     binary search, and with no slab in use a single load.
+//     the free lists), sorted by base address.  It changes only when a
+//     chunk is created or dropped — once per chunk carved, not once per
+//     view — and is rewritten in place under indexMu, inside a sequence
+//     count readers validate against (a seqlock), so a lookup writes
+//     nothing shared: it is a binary search between two loads of that
+//     count, and with no slab in use a single load.  The slot array only
+//     grows; an outgrown one is left to the GC.
 //   - The index pins what it lists: a listed chunk's backing array stays
 //     reachable, so its address range cannot be handed out again while
 //     it is listed, and an address inside a listed range is inside that
@@ -65,6 +72,7 @@ package wire
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -82,49 +90,84 @@ const maxFreeChunks = 4
 
 // chunk is one arena block.  A chunk is in one of three states: the
 // slab's carve target (cur), sealed with live views, or dead — parked
-// on the free list or dropped — with no view table.  Any of the first
-// two may also be kept, and a kept chunk is dropped when it dies.
+// on the free list or dropped — with an empty view table.  Any of the
+// first two may also be kept, and a kept chunk is dropped when it dies.
 type chunk struct {
 	slab      *Slab
 	base, end uintptr // buf's address range: ordering keys, never pointers
 	buf       []byte  // len = bytes carved so far (under slab.mu), cap = chunk size
 
 	mu     sync.Mutex
-	views  map[uint32]int32 // live view's offset → handles on it (1 from Alloc, +1 per Retain)
-	sealed bool             // no longer the carve target, and some view is still live
-	kept   bool             // a view was handed over in place; set under mu, settled once dead
+	views  []viewEntry // live views by offset; backed by table until it outgrows it
+	sealed bool        // no longer the carve target, and some view is still live
+	kept   bool        // a view was handed over in place; set under mu, settled once dead
+	table  [chunkViews]viewEntry
 }
 
-// span is a listed chunk and, beside it for the search, its address
-// range.
-type span struct {
-	base, end uintptr
-	c         *chunk
+// chunkViews is the room a chunk's view table has in the chunk: a frame
+// of 64 large items read off a socket (BatchMax 64, the largest batch
+// the shipped configurations run) and the buffer it was read into.
+const chunkViews = 64 + 1
+
+// viewEntry is one live view in its chunk's table: its offset and the
+// handles on it (1 from Alloc, +1 per Retain).
+type viewEntry struct {
+	off uint32
+	n   int32
 }
 
-// index is the sorted list of chunks findChunk searches.  Readers load
-// it; writers replace it under indexMu and never modify a published
-// slice.  Empty is nil, so the miss path of a process that holds no
-// chunk is one load.
+// find returns the position of the view at off in the table, or where
+// it would go, and whether it is there.
+func (c *chunk) find(off uint32) (int, bool) {
+	lo, hi := 0, len(c.views)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); c.views[m].off < off {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(c.views) && c.views[lo].off == off
+}
+
+// slot is one listed chunk and, beside it for the search, its address
+// range.  Writers rewrite slots in place while readers search them, so
+// every field is an atomic; a reader trusts what it read only if the
+// sequence count did not move meanwhile.
+type slot struct {
+	base, end atomic.Uintptr
+	c         atomic.Pointer[chunk]
+}
+
+func (s *slot) store(base, end uintptr, c *chunk) {
+	s.base.Store(base)
+	s.end.Store(end)
+	s.c.Store(c)
+}
+
+func (s *slot) copyFrom(o *slot) { s.store(o.base.Load(), o.end.Load(), o.c.Load()) }
+
+// The index findChunk searches: the first n slots of the slot array,
+// sorted by base, where n is the low half of indexState and its high
+// half is the sequence count, odd while a writer rewrites the slots.
+// Writers hold indexMu; the slot array is replaced only to grow, and is
+// published before the count that needs it.  Empty is n == 0, so the
+// miss path of a process that holds no chunk is one load.
 var (
-	indexMu sync.Mutex
-	index   atomic.Pointer[[]span]
+	indexMu    sync.Mutex
+	indexSlots atomic.Pointer[[]slot]
+	indexState atomic.Uint64
 )
 
-func listedSpans() []span {
-	if p := index.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+const indexSeqOne = 1 << 32 // one step of the sequence count in indexState
 
-// spanAfter returns the position of the first span whose base is above
-// addr.  Written out, not slices.BinarySearchFunc: every Release and
-// IsView of a slice inside some chunk's range runs it.
-func spanAfter(spans []span, addr uintptr) int {
-	lo, hi := 0, len(spans)
+// slotAfter returns the position of the first of slots whose base is
+// above addr.  Written out, not slices.BinarySearchFunc: every Release
+// and IsView of a slice inside some chunk's range runs it.
+func slotAfter(slots []slot, addr uintptr) int {
+	lo, hi := 0, len(slots)
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); spans[m].base <= addr {
+		if m := int(uint(lo+hi) >> 1); slots[m].base.Load() <= addr {
 			lo = m + 1
 		} else {
 			hi = m
@@ -134,43 +177,91 @@ func spanAfter(spans []span, addr uintptr) int {
 }
 
 // findChunk returns the listed chunk containing b's base address and
-// the offset of that address in it, or nil.
+// the offset of that address in it, or nil.  It trusts a search only if
+// indexState read the same before and after it, with no rewrite open,
+// and yields to the writer otherwise.
 func findChunk(b []byte) (*chunk, uint32) {
-	spans := listedSpans()
-	if len(spans) == 0 || len(b) == 0 {
+	st := indexState.Load()
+	if uint32(st) == 0 || len(b) == 0 {
 		return nil, 0
 	}
 	addr := uintptr(unsafe.Pointer(&b[0]))
-	i := spanAfter(spans, addr)
-	if i == 0 || addr >= spans[i-1].end {
-		return nil, 0
+	for {
+		var c *chunk
+		var off uint32
+		// A rewrite may be moving the first n slots, but the array holds n.
+		slots := (*indexSlots.Load())[:uint32(st)]
+		if i := slotAfter(slots, addr); i > 0 {
+			if sl := &slots[i-1]; addr < sl.end.Load() {
+				c, off = sl.c.Load(), uint32(addr-sl.base.Load())
+			}
+		}
+		if st&indexSeqOne == 0 && indexState.Load() == st {
+			return c, off
+		}
+		runtime.Gosched()
+		if st = indexState.Load(); uint32(st) == 0 {
+			return nil, 0
+		}
 	}
-	sp := &spans[i-1]
-	return sp.c, uint32(addr - sp.base)
+}
+
+// listed returns the slot array and how many slots are listed.  A
+// writer calls it under indexMu, before it opens a rewrite.
+func listed() ([]slot, int) {
+	n := int(uint32(indexState.Load()))
+	if p := indexSlots.Load(); p != nil {
+		return *p, n
+	}
+	return nil, n
+}
+
+// beginRewrite makes the sequence count odd: a reader that overlaps
+// the rewrite it opens retries.
+func beginRewrite() uint64 { return indexState.Add(indexSeqOne) }
+
+// endRewrite closes the rewrite st opened, publishing n listed slots.
+func endRewrite(st uint64, n int) {
+	indexState.Store((st+indexSeqOne)&^(indexSeqOne-1) | uint64(n))
 }
 
 func listChunk(c *chunk) {
 	indexMu.Lock()
 	defer indexMu.Unlock()
-	old := listedSpans()
-	next := slices.Insert(slices.Clone(old), spanAfter(old, c.base), span{c.base, c.end, c})
-	index.Store(&next)
+	slots, n := listed()
+	if n == len(slots) {
+		// The copy is what readers would see in the old array, so it can
+		// be published outside a rewrite.
+		grown := make([]slot, max(16, 2*n))
+		for j := range slots {
+			grown[j].copyFrom(&slots[j])
+		}
+		slots = grown
+		indexSlots.Store(&grown)
+	}
+	st := beginRewrite()
+	i := slotAfter(slots[:n], c.base)
+	for j := n; j > i; j-- {
+		slots[j].copyFrom(&slots[j-1])
+	}
+	slots[i].store(c.base, c.end, c)
+	endRewrite(st, n+1)
 }
 
 func unlistChunk(c *chunk) {
 	indexMu.Lock()
 	defer indexMu.Unlock()
-	old := listedSpans()
-	i := spanAfter(old, c.base) - 1
-	if i < 0 || old[i].c != c {
+	slots, n := listed()
+	i := slotAfter(slots[:n], c.base) - 1
+	if i < 0 || slots[i].c.Load() != c {
 		return
 	}
-	if len(old) == 1 {
-		index.Store(nil)
-		return
+	st := beginRewrite()
+	for j := i; j < n-1; j++ {
+		slots[j].copyFrom(&slots[j+1])
 	}
-	next := slices.Delete(slices.Clone(old), i, i+1)
-	index.Store(&next)
+	slots[n-1].store(0, 0, nil) // no longer pins the chunk it held
+	endRewrite(st, n-1)
 }
 
 // Slab is an arena that carves refcounted frame buffers.  One slab is
@@ -202,6 +293,7 @@ func (s *Slab) newChunk(size int) *chunk {
 	buf := make([]byte, 0, size)
 	base := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
 	c := &chunk{slab: s, buf: buf, base: base, end: base + uintptr(size)}
+	c.views = c.table[:0]
 	listChunk(c)
 	return c
 }
@@ -252,10 +344,12 @@ func (s *Slab) Alloc(n int) []byte {
 // addLocked adds one handle on the view at off, tracking it if it was
 // not.
 func (c *chunk) addLocked(off uint32) {
-	if c.views == nil {
-		c.views = make(map[uint32]int32)
+	i, ok := c.find(off)
+	if ok {
+		c.views[i].n++
+		return
 	}
-	c.views[off]++
+	c.views = slices.Insert(c.views, i, viewEntry{off, 1})
 }
 
 func (s *Slab) sealCurLocked() {
@@ -266,9 +360,7 @@ func (s *Slab) sealCurLocked() {
 	s.cur = nil
 	c.mu.Lock()
 	dead := len(c.views) == 0
-	if dead {
-		c.views = nil
-	} else {
+	if !dead {
 		c.sealed = true // the last release recycles it
 	}
 	c.mu.Unlock()
@@ -331,7 +423,7 @@ func IsView(b []byte) bool {
 		return false
 	}
 	c.mu.Lock()
-	_, ok := c.views[off]
+	_, ok := c.find(off)
 	c.mu.Unlock()
 	return ok
 }
@@ -344,9 +436,9 @@ func Retain(b []byte) bool {
 		return false
 	}
 	c.mu.Lock()
-	n, ok := c.views[off]
+	i, ok := c.find(off)
 	if ok {
-		c.views[off] = n + 1
+		c.views[i].n++
 	}
 	c.mu.Unlock()
 	if ok {
@@ -373,22 +465,22 @@ func Release(b []byte) bool {
 // leaves a handle others share alone.
 func (c *chunk) release(off uint32, keep bool) (live, kept bool) {
 	c.mu.Lock()
-	n, ok := c.views[off]
-	if !ok || keep && n > 1 {
+	i, ok := c.find(off)
+	if !ok || keep && c.views[i].n > 1 {
 		c.mu.Unlock()
 		return ok, false
 	}
 	dead := false
-	if n > 1 {
-		c.views[off] = n - 1
+	if c.views[i].n > 1 {
+		c.views[i].n--
 	} else {
-		delete(c.views, off)
+		c.views = slices.Delete(c.views, i, i+1)
 		c.kept = c.kept || keep
 		// The last view of a sealed chunk: nothing can reach the chunk
 		// through its table again, so it is this caller's to recycle.
 		dead = c.sealed && len(c.views) == 0
 		if dead {
-			c.views, c.sealed = nil, false
+			c.sealed = false
 		}
 	}
 	c.mu.Unlock()
@@ -458,7 +550,7 @@ func registerSubviews(owner []byte, subs [][]byte) bool {
 	}
 	n := int64(0)
 	c.mu.Lock()
-	_, ok := c.views[off]
+	_, ok := c.find(off)
 	if ok {
 		for _, sub := range subs {
 			if len(sub) == 0 {

@@ -5,9 +5,16 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"asymstream/internal/metrics"
 )
+
+// raceEnabled is set by race_test.go.  A pin that counts what a
+// sync.Pool saves must skip or loosen under -race, where the pool drops
+// Puts at random; this package's pins count none, and only the index
+// storm runs fewer rounds there.
+var raceEnabled bool
 
 func TestSlabAllocRelease(t *testing.T) {
 	met := &metrics.Set{}
@@ -214,6 +221,24 @@ func TestSlabConcurrent(t *testing.T) {
 	}
 }
 
+// span is one chunk the address index lists, as listedSpans reads it.
+type span struct {
+	base, end uintptr
+	c         *chunk
+}
+
+// listedSpans returns what the address index lists, in its order.
+func listedSpans() []span {
+	indexMu.Lock()
+	defer indexMu.Unlock()
+	slots, n := listed()
+	spans := make([]span, n)
+	for i := range spans {
+		spans[i] = span{slots[i].base.Load(), slots[i].end.Load(), slots[i].c.Load()}
+	}
+	return spans
+}
+
 // chunksListed counts the chunks of s in the address index.
 func chunksListed(s *Slab) int {
 	n := 0
@@ -286,6 +311,118 @@ func TestChunkIndexDrains(t *testing.T) {
 	Release(ks.Alloc(8))               // seals it empty
 	if got := chunksListed(ks); got != 1 || len(ks.free) != 0 {
 		t.Fatalf("a kept carve target sealed empty: %d chunks listed, %d parked; want 1, 0", got, len(ks.free))
+	}
+}
+
+// TestChunkIndexAllocs pins the address index at nothing a chunk once
+// its slot array has room: listing and unlisting a chunk rewrite the
+// array in place, here between eight chunks listed on either side.
+func TestChunkIndexAllocs(t *testing.T) {
+	s := NewSlab(nil, 64)
+	defer s.Close()
+	var held [][]byte
+	for i := 0; i < 8; i++ {
+		held = append(held, s.Alloc(64)) // a chunk each
+	}
+	defer ReleaseAll(held)
+	buf := make([]byte, 64)
+	base := uintptr(unsafe.Pointer(&buf[0]))
+	c := &chunk{base: base, end: base + uintptr(len(buf)), buf: buf[:0]}
+	if n := testing.AllocsPerRun(100, func() {
+		listChunk(c)
+		if found, off := findChunk(buf[8:]); found != c || off != 8 {
+			t.Fatal("a listed chunk was not found")
+		}
+		unlistChunk(c)
+		if found, _ := findChunk(buf); found != nil {
+			t.Fatal("an unlisted chunk was found")
+		}
+	}); n != 0 {
+		t.Errorf("listing and unlisting a chunk allocates %.1f, want 0", n)
+	}
+}
+
+// TestChunkIndexStorm is the -race oracle of the address index: two
+// writers churn it — kept chunks dying, dedicated chunks of a closed
+// slab, free-list overflow — while two readers look up their own live
+// views, which they also replace now and then, and heap slices.  Every
+// live view must resolve to its own chunk at its own offset, every heap
+// slice must miss, and once everything is released and closed the
+// index lists what it listed before.
+func TestChunkIndexStorm(t *testing.T) {
+	baseline := len(listedSpans())
+	rounds := 20000
+	if raceEnabled {
+		rounds = 4000
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			kept := NewSlab(nil, 2*SpliceCutoff)
+			closed := NewSlab(nil, 64)
+			closed.Close()
+			overflow := NewSlab(nil, 64)
+			defer kept.Close()
+			defer overflow.Close()
+			for i := 0; i < rounds; i++ {
+				switch i % 3 {
+				case 0: // a kept chunk dies: its last view goes once it is sealed
+					big, small := kept.Alloc(SpliceCutoff), kept.Alloc(8)
+					if out := Detach(big); &out[0] != &big[0] {
+						t.Error("a large view held once was copied")
+					}
+					Release(kept.Alloc(2 * SpliceCutoff)) // seals it
+					Release(small)
+				case 1: // a closed slab: a dedicated chunk, listed and unlisted
+					Release(closed.Alloc(1 + i%200))
+				case 2: // more chunks die at once than the free list holds
+					var vs [maxFreeChunks + 2][]byte
+					for j := range vs {
+						vs[j] = overflow.Alloc(64)
+					}
+					ReleaseAll(vs[:])
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			s := NewSlab(nil, 256)
+			defer s.Close()
+			views := make([][]byte, 16)
+			heap := make([][]byte, 16)
+			for j := range views {
+				views[j] = s.Alloc(8 + 16*j)
+				heap[j] = make([]byte, 8+16*j)
+			}
+			defer func() { ReleaseAll(views) }()
+			for i := 0; i < rounds; i++ {
+				for j, v := range views {
+					addr := uintptr(unsafe.Pointer(&v[0]))
+					c, off := findChunk(v)
+					if c == nil || c.slab != s || c.base+uintptr(off) != addr || addr >= c.end || !IsView(v) {
+						t.Errorf("reader %d: live view %d not found at its own chunk and offset", r, j)
+						return
+					}
+					if c, _ := findChunk(heap[j]); c != nil || IsView(heap[j]) {
+						t.Errorf("reader %d: heap slice %d found in a chunk", r, j)
+						return
+					}
+				}
+				if j := i % len(views); i%4 == 0 {
+					Release(views[j]) // replaced: a reader's chunks churn too
+					views[j] = s.Alloc(8 + 16*j)
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if got := len(listedSpans()); got != baseline {
+		t.Fatalf("%d chunks listed after the storm, %d before", got, baseline)
 	}
 }
 
@@ -398,11 +535,13 @@ func TestSlabStorm(t *testing.T) {
 }
 
 // TestViewAllocCeilings pins what the registry may allocate: nothing a
-// view, the copy on Detach of a small view and nothing on Detach of a
-// large one, and a frame its item vector plus — when it has small items
-// — at most one arena block: a share of one while the frame's small
-// items fit a block with others, one of their own above that.  A frame
-// of small items alone does not touch the registry at all.
+// view — 64 of them on one chunk with their owner fill no more than the
+// table the chunk carries — the copy on Detach of a small view and
+// nothing on Detach of a large one, and a frame its item vector plus —
+// when it has small items — at most one arena block: a share of one
+// while the frame's small items fit a block with others, one of their
+// own above that.  A frame of small items alone does not touch the
+// registry at all.
 func TestViewAllocCeilings(t *testing.T) {
 	s := NewSlab(nil, 0)
 	defer s.Close()
@@ -429,6 +568,17 @@ func TestViewAllocCeilings(t *testing.T) {
 	largeOwner, large := frameOf(func(int) int { return SpliceCutoff })
 	mixedOwner, mixed := frameOf(func(i int) int { return SpliceCutoff - 1 + i%2 })
 	defer ReleaseAll([][]byte{smallOwner, largeOwner, mixedOwner})
+	// A chunk of its own holding a frame buffer and, registered on it,
+	// the 64 items of a frame: no more views than its table has room for.
+	fs := NewSlab(nil, 0)
+	defer fs.Close()
+	frameBuf := fs.Alloc(64 * 64)
+	defer Release(frameBuf)
+	subs := make([][]byte, 64)
+	for i := range subs {
+		subs[i] = frameBuf[i*64+1 : (i+1)*64]
+	}
+	fc, _ := findChunk(frameBuf)
 	var a Arena
 	readItems := func(frame, owner []byte, views int) func() {
 		return func() {
@@ -451,6 +601,15 @@ func TestViewAllocCeilings(t *testing.T) {
 		op   func()
 	}{
 		{"RegisterSubview+Release", 0, func() { RegisterSubview(owner, sub); Release(sub) }},
+		{"RegisterSubview×64+ReleaseAll", 0, func() {
+			for _, sub := range subs {
+				RegisterSubview(frameBuf, sub)
+			}
+			if unsafe.SliceData(fc.views) != &fc.table[0] {
+				t.Fatal("64 sub-views and their owner spilled the chunk's view table")
+			}
+			ReleaseAll(subs)
+		}},
 		{"IsView(heap)", 0, func() { IsView(heap) }},
 		{"Release(heap)", 0, func() { Release(heap) }},
 		{"Detach(view)", 1, func() { RegisterSubview(owner, sub); Detach(sub) }},
