@@ -8,8 +8,9 @@ import (
 
 // An explicit-state model of the windowed credit protocol between
 // a windowed Pusher (the K-helper sender) and WOInPort (the passive
-// sink with a bounded buffer, per-writer sequence gate, and
-// credit-carrying DeliverReply).  protomodel.go extracts the protocol
+// sink with a bounded buffer, a per-writer turn, and credit-carrying
+// DeliverReply).  Both ends' turns are item offsets; the model's jobs
+// carry one item each, so a job's index is its offset.  protomodel.go extracts the protocol
 // shape from the real source (the 1+credits/bsz floor, the strict
 // active<limit gate, the abortErr escape in the sink's wait loops, the
 // abort-drains-backlog rule) into a modelParams, and this file

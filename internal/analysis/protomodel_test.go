@@ -18,7 +18,7 @@ func TestProtoExtractionRealTree(t *testing.T) {
 		t.Fatal("window gate (for active >= limit wait loop) not extracted")
 	}
 	if !sh.gateStrict {
-		t.Error("gate extracted as non-strict; link.enterLocked (link.go) waits while active >= limit")
+		t.Error("gate extracted as non-strict; link.enter (link.go) waits while active >= limit")
 	}
 	if sh.gates != 1 {
 		t.Errorf("%d window gates extracted, want 1: InPort and Pusher share the link's", sh.gates)

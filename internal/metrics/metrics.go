@@ -342,8 +342,9 @@ type Set struct {
 	// WindowDepthHighWater tracks the peak number of concurrently
 	// outstanding Transfer/Deliver invocations on any windowed port.
 	WindowDepthHighWater HighWater
-	// MergeReorderHighWater tracks the peak number of frames held back
-	// by an order-preserving shard merger (stash + ready queue).
+	// MergeReorderHighWater tracks the peak number of frames or batches
+	// held back for their turn: by an order-preserving shard merger
+	// (stash + ready queue), at a windowed port, and at a sink's lane.
 	MergeReorderHighWater HighWater
 	// BatchSizeHighWater tracks the largest batch size any adaptive
 	// per-link AIMD controller reached (Transfer Max / Deliver batch).

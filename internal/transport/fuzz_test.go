@@ -73,7 +73,7 @@ var sampleRecords = []wire.Marshaler{
 	&transput.TransferRequest{Channel: transput.CapChan(uid.UID{Hi: 5, Lo: 6}), Max: 64},
 	spliced,
 	&transput.DeliverRequest{Channel: transput.Chan(2), Items: [][]byte{[]byte("x"), nil, []byte("yz")},
-		End: true, Writer: uid.UID{Hi: 1, Lo: 9}, Seq: 12},
+		End: true, Writer: uid.UID{Hi: 1, Lo: 9}, Base: 12},
 	&transput.DeliverReply{Status: transput.StatusAborted, AbortMsg: "gone", Credits: 3},
 	&transport.RPCRequest{ID: 7, Target: uid.UID{Hi: 1, Lo: 2}, Op: "Op", Value: "v"},
 	&transport.RPCReply{ID: 9, ErrMsg: "no such Eject"},

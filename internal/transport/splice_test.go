@@ -208,7 +208,7 @@ func TestTornConnectionReleasesBorrowedViews(t *testing.T) {
 					wg.Add(1)
 					go func(w int) {
 						defer wg.Done()
-						for seq := uint64(0); ; seq++ {
+						for base := int64(0); ; base += 4 {
 							items := make([][]byte, 4)
 							for i := range items {
 								items[i] = slab.Alloc(16 << 10)
@@ -217,7 +217,7 @@ func TestTornConnectionReleasesBorrowedViews(t *testing.T) {
 								}
 							}
 							// The receiving side's views are this test's to release.
-							got, _, err := s.Transmit(0, 1, reclaimReq{&transput.DeliverRequest{Items: items, Seq: seq}})
+							got, _, err := s.Transmit(0, 1, reclaimReq{&transput.DeliverRequest{Items: items, Base: base}})
 							if err != nil {
 								errs[w] = err
 								return

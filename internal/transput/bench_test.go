@@ -388,9 +388,10 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 	})
 }
 
-// TestWindowedTransferHopAllocs pins the windowed pull path: the
-// reorder step must ride on the same pooled replies and reused request
-// records as the stop-and-wait hop, adding only the reorder-map churn.
+// TestWindowedTransferHopAllocs pins the windowed pull path: a reply
+// that waits for its turn must ride on the same pooled replies and
+// reused request records as the stop-and-wait hop, and the turn itself
+// allocates nothing.
 func TestWindowedTransferHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
@@ -434,7 +435,8 @@ func TestWindowedTransferHopAllocs(t *testing.T) {
 
 // TestWindowedDeliverHopAllocs pins the windowed push path: the send
 // window's job/freelist recycling must keep a warm hop at the
-// stop-and-wait ceiling plus the sequencing-map churn.
+// stop-and-wait ceiling; the turn at the port and the sink's lane
+// allocate nothing.
 func TestWindowedDeliverHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()

@@ -53,10 +53,10 @@ type channel struct {
 	ends         int
 	abortErr     *AbortedError
 
-	// seq orders concurrent deliveries from windowed writers (see
-	// absorb).  It hangs off the record by pointer — attached by the
-	// first windowed Deliver, kept across pool lives — so the million
-	// idle records of a gateway do not each carry its lanes.
+	// seq holds each windowed writer's turn (see absorb).  It hangs off
+	// the record by pointer — attached by the first windowed Deliver, kept
+	// across pool lives — so the million idle records of a gateway do not
+	// each carry its lanes.
 	seq *seqGate
 
 	// arena holds the copies put makes for a ChannelWriter's Put, created
@@ -300,15 +300,20 @@ func (c *channel) absorb(gen uint64, req *DeliverRequest) *DeliverReply {
 	}
 	windowed := !req.Writer.IsNil()
 	if windowed {
-		// Hold this delivery until it is the writer's next in sequence,
-		// so a window of K in-flight Delivers cannot reorder the stream.
-		// The parked kernel worker is the window's cost; MaxWindow keeps
-		// it below the pool size.
+		// Hold this delivery until its Base is the writer's turn, so a
+		// window of K in-flight Delivers cannot reorder the stream.  The
+		// parked kernel worker is the window's cost; MaxWindow keeps it
+		// below the pool size.
 		if c.seq == nil {
 			c.seq = new(seqGate)
 		}
-		for c.seq.expected(req.Writer) != req.Seq && c.abortErr == nil {
-			c.wait()
+		if c.seq.turn(req.Writer) < req.Base && c.abortErr == nil {
+			c.seq.held++
+			c.met.MergeReorderHighWater.Observe(int64(c.seq.held))
+			for c.seq.turn(req.Writer) < req.Base && c.abortErr == nil {
+				c.wait()
+			}
+			c.seq.held--
 		}
 	}
 	absorbed := 0
@@ -341,7 +346,7 @@ func (c *channel) absorb(gen uint64, req *DeliverRequest) *DeliverReply {
 		if req.End {
 			c.seq.drop(req.Writer)
 		} else {
-			c.seq.advance(req.Writer, req.Seq+1)
+			c.seq.advance(req.Writer, req.Base+int64(len(req.Items)))
 		}
 	}
 	if req.End || windowed {

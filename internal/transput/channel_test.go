@@ -378,6 +378,49 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 	}
 }
 
+// TestSinkLaneHoldsBackByOffset: a windowed writer's delivery waits in
+// the sink's record until its Base is the writer's turn there, counted
+// on MergeReorderHighWater while it waits, and the turn then moves on by
+// the items each delivery carried.
+func TestSinkLaneHoldsBackByOffset(t *testing.T) {
+	k := testKernel(t)
+	r := NewWOInPort(k, WOInPortConfig{}).Declare("c", 0, 8, 1)
+	writer := uid.New()
+	deliver := func(base int64, items ...string) {
+		req := &DeliverRequest{Writer: writer, Base: base}
+		for _, it := range items {
+			req.Items = append(req.Items, []byte(it))
+		}
+		if rep := r.ch.absorb(r.gen, req); rep == nil || rep.Status != StatusOK {
+			t.Errorf("delivery at %d: %+v", base, rep)
+		}
+	}
+	late := make(chan struct{})
+	go func() {
+		defer close(late)
+		deliver(2, "c", "d")
+	}()
+	eventually(t, "the delivery at offset 2 is held back", func() bool {
+		r.ch.mu.Lock()
+		defer r.ch.mu.Unlock()
+		return r.ch.waiters == 1 && k.Metrics().MergeReorderHighWater.Value() == 1
+	})
+	deliver(0, "a", "b")
+	<-late
+	deliver(4, "e")
+	var got []string
+	for range 5 {
+		item, err := r.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, string(item))
+	}
+	if fmt.Sprint(got) != "[a b c d e]" {
+		t.Errorf("the sink buffered %v, want [a b c d e]", got)
+	}
+}
+
 // TestChannelTeardown is the one table for the one abort: every face ×
 // every way a channel can be torn down, each starting from a backlog
 // of slab views filling the buffer and one worker parked on it (a

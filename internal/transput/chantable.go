@@ -238,27 +238,30 @@ func (t *chanTable) lookup(id ChannelID) (*channel, uint64, Status) {
 	return ent.ch, ent.gen, StatusOK
 }
 
-// seqGate orders concurrent deliveries from windowed writers without
-// allocating on the per-Deliver path: the common fan-in degrees live in
-// an inline lane array (zero allocations, linear scan over four entries
-// beats a map probe), and only a fan-in wider than the lanes spills to
-// a map.  All methods are called under the owning record's mu.
+// seqGate is a sink's lanes, one per windowed writer: the item offset
+// of the writer's next delivery, which a delivery waits for (see
+// channel.absorb).  It allocates nothing on the per-Deliver path: the
+// common fan-in degrees live in an inline lane array (zero allocations,
+// linear scan over four entries beats a map probe), and only a fan-in
+// wider than the lanes spills to a map.  All methods are called under
+// the owning record's mu.
 type seqLane struct {
 	writer uid.UID
-	next   uint64
+	next   int64
 }
 
 const seqGateLanes = 4
 
 type seqGate struct {
 	lanes [seqGateLanes]seqLane
-	spill map[uid.UID]uint64 // nil until fan-in exceeds the lanes
+	spill map[uid.UID]int64 // nil until fan-in exceeds the lanes
+	held  int               // deliveries parked for their turn
 }
 
-// expected returns the next sequence number owed by writer w (zero for
-// a writer not yet seen — what the protocol relies on for a stream's
-// first Deliver).
-func (g *seqGate) expected(w uid.UID) uint64 {
+// turn returns the item offset writer w's next delivery starts at (zero
+// for a writer not yet seen — what the protocol relies on for a
+// stream's first Deliver).
+func (g *seqGate) turn(w uid.UID) int64 {
 	for i := range g.lanes {
 		if g.lanes[i].writer == w {
 			return g.lanes[i].next
@@ -270,8 +273,8 @@ func (g *seqGate) expected(w uid.UID) uint64 {
 	return 0
 }
 
-// advance records that writer w's next expected sequence is next.
-func (g *seqGate) advance(w uid.UID, next uint64) {
+// advance records that writer w's next delivery starts at offset next.
+func (g *seqGate) advance(w uid.UID, next int64) {
 	free := -1
 	for i := range g.lanes {
 		if g.lanes[i].writer == w {
@@ -293,7 +296,7 @@ func (g *seqGate) advance(w uid.UID, next uint64) {
 		return
 	}
 	if g.spill == nil {
-		g.spill = make(map[uid.UID]uint64)
+		g.spill = make(map[uid.UID]int64)
 	}
 	g.spill[w] = next
 }
@@ -312,9 +315,4 @@ func (g *seqGate) drop(w uid.UID) {
 }
 
 // reset clears the gate for record reuse.
-func (g *seqGate) reset() {
-	for i := range g.lanes {
-		g.lanes[i] = seqLane{}
-	}
-	g.spill = nil
-}
+func (g *seqGate) reset() { *g = seqGate{} }

@@ -18,37 +18,37 @@ func TestSeqGateLanesAndSpill(t *testing.T) {
 	for i := range writers {
 		writers[i] = uid.New()
 	}
-	// Unknown writers owe sequence 0, matching the old map default.
+	// Unknown writers owe offset 0, matching the old map default.
 	for _, w := range writers {
-		if got := g.expected(w); got != 0 {
-			t.Fatalf("expected(%v) = %d before any advance", w, got)
+		if got := g.turn(w); got != 0 {
+			t.Fatalf("turn(%v) = %d before any advance", w, got)
 		}
 	}
 	// Advance all of them past the lane capacity; the excess spills.
 	for i, w := range writers {
-		g.advance(w, uint64(i+1))
+		g.advance(w, int64(i+1))
 	}
 	if g.spill == nil {
 		t.Fatal("fan-in wider than the lanes should spill")
 	}
 	for i, w := range writers {
-		if got := g.expected(w); got != uint64(i+1) {
-			t.Fatalf("expected(writer %d) = %d, want %d", i, got, i+1)
+		if got := g.turn(w); got != int64(i+1) {
+			t.Fatalf("turn(writer %d) = %d, want %d", i, got, i+1)
 		}
 	}
 	// Dropping a lane writer frees the lane for a spilled... any writer.
 	g.drop(writers[0])
-	if got := g.expected(writers[0]); got != 0 {
+	if got := g.turn(writers[0]); got != 0 {
 		t.Fatalf("dropped writer still owes %d", got)
 	}
 	w := uid.New()
 	g.advance(w, 9)
-	if got := g.expected(w); got != 9 {
-		t.Fatalf("freed lane not reusable: expected = %d, want 9", got)
+	if got := g.turn(w); got != 9 {
+		t.Fatalf("freed lane not reusable: turn = %d, want 9", got)
 	}
 	g.reset()
 	for _, w := range writers {
-		if g.expected(w) != 0 {
+		if g.turn(w) != 0 {
 			t.Fatal("reset did not clear the gate")
 		}
 	}
@@ -62,8 +62,8 @@ func TestSeqGateLaneStaysInline(t *testing.T) {
 	ws := []uid.UID{uid.New(), uid.New()}
 	if n := testing.AllocsPerRun(200, func() {
 		for i, w := range ws {
-			_ = g.expected(w)
-			g.advance(w, uint64(i))
+			_ = g.turn(w)
+			g.advance(w, int64(i))
 		}
 	}); n != 0 {
 		t.Errorf("lane-resident seqGate allocates %.1f/op; want 0", n)

@@ -18,8 +18,7 @@ import (
 // hands the resulting items to the application through the
 // conventional-looking Next (Read) interface.  It is the face of the
 // active engine (link.go) whose data rides the *reply*, and adds only
-// what that needs: ordering replies by TransferReply.Base, the pending
-// items, and the read-ahead queue.
+// what that needs: the pending items and the read-ahead queue.
 //
 // Three knobs correspond to the paper's ablations:
 //
@@ -38,15 +37,17 @@ import (
 //     as many of them as the source's backlog could fill (the link's
 //     gate, granted in TransferReply.Backlog), one at least.
 //
-// Stream order is preserved in both regimes.  At Window 1 at most one
-// Transfer is outstanding per InPort at any instant, so arrival order
-// is stream order and no sequencing is consulted; overlap comes from
-// pulling *ahead*, never from pulling *concurrently*.  At Window K>1 the
-// port reassembles the batches in stream order using TransferReply.Base
-// (the server-stamped stream offset), so the consumer still observes
-// exactly the sequential stream.  A windowed port must be its channel's
-// sole consumer — Base offsets are only dense in that case; a Window 1
-// port may share its channel with competing readers.
+// Stream order is preserved in both regimes, and the consumer only ever
+// sees batches in arrival order.  At Window 1 at most one Transfer is
+// outstanding per InPort at any instant, so arrival order is stream
+// order and no offset is consulted; overlap comes from pulling *ahead*,
+// never from pulling *concurrently*.  At Window K>1 the helper that
+// fetched a reply waits at the port until its TransferReply.Base (the
+// server-stamped stream offset) is the link's turn before it queues the
+// reply, so the read-ahead queue is in stream order too.  A windowed
+// port must be its channel's sole consumer — Base offsets are only dense
+// in that case; a Window 1 port may share its channel with competing
+// readers.
 type InPort struct {
 	link
 	pref int
@@ -73,17 +74,13 @@ type InPort struct {
 	ahead chan pulled
 	stop  chan struct{}
 
-	// Reassembly state (window > 1), guarded by mu.
-	nextBase  int64            // stream offset the consumer expects next; -1 until anchored
-	streamLen int64            // total stream length once an End is seen; -1 before
-	reorder   map[int64]pulled // out-of-order batches keyed by Base
-
 	itemsIn atomic.Int64
 }
 
 // pulled is one Transfer's worth of results moving from a helper to the
 // consumer.  rep, when set, is the reply record the items alias; it is
-// recycled once the items have been absorbed.
+// recycled once the items have been absorbed.  With err set, status is
+// the source's answer, or StatusOK when the exchange failed on the way.
 type pulled struct {
 	items  [][]byte
 	status Status
@@ -134,12 +131,9 @@ type InPortConfig struct {
 // them is the Unique Identifier of the Eject from which it is to
 // obtain its input", plus the channel identifier of §5).
 func NewInPort(k *kernel.Kernel, self, source uid.UID, channel ChannelID, cfg InPortConfig) *InPort {
-	p := &InPort{pref: max(cfg.Prefetch, 0), nextBase: -1, streamLen: -1}
+	p := &InPort{pref: max(cfg.Prefetch, 0)}
 	p.init(k, self, source, channel, OpTransfer, cfg.Batch, cfg.BatchMin, cfg.BatchMax, cfg.Window)
 	p.req = TransferRequest{Channel: channel, Max: p.batch}
-	if p.window > 1 {
-		p.reorder = make(map[int64]pulled)
-	}
 	return p
 }
 
@@ -163,9 +157,9 @@ func (p *InPort) transfer(req *TransferRequest) pulled {
 	}
 	if rep.Status != StatusOK && rep.Status != StatusEnd {
 		// statusErr copies what it needs; the record can recycle now.
-		err := statusErr(rep.Status, rep.AbortMsg)
+		st, err := rep.Status, statusErr(rep.Status, rep.AbortMsg)
 		transferReplies.Put(rep)
-		return pulled{err: err}
+		return pulled{err: err, status: st}
 	}
 	p.settle(start, req.Max, len(rep.Items))
 	return pulled{items: rep.Items, status: rep.Status, rep: rep, base: rep.Base}
@@ -178,13 +172,14 @@ func (p *InPort) transfer(req *TransferRequest) pulled {
 // helper's final End result, so helpers of a stream that ended normally
 // exit even if nobody reads them.  A window's helpers take a slot at the
 // link's gate for each Transfer and give it back before they queue the
-// result, so a parked result never holds one; a lone helper has no gate
-// to pass.  Caller holds p.mu; a windowed port is already anchored
-// (p.nextBase >= 0).
-func (p *InPort) attachLocked() {
+// result, so a parked result never holds one, and queue it in its turn
+// from offset from on; a lone helper has neither to pass.  A helper that
+// holds a result still queues it after stop: whoever closed stop drains
+// the queue.  Caller holds p.mu.
+func (p *InPort) attachLocked(from int64) {
 	gated := p.window > 1
 	if gated {
-		p.openGate()
+		p.openGate(from)
 	}
 	// The helpers work on their own copies of the channels: Redirect and
 	// Cancel detach p.ahead (under p.mu) while helpers are still running.
@@ -213,9 +208,22 @@ func (p *InPort) attachLocked() {
 				}
 				p.leave(grant)
 			}
-			select {
-			case ahead <- res:
-			case <-stop:
+			switch {
+			case !gated:
+				ahead <- res
+			case res.err != nil:
+				// A failed exchange has no offset and is queued at once.
+				// One that failed on the way may have taken items that
+				// never arrive: that fails the stream, which releases every
+				// batch behind the gap.
+				if res.status == StatusOK {
+					p.fail(res.err)
+				}
+				ahead <- res
+			case p.awaitTurn(res.base):
+				ahead <- res
+				p.pass(len(res.items))
+			default: // the stream failed under this batch
 				releasePulled(res)
 				return
 			}
@@ -227,9 +235,8 @@ func (p *InPort) attachLocked() {
 }
 
 // detachLocked tells the helpers to stop and hands their queue to the
-// caller, who — once the helpers have returned — ranges over it to
-// settle what they had fetched.  It returns nil when there are none.
-// Caller holds p.mu.
+// caller, who drains it until the last helper closes it.  It returns nil
+// when there are none.  Caller holds p.mu.
 func (p *InPort) detachLocked() chan pulled {
 	ahead := p.ahead
 	if ahead != nil {
@@ -242,71 +249,19 @@ func (p *InPort) detachLocked() chan pulled {
 	return ahead
 }
 
-// absorbLocked integrates one pulled batch.  With one slot, arrival
-// order is stream order and the batch goes straight to pending — Base
-// is not consulted, so the port may share its channel.  With several, a
-// batch that is not the next in stream order is stashed by offset until
-// its predecessors have arrived.  Caller holds p.mu.
+// absorbLocked integrates one pulled batch, which is next in stream
+// order, and recycles its reply record.  Caller holds p.mu.
 func (p *InPort) absorbLocked(res pulled) {
 	if res.err != nil {
 		p.done = true
 		p.fail(res.err)
-		p.releaseStashLocked()
 		return
 	}
-	if p.window == 1 {
-		p.surfaceLocked(res)
-		p.done = res.status == StatusEnd
-		return
-	}
-	if p.nextBase < 0 {
-		p.nextBase = res.base // the first exchange anchors the stream
-	}
-	if res.status == StatusEnd {
-		p.streamLen = max(p.streamLen, res.base+int64(len(res.items)))
-	}
-	if res.base != p.nextBase {
-		// Duplicate bases can only be empty End replies (several helpers
-		// observing the end of the drained stream); keep one.
-		if old, ok := p.reorder[res.base]; ok {
-			releasePulled(old)
-		}
-		p.reorder[res.base] = res
-		p.met.MergeReorderHighWater.Observe(int64(len(p.reorder)))
-		return
-	}
-	// In order: surface it, and whatever it was holding back.  (An empty
-	// End reply does not advance the offset, and nothing else is stashed
-	// at it.)
-	for ok := true; ok; {
-		p.surfaceLocked(res)
-		p.nextBase += int64(len(res.items))
-		if res, ok = p.reorder[p.nextBase]; ok {
-			delete(p.reorder, p.nextBase)
-		}
-	}
-	if p.streamLen >= 0 && p.nextBase >= p.streamLen {
-		p.done = true
-		p.releaseStashLocked() // empty End stragglers, if any
-	}
-}
-
-// surfaceLocked appends a batch that is next in stream order to pending
-// and recycles its reply record.  Caller holds p.mu.
-func (p *InPort) surfaceLocked(res pulled) {
 	p.pending = append(p.pending, res.items...)
 	if res.rep != nil {
 		transferReplies.Put(res.rep)
 	}
-}
-
-// releaseStashLocked recycles and discards every stashed batch.
-// Caller holds p.mu.
-func (p *InPort) releaseStashLocked() {
-	for base, res := range p.reorder {
-		releasePulled(res)
-		delete(p.reorder, base)
-	}
+	p.done = res.status == StatusEnd
 }
 
 // Next returns the next item, or (nil, io.EOF) at end of stream.
@@ -345,18 +300,18 @@ func (p *InPort) Next() ([]byte, error) {
 		}
 		var res pulled
 		open := true
-		if p.window == 1 && p.pref == 0 || p.window > 1 && p.nextBase < 0 {
+		if p.ahead == nil && (p.window > 1 || p.pref == 0) {
 			// Inline: the exchange runs on the consumer's own goroutine,
 			// without the lock so Cancel can proceed.  That is every
 			// exchange of a demand-driven port, and the first of a
-			// windowed one, which learns the stream offset it starts at
-			// before concurrent replies have to be ordered against it.
+			// windowed one, which learns the stream offset its helpers
+			// take their turns from.
 			p.mu.Unlock()
 			res = p.transfer(&p.req)
 			p.mu.Lock()
 		} else {
 			if p.ahead == nil {
-				p.attachLocked()
+				p.attachLocked(0)
 			}
 			ahead := p.ahead
 			p.mu.Unlock()
@@ -370,6 +325,9 @@ func (p *InPort) Next() ([]byte, error) {
 			p.done = true
 		default:
 			p.absorbLocked(res)
+			if p.window > 1 && p.ahead == nil && !p.done {
+				p.attachLocked(res.base + int64(len(res.items)))
+			}
 		}
 	}
 }
@@ -396,7 +354,6 @@ func (p *InPort) Cancel(msg string) {
 	}
 	wire.ReleaseAll(p.pending[p.head:])
 	p.pending, p.head = nil, 0
-	p.releaseStashLocked()
 	ahead := p.detachLocked()
 	p.mu.Unlock()
 	// A stream that already ended normally (or failed) has nothing
@@ -405,15 +362,15 @@ func (p *InPort) Cancel(msg string) {
 	if live {
 		_ = p.abort(msg)
 	}
-	p.helpers.Wait()
 	// Unlike Redirect (which salvages arrived data for the new stream), a
 	// cancelled port has no further consumer, so everything the helpers
-	// parked dies here.
+	// queue dies here.
 	if ahead != nil {
 		for res := range ahead {
 			releasePulled(res)
 		}
 	}
+	p.helpers.Wait()
 }
 
 // TransfersIssued reports how many Transfer invocations this port has

@@ -18,20 +18,24 @@ import (
 // of the exchange carries the data — and the two active entities are
 // faces over it:
 //
-//	face    operation  data rides   stream order kept by     throttled by
-//	InPort  Transfer   the reply    the port (reply Base)    the source's backlog, then the read-ahead queue
-//	Pusher  Deliver    the request  the sink (request Seq)   the sink's credits
+//	face    operation  data rides   a batch waits for its turn              throttled by
+//	InPort  Transfer   the reply    at the port, to be queued               the source's backlog, then the read-ahead queue
+//	Pusher  Deliver    the request  at the port for a slot; at the sink     the sink's credits
+//
+// One order rule serves both: a windowed batch is numbered by its item
+// offset (Base), and the goroutine carrying it waits for that offset's
+// turn, then moves the turn on by the batch's length.
 //
 // The link owns what does not depend on that choice: whom the exchanges
 // go to, how large and how many at once, the exchange itself with its
 // metering, the helper goroutines that keep a window of exchanges in
 // flight, the gate that holds that window to what the peer could still
-// exchange, the stream's first error, and the abort that tells the peer
-// the stream is over.  How many exchanges overlap is a matter of who
-// runs them, not of a different implementation: with no helper the
-// port's own caller runs each exchange inline (stop-and-wait, and with
-// the kernel's caller-runs invocation one goroutine end to end); one
-// helper is read-ahead; K helpers are a window of K.
+// exchange, the port's turn, the stream's first error, and the abort
+// that tells the peer the stream is over.  How many exchanges overlap is
+// a matter of who runs them, not of a different implementation: with no
+// helper the port's own caller runs each exchange inline (stop-and-wait,
+// and with the kernel's caller-runs invocation one goroutine end to
+// end); one helper is read-ahead; K helpers are a window of K.
 
 // MaxWindow caps the flow-control window so that parked stream
 // invocations can never exhaust an Eject's kernel worker pool (32 by
@@ -76,6 +80,12 @@ type link struct {
 	limit    int
 	shut     bool
 
+	// turn is the item offset of the next batch to pass the port: a
+	// reply on its way to the read-ahead queue, a Deliver on its way to a
+	// slot.  held counts the carriers parked for theirs.
+	turn int64
+	held int
+
 	// err is the stream's first failure, nil while it has none.  Helpers
 	// set it and every Put reads it, under no lock of the port's.
 	err atomic.Pointer[error]
@@ -109,18 +119,21 @@ func (l *link) size() int {
 }
 
 // openGate readies the gate for a new set of helpers: the whole window,
-// until the peer's first reply says otherwise.  None of the last set
-// may still be running.
-func (l *link) openGate() {
+// until the peer's first reply says otherwise, and the turn at from, the
+// offset of the first batch they carry.  None of the last set may still
+// be running.
+func (l *link) openGate(from int64) {
 	l.gateMu.Lock()
-	l.limit, l.shut = l.window, false
+	l.limit, l.shut, l.turn = l.window, false, from
 	l.gateMu.Unlock()
 }
 
-// enterLocked takes a slot at the gate for one exchange, parking the
-// helper while the limit's worth are at the peer.  It reports false,
-// and takes nothing, once the gate is shut.  Caller holds l.gateMu.
-func (l *link) enterLocked() bool {
+// enter takes a slot at the gate for one exchange, parking the helper
+// while the limit's worth are at the peer.  It reports false, and takes
+// nothing, once the gate is shut.
+func (l *link) enter() bool {
+	l.gateMu.Lock()
+	defer l.gateMu.Unlock()
 	for parked := false; l.active >= l.limit && !l.shut; parked = true {
 		if !parked {
 			l.met.WindowGateStalls.Inc()
@@ -134,14 +147,6 @@ func (l *link) enterLocked() bool {
 	return true
 }
 
-// enter is enterLocked for a helper with no business of its own at the
-// gate.
-func (l *link) enter() bool {
-	l.gateMu.Lock()
-	defer l.gateMu.Unlock()
-	return l.enterLocked()
-}
-
 // leave gives the slot back when its exchange has returned, and sets
 // the limit from the grant the reply carried; a negative grant (the
 // exchange failed, or ended the stream) leaves the limit alone.
@@ -151,6 +156,34 @@ func (l *link) leave(grant int) {
 	if grant >= 0 {
 		l.limit = min(l.window, 1+grant/l.size())
 	}
+	l.gateCond.Broadcast()
+	l.gateMu.Unlock()
+}
+
+// awaitTurn parks the carrier of the batch at offset base until base is
+// the turn, counted on MergeReorderHighWater while it waits.  Only the
+// batch before it passing, or the stream failing, releases it — not the
+// end of the stream, which a reply can report while the last data is
+// still behind it.  It reports false, the turn not taken, once the
+// stream has failed.
+func (l *link) awaitTurn(base int64) bool {
+	l.gateMu.Lock()
+	defer l.gateMu.Unlock()
+	if l.turn < base && l.failed() == nil {
+		l.held++
+		l.met.MergeReorderHighWater.Observe(int64(l.held))
+		for l.turn < base && l.failed() == nil {
+			l.gateCond.Wait()
+		}
+		l.held--
+	}
+	return l.failed() == nil
+}
+
+// pass moves the turn on past a batch of n items.
+func (l *link) pass(n int) {
+	l.gateMu.Lock()
+	l.turn += int64(n)
 	l.gateCond.Broadcast()
 	l.gateMu.Unlock()
 }
@@ -210,8 +243,15 @@ func (l *link) start(n int, body func(), then func()) {
 	}
 }
 
-// fail records the stream's failure; the first one sticks.
-func (l *link) fail(err error) { l.err.CompareAndSwap(nil, &err) }
+// fail records the stream's failure; the first one sticks, and wakes
+// the carriers parked for their turn.
+func (l *link) fail(err error) {
+	if l.err.CompareAndSwap(nil, &err) && l.gateCond != nil {
+		l.gateMu.Lock()
+		l.gateCond.Broadcast()
+		l.gateMu.Unlock()
+	}
+}
 
 // failed returns the stream's failure, if any.
 func (l *link) failed() error {

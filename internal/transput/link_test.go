@@ -1,8 +1,10 @@
 package transput
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,4 +269,267 @@ func TestWindowGateDual(t *testing.T) {
 		}
 		t.Errorf("Window 4 moved less than 3x Window 1 over a 100 µs wire in three attempts:%s", report)
 	})
+}
+
+// reverser is a passive port's Eject that takes the order in which a
+// window's data exchanges complete away from the network.  Each runs
+// through the real port — a Transfer first, its reply then written but
+// unread (the inline invoker reads it only when Serve returns), a
+// Deliver after it is let go, so the sink meets it in that order — and
+// the test holds the ones hold picks until it releases them.  A
+// Transfer's index is its place in the source's stream of takes, a
+// Deliver's its first item's batch; an empty Deliver (an End mark) is
+// never held.
+type reverser struct {
+	port  func(*kernel.Invocation) bool
+	batch int
+	hold  func(idx int) bool
+
+	order sync.Mutex // serialises the port's takes, so n counts in stream order
+	n     int
+
+	mu   sync.Mutex
+	held map[int]chan struct{}
+}
+
+func (*reverser) EdenType() string { return "test-reverser" }
+func (e *reverser) Serve(inv *kernel.Invocation) {
+	switch inv.Op {
+	case OpTransfer:
+		e.order.Lock()
+		e.port(inv)
+		idx := e.n
+		e.n++
+		e.order.Unlock()
+		e.wait(idx)
+	case OpDeliver:
+		if req, ok := inv.Payload.(*DeliverRequest); ok && len(req.Items) > 0 {
+			var i int
+			fmt.Sscanf(string(req.Items[0]), "item-%d", &i)
+			e.wait(i / e.batch)
+		}
+		e.port(inv)
+	default:
+		e.port(inv)
+	}
+}
+
+func (e *reverser) wait(idx int) {
+	if !e.hold(idx) {
+		return
+	}
+	c := make(chan struct{})
+	e.mu.Lock()
+	e.held[idx] = c
+	e.mu.Unlock()
+	<-c
+}
+
+// await waits until the exchanges from..to (inclusive) are all held.
+func (e *reverser) await(t *testing.T, from, to int) {
+	t.Helper()
+	eventually(t, fmt.Sprintf("exchanges %d..%d are held", from, to), func() bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		for i := from; i <= to; i++ {
+			if e.held[i] == nil {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// release lets exchanges go, in the order given.
+func (e *reverser) release(idxs ...int) {
+	for _, i := range idxs {
+		e.mu.Lock()
+		close(e.held[i])
+		delete(e.held, i)
+		e.mu.Unlock()
+	}
+}
+
+// down lists from..to in descending order.
+func down(from, to int) []int {
+	var idxs []int
+	for i := to; i >= from; i-- {
+		idxs = append(idxs, i)
+	}
+	return idxs
+}
+
+// TestReverseCompletionDual holds both faces of the window to one
+// outcome when its exchanges complete in the worst order: a window's
+// worth held at the peer and let go in reverse stream order, the batch
+// that ends the stream overtaken by an empty End mark, and the port torn
+// down while batches wait for their turn.  The consumer sees the stream
+// in order, each item once (or, torn down, an in-order prefix and then
+// the abort); the held-back path demonstrably ran — a pull reply counted
+// on MergeReorderHighWater, a push delivery parked in the sink's record;
+// and helpers, parked workers and slab views all go back.
+func TestReverseCompletionDual(t *testing.T) {
+	const window, batch, windows = 4, 2, 3
+	for _, face := range []string{"pull", "push"} {
+		for _, row := range []string{"reverse", "end-overtakes-final", "cancel-while-parked"} {
+			t.Run(face+"/"+row, func(t *testing.T) {
+				k := testKernel(t)
+				slab := wire.NewSlab(k.Metrics(), 1<<14)
+				view := func(i int) []byte { return fmt.Appendf(slab.Alloc(16)[:0], "item-%d", i) }
+				baseline := settledGoroutines()
+				// first is the index of the first data exchange a window
+				// carries: a windowed InPort's first Transfer runs alone,
+				// inline, to learn the offset its helpers start from.
+				first, groups := 0, windows
+				if face == "pull" {
+					first = 1
+				}
+				if row != "reverse" {
+					groups = 1
+				}
+				n := batch * (first + window*groups)
+				e := &reverser{batch: batch, held: make(map[int]chan struct{}), hold: func(idx int) bool {
+					if row == "end-overtakes-final" {
+						return idx == first+window-1
+					}
+					return idx >= first && idx < first+window*groups
+				}}
+				id := k.NewUID()
+				var (
+					reordered func() bool
+					end, tear func()
+					result    func() ([]string, error)
+				)
+				if face == "pull" {
+					port := NewOutPort(k, OutPortConfig{})
+					w := port.Declare("c", 0, n)
+					e.port = port.Serve
+					if err := k.CreateWithUID(id, e, 0); err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						if err := w.PutOwned(view(i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					end = func() { _ = w.Close() }
+					if row != "end-overtakes-final" {
+						end()
+					}
+					in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: batch, Window: window})
+					type drained struct {
+						got []string
+						err error
+					}
+					c := make(chan drained, 1)
+					go func() {
+						got, err := drainReleasing(in)
+						c <- drained{got, err}
+					}()
+					reordered = func() bool { return k.Metrics().MergeReorderHighWater.Value() >= 1 }
+					tear = func() { in.Cancel("enough") }
+					result = func() ([]string, error) { d := <-c; return d.got, d.err }
+				} else {
+					port := NewWOInPort(k, WOInPortConfig{})
+					r := port.Declare("c", 0, n, 1)
+					e.port = port.Serve
+					if err := k.CreateWithUID(id, e, 0); err != nil {
+						t.Fatal(err)
+					}
+					p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: batch, Window: window})
+					closed := make(chan error, 1)
+					go func() {
+						for i := 0; i < n; i++ {
+							if err := p.PutOwned(view(i)); err != nil {
+								closed <- err
+								return
+							}
+						}
+						if row == "cancel-while-parked" {
+							closed <- nil // the window stays open for the tear-down
+							return
+						}
+						closed <- p.Close()
+					}()
+					reordered = func() bool {
+						r.ch.mu.Lock()
+						defer r.ch.mu.Unlock()
+						return r.ch.waiters >= 1
+					}
+					tear = func() { _ = p.CloseWithError(errors.New("enough")) }
+					result = func() ([]string, error) {
+						if err := <-closed; err != nil {
+							return nil, err
+						}
+						return drainReleasing(r)
+					}
+				}
+
+				switch row {
+				case "reverse":
+					for g := 0; g < groups; g++ {
+						lo, hi := first+g*window, first+g*window+window-1
+						e.await(t, lo, hi)
+						e.release(hi)
+						eventually(t, "the window's last batch is held back", reordered)
+						e.release(down(lo, hi-1)...)
+					}
+				case "end-overtakes-final":
+					final := first + window - 1
+					e.await(t, final, final)
+					if face == "pull" {
+						end() // the source ends behind the final batch: the next Transfer answers an empty End
+					}
+					eventually(t, "the empty End is held back behind the final batch", reordered)
+					e.release(final)
+				case "cancel-while-parked":
+					lo, hi := first, first+window-1
+					e.await(t, lo, hi)
+					e.release(hi)
+					eventually(t, "the window's last batch is held back", reordered)
+					torn := make(chan struct{})
+					go func() {
+						defer close(torn)
+						tear()
+					}()
+					e.release(down(lo, hi-1)...)
+					<-torn
+				}
+
+				got, err := result()
+				if row == "cancel-while-parked" {
+					if !errors.Is(err, ErrAborted) {
+						t.Errorf("the torn-down stream ended with %v, want ErrAborted", err)
+					}
+				} else if err != nil || len(got) != n {
+					t.Errorf("the stream delivered %d items, then %v; want %d, then its end", len(got), err, n)
+				}
+				for i, s := range got {
+					if want := fmt.Sprintf("item-%d", i); s != want {
+						t.Fatalf("item %d = %q, want %q (stream %v)", i, s, want, got)
+					}
+				}
+				eventually(t, "the helpers have left", func() bool { return runtime.NumGoroutine() <= baseline })
+				if n := slab.Close(); n != 0 || k.Metrics().SlabLeaked.Value() != 0 {
+					t.Errorf("slab leak audit: %d stranded views (SlabLeaked=%d)", n, k.Metrics().SlabLeaked.Value())
+				}
+			})
+		}
+	}
+}
+
+// drainReleasing reads r to its end, releasing each item once copied.
+func drainReleasing(r ItemReader) ([]string, error) {
+	var got []string
+	for {
+		item, err := r.Next()
+		if err == io.EOF {
+			return got, nil
+		}
+		if err != nil {
+			return got, err
+		}
+		got = append(got, string(item))
+		wire.Release(item)
+	}
 }

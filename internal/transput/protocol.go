@@ -196,9 +196,9 @@ type TransferReply struct {
 	AbortMsg string
 	// Base is the stream offset of Items[0]: the count of items the
 	// channel had served before this reply.  A windowed reader (several
-	// Transfer invocations in flight at once) uses Base to reassemble
-	// batches in stream order; with a single outstanding Transfer the
-	// field is redundant and ignored.
+	// Transfer invocations in flight at once) hands the reply on only in
+	// Base's turn; with a single outstanding Transfer the field is
+	// redundant and ignored.
 	Base int64
 	// Backlog is the passive side's flow-control grant, the dual of
 	// DeliverReply.Credits: how many items the channel still held once
@@ -226,14 +226,14 @@ type DeliverRequest struct {
 	// server releases a pooled request once it has absorbed the items.
 	pooled bool
 	// Writer identifies the active-output port when it keeps several
-	// Deliver invocations in flight (a Pusher at Window > 1).  The sink
-	// serialises deliveries per writer by Seq, so concurrency cannot
-	// reorder the stream.  A nil Writer (a Pusher at Window 1, one
-	// outstanding Deliver) bypasses sequencing entirely.
+	// Deliver invocations in flight (a Pusher at Window > 1), and Base is
+	// the offset of Items[0] in that writer's stream, as TransferReply.Base
+	// is in the channel's.  The sink holds a delivery until its Base is
+	// the writer's turn, so concurrency cannot reorder the stream.  A nil
+	// Writer (a Pusher at Window 1, one outstanding Deliver) bypasses the
+	// turn entirely, and Base is then ignored.
 	Writer uid.UID
-	// Seq numbers this writer's deliveries from 0; the End delivery
-	// carries the final sequence number.  Ignored when Writer is nil.
-	Seq uint64
+	Base   int64
 }
 
 // DeliverReply acknowledges a delivery (passive input).  The reply is

@@ -10,11 +10,14 @@ import "asymstream/internal/uid"
 // Because an InPort's source is nothing but a (UID, channel) pair,
 // retargeting a *live* stream is a local operation: abort the old
 // source's channel (releasing any producer parked on a full buffer),
-// forget any stale end-of-stream state, and pull from the new pair.
-// Items already received are retained — redirection never loses data
-// that has arrived.  The paper contrasts this with Unix, "where the
-// shell uses different syntax and a different implementation" for
-// file vs program redirection; here both are the same two words.
+// take in every batch the helpers still queue, in turn, until the last
+// one leaves, forget any stale end-of-stream state, and pull from the
+// new pair, whose first exchange sets the turn afresh.  Items already
+// received are retained — redirection never loses data that has
+// arrived, unless the old stream failed with a gap before it.  The
+// paper contrasts this with Unix, "where the shell uses different syntax
+// and a different implementation" for file vs program redirection; here
+// both are the same two words.
 //
 // Redirect must not be called concurrently with Next: an InPort has a
 // single logical consumer (the paper's model too), and it is that
@@ -44,30 +47,30 @@ func (p *InPort) Redirect(source uid.UID, channel ChannelID, msg string) error {
 		}
 		_ = p.abort(msg)
 	}
+
+	// Salvage data the helpers had fetched before the abort reached the
+	// old source — arrived data is kept, per the contract.  The helpers
+	// queue it in stream order, after stop too, until the last one leaves;
+	// the abort's own answers are errors that carry nothing.  A batch
+	// beyond a gap was released by the failure that made the gap.
+	var arrived []pulled
+	if ahead != nil {
+		for res := range ahead {
+			if res.err == nil {
+				arrived = append(arrived, res)
+			}
+		}
+	}
 	p.helpers.Wait()
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Salvage data the helpers had already fetched before the abort
-	// reached the old source — arrived data is kept, per the contract —
-	// through the same absorb that orders a live stream.  A windowed
-	// batch beyond a gap is indistinguishable from one that never
-	// arrived (its predecessor was lost to the abort), so what is still
-	// stashed afterwards is discarded rather than surfaced out of order.
-	if ahead != nil {
-		for res := range ahead {
-			if res.err == nil {
-				p.absorbLocked(res)
-			}
-		}
+	for _, res := range arrived {
+		p.absorbLocked(res) // the absorb that takes a live stream
 	}
-	p.releaseStashLocked()
 	p.retarget(source, channel)
 	p.req.Channel = channel // the reused request must follow the retarget
 	p.done = false
-	// The new stream has its own offsets: a windowed port re-anchors on
-	// its next read.
-	p.nextBase, p.streamLen = -1, -1
 	return nil
 }
 
@@ -76,8 +79,8 @@ func (p *InPort) Redirect(source uid.UID, channel ChannelID, msg string) error {
 // the redirection): the partial batch is flushed and, on a windowed
 // pusher, the send window drained.  The old channel is left open — in
 // the write-only discipline a sink must expect its writers to come and
-// go; End is only sent by Close.  The new stream numbers its deliveries
-// from 0 under a fresh Writer UID.  A closed pusher cannot be
+// go; End is only sent by Close.  The new stream numbers its items from
+// offset 0 under a fresh Writer UID.  A closed pusher cannot be
 // redirected, nor one whose stream has failed.
 func (w *Pusher) Redirect(target uid.UID, channel ChannelID) error {
 	w.mu.Lock()
@@ -92,10 +95,7 @@ func (w *Pusher) Redirect(target uid.UID, channel ChannelID) error {
 	w.retarget(target, channel)
 	w.req.Channel = channel // the reused request must follow the retarget
 	if w.window > 1 {
-		w.writer, w.seq = w.k.NewUID(), 0
-		w.gateMu.Lock()
-		w.sendNext = 0
-		w.gateMu.Unlock()
+		w.writer, w.base = w.k.NewUID(), 0
 	}
 	return nil
 }

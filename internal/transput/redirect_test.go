@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
@@ -137,6 +138,64 @@ func TestRedirectWithPrefetchKeepsArrivedData(t *testing.T) {
 	}
 }
 
+// TestRedirectKeepsEveryArrivedBatch: a redirect takes in every batch
+// the old source served before its abort, also those a helper holds
+// while the read-ahead queue is full and those a window's helpers wait
+// to queue in turn.  The audit is the source's own count: every item it
+// served reaches the consumer, in order, before the new stream.
+func TestRedirectKeepsEveryArrivedBatch(t *testing.T) {
+	for _, cfg := range []InPortConfig{{Batch: 4, Prefetch: 2}, {Batch: 4, Window: 4}} {
+		t.Run(fmt.Sprintf("prefetch=%d/window=%d", cfg.Prefetch, cfg.Window), func(t *testing.T) {
+			k := testKernel(t)
+			a, st := registerItems(t, k, numbered(100), ROStageConfig{Anticipation: 100})
+			b, _ := registerItems(t, k, [][]byte{[]byte("tail")}, ROStageConfig{})
+			ch := st.Writer(0).ch
+			served := func() int64 {
+				ch.mu.Lock()
+				defer ch.mu.Unlock()
+				return ch.itemsOut
+			}
+
+			in := NewInPort(k, uid.Nil, a, Chan(0), cfg)
+			var got []string
+			for i := 0; i < 5; i++ {
+				item, err := in.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, string(item))
+			}
+			// The helpers stop once the read-ahead queue is full and each
+			// holds one more batch: the source's count holds still.
+			for n, still := served(), 0; still < 20; {
+				time.Sleep(time.Millisecond)
+				if m := served(); m == n {
+					still++
+				} else {
+					n, still = m, 0
+				}
+			}
+			if err := in.Redirect(b, Chan(0), "switch"); err != nil {
+				t.Fatal(err)
+			}
+			rest, err := drainReleasing(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, rest...)
+			n := served()
+			if int64(len(got)) != n+1 || got[len(got)-1] != "tail" {
+				t.Fatalf("the old source served %d items; the consumer got %d of them, then %q", n, len(got)-1, got[len(got)-1])
+			}
+			for i, s := range got[:n] {
+				if s != fmt.Sprintf("item-%d", i) {
+					t.Fatalf("old stream broken at %d: %v", i, got)
+				}
+			}
+		})
+	}
+}
+
 func TestRedirectCancelledPortFails(t *testing.T) {
 	k := testKernel(t)
 	a, _ := registerItems(t, k, numbered(5), ROStageConfig{})
@@ -197,9 +256,9 @@ func TestPusherRedirect(t *testing.T) {
 // its send window — the engine's ordinary drain, no second mechanism.
 // Everything written before the redirect reaches the old sink, in order
 // (the partial batch included), though four deliveries were in flight at
-// once; everything after reaches the new one, numbered from Seq 0 under
-// a fresh Writer UID (the new sink would otherwise wait for a Seq 0 that
-// never comes); and no slab view is stranded on the way.
+// once; everything after reaches the new one, numbered from offset 0
+// under a fresh Writer UID (the new sink would otherwise wait for an
+// offset 0 that never comes); and no slab view is stranded on the way.
 func TestPusherRedirectUnderWindow(t *testing.T) {
 	k := testKernel(t)
 	slab := wire.NewSlab(k.Metrics(), 1<<14)
@@ -220,8 +279,8 @@ func TestPusherRedirectUnderWindow(t *testing.T) {
 	if err := p.Redirect(sinkB, stB.Reader(0).ID()); err != nil {
 		t.Fatal(err)
 	}
-	if p.writer == oldWriter || p.seq != 0 {
-		t.Fatalf("after Redirect: writer changed=%v seq=%d; want a fresh Writer numbering from 0", p.writer != oldWriter, p.seq)
+	if p.writer == oldWriter || p.base != 0 {
+		t.Fatalf("after Redirect: writer changed=%v base=%d; want a fresh Writer numbering from 0", p.writer != oldWriter, p.base)
 	}
 	// Redirect returned, so the window has drained: A already holds it all.
 	for i := 0; i < after; i++ {

@@ -174,7 +174,7 @@ func (r *DeliverRequest) AppendWire(dst []byte) ([]byte, error) {
 	}
 	w := r.Writer.Bytes()
 	dst = append(dst, w[:]...)
-	return wire.AppendUvarintField(dst, r.Seq), nil
+	return wire.AppendVarintField(dst, r.Base), nil
 }
 
 // WireItems implements wire.ItemsMarshaler.
@@ -196,11 +196,11 @@ func (r *DeliverRequest) ReadWire(b, owner []byte, a *wire.Arena) (int, error) {
 	copy(w16[:], b[k:k+16])
 	r.Writer = uid.FromBytes(w16)
 	k += 16
-	seq, n, err := wire.ReadUvarintField(b[k:])
+	base, n, err := wire.ReadVarintField(b[k:])
 	if err != nil {
 		return 0, err
 	}
-	r.Seq = seq
+	r.Base = base
 	k += n
 	r.Items, n, err = readWireItems(r.Items, b[k:], owner, a)
 	return k + n, err

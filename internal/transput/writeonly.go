@@ -154,24 +154,25 @@ var _ ItemReader = (*ChannelReader)(nil)
 // One Eject may hold many Pushers — that is the write-only
 // discipline's arbitrary fan-out (Figure 3).  It is the face of the
 // active engine (link.go) whose data rides the *request*, and adds only
-// what that needs: the per-writer sequence ticket and the batch
+// what that needs: the item offset of the next batch and the batch
 // freelist.
 //
 // At Window 1 (the default) the producer's own goroutine runs every
 // Deliver inline and blocks on the reply — that is its back pressure —
 // so Put, Flush and Close report the delivery's own error.  Deliveries
-// carry no Writer and the sink sequences nothing.
+// carry no Writer and the sink orders nothing.
 //
 // At Window K>1 up to K Deliver invocations are in flight at once, one
 // per helper, overlapping round-trip latency the same way the InPort's
-// window overlaps Transfer latency.  Order is preserved by the protocol,
-// not by the port: every delivery carries the port's Writer UID and a
-// sequence number, and the passive side (WOInPort or PassiveBuffer)
-// holds a delivery until its Seq is the writer's next expected one.
-// Concurrency therefore cannot reorder the stream, and the End mark —
-// carrying the final sequence number — is applied after every data
-// delivery.  A delivery failure anywhere in the window is reported on
-// the next Put, and by Close, which drains the window.
+// window overlaps Transfer latency.  Order is kept by the engine's one
+// rule, at both ends: every delivery carries the port's Writer UID and
+// its first item's offset in this writer's stream (Base); a helper takes
+// its slot at the link's gate only in its batch's turn, and the passive
+// side (WOInPort or PassiveBuffer) holds a delivery until its Base is
+// the writer's turn there.  Concurrency therefore cannot reorder the
+// stream, and the End mark — the last batch — is applied after every
+// data delivery.  A delivery failure anywhere in the window is reported
+// on the next Put, and by Close, which drains the window.
 //
 // Flow control in the window is the link's gate, granted in credits: each
 // DeliverReply reports how many more items the sink could buffer
@@ -200,25 +201,17 @@ type Pusher struct {
 
 	// Send window (window > 1).  sendq is nil while no helpers are
 	// attached: they start with the first delivery and leave at a drain.
+	// base is the item offset of the next batch handed to them.
 	writer uid.UID
-	seq    uint64
+	base   int64
 	sendq  chan deliverJob
 	free   chan [][]byte // recycled batch backing arrays
-
-	// sendNext is the sequence ticket on top of the link's window gate,
-	// guarded by gateMu: wire slots are acquired in sequence order, which
-	// guarantees the lowest in-flight seq is never held by the server's
-	// sequencing gate (its predecessors have all been applied) — without
-	// it, a shrunken window could give its only slot to an out-of-order
-	// delivery whose reply the server withholds, deadlocking the port.
-	// With one slot the gate is vacuous and the inline path skips it.
-	sendNext uint64
 }
 
 // deliverJob is one batch on its way to the sink.
 type deliverJob struct {
 	items [][]byte
-	seq   uint64
+	base  int64 // item offset of items[0] in this writer's stream
 	end   bool
 	asked int // batch size the producer was aiming for (adaptive feedback)
 }
@@ -258,7 +251,7 @@ func (w *Pusher) Channel() ChannelID { return w.channel }
 // request record, and returns the sink's credit grant (-1 with an
 // error, which is also recorded as the stream's).
 func (w *Pusher) deliver(req *DeliverRequest, job deliverJob) (int, error) {
-	req.Items, req.Seq, req.End = job.items, job.seq, job.end
+	req.Items, req.Base, req.End = job.items, job.base, job.end
 	raw, start, err := w.exchange(req)
 	req.Items = nil
 	rep, ok := raw.(*DeliverReply)
@@ -286,31 +279,23 @@ func (w *Pusher) deliver(req *DeliverRequest, job deliverJob) (int, error) {
 
 // send is one of the window's helpers: it takes batches off q and keeps
 // one synchronous Deliver on the wire, its slot taken at the link's gate
-// in sequence order.
+// in its batch's turn.  Taking slots in stream order means the lowest
+// delivery in flight is never the one the sink holds back (its
+// predecessors have all been taken): without that, a shrunken window
+// could give its only slot to a delivery whose reply the sink withholds,
+// deadlocking the port.
 func (w *Pusher) send(q <-chan deliverJob) {
 	req := DeliverRequest{Channel: w.channel, Writer: w.writer}
 	for job := range q {
-		// Once the stream has failed, later batches (and the End mark) are
-		// dropped — the sink's abort released any gated deliveries.  The
-		// slot sequence still advances so helpers parked on seq order do
-		// not stall.
-		live := w.failed() == nil
-		w.gateMu.Lock()
-		for w.sendNext != job.seq {
-			w.gateCond.Wait()
-		}
-		if live {
-			w.enterLocked() // never shut: a Pusher's helpers leave when their queue closes
-		}
-		w.sendNext++
-		w.gateCond.Broadcast() // the next seq may proceed concurrently
-		w.gateMu.Unlock()
-		if !live {
+		if !w.awaitTurn(job.base) {
+			// Once the stream has failed, later batches (and the End mark)
+			// are dropped — the sink's abort released any it held back.
 			wire.ReleaseAll(job.items)
 			w.recycle(job.items)
 			continue
 		}
-
+		w.enter() // never refused: a Pusher's helpers leave when their queue closes
+		w.pass(len(job.items))
 		credits, _ := w.deliver(&req, job)
 		w.recycle(job.items)
 		w.leave(credits)
@@ -345,8 +330,8 @@ func (w *Pusher) flushLocked(end bool, asked int) error {
 		w.pending = w.pending[:0]
 		return err
 	}
-	job.seq = w.seq
-	w.seq++
+	job.base = w.base
+	w.base += int64(len(job.items))
 	select {
 	case w.pending = <-w.free:
 	default:
@@ -355,6 +340,7 @@ func (w *Pusher) flushLocked(end bool, asked int) error {
 	if w.sendq == nil {
 		q := make(chan deliverJob, w.window) // one batch queued behind each one in flight
 		w.sendq = q
+		w.openGate(job.base)
 		w.start(w.window, func() { w.send(q) }, nil)
 	}
 	w.sendq <- job

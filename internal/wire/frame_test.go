@@ -44,7 +44,7 @@ func checkVectored(t *testing.T, lens []int) {
 	recs := []any{
 		&transput.DeliverRequest{
 			Channel: transput.ChannelID{Num: 7, Cap: uid.UID{Hi: 1, Lo: 2}},
-			Items:   items, End: len(lens)%2 == 1, Writer: uid.UID{Hi: 3, Lo: 4}, Seq: uint64(len(lens)),
+			Items:   items, End: len(lens)%2 == 1, Writer: uid.UID{Hi: 3, Lo: 4}, Base: int64(len(lens)),
 		},
 		&transput.TransferReply{Items: items, Status: transput.StatusEnd, AbortMsg: "m", Base: int64(len(lens)) << 20, Backlog: len(lens) + 1},
 	}
