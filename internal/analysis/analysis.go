@@ -77,8 +77,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // (analyzer name "vetok").  An annotation outlives the code shape it
 // excused more often than it gets cleaned up; a stale one silently
 // masks the next real finding on that line.  Annotations naming
-// analyzers outside the selected set are left alone — a partial -run
-// cannot judge them.
+// registered analyzers outside the selected set are left alone — a
+// partial -run cannot judge them — but one naming no registered
+// analyzer (a deleted one, a typo) is reported by every run.
 func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 	pass := &Pass{Prog: prog}
 	for _, a := range analyzers {
@@ -87,7 +88,10 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("analysis %s: %w", a.Name, err)
 		}
 	}
-	ran := make(map[string]bool, len(analyzers))
+	ran := make(map[string]bool) // every registered analyzer: whether it ran
+	for _, a := range All() {
+		ran[a.Name] = false
+	}
 	for _, a := range analyzers {
 		ran[a.Name] = true
 	}
@@ -114,9 +118,10 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 // It covers findings on its own line and on the line directly below,
 // so both trailing and standalone comment placements work.
 //
-// ran is the set of analyzer names that executed this run.  Each
-// (annotation, name) pair whose analyzer ran but suppressed nothing is
-// reported back as a stale suppression.
+// ran maps every registered analyzer's name to whether it executed
+// this run.  Each (annotation, name) pair whose analyzer ran but
+// suppressed nothing, or that names no registered analyzer, is reported
+// back as a stale suppression.
 func filterAnnotated(prog *Program, diags []Diagnostic, ran map[string]bool) []Diagnostic {
 	type key struct {
 		file string
@@ -175,15 +180,14 @@ func filterAnnotated(prog *Program, diags []Diagnostic, ran map[string]bool) []D
 		}
 	}
 	for _, a := range anns {
-		if !a.hit && ran[a.name] {
-			kept = append(kept, Diagnostic{
-				Pos:      a.pos,
-				Analyzer: "vetok",
-				Message: fmt.Sprintf(
-					"stale suppression: //vet:ok %s no longer matches any %s finding here — remove it or it will mask the next real one",
-					a.name, a.name),
-			})
+		msg := "stale suppression: //vet:ok %s no longer matches any %[1]s finding here — remove it or it will mask the next real one"
+		switch didRun, registered := ran[a.name]; {
+		case !registered:
+			msg = "stale suppression: //vet:ok %s names no registered analyzer — remove it"
+		case a.hit || !didRun:
+			continue
 		}
+		kept = append(kept, Diagnostic{Pos: a.pos, Analyzer: "vetok", Message: fmt.Sprintf(msg, a.name)})
 	}
 	return kept
 }
@@ -196,7 +200,6 @@ func All() []*Analyzer {
 		Fusable,
 		PoolHygiene,
 		MetricsTable,
-		EpochGuard,
 		ConnLife,
 		SendOwn,
 		Goroleak,

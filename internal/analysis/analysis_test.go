@@ -51,12 +51,6 @@ func TestMetricsTableFixture(t *testing.T) {
 	mustFind(t, diags, "no such metric")
 }
 
-func TestEpochGuardFixture(t *testing.T) {
-	diags := runFixture(t, EpochGuard, "epochfix")
-	mustFind(t, diags, "used before revalidating")
-	mustFind(t, diags, "compared outside")
-}
-
 func TestConnLifeFixture(t *testing.T) {
 	diags := runFixture(t, ConnLife, "connfix")
 	mustFind(t, diags, "may escape without Close")
@@ -200,14 +194,14 @@ func TestAnalyzerRegistry(t *testing.T) {
 	}
 	for _, want := range []string{
 		"slabown", "discipline", "fusable", "poolhygiene", "metricstable",
-		"epochguard", "connlife", "sendown",
+		"connlife", "sendown",
 		"goroleak", "waitcycle", "protomodel",
 	} {
 		if !names[want] {
 			t.Errorf("missing analyzer %s", want)
 		}
 	}
-	if len(names) != 11 {
-		t.Errorf("%d analyzers registered, want 11", len(names))
+	if len(names) != 10 {
+		t.Errorf("%d analyzers registered, want 10", len(names))
 	}
 }

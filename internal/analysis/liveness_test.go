@@ -87,3 +87,9 @@ func TestStaleSuppression(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownSuppression: a vet:ok naming no registered analyzer — one
+// since deleted, or a typo — is reported, not left silently in the tree.
+func TestUnknownSuppression(t *testing.T) {
+	mustFind(t, runFixture(t, Goroleak, "staleok"), "names no registered analyzer")
+}

@@ -98,7 +98,7 @@ func TestProtoExtractionCoversPassiveBuffer(t *testing.T) {
 	for _, wl := range sh.waitLoops {
 		loops[within(wl.pos)]++
 	}
-	const rec = "asymstream/internal/transput.*channel."
+	const rec = "asymstream/internal/transput.chanRef."
 	if loops[rec+"absorb"] != 2 || loops[rec+"take"] != 1 {
 		t.Errorf("wait loops reached from PassiveBuffer.Serve: %v; want 2 in absorb (Deliver face) and 1 in take (Transfer face)", loops)
 	}

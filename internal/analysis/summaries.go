@@ -9,8 +9,8 @@ import (
 
 // Bottom-up interprocedural summaries over the call graph.  The v1/v2
 // analyzers crossed function boundaries with per-analyzer delegation
-// heuristics (epochguard's "delegated revalidation", slabown's
-// handoff-discharges rule); the liveness analyzers need real
+// heuristics (slabown's handoff-discharges rule); the liveness
+// analyzers need real
 // summaries: whether a callee can fail to terminate, whether it parks
 // on a condition variable on the caller's behalf, which locks it
 // requires held.  All of them are monotone facts computed bottom-up

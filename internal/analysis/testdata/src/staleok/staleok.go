@@ -1,7 +1,8 @@
 // Package staleok exercises the suppression checker: a live vet:ok
 // keeps suppressing, a stale one (its analyzer no longer fires there)
-// is itself reported, and an annotation for an analyzer outside the
-// run is left alone.
+// is itself reported, an annotation for a registered analyzer outside
+// the run is left alone, and one naming no registered analyzer is
+// reported.
 package staleok
 
 func spin() {
@@ -29,3 +30,9 @@ func Quiet() {}
 //
 //vet:ok waitcycle -- judged only when waitcycle runs
 func AlsoQuiet() {}
+
+// Unknown: no analyzer of that name is registered, so no run can judge
+// the annotation; every run reports it.
+//
+//vet:ok nosuchanalyzer -- its analyzer was deleted // want "names no registered analyzer"
+func Orphan() {}

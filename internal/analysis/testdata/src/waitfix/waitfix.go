@@ -143,6 +143,34 @@ func (n *noisy) SignalViaHelperLocked() {
 	n.mu.Unlock()
 }
 
+// lockIfReady is an accessor that reports with its final bool whether
+// it returns holding n.mu; its callers hold the lock where ok is true.
+func (n *noisy) lockIfReady() (*noisy, bool) {
+	n.mu.Lock()
+	if !n.ready {
+		n.mu.Unlock()
+		return nil, false
+	}
+	return n, true
+}
+
+// Pass: the accessor handed the lock over.
+func (n *noisy) SignalViaAccessor() {
+	m, ok := n.lockIfReady()
+	if !ok {
+		return
+	}
+	m.cond.Signal()
+	m.mu.Unlock()
+}
+
+// Fail: where ok is false the accessor released the lock.
+func (n *noisy) SignalWhenNotReady() {
+	if _, ok := n.lockIfReady(); !ok {
+		n.cond.Signal() // want "without holding its associated mutex"
+	}
+}
+
 // ---------------------------------------------------------------------
 // W4: a mixed wait cycle — an unbuffered channel rendezvous where each
 // side holds the mutex the other needs.

@@ -59,10 +59,13 @@ func runWaitCycle(pass *Pass) error {
 
 	// Per-function facts: wait/signal/chan-op sites and lock
 	// acquisitions with their held sets, plus resolved call sites for
-	// obligation and lock-order propagation.
+	// obligation and lock-order propagation — callees first, so that a
+	// lock a callee returns holding counts as taken at the call.
 	facts := make(map[*FuncNode]*waitFacts, len(graph.Nodes))
-	for _, n := range graph.Nodes {
-		facts[n] = analyzeWaitFacts(n, graph)
+	for _, scc := range sccOrder(graph, func(e CallEdge) bool { return e.Kind != edgeGo }) {
+		for _, n := range scc {
+			facts[n] = analyzeWaitFacts(n, graph, facts)
+		}
 	}
 
 	inCalls := make(map[*FuncNode]int)
@@ -622,6 +625,10 @@ type waitFacts struct {
 	chanOps  []chanOpSite
 	calls    []waitCall
 	acquires []lockSite
+	// handsOff: the locks held at every `return …, true` and at no other
+	// return — an accessor's (`c, ok := r.lock()`).  Its callers hold
+	// them from the call on, except where a branch learns ok is false.
+	handsOff map[*types.Var]bool
 }
 
 // analyzeWaitFacts interprets one function's CFG with a must-held
@@ -629,8 +636,9 @@ type waitFacts struct {
 // and records every cond operation, blocking channel operation, lock
 // acquisition and resolved call together with the locks held there.
 // Channel operations inside select communication clauses are
-// non-blocking by construction and skipped.
-func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
+// non-blocking by construction and skipped.  facts holds the callees
+// already analysed, whose handsOff locks a call acquires.
+func analyzeWaitFacts(node *FuncNode, graph *CallGraph, facts map[*FuncNode]*waitFacts) *waitFacts {
 	res := &waitFacts{}
 	body := node.Body()
 	if body == nil {
@@ -663,7 +671,21 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 	// joins) and may (union).
 	type held struct{ must, may map[*types.Var]bool }
 	clone := func(s held) held { return held{maps.Clone(s.must), maps.Clone(s.may)} }
+	guards := make(map[types.Object]map[*types.Var]bool) // an accessor's ok → its locks
 	apply := func(n *cfgNode, st held, sink *waitFacts) {
+		if n.kind == nkAssume { // on the branch where an accessor's ok is false
+			cond, negate := ast.Unparen(n.cond), n.negate
+			if not, ok := cond.(*ast.UnaryExpr); ok && not.Op == token.NOT {
+				cond, negate = ast.Unparen(not.X), !negate
+			}
+			if id, ok := cond.(*ast.Ident); ok && negate {
+				for v := range guards[node.Pkg.Info.ObjectOf(id)] {
+					delete(st.must, v)
+					delete(st.may, v)
+				}
+			}
+			return
+		}
 		if n.n == nil || n.kind == nkRange {
 			return
 		}
@@ -717,9 +739,21 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 						sink.signals = append(sink.signals, condSite{cond: cv, pos: x.Pos(), held: maps.Clone(st.must)})
 					}
 				default:
+					callee := resolveCallee(node.Pkg, graph, nil, x)
+					if callee == nil {
+						break
+					}
 					if sink != nil {
-						if callee := resolveCallee(node.Pkg, graph, nil, x); callee != nil {
-							sink.calls = append(sink.calls, waitCall{callee: callee, pos: x.Pos(), held: maps.Clone(st.must), mayHeld: maps.Clone(st.may)})
+						sink.calls = append(sink.calls, waitCall{callee: callee, pos: x.Pos(), held: maps.Clone(st.must), mayHeld: maps.Clone(st.may)})
+					}
+					if f := facts[callee]; f != nil && f.handsOff != nil {
+						for v := range f.handsOff {
+							st.must[v], st.may[v] = true, true
+						}
+						if as, ok := n.n.(*ast.AssignStmt); ok {
+							if id, ok := as.Lhs[len(as.Lhs)-1].(*ast.Ident); ok {
+								guards[node.Pkg.Info.ObjectOf(id)] = f.handsOff
+							}
 						}
 					}
 				}
@@ -762,12 +796,27 @@ func analyzeWaitFacts(node *FuncNode, graph *CallGraph) *waitFacts {
 			}
 		}
 	}
+	var onTrue map[*types.Var]bool      // must-held at every `return …, true`
+	others := make(map[*types.Var]bool) // may-held at any other return
 	for _, n := range g.nodes {
 		st, ok := in[n]
 		if !ok {
 			continue
 		}
-		apply(n, clone(st), res)
+		out := clone(st)
+		apply(n, out, res)
+		if ret, ok := n.n.(*ast.ReturnStmt); ok && len(ret.Results) > 0 && types.ExprString(ret.Results[len(ret.Results)-1]) == "true" {
+			if onTrue == nil {
+				onTrue = out.must
+			}
+			maps.DeleteFunc(onTrue, func(v *types.Var, _ bool) bool { return !out.must[v] })
+		} else if ok {
+			maps.Copy(others, out.may)
+		}
+	}
+	if len(g.defers) == 0 { // a deferred Unlock runs after the return
+		maps.DeleteFunc(onTrue, func(v *types.Var, _ bool) bool { return others[v] })
+		res.handsOff = onTrue
 	}
 	return res
 }

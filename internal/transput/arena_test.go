@@ -135,7 +135,7 @@ func TestPutArenaStorm(t *testing.T) {
 		go func() {
 			defer close(done)
 			for {
-				rep := w.ch.take(w.gen, 8)
+				rep := w.ch.take(8)
 				for _, it := range rep.Items {
 					c.check(it)
 				}

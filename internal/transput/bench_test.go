@@ -378,7 +378,7 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 		if !p.req.Writer.IsNil() || !p.writer.IsNil() {
 			t.Errorf("Window-1 pusher carries Writer %v / %v, want none", p.req.Writer, p.writer)
 		}
-		ch := st.Reader(0).ch
+		ch := st.Reader(0).ch.c
 		ch.mu.Lock()
 		gate := ch.seq
 		ch.mu.Unlock()

@@ -28,8 +28,7 @@ import (
 type PassiveBuffer struct {
 	name string
 	met  *metrics.Set
-	ch   *channel
-	gen  uint64
+	ch   chanRef
 }
 
 // PassiveBufferConfig parameterises a PassiveBuffer.
@@ -51,7 +50,7 @@ func NewPassiveBuffer(k *kernel.Kernel, cfg PassiveBufferConfig) *PassiveBuffer 
 		met = k.Metrics()
 	}
 	ch := acquireChannel(met, cfg.Name, Chan(0), inputCapacity(cfg.Capacity), cfg.Writers)
-	return &PassiveBuffer{name: cfg.Name, met: met, ch: ch, gen: ch.generation()}
+	return &PassiveBuffer{name: cfg.Name, met: met, ch: ch}
 }
 
 // EdenType implements kernel.Eject.
@@ -72,7 +71,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 			break
 		}
 		b.met.DeliverInvocations.Inc()
-		rep := b.ch.absorb(b.gen, req)
+		rep := b.ch.absorb(req)
 		if rep == nil {
 			wire.ReleaseAll(req.Items) // never absorbed
 			rep = &DeliverReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
@@ -86,7 +85,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 			break
 		}
 		b.met.TransferInvocations.Inc()
-		rep := b.ch.take(b.gen, req.Max)
+		rep := b.ch.take(req.Max)
 		transferRequests.Put(req)
 		if rep == nil {
 			rep = &TransferReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
@@ -98,7 +97,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		if !ok {
 			break
 		}
-		b.ch.abort(&AbortedError{Msg: req.Msg}, b.gen, true)
+		b.ch.abort(&AbortedError{Msg: req.Msg}, true)
 		inv.Reply(&AbortReply{})
 		return
 	case OpChannels:
@@ -115,17 +114,16 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 // The Eject is going away, so the backlog is unreachable: it is
 // dropped, releasing any slab views among the items.
 func (b *PassiveBuffer) OnDeactivate() {
-	if _, ok := b.ch.retire(errDeactivated, b.gen); ok {
+	if _, ok := b.ch.retire(errDeactivated); ok {
 		b.ch.release()
 	}
 }
 
 // Buffered reports the items currently queued.
-func (b *PassiveBuffer) Buffered() int {
-	b.ch.mu.Lock()
-	defer b.ch.mu.Unlock()
-	if b.ch.gen.Load() != b.gen {
-		return 0
+func (b *PassiveBuffer) Buffered() (n int) {
+	if c, ok := b.ch.lock(); ok {
+		n = c.buffered()
+		c.mu.Unlock()
 	}
-	return b.ch.buffered()
+	return n
 }

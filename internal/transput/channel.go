@@ -88,9 +88,10 @@ var chanPool = sync.Pool{New: func() any {
 }}
 
 // acquireChannel re-initialises a pooled (or fresh) record for a new
-// stream — under mu, because a goroutine holding a stale reference from
-// the record's previous life may be running its generation check.
-func acquireChannel(met *metrics.Set, name string, id ChannelID, capacity, writers int) *channel {
+// stream and returns the reference to its new life — under mu, because
+// a goroutine holding a stale reference from the record's previous life
+// may be running its generation check.
+func acquireChannel(met *metrics.Set, name string, id ChannelID, capacity, writers int) chanRef {
 	c := chanPool.Get().(*channel)
 	c.mu.Lock()
 	c.met = met
@@ -107,7 +108,7 @@ func acquireChannel(met *metrics.Set, name string, id ChannelID, capacity, write
 	c.transfersServed = 0
 	c.deliversServed = 0
 	c.mu.Unlock()
-	return c
+	return chanRef{c, c.gen.Load()}
 }
 
 // consume drops the n oldest items, already handed to their consumer.
@@ -132,8 +133,9 @@ func (c *channel) consume(n int) {
 // drops the backlog: an aborted channel never serves it — take and next
 // answer the abort before looking at the buffer — so the items are
 // unreachable and any slab views among them are released here.  Caller
-// holds c.mu.
-func (c *channel) abortLocked(err *AbortedError) {
+// holds the record's lock, taken through r.lock.
+func (r chanRef) abortLocked(err *AbortedError) {
+	c := r.c
 	if c.abortErr == nil {
 		c.abortErr = err
 	}
@@ -145,55 +147,65 @@ func (c *channel) abortLocked(err *AbortedError) {
 	c.cond.Broadcast()
 }
 
-// abort aborts the channel, provided it still carries gen (a retired
-// channel is already dead; aborting its successor through a stale
-// reference would corrupt an unrelated stream).  afterEnd is the face's
-// rule for an abort that arrives once the stream has ended normally:
-// passive output ignores it (the backlog drains to StatusEnd), passive
-// input honours it (the consumer is going away; nothing will read the
-// rest).
-func (c *channel) abort(err *AbortedError, gen uint64, afterEnd bool) {
-	c.mu.Lock()
-	if c.gen.Load() == gen && (afterEnd || !c.ended()) {
-		c.abortLocked(err)
+// abort aborts the channel, unless r is stale (a retired channel is
+// already dead; aborting its successor through a stale reference would
+// corrupt an unrelated stream).  afterEnd is the face's rule for an
+// abort that arrives once the stream has ended normally: passive output
+// ignores it (the backlog drains to StatusEnd), passive input honours
+// it (the consumer is going away; nothing will read the rest).
+func (r chanRef) abort(err *AbortedError, afterEnd bool) {
+	if c, ok := r.lock(); ok {
+		if afterEnd || !c.ended() {
+			r.abortLocked(err)
+		}
+		c.mu.Unlock()
 	}
-	c.mu.Unlock()
 }
 
 // retire aborts the channel with err and bumps the generation, making
 // every outstanding reference stale.  It returns the identifier the
 // channel was registered under and whether this call did the teardown
-// (false if gen had already moved on).
-func (c *channel) retire(err *AbortedError, gen uint64) (ChannelID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen.Load() != gen {
+// (false if r was already stale).
+func (r chanRef) retire(err *AbortedError) (ChannelID, bool) {
+	c, ok := r.lock()
+	if !ok {
 		return ChannelID{}, false
 	}
-	c.abortLocked(err)
+	defer c.mu.Unlock()
+	r.abortLocked(err)
 	c.gen.Add(1)
 	return c.id, true
 }
 
-// release returns a retired record to the pool unless a kernel worker
-// is still parked in it; such a record is left to the GC (rare — retire
-// broadcasts, so waiters drain promptly).
-func (c *channel) release() {
-	c.mu.Lock()
-	idle := c.waiters == 0
-	c.mu.Unlock()
+// ident is the channel's identifier and advertised name, or the zero
+// pair once r is stale.
+func (r chanRef) ident() (id ChannelID, name string) {
+	if c, ok := r.lock(); ok {
+		id, name = c.id, c.name
+		c.mu.Unlock()
+	}
+	return id, name
+}
+
+// release returns the record r retired to the pool unless a kernel
+// worker is still parked in it; such a record is left to the GC (rare —
+// retire broadcasts, so waiters drain promptly).
+func (r chanRef) release() {
+	r.c.mu.Lock()
+	idle := r.c.waiters == 0
+	r.c.mu.Unlock()
 	if idle {
-		chanPool.Put(c)
+		chanPool.Put(r.c)
 	}
 }
 
 // end records one End mark: normal end of stream from one writer.
-func (c *channel) end(gen uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen.Load() != gen {
+func (r chanRef) end() error {
+	c, ok := r.lock()
+	if !ok {
 		return ErrClosed
 	}
+	defer c.mu.Unlock()
 	c.ends++
 	c.arena = nil
 	c.cond.Broadcast()
@@ -203,18 +215,18 @@ func (c *channel) end(gen uint64) error {
 // put is the local fill: it appends one item, blocking while the buffer
 // is at capacity.  An owned item is stored by reference and is the
 // channel's to release even when the put fails.
-func (c *channel) put(item []byte, owned bool, gen uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (r chanRef) put(item []byte, owned bool) error {
 	fail := func(err error) error {
 		if owned {
 			wire.Release(item)
 		}
 		return err
 	}
-	if c.gen.Load() != gen {
+	c, ok := r.lock()
+	if !ok {
 		return fail(ErrClosed)
 	}
+	defer c.mu.Unlock()
 	// Capacity 0 is rendezvous: at most one item in flight, and put
 	// returns only once a Transfer has consumed it.  This is the "pure
 	// laziness" limit of §4: the producer cannot compute even one item
@@ -250,14 +262,13 @@ func (c *channel) put(item []byte, owned bool, gen uint64) error {
 // take is the served drain: one Transfer batch of up to max items.  It
 // blocks (parking the kernel worker) until at least one item is
 // available or the stream ends — this blocking IS passive output.  A
-// nil reply means the record no longer carries gen.
-func (c *channel) take(gen uint64, max int) *TransferReply {
+// nil reply means r is stale.
+func (r chanRef) take(max int) *TransferReply {
 	if max <= 0 {
 		max = 1
 	}
-	c.mu.Lock()
-	if c.gen.Load() != gen {
-		c.mu.Unlock()
+	c, ok := r.lock()
+	if !ok {
 		return nil
 	}
 	for c.buffered() == 0 && !c.ended() && c.abortErr == nil {
@@ -290,12 +301,11 @@ func (c *channel) take(gen uint64, max int) *TransferReply {
 // and withholding the reply is how back pressure reaches the writer.
 // The item references themselves are absorbed (the writer side always
 // hands over fresh slices: copied on Put unless given ownership, and
-// fresh by construction off an encoded hop).  A nil reply means the
-// record no longer carries gen and nothing was absorbed.
-func (c *channel) absorb(gen uint64, req *DeliverRequest) *DeliverReply {
-	c.mu.Lock()
-	if c.gen.Load() != gen {
-		c.mu.Unlock()
+// fresh by construction off an encoded hop).  A nil reply means r is
+// stale and nothing was absorbed.
+func (r chanRef) absorb(req *DeliverRequest) *DeliverReply {
+	c, ok := r.lock()
+	if !ok {
 		return nil
 	}
 	windowed := !req.Writer.IsNil()
@@ -361,13 +371,13 @@ func (c *channel) absorb(gen uint64, req *DeliverRequest) *DeliverReply {
 }
 
 // next is the local drain: the next item, or io.EOF once the stream has
-// ended and the buffer has drained (or the record was retired).
-func (c *channel) next(gen uint64) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.gen.Load() != gen {
+// ended and the buffer has drained (or r is stale).
+func (r chanRef) next() ([]byte, error) {
+	c, ok := r.lock()
+	if !ok {
 		return nil, io.EOF
 	}
+	defer c.mu.Unlock()
 	for c.buffered() == 0 && !c.ended() && c.abortErr == nil {
 		c.wait()
 	}
@@ -419,7 +429,7 @@ type chanRegistry struct {
 	input bool
 
 	mu    sync.Mutex // guards chans (advert order and slot indices)
-	chans []*channel
+	chans []chanRef
 }
 
 // init prepares the registry.  k supplies UID minting (capability mode)
@@ -439,62 +449,62 @@ func (r *chanRegistry) init(k *kernel.Kernel, capMode, input bool) {
 // declare creates a channel; in capability mode its unforgeable
 // identifier is minted here.  capacity is already normalised by the
 // face.
-func (r *chanRegistry) declare(name string, num ChannelNum, capacity, writers int) (*channel, uint64) {
+func (r *chanRegistry) declare(name string, num ChannelNum, capacity, writers int) chanRef {
 	id := ChannelID{Num: num}
 	if r.capMode {
 		id.Cap = r.mintCap()
 	}
-	c := acquireChannel(r.met, name, id, capacity, writers)
-	gen := c.generation()
+	ref := acquireChannel(r.met, name, id, capacity, writers)
 	r.mu.Lock()
-	c.slot = len(r.chans)
-	r.chans = append(r.chans, c)
+	ref.c.slot = len(r.chans)
+	r.chans = append(r.chans, ref)
 	r.mu.Unlock()
-	r.register(num, id.Cap, c, gen)
+	r.register(num, id.Cap, ref)
 	r.met.ChannelsLive.Inc()
 	r.met.IdleChannelBytes.Add(idleChanFootprint(r.capMode))
-	return c, gen
+	return ref
 }
 
-// retire tears down a channel (see channel.retire), removes it from
+// retire tears down a channel (see chanRef.retire), removes it from
 // the table and the advert list, and returns the record to the pool.
 // It reports whether this call performed the teardown.
-func (r *chanRegistry) retire(c *channel, gen uint64) bool {
-	id, ok := c.retire(errRetired, gen)
+func (r *chanRegistry) retire(ref chanRef) bool {
+	id, ok := ref.retire(errRetired)
 	if !ok {
 		return false
 	}
 	r.unregister(id.Num, id.Cap)
 	r.mu.Lock()
-	last := len(r.chans) - 1
-	if c.slot <= last && r.chans[c.slot] == c {
+	if i, last := ref.c.slot, len(r.chans)-1; i <= last && r.chans[i] == ref {
 		moved := r.chans[last]
-		r.chans[c.slot] = moved
-		moved.slot = c.slot
-		r.chans[last] = nil
+		moved.c.slot = i
+		r.chans[i], r.chans[last] = moved, chanRef{}
 		r.chans = r.chans[:last]
 	}
 	r.mu.Unlock()
 	r.met.ChannelsLive.Dec()
 	r.met.IdleChannelBytes.Sub(idleChanFootprint(r.capMode))
-	c.release()
+	ref.release()
 	return true
 }
 
 // live snapshots the channel list.
-func (r *chanRegistry) live() []*channel {
+func (r *chanRegistry) live() []chanRef {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*channel(nil), r.chans...)
+	return append([]chanRef(nil), r.chans...)
 }
 
-// sum totals f over the live channels, each read under its own lock.
+// sum totals f over the live channels, each read under its own lock;
+// one retired since the snapshot (its record perhaps reissued) counts
+// nothing.
 func (r *chanRegistry) sum(f func(*channel) int64) int64 {
 	var n int64
-	for _, c := range r.live() {
-		c.mu.Lock()
-		n += f(c)
-		c.mu.Unlock()
+	for _, ref := range r.live() {
+		if c, ok := ref.lock(); ok {
+			n += f(c)
+			c.mu.Unlock()
+		}
 	}
 	return n
 }
@@ -508,11 +518,13 @@ func (r *chanRegistry) Adverts() []ChannelAdvert {
 	if r.input {
 		dir = "in"
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ads := make([]ChannelAdvert, 0, len(r.chans))
-	for _, c := range r.chans {
-		ads = append(ads, ChannelAdvert{Name: c.name, ID: c.id, Dir: dir})
+	refs := r.live()
+	ads := make([]ChannelAdvert, 0, len(refs))
+	for _, ref := range refs {
+		if c, ok := ref.lock(); ok {
+			ads = append(ads, ChannelAdvert{Name: c.name, ID: c.id, Dir: dir})
+			c.mu.Unlock()
+		}
 	}
 	return ads
 }
@@ -527,13 +539,13 @@ func (r *chanRegistry) ServeAbort(inv *kernel.Invocation) {
 	}
 	err := &AbortedError{Msg: req.Msg}
 	if req.All {
-		for _, c := range r.live() {
-			// If a retire races us the generation check turns the abort
-			// into a no-op, which is the right outcome either way.
-			c.abort(err, c.generation(), r.input)
+		for _, ref := range r.live() {
+			// If a retire races us the abort is a no-op, which is the
+			// right outcome either way.
+			ref.abort(err, r.input)
 		}
-	} else if c, gen, st := r.lookup(req.Channel); st == StatusOK {
-		c.abort(err, gen, r.input)
+	} else if ref, st := r.lookup(req.Channel); st == StatusOK {
+		ref.abort(err, r.input)
 	}
 	inv.Reply(&AbortReply{})
 }

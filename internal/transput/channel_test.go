@@ -30,6 +30,15 @@ func TestChannelRecordSize(t *testing.T) {
 	}
 }
 
+// TestChannelHandleSize pins a handle at two words, the record and its
+// generation: a gateway holds one per live channel.
+func TestChannelHandleSize(t *testing.T) {
+	const words = 2 * unsafe.Sizeof(uintptr(0))
+	if w, r := unsafe.Sizeof(ChannelWriter{}), unsafe.Sizeof(ChannelReader{}); w != words || r != words {
+		t.Fatalf("ChannelWriter is %d B and ChannelReader %d B, want %d", w, r, words)
+	}
+}
+
 // portEject exposes a bare passive port (or anything with its Serve
 // shape) to the kernel, so tests drive Transfer/Deliver/Abort
 // invocations against the record with no stage body in the way.
@@ -253,9 +262,9 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			// the first Window went out before any came back.
 			if row.window > 1 || row.prefetch > 0 {
 				eventually(t, "a Transfer is parked at the source", func() bool {
-					w.ch.mu.Lock()
-					defer w.ch.mu.Unlock()
-					return w.ch.waiters >= 1
+					w.ch.c.mu.Lock()
+					defer w.ch.c.mu.Unlock()
+					return w.ch.c.waiters >= 1
 				})
 			}
 			in.Cancel("enough")
@@ -265,7 +274,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			if err := w.PutOwned(view()); !errors.Is(err, ErrAborted) {
 				t.Errorf("source's Put after Cancel: %v, want ErrAborted", err)
 			}
-			audit(t, k, slab, w.ch, baseline)
+			audit(t, k, slab, w.ch.c, baseline)
 		})
 		if row.prefetch > 0 {
 			continue // read-ahead is the pull face's alone
@@ -303,9 +312,9 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 					wire.Release(item)
 				}
 				eventually(t, "one Transfer is at the source and the other helpers at the gate", func() bool {
-					w.ch.mu.Lock()
-					defer w.ch.mu.Unlock()
-					return w.ch.waiters == 1 && k.Metrics().WindowGateStalls.Value() >= int64(row.window-1)
+					w.ch.c.mu.Lock()
+					defer w.ch.c.mu.Unlock()
+					return w.ch.c.waiters == 1 && k.Metrics().WindowGateStalls.Value() >= int64(row.window-1)
 				})
 				if end == "Cancel" {
 					in.Cancel("enough")
@@ -332,7 +341,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 				if err := w.PutOwned(view()); !errors.Is(err, ErrAborted) {
 					t.Errorf("source's Put after %s: %v, want ErrAborted", end, err)
 				}
-				audit(t, k, slab, w.ch, baseline)
+				audit(t, k, slab, w.ch.c, baseline)
 			})
 		}
 		t.Run("push/"+row.name, func(t *testing.T) {
@@ -359,9 +368,9 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			}
 			if row.window > 1 {
 				eventually(t, "a delivery is parked at the sink", func() bool {
-					r.ch.mu.Lock()
-					defer r.ch.mu.Unlock()
-					return r.ch.waiters >= 1
+					r.ch.c.mu.Lock()
+					defer r.ch.c.mu.Unlock()
+					return r.ch.c.waiters >= 1
 				})
 			}
 			if err := p.CloseWithError(errors.New("producer failed")); err != nil {
@@ -373,7 +382,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			if _, err := r.Next(); !errors.Is(err, ErrAborted) {
 				t.Errorf("sink's Next after CloseWithError: %v, want ErrAborted", err)
 			}
-			audit(t, k, slab, r.ch, baseline)
+			audit(t, k, slab, r.ch.c, baseline)
 		})
 	}
 }
@@ -391,7 +400,7 @@ func TestSinkLaneHoldsBackByOffset(t *testing.T) {
 		for _, it := range items {
 			req.Items = append(req.Items, []byte(it))
 		}
-		if rep := r.ch.absorb(r.gen, req); rep == nil || rep.Status != StatusOK {
+		if rep := r.ch.absorb(req); rep == nil || rep.Status != StatusOK {
 			t.Errorf("delivery at %d: %+v", base, rep)
 		}
 	}
@@ -401,9 +410,9 @@ func TestSinkLaneHoldsBackByOffset(t *testing.T) {
 		deliver(2, "c", "d")
 	}()
 	eventually(t, "the delivery at offset 2 is held back", func() bool {
-		r.ch.mu.Lock()
-		defer r.ch.mu.Unlock()
-		return r.ch.waiters == 1 && k.Metrics().MergeReorderHighWater.Value() == 1
+		r.ch.c.mu.Lock()
+		defer r.ch.c.mu.Unlock()
+		return r.ch.c.waiters == 1 && k.Metrics().MergeReorderHighWater.Value() == 1
 	})
 	deliver(0, "a", "b")
 	<-late
@@ -513,9 +522,9 @@ func TestChannelTeardown(t *testing.T) {
 				// Retire whatever the path left standing, then inspect the
 				// record: stale to every old handle, nobody parked, empty.
 				r.retire()
-				c := r.ch
+				c := r.ch.c
 				c.mu.Lock()
-				stale, waiters, buffered := c.gen.Load() != r.gen, c.waiters, c.buffered()
+				stale, waiters, buffered := c.gen.Load() != r.ch.gen, c.waiters, c.buffered()
 				c.mu.Unlock()
 				if !stale || waiters != 0 || buffered != 0 {
 					t.Fatalf("retired record: stale=%v waiters=%d buffered=%d; want true, 0, 0", stale, waiters, buffered)
@@ -523,11 +532,11 @@ func TestChannelTeardown(t *testing.T) {
 				// If the pool hands the record straight back (it may not:
 				// sync.Pool is lossy), its next life must start clean.
 				w := NewOutPort(nil, OutPortConfig{}).Declare("next", 0, 2)
-				if w.ch == c {
+				if w.ch.c == c {
 					if err := w.Put([]byte("fresh")); err != nil {
 						t.Fatalf("reused record refused its first Put: %v", err)
 					}
-					if rep := w.ch.take(w.gen, 4); rep == nil || rep.Status != StatusOK || len(rep.Items) != 1 || rep.Base != 0 {
+					if rep := w.ch.take(4); rep == nil || rep.Status != StatusOK || len(rep.Items) != 1 || rep.Base != 0 {
 						t.Fatalf("reused record's first Transfer: %+v", rep)
 					}
 				}
@@ -544,8 +553,7 @@ type teardownRig struct {
 	id   uid.UID
 	slab *wire.Slab
 
-	ch     *channel
-	gen    uint64
+	ch     chanRef
 	writer *ChannelWriter // OutPort face
 	reader *ChannelReader // WOInPort face
 	retire func() bool
@@ -567,18 +575,18 @@ func newTeardownRig(t *testing.T, face string, backlog int) *teardownRig {
 	case "OutPort":
 		port := NewOutPort(k, OutPortConfig{})
 		r.writer = port.Declare("c", 0, backlog)
-		r.ch, r.gen = r.writer.ch, r.writer.gen
+		r.ch = r.writer.ch
 		r.retire = func() bool { return port.Retire(r.writer) }
 		eject = portEject{port.Serve}
 	case "WOInPort":
 		port := NewWOInPort(k, WOInPortConfig{})
 		r.reader = port.Declare("c", 0, backlog, 1)
-		r.ch, r.gen = r.reader.ch, r.reader.gen
+		r.ch = r.reader.ch
 		r.retire = func() bool { return port.Retire(r.reader) }
 		eject = portEject{port.Serve}
 	case "PassiveBuffer":
 		b := NewPassiveBuffer(k, PassiveBufferConfig{Name: "c", Capacity: backlog})
-		r.ch, r.gen = b.ch, b.gen
+		r.ch = b.ch
 		r.retire = func() bool { b.OnDeactivate(); return true }
 		eject = b
 	}
@@ -617,9 +625,9 @@ func newTeardownRig(t *testing.T, face string, backlog int) *teardownRig {
 	}
 	wg.Wait()
 	eventually(t, "the extra worker is parked in the record", func() bool {
-		r.ch.mu.Lock()
-		defer r.ch.mu.Unlock()
-		return r.ch.waiters == 1
+		r.ch.c.mu.Lock()
+		defer r.ch.c.mu.Unlock()
+		return r.ch.c.waiters == 1
 	})
 	return r
 }

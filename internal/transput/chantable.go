@@ -34,13 +34,11 @@ const chanStripes = 64
 // pooling, and the generation that makes stale references detectable.
 //
 // Generation discipline: a record's gen is bumped exactly once per
-// retire.  Everything that holds a reference across time — the
-// application-side writer/reader handle, a table entry, a capability
-// cache entry — captures the gen it was issued under and revalidates
-// before use; the authoritative check is under mu.  This is what makes
-// both the stripemap staleness contract (deletes visible lazily) and
-// sync.Pool reuse safe: a stale reference cannot touch the wrong
-// stream, it can only observe "generation moved on" and fail cleanly.
+// retire, under mu, and nothing holds a record bare (see chanRef).
+// This is what makes both the stripemap staleness contract (deletes
+// visible lazily) and sync.Pool reuse safe: a stale reference cannot
+// touch the wrong stream, it can only observe "generation moved on"
+// and fail cleanly.
 //
 // Waiter discipline: every cond.Wait goes through wait(), so retire
 // can tell whether any kernel worker is still parked inside the
@@ -62,9 +60,6 @@ type chanCore struct {
 	_ [64]byte
 }
 
-// generation is the lock-free read of the current generation.
-func (c *chanCore) generation() uint64 { return c.gen.Load() }
-
 // wait parks the caller on cond with waiter accounting.  Caller holds
 // mu (as for cond.Wait).
 func (c *chanCore) wait() {
@@ -73,13 +68,25 @@ func (c *chanCore) wait() {
 	c.waiters--
 }
 
-// tableEntry binds a record to the generation it was declared under.
-// A lookup that finds the record but not the generation is stale — the
-// channel was retired (and the record possibly reissued) after this
-// entry was written.
-type tableEntry struct {
-	ch  *channel
+// chanRef is how anything holds a channel record — a writer/reader
+// handle, a table entry, a capability cache entry, the registry's list:
+// the record with the generation it was issued under.  Outside
+// channel.go it is the only way to reach a record, and lock is the only
+// way a chanRef reaches it.
+type chanRef struct {
+	c   *channel
 	gen uint64
+}
+
+// lock locks the record, or returns false with the lock released once
+// the generation has moved on (retired, the record perhaps reissued).
+func (r chanRef) lock() (*channel, bool) {
+	r.c.mu.Lock()
+	if r.c.gen.Load() != r.gen {
+		r.c.mu.Unlock()
+		return nil, false
+	}
+	return r.c, true
 }
 
 // capCacheSlots sizes the direct-mapped capability cache.  Power of
@@ -106,28 +113,28 @@ type capSlot struct {
 	gen    atomic.Uint64
 }
 
-// load returns the record and generation cached for cp, if the slot
-// holds cp's entry and no writer was in it.
-func (s *capSlot) load(cp uid.UID) (*channel, uint64, bool) {
+// load returns the reference cached for cp, if the slot holds cp's
+// entry and no writer was in it.
+func (s *capSlot) load(cp uid.UID) (chanRef, bool) {
 	seq := s.seq.Load()
-	hi, lo, ch, gen := s.hi.Load(), s.lo.Load(), s.ch.Load(), s.gen.Load()
-	if seq&1 != 0 || s.seq.Load() != seq || ch == nil || hi != cp.Hi || lo != cp.Lo {
-		return nil, 0, false
+	hi, lo, ref := s.hi.Load(), s.lo.Load(), chanRef{s.ch.Load(), s.gen.Load()}
+	if seq&1 != 0 || s.seq.Load() != seq || ref.c == nil || hi != cp.Hi || lo != cp.Lo {
+		return chanRef{}, false
 	}
-	return ch, gen, true
+	return ref, true
 }
 
 // store installs an entry, evicting the slot's last.  A writer that
 // finds another in the slot gives up: the cache is lossy by contract.
-func (s *capSlot) store(cp uid.UID, ch *channel, gen uint64) {
+func (s *capSlot) store(cp uid.UID, ref chanRef) {
 	seq := s.seq.Load()
 	if seq&1 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
 		return
 	}
 	s.hi.Store(cp.Hi)
 	s.lo.Store(cp.Lo)
-	s.ch.Store(ch)
-	s.gen.Store(gen)
+	s.ch.Store(ref.c)
+	s.gen.Store(ref.gen)
 	s.seq.Store(seq + 2)
 }
 
@@ -149,9 +156,9 @@ type chanTable struct {
 	capMode bool
 	met     *metrics.Set
 
-	byNum *stripemap.Map[ChannelNum, tableEntry]
-	byCap *stripemap.Map[uid.UID, tableEntry] // nil unless capMode
-	cache *capCache                           // nil unless capMode
+	byNum *stripemap.Map[ChannelNum, chanRef]
+	byCap *stripemap.Map[uid.UID, chanRef] // nil unless capMode
+	cache *capCache                        // nil unless capMode
 }
 
 // numHash mixes a channel number for stripe placement (small
@@ -167,10 +174,10 @@ func newChanTable(capMode bool, met *metrics.Set) chanTable {
 	t := chanTable{
 		capMode: capMode,
 		met:     met,
-		byNum:   stripemap.New[ChannelNum, tableEntry](chanStripes, numHash, &met.ChannelLookupContention),
+		byNum:   stripemap.New[ChannelNum, chanRef](chanStripes, numHash, &met.ChannelLookupContention),
 	}
 	if capMode {
-		t.byCap = stripemap.New[uid.UID, tableEntry](chanStripes, uid.UID.Hash, &met.ChannelLookupContention)
+		t.byCap = stripemap.New[uid.UID, chanRef](chanStripes, uid.UID.Hash, &met.ChannelLookupContention)
 		t.cache = new(capCache)
 	}
 	return t
@@ -185,13 +192,12 @@ func (t *chanTable) missStatus() Status {
 	return StatusNoSuchChannel
 }
 
-// register publishes a record under its number (and capability, in
-// capability mode) at generation gen.
-func (t *chanTable) register(num ChannelNum, cp uid.UID, ch *channel, gen uint64) {
-	e := tableEntry{ch: ch, gen: gen}
-	t.byNum.Store(num, e)
+// register publishes a reference under its number (and capability, in
+// capability mode).
+func (t *chanTable) register(num ChannelNum, cp uid.UID, ref chanRef) {
+	t.byNum.Store(num, ref)
 	if t.capMode {
-		t.byCap.Store(cp, e)
+		t.byCap.Store(cp, ref)
 	}
 }
 
@@ -205,42 +211,38 @@ func (t *chanTable) unregister(num ChannelNum, cp uid.UID) {
 	}
 }
 
-// lookup resolves id to a live record and the generation it must still
-// carry.  Callers re-verify gen under the record's lock before acting
-// (the window between this check and the lock is exactly the window a
-// concurrent retire could win).
-func (t *chanTable) lookup(id ChannelID) (*channel, uint64, Status) {
-	if t.capMode {
-		if !id.IsCap() {
-			return nil, 0, StatusNotPermitted
-		}
-		slot := &t.cache.slots[id.Cap.Hash()&(capCacheSlots-1)]
-		ch, gen, cached := slot.load(id.Cap)
-		//vet:ok epochguard -- lock-free cache precheck; callers re-verify gen under ch.mu before acting
-		if cached && ch.generation() == gen {
+// lookup resolves id to a reference to a live record.  Its generation
+// checks are lock-free prefilters: a retire can win the window between
+// them and the caller's chanRef.lock, which is the check that counts.
+func (t *chanTable) lookup(id ChannelID) (chanRef, Status) {
+	var slot *capSlot
+	ref, ok := chanRef{}, false
+	switch {
+	case !t.capMode:
+		ref, ok = t.byNum.Load(id.Num)
+	case id.IsCap():
+		slot = &t.cache.slots[id.Cap.Hash()&(capCacheSlots-1)]
+		// Lock-free cache precheck; chanRef.lock re-verifies under mu.
+		if ref, ok = slot.load(id.Cap); ok && ref.c.gen.Load() == ref.gen {
 			t.met.CapabilityCacheHits.Inc()
-			return ch, gen, StatusOK
+			return ref, StatusOK
 		}
 		t.met.CapabilityCacheMisses.Inc()
-		ent, ok := t.byCap.Load(id.Cap)
-		//vet:ok epochguard -- lock-free liveness filter; authoritative check runs in callers under ch.mu
-		if !ok || ent.ch.generation() != ent.gen {
-			return nil, 0, StatusNotPermitted
-		}
-		slot.store(id.Cap, ent.ch, ent.gen)
-		return ent.ch, ent.gen, StatusOK
+		ref, ok = t.byCap.Load(id.Cap)
 	}
-	ent, ok := t.byNum.Load(id.Num)
-	//vet:ok epochguard -- lock-free liveness filter; authoritative check runs in callers under ch.mu
-	if !ok || ent.ch.generation() != ent.gen {
-		return nil, 0, StatusNoSuchChannel
+	// Lock-free liveness filter; chanRef.lock re-verifies under mu.
+	if !ok || ref.c.gen.Load() != ref.gen {
+		return chanRef{}, t.missStatus()
 	}
-	return ent.ch, ent.gen, StatusOK
+	if slot != nil {
+		slot.store(id.Cap, ref)
+	}
+	return ref, StatusOK
 }
 
 // seqGate is a sink's lanes, one per windowed writer: the item offset
 // of the writer's next delivery, which a delivery waits for (see
-// channel.absorb).  It allocates nothing on the per-Deliver path: the
+// chanRef.absorb).  It allocates nothing on the per-Deliver path: the
 // common fan-in degrees live in an inline lane array (zero allocations,
 // linear scan over four entries beats a map probe), and only a fan-in
 // wider than the lanes spills to a map.  All methods are called under

@@ -2,6 +2,7 @@ package transput
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -70,60 +71,219 @@ func TestSeqGateLaneStaysInline(t *testing.T) {
 	}
 }
 
-// --- generation discipline / Retire ---
+// --- generation discipline: stale handles ---
 
-func TestOutPortRetire(t *testing.T) {
-	p := NewOutPort(nil, OutPortConfig{CapabilityMode: true})
-	w := p.Declare("out", 0, 4)
-	id := w.ID()
-	if _, _, st := p.lookup(id); st != StatusOK {
-		t.Fatalf("lookup before retire: %v", st)
+// reissue makes a reference stale the dangerous way: 64 channels
+// declared on a capability-mode OutPort (or WOInPort, if input) and
+// retired through the face, then declarations on a second port until
+// the pool hands one of their records back.  It returns the stale
+// reference, as lookup resolved it before the retire, and the writer of
+// the record's next life, holding one item.
+func reissue(t *testing.T, input bool) (chanRef, *ChannelWriter) {
+	t.Helper()
+	out, in := NewOutPort(nil, OutPortConfig{CapabilityMode: true}), NewWOInPort(nil, WOInPortConfig{CapabilityMode: true})
+	old, retire := &out.chanRegistry, func(r chanRef) bool { return out.Retire(&ChannelWriter{r}) }
+	if input {
+		old, retire = &in.chanRegistry, func(r chanRef) bool { return in.Retire(&ChannelReader{r}) }
 	}
-	if !p.Retire(w) {
-		t.Fatal("first Retire returned false")
+	stale := make(map[*channel]chanRef)
+	for i := range 64 {
+		ref := old.declare("old", ChannelNum(i), 4, 1)
+		stale[ref.c] = ref
 	}
-	if p.Retire(w) {
-		t.Fatal("second Retire should be a no-op")
-	}
-	if _, _, st := p.lookup(id); st != StatusNotPermitted {
-		t.Fatalf("lookup after retire: %v, want StatusNotPermitted", st)
-	}
-	if err := w.Put([]byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Put on retired writer: %v, want ErrClosed", err)
-	}
-	if err := w.Close(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Close on retired writer: %v, want ErrClosed", err)
-	}
-	// A stale CloseWithError must not abort the record's next life.
-	w2 := p.Declare("next", 1, 4)
-	if w2.ch == w.ch { // pooled reuse: the dangerous case this exercises
-		_ = w.CloseWithError(errors.New("stale"))
-		if err := w2.Put([]byte("y")); err != nil {
-			t.Fatalf("stale CloseWithError leaked into reused record: %v", err)
+	for _, ref := range stale {
+		id, _ := ref.ident()
+		if got, st := old.lookup(id); st != StatusOK || got != ref || !retire(ref) || retire(ref) {
+			t.Fatalf("lookup %v, or Retire did not tear the channel down exactly once", st)
 		}
+		if _, st := old.lookup(id); st != StatusNotPermitted {
+			t.Fatalf("lookup after retire: %v, want StatusNotPermitted", st)
+		}
+	}
+	next := NewOutPort(nil, OutPortConfig{CapabilityMode: true})
+	for i := range 64 {
+		w := next.Declare("next", ChannelNum(i), 4)
+		if ref, ok := stale[w.ch.c]; ok {
+			if err := w.Put([]byte("live")); err != nil {
+				t.Fatal(err)
+			}
+			return ref, w
+		}
+	}
+	t.Skip("the pool reissued none of 64 retired records")
+	return chanRef{}, nil
+}
+
+// TestStaleHandle runs every operation on a record through a reference
+// made stale by Retire and the record's reuse on another port.  Each
+// gives its stale answer, and the successor stream — buffer, End marks,
+// abort state, counters — does not move.
+func TestStaleHandle(t *testing.T) {
+	type state struct {
+		buffered, ends     int
+		abortErr           *AbortedError
+		gen, out, tr, dels int64
+	}
+	snap := func(c *channel) state {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return state{c.buffered(), c.ends, c.abortErr, int64(c.gen.Load()), c.itemsOut, c.transfersServed, c.deliversServed}
+	}
+	item := func() []byte { return []byte("stale") }
+	for _, row := range []struct {
+		name  string
+		input bool // declared on a WOInPort
+		op    func(s chanRef) (got, want any)
+	}{
+		{"Put", false, func(s chanRef) (any, any) { return (&ChannelWriter{s}).Put(item()), ErrClosed }},
+		{"PutOwned", false, func(s chanRef) (any, any) { return (&ChannelWriter{s}).PutOwned(item()), ErrClosed }},
+		{"Close", false, func(s chanRef) (any, any) { return (&ChannelWriter{s}).Close(), ErrClosed }},
+		{"CloseWithError", false, func(s chanRef) (any, any) { return (&ChannelWriter{s}).CloseWithError(errors.New("stale")), nil }},
+		{"WriterID", false, func(s chanRef) (any, any) { return (&ChannelWriter{s}).ID(), ChannelID{} }},
+		{"Name", false, func(s chanRef) (any, any) { return (&ChannelWriter{s}).Name(), "" }},
+		{"Transfer", false, func(s chanRef) (any, any) { return s.take(4) == nil, true }},
+		{"Next", true, func(s chanRef) (any, any) { _, err := (&ChannelReader{s}).Next(); return err, io.EOF }},
+		{"Cancel", true, func(s chanRef) (any, any) { (&ChannelReader{s}).Cancel("stale"); return nil, nil }},
+		{"ReaderID", true, func(s chanRef) (any, any) { return (&ChannelReader{s}).ID(), ChannelID{} }},
+		{"Deliver", true, func(s chanRef) (any, any) {
+			return s.absorb(&DeliverRequest{Items: [][]byte{item()}, End: true}) == nil, true
+		}},
+		{"Buffered", true, func(s chanRef) (any, any) { return (&PassiveBuffer{ch: s}).Buffered(), 0 }},
+		{"OnDeactivate", true, func(s chanRef) (any, any) { (&PassiveBuffer{ch: s}).OnDeactivate(); return nil, nil }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s, next := reissue(t, row.input)
+			before := snap(next.ch.c)
+			if got, want := row.op(s); got != want {
+				t.Errorf("stale %s = %v, want %v", row.name, got, want)
+			}
+			if after := snap(next.ch.c); after != before {
+				t.Errorf("stale %s moved the successor stream: %+v -> %+v", row.name, before, after)
+			}
+		})
 	}
 }
 
-func TestWOInPortRetire(t *testing.T) {
-	p := NewWOInPort(nil, WOInPortConfig{CapabilityMode: true})
-	r := p.Declare("in", 0, 4, 1)
-	id := r.ID()
-	if _, _, st := p.lookup(id); st != StatusOK {
-		t.Fatalf("lookup before retire: %v", st)
+// TestStaleHandleIdentity: once retired, a handle reports the zero
+// identifier and name — never those of the stream its record serves
+// next, here a channel of another port, declared while the handle is
+// read.
+func TestStaleHandleIdentity(t *testing.T) {
+	ports := func() (*OutPort, *WOInPort) {
+		return NewOutPort(nil, OutPortConfig{CapabilityMode: true}), NewWOInPort(nil, WOInPortConfig{CapabilityMode: true})
 	}
-	if !p.Retire(r) {
-		t.Fatal("first Retire returned false")
+	a, ai := ports()
+	b, bi := ports()
+	w, r := a.Declare("a", 0, 4), ai.Declare("a", 0, 4, 1)
+	a.Retire(w)
+	ai.Retire(r)
+	stale := func() error {
+		if id, name, rid := w.ID(), w.Name(), r.ID(); id != (ChannelID{}) || name != "" || rid != (ChannelID{}) {
+			return fmt.Errorf("stale handles report %v %q and %v", id, name, rid)
+		}
+		return nil
 	}
-	if p.Retire(r) {
-		t.Fatal("second Retire should be a no-op")
+	bw, br := b.Declare("b", 0, 4), bi.Declare("b", 0, 4, 1)
+	if bw.ch.c != w.ch.c && br.ch.c != r.ch.c {
+		t.Log("the pool reissued neither record to B; the churn below still may")
 	}
-	if _, _, st := p.lookup(id); st != StatusNotPermitted {
-		t.Fatalf("lookup after retire: %v, want StatusNotPermitted", st)
+	if err := stale(); err != nil {
+		t.Fatalf("%v; B's are %v %q and %v", err, bw.ID(), bw.Name(), br.ID())
 	}
-	if _, err := r.Next(); err != io.EOF {
-		t.Fatalf("Next on retired reader: %v, want io.EOF", err)
+	b.Retire(bw)
+	bi.Retire(br)
+	stop, done := make(chan struct{}), make(chan error)
+	go func() { // reads the handles while B reissues their records
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := stale(); err != nil {
+				<-stop
+				done <- err
+				return
+			}
+		}
+	}()
+	for i := 1; i < 2000; i++ {
+		cw, cr := b.Declare("b", ChannelNum(i), 4), bi.Declare("b", ChannelNum(i), 4, 1)
+		b.Retire(cw)
+		bi.Retire(cr)
 	}
-	r.Cancel("stale") // must not poison the record's next incarnation
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleHandleStorm races handles — Put, Close, CloseWithError,
+// Cancel, Next — against their own retire and the redeclaration of
+// their records on a second port pair, which fills, drains and retires
+// them.  No successor ever sees a stale item, a stale End mark or a
+// stale abort.
+func TestStaleHandleStorm(t *testing.T) {
+	type handles struct {
+		w *ChannelWriter
+		r *ChannelReader
+	}
+	var cur atomic.Pointer[handles]
+	oldOut, oldIn := NewOutPort(nil, OutPortConfig{}), NewWOInPort(nil, WOInPortConfig{})
+	cur.Store(&handles{oldOut.Declare("old", 0, 4), oldIn.Declare("old", 0, 4, 1)})
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for _, op := range []func(h *handles){
+		func(h *handles) { _ = h.w.Put([]byte("stale")) },
+		func(h *handles) { _ = h.w.Close() },
+		func(h *handles) { _ = h.w.CloseWithError(errors.New("stale")) },
+		func(h *handles) { h.r.Cancel("stale") },
+		func(h *handles) { _, _ = h.r.Next() },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				op(cur.Load())
+			}
+		}()
+	}
+	defer func() { // the last handles are live: retiring them frees a blocked Put or Next
+		stop.Store(true)
+		h := cur.Load()
+		oldOut.Retire(h.w)
+		oldIn.Retire(h.r)
+		wg.Wait()
+	}()
+	out, in := NewOutPort(nil, OutPortConfig{}), NewWOInPort(nil, WOInPortConfig{})
+	for i := range 2000 {
+		h := cur.Load()
+		oldOut.Retire(h.w)
+		oldIn.Retire(h.r)
+		sw, sr := out.Declare("next", 1, 4), in.Declare("next", 1, 4, 1)
+		if err := sw.Put([]byte("live")); err != nil {
+			t.Fatalf("cycle %d: successor Put: %v", i, err)
+		}
+		if err := sw.Close(); err != nil {
+			t.Fatalf("cycle %d: successor Close: %v", i, err)
+		}
+		if rep := sw.ch.take(4); rep == nil || rep.Status != StatusEnd || len(rep.Items) != 1 || string(rep.Items[0]) != "live" {
+			t.Fatalf("cycle %d: successor Transfer: %+v", i, rep)
+		}
+		if rep := sr.ch.absorb(&DeliverRequest{Items: [][]byte{[]byte("live")}, End: true}); rep == nil || rep.Status != StatusOK {
+			t.Fatalf("cycle %d: successor Deliver: %+v", i, rep)
+		}
+		if item, err := sr.Next(); err != nil || string(item) != "live" {
+			t.Fatalf("cycle %d: successor Next: %q, %v", i, item, err)
+		}
+		if _, err := sr.Next(); err != io.EOF {
+			t.Fatalf("cycle %d: successor after its End: %v, want io.EOF", i, err)
+		}
+		out.Retire(sw)
+		in.Retire(sr)
+		cur.Store(&handles{oldOut.Declare("old", 0, 4), oldIn.Declare("old", 0, 4, 1)})
+	}
 }
 
 func TestRetireUpdatesGauges(t *testing.T) {
@@ -161,12 +321,12 @@ func TestCapCacheHitsAndInvalidation(t *testing.T) {
 	met := p.met
 	r := p.Declare("in", 0, 4, 1)
 	id := r.ID()
-	if _, _, st := p.lookup(id); st != StatusOK { // install
+	if _, st := p.lookup(id); st != StatusOK { // install
 		t.Fatal(st)
 	}
 	base := met.CapabilityCacheHits.Value()
 	for i := 0; i < 100; i++ {
-		if _, _, st := p.lookup(id); st != StatusOK {
+		if _, st := p.lookup(id); st != StatusOK {
 			t.Fatal(st)
 		}
 	}
@@ -176,11 +336,11 @@ func TestCapCacheHitsAndInvalidation(t *testing.T) {
 	// Retire invalidates by generation: the cached entry must stop
 	// resolving even though it still sits in its slot.
 	p.Retire(r)
-	if _, _, st := p.lookup(id); st != StatusNotPermitted {
+	if _, st := p.lookup(id); st != StatusNotPermitted {
 		t.Fatalf("stale cache entry resolved after retire: %v", st)
 	}
 	// Wrong capability never resolves.
-	if _, _, st := p.lookup(ChannelID{Num: 0, Cap: uid.New()}); st != StatusNotPermitted {
+	if _, st := p.lookup(ChannelID{Num: 0, Cap: uid.New()}); st != StatusNotPermitted {
 		t.Fatalf("forged capability resolved: %v", st)
 	}
 }
@@ -191,7 +351,7 @@ func TestCapLookupAllocFree(t *testing.T) {
 	id := r.ID()
 	p.lookup(id) // warm the cache slot
 	if n := testing.AllocsPerRun(500, func() {
-		if _, _, st := p.lookup(id); st != StatusOK {
+		if _, st := p.lookup(id); st != StatusOK {
 			t.Fatal(st)
 		}
 	}); n != 0 {
@@ -205,7 +365,7 @@ func TestCapLookupAllocFree(t *testing.T) {
 	misses := p.met.CapabilityCacheMisses.Value()
 	if n := testing.AllocsPerRun(500, func() {
 		for _, id := range []ChannelID{a, b} {
-			if _, _, st := p.lookup(id); st != StatusOK {
+			if _, st := p.lookup(id); st != StatusOK {
 				t.Fatal(st)
 			}
 		}
@@ -234,17 +394,13 @@ func capsOnSlot(slot uint64) func() uid.UID {
 // TestCapCacheStormOnOneSlot: lookups against Retire and re-Declare with
 // every capability in one cache slot, so each install evicts a live
 // entry while readers are in it.  A lookup must never resolve a
-// capability to a (record, generation) that was issued for another —
+// capability to a reference that was issued for another —
 // which a reader that mixed two entries' fields would.
 func TestCapCacheStormOnOneSlot(t *testing.T) {
 	p := NewWOInPort(nil, WOInPortConfig{CapabilityMode: true})
 	p.mintCap = capsOnSlot(11)
-	type issue struct {
-		ch  *channel
-		gen uint64
-	}
 	var (
-		issued sync.Map // issue -> capability it was declared under
+		issued sync.Map // chanRef -> capability it was declared under
 		recent [8]atomic.Pointer[ChannelID]
 		stop   atomic.Bool
 		wg     sync.WaitGroup // readers
@@ -258,7 +414,7 @@ func TestCapCacheStormOnOneSlot(t *testing.T) {
 			for i := range cycles {
 				r := p.Declare("c", ChannelNum(w*cycles+i), 4, 1)
 				id := r.ID()
-				issued.Store(issue{r.ch, r.gen}, id.Cap)
+				issued.Store(r.ch, id.Cap)
 				recent[(w+i*writers)%len(recent)].Store(&id)
 				p.lookup(id)
 				if i%4 != 0 { // some stay live a while, so hits and misses interleave
@@ -277,12 +433,12 @@ func TestCapCacheStormOnOneSlot(t *testing.T) {
 				if id == nil {
 					continue
 				}
-				ch, gen, st := p.lookup(*id)
+				ref, st := p.lookup(*id)
 				if st != StatusOK {
 					continue
 				}
 				resolved.Add(1)
-				if cp, ok := issued.Load(issue{ch, gen}); !ok || cp != id.Cap {
+				if cp, ok := issued.Load(ref); !ok || cp != id.Cap {
 					t.Errorf("capability %v resolved to a record issued for %v", id.Cap, cp)
 					return
 				}
@@ -348,31 +504,10 @@ func TestChurnReusesRecords(t *testing.T) {
 	seen := make(map[*channel]int)
 	for i := 0; i < 64; i++ {
 		w := p.Declare("c", 0, 8)
-		seen[w.ch]++
+		seen[w.ch.c]++
 		p.Retire(w)
 	}
 	if len(seen) == 64 {
 		t.Error("64 cycles used 64 distinct records; pool is not recycling")
-	}
-}
-
-func TestStaleServeRejectedAfterReuse(t *testing.T) {
-	// Simulate the lookup/lock race: a server thread resolves a channel,
-	// the channel is retired and its record reissued, and only then does
-	// the server lock the record.  The generation check must refuse it.
-	p := NewWOInPort(nil, WOInPortConfig{})
-	r1 := p.Declare("a", 0, 4, 1)
-	ch, gen, st := p.lookup(Chan(0))
-	if st != StatusOK {
-		t.Fatal(st)
-	}
-	p.Retire(r1)
-	r2 := p.Declare("b", 1, 4, 1)
-	_ = r2
-	ch.mu.Lock()
-	stale := ch.gen.Load() != gen
-	ch.mu.Unlock()
-	if !stale {
-		t.Fatal("generation unchanged across retire; stale servers could cross streams")
 	}
 }

@@ -186,9 +186,9 @@ func TestWindowGateDual(t *testing.T) {
 						read()
 					}
 					eventually(t, "the sink is full again", func() bool {
-						r.ch.mu.Lock()
-						defer r.ch.mu.Unlock()
-						return r.ch.buffered() == r.ch.capacity
+						r.ch.c.mu.Lock()
+						defer r.ch.c.mu.Unlock()
+						return r.ch.c.buffered() == r.ch.c.capacity
 					})
 				}
 				flood = func() {
@@ -452,9 +452,9 @@ func TestReverseCompletionDual(t *testing.T) {
 						closed <- p.Close()
 					}()
 					reordered = func() bool {
-						r.ch.mu.Lock()
-						defer r.ch.mu.Unlock()
-						return r.ch.waiters >= 1
+						r.ch.c.mu.Lock()
+						defer r.ch.c.mu.Unlock()
+						return r.ch.c.waiters >= 1
 					}
 					tear = func() { _ = p.CloseWithError(errors.New("enough")) }
 					result = func() ([]string, error) {

@@ -68,20 +68,19 @@ func (p *OutPort) Declare(name string, num ChannelNum, capacity int) *ChannelWri
 	case capacity == 0:
 		capacity = DefaultCapacity
 	}
-	ch, gen := p.declare(name, num, capacity, 1)
-	return &ChannelWriter{ch: ch, gen: gen}
+	return &ChannelWriter{p.declare(name, num, capacity, 1)}
 }
 
 // Retire tears down a channel: stale handles and in-flight Transfers
-// fail cleanly (generation check / StatusAborted), the backlog is
+// fail cleanly (ErrClosed / StatusAborted), the backlog is
 // dropped with its slab views released, and the record returns to the
 // pool for the next Declare.  It reports whether this call performed
 // the teardown (false if the writer's channel was already retired).
-func (p *OutPort) Retire(w *ChannelWriter) bool { return p.retire(w.ch, w.gen) }
+func (p *OutPort) Retire(w *ChannelWriter) bool { return p.retire(w.ch) }
 
 // ServeTransfer handles one Transfer invocation, parking the kernel
 // worker until the channel has something to answer with (see
-// channel.take).
+// chanRef.take).
 func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 	req, ok := inv.Payload.(*TransferRequest)
 	if !ok {
@@ -89,10 +88,10 @@ func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 		return
 	}
 	p.met.TransferInvocations.Inc()
-	ch, gen, st := p.lookup(req.Channel)
+	ch, st := p.lookup(req.Channel)
 	var rep *TransferReply
 	if st == StatusOK {
-		if rep = ch.take(gen, req.Max); rep == nil {
+		if rep = ch.take(req.Max); rep == nil {
 			st = p.missStatus() // a retire won the race between lookup and lock
 		}
 	}
@@ -132,30 +131,29 @@ func (p *OutPort) Buffered() int {
 // channel: the conventional Write interface of §4's standard IO
 // module.  It implements ItemWriter.  The writer is bound to one
 // incarnation of the channel record; after Retire every method fails
-// with ErrClosed (the generation check).
+// with ErrClosed, and ID and Name report the zero identifier and "".
 type ChannelWriter struct {
-	ch  *channel
-	gen uint64
+	ch chanRef
 }
 
 // ID returns the channel's identifier (including its capability, when
 // in capability mode).
-func (w *ChannelWriter) ID() ChannelID { return w.ch.id }
+func (w *ChannelWriter) ID() ChannelID { id, _ := w.ch.ident(); return id }
 
 // Name returns the channel's advertised name.
-func (w *ChannelWriter) Name() string { return w.ch.name }
+func (w *ChannelWriter) Name() string { _, name := w.ch.ident(); return name }
 
 // Put appends one item, blocking while the anticipatory buffer is at
 // capacity.  The item is copied.
-func (w *ChannelWriter) Put(item []byte) error { return w.ch.put(item, false, w.gen) }
+func (w *ChannelWriter) Put(item []byte) error { return w.ch.put(item, false) }
 
 // PutOwned appends the item slice itself, taking ownership (see
 // OwnedItemWriter).  The zero-copy handoff on every intra-node link.
-func (w *ChannelWriter) PutOwned(item []byte) error { return w.ch.put(item, true, w.gen) }
+func (w *ChannelWriter) PutOwned(item []byte) error { return w.ch.put(item, true) }
 
 // Close marks normal end of stream.  Buffered items drain first;
 // readers then see StatusEnd.
-func (w *ChannelWriter) Close() error { return w.ch.end(w.gen) }
+func (w *ChannelWriter) Close() error { return w.ch.end() }
 
 // CloseWithError aborts the channel: readers see StatusAborted with
 // the error's message, and further Puts fail.
@@ -163,6 +161,6 @@ func (w *ChannelWriter) CloseWithError(err error) error {
 	if err == nil {
 		return w.Close()
 	}
-	w.ch.abort(&AbortedError{Msg: err.Error()}, w.gen, false)
+	w.ch.abort(&AbortedError{Msg: err.Error()}, false)
 	return nil
 }

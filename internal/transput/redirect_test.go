@@ -149,7 +149,7 @@ func TestRedirectKeepsEveryArrivedBatch(t *testing.T) {
 			k := testKernel(t)
 			a, st := registerItems(t, k, numbered(100), ROStageConfig{Anticipation: 100})
 			b, _ := registerItems(t, k, [][]byte{[]byte("tail")}, ROStageConfig{})
-			ch := st.Writer(0).ch
+			ch := st.Writer(0).ch.c
 			served := func() int64 {
 				ch.mu.Lock()
 				defer ch.mu.Unlock()

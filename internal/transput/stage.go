@@ -98,7 +98,7 @@ func (r *stageRun) OnDeactivate() {
 	endStreams(r.ins, r.outs, errStageDeactivated, errStageDeactivated.Msg)
 	for _, w := range r.outs {
 		if cw, ok := w.(*ChannelWriter); ok {
-			cw.ch.abort(errStageDeactivated, cw.gen, true)
+			cw.ch.abort(errStageDeactivated, true)
 		}
 	}
 }

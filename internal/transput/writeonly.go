@@ -74,18 +74,17 @@ func inputCapacity(capacity int) int {
 // 1).  capacity <= -1 selects single-item handoff; 0 selects
 // DefaultCapacity.
 func (p *WOInPort) Declare(name string, num ChannelNum, capacity, writers int) *ChannelReader {
-	ch, gen := p.declare(name, num, inputCapacity(capacity), writers)
-	return &ChannelReader{ch: ch, gen: gen}
+	return &ChannelReader{p.declare(name, num, inputCapacity(capacity), writers)}
 }
 
 // Retire tears down a channel: parked Deliver workers are released
-// with StatusAborted, stale handles fail their generation checks, the
+// with StatusAborted, stale handles fail cleanly, the
 // backlog is dropped with slab views released, and the record returns
 // to the pool.  It reports whether this call performed the teardown.
-func (p *WOInPort) Retire(r *ChannelReader) bool { return p.retire(r.ch, r.gen) }
+func (p *WOInPort) Retire(r *ChannelReader) bool { return p.retire(r.ch) }
 
 // ServeDeliver handles one Deliver invocation, withholding the reply
-// until every item fits in the channel's buffer (see channel.absorb).
+// until every item fits in the channel's buffer (see chanRef.absorb).
 func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 	req, ok := inv.Payload.(*DeliverRequest)
 	if !ok {
@@ -93,10 +92,10 @@ func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 		return
 	}
 	p.met.DeliverInvocations.Inc()
-	ch, gen, st := p.lookup(req.Channel)
+	ch, st := p.lookup(req.Channel)
 	var rep *DeliverReply
 	if st == StatusOK {
-		if rep = ch.absorb(gen, req); rep == nil {
+		if rep = ch.absorb(req); rep == nil {
 			st = p.missStatus() // a retire won the race between lookup and lock
 		}
 	}
@@ -127,24 +126,23 @@ func (p *WOInPort) DeliversServed() int64 {
 // passive-input channel: §5's "conventional Read routine ...
 // extracting data from an internal buffer".  It implements ItemReader.
 // The reader is bound to one incarnation of the channel record; after
-// Retire, Next reports io.EOF and Cancel is a no-op.
+// Retire, Next reports io.EOF, Cancel is a no-op and ID is zero.
 type ChannelReader struct {
-	ch  *channel
-	gen uint64
+	ch chanRef
 }
 
 // ID returns the channel's identifier.
-func (r *ChannelReader) ID() ChannelID { return r.ch.id }
+func (r *ChannelReader) ID() ChannelID { id, _ := r.ch.ident(); return id }
 
 // Next returns the next delivered item, or io.EOF once every expected
 // writer has sent End and the buffer has drained.
-func (r *ChannelReader) Next() ([]byte, error) { return r.ch.next(r.gen) }
+func (r *ChannelReader) Next() ([]byte, error) { return r.ch.next() }
 
 // Cancel aborts the channel locally (consumer going away), releasing
 // parked Deliver workers with StatusAborted.  The undrained backlog is
 // dropped — nothing will ever read it — releasing any slab views.
 func (r *ChannelReader) Cancel(msg string) {
-	r.ch.abort(&AbortedError{Msg: msg}, r.gen, true)
+	r.ch.abort(&AbortedError{Msg: msg}, true)
 }
 
 var _ ItemReader = (*ChannelReader)(nil)
