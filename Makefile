@@ -27,7 +27,7 @@ staticcheck:
 ## purity (readonly files never reach the push side and vice versa),
 ## fusion purity (fusable-tagged plumbing never reaches a port or a
 ## kernel invocation), pool hygiene (no use-after-Put, no missing Put),
-## metrics-table completeness, goroutine termination, and one wait-for
+## goroutine termination, and one wait-for
 ## graph for cond-wait discipline, lock order (cycles of any length)
 ## and mixed mutex/channel/cond cycles, and — via the protomodel
 ## analyzer — credit-protocol liveness by exhaustive model checking.
@@ -89,12 +89,15 @@ allocs:
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for
 ## 10 s each — every registered protocol record (both decode paths,
-## pooled records), the frame reader over torn reads, the codec, and the
-## slab's handle counts and Detach's two outcomes against a shadow model.
+## pooled records), the frame reader over torn reads, vectored frames
+## over fuzzed item lengths on both sides of wire.SpliceCutoff, the
+## codec, and the slab's handle counts and Detach's two outcomes against
+## a shadow model.
 ## One -fuzz target per go test invocation, as go requires.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecords$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzVectoredFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSlabViews$$' -fuzztime 10s ./internal/wire
 

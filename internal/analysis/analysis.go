@@ -199,7 +199,6 @@ func All() []*Analyzer {
 		Discipline,
 		Fusable,
 		PoolHygiene,
-		MetricsTable,
 		ConnLife,
 		SendOwn,
 		Goroleak,

@@ -41,16 +41,6 @@ func TestFusableFixture(t *testing.T) {
 	mustFind(t, diags, "reaches invocation symbol")
 }
 
-func TestMetricsTableFixture(t *testing.T) {
-	diags := runFixture(t, MetricsTable, "metricsfix")
-	mustFind(t, diags, "missing from fieldTable")
-	mustFind(t, diags, "Set field Skipped is missing") // promoted from an embedded ledger
-	mustFind(t, diags, "duplicate metric name")
-	mustFind(t, diags, "hoist the Inc handle")
-	mustFind(t, diags, "hoist the AddAt handle")
-	mustFind(t, diags, "no such metric")
-}
-
 func TestConnLifeFixture(t *testing.T) {
 	diags := runFixture(t, ConnLife, "connfix")
 	mustFind(t, diags, "may escape without Close")
@@ -193,7 +183,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"slabown", "discipline", "fusable", "poolhygiene", "metricstable",
+		"slabown", "discipline", "fusable", "poolhygiene",
 		"connlife", "sendown",
 		"goroleak", "waitcycle", "protomodel",
 	} {
@@ -201,7 +191,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("missing analyzer %s", want)
 		}
 	}
-	if len(names) != 10 {
-		t.Errorf("%d analyzers registered, want 10", len(names))
+	if len(names) != 9 {
+		t.Errorf("%d analyzers registered, want 9", len(names))
 	}
 }

@@ -27,14 +27,18 @@
 //
 // A Snapshot captures every counter at an instant; Diff subtracts two
 // snapshots, which is how the benchmark harness attributes costs to a
-// single pipeline run.
+// single pipeline run.  A meter's snapshot name is the metric tag on
+// its field of Set (`metric:"invocations"`): the package will not load
+// if a meter lacks a tag or two share one, and Snapshot.Get panics on a
+// name no meter carries.
 package metrics
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -201,14 +205,14 @@ type kernelLedger struct {
 	// handed to its target's mailbox or to a worker slot.  An invocation
 	// that never reaches its target (unknown UID, partitioned link, an
 	// Eject that keeps deactivating) is not counted, here or below.
-	Invocations stripedCounter
+	Invocations stripedCounter `metric:"invocations"`
 	// LocalInvocations / CrossNodeInvocations partition Invocations by
 	// whether source and target Ejects share a simulated node.
-	LocalInvocations     stripedCounter
-	CrossNodeInvocations stripedCounter
+	LocalInvocations     stripedCounter `metric:"local_invocations"`
+	CrossNodeInvocations stripedCounter `metric:"cross_node_invocations"`
 	// Replies counts the replies invokers have collected to counted
 	// invocations (== completed invocations).
-	Replies stripedCounter
+	Replies stripedCounter `metric:"replies"`
 	// ProcessSwitches counts logical switches, as the paper counts
 	// them in its "communications overhead and process switching"
 	// bullet: one per delivery of an invocation to a target Eject and
@@ -216,9 +220,9 @@ type kernelLedger struct {
 	// carries them.  It is not a count of goroutine hand-offs: a
 	// synchronous same-node invoker that serves its own invocation on
 	// one of the target's worker slots still makes two.
-	ProcessSwitches stripedCounter
+	ProcessSwitches stripedCounter `metric:"process_switches"`
 	// BytesMoved counts payload bytes crossing Eject boundaries.
-	BytesMoved stripedCounter
+	BytesMoved stripedCounter `metric:"bytes_moved"`
 	// msgSeq is the stripe's count of message ids drawn (NextID).
 	msgSeq atomic.Int64
 	_      [lineBytes - 7*8]byte
@@ -232,29 +236,29 @@ type portLedger struct {
 	// invocations specifically, and DeliverInvocations the write-only
 	// dual, so the per-datum counts of E1–E4 can be isolated from
 	// control-plane invocations (initialisation, close, lookup...).
-	TransferInvocations stripedCounter
-	DeliverInvocations  stripedCounter
+	TransferInvocations stripedCounter `metric:"transfer_invocations"`
+	DeliverInvocations  stripedCounter `metric:"deliver_invocations"`
 	// ItemsMoved counts stream items (records or byte chunks) that
 	// crossed an Eject boundary inside Transfer/Deliver payloads.
-	ItemsMoved stripedCounter
+	ItemsMoved stripedCounter `metric:"items_moved"`
 	// WireBytesSaved counts payload bytes handed across a port boundary
 	// by ownership transfer (PutOwned / zero-copy Deliver absorption)
 	// instead of being copied — the data plane's copy-elision meter.
-	WireBytesSaved stripedCounter
+	WireBytesSaved stripedCounter `metric:"wire_bytes_saved"`
 	// ShardFrames counts framed items (data, punctuation, epilogue)
 	// moved across sharded pipeline links by the parallel engine.
-	ShardFrames stripedCounter
+	ShardFrames stripedCounter `metric:"shard_frames"`
 	// CapabilityCacheHits / CapabilityCacheMisses count capability-mode
 	// channel verifications served by the direct-mapped capability
 	// cache versus those that had to re-verify against the striped
 	// table (first use per channel-binding epoch, or cache eviction).
-	CapabilityCacheHits   stripedCounter
-	CapabilityCacheMisses stripedCounter
+	CapabilityCacheHits   stripedCounter `metric:"cap_cache_hits"`
+	CapabilityCacheMisses stripedCounter `metric:"cap_cache_misses"`
 	// WindowGateStalls counts the times a helper of a windowed port
 	// (either face) parked at the window gate: the peer's last grant —
 	// the sink's credits, the source's backlog — allowed no further
 	// exchange in flight.  The line's eighth and last word.
-	WindowGateStalls stripedCounter
+	WindowGateStalls stripedCounter `metric:"window_gate_stalls"`
 	rest             otherStripes
 }
 
@@ -264,19 +268,19 @@ type wireLedger struct {
 	// WireBytes counts the bytes of the wire-codec frames that crossed
 	// a link — header and payload, on the simulated network when it
 	// encodes payloads and on the socket links always.
-	WireBytes stripedCounter
+	WireBytes stripedCounter `metric:"wire_bytes"`
 	// WireFramesEncoded counts payloads pushed through the compact wire
 	// codec on cross-node hops (gob-fallback encodes are included; the
 	// codec wraps them in a tagged frame too).
-	WireFramesEncoded stripedCounter
+	WireFramesEncoded stripedCounter `metric:"wire_frames_encoded"`
 	// SlabRetained / SlabReleased count references taken on and dropped
 	// from refcounted slab views (frame buffers carved from arenas).
 	// At quiescence the two are equal; the difference is the number of
 	// live views.  On a socket link that is the read buffers and the
 	// items of wire.SpliceCutoff bytes or more: smaller items are copied
 	// out of the buffer by the frame reader and are never views.
-	SlabRetained stripedCounter
-	SlabReleased stripedCounter
+	SlabRetained stripedCounter `metric:"slab_retained"`
+	SlabReleased stripedCounter `metric:"slab_released"`
 	_            [lineBytes - 4*8]byte
 	rest         otherStripes
 }
@@ -303,52 +307,52 @@ type Set struct {
 	wireLedger
 
 	// Activations counts kernel activations of passive Ejects.
-	Activations Counter
+	Activations Counter `metric:"activations"`
 	// Checkpoints counts Checkpoint operations (stable storage writes).
-	Checkpoints Counter
+	Checkpoints Counter `metric:"checkpoints"`
 	// Syscalls counts simulated Unix system calls in the Figure 1
 	// baseline (read/write/open/close on kernel pipes).
-	Syscalls Counter
+	Syscalls Counter `metric:"syscalls"`
 	// EjectsCreated counts Eject registrations, so experiments can
 	// report the paper's n+2 vs 2n+3 Eject counts directly.
-	EjectsCreated Counter
+	EjectsCreated Counter `metric:"ejects_created"`
 	// SlabLeaked counts views still outstanding when their slab was
 	// closed (pipeline teardown) — the refcount-audit failure counter.
 	// It stays zero when every drop path releases its views.
-	SlabLeaked Counter
+	SlabLeaked Counter `metric:"slab_leaked"`
 	// FusionGroups counts fusion groups the pipeline builder compiled
 	// (adjacent co-located stages collapsed into one Eject), and
 	// FusedStages the member stages inside them — so FusedStages minus
 	// FusionGroups is the number of port hops the fusion pass elided.
 	// Both stay zero with Options.Fusion off, keeping the paper's
 	// stage-per-Eject accounting intact.
-	FusionGroups Counter
-	FusedStages  Counter
+	FusionGroups Counter `metric:"fusion_groups"`
+	FusedStages  Counter `metric:"fused_stages"`
 	// ChannelsLive gauges the number of transput channels currently
 	// declared and not yet retired, across every port in the system —
 	// the control plane's primary scaling axis (the gateway workload
 	// drives it to 10⁵–10⁶).
-	ChannelsLive Gauge
+	ChannelsLive Gauge `metric:"channels_live"`
 	// IdleChannelBytes gauges the fixed resident footprint of the live
 	// channels: per-channel record size plus the amortised index-entry
 	// share, added on Declare and subtracted on Retire.  Dividing by
 	// ChannelsLive gives the advertised bytes-per-idle-channel figure.
-	IdleChannelBytes Gauge
+	IdleChannelBytes Gauge `metric:"idle_channel_bytes"`
 	// ChannelLookupContention counts lookups (kernel binding resolution
 	// and port channel resolution) that missed the lock-free snapshot
 	// and fell back to the striped table's locked slow path — the
 	// control plane's serialisation meter.  Zero in steady state.
-	ChannelLookupContention Counter
+	ChannelLookupContention Counter `metric:"channel_lookup_contention"`
 	// WindowDepthHighWater tracks the peak number of concurrently
 	// outstanding Transfer/Deliver invocations on any windowed port.
-	WindowDepthHighWater HighWater
+	WindowDepthHighWater HighWater `metric:"window_depth_hw"`
 	// MergeReorderHighWater tracks the peak number of frames or batches
 	// held back for their turn: by an order-preserving shard merger
 	// (stash + ready queue), at a windowed port, and at a sink's lane.
-	MergeReorderHighWater HighWater
+	MergeReorderHighWater HighWater `metric:"merge_reorder_hw"`
 	// BatchSizeHighWater tracks the largest batch size any adaptive
 	// per-link AIMD controller reached (Transfer Max / Deliver batch).
-	BatchSizeHighWater HighWater
+	BatchSizeHighWater HighWater `metric:"batch_size_hw"`
 }
 
 // NextID draws a message id on the given stripe: that stripe's next
@@ -367,51 +371,69 @@ type Snapshot struct {
 	Values map[string]int64
 }
 
-// fieldTable enumerates the counters of a Set by name, in a fixed
-// order.  It is built once at package init; Snapshot walks it instead
-// of assembling a fresh descriptor slice per call.
-var fieldTable = []struct {
+// meter is one row of a Set's snapshot table: the meter's name, where
+// its field lies in the Set, and how to read a field of its type.
+type meter struct {
 	name string
-	get  func(*Set) int64
-}{
-	{"invocations", func(s *Set) int64 { return s.Invocations.Value() }},
-	{"local_invocations", func(s *Set) int64 { return s.LocalInvocations.Value() }},
-	{"cross_node_invocations", func(s *Set) int64 { return s.CrossNodeInvocations.Value() }},
-	{"replies", func(s *Set) int64 { return s.Replies.Value() }},
-	{"process_switches", func(s *Set) int64 { return s.ProcessSwitches.Value() }},
-	{"bytes_moved", func(s *Set) int64 { return s.BytesMoved.Value() }},
-	{"wire_bytes", func(s *Set) int64 { return s.WireBytes.Value() }},
-	{"activations", func(s *Set) int64 { return s.Activations.Value() }},
-	{"checkpoints", func(s *Set) int64 { return s.Checkpoints.Value() }},
-	{"syscalls", func(s *Set) int64 { return s.Syscalls.Value() }},
-	{"ejects_created", func(s *Set) int64 { return s.EjectsCreated.Value() }},
-	{"transfer_invocations", func(s *Set) int64 { return s.TransferInvocations.Value() }},
-	{"deliver_invocations", func(s *Set) int64 { return s.DeliverInvocations.Value() }},
-	{"items_moved", func(s *Set) int64 { return s.ItemsMoved.Value() }},
-	{"shard_frames", func(s *Set) int64 { return s.ShardFrames.Value() }},
-	{"wire_frames_encoded", func(s *Set) int64 { return s.WireFramesEncoded.Value() }},
-	{"wire_bytes_saved", func(s *Set) int64 { return s.WireBytesSaved.Value() }},
-	{"slab_retained", func(s *Set) int64 { return s.SlabRetained.Value() }},
-	{"slab_released", func(s *Set) int64 { return s.SlabReleased.Value() }},
-	{"slab_leaked", func(s *Set) int64 { return s.SlabLeaked.Value() }},
-	{"fusion_groups", func(s *Set) int64 { return s.FusionGroups.Value() }},
-	{"fused_stages", func(s *Set) int64 { return s.FusedStages.Value() }},
-	{"channels_live", func(s *Set) int64 { return s.ChannelsLive.Value() }},
-	{"idle_channel_bytes", func(s *Set) int64 { return s.IdleChannelBytes.Value() }},
-	{"channel_lookup_contention", func(s *Set) int64 { return s.ChannelLookupContention.Value() }},
-	{"cap_cache_hits", func(s *Set) int64 { return s.CapabilityCacheHits.Value() }},
-	{"cap_cache_misses", func(s *Set) int64 { return s.CapabilityCacheMisses.Value() }},
-	{"window_gate_stalls", func(s *Set) int64 { return s.WindowGateStalls.Value() }},
-	{"window_depth_hw", func(s *Set) int64 { return s.WindowDepthHighWater.Value() }},
-	{"merge_reorder_hw", func(s *Set) int64 { return s.MergeReorderHighWater.Value() }},
-	{"batch_size_hw", func(s *Set) int64 { return s.BatchSizeHighWater.Value() }},
+	off  uintptr
+	read func(unsafe.Pointer) int64
+}
+
+// readers are the meter types, each with how to read one at an address.
+var readers = map[reflect.Type]func(unsafe.Pointer) int64{
+	reflect.TypeFor[stripedCounter](): func(p unsafe.Pointer) int64 { return (*stripedCounter)(p).Value() },
+	reflect.TypeFor[Counter]():        func(p unsafe.Pointer) int64 { return (*Counter)(p).Value() },
+	reflect.TypeFor[Gauge]():          func(p unsafe.Pointer) int64 { return (*Gauge)(p).Value() },
+	reflect.TypeFor[HighWater]():      func(p unsafe.Pointer) int64 { return (*HighWater)(p).Value() },
+}
+
+// meters is Set's snapshot table, in field order.
+var meters = func() []meter {
+	table, err := meterTable(reflect.TypeFor[Set]())
+	if err != nil {
+		panic(err)
+	}
+	return table
+}()
+
+func named(name string) func(meter) bool { return func(m meter) bool { return m.name == name } }
+
+// meterTable reads the meters of struct type t, and of the structs it
+// embeds, off their metric tags.  Every meter field must carry a tag,
+// no two tags may agree, and only a meter may carry one.
+func meterTable(t reflect.Type) ([]meter, error) {
+	var table []meter
+	var walk func(t reflect.Type, base uintptr) error
+	walk = func(t reflect.Type, base uintptr) error {
+		for i := range t.NumField() {
+			f := t.Field(i)
+			name := f.Tag.Get("metric")
+			read, isMeter := readers[f.Type]
+			switch {
+			case isMeter && name == "":
+				return fmt.Errorf("metrics: meter %s.%s has no metric tag", t.Name(), f.Name)
+			case !isMeter && name != "":
+				return fmt.Errorf("metrics: %s.%s is tagged %q but is not a meter", t.Name(), f.Name, name)
+			case isMeter && slices.ContainsFunc(table, named(name)):
+				return fmt.Errorf("metrics: %s.%s reuses the name %q", t.Name(), f.Name, name)
+			case isMeter:
+				table = append(table, meter{name, base + f.Offset, read})
+			case f.Anonymous && f.Type.Kind() == reflect.Struct:
+				if err := walk(f.Type, base+f.Offset); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	return table, walk(t, 0)
 }
 
 // Snapshot captures the current value of every counter.
 func (s *Set) Snapshot() Snapshot {
-	snap := Snapshot{Values: make(map[string]int64, len(fieldTable))}
-	for _, f := range fieldTable {
-		snap.Values[f.name] = f.get(s)
+	snap := Snapshot{Values: make(map[string]int64, len(meters))}
+	for _, m := range meters {
+		snap.Values[m.name] = m.read(unsafe.Add(unsafe.Pointer(s), m.off))
 	}
 	return snap
 }
@@ -434,8 +456,16 @@ func Diff(earlier, later Snapshot) Snapshot {
 	return d
 }
 
-// Get returns the named counter value (0 if absent).
-func (sn Snapshot) Get(name string) int64 { return sn.Values[name] }
+// Get returns the value of the meter whose metric tag is name; a zero
+// Snapshot reads 0.  It panics if no meter of a Set carries that name,
+// so a misspelled name fails where it is read instead of reading 0.
+func (sn Snapshot) Get(name string) int64 {
+	v, ok := sn.Values[name]
+	if !ok && !slices.ContainsFunc(meters, named(name)) {
+		panic("metrics: no meter named " + name)
+	}
+	return v
+}
 
 // String renders the snapshot as "name=value" pairs in sorted order,
 // omitting zero counters to keep experiment output readable.
@@ -455,41 +485,4 @@ func (sn Snapshot) String() string {
 		fmt.Fprintf(&b, "%s=%d", k, sn.Values[k])
 	}
 	return b.String()
-}
-
-// Registry maps names to Sets so tools can enumerate the systems that
-// exist in one process (the shell creates one per session).
-type Registry struct {
-	mu   sync.Mutex
-	sets map[string]*Set
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{sets: make(map[string]*Set)} }
-
-// Register adds a named Set, replacing any previous Set of that name.
-func (r *Registry) Register(name string, s *Set) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sets[name] = s
-}
-
-// Get looks up a Set by name.
-func (r *Registry) Get(name string) (*Set, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.sets[name]
-	return s, ok
-}
-
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.sets))
-	for n := range r.sets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

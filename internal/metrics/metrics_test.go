@@ -91,9 +91,15 @@ func TestSnapshotDiff(t *testing.T) {
 	if d.Get("replies") != 0 {
 		t.Errorf("replies diff = %d, want 0", d.Get("replies"))
 	}
-	if d.Get("nonexistent") != 0 {
-		t.Error("unknown counter should read 0")
+	if (Snapshot{}).Get("replies") != 0 {
+		t.Error("a zero Snapshot should read 0 for a real name")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Get of a name no meter carries should panic")
+		}
+	}()
+	d.Get("nonexistent")
 }
 
 func TestGauge(t *testing.T) {
@@ -136,6 +142,94 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 	}
 }
 
+// TestSnapshotReadsItsOwnField gives every meter a distinct value
+// through its own field — a striped one on a stripe other than 0 — and
+// checks each name reads its field's value: a name bound to the wrong
+// field, a reader of the wrong type or one that sums only stripe 0 fails.
+func TestSnapshotReadsItsOwnField(t *testing.T) {
+	var s Set
+	want := make(map[string]int64)
+	set := func(name string, add func(int64)) {
+		v := int64(100 + len(want))
+		add(v)
+		want[name] = v
+	}
+	striped := func(name string, c *stripedCounter) {
+		set(name, func(v int64) { c.AddAt(Stripe(len(want)%(stripes-1)+1), v) })
+	}
+	striped("invocations", &s.Invocations)
+	striped("local_invocations", &s.LocalInvocations)
+	striped("cross_node_invocations", &s.CrossNodeInvocations)
+	striped("replies", &s.Replies)
+	striped("process_switches", &s.ProcessSwitches)
+	striped("bytes_moved", &s.BytesMoved)
+	striped("transfer_invocations", &s.TransferInvocations)
+	striped("deliver_invocations", &s.DeliverInvocations)
+	striped("items_moved", &s.ItemsMoved)
+	striped("wire_bytes_saved", &s.WireBytesSaved)
+	striped("shard_frames", &s.ShardFrames)
+	striped("cap_cache_hits", &s.CapabilityCacheHits)
+	striped("cap_cache_misses", &s.CapabilityCacheMisses)
+	striped("window_gate_stalls", &s.WindowGateStalls)
+	striped("wire_bytes", &s.WireBytes)
+	striped("wire_frames_encoded", &s.WireFramesEncoded)
+	striped("slab_retained", &s.SlabRetained)
+	striped("slab_released", &s.SlabReleased)
+	set("activations", s.Activations.Add)
+	set("checkpoints", s.Checkpoints.Add)
+	set("syscalls", s.Syscalls.Add)
+	set("ejects_created", s.EjectsCreated.Add)
+	set("slab_leaked", s.SlabLeaked.Add)
+	set("fusion_groups", s.FusionGroups.Add)
+	set("fused_stages", s.FusedStages.Add)
+	set("channel_lookup_contention", s.ChannelLookupContention.Add)
+	set("channels_live", s.ChannelsLive.Add)
+	set("idle_channel_bytes", s.IdleChannelBytes.Add)
+	set("window_depth_hw", s.WindowDepthHighWater.Observe)
+	set("merge_reorder_hw", s.MergeReorderHighWater.Observe)
+	set("batch_size_hw", s.BatchSizeHighWater.Observe)
+	if len(want) != 31 {
+		t.Fatalf("set %d meters, want 31", len(want))
+	}
+	if got := s.Snapshot().Values; !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot = %v\nwant       %v", got, want)
+	}
+}
+
+// The meter tables meterTable must refuse, one fault each.
+type (
+	untaggedMeter struct {
+		A Counter `metric:"a"`
+		B Gauge
+	}
+	taggedNonMeter struct {
+		A Counter `metric:"a"`
+		N int64   `metric:"n"`
+	}
+	nameLedger struct {
+		A HighWater `metric:"a"`
+	}
+	reusedName struct {
+		nameLedger
+		B Counter `metric:"a"`
+	}
+)
+
+func TestMeterTableRejects(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[untaggedMeter](),
+		reflect.TypeFor[taggedNonMeter](),
+		reflect.TypeFor[reusedName](),
+	} {
+		if _, err := meterTable(typ); err == nil {
+			t.Errorf("meterTable(%s) accepted it", typ.Name())
+		}
+	}
+	if table, err := meterTable(reflect.TypeFor[nameLedger]()); err != nil || len(table) != 1 {
+		t.Errorf("meterTable(nameLedger) = %v, %v; want one meter", table, err)
+	}
+}
+
 func TestSnapshotStringOmitsZeros(t *testing.T) {
 	var s Set
 	s.Invocations.Add(2)
@@ -159,29 +253,6 @@ func TestDiffMismatchPanics(t *testing.T) {
 		}
 	}()
 	Diff(Snapshot{Values: map[string]int64{"a": 1}}, Snapshot{Values: map[string]int64{"a": 1, "b": 2}})
-}
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if names := r.Names(); len(names) != 0 {
-		t.Fatalf("fresh registry has names %v", names)
-	}
-	s1, s2 := &Set{}, &Set{}
-	r.Register("beta", s1)
-	r.Register("alpha", s2)
-	if got := r.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("Names() = %v, want [alpha beta]", got)
-	}
-	if s, ok := r.Get("beta"); !ok || s != s1 {
-		t.Error("Get(beta) mismatch")
-	}
-	if _, ok := r.Get("gamma"); ok {
-		t.Error("Get(gamma) should miss")
-	}
-	r.Register("beta", s2) // replace
-	if s, _ := r.Get("beta"); s != s2 {
-		t.Error("Register should replace")
-	}
 }
 
 // TestStripedCounterExact: G goroutines tick a striped counter by Inc
