@@ -4,7 +4,6 @@
 //	transput-vet                      # run every analyzer over the module
 //	transput-vet -run slab            # only analyzers matching the regex
 //	transput-vet -list                # list analyzers and exit
-//	transput-vet -json                # findings as a JSON array on stdout
 //	transput-vet -github              # findings as GitHub workflow annotations
 //	transput-vet -protomodel-selftest # verify the model checker catches its
 //	                                  # own seeded mutants, then exit
@@ -32,16 +31,6 @@ import (
 	"asymstream/internal/analysis"
 )
 
-// jsonDiag is the -json wire shape: flat, stable field names, one
-// object per finding.
-type jsonDiag struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
 // githubEscape makes a message safe for the workflow-command data
 // section, which terminates on a raw newline and decodes %xx.
 func githubEscape(s string) string {
@@ -56,7 +45,6 @@ func main() {
 		dir     = flag.String("dir", ".", "module root to analyze")
 		run     = flag.String("run", "", "regex selecting analyzers to run (default all)")
 		list    = flag.Bool("list", false, "list analyzers and exit")
-		asJSON  = flag.Bool("json", false, "emit findings as a JSON array on stdout")
 		github  = flag.Bool("github", false, "emit findings as GitHub ::error annotations")
 		pmWin   = flag.Int("protomodel-window", analysis.ProtoWindow, "protomodel: window size K")
 		pmWr    = flag.Int("protomodel-writers", analysis.ProtoWriters, "protomodel: concurrent writers P")
@@ -129,23 +117,6 @@ func main() {
 	}
 
 	switch {
-	case *asJSON:
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Analyzer: d.Analyzer,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "transput-vet: %v\n", err)
-			os.Exit(2)
-		}
 	case *github:
 		for _, d := range diags {
 			fmt.Printf("::error file=%s,line=%d,col=%d::%s\n",

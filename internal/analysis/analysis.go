@@ -198,7 +198,6 @@ func All() []*Analyzer {
 		SlabOwn,
 		Discipline,
 		Fusable,
-		PoolHygiene,
 		ConnLife,
 		SendOwn,
 		Goroleak,

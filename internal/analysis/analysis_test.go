@@ -19,12 +19,6 @@ func TestSlabOwnFixture(t *testing.T) {
 	mustFind(t, diags, "may escape without Release")
 }
 
-func TestPoolHygieneFixture(t *testing.T) {
-	diags := runFixture(t, PoolHygiene, "poolfix")
-	mustFind(t, diags, "without being released back to its pool")
-	mustFind(t, diags, "after it was released")
-}
-
 func TestDisciplineFixture(t *testing.T) {
 	diags := runFixture(t, Discipline, "discfix")
 	mustFind(t, diags, "uses push-side symbol")
@@ -183,7 +177,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"slabown", "discipline", "fusable", "poolhygiene",
+		"slabown", "discipline", "fusable",
 		"connlife", "sendown",
 		"goroleak", "waitcycle", "protomodel",
 	} {
@@ -191,7 +185,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("missing analyzer %s", want)
 		}
 	}
-	if len(names) != 9 {
-		t.Errorf("%d analyzers registered, want 9", len(names))
+	if len(names) != 8 {
+		t.Errorf("%d analyzers registered, want 8", len(names))
 	}
 }

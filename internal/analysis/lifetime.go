@@ -11,7 +11,7 @@ import (
 // over the statement CFG:
 //
 //   - obligation mode finds values that are allocated (slab views,
-//     pooled records) and may reach a function exit without being
+//     connections, swapped-out frame queues) and may reach a function exit without being
 //     released or handed off.  Ownership transfers are generous: any
 //     use that lets the value escape — call argument, return value,
 //     store into a field/index/channel/composite, capture by a
@@ -29,7 +29,7 @@ import (
 type lifetimeSpec struct {
 	pkg *Package
 	// isAlloc reports whether the call's results carry an obligation
-	// (slab.Alloc, pooled-record acquire, net.Dial).  Multi-result
+	// (slab.Alloc, net.Dial).  Multi-result
 	// allocations (`conn, err := dial()`) obligate every trackable
 	// left-hand variable, and an error-typed co-result is remembered as
 	// the pairing: on a branch that assumes the error is non-nil, the
@@ -44,7 +44,7 @@ type lifetimeSpec struct {
 	// to (wire.Retain).  May be nil.
 	retainArgs func(*ast.CallExpr) []ast.Expr
 	// releaseArgs returns ident arguments this call releases
-	// (wire.Release, pool put helpers).  May be nil.
+	// (wire.Release, PutFrame).  May be nil.
 	releaseArgs func(*ast.CallExpr) []ast.Expr
 	// rangeReleases reports whether ranging over a tracked variable
 	// discharges it (a drain loop that hands every element back).  May
@@ -477,7 +477,7 @@ func (lt *lifetime) applyDef(name *ast.Ident, rhs ast.Expr, st varState) {
 }
 
 // allocCall unwraps rhs to an allocation call (directly, or through a
-// type assertion as in pool.Get().(*T)).
+// type assertion as in f().(*T)).
 func (lt *lifetime) allocCall(rhs ast.Expr) *ast.CallExpr {
 	switch e := ast.Unparen(rhs).(type) {
 	case *ast.CallExpr:

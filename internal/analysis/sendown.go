@@ -13,9 +13,9 @@ import (
 // Three rules, one per role:
 //
 //   - enqueuer: appending the frame to an owners queue is the handoff;
-//     the enqueuer must not PutFrame it or touch it afterwards (stale
-//     dataflow, same engine as poolhygiene's use-after-Put, with the
-//     append recognized as the releasing operation);
+//     the enqueuer must not PutFrame it or touch it afterwards (the
+//     lifetime engine's stale mode, with the append recognized as the
+//     releasing operation);
 //   - drainer: a queue swapped out of its field (`owners := d.owners;
 //     d.owners = nil`) is an obligation — every path to an exit must
 //     drain it through a PutFrame loop or hand it to a helper that does

@@ -2,7 +2,6 @@ package fsshell
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"asymstream/internal/fsys"
@@ -15,23 +14,6 @@ import (
 // file contents out of this session's Eden file system over the
 // bridge.  Each "file NAME" open reads the file through the ordinary
 // pull protocol (§4) and streams its lines to the client.
-
-// lineSource serves a file's lines as a remote stream.
-type lineSource struct {
-	items [][]byte
-	pos   int
-}
-
-func (s *lineSource) Next() ([]byte, error) {
-	if s.pos >= len(s.items) {
-		return nil, io.EOF
-	}
-	it := s.items[s.pos]
-	s.pos++
-	return it, nil
-}
-
-func (s *lineSource) Close() error { return nil }
 
 // Opener returns the bridge OpenFunc this session honours when
 // serving remote clients: "file NAME" streams a committed file's
@@ -55,6 +37,6 @@ func (s *Session) Opener() transport.OpenFunc {
 		if err != nil {
 			return nil, err
 		}
-		return &lineSource{items: transput.SplitLines(data)}, nil
+		return &transport.SliceSource{Items: transput.SplitLines(data)}, nil
 	}
 }

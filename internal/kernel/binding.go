@@ -262,7 +262,7 @@ func (b *binding) worker(epoch uint64) {
 				inv := b.pop()
 				b.mu.Unlock()
 				inv.Fail(ErrDeactivated)
-				releaseInvocation(inv)
+				invocations.Put(inv)
 				b.mu.Lock()
 			}
 			b.workers--
@@ -287,7 +287,7 @@ func serveInvocation(e Eject, inv *Invocation) {
 		if r := recover(); r != nil && !inv.Replied() {
 			inv.Fail(fmt.Errorf("kernel: Eject panicked serving %q: %v", inv.Op, r))
 		}
-		releaseInvocation(inv)
+		invocations.Put(inv)
 	}()
 	e.Serve(inv)
 	if !inv.Replied() {
@@ -317,7 +317,8 @@ func (b *binding) stop(next ejectState) (Eject, bool) {
 
 // tryReactivate installs a fresh Eject instance and a fresh worker
 // pool epoch, if and only if the binding is still inactive.  Workers
-// of the old epoch exit on their next mailbox visit.  The state check
+// of the old epoch exit on their next mailbox visit, so invocations
+// they left queued get a worker of the new pool here.  The state check
 // and the install are one critical section so concurrent activations
 // race safely: exactly one wins, and the losers keep their instances
 // (the kernel discards them).
@@ -334,5 +335,8 @@ func (b *binding) tryReactivate(e Eject) bool {
 	b.workers = 0
 	b.idle = 0
 	b.inline = 0
+	if b.count > 0 {
+		b.startWorkerLocked()
+	}
 	return true
 }

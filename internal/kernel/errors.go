@@ -44,48 +44,40 @@ type RemoteError struct {
 // Error implements the error interface.
 func (e *RemoteError) Error() string { return e.Msg }
 
-// sentinelByCode maps wire codes back to sentinel errors.
-var sentinelByCode = map[string]error{
-	"no_such_eject":      ErrNoSuchEject,
-	"no_such_operation":  ErrNoSuchOperation,
-	"no_reply":           ErrNoReply,
-	"deactivated":        ErrDeactivated,
-	"kernel_down":        ErrKernelDown,
-	"not_checkpointable": ErrNotCheckpointable,
-	"unknown_type":       ErrUnknownType,
-	"net_dropped":        netsim.ErrDropped,
-	"net_partitioned":    netsim.ErrPartitioned,
+// sentinels is the kernel's error table: every sentinel whose identity
+// survives a node boundary, under its wire code.  codeFor tries the rows
+// in order, and Unwrap maps a code back to its row's sentinel.
+var sentinels = []struct {
+	code string
+	err  error
+}{
+	{"no_such_eject", ErrNoSuchEject},
+	{"no_such_operation", ErrNoSuchOperation},
+	{"no_reply", ErrNoReply},
+	{"deactivated", ErrDeactivated},
+	{"kernel_down", ErrKernelDown},
+	{"not_checkpointable", ErrNotCheckpointable},
+	{"unknown_type", ErrUnknownType},
+	{"net_dropped", netsim.ErrDropped},
+	{"net_partitioned", netsim.ErrPartitioned},
 }
 
+// codeFor is the wire code of err's first sentinel in the table, or "".
 func codeFor(err error) string {
-	switch {
-	case errors.Is(err, ErrNoSuchEject):
-		return "no_such_eject"
-	case errors.Is(err, ErrNoSuchOperation):
-		return "no_such_operation"
-	case errors.Is(err, ErrNoReply):
-		return "no_reply"
-	case errors.Is(err, ErrDeactivated):
-		return "deactivated"
-	case errors.Is(err, ErrKernelDown):
-		return "kernel_down"
-	case errors.Is(err, ErrNotCheckpointable):
-		return "not_checkpointable"
-	case errors.Is(err, ErrUnknownType):
-		return "unknown_type"
-	case errors.Is(err, netsim.ErrDropped):
-		return "net_dropped"
-	case errors.Is(err, netsim.ErrPartitioned):
-		return "net_partitioned"
-	default:
-		return ""
+	for _, s := range sentinels {
+		if errors.Is(err, s.err) {
+			return s.code
+		}
 	}
+	return ""
 }
 
 // Unwrap lets errors.Is recognise the sentinel behind a RemoteError.
 func (e *RemoteError) Unwrap() error {
-	if s, ok := sentinelByCode[e.Code]; ok {
-		return s
+	for _, s := range sentinels {
+		if s.code == e.Code {
+			return s.err
+		}
 	}
 	return nil
 }

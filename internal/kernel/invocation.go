@@ -8,6 +8,7 @@ import (
 	"asymstream/internal/metrics"
 	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
+	"asymstream/internal/wire"
 )
 
 // Invocation is one request delivered to an Eject.  Per §1 an
@@ -62,6 +63,7 @@ type Invocation struct {
 	// Call's channel, and whoever collects the Call receives it.
 	slot   *reply
 	replyc chan reply
+	pooled bool
 }
 
 type reply struct {
@@ -69,27 +71,9 @@ type reply struct {
 	err     error
 }
 
-var invocationPool = sync.Pool{New: func() any { return new(Invocation) }}
-
-// acquireInvocation takes a recycled (or fresh) Invocation.
-func acquireInvocation() *Invocation {
-	return invocationPool.Get().(*Invocation)
-}
-
-// releaseInvocation recycles an Invocation whose reply has been sent.
-func releaseInvocation(inv *Invocation) {
-	inv.MsgID = 0
-	inv.From = uid.Nil
-	inv.Target = uid.Nil
-	inv.Op = ""
-	inv.Payload = nil
-	inv.fromNode = 0
-	inv.toNode = 0
-	inv.slot = nil
-	inv.replyc = nil
-	inv.replied.Store(false)
-	invocationPool.Put(inv)
-}
+// invocations recycles Invocations: send takes one, and whoever sends
+// its reply puts it back (serveInvocation, the quit drain, refuse).
+var invocations = wire.NewPool(func(inv *Invocation) *bool { return &inv.pooled }, nil)
 
 // Reply completes the invocation successfully with the given result
 // payload.  Calling Reply or Fail more than once panics: a double
@@ -163,6 +147,8 @@ type Call struct {
 	traced     bool
 	traceFrom  uid.UID
 	traceStart time.Time
+
+	pooled bool
 }
 
 type callState uint8
@@ -173,13 +159,17 @@ const (
 	callDone                        // res is valid
 )
 
-var callPool = sync.Pool{New: func() any {
-	return &Call{replyc: make(chan reply, 1)}
-}}
+// calls recycles the Calls of the synchronous Invoke path.  A Call keeps
+// its reply channel across lives.
+var calls = wire.NewPool(func(c *Call) *bool { return &c.pooled },
+	func(c *Call) { *c = Call{replyc: c.replyc} })
 
 // newCall takes a recycled (or fresh) Call and arms it.
 func newCall(k *Kernel, op string, target uid.UID, from netsim.NodeID) *Call {
-	c := callPool.Get().(*Call)
+	c := calls.Get()
+	if c.replyc == nil {
+		c.replyc = make(chan reply, 1)
+	}
 	c.k = k
 	c.op = op
 	c.target = target
@@ -191,21 +181,7 @@ func newCall(k *Kernel, op string, target uid.UID, from netsim.NodeID) *Call {
 // once the reply is collected and before the Call could escape; the
 // reply channel is empty at that point (its single send, if the mailbox
 // path made one, has been received), so the channel itself is reused.
-func (c *Call) release() {
-	c.k = nil
-	c.op = ""
-	c.target = uid.Nil
-	c.fromNode = 0
-	c.toNode = 0
-	c.msgID = 0
-	c.state = callPending
-	c.done = nil
-	c.res = reply{}
-	c.traced = false
-	c.traceFrom = uid.Nil
-	c.traceStart = time.Time{}
-	callPool.Put(c)
-}
+func (c *Call) release() { calls.Put(c) }
 
 // settle runs the reply path: the reply payload crosses the network
 // from the target's node back to the invoker's node, and the reply

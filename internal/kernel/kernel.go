@@ -605,7 +605,7 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 			return c, nil, slot{}
 		}
 		if inv == nil {
-			inv = acquireInvocation()
+			inv = invocations.Get()
 			inv.MsgID = k.met.NextID(st)
 			inv.From = from
 			inv.Target = target
@@ -664,7 +664,7 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 // recycled.
 func (c *Call) refuse(inv *Invocation, from uid.UID, err error) {
 	if inv != nil {
-		releaseInvocation(inv)
+		invocations.Put(inv)
 	} else {
 		c.k.traceStart(c, from)
 	}

@@ -572,15 +572,15 @@ func TestStateReporting(t *testing.T) {
 }
 
 func TestRemoteErrorPreservesSentinels(t *testing.T) {
-	for code, sentinel := range sentinelByCode {
-		re := &RemoteError{Code: code, Msg: "m"}
-		if !errors.Is(re, sentinel) {
-			t.Errorf("RemoteError(%s) does not unwrap to sentinel", code)
+	for _, s := range sentinels {
+		re := &RemoteError{Code: s.code, Msg: "m"}
+		if !errors.Is(re, s.err) {
+			t.Errorf("RemoteError(%s) does not unwrap to sentinel", s.code)
 		}
-	}
-	re := toWire(fmt.Errorf("wrapped: %w", ErrNoSuchEject)).(*RemoteError)
-	if !errors.Is(re, ErrNoSuchEject) {
-		t.Error("toWire lost sentinel identity")
+		re = toWire(fmt.Errorf("wrapped: %w", s.err)).(*RemoteError)
+		if re.Code != s.code || !errors.Is(re, s.err) {
+			t.Errorf("toWire of a wrapped %v: code %q, want %q, and identity kept", s.err, re.Code, s.code)
+		}
 	}
 	if toWire(nil) != nil {
 		t.Error("toWire(nil) should be nil")

@@ -395,13 +395,13 @@ func TestClaimConditions(t *testing.T) {
 
 	// A queued invocation may not be overtaken, even with slots free.
 	b.mu.Lock()
-	b.push(acquireInvocation())
+	b.push(invocations.Get())
 	b.mu.Unlock()
 	if claimed(b) {
 		t.Fatal("claimed past a non-empty mailbox")
 	}
 	b.mu.Lock()
-	releaseInvocation(b.pop())
+	invocations.Put(b.pop())
 	b.mu.Unlock()
 
 	old, ok := b.claim()
@@ -564,5 +564,48 @@ func TestWhoServes(t *testing.T) {
 				t.Fatalf("%s, call %d: served on the invoker's goroutine = %v, want %v", tc.name, i, got, tc.inline)
 			}
 		}
+	}
+}
+
+// TestReactivationServesWhatTheOldPoolLeft: an invocation queued behind
+// the one busy worker when its Eject deactivates, and still queued when
+// an invocation that then never reaches the mailbox (its request is lost
+// to a partition) re-activates the Eject, is served by the new
+// activation.  The old worker leaves on the epoch change, and no
+// enqueue comes to start a new one; the ledger's deactivate storm hung
+// on this, rarely.
+func TestReactivationServesWhatTheOldPoolLeft(t *testing.T) {
+	k := newTestKernel(t, Config{WorkersPerEject: 1, Net: netsim.Config{Nodes: 2}})
+	g := newGated(PoolHint{})
+	k.RegisterType("test.GatedPersistent", func(ActivationContext) (Eject, error) {
+		return gatedPersistent{g}, nil
+	})
+	id, _ := k.Create(gatedPersistent{g}, 0)
+	if _, err := k.Checkpoint(id); err != nil {
+		t.Fatal(err)
+	}
+	far, _ := k.Create(&pinger{}, 1)
+	busy := k.AsyncInvoke(uid.Nil, id, "get", &pingReq{})
+	eventually(t, "the worker to park in Serve", func() bool { return g.entered.Load() == 1 })
+	queued := k.AsyncInvoke(uid.Nil, id, "get", &pingReq{})
+	if err := k.Deactivate(id); err != nil {
+		t.Fatal(err)
+	}
+	k.Network().Partition(0, 1)
+	if _, err := k.Invoke(far, id, "get", &pingReq{}); !errors.Is(err, netsim.ErrPartitioned) {
+		t.Fatalf("invocation across the partition: %v", err)
+	}
+	k.Network().Heal(0, 1)
+	close(g.gate)
+	if _, err := busy.Wait(); err != nil {
+		t.Fatalf("busy invocation: %v", err)
+	}
+	select {
+	case <-queued.Done():
+		if _, err := queued.Wait(); err != nil {
+			t.Errorf("queued invocation: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the invocation queued across the deactivation was never answered")
 	}
 }

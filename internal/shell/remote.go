@@ -70,23 +70,6 @@ func (s *Session) remoteSource(st stageSpec) (transput.SourceFunc, error) {
 	}, nil
 }
 
-// sliceSource serves a fixed batch of items as a remote stream.
-type sliceSource struct {
-	items [][]byte
-	pos   int
-}
-
-func (s *sliceSource) Next() ([]byte, error) {
-	if s.pos >= len(s.items) {
-		return nil, io.EOF
-	}
-	it := s.items[s.pos]
-	s.pos++
-	return it, nil
-}
-
-func (s *sliceSource) Close() error { return nil }
-
 // countStream yields "0\n".."N-1\n" without materialising the run.
 type countStream struct{ i, n int }
 
@@ -115,13 +98,13 @@ func (s *Session) Opener() transport.OpenFunc {
 			}
 			return &countStream{n: n}, nil
 		case "text", "lines":
-			return &sliceSource{items: transput.SplitLines([]byte(rest))}, nil
+			return &transport.SliceSource{Items: transput.SplitLines([]byte(rest))}, nil
 		case "file":
 			data, err := s.UFS.Host().ReadFile(strings.TrimSpace(rest))
 			if err != nil {
 				return nil, err
 			}
-			return &sliceSource{items: transput.SplitLines(data)}, nil
+			return &transport.SliceSource{Items: transput.SplitLines(data)}, nil
 		default:
 			return nil, fmt.Errorf("shell: unknown remote spec %q (try count, text, file)", spec)
 		}

@@ -32,6 +32,26 @@ type ItemSource interface {
 	Close() error
 }
 
+// SliceSource serves a fixed batch of items, in order, as a remote
+// stream.
+type SliceSource struct {
+	Items [][]byte
+	pos   int
+}
+
+// Next implements ItemSource.
+func (s *SliceSource) Next() ([]byte, error) {
+	if s.pos >= len(s.Items) {
+		return nil, io.EOF
+	}
+	it := s.Items[s.pos]
+	s.pos++
+	return it, nil
+}
+
+// Close implements ItemSource.
+func (s *SliceSource) Close() error { return nil }
+
 // OpenFunc maps a client's textual stream spec (e.g. "count 100" or
 // "file /etc/motd") to a source.  The serving process chooses what
 // specs it honours.

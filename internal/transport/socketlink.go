@@ -57,7 +57,8 @@ var ErrLinkClosed = errors.New("transport: link closed")
 // xfer is one in-flight Transmit: enqueued with its frame, completed
 // by the receiving direction's read loop, in wire order.
 type xfer struct {
-	done chan xres // capacity 1, reused across pooled lives
+	done   chan xres // capacity 1, reused across pooled lives
+	pooled bool
 }
 
 type xres struct {
@@ -65,9 +66,9 @@ type xres struct {
 	err error
 }
 
-var xferPool = sync.Pool{New: func() any {
-	return &xfer{done: make(chan xres, 1)}
-}}
+// xfers' reset keeps the channel, which is empty once Transmit has
+// received from it.
+var xfers = wire.NewPool(func(x *xfer) *bool { return &x.pooled }, func(*xfer) {})
 
 // dir is one direction of one node pair: frames the sender side
 // enqueues on the coalescer (whose conn is the write end) are read back
@@ -260,14 +261,17 @@ func (s *SocketNetwork) Transmit(a, b netsim.NodeID, payload any) (any, int64, e
 	}
 	nb := int64(f.Len())
 
-	x := xferPool.Get().(*xfer)
+	x := xfers.Get()
+	if x.done == nil {
+		x.done = make(chan xres, 1)
+	}
 	err := d.enqueue(f, x)
 	var res xres
 	if err == nil {
 		res = <-x.done
 		err = res.err
 	}
-	xferPool.Put(x)
+	xfers.Put(x)
 	if rel != nil {
 		rel.ReleaseWirePayload()
 	}

@@ -162,6 +162,9 @@ const allocWarmup = 512
 // measurement, the hop being served on this goroutine and never parking
 // it — goes into its channel's arena block with a hundred others.
 func TestTransferHopAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip(raceParksPuts)
+	}
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
 	id, st := hopSource(t, k)
@@ -172,7 +175,13 @@ func TestTransferHopAllocs(t *testing.T) {
 	}
 }
 
-const transferHopCeiling = 1 // 0 measured; 1 under -race, where sync.Pool drops Puts
+const transferHopCeiling = 1 // 0 measured
+
+// raceParksPuts is why the pull pins skip under -race: there a pooled
+// record's Put parks its goroutine while the pool's own goroutine resets
+// the record, which lets the source run inside the measured window, and
+// the source's Puts allocate.
+const raceParksPuts = "a pooled record's Put parks its caller under the race detector"
 
 // warmTransferHopAllocs warms the pull up and measures one hop.
 func warmTransferHopAllocs(t *testing.T, st *ROStage, in *InPort) float64 {
@@ -207,7 +216,7 @@ func TestDeliverHopAllocs(t *testing.T) {
 	}
 }
 
-const deliverHopCeiling = 1 // 0 measured; 1 under -race, as transferHopCeiling
+const deliverHopCeiling = 1 // 0 measured; 1 under -race, where sync.Pool drops Puts
 
 var raceEnabled bool // set by race_test.go
 
@@ -346,7 +355,7 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 		if after := runtime.NumGoroutine(); after != before {
 			t.Errorf("goroutines %d -> %d across 1000 Window-1 pulls; the exchanges must run on the caller", before, after)
 		}
-		if n > transferHopCeiling {
+		if n > transferHopCeiling && !raceEnabled { // see raceParksPuts
 			t.Errorf("warm Window-1 Transfer hop: %.1f allocs/op, ceiling %d", n, transferHopCeiling)
 		}
 		if got := in.TransfersIssued(); got != 1000 {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"asymstream/internal/kernel"
+	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -155,36 +156,52 @@ func TestCapabilityChannelSecurity(t *testing.T) {
 	}
 }
 
+// TestAbortPropagatesToReader: a stage's failure reaches its reader as
+// an abort carrying the message — in one process, where the reply is
+// the channel's own record, and across an encoded hop, where the reader
+// gets a pooled record decoded from the frame and recycles it.
 func TestAbortPropagatesToReader(t *testing.T) {
-	k := testKernel(t)
-	st := NewROStage(k, ROStageConfig{Name: "failing"}, func(_ []ItemReader, outs []ItemWriter) error {
-		if err := outs[0].Put([]byte("one")); err != nil {
-			return err
-		}
-		return errors.New("disk on fire")
-	})
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, st, 0); err != nil {
-		t.Fatal(err)
-	}
-	st.Start()
-	in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{})
-	// The successfully produced item may or may not arrive before the
-	// abort; eventually we must see an AbortedError carrying the
-	// message.
-	var err error
-	for {
-		_, err = in.Next()
-		if err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrAborted) {
-		t.Fatalf("want ErrAborted, got %v", err)
-	}
-	var ae *AbortedError
-	if !errors.As(err, &ae) || ae.Msg != "disk on fire" {
-		t.Fatalf("abort message lost: %v", err)
+	for _, row := range []struct {
+		name string
+		net  netsim.Config
+		node netsim.NodeID
+	}{
+		{"local", netsim.Config{}, 0},
+		{"encoded", netsim.Config{Nodes: 2, EncodePayloads: true}, 1},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			k := kernel.New(kernel.Config{Net: row.net})
+			t.Cleanup(k.Shutdown)
+			st := NewROStage(k, ROStageConfig{Name: "failing"}, func(_ []ItemReader, outs []ItemWriter) error {
+				if err := outs[0].Put([]byte("one")); err != nil {
+					return err
+				}
+				return errors.New("disk on fire")
+			})
+			id := k.NewUID()
+			if err := k.CreateWithUID(id, st, row.node); err != nil {
+				t.Fatal(err)
+			}
+			st.Start()
+			in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{})
+			// The successfully produced item may or may not arrive before
+			// the abort; eventually we must see an AbortedError carrying
+			// the message.
+			var err error
+			for {
+				_, err = in.Next()
+				if err != nil {
+					break
+				}
+			}
+			if !errors.Is(err, ErrAborted) {
+				t.Fatalf("want ErrAborted, got %v", err)
+			}
+			var ae *AbortedError
+			if !errors.As(err, &ae) || ae.Msg != "disk on fire" {
+				t.Fatalf("abort message lost: %v", err)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,5 @@
 package wire
 
-import "sync"
-
 // SpliceCutoff is the item size from which a vectored frame borrows an
 // item instead of copying it.  A splice costs two more iovec entries
 // (the item, and the buffer bytes after it) and makes the sender hold
@@ -60,14 +58,22 @@ type splice struct {
 type Frame struct {
 	Buf     []byte
 	splices []splice // ascending Off
+	pooled  bool
 }
 
-var framePool = sync.Pool{New: func() any {
-	return &Frame{Buf: make([]byte, 0, 4096)}
-}}
+var frames = NewPool(func(f *Frame) *bool { return &f.pooled }, func(f *Frame) {
+	clear(f.splices) // a pooled frame must not pin the sender's items
+	*f = Frame{Buf: f.Buf[:0], splices: f.splices[:0]}
+})
 
 // GetFrame borrows an empty frame from the pool.
-func GetFrame() *Frame { return framePool.Get().(*Frame) }
+func GetFrame() *Frame {
+	f := frames.Get()
+	if f.Buf == nil {
+		f.Buf = make([]byte, 0, 4096)
+	}
+	return f
+}
 
 // PutFrame returns a frame to the pool, dropping what it borrowed.
 // Oversized buffers are dropped so one huge payload does not pin memory
@@ -76,10 +82,7 @@ func PutFrame(f *Frame) {
 	if cap(f.Buf) > 1<<20 {
 		return
 	}
-	f.Buf = f.Buf[:0]
-	clear(f.splices) // a pooled frame must not pin the sender's items
-	f.splices = f.splices[:0]
-	framePool.Put(f)
+	frames.Put(f)
 }
 
 // Encode replaces the frame's contents with v encoded as one vectored

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"unsafe"
 )
 
 // Record is a protocol record: a Marshaler that reads itself back.
@@ -20,19 +21,44 @@ type Record interface {
 
 // Pool recycles the records of one type.  Get marks the record it hands
 // out as the pool's (the record's own pooled field, which mark locates),
-// and Put recycles only a marked record, so a record a caller built — or
-// a port's own, reused every exchange — is never recycled.  Put readies a
-// record for its next life with reset, which empties an item vector and
-// keeps its capacity, or zeroes the record if reset is nil.
+// and Put recycles only a marked record, so a second Put of a record, or
+// a Put of one a caller built — or of a port's own, reused every
+// exchange — is a no-op.  Put readies a record for its next life with
+// reset, which empties an item vector and keeps its capacity, or zeroes
+// the record if reset is nil.
+//
+// In a race build Put resets the record on a goroutine the pool owns and
+// waits for it there, without ordering the caller after the reset: any
+// read or write of the record after its Put, a second Put included, is
+// a data race the detector reports, whether or not the record is ever
+// reissued.  A later Get is
+// ordered after the reset by sync.Pool's own annotations.
 type Pool[T any] struct {
 	p     sync.Pool
-	mark  func(*T) *bool
+	mark  uintptr // the pooled field's offset in T
 	reset func(*T)
+	aside *aside // the pool's own goroutine in a race build; nil otherwise
 }
 
-// NewPool returns the pool of the records whose mark is mark(r).
+// NewPool returns the pool of the records whose mark is mark(r).  mark
+// is called once, on a probe record, to find the field's offset; it
+// panics if the field does not lie inside the record.
 func NewPool[T any](mark func(*T) *bool, reset func(*T)) *Pool[T] {
-	return &Pool[T]{mark: mark, reset: reset}
+	probe := new(T)
+	at := uintptr(unsafe.Pointer(mark(probe))) - uintptr(unsafe.Pointer(probe))
+	if at >= unsafe.Sizeof(*probe) {
+		panic(fmt.Sprintf("wire: the pooled mark of %T lies outside the record", probe))
+	}
+	p := &Pool[T]{mark: at, reset: reset}
+	if raceBuild {
+		p.aside = newAside(unsafe.Sizeof(*probe), func(r unsafe.Pointer) { p.recycle((*T)(r)) })
+	}
+	return p
+}
+
+// marked is r's pooled field.
+func (p *Pool[T]) marked(r *T) *bool {
+	return (*bool)(unsafe.Add(unsafe.Pointer(r), p.mark))
 }
 
 // Get takes a recycled (or zero) record, marked as the pool's.
@@ -41,22 +67,31 @@ func (p *Pool[T]) Get() *T {
 	if r == nil {
 		r = new(T)
 	}
-	*p.mark(r) = true
+	*p.marked(r) = true
 	return r
 }
 
 // Put recycles r if the pool issued it.
 func (p *Pool[T]) Put(r *T) {
-	if !*p.mark(r) {
+	if !*p.marked(r) {
 		return
 	}
+	if raceBuild {
+		p.aside.put(unsafe.Pointer(r))
+		return
+	}
+	p.recycle(r)
+}
+
+// recycle resets r, clears its mark and pools it.
+func (p *Pool[T]) recycle(r *T) {
 	if p.reset != nil {
 		p.reset(r)
 	} else {
 		var zero T
 		*r = zero
 	}
-	*p.mark(r) = false
+	*p.marked(r) = false
 	p.p.Put(r)
 }
 

@@ -10,11 +10,10 @@ import (
 	"asymstream/internal/metrics"
 )
 
-// raceEnabled is set by race_test.go.  A pin that counts what a
-// sync.Pool saves must skip or loosen under -race, where the pool drops
-// Puts at random; this package's pins count none, and only the index
-// storm runs fewer rounds there.
-var raceEnabled bool
+// A pin that counts what a sync.Pool saves must skip or loosen in a
+// race build (raceBuild), where the pool drops Puts at random and a
+// Pool's Put hands its record to another goroutine; this package's pins
+// count none, and only the index storm runs fewer rounds there.
 
 func TestSlabAllocRelease(t *testing.T) {
 	met := &metrics.Set{}
@@ -352,7 +351,7 @@ func TestChunkIndexAllocs(t *testing.T) {
 func TestChunkIndexStorm(t *testing.T) {
 	baseline := len(listedSpans())
 	rounds := 20000
-	if raceEnabled {
+	if raceBuild {
 		rounds = 4000
 	}
 	var wg sync.WaitGroup
