@@ -5,7 +5,8 @@ GO ?= go
 ## check: the pre-merge gate — vet (stock + staticcheck + the repo's
 ## own transput-vet analyzers), build, full tests, the race detector
 ## over the concurrency-heavy packages (the striped counters of
-## internal/metrics among them), and the coverage floor.  CI and
+## internal/metrics and internal/spec's cross-process conformance run
+## among them), and the coverage floor.  CI and
 ## contributors run this before merging.
 check: vet vet-custom build test race cover-floor
 
@@ -76,7 +77,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
+	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/spec/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## allocs: the allocation pins (the batch-1 hops at zero, in one process
 ## and over a socket, the batch-1 chain's zero a datum, the bridge's

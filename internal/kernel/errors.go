@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -33,9 +32,9 @@ var (
 	ErrUnknownType = errors.New("kernel: unregistered Eden type")
 )
 
-// RemoteError is the wire form of an error that crossed a node
-// boundary.  Error identity (errors.Is against the sentinels above)
-// is preserved via the Code field.
+// RemoteError is the wire form of an error that crossed a node or
+// process boundary.  Error identity (errors.Is against a sentinel in
+// the code table) is preserved via the Code field.
 type RemoteError struct {
 	Code string // sentinel name, or "" for ad-hoc errors
 	Msg  string
@@ -44,13 +43,15 @@ type RemoteError struct {
 // Error implements the error interface.
 func (e *RemoteError) Error() string { return e.Msg }
 
-// sentinels is the kernel's error table: every sentinel whose identity
-// survives a node boundary, under its wire code.  codeFor tries the rows
-// in order, and Unwrap maps a code back to its row's sentinel.
-var sentinels = []struct {
+type codeRow struct {
 	code string
 	err  error
-}{
+}
+
+// sentinels is the code table: every sentinel whose identity survives a
+// boundary, under its wire code (RegisterError adds rows).  codeFor tries
+// the rows in order, and Unwrap maps a code back to its row's sentinel.
+var sentinels = []codeRow{
 	{"no_such_eject", ErrNoSuchEject},
 	{"no_such_operation", ErrNoSuchOperation},
 	{"no_reply", ErrNoReply},
@@ -60,6 +61,15 @@ var sentinels = []struct {
 	{"unknown_type", ErrUnknownType},
 	{"net_dropped", netsim.ErrDropped},
 	{"net_partitioned", netsim.ErrPartitioned},
+}
+
+// RegisterError adds err's row to the code table.  The package that owns
+// err calls it from its init function; an empty or taken code panics.
+func RegisterError(code string, err error) {
+	if code == "" || (&RemoteError{Code: code}).Unwrap() != nil {
+		panic(fmt.Sprintf("kernel: error code %q is empty or taken", code))
+	}
+	sentinels = append(sentinels, codeRow{code, err})
 }
 
 // codeFor is the wire code of err's first sentinel in the table, or "".
@@ -82,8 +92,9 @@ func (e *RemoteError) Unwrap() error {
 	return nil
 }
 
-// toWire converts an arbitrary error to its gob-safe wire form.
-func toWire(err error) error {
+// ToWire converts err to its wire form, the one conversion at every
+// crossing: a node's inside a kernel, a process's on the bridge.
+func ToWire(err error) *RemoteError {
 	if err == nil {
 		return nil
 	}
@@ -108,7 +119,3 @@ func (e *OpError) Error() string {
 
 // Unwrap exposes the underlying kernel error to errors.Is/As.
 func (e *OpError) Unwrap() error { return e.Err }
-
-func init() {
-	gob.Register(&RemoteError{})
-}

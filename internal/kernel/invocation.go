@@ -85,7 +85,7 @@ func (inv *Invocation) Fail(err error) {
 	if err == nil {
 		panic("kernel: Fail(nil)")
 	}
-	inv.complete(reply{err: toWire(err)})
+	inv.complete(reply{err: ToWire(err)})
 }
 
 // complete delivers the reply, once.  It may run on any goroutine Serve
@@ -193,7 +193,7 @@ func (c *Call) settle(r reply) reply {
 		if r.err == nil {
 			payload, _, terr := k.link.Transmit(c.toNode, c.fromNode, r.payload)
 			if terr != nil {
-				r = reply{err: toWire(terr)}
+				r = reply{err: ToWire(terr)}
 			} else {
 				r.payload = payload
 			}

@@ -669,7 +669,7 @@ func (c *Call) refuse(inv *Invocation, from uid.UID, err error) {
 		c.k.traceStart(c, from)
 	}
 	c.msgID = 0
-	c.replyc <- reply{err: toWire(err)}
+	c.replyc <- reply{err: ToWire(err)}
 }
 
 // Checkpoint creates a new passive representation for the Eject (§1).

@@ -577,13 +577,33 @@ func TestRemoteErrorPreservesSentinels(t *testing.T) {
 		if !errors.Is(re, s.err) {
 			t.Errorf("RemoteError(%s) does not unwrap to sentinel", s.code)
 		}
-		re = toWire(fmt.Errorf("wrapped: %w", s.err)).(*RemoteError)
+		re = ToWire(fmt.Errorf("wrapped: %w", s.err))
 		if re.Code != s.code || !errors.Is(re, s.err) {
-			t.Errorf("toWire of a wrapped %v: code %q, want %q, and identity kept", s.err, re.Code, s.code)
+			t.Errorf("ToWire of a wrapped %v: code %q, want %q, and identity kept", s.err, re.Code, s.code)
 		}
 	}
-	if toWire(nil) != nil {
-		t.Error("toWire(nil) should be nil")
+	if ToWire(nil) != nil {
+		t.Error("ToWire(nil) should be nil")
+	}
+}
+
+// TestRegisterErrorRefusesATakenCode: a code names one sentinel, so a
+// second registration of it, or of no code, panics and leaves the table
+// as it was.
+func TestRegisterErrorRefusesATakenCode(t *testing.T) {
+	rows := len(sentinels)
+	for _, code := range []string{"no_such_eject", ""} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterError(%q) did not panic", code)
+				}
+			}()
+			RegisterError(code, errors.New("another"))
+		}()
+	}
+	if len(sentinels) != rows || !errors.Is(&RemoteError{Code: "no_such_eject"}, ErrNoSuchEject) {
+		t.Error("a refused registration changed the table")
 	}
 }
 

@@ -13,8 +13,9 @@
 // ending in the invocation's value as a nested wire frame:
 //
 //	rpcRequest   uvarint ID | 16-byte Target | string Op | frame(Value)
-//	rpcReply     uvarint ID | string ErrMsg | frame(Value) iff ErrMsg == ""
+//	rpcReply     uvarint ID | string Msg | string Code iff Msg != "" | frame(Value) iff Msg == ""
 //
+// Msg and Code are a failure's kernel.RemoteError (kernel.ToWire's).
 // The nested frame is the record's last field, so it needs no length
 // of its own: it runs to the end of the record, and bytes after it are
 // malformed, as is a value that is itself one of these two records (so
@@ -65,11 +66,12 @@ const (
 func init() {
 	wire.Register(rpcRequests)
 	wire.Register(rpcReplies)
+	kernel.RegisterError("bridge_closed", ErrBridgeClosed)
 }
 
 // ErrBridgeClosed is what an Invoke returns, wrapped, when the
-// connection and not the remote Eject failed it: the call was pending
-// when the connection died, or was made after.
+// connection and not the remote Eject failed it (pending when it died,
+// or made after).  Its code-table row lets a proxy's invoker match it too.
 var ErrBridgeClosed = errors.New("transport: bridge connection closed")
 
 type rpcRequest struct {
@@ -208,12 +210,11 @@ func decodeValue(rest []byte, a *wire.Arena) (any, error) {
 }
 
 type rpcReply struct {
-	ID     uint64
-	ErrMsg string // what the far kernel's invocation failed with; "" means success
-	Value  any    // on success
-	// err is a failure on this side of the wire, which Invoke returns as
-	// it is: the reply's nested frame did not decode, or the connection
-	// died with the call pending.
+	ID    uint64
+	Value any // on success
+	// err is why the call failed: the far kernel's *kernel.RemoteError,
+	// or a failure on this side of the wire (the nested frame did not
+	// decode, or the connection died with the call pending).
 	err    error
 	pooled bool
 }
@@ -224,11 +225,11 @@ func (r *rpcReply) WireID() uint16 { return wireIDRPCReply }
 // AppendWire implements wire.Marshaler.
 func (r *rpcReply) AppendWire(dst []byte) ([]byte, error) {
 	dst = wire.AppendUvarintField(dst, r.ID)
-	dst = wire.AppendStringField(dst, r.ErrMsg)
-	if r.ErrMsg != "" {
-		return dst, nil
+	if r.err == nil {
+		return wire.Append(wire.AppendStringField(dst, ""), r.Value)
 	}
-	return wire.Append(dst, r.Value)
+	re := kernel.ToWire(r.err)
+	return wire.AppendStringField(wire.AppendStringField(dst, re.Msg), re.Code), nil
 }
 
 // ReadWire implements wire.Record — see rpcRequest.ReadWire.
@@ -242,12 +243,13 @@ func (r *rpcReply) ReadWire(b, _ []byte, a *wire.Arena) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	r.ErrMsg = msg
 	rest := b[k+n:]
 	if msg == "" {
 		r.Value, err = decodeValue(rest, a)
-	} else if len(rest) != 0 {
-		err = fmt.Errorf("%w: %d bytes after an error reply", wire.ErrMalformed, len(rest))
+	} else if code, n, cerr := wire.ReadStringField(rest); cerr != nil || n != len(rest) {
+		err = fmt.Errorf("%w: an error reply's code", wire.ErrMalformed)
+	} else {
+		r.err = &kernel.RemoteError{Code: code, Msg: msg}
 	}
 	if err != nil {
 		r.err = fmt.Errorf("transport: decode reply: %w", err)
@@ -349,9 +351,12 @@ func (s *connServer) serve(req *rpcRequest) {
 	rep := rpcReplies.Get()
 	rep.ID = req.ID
 	if req.err != nil {
-		rep.ErrMsg = req.err.Error()
+		rep.err = req.err
 	} else if res, err := s.k.Invoke(uid.Nil, req.Target, req.Op, req.Value); err != nil {
-		rep.ErrMsg = err.Error()
+		rep.err = err
+		if oe, ok := err.(*kernel.OpError); ok {
+			rep.err = oe.Err // the caller's kernel names the op and target itself
+		}
 	} else {
 		s.srcs.note(req.Target, req.Op, res)
 		rep.Value = res
@@ -360,7 +365,7 @@ func (s *connServer) serve(req *rpcRequest) {
 	// nobody left to tell.
 	if err := s.out.send(rep); errors.Is(err, errEncode) {
 		// The result has no wire form; the caller still gets an answer.
-		rep.Value, rep.ErrMsg = nil, err.Error()
+		rep.Value, rep.err = nil, err
 		_ = s.out.send(rep)
 	}
 	rpcReplies.Put(rep)
@@ -463,10 +468,9 @@ func (p *Peer) failCalls(err error) {
 
 // Invoke performs one remote invocation: payload is wire-encoded into
 // the request's frame, carried to the server and dispatched into its
-// kernel, and the reply's value decoded back.  An error the far kernel
-// returned reads "transport: remote <op>: <its message>"; one that
-// wraps ErrBridgeClosed is the connection's and says nothing about the
-// remote Eject.
+// kernel, and the reply's value decoded back.  The far kernel's error is
+// the one its own Invoke returned; one that wraps ErrBridgeClosed is
+// the connection's and says nothing about the remote Eject.
 func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	id := p.nextID.Add(1)
 	ch := replyChans.Get().(chan *rpcReply)
@@ -497,15 +501,12 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 	}
 	rep := <-ch
 	replyChans.Put(ch)
-	v, msg, err := rep.Value, rep.ErrMsg, rep.err
+	v, err := rep.Value, rep.err
 	rpcReplies.Put(rep)
-	if err != nil {
-		return nil, err
+	if re, ok := err.(*kernel.RemoteError); ok {
+		return nil, &kernel.OpError{Op: op, Target: target.String(), Err: re}
 	}
-	if msg != "" {
-		return nil, fmt.Errorf("transport: remote %s: %s", op, msg)
-	}
-	return v, nil
+	return v, err
 }
 
 // Close tears the connection down; outstanding Invokes fail.
@@ -528,6 +529,9 @@ func (p *proxyEject) EdenType() string { return "transport.Proxy" }
 // Serve implements kernel.Eject.
 func (p *proxyEject) Serve(inv *kernel.Invocation) {
 	res, err := p.peer.Invoke(p.target, inv.Op, inv.Payload)
+	if oe, ok := err.(*kernel.OpError); ok {
+		err = oe.Err // this kernel names the op and target itself
+	}
 	if err != nil {
 		inv.Fail(err)
 		return

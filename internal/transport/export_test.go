@@ -24,8 +24,11 @@ type (
 // Err is why a decoded request carries no value.
 func (r *rpcRequest) Err() error { return r.err }
 
-// Err is the local failure a reply carries instead of a value.
+// Err is the failure a reply carries instead of a value.
 func (r *rpcReply) Err() error { return r.err }
+
+// FailedReply is a reply that fails its call with err.
+func FailedReply(id uint64, err error) *RPCReply { return &rpcReply{ID: id, err: err} }
 
 // MaxInternedOps is the op intern table's bound.
 const MaxInternedOps = maxInternedOps

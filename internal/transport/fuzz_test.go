@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"asymstream/internal/kernel"
 	"asymstream/internal/transport"
 	"asymstream/internal/transput"
 	"asymstream/internal/uid"
@@ -20,9 +21,10 @@ func recordFrame(id uint16, body []byte) []byte {
 }
 
 // recordErr is the failure a decoded record carries in place of a value
-// (a bridge record's Err), nil for a record that has none.
+// (a bridge record's Err), nil for a record that has none.  A far
+// kernel's error is a reply's field, which encodes, and not a failure.
 func recordErr(v any) error {
-	if r, ok := v.(interface{ Err() error }); ok {
+	if r, ok := v.(interface{ Err() error }); ok && !errors.As(r.Err(), new(*kernel.RemoteError)) {
 		return r.Err()
 	}
 	return nil
@@ -76,7 +78,7 @@ var sampleRecords = []wire.Marshaler{
 		End: true, Writer: uid.UID{Hi: 1, Lo: 9}, Base: 12},
 	&transput.DeliverReply{Status: transput.StatusAborted, AbortMsg: "gone", Credits: 3},
 	&transport.RPCRequest{ID: 7, Target: uid.UID{Hi: 1, Lo: 2}, Op: "Op", Value: "v"},
-	&transport.RPCReply{ID: 9, ErrMsg: "no such Eject"},
+	transport.FailedReply(9, &kernel.RemoteError{Code: "no_such_eject", Msg: "kernel: no such Eject"}),
 }
 
 // TestEverySampleRecordIsRegistered keeps sampleRecords, and the rows of
@@ -244,11 +246,11 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 	badRequest = wire.AppendStringField(badRequest, "Echo")
 	badRequest = append(badRequest, 0xff, 0, 0, 0, 0) // no such tag
 
-	badReply := append(wire.AppendUvarintField(nil, 3), 0) // ID 3, ErrMsg ""
+	badReply := append(wire.AppendUvarintField(nil, 3), 0) // ID 3, Msg ""
 	badReply = append(badReply, 0xff, 0, 0, 0, 0)
 	replies := [][]byte{
 		body(&transport.RPCReply{ID: 1, Value: []byte("a value")}),
-		body(&transport.RPCReply{ID: 2, ErrMsg: "remote failure"}),
+		body(transport.FailedReply(2, &kernel.RemoteError{Code: "no_such_eject", Msg: "remote failure"})),
 		badReply,
 	}
 	requests := [][]byte{
@@ -285,7 +287,7 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 					}
 					switch r := second.(type) {
 					case *transport.RPCReply:
-						if r.ErrMsg != "" && r.Value != nil {
+						if r.Err() != nil && r.Value != nil {
 							t.Errorf("%s: an error reply after body %d kept the value %v", name, i, r.Value)
 						}
 					case *transport.RPCRequest:
@@ -297,5 +299,39 @@ func TestBridgePooledRecordsCarryNothingOver(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBridgeReplyLayout pins the reply's bytes: a success is
+// uvarint ID | "" | frame(Value), and a failure uvarint ID | Msg | Code,
+// which reads back as the far kernel's error.  A failure without its
+// code, or with bytes after it, is malformed.
+func TestBridgeReplyLayout(t *testing.T) {
+	value, _ := wire.Append(nil, "v")
+	success := append([]byte{1, 0}, value...)
+	failure := wire.AppendStringField(wire.AppendStringField([]byte{9}, "m"), "no_such_eject")
+	for _, c := range []struct {
+		rec  any
+		body []byte
+	}{
+		{&transport.RPCReply{ID: 1, Value: "v"}, success},
+		{transport.FailedReply(9, &kernel.RemoteError{Code: "no_such_eject", Msg: "m"}), failure},
+	} {
+		if enc, err := wire.Append(nil, c.rec); err != nil || !bytes.Equal(enc, recordFrame(33, c.body)) {
+			t.Errorf("%+v encodes as % x (%v), want % x", c.rec, enc, err, recordFrame(33, c.body))
+		}
+	}
+	v, _, err := wire.Decode(recordFrame(33, failure))
+	var re *kernel.RemoteError
+	if err != nil || !errors.As(v.(*transport.RPCReply).Err(), &re) || re.Msg != "m" || !errors.Is(re, kernel.ErrNoSuchEject) {
+		t.Errorf("a failure decodes as %+v, %v", v, err)
+	}
+	wire.Recycle(v)
+	for _, body := range [][]byte{failure[:3], append(failure[:len(failure):len(failure)], 0)} {
+		v, _, err := wire.Decode(recordFrame(33, body))
+		if err != nil || !errors.Is(recordErr(v), wire.ErrMalformed) {
+			t.Errorf("% x: %v, %v; want the reply's own ErrMalformed", body, v, err)
+		}
+		wire.Recycle(v)
 	}
 }

@@ -69,7 +69,7 @@ func (c *controlEject) EdenType() string { return "transport.RemoteControl" }
 // Serve implements kernel.Eject.
 func (c *controlEject) Serve(inv *kernel.Invocation) {
 	if inv.Op != "Remote.Open" {
-		inv.Fail(fmt.Errorf("transport: control: unknown op %q", inv.Op))
+		inv.Fail(fmt.Errorf("%w: %q on the remote control", kernel.ErrNoSuchOperation, inv.Op))
 		return
 	}
 	spec, ok := inv.Payload.(string)
@@ -172,7 +172,7 @@ func (e *remoteSourceEject) Serve(inv *kernel.Invocation) {
 		}
 		inv.Reply("closed")
 	default:
-		inv.Fail(fmt.Errorf("transport: source: unknown op %q", inv.Op))
+		inv.Fail(fmt.Errorf("%w: %q on a remote source", kernel.ErrNoSuchOperation, inv.Op))
 	}
 }
 

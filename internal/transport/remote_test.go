@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -171,8 +172,9 @@ func TestRemoteNextAfterClose(t *testing.T) {
 }
 
 // TestRemoteBadRequests covers the control plane's refusals: unknown
-// target UIDs and malformed Remote.Open payloads come back as errors,
-// not hangs or torn connections.
+// target UIDs, malformed Remote.Open payloads and unknown ops come back
+// as errors — the kernel's sentinel where there is one — not hangs or
+// torn connections.
 func TestRemoteBadRequests(t *testing.T) {
 	addr, _ := startTrackedServer(t, openCount)
 	p, err := transport.Dial(addr)
@@ -181,14 +183,14 @@ func TestRemoteBadRequests(t *testing.T) {
 	}
 	defer p.Close()
 
-	if _, err := p.Invoke(uid.UID{Hi: 0xdead, Lo: 0xbeef}, "Remote.Next", int64(1)); err == nil {
-		t.Fatal("Remote.Next on unknown UID succeeded")
+	if _, err := p.Invoke(uid.UID{Hi: 0xdead, Lo: 0xbeef}, "Remote.Next", int64(1)); !errors.Is(err, kernel.ErrNoSuchEject) {
+		t.Fatalf("Remote.Next on unknown UID: %v, want ErrNoSuchEject", err)
 	}
 	if _, err := p.Invoke(transport.ControlUID, "Remote.Open", int64(7)); err == nil {
 		t.Fatal("Remote.Open with non-string spec succeeded")
 	}
-	if _, err := p.Invoke(transport.ControlUID, "Remote.Shutdown", "x"); err == nil {
-		t.Fatal("unknown control op succeeded")
+	if _, err := p.Invoke(transport.ControlUID, "Remote.Shutdown", "x"); !errors.Is(err, kernel.ErrNoSuchOperation) {
+		t.Fatalf("unknown control op: %v, want ErrNoSuchOperation", err)
 	}
 	// The connection survives all three refusals.
 	if _, err := transport.OpenRemote(p, "count 3"); err != nil {
