@@ -82,11 +82,13 @@ race:
 ## allocs: the allocation pins (the batch-1 hops at zero, in one process
 ## and over a socket, the batch-1 chain's zero a datum, the bridge's
 ## round trip and remote batch at their boxes, a bulk frame whose
-## items are detached in place, and the slab's chunk index listing and
-## unlisting at zero) three times over.  Under -race, where sync.Pool drops Puts, they skip or loosen,
+## items are detached in place, the slab's chunk index listing and
+## unlisting at zero, and a channel's declare/retire churn at its
+## handle) and the idle channel's heap footprint three times over.
+## Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
-	$(GO) test -run 'Allocs|AllocFree' -count=3 ./internal/wire ./internal/transput ./internal/transport
+	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput ./internal/transport
 
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for
@@ -108,12 +110,13 @@ fuzz-smoke:
 ## in both directions, completions in reverse, merge, redirect), the fusion
 ## compiler (fused groups, fused aborts, fused pools), the writers'
 ## shared copy arenas under concurrent Puts, bodies holding 16 KiB
-## items handed over in place off real sockets, and stale channel
+## items handed over in place off real sockets, stale channel
 ## handles and capability-cache entries racing the reuse of their
-## records — the subset CI runs on every push in addition to the full
+## records, and records' first waits (which make their conds) racing
+## every broadcast — the subset CI runs on every push in addition to the full
 ## gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot' ./internal/transput/ ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm' ./internal/transput/ ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's

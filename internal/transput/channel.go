@@ -62,7 +62,7 @@ type channel struct {
 	// arena holds the copies put makes for a ChannelWriter's Put, created
 	// by the first and dropped at the end of the stream, so that a channel
 	// fed only by PutOwned or Deliver — every gateway record — holds none.
-	// One pointer keeps the record in its 256-byte size class.
+	// One pointer keeps the record in its 192-byte size class.
 	arena *wire.Arena
 
 	// itemsOut is the stream offset of the next item taken; it stamps
@@ -78,14 +78,10 @@ func (c *channel) buffered() int { return len(c.buf) - c.head }
 // ended reports whether every expected End mark has arrived.
 func (c *channel) ended() bool { return c.ends >= c.expectedEnds }
 
-// chanPool recycles retired records.  A pooled record keeps its cond,
-// its buffer backing array and its sequence gate; everything
-// stream-specific is re-initialised by acquireChannel.
-var chanPool = sync.Pool{New: func() any {
-	c := new(channel)
-	c.cond = sync.NewCond(&c.mu)
-	return c
-}}
+// chanPool recycles retired records.  A pooled record keeps its cond
+// (if it ever waited), its buffer backing array and its sequence gate;
+// everything stream-specific is re-initialised by acquireChannel.
+var chanPool = sync.Pool{New: func() any { return new(channel) }}
 
 // acquireChannel re-initialises a pooled (or fresh) record for a new
 // stream and returns the reference to its new life — under mu, because
@@ -144,7 +140,9 @@ func (r chanRef) abortLocked(err *AbortedError) {
 	c.buf = c.buf[:0]
 	c.head = 0
 	c.arena = nil
-	c.cond.Broadcast()
+	if c.cond != nil {
+		c.cond.Broadcast()
+	}
 }
 
 // abort aborts the channel, unless r is stale (a retired channel is
@@ -208,7 +206,9 @@ func (r chanRef) end() error {
 	defer c.mu.Unlock()
 	c.ends++
 	c.arena = nil
-	c.cond.Broadcast()
+	if c.cond != nil {
+		c.cond.Broadcast()
+	}
 	return nil
 }
 
@@ -247,7 +247,9 @@ func (r chanRef) put(item []byte, owned bool) error {
 		item = copyItem(&c.arena, item)
 	}
 	c.buf = append(c.buf, item)
-	c.cond.Broadcast()
+	if c.cond != nil {
+		c.cond.Broadcast()
+	}
 	if c.capacity == 0 {
 		for c.buffered() > 0 && !c.ended() && c.abortErr == nil {
 			c.wait()
@@ -291,7 +293,9 @@ func (r chanRef) take(max int) *TransferReply {
 	rep.Backlog = c.buffered()
 	c.itemsOut += int64(n)
 	c.met.ItemsMoved.Add(int64(n))
-	c.cond.Broadcast() // wake producers waiting for space
+	if c.cond != nil {
+		c.cond.Broadcast() // wake producers waiting for space
+	}
 	c.mu.Unlock()
 	return rep
 }
@@ -338,7 +342,9 @@ func (r chanRef) absorb(req *DeliverRequest) *DeliverReply {
 		c.buf = append(c.buf, item)
 		absorbed++
 		saved += int64(len(item))
-		c.cond.Broadcast()
+		if c.cond != nil {
+			c.cond.Broadcast()
+		}
 	}
 	c.met.WireBytesSaved.Add(saved)
 	if c.abortErr != nil {
@@ -359,7 +365,7 @@ func (r chanRef) absorb(req *DeliverRequest) *DeliverReply {
 			c.seq.advance(req.Writer, req.Base+int64(len(req.Items)))
 		}
 	}
-	if req.End || windowed {
+	if (req.End || windowed) && c.cond != nil {
 		c.cond.Broadcast()
 	}
 	c.deliversServed++
@@ -389,7 +395,9 @@ func (r chanRef) next() ([]byte, error) {
 	}
 	item := c.buf[c.head]
 	c.consume(1)
-	c.cond.Broadcast() // wake parked Deliver workers
+	if c.cond != nil {
+		c.cond.Broadcast() // wake parked Deliver workers
+	}
 	return item, nil
 }
 
@@ -400,16 +408,10 @@ func (r chanRef) next() ([]byte, error) {
 const tableEntryBytes = 64
 
 // idleChanFootprint is the fixed accounting charge for one idle
-// channel: the record itself plus its index entries (two indices in
-// capability mode, one otherwise).  The capability cache is a fixed
-// array of the port's, not a per-channel cost.
-func idleChanFootprint(capMode bool) int64 {
-	fp := int64(unsafe.Sizeof(channel{})) + tableEntryBytes
-	if capMode {
-		fp += tableEntryBytes
-	}
-	return fp
-}
+// channel: the record itself plus its one index entry, in either
+// addressing mode.  The capability cache is a fixed array of the
+// port's, not a per-channel cost.
+const idleChanFootprint = int64(unsafe.Sizeof(channel{})) + tableEntryBytes
 
 // errRetired marks channels torn down by Retire.  Shared: AbortedError
 // is immutable once published.
@@ -461,7 +463,7 @@ func (r *chanRegistry) declare(name string, num ChannelNum, capacity, writers in
 	r.mu.Unlock()
 	r.register(num, id.Cap, ref)
 	r.met.ChannelsLive.Inc()
-	r.met.IdleChannelBytes.Add(idleChanFootprint(r.capMode))
+	r.met.IdleChannelBytes.Add(idleChanFootprint)
 	return ref
 }
 
@@ -483,7 +485,7 @@ func (r *chanRegistry) retire(ref chanRef) bool {
 	}
 	r.mu.Unlock()
 	r.met.ChannelsLive.Dec()
-	r.met.IdleChannelBytes.Sub(idleChanFootprint(r.capMode))
+	r.met.IdleChannelBytes.Sub(idleChanFootprint)
 	ref.release()
 	return true
 }

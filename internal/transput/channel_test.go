@@ -21,12 +21,66 @@ import (
 // Tests for the one channel record (channel.go) through its three
 // faces.
 
-// TestChannelRecordSize pins the idle record to the 256-byte size
+// TestChannelRecordSize pins the idle record to the 192-byte size
 // class: a gateway holds 10⁵–10⁶ of them, so a field that pushes the
-// record into the next class is a heap regression, not a detail.
+// record into the next class is a heap regression, not a detail.  The
+// size stays a multiple of 64 so that records, which the allocator
+// packs side by side in their class, each start on a cache line and
+// never share one: a record's lock word is hot under lookup validation.
 func TestChannelRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(channel{}); n > 256 {
-		t.Fatalf("unsafe.Sizeof(channel{}) = %d B, want <= 256", n)
+	if n := unsafe.Sizeof(channel{}); n > 192 || n%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(channel{}) = %d B, want <= 192 and a multiple of 64", n)
+	}
+}
+
+// TestIdleChannelFootprint pins what one idle channel costs the heap —
+// its record, its handle, its slot in the advert list and its one index
+// entry — on both faces a gateway declares on, in both addressing
+// modes, and holds the IdleChannelBytes gauge to that measured figure.
+// The ceiling sits below any one of a cache-line pad, a cond per record
+// or a second index entry added back.
+func TestIdleChannelFootprint(t *testing.T) {
+	const (
+		n       = 20000
+		ceiling = 300  // heap bytes a channel; 271 (numbers) and 286 (capabilities) measured
+		drift   = 0.15 // the gauge's tolerance against the heap
+	)
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC() // the second empties chanPool's victim cache
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, capMode := range []bool{false, true} {
+		for _, face := range []string{"OutPort", "WOInPort"} {
+			t.Run(fmt.Sprintf("%s/capMode=%v", face, capMode), func(t *testing.T) {
+				var reg *chanRegistry
+				var declare func(i int) any
+				if face == "OutPort" {
+					p := NewOutPort(nil, OutPortConfig{CapabilityMode: capMode})
+					reg, declare = &p.chanRegistry, func(i int) any { return p.Declare("c", ChannelNum(i), 8) }
+				} else {
+					p := NewWOInPort(nil, WOInPortConfig{CapabilityMode: capMode})
+					reg, declare = &p.chanRegistry, func(i int) any { return p.Declare("c", ChannelNum(i), 8, 1) }
+				}
+				handles := make([]any, n)
+				before := heap()
+				for i := range handles {
+					handles[i] = declare(i)
+				}
+				perChan := float64(heap()-before) / n
+				runtime.KeepAlive(handles)
+				if perChan > ceiling {
+					t.Errorf("heap grew %.0f B a channel, ceiling %d", perChan, ceiling)
+				}
+				gauge := float64(reg.met.IdleChannelBytes.Value()) / float64(reg.met.ChannelsLive.Value())
+				if d := gauge/perChan - 1; d > drift || d < -drift {
+					t.Errorf("IdleChannelBytes gauge reads %.0f B a channel, the heap %.0f B: off by %+.0f%%", gauge, perChan, 100*d)
+				}
+				t.Logf("heap %.0f B a channel, gauge %.0f B", perChan, gauge)
+			})
+		}
 	}
 }
 

@@ -46,23 +46,24 @@ const chanStripes = 64
 // otherwise it is left to the GC (rare — retire broadcasts first, so
 // waiters drain promptly).
 //
-// The trailing pad keeps the hot lock word and generation off the
-// cache line of whatever the allocator packs next to the record, so a
-// million idle records do not false-share under concurrent lookup
-// validation; it also makes the per-record footprint a stable number
-// the gateway bench can report.
+// cond is made by a record's first wait, under mu, and every broadcast
+// is skipped while it is nil: nobody can be parked on a cond that does
+// not exist yet.  An idle gateway record never waits, so it never
+// carries one.
 type chanCore struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	waiters int
 	gen     atomic.Uint64
-
-	_ [64]byte
 }
 
-// wait parks the caller on cond with waiter accounting.  Caller holds
-// mu (as for cond.Wait).
+// wait parks the caller on cond with waiter accounting, making cond
+// first if the record has never waited.  Caller holds mu (as for
+// cond.Wait).
 func (c *chanCore) wait() {
+	if c.cond == nil {
+		c.cond = sync.NewCond(&c.mu)
+	}
 	c.waiters++
 	c.cond.Wait()
 	c.waiters--
@@ -150,15 +151,17 @@ type capCache struct {
 	slots [capCacheSlots]capSlot
 }
 
-// chanTable is a port's channel registry: striped lookup maps plus the
-// capability cache.  All methods are safe for concurrent use.
+// chanTable is a port's channel registry: one striped lookup map,
+// keyed by whatever the port's addressing mode names channels with,
+// plus the capability cache in capability mode.  All methods are safe
+// for concurrent use.
 type chanTable struct {
 	capMode bool
 	met     *metrics.Set
 
-	byNum *stripemap.Map[ChannelNum, chanRef]
-	byCap *stripemap.Map[uid.UID, chanRef] // nil unless capMode
-	cache *capCache                        // nil unless capMode
+	byNum *stripemap.Map[ChannelNum, chanRef] // nil in capMode
+	byCap *stripemap.Map[uid.UID, chanRef]    // nil unless capMode
+	cache *capCache                           // nil unless capMode
 }
 
 // numHash mixes a channel number for stripe placement (small
@@ -171,14 +174,12 @@ func numHash(n ChannelNum) uint64 {
 }
 
 func newChanTable(capMode bool, met *metrics.Set) chanTable {
-	t := chanTable{
-		capMode: capMode,
-		met:     met,
-		byNum:   stripemap.New[ChannelNum, chanRef](chanStripes, numHash, &met.ChannelLookupContention),
-	}
+	t := chanTable{capMode: capMode, met: met}
 	if capMode {
 		t.byCap = stripemap.New[uid.UID, chanRef](chanStripes, uid.UID.Hash, &met.ChannelLookupContention)
 		t.cache = new(capCache)
+	} else {
+		t.byNum = stripemap.New[ChannelNum, chanRef](chanStripes, numHash, &met.ChannelLookupContention)
 	}
 	return t
 }
@@ -192,22 +193,24 @@ func (t *chanTable) missStatus() Status {
 	return StatusNoSuchChannel
 }
 
-// register publishes a reference under its number (and capability, in
-// capability mode).
+// register publishes a reference under its capability in capability
+// mode, under its number otherwise: the one key lookup resolves.
 func (t *chanTable) register(num ChannelNum, cp uid.UID, ref chanRef) {
-	t.byNum.Store(num, ref)
 	if t.capMode {
 		t.byCap.Store(cp, ref)
+	} else {
+		t.byNum.Store(num, ref)
 	}
 }
 
-// unregister removes a channel's entries.  Per the stripemap staleness
-// contract the entries may keep resolving until the next promotion;
-// the generation check rejects them.
+// unregister removes a channel's entry.  Per the stripemap staleness
+// contract the entry may keep resolving until the next promotion; the
+// generation check rejects it.
 func (t *chanTable) unregister(num ChannelNum, cp uid.UID) {
-	t.byNum.Delete(num)
 	if t.capMode {
 		t.byCap.Delete(cp)
+	} else {
+		t.byNum.Delete(num)
 	}
 }
 
