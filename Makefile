@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs fuzz-smoke bench bench-json json loc pairs
 
-## check: the pre-merge gate — vet (stock + staticcheck + the repo's
-## own transput-vet analyzers), build, full tests, the race detector
+## check: the pre-merge gate — vet (stock + staticcheck + the
+## protomodel self-test), build, full tests (the repo's own analyzer
+## suite among them, at zero findings), the race detector
 ## over the concurrency-heavy packages (the striped counters of
 ## internal/metrics and internal/spec's cross-process conformance run
 ## among them), and the coverage floor.  CI and
@@ -23,24 +24,17 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-## vet-custom: the repo's own go/analysis-style suite.  Proves slab
-## ownership (every Alloc/Retain is released on every path), discipline
-## purity (readonly files never reach the push side and vice versa),
-## fusion purity (fusable-tagged plumbing never reaches a port or a
-## kernel invocation), goroutine termination, and one wait-for
-## graph for cond-wait discipline, lock order (cycles of any length)
-## and mixed mutex/channel/cond cycles, and — via the protomodel
-## analyzer — credit-protocol liveness by exhaustive model checking.
-## Atomics are left to the types: every shared word is a typed atomic,
-## and `go vet` (the `vet` target) reports a copied one.  Pooled records
-## are left to wire.Pool, whose race build (the `race` target) reports a
-## record used after its Put.
-## The self-test first proves the model checker catches its own seeded
-## mutants, so the zero-finding run that follows actually means
-## something.  Zero findings is a merge requirement.
+## vet-custom: the protomodel self-test — the model checker must catch
+## its own seeded mutants before its clean verdict counts.  The analyzer
+## suite itself (discipline and fusion purity, goroutine termination,
+## wait cycles and lock order, protomodel's credit-protocol liveness)
+## runs at zero findings in `test`, as internal/analysis's
+## TestModuleIsClean; a finding is fixed, never annotated.  What a type
+## or a runtime check holds gets no analyzer: typed atomics (`vet`),
+## wire.Pool's race build (`race`), the slab leak audit and the
+## transport tests' fd baseline (`test`).
 vet-custom:
 	$(GO) run ./cmd/transput-vet -protomodel-selftest -protomodel-window 3
-	$(GO) run ./cmd/transput-vet
 
 ## cover-floor: statement-coverage floor for the packages whose
 ## correctness arguments lean on tests — the wire codec/slab layer,

@@ -2,14 +2,16 @@
 // (internal/analysis) over the whole repository:
 //
 //	transput-vet                      # run every analyzer over the module
-//	transput-vet -run slab            # only analyzers matching the regex
+//	transput-vet -run waitcycle       # only analyzers matching the regex
 //	transput-vet -list                # list analyzers and exit
 //	transput-vet -github              # findings as GitHub workflow annotations
 //	transput-vet -protomodel-selftest # verify the model checker catches its
 //	                                  # own seeded mutants, then exit
 //
 // Diagnostics print as file:line:col: [analyzer] message; any finding
-// exits 1, which is how `make vet-custom` gates CI.
+// exits 1.  CI runs it with -github to annotate findings; the same
+// zero-findings gate is internal/analysis's TestModuleIsClean, which
+// `make test` runs.
 //
 // The protomodel exploration bounds are tunable for the nightly deep
 // run: -protomodel-window, -protomodel-writers and

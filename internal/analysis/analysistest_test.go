@@ -2,10 +2,10 @@ package analysis
 
 // A miniature analysistest: fixtures live under testdata/src/<name>,
 // are loaded through the same Loader as real runs (so they may import
-// real module packages such as asymstream/internal/wire), and declare
+// real module packages such as asymstream/internal/transput), and declare
 // expected findings with trailing comments:
 //
-//	b := s.Alloc(8) // want "may escape"
+//	go spin() // want "never terminates"
 //
 // Each quoted string is a regexp that must match a diagnostic reported
 // on that line; diagnostics with no matching want comment, and want

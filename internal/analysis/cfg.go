@@ -11,7 +11,9 @@ import (
 // clients can ast.Inspect node.N without ever re-visiting nested
 // statements.  Labeled branches and goto mark the graph unsupported
 // (no function in this module uses them); analyses skip such
-// functions rather than guess.
+// functions rather than guess.  Two clients read it: the liveness
+// summaries' divergence check (summaries.go) and waitcycle's held-lock
+// dataflow, the only reader of the assume nodes and the defer list.
 
 type nodeKind int
 
@@ -44,10 +46,6 @@ type cfgNode struct {
 type funcCFG struct {
 	entry *cfgNode
 	nodes []*cfgNode
-	// exits holds the nodes where the function returns normally:
-	// nkReturn nodes and the nkEnd node (when reachable).  Panics are
-	// deliberately excluded.
-	exits []*cfgNode
 	// defers lists every deferred call in the body, in source order.
 	defers []*ast.CallExpr
 	// unsupported is set when the body uses goto or labeled branches.
@@ -73,7 +71,6 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 	entry := b.newNode(nkJoin, nil)
 	g.entry = entry
 	if body == nil {
-		g.exits = append(g.exits, entry)
 		return g
 	}
 	// Pre-scan for constructs the builder does not model.
@@ -93,14 +90,7 @@ func buildCFG(body *ast.BlockStmt) *funcCFG {
 	}
 	frontier := b.buildStmts(body.List, []*cfgNode{entry})
 	if len(frontier) > 0 {
-		end := b.newNode(nkEnd, nil)
-		b.link(frontier, end)
-		g.exits = append(g.exits, end)
-	}
-	for _, n := range g.nodes {
-		if n.kind == nkReturn {
-			g.exits = append(g.exits, n)
-		}
+		b.link(frontier, b.newNode(nkEnd, nil))
 	}
 	return g
 }
@@ -148,9 +138,9 @@ func (b *cfgBuilder) buildStmt(s ast.Stmt, frontier []*cfgNode) []*cfgNode {
 		var cond *cfgNode
 		frontier, cond = b.seq(frontier, nkExpr, s.Cond)
 		// Branch polarity flows through assume nodes: the then edge
-		// knows cond held, the else edge knows it did not.  Dataflow
-		// clients (the lifetime engine's err-pairing, nil-pruning) read
-		// them; everyone else treats them like joins.
+		// knows cond held, the else edge knows it did not.  waitcycle
+		// reads them (an accessor's lock is not held where its ok is
+		// false); everyone else treats them like joins.
 		assumeT := b.newNode(nkAssume, nil)
 		assumeT.cond, assumeT.negate = s.Cond, false
 		b.link([]*cfgNode{cond}, assumeT)

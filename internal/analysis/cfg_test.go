@@ -11,8 +11,9 @@ import (
 // condition must fan out through exactly two nkAssume nodes carrying
 // the condition with opposite polarity, and each branch's statements
 // must be reachable only through the assume of the matching polarity.
-// The lifetime engine's err-pairing and nil-pruning read these nodes;
-// a polarity flip would silently invert its branch reasoning.
+// waitcycle reads these nodes (a lock held where a conditional acquire
+// succeeded); a polarity flip would silently invert its branch
+// reasoning.
 
 // parseFuncBody parses src (a file fragment with exactly one function
 // named fn) and returns that function's body.
@@ -157,9 +158,9 @@ func g(ok bool) int {
 	if reachesStmt(elseA, thenRet) {
 		t.Error("guarded return reachable through the negated assume")
 	}
-	// Both returns are exits; the end node is not (no fall-off path).
-	if len(g.exits) != 2 {
-		t.Errorf("want 2 exits (two returns), got %d", len(g.exits))
+	// Both returns end the function; there is no fall-off end node.
+	if r, e := countKind(g, nkReturn), countKind(g, nkEnd); r != 2 || e != 0 {
+		t.Errorf("want 2 returns and no end node, got %d and %d", r, e)
 	}
 }
 
@@ -244,7 +245,7 @@ func work() {}
 func done() {}`, "loop")
 	g := buildCFG(body)
 	// The loop must fall through to done() via the condition node, and
-	// the fall-off end must be an exit.
+	// the function must end by falling off its end.
 	after := body.List[1]
 	var afterNode *cfgNode
 	for _, n := range g.nodes {
@@ -264,7 +265,18 @@ func done() {}`, "loop")
 	if !condFeeds {
 		t.Error("post-loop statement not fed by the loop condition's false exit")
 	}
-	if len(g.exits) != 1 || g.exits[0].kind != nkEnd {
-		t.Errorf("want a single fall-off-the-end exit, got %d exits", len(g.exits))
+	if r, e := countKind(g, nkReturn), countKind(g, nkEnd); r != 0 || e != 1 {
+		t.Errorf("want a single fall-off end node and no return, got %d returns and %d end nodes", r, e)
 	}
+}
+
+// countKind counts g's nodes of kind k.
+func countKind(g *funcCFG, k nodeKind) int {
+	c := 0
+	for _, n := range g.nodes {
+		if n.kind == k {
+			c++
+		}
+	}
+	return c
 }

@@ -77,19 +77,3 @@ func TestProtoModelFixtureSecondGate(t *testing.T) {
 	diags := runFixture(t, ProtoModel, "protobad5")
 	mustFind(t, diags, "window gate stated 2 times")
 }
-
-func TestStaleSuppression(t *testing.T) {
-	diags := runFixture(t, Goroleak, "staleok")
-	mustFind(t, diags, "stale suppression")
-	for _, d := range diags {
-		if d.Analyzer == "goroleak" {
-			t.Errorf("live suppression failed to suppress: %s", d)
-		}
-	}
-}
-
-// TestUnknownSuppression: a vet:ok naming no registered analyzer — one
-// since deleted, or a typo — is reported, not left silently in the tree.
-func TestUnknownSuppression(t *testing.T) {
-	mustFind(t, runFixture(t, Goroleak, "staleok"), "names no registered analyzer")
-}

@@ -7,13 +7,10 @@ import (
 	"go/types"
 )
 
-// Bottom-up interprocedural summaries over the call graph.  The v1/v2
-// analyzers crossed function boundaries with per-analyzer delegation
-// heuristics (slabown's handoff-discharges rule); the liveness
-// analyzers need real
-// summaries: whether a callee can fail to terminate, whether it parks
-// on a condition variable on the caller's behalf, which locks it
-// requires held.  All of them are monotone facts computed bottom-up
+// Bottom-up interprocedural summaries over the call graph, for the
+// liveness analyzers: whether a callee can fail to terminate, whether
+// it parks on a condition variable on the caller's behalf, which locks
+// it requires held.  All of them are monotone facts computed bottom-up
 // over the call graph's strongly connected components — callees before
 // callers, with a fixpoint inside each cycle.
 

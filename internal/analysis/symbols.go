@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // Shared symbol/type predicates used across analyzers.  Matching is by
@@ -42,11 +41,6 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 	}
 	obj := n.Obj()
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// isWirePackage reports whether path is the module's wire package.
-func isWirePackage(path string) bool {
-	return strings.HasSuffix(path, "/internal/wire")
 }
 
 // calleeFunc resolves the called function object for direct calls and
@@ -90,56 +84,4 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pathOK func(string) bool, n
 		}
 	}
 	return false
-}
-
-// isMethodOn reports whether call is a method call name() whose
-// receiver type is pkgPath.typeName.
-func isMethodOn(info *types.Info, call *ast.CallExpr, pathOK func(string) bool, typeName, name string) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	f, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || f.Name() != name {
-		return false
-	}
-	sig, ok := f.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	n := namedOrPtr(sig.Recv().Type())
-	if n == nil {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && pathOK(obj.Pkg().Path()) && obj.Name() == typeName
-}
-
-// isErrorType reports whether t is the built-in error interface.
-func isErrorType(t types.Type) bool {
-	return types.Identical(t, types.Universe.Lookup("error").Type())
-}
-
-// isByteSlice reports whether t is []byte.
-func isByteSlice(t types.Type) bool {
-	s, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := s.Elem().Underlying().(*types.Basic)
-	return ok && b.Kind() == types.Byte
-}
-
-// funcDecls yields every function declaration in the program with its
-// package.
-func funcDecls(prog *Program, fn func(*Package, *ast.FuncDecl)) {
-	for _, pkg := range prog.Pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok {
-					fn(pkg, fd)
-				}
-			}
-		}
-	}
 }

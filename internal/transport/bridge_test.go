@@ -2,9 +2,11 @@ package transport_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"net"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -54,8 +57,18 @@ func openCount(spec string) (transport.ItemSource, error) {
 // stop that closes the listener and returns what Serve did; a test that
 // has not stopped it by its end has it stopped then.
 func serve(tb testing.TB, k *kernel.Kernel) (addr string, stop func() error) {
+	return serveOn(tb, k, transport.KindUnix)
+}
+
+// serveOn is serve on a listener of kind: KindUnix, or KindTCP on
+// loopback.
+func serveOn(tb testing.TB, k *kernel.Kernel, kind string) (addr string, stop func() error) {
 	tb.Helper()
-	ln, err := transport.Listen("unix:" + filepath.Join(tb.TempDir(), "bridge.sock"))
+	addr = "tcp:127.0.0.1:0"
+	if kind == transport.KindUnix {
+		addr = "unix:" + filepath.Join(tb.TempDir(), "bridge.sock")
+	}
+	ln, err := transport.Listen(addr)
 	if err != nil {
 		tb.Fatalf("listen: %v", err)
 	}
@@ -63,7 +76,7 @@ func serve(tb testing.TB, k *kernel.Kernel) (addr string, stop func() error) {
 	go func() { served <- transport.Serve(ln, k) }()
 	stop = sync.OnceValue(func() error { ln.Close(); return <-served })
 	tb.Cleanup(func() { _ = stop() })
-	return "unix:" + ln.Addr().String(), stop
+	return kind + ":" + ln.Addr().String(), stop
 }
 
 // serveAndDial serves k and returns a Peer connected to it, for the
@@ -159,6 +172,117 @@ func TestBridgeProxy(t *testing.T) {
 	}
 	if res != "across processes" {
 		t.Fatalf("got %v", res)
+	}
+}
+
+// proxyItem is item i of the stream TestInPortPullsROStageThroughProxy
+// sends: lengths on both sides of wire.SpliceCutoff, bytes set by i.
+func proxyItem(i int) []byte {
+	item := make([]byte, 1+i*131%(2*wire.SpliceCutoff))
+	for j := range item {
+		item[j] = byte(i + j)
+	}
+	return item
+}
+
+// digestItem adds item to h, length first, so the digest tells a
+// stream from its items' concatenation.
+func digestItem(h hash.Hash, item []byte) {
+	var n [8]byte
+	binary.BigEndian.PutUint64(n[:], uint64(len(item)))
+	h.Write(n[:])
+	h.Write(item)
+}
+
+// TestInPortPullsROStageThroughProxy: a transput InPort on one kernel
+// pulls an ROStage source on another through AttachProxy, four Transfers
+// in flight, over unix and over tcp.  A whole stream arrives as the
+// generator made it.  A stream cancelled part-way leaves both kernels'
+// slab audits at zero, and the goroutines and fds back at their
+// baselines once the bridge is torn down.
+func TestInPortPullsROStageThroughProxy(t *testing.T) {
+	const items = 600
+	for _, kind := range kinds {
+		for _, cancel := range []bool{false, true} {
+			name := kind + "/whole"
+			if cancel {
+				name = kind + "/cancel"
+			}
+			t.Run(name, func(t *testing.T) {
+				baseline := runtime.NumGoroutine()
+				fds := fdBaseline(t)
+
+				far := kernel.New(kernel.Config{})
+				gen := transput.NewROStage(far, transput.ROStageConfig{Name: "gen"},
+					func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+						for i := 0; i < items; i++ {
+							if err := transput.PutOwned(outs[0], proxyItem(i)); err != nil {
+								return err
+							}
+						}
+						return nil
+					})
+				src, err := far.Create(gen, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gen.Start()
+				addr, stop := serveOn(t, far, kind)
+				p, err := transport.Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				near := kernel.New(kernel.Config{})
+				if err := transport.AttachProxy(near, p, src, 0); err != nil {
+					t.Fatal(err)
+				}
+
+				in := transput.NewInPort(near, uid.Nil, src, transput.Chan(transput.ChannelOutput), transput.InPortConfig{Batch: 8, Window: 4})
+				want, got := sha256.New(), sha256.New()
+				n := items
+				if cancel {
+					n = items / 3
+				}
+				for i := 0; i < n; i++ {
+					digestItem(want, proxyItem(i))
+				}
+				for i := 0; i < n; i++ {
+					item, err := in.Next()
+					if err != nil {
+						t.Fatalf("Next %d: %v", i, err)
+					}
+					digestItem(got, item)
+				}
+				if cancel {
+					in.Cancel("enough")
+					var aborted *transput.AbortedError
+					if _, err := in.Next(); !errors.As(err, &aborted) {
+						t.Errorf("Next after Cancel: %v, want an AbortedError", err)
+					}
+				} else if _, err := in.Next(); err != io.EOF {
+					t.Errorf("Next after %d items: %v, want EOF", items, err)
+				}
+				if !bytes.Equal(got.Sum(nil), want.Sum(nil)) {
+					t.Errorf("the %d items pulled through the proxy differ from the generator's", n)
+				}
+
+				p.Close()
+				if err := stop(); err != nil {
+					t.Errorf("Serve: %v", err)
+				}
+				near.Shutdown()
+				far.Shutdown()
+				for side, k := range map[string]*kernel.Kernel{"near": near, "far": far} {
+					if n := k.Metrics().SlabLeaked.Value(); n != 0 {
+						t.Errorf("%s kernel: SlabLeaked = %d", side, n)
+					}
+				}
+				if n := settle(baseline); n > baseline {
+					t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
+				}
+				fds()
+			})
+		}
 	}
 }
 
@@ -484,6 +608,47 @@ func settle(limit int) int {
 	}
 }
 
+// fdBaseline counts the file descriptors the process has open and
+// returns the check for the end of the test's teardown: it fails t
+// unless the count is back at the baseline within 5 s.  The GC is off
+// from here to the check, because a socket's finalizer closes it and
+// would hide a leaked connection until the next collection.  Where
+// /proc/self/fd does not exist the check is skipped.
+func fdBaseline(t *testing.T) (check func()) {
+	t.Helper()
+	// Start the runtime's poller first: the fds it keeps for the life of
+	// the process belong in the baseline.
+	if r, w, err := os.Pipe(); err == nil {
+		r.Close()
+		w.Close()
+	}
+	base, ok := openFDs()
+	if !ok {
+		return func() { t.Log("no /proc/self/fd: open fds not checked") }
+	}
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gc) })
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		n, _ := openFDs()
+		for n > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			n, _ = openFDs()
+		}
+		if n > base {
+			t.Errorf("%d file descriptors open after teardown, %d before the test", n, base)
+		}
+	}
+}
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc/self/fd does not exist.
+func openFDs() (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err == nil
+}
+
 // workerRig is a serving kernel with an echo and a gate Eject, and one
 // Peer connected to it.
 type workerRig struct {
@@ -563,10 +728,12 @@ func TestBridgeParkedInvocationDoesNotBlockConnection(t *testing.T) {
 
 // TestBridgeWorkersReturnToBaseline: the workers a burst needed are
 // given back — all but the idle bound once it drains, after which a
-// steady caller starts no goroutine, and the rest with the connection.
+// steady caller starts no goroutine, and the rest with the connection,
+// whose socket is closed on both ends.
 func TestBridgeWorkersReturnToBaseline(t *testing.T) {
 	const burst = 64
 	baseline := runtime.NumGoroutine()
+	fds := fdBaseline(t)
 	r := startWorkerRig(t, burst)
 	r.echoes(t, 1)
 	before := runtime.NumGoroutine()
@@ -590,6 +757,7 @@ func TestBridgeWorkersReturnToBaseline(t *testing.T) {
 	if n := settle(baseline); n > baseline {
 		t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
 	}
+	fds()
 }
 
 // TestBridgeNestedDecodeErrorIsPerRequest speaks the wire by hand: a

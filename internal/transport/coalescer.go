@@ -130,7 +130,8 @@ func (c *coalescer) writeOut() {
 			return
 		}
 		bufs := c.pending
-		//vet:ok sendown -- empty-queue exit: len(bufs)==0 under c.mu implies owners is empty too
+		// Every frame in owners put its segments in pending under c.mu,
+		// so an empty bufs means an empty owners.
 		owners := c.owners
 		if len(bufs) == 0 {
 			c.writing = false

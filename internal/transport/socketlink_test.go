@@ -120,8 +120,10 @@ func TestSocketLinkConcurrent(t *testing.T) {
 }
 
 // TestSocketLinkTransmitAfterClose checks Close is clean: in-flight
-// and subsequent Transmits fail with ErrLinkClosed rather than hang.
+// and subsequent Transmits fail with ErrLinkClosed rather than hang,
+// and every socket of the mesh is closed.
 func TestSocketLinkTransmitAfterClose(t *testing.T) {
+	fds := fdBaseline(t)
 	s, err := transport.NewSocketNetwork(transport.KindUnix, 2)
 	if err != nil {
 		t.Fatalf("NewSocketNetwork: %v", err)
@@ -138,6 +140,7 @@ func TestSocketLinkTransmitAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal("Close must be idempotent")
 	}
+	fds()
 }
 
 // echoEject replies with whatever payload it was invoked with.
@@ -148,10 +151,11 @@ func (echoEject) Serve(inv *kernel.Invocation) { inv.Reply(inv.Payload) }
 
 // TestKernelOverSocketLink runs real kernel invocations — request and
 // reply both crossing a socket — for each transport kind, and checks
-// the leak audit stays clean through Shutdown.
+// the leak audit stays clean through Shutdown and its sockets closed.
 func TestKernelOverSocketLink(t *testing.T) {
 	for _, tr := range []transput.Transport{transput.TransportUnix, transput.TransportTCP} {
 		t.Run(string(tr), func(t *testing.T) {
+			fds := fdBaseline(t)
 			k, err := transput.NewTransportKernel(kernel.Config{
 				Net: netsim.Config{Nodes: 2, EncodePayloads: true},
 			}, tr)
@@ -182,6 +186,7 @@ func TestKernelOverSocketLink(t *testing.T) {
 			if n := k.Metrics().SlabLeaked.Value(); n != 0 {
 				t.Fatalf("SlabLeaked = %d after Shutdown", n)
 			}
+			fds()
 		})
 	}
 }

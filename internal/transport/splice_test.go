@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -49,7 +48,6 @@ func runShardedDigest(t *testing.T, tr transput.Transport, d transput.Discipline
 	}
 	h := sha256.New()
 	sink := func(in transput.ItemReader) error {
-		var lenbuf [8]byte
 		for {
 			item, err := in.Next()
 			if err == io.EOF {
@@ -58,9 +56,7 @@ func runShardedDigest(t *testing.T, tr transput.Transport, d transput.Discipline
 			if err != nil {
 				return err
 			}
-			binary.BigEndian.PutUint64(lenbuf[:], uint64(len(item)))
-			h.Write(lenbuf[:])
-			h.Write(item)
+			digestItem(h, item)
 		}
 	}
 	fs := []transput.Filter{

@@ -15,8 +15,8 @@ const arenaBlockBytes = 4 << 10
 // reused: it lives as long as the longest-held item in it, and the arena
 // moves on to a fresh one when it is full.  An empty item copies to nil,
 // and an item of SpliceCutoff bytes or more gets an allocation of its
-// own.  The copies are ordinary heap slices: Release, Retain and IsView
-// pass over them and Detach returns them unchanged.
+// own.  The copies are ordinary heap slices: Release, RegisterSubview and
+// IsView pass over them and Detach returns them unchanged.
 //
 // The zero Arena is ready to use.  It has one owner, which serialises
 // Copy: a FrameReader's read loop, or a writer under the lock its Put

@@ -102,7 +102,7 @@ func TestArenaRotation(t *testing.T) {
 }
 
 // TestArenaCopiesAreNotViews: the slab calls treat arena copies as the
-// heap slices they are — Release, ReleaseAll and Retain report no view,
+// heap slices they are — Release, ReleaseAll and RegisterSubview report no view,
 // Detach hands the slice back — with a chunk listed, so every call
 // searches the index, and the slab's leak audit stays at zero.
 func TestArenaCopiesAreNotViews(t *testing.T) {
@@ -112,7 +112,7 @@ func TestArenaCopiesAreNotViews(t *testing.T) {
 	var a Arena
 	items := [][]byte{a.Copy(owner[:32]), a.Copy([]byte("x")), a.Copy(make([]byte, SpliceCutoff))}
 	for i, it := range items {
-		if IsView(it) || Retain(it) || Release(it) {
+		if IsView(it) || RegisterSubview(it, it) || Release(it) {
 			t.Fatalf("item %d: taken for a slab view", i)
 		}
 		if d := Detach(it); &d[0] != &it[0] {

@@ -64,14 +64,15 @@ func FuzzDecode(f *testing.F) {
 //     view the model still holds (a recycled chunk is carved again from
 //     the same offsets), and writes to one view never bleed into
 //     another (capacity-clipped subslices);
-//   - Retain/Release on a live view always succeed, and a view dies
+//   - an extra handle (RegisterSubview at the view's own base) and
+//     Release on a live view always succeed, and a view dies
 //     exactly when its shadow count hits zero;
 //   - RegisterSubview at an interior offset creates a view with a count
 //     of its own that outlives its owner, and at the owner's own base
 //     (or over a view registered before) adds a handle to that view;
 //   - a heap slice, an address inside a chunk that is no view's base and
-//     an already-released view are not views to IsView, Retain, Release
-//     or Detach, and probing them moves no count;
+//     an already-released view are not views to IsView, RegisterSubview,
+//     Release or Detach, and probing them moves no count;
 //   - Detach hands back the view's bytes intact, in place exactly when
 //     the view is of SpliceCutoff bytes or more and the model holds one
 //     handle on it, and as a copy otherwise;
@@ -170,7 +171,7 @@ func FuzzSlabViews(f *testing.F) {
 		notView := func(what string, b []byte) {
 			t.Helper()
 			before := slab.Outstanding()
-			if IsView(b) || Retain(b) || Release(b) {
+			if IsView(b) || RegisterSubview(b, b) || Release(b) {
 				t.Fatalf("%s taken for a live view", what)
 			}
 			if out := Detach(b); &out[0] != &b[0] {
@@ -214,10 +215,10 @@ func FuzzSlabViews(f *testing.F) {
 					v[i] = seq
 				}
 				add(v, seq)
-			case 1: // retain
+			case 1: // an extra handle
 				if s := pick(arg); s != nil {
-					if !Retain(s.view) {
-						t.Fatal("Retain on a live view reported non-view")
+					if !RegisterSubview(s.view, s.view) {
+						t.Fatal("RegisterSubview(v, v) on a live view reported non-view")
 					}
 					s.refs++
 				}

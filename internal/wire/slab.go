@@ -39,7 +39,8 @@
 //
 // Lifecycle rules (documented in DESIGN.md §8):
 //
-//   - Alloc returns a view holding one reference; Retain adds one.
+//   - Alloc returns a view holding one reference; RegisterSubview(v, v)
+//     adds one.
 //   - Release drops one reference.  A chunk recycles onto the slab's
 //     free list once it is sealed (no longer being carved) and every
 //     view carved from it has been released.
@@ -110,7 +111,7 @@ type chunk struct {
 const chunkViews = 64 + 1
 
 // viewEntry is one live view in its chunk's table: its offset and the
-// handles on it (1 from Alloc, +1 per Retain).
+// handles on it (1 from Alloc, +1 per RegisterSubview at its base).
 type viewEntry struct {
 	off uint32
 	n   int32
@@ -428,25 +429,6 @@ func IsView(b []byte) bool {
 	return ok
 }
 
-// Retain adds a reference to a live view.  It reports whether b was a
-// view; on ordinary slices it is a no-op.
-func Retain(b []byte) bool {
-	c, off := findChunk(b)
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	i, ok := c.find(off)
-	if ok {
-		c.views[i].n++
-	}
-	c.mu.Unlock()
-	if ok {
-		c.slab.noteRetained(1)
-	}
-	return ok
-}
-
 // Release drops one reference from a view, recycling its chunk when it
 // was the last reference on a sealed chunk.  It reports whether b was
 // a live view; on ordinary slices (or an already-released view) it is
@@ -512,7 +494,7 @@ func ReleaseAll(items [][]byte) int {
 // RegisterSubview promotes sub — a slice of the live view owner — to a
 // tracked view in its own right, holding one reference of its own on
 // owner's chunk.  After registration, sub participates in the normal
-// Retain/Release/Detach lifecycle independently of owner: releasing
+// Release/Detach lifecycle independently of owner: releasing
 // owner does not invalidate sub, and the chunk recycles only when both
 // are gone.  This is how the transport's read loop hands the large
 // items of a decoded frame to ports with ownership transfer instead of
@@ -523,7 +505,8 @@ func ReleaseAll(items [][]byte) int {
 // within owner's chunk, and sub's base pointer must not collide with
 // any other live view except owner itself (frame items are disjoint
 // and each is preceded by at least one length byte).  When sub shares
-// owner's base pointer this degenerates to Retain(owner).  It reports
+// owner's base pointer it adds one reference to owner: the way to take
+// an extra handle on a view.  It reports
 // whether owner was a live view; on ordinary slices it is a tolerant
 // no-op and sub stays an untracked alias, as does a sub outside
 // owner's chunk.

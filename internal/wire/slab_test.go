@@ -53,7 +53,7 @@ func TestSlabZeroLengthAndForeignSlices(t *testing.T) {
 		t.Error("Alloc(0) must return nil")
 	}
 	plain := []byte("not a view")
-	if IsView(plain) || Retain(plain) || Release(plain) {
+	if IsView(plain) || RegisterSubview(plain, plain) || Release(plain) {
 		t.Error("ordinary slices must be no-ops")
 	}
 	if got := Detach(plain); &got[0] != &plain[0] {
@@ -61,12 +61,14 @@ func TestSlabZeroLengthAndForeignSlices(t *testing.T) {
 	}
 }
 
+// TestSlabRetainAddsHandle: RegisterSubview at a view's own base
+// retains it — one more handle, and the view lives until both go.
 func TestSlabRetainAddsHandle(t *testing.T) {
 	s := NewSlab(nil, 0)
 	defer s.Close()
 	v := s.Alloc(8)
-	if !Retain(v) {
-		t.Fatal("Retain returned false")
+	if !RegisterSubview(v, v) {
+		t.Fatal("RegisterSubview(v, v) returned false")
 	}
 	if s.Outstanding() != 2 {
 		t.Fatalf("outstanding = %d, want 2", s.Outstanding())
@@ -97,7 +99,7 @@ func TestSlabDetachCopies(t *testing.T) {
 	} {
 		v := s.Alloc(c.size)
 		for i := 1; i < c.handles; i++ {
-			Retain(v)
+			RegisterSubview(v, v)
 		}
 		copy(v, "data")
 		out := Detach(v)
@@ -191,7 +193,7 @@ func TestReleaseAllCounts(t *testing.T) {
 	}
 }
 
-// TestSlabConcurrent hammers Alloc/Retain/Release from many goroutines;
+// TestSlabConcurrent hammers Alloc/RegisterSubview/Release from many goroutines;
 // run under -race this is the data-plane safety check.
 func TestSlabConcurrent(t *testing.T) {
 	s := NewSlab(nil, 1024)
@@ -204,7 +206,7 @@ func TestSlabConcurrent(t *testing.T) {
 				v := s.Alloc(1 + (g+i)%40)
 				v[0] = byte(g)
 				if i%3 == 0 {
-					Retain(v)
+					RegisterSubview(v, v)
 					Release(v)
 				}
 				Release(v)
@@ -479,7 +481,7 @@ func TestSlabStorm(t *testing.T) {
 					t.Error("RegisterSubview on a view just carved reported non-view")
 				}
 				if i%3 == 0 {
-					Retain(sub)
+					RegisterSubview(sub, sub)
 					Release(sub)
 				}
 				Release(v) // sub keeps the chunk
