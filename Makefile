@@ -89,8 +89,9 @@ allocs:
 ## 10 s each — every registered protocol record (both decode paths,
 ## pooled records), the frame reader over torn reads, vectored frames
 ## over fuzzed item lengths on both sides of wire.SpliceCutoff, the
-## codec, and the slab's handle counts and Detach's two outcomes against
-## a shadow model.
+## codec, the slab's handle counts and Detach's two outcomes against
+## a shadow model, and the arena's reuse of the large copies handed back
+## to it against a shadow of its spares.
 ## One -fuzz target per go test invocation, as go requires.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecords$$' -fuzztime 10s ./internal/transport
@@ -98,6 +99,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzVectoredFrame$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzSlabViews$$' -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzArenaReclaim$$' -fuzztime 10s ./internal/wire
 
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, the one active engine's window, its gate and its turn

@@ -585,6 +585,8 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 	// stopped, claim and enqueue both refuse it and the loop resolves
 	// afresh, with every retry left.
 	b := via.remembered(target)
+	// at is the node the payload is on, and sent the form it has there.
+	at, sent := fromNode, payload
 	for resolves := 0; ; {
 		if b == nil {
 			var err error
@@ -597,13 +599,17 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 				via.peer.Store(b)
 			}
 		}
-		// The request payload crosses the network to the target node.
+		// The request payload crosses the network to the target node.  A
+		// retry sends it on from where the last try left it, never the
+		// sender's original again: an encoded hop has handed the original's
+		// items back (a slab's views, a writer's arena copies).
 		c.toNode = b.node
-		sent, _, err := k.link.Transmit(fromNode, b.node, payload)
+		out, _, err := k.link.Transmit(at, b.node, sent)
 		if err != nil {
 			c.refuse(inv, from, err)
 			return c, nil, slot{}
 		}
+		at, sent = b.node, out
 		if inv == nil {
 			inv = invocations.Get()
 			inv.MsgID = k.met.NextID(st)

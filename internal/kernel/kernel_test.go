@@ -250,6 +250,9 @@ func (p *persistent) Serve(inv *Invocation) {
 		inv.Reply(&pingRep{N: p.n})
 	case "get":
 		inv.Reply(&pingRep{N: p.n})
+	case "add":
+		p.n += inv.Payload.(*pingReq).N
+		inv.Reply(&pingRep{N: p.n})
 	default:
 		inv.Fail(ErrNoSuchOperation)
 	}

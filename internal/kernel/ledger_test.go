@@ -59,6 +59,45 @@ func (l *yankLink) Nodes() int   { return 1 }
 func (l *yankLink) Kind() string { return "test" }
 func (l *yankLink) Close() error { return nil }
 
+// spendLink is a two-node yankLink whose cross-node hop delivers a copy
+// of a *pingReq and spends the sender's original, as an encoded hop hands
+// the original's items back to their slab or arena.
+type spendLink struct{ yankLink }
+
+func (l *spendLink) Transmit(a, b netsim.NodeID, payload any) (any, int64, error) {
+	out, n, err := l.yankLink.Transmit(a, b, payload)
+	if r, ok := out.(*pingReq); ok && a != b {
+		c := *r
+		r.N = -1000
+		out = &c
+	}
+	return out, n, err
+}
+func (l *spendLink) Nodes() int { return 2 }
+
+// TestRetrySendsTheCrossedCopy: a request whose target deactivated while
+// it crossed is sent on from where it crossed to, never sent again from
+// the sender's original, which the hop has spent.
+func TestRetrySendsTheCrossedCopy(t *testing.T) {
+	link := &spendLink{}
+	k := newTestKernel(t, Config{Link: link})
+	k.RegisterType("test.Persistent", activatePersistent)
+	p := &persistent{k: k}
+	id, _ := k.Create(p, 1)
+	p.self = id
+	if _, err := k.Checkpoint(id); err != nil {
+		t.Fatal(err)
+	}
+	link.k, link.id, link.yanks = k, id, 2
+	rep, err := k.Invoke(uid.Nil, id, "add", &pingReq{N: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.(*pingRep).N; n != 5 {
+		t.Fatalf("the target added %d, want the 5 sent", n)
+	}
+}
+
 // TestLedgerIdentity: an invocation is counted once, when a slot or a
 // mailbox takes it, and only a counted invocation's reply is counted —
 // so the ledger balances on the paths where no Eject received anything
