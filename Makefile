@@ -32,18 +32,20 @@ staticcheck:
 ## TestModuleIsClean; a finding is fixed, never annotated.  What a type
 ## or a runtime check holds gets no analyzer: typed atomics (`vet`),
 ## wire.Pool's race build (`race`), the slab leak audit and the
-## transport tests' fd baseline (`test`).
+## socket tests' fd baseline, `quiesce.FDs` (`test`).
 vet-custom:
 	$(GO) run ./cmd/transput-vet -protomodel-selftest -protomodel-window 3
 
 ## cover-floor: statement-coverage floor for the packages whose
 ## correctness arguments lean on tests — the wire codec/slab layer,
 ## the analyzer suite itself, the real-wire transport (bridge, remote
-## sources, socket links) and the striped table layer.
+## streams), the socket links and their coalescer, and the striped
+## table layer.
 cover-floor:
 	@./scripts/cover_floor.sh internal/wire 70
 	@./scripts/cover_floor.sh internal/analysis 70
 	@./scripts/cover_floor.sh internal/transport 70
+	@./scripts/cover_floor.sh internal/netsim 70
 	@./scripts/cover_floor.sh internal/stripemap 70
 
 ## loc: non-test, non-testdata Go lines per package and in total — the
@@ -71,18 +73,18 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/transport/... ./internal/spec/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
+	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/netsim/... ./internal/transport/... ./internal/shell/... ./internal/spec/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## allocs: the allocation pins (the batch-1 hops at zero, in one process
 ## and over a socket, the batch-1 chain's zero a datum, the bridge's
-## round trip and remote batch at their boxes, a bulk frame whose
+## round trip at its boxes, a bulk frame whose
 ## items are detached in place, the slab's chunk index listing and
 ## unlisting at zero, and a channel's declare/retire churn at its
 ## handle) and the idle channel's heap footprint three times over.
 ## Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
-	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput ./internal/transport
+	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput ./internal/netsim ./internal/transport
 
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for

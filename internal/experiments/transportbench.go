@@ -1,6 +1,6 @@
 // E14: the real-wire transput grid.  Everything E2–E4 measure on the
 // simulated network re-runs here on actual kernel sockets — Unix
-// domain and TCP loopback — via internal/transport: same ports, same
+// domain and TCP loopback — via netsim.SocketNetwork: same ports, same
 // credit protocol, same slab data plane, with the frames now crossing
 // a real file descriptor through the per-direction write coalescer.
 //

@@ -98,8 +98,8 @@ type Config struct {
 	// wire encoding, faults).
 	Net netsim.Config
 	// Link, when non-nil, carries cross-node traffic instead of the
-	// simulated network — a real socket transport from
-	// internal/transport, or any other netsim.Link.  The kernel binds
+	// simulated network — a real socket mesh (netsim.SocketNetwork),
+	// or any other netsim.Link.  The kernel binds
 	// its metrics set to the link at construction and closes the link
 	// on Shutdown; Net.Nodes is overridden by the link's node count so
 	// placement checks and the transport agree.

@@ -1,8 +1,8 @@
 // Link extraction: the kernel routes every cross-node hop through this
 // interface instead of calling the simulator directly, so the same
 // invocation machinery can run over the in-process latency model
-// (Network), a Unix domain socket, or TCP loopback — the transports
-// internal/transport provides.  The simulator remains the default and
+// (Network), a Unix domain socket, or TCP loopback — the socket links
+// in socketlink.go.  The simulator remains the default and
 // the reference semantics: Transmit moves one payload from node a to
 // node b and returns the payload as it exists on b (a codec round trip
 // when the link serialises), plus the number of wire bytes charged.

@@ -1,0 +1,67 @@
+// Package quiesce holds the teardown post-conditions that the tests of
+// several packages share: once a test has torn down what it started,
+// the process is back to the goroutines and the open file descriptors
+// it had before.  Only tests import it.
+package quiesce
+
+import (
+	"os"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+)
+
+// Goroutines polls until the goroutine count is at most limit, for up
+// to 5 s, and returns the count it last saw.
+func Goroutines(limit int) int {
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= limit || time.Now().After(deadline) {
+			return n
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// FDs counts the file descriptors the process has open and returns the
+// check for the end of the test's teardown: it fails t unless the count
+// is back at the baseline within 5 s.  The GC is off from here to the
+// check, because a socket's finalizer closes it and would hide a leaked
+// connection until the next collection.  Where /proc/self/fd does not
+// exist the check is skipped.
+func FDs(t testing.TB) (check func()) {
+	t.Helper()
+	// Start the runtime's poller first: the fds it keeps for the life of
+	// the process belong in the baseline.
+	if r, w, err := os.Pipe(); err == nil {
+		r.Close()
+		w.Close()
+	}
+	base, ok := openFDs()
+	if !ok {
+		return func() { t.Log("no /proc/self/fd: open fds not checked") }
+	}
+	gc := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gc) })
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		n, _ := openFDs()
+		for n > base && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			n, _ = openFDs()
+		}
+		if n > base {
+			t.Errorf("%d file descriptors open after teardown, %d before the test", n, base)
+		}
+	}
+}
+
+// openFDs counts the process's open file descriptors; ok is false where
+// /proc/self/fd does not exist.
+func openFDs() (n int, ok bool) {
+	ents, err := os.ReadDir("/proc/self/fd")
+	return len(ents), err == nil
+}

@@ -11,10 +11,10 @@ import (
 )
 
 // Remote streams: `remote unix:/tmp/eden.sock count 100 | upcase | print`
-// pulls a stream out of another OS process's kernel over the bridge,
-// then runs the rest of the pipeline locally.  The serving side is
-// `edensh -serve unix:/tmp/eden.sock` (or edenfs), which honours the
-// same source words through Opener.
+// pulls a stream out of another OS process's kernel through an InPort
+// on a bridge proxy, then runs the rest of the pipeline locally.  The
+// serving side is `edensh -serve unix:/tmp/eden.sock` (or edenfs),
+// which honours the same source words through Opener.
 
 // peer returns a cached bridge connection to addr, dialing on first
 // use.  Connections stay open for the session (remote streams
@@ -50,20 +50,20 @@ func (s *Session) remoteSource(st stageSpec) (transput.SourceFunc, error) {
 		if err != nil {
 			return err
 		}
-		src, err := transport.OpenRemote(p, spec)
+		in, err := transport.OpenStream(s.K, p, spec)
 		if err != nil {
 			return err
 		}
-		defer src.Close()
+		defer transport.CloseStream(s.K, in)
 		for {
-			item, err := src.Next()
+			item, err := in.Next()
 			if err == io.EOF {
 				return nil
 			}
 			if err != nil {
 				return err
 			}
-			if err := out.Put(item); err != nil {
+			if err := transput.PutOwned(out, item); err != nil {
 				return err
 			}
 		}

@@ -56,6 +56,18 @@ import (
 	"asymstream/internal/wire"
 )
 
+// The single-process socket mesh is netsim's; these forward the names
+// callers outside internal/ still reach through this package.
+const (
+	KindUnix = netsim.KindUnix
+	KindTCP  = netsim.KindTCP
+)
+
+// NewSocketNetwork is netsim.NewSocketNetwork.
+func NewSocketNetwork(kind string, nodes int) (*netsim.SocketNetwork, error) {
+	return netsim.NewSocketNetwork(kind, nodes)
+}
+
 // Wire record ids for the bridge frames.  transput owns 1–4; the
 // bridge starts at 32 to leave room for future protocol records.
 const (
@@ -87,7 +99,7 @@ type rpcRequest struct {
 }
 
 // Every record the bridge builds comes from these pools, on both sides:
-// an encoded one lives until coalescer.send has encoded it, which is
+// an encoded one lives until Coalescer.Send has encoded it, which is
 // before it returns, and a decoded one until it has been served (a
 // request) or read (a reply).
 var (
@@ -285,7 +297,7 @@ const maxIdleWorkers = 16
 // the read loop, so it does not block the connection's other channels.
 type connServer struct {
 	k    *kernel.Kernel
-	out  *coalescer
+	out  *netsim.Coalescer
 	srcs *connSources
 
 	// work is unbuffered, so a send succeeds only into a worker parked
@@ -296,8 +308,9 @@ type connServer struct {
 }
 
 func serveConn(conn net.Conn, k *kernel.Kernel) {
-	s := &connServer{k: k, out: &coalescer{conn: conn}, srcs: newConnSources(k), work: make(chan *rpcRequest)}
-	defer s.out.close()
+	s := &connServer{k: k, out: netsim.NewCoalescer(conn), work: make(chan *rpcRequest),
+		srcs: &connSources{k: k, ids: make(map[uid.UID]struct{})}}
+	defer s.out.Close()
 	fr := wire.NewFrameReader(conn, nil, 0)
 	defer fr.Close()
 	// Registered before the WaitGroup's defer so it runs after Wait:
@@ -363,10 +376,10 @@ func (s *connServer) serve(req *rpcRequest) {
 	}
 	// A send fails otherwise only once the connection is gone, with
 	// nobody left to tell.
-	if err := s.out.send(rep); errors.Is(err, errEncode) {
+	if err := s.out.Send(rep); errors.Is(err, netsim.ErrEncode) {
 		// The result has no wire form; the caller still gets an answer.
 		rep.Value, rep.err = nil, err
-		_ = s.out.send(rep)
+		_ = s.out.Send(rep)
 	}
 	rpcReplies.Put(rep)
 }
@@ -375,7 +388,7 @@ func (s *connServer) serve(req *rpcRequest) {
 // for concurrent use; concurrent Invokes multiplex on the socket.
 type Peer struct {
 	conn net.Conn
-	out  *coalescer
+	out  *netsim.Coalescer
 
 	nextID atomic.Uint64
 
@@ -393,9 +406,9 @@ var replyChans = sync.Pool{New: func() any { return make(chan *rpcReply, 1) }}
 // "tcp:HOST:PORT", or a bare "HOST:PORT" (TCP).
 func splitAddr(addr string) (network, target string) {
 	if rest, ok := strings.CutPrefix(addr, "unix:"); ok {
-		return KindUnix, rest
+		return netsim.KindUnix, rest
 	}
-	return KindTCP, strings.TrimPrefix(addr, "tcp:")
+	return netsim.KindTCP, strings.TrimPrefix(addr, "tcp:")
 }
 
 // Listen opens a listener for addr in the same "unix:PATH",
@@ -415,7 +428,7 @@ func Dial(addr string) (*Peer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	p := &Peer{conn: conn, out: &coalescer{conn: conn}, calls: make(map[uint64]chan *rpcReply)}
+	p := &Peer{conn: conn, out: netsim.NewCoalescer(conn), calls: make(map[uint64]chan *rpcReply)}
 	go p.readLoop()
 	return p, nil
 }
@@ -486,7 +499,7 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 
 	req := rpcRequests.Get()
 	req.ID, req.Target, req.Op, req.Value = id, target, op, payload
-	err := p.out.send(req)
+	err := p.out.Send(req)
 	rpcRequests.Put(req)
 	if err != nil {
 		// ch is dropped, not recycled: if the read loop ended meanwhile,
@@ -494,7 +507,7 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 		p.cmu.Lock()
 		delete(p.calls, id)
 		p.cmu.Unlock()
-		if errors.Is(err, errEncode) {
+		if errors.Is(err, netsim.ErrEncode) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%w: %w", ErrBridgeClosed, err)
@@ -511,7 +524,7 @@ func (p *Peer) Invoke(target uid.UID, op string, payload any) (any, error) {
 
 // Close tears the connection down; outstanding Invokes fail.
 func (p *Peer) Close() error {
-	p.out.close()
+	p.out.Close()
 	return nil
 }
 

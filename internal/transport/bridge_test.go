@@ -14,7 +14,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +22,7 @@ import (
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/transport"
 	"asymstream/internal/transput"
 	"asymstream/internal/uid"
@@ -43,6 +43,15 @@ func (c *countSource) Next() ([]byte, error) {
 }
 
 func (c *countSource) Close() error { return nil }
+
+// kinds lists the bridge's listener kinds a test runs against.
+var kinds = []string{transport.KindUnix, transport.KindTCP}
+
+// echoEject replies with whatever payload it was invoked with.
+type echoEject struct{}
+
+func (echoEject) EdenType() string             { return "test.Echo" }
+func (echoEject) Serve(inv *kernel.Invocation) { inv.Reply(inv.Payload) }
 
 // openCount parses "count N" specs.
 func openCount(spec string) (transport.ItemSource, error) {
@@ -210,7 +219,7 @@ func TestInPortPullsROStageThroughProxy(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				baseline := runtime.NumGoroutine()
-				fds := fdBaseline(t)
+				fds := quiesce.FDs(t)
 
 				far := kernel.New(kernel.Config{})
 				gen := transput.NewROStage(far, transput.ROStageConfig{Name: "gen"},
@@ -277,7 +286,7 @@ func TestInPortPullsROStageThroughProxy(t *testing.T) {
 						t.Errorf("%s kernel: SlabLeaked = %d", side, n)
 					}
 				}
-				if n := settle(baseline); n > baseline {
+				if n := quiesce.Goroutines(baseline); n > baseline {
 					t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
 				}
 				fds()
@@ -286,6 +295,9 @@ func TestInPortPullsROStageThroughProxy(t *testing.T) {
 	}
 }
 
+// TestRemoteSource drives OpenRemote, the Next/Close shape over
+// OpenStream on a private kernel: a whole stream, then an unknown spec
+// refused.
 func TestRemoteSource(t *testing.T) {
 	addr, _ := startServer(t)
 	p, err := transport.Dial(addr)
@@ -458,50 +470,6 @@ func TestBridgeInvokeAllocs(t *testing.T) {
 	}
 }
 
-// TestRemoteNextAllocs holds a 64-item batch of 64 B items to the
-// source's vector and box, the client's vector and box, and the arena
-// block its items share: the request is pooled and interned, and the
-// vector is sized once.
-func TestRemoteNextAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	item := make([]byte, 64)
-	addr, _ := startTrackedServer(t, func(string) (transport.ItemSource, error) {
-		return repeatSource(item), nil
-	})
-	p, err := transport.Dial(addr)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer p.Close()
-	src, err := transport.OpenRemote(p, "repeat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	batch := func() {
-		for i := 0; i < 64; i++ {
-			if it, err := src.Next(); err != nil || len(it) != len(item) {
-				t.Fatalf("Next: %d bytes, %v", len(it), err)
-			}
-		}
-	}
-	for i := 0; i < 16; i++ {
-		batch()
-	}
-	if got := testing.AllocsPerRun(100, batch); got > 6 {
-		t.Errorf("64 items of %d B through RemoteSource.Next: %.2f allocs, want <= 6", len(item), got)
-	}
-}
-
-// repeatSource hands out the same item for ever, allocating nothing.
-type repeatSource []byte
-
-func (r repeatSource) Next() ([]byte, error) { return r, nil }
-func (r repeatSource) Close() error          { return nil }
-
 // TestBridgeOpInternIsBounded: peers that send 10 000 distinct ops get
 // each its Eject's answer, naming that op, under its own id; the intern
 // table, which every connection's read loop shares, stops at its bound
@@ -595,60 +563,6 @@ func (g *gateEject) Serve(inv *kernel.Invocation) {
 	inv.Reply(inv.Payload)
 }
 
-// settle polls until the goroutine count is at most limit, and returns
-// the count it last saw.
-func settle(limit int) int {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= limit || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// fdBaseline counts the file descriptors the process has open and
-// returns the check for the end of the test's teardown: it fails t
-// unless the count is back at the baseline within 5 s.  The GC is off
-// from here to the check, because a socket's finalizer closes it and
-// would hide a leaked connection until the next collection.  Where
-// /proc/self/fd does not exist the check is skipped.
-func fdBaseline(t *testing.T) (check func()) {
-	t.Helper()
-	// Start the runtime's poller first: the fds it keeps for the life of
-	// the process belong in the baseline.
-	if r, w, err := os.Pipe(); err == nil {
-		r.Close()
-		w.Close()
-	}
-	base, ok := openFDs()
-	if !ok {
-		return func() { t.Log("no /proc/self/fd: open fds not checked") }
-	}
-	gc := debug.SetGCPercent(-1)
-	t.Cleanup(func() { debug.SetGCPercent(gc) })
-	return func() {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		n, _ := openFDs()
-		for n > base && time.Now().Before(deadline) {
-			time.Sleep(5 * time.Millisecond)
-			n, _ = openFDs()
-		}
-		if n > base {
-			t.Errorf("%d file descriptors open after teardown, %d before the test", n, base)
-		}
-	}
-}
-
-// openFDs counts the process's open file descriptors; ok is false where
-// /proc/self/fd does not exist.
-func openFDs() (n int, ok bool) {
-	ents, err := os.ReadDir("/proc/self/fd")
-	return len(ents), err == nil
-}
-
 // workerRig is a serving kernel with an echo and a gate Eject, and one
 // Peer connected to it.
 type workerRig struct {
@@ -733,14 +647,14 @@ func TestBridgeParkedInvocationDoesNotBlockConnection(t *testing.T) {
 func TestBridgeWorkersReturnToBaseline(t *testing.T) {
 	const burst = 64
 	baseline := runtime.NumGoroutine()
-	fds := fdBaseline(t)
+	fds := quiesce.FDs(t)
 	r := startWorkerRig(t, burst)
 	r.echoes(t, 1)
 	before := runtime.NumGoroutine()
 
 	r.park(t, burst)()
 	limit := before + transport.MaxIdleWorkers
-	if n := settle(limit); n > limit {
+	if n := quiesce.Goroutines(limit); n > limit {
 		t.Errorf("%d goroutines after the burst drained, %d before it: more than %d workers kept", n, before, transport.MaxIdleWorkers)
 	}
 	steady := runtime.NumGoroutine()
@@ -754,7 +668,7 @@ func TestBridgeWorkersReturnToBaseline(t *testing.T) {
 		t.Errorf("Serve: %v", err)
 	}
 	r.k.Shutdown()
-	if n := settle(baseline); n > baseline {
+	if n := quiesce.Goroutines(baseline); n > baseline {
 		t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
 	}
 	fds()
@@ -986,28 +900,50 @@ func TestMultiProcessSoak(t *testing.T) {
 			}
 			defer p.Close()
 
-			// The server publishes its echo UID via a remote source.
-			src, err := transport.OpenRemote(p, "echo-uid")
+			// The server publishes its echo UID via a remote stream.
+			near := kernel.New(kernel.Config{})
+			defer near.Shutdown()
+			src, err := transport.OpenStream(near, p, "echo-uid")
 			if err != nil {
-				t.Fatalf("OpenRemote(echo-uid): %v", err)
+				t.Fatalf("OpenStream(echo-uid): %v", err)
 			}
 			raw, err := src.Next()
 			if err != nil {
 				t.Fatalf("read echo uid: %v", err)
 			}
-			_ = src.Close()
 			echo, err := uid.ParseUID(strings.TrimSpace(string(raw)))
 			if err != nil {
 				t.Fatalf("parse echo uid %q: %v", raw, err)
 			}
+			if err := transport.CloseStream(near, src); err != nil {
+				t.Fatal(err)
+			}
 
-			const workers, per = 16, 500
-			var wg sync.WaitGroup
-			errc := make(chan error, workers)
+			// Windowed pulls run for as long as the invoke storm does, so
+			// their Transfers and the echoes share both coalescers.
+			const workers, per, streamed = 16, 500, 1000
+			stream := func() error {
+				in, err := transport.OpenStream(near, p, fmt.Sprintf("count %d", streamed))
+				if err != nil {
+					return err
+				}
+				defer transport.CloseStream(near, in)
+				for i := 0; i < streamed; i++ {
+					if item, err := in.Next(); err != nil || string(item) != fmt.Sprintf("%d\n", i) {
+						return fmt.Errorf("streamed item %d: %q, %v", i, item, err)
+					}
+				}
+				if _, err := in.Next(); err != io.EOF {
+					return fmt.Errorf("after %d items: %v, want EOF", streamed, err)
+				}
+				return nil
+			}
+			var storm sync.WaitGroup
+			errc := make(chan error, workers+1)
 			for w := 0; w < workers; w++ {
-				wg.Add(1)
+				storm.Add(1)
 				go func(w int) {
-					defer wg.Done()
+					defer storm.Done()
 					for i := 0; i < per; i++ {
 						msg := fmt.Sprintf("soak-%d-%d", w, i)
 						res, err := p.Invoke(echo, "Echo", msg)
@@ -1022,30 +958,26 @@ func TestMultiProcessSoak(t *testing.T) {
 					}
 				}(w)
 			}
-			wg.Wait()
+			stormDone := make(chan struct{})
+			go func() { storm.Wait(); close(stormDone) }()
+			streams := 0
+			for storming := true; storming; streams++ {
+				select {
+				case <-stormDone:
+					storming = false // one more stream, then stop
+				default:
+				}
+				if err := stream(); err != nil {
+					errc <- err
+					break
+				}
+			}
+			<-stormDone
 			close(errc)
 			for err := range errc {
 				t.Fatal(err)
 			}
-
-			// Streams keep working after the invoke storm.
-			cs, err := transport.OpenRemote(p, "count 1000")
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := 0
-			for {
-				if _, err := cs.Next(); err == io.EOF {
-					break
-				} else if err != nil {
-					t.Fatal(err)
-				}
-				n++
-			}
-			if n != 1000 {
-				t.Fatalf("streamed %d items, want 1000", n)
-			}
-			_ = cs.Close()
+			t.Logf("%d streams of %d items pulled during the storm", streams, streamed)
 		})
 	}
 }

@@ -3,14 +3,9 @@ package transport
 import (
 	"net"
 	"testing"
-)
 
-// TearDir hands a test the two ends of direction a→b by address, to
-// wrap before the first Transmit (and to close under traffic).
-func (s *SocketNetwork) TearDir(a, b int) (write, read *net.Conn) {
-	d := s.dirs[a*s.nodes+b]
-	return &d.conn, &d.rconn
-}
+	"asymstream/internal/netsim"
+)
 
 // MaxIdleWorkers is the bound on one connection's parked workers.
 const MaxIdleWorkers = maxIdleWorkers
@@ -54,7 +49,7 @@ func FreshOps(tb testing.TB) {
 // never ran, so that an Invoke gets as far as send.
 func ClosedPeer() *Peer {
 	c, _ := net.Pipe()
-	p := &Peer{conn: c, out: &coalescer{conn: c}, calls: make(map[uint64]chan *rpcReply)}
+	p := &Peer{conn: c, out: netsim.NewCoalescer(c), calls: make(map[uint64]chan *rpcReply)}
 	p.Close()
 	return p
 }

@@ -1,6 +1,6 @@
 // Transport selection: which wire the pipeline's cross-node hops ride.
 // The default is the in-process simulated network; "unix" and "tcp"
-// swap in a real socket mesh (internal/transport) underneath the same
+// swap in a real socket mesh (netsim.SocketNetwork) underneath the same
 // kernel, ports and protocol — nothing above the link changes, which
 // is the point: the paper's location-independent invocation means the
 // transport is a deployment decision, not an API one.
@@ -10,7 +10,7 @@ import (
 	"fmt"
 
 	"asymstream/internal/kernel"
-	"asymstream/internal/transport"
+	"asymstream/internal/netsim"
 )
 
 // Transport names the link a pipeline's kernel must be running on.
@@ -42,7 +42,7 @@ func (t Transport) check(k *kernel.Kernel) error {
 
 // NewTransportKernel builds a kernel whose cross-node hops run over t.
 // For netsim (or "") it is exactly kernel.New; for unix/tcp it wires a
-// transport.SocketNetwork sized to cfg.Net.Nodes into the kernel's
+// netsim.SocketNetwork sized to cfg.Net.Nodes into the kernel's
 // link slot.  The kernel owns the link and closes it on Shutdown.
 func NewTransportKernel(cfg kernel.Config, t Transport) (*kernel.Kernel, error) {
 	switch t {
@@ -53,7 +53,7 @@ func NewTransportKernel(cfg kernel.Config, t Transport) (*kernel.Kernel, error) 
 		if nodes < 1 {
 			nodes = 1
 		}
-		link, err := transport.NewSocketNetwork(string(t), nodes)
+		link, err := netsim.NewSocketNetwork(string(t), nodes)
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,7 @@ package wire
 // (the item, and the buffer bytes after it) and makes the sender hold
 // its views until the frame has been read; a copy costs the memmove and
 // the frame buffer's growth.  BenchmarkTransmitItemSize
-// (internal/transport; one 16-item Deliver over a Unix socket, 2 cores,
+// (internal/netsim; one 16-item Deliver over a Unix socket, 2 cores,
 // go1.24, -benchtime 3000x, µs per Transmit, medians of 3 runs) with
 // every item copied → every item spliced:
 //
