@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs fuzz-smoke bench bench-json json loc pairs
 
-## check: the pre-merge gate — vet (stock + staticcheck + the
+## check: the pre-merge gate — vet (gofmt + stock + staticcheck + the
 ## protomodel self-test), build, full tests (the repo's own analyzer
 ## suite among them, at zero findings), the race detector
 ## over the concurrency-heavy packages (the striped counters of
@@ -11,7 +11,10 @@ GO ?= go
 ## contributors run this before merging.
 check: vet vet-custom build test race cover-floor
 
+## vet: gofmt (any file it would rewrite fails the gate), stock vet and
+## staticcheck.
 vet: staticcheck
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 	$(GO) vet ./...
 
 ## staticcheck: honnef.co baseline (configured by staticcheck.conf).
@@ -26,13 +29,14 @@ staticcheck:
 
 ## vet-custom: the protomodel self-test — the model checker must catch
 ## its own seeded mutants before its clean verdict counts.  The analyzer
-## suite itself (discipline and fusion purity, goroutine termination,
-## wait cycles and lock order, protomodel's credit-protocol liveness)
-## runs at zero findings in `test`, as internal/analysis's
+## suite itself (discipline and fusion purity, signals under their
+## mutex, lock order and wait cycles, protomodel's credit-protocol
+## liveness) runs at zero findings in `test`, as internal/analysis's
 ## TestModuleIsClean; a finding is fixed, never annotated.  What a type
 ## or a runtime check holds gets no analyzer: typed atomics (`vet`),
-## wire.Pool's race build (`race`), the slab leak audit and the
-## socket tests' fd baseline, `quiesce.FDs` (`test`).
+## wire.Pool's race build (`race`), the slab leak audit, and the
+## teardown tests' goroutine and fd baselines, `quiesce.Baseline` and
+## `quiesce.FDs`, and the cond-wait loops' own tests (`test`).
 vet-custom:
 	$(GO) run ./cmd/transput-vet -protomodel-selftest -protomodel-window 3
 

@@ -9,15 +9,19 @@
 // The analyzers are whole-program: a Pass sees every package of the
 // module at once (shared FileSet, per-package *types.Info), because
 // the properties they prove — discipline purity over the call graph,
-// goroutine termination, lock order and wait cycles, credit-protocol
-// liveness — are inherently interprocedural.  Control flow is a
-// hand-rolled statement-level CFG (cfg.go) standing in for SSA.  An
-// invariant a type or a runtime check can hold gets no analyzer: every
-// shared word is a typed atomic (a plain access does not compile, and
-// `go vet`'s copylocks check catches a copy); slab views are audited by
+// lock order and signals under their mutex, credit-protocol liveness —
+// are inherently interprocedural.  Control flow is a hand-rolled
+// statement-level CFG (cfg.go) standing in for SSA.  An invariant a
+// type or a runtime check can hold gets no analyzer: every shared word
+// is a typed atomic (a plain access does not compile, and `go vet`'s
+// copylocks check catches a copy); slab views are audited by
 // `Slab.Close` and `wire.SlabLeaked`; a pooled record or frame used
-// after its `Put` is a data race in the race build; a leaked connection
-// shows in the fd-baseline checks of the transport tests.
+// after its `Put` is a data race in the race build; a leaked
+// connection shows in the transport tests' fd baseline (`quiesce.FDs`)
+// and a goroutine that never ends in the goroutine baseline every
+// teardown test takes (`quiesce.Baseline`); a cond wait outside its
+// predicate loop, or one nobody signals, fails the channel record's and
+// the window gate's own tests.
 package analysis
 
 import (
@@ -99,7 +103,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		Discipline,
 		Fusable,
-		Goroleak,
 		WaitCycle,
 		ProtoModel,
 	}

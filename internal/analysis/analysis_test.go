@@ -160,13 +160,13 @@ func TestAnalyzerRegistry(t *testing.T) {
 		names[a.Name] = true
 	}
 	for _, want := range []string{
-		"discipline", "fusable", "goroleak", "waitcycle", "protomodel",
+		"discipline", "fusable", "waitcycle", "protomodel",
 	} {
 		if !names[want] {
 			t.Errorf("missing analyzer %s", want)
 		}
 	}
-	if len(names) != 5 {
-		t.Errorf("%d analyzers registered, want 5", len(names))
+	if len(names) != 4 {
+		t.Errorf("%d analyzers registered, want 4", len(names))
 	}
 }

@@ -10,9 +10,8 @@ import (
 // Direct static call graph over the analyzed program.  Function
 // literals are their own nodes (a closure's effects belong to whoever
 // runs it); dynamic dispatch through interface values is not followed
-// — the analyzers that use the graph (discipline, fusable, goroleak,
-// waitcycle) document that limit and the module's hot paths are all
-// direct calls.
+// — the analyzers that use the graph (discipline, fusable, waitcycle)
+// document that limit and the module's hot paths are all direct calls.
 
 type edgeKind int
 
@@ -96,7 +95,7 @@ func BuildCallGraph(prog *Program) *CallGraph {
 		// The defer/go cases record their n.Call with the right kind;
 		// the generic CallExpr case must then skip that same node or
 		// every `go f()` would also grow a synchronous edgeCall — which
-		// would leak the callee's divergence into the spawner.
+		// would charge the spawner with the locks its goroutine takes.
 		claimed := make(map[*ast.CallExpr]bool)
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {

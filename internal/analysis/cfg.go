@@ -11,9 +11,8 @@ import (
 // clients can ast.Inspect node.N without ever re-visiting nested
 // statements.  Labeled branches and goto mark the graph unsupported
 // (no function in this module uses them); analyses skip such
-// functions rather than guess.  Two clients read it: the liveness
-// summaries' divergence check (summaries.go) and waitcycle's held-lock
-// dataflow, the only reader of the assume nodes and the defer list.
+// functions rather than guess.  Its one client is waitcycle's held-lock
+// dataflow, which also reads the assume nodes and the defer list.
 
 type nodeKind int
 

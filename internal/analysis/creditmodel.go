@@ -129,17 +129,17 @@ const (
 // creditState is one state of the transition system.  Kept as plain
 // slices and encoded to a compact string key for the visited set.
 type creditState struct {
-	js       [][]int8 // [writer][job] lifecycle
-	snap     [][]int8 // [writer][job] credits carried by the reply; -1 = abort status
-	sendNext []int8   // [writer] next seq allowed a slot
-	active   []int8   // [writer] deliveries on the wire or replied-unprocessed
-	limit    []int8   // [writer] credit-adjusted window
-	errs     []bool   // [writer] sticky error observed
-	expected []int8   // sink's per-writer sequence gate
-	buf      int8     // sink buffer occupancy
-	consumed int16
-	dropped  int16 // client- and sink-side dropped items (ledger)
-	aborted  bool
+	js         [][]int8 // [writer][job] lifecycle
+	snap       [][]int8 // [writer][job] credits carried by the reply; -1 = abort status
+	sendNext   []int8   // [writer] next seq allowed a slot
+	active     []int8   // [writer] deliveries on the wire or replied-unprocessed
+	limit      []int8   // [writer] credit-adjusted window
+	errs       []bool   // [writer] sticky error observed
+	expected   []int8   // sink's per-writer sequence gate
+	buf        int8     // sink buffer occupancy
+	consumed   int16
+	dropped    int16 // client- and sink-side dropped items (ledger)
+	aborted    bool
 	abortsLeft int8
 }
 

@@ -7,11 +7,8 @@ import (
 	"testing"
 )
 
-// Direct unit tests for the call-graph summary construction the
-// liveness analyzers lean on: SCC order is bottom-up, edge kinds are
-// classified correctly, and the divergence / wait-like facts propagate
-// through plain and deferred calls but not through `go` spawns or
-// closure references.
+// Direct unit tests for the call graph waitcycle walks: edge kinds are
+// classified correctly and SCC order is bottom-up.
 
 // loadUnitPkg type-checks src as a standalone fixture package through
 // the real Loader (so sync etc. resolve) and returns the program.
@@ -136,95 +133,5 @@ func pong(n int) { if n > 0 { ping(n - 1) } }
 	if !(compOf[cN] < compOf[bN] && compOf[bN] < compOf[aN]) {
 		t.Errorf("chain a->b->c not in strict bottom-up order: c=%d b=%d a=%d",
 			compOf[cN], compOf[bN], compOf[aN])
-	}
-}
-
-func TestSummaryDivergence(t *testing.T) {
-	prog := loadUnitPkg(t, `package unit
-
-func step() {}
-
-func spin() {
-	for {
-		step()
-	}
-}
-
-func wrapper() { spin() }          // divergence flows through calls
-func deferred() { defer spin() }   // ... and deferred calls
-func spawner() { go spin() }       // ... but not into the spawner
-func escapes(n int) {              // loop with a break: not divergent
-	for {
-		if n > 0 {
-			break
-		}
-	}
-}
-`)
-	g := BuildCallGraph(prog)
-	s := buildLiveSummaries(g)
-	want := map[string]bool{
-		".spin": true, ".wrapper": true, ".deferred": true,
-		".spawner": false, ".escapes": false, ".step": false,
-	}
-	for suffix, divergent := range want {
-		n := nodeByName(t, g, suffix)
-		if got := s.byNode[n].divergent; got != divergent {
-			t.Errorf("%s: divergent = %v, want %v", n.Name, got, divergent)
-		}
-	}
-	if w := s.byNode[nodeByName(t, g, ".wrapper")]; w.divergeVia == "" {
-		t.Error("wrapper's divergence carries no callee chain note")
-	}
-}
-
-func TestSummaryWaitLike(t *testing.T) {
-	prog := loadUnitPkg(t, `package unit
-
-import "sync"
-
-type box struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	done bool
-}
-
-// waitOne parks on the caller's behalf: wait-like.
-func (b *box) waitOne() {
-	b.cond.Wait()
-}
-
-// waitHop inherits wait-ness from its bare call to waitOne.
-func (b *box) waitHop() {
-	b.waitOne()
-}
-
-// looped discharges the obligation: the wait-like call sits in a
-// predicate loop, so looped itself is not wait-like.
-func (b *box) looped() {
-	b.mu.Lock()
-	for !b.done {
-		b.waitOne()
-	}
-	b.mu.Unlock()
-}
-
-// spawner starts a goroutine that waits; the spawner itself never
-// parks.
-func (b *box) spawner() {
-	go b.waitOne()
-}
-`)
-	g := BuildCallGraph(prog)
-	s := buildLiveSummaries(g)
-	want := map[string]bool{
-		".waitOne": true, ".waitHop": true,
-		".looped": false, ".spawner": false,
-	}
-	for suffix, waitLike := range want {
-		n := nodeByName(t, g, suffix)
-		if got := s.byNode[n].waitLike; got != waitLike {
-			t.Errorf("%s: waitLike = %v, want %v", n.Name, got, waitLike)
-		}
 	}
 }

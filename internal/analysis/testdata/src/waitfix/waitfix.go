@@ -1,90 +1,8 @@
-// Package waitfix exercises the waitcycle analyzer: cond.Wait
-// discipline (W1), signal liveness (W2), lost-wakeup hazards (W3),
-// and mixed mutex/channel/cond wait cycles (W4).
+// Package waitfix exercises the waitcycle analyzer: lost-wakeup
+// hazards (W3) and mixed mutex/channel/cond wait cycles (W4).
 package waitfix
 
 import "sync"
-
-// ---------------------------------------------------------------------
-// W1: cond.Wait belongs in a predicate loop.
-
-type once struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	done bool
-}
-
-func newOnce() *once {
-	o := &once{}
-	o.cond = sync.NewCond(&o.mu)
-	return o
-}
-
-// Fail: a spawned goroutine waiting outside a loop misses wakeups
-// whose predicate is still false.
-func (o *once) badWaiter() {
-	o.mu.Lock()
-	if !o.done {
-		o.cond.Wait()
-	}
-	o.mu.Unlock()
-}
-
-func (o *once) Launch() {
-	go o.badWaiter() // want "calls cond.Wait outside a predicate loop"
-}
-
-// Fail: a top-level entry point with a bare Wait has no looping
-// caller to re-check the predicate for it.
-func (o *once) BadWaitTop() {
-	o.mu.Lock()
-	o.cond.Wait() // want "no looping caller"
-	o.mu.Unlock()
-}
-
-// Pass: the chanCore.wait idiom — a wait-like wrapper whose callers
-// all loop.
-func (o *once) waitOne() {
-	o.cond.Wait()
-}
-
-func (o *once) WaitDone() {
-	o.mu.Lock()
-	for !o.done {
-		o.waitOne()
-	}
-	o.mu.Unlock()
-}
-
-func (o *once) Finish() {
-	o.mu.Lock()
-	o.done = true
-	o.cond.Broadcast()
-	o.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------
-// W2: a cond that is waited on but never signaled anywhere.
-
-type silent struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	ready bool
-}
-
-func newSilent() *silent {
-	s := &silent{}
-	s.cond = sync.NewCond(&s.mu)
-	return s
-}
-
-func (s *silent) WaitReady() {
-	s.mu.Lock()
-	for !s.ready {
-		s.cond.Wait() // want "never signaled"
-	}
-	s.mu.Unlock()
-}
 
 // ---------------------------------------------------------------------
 // W3: Signal must run under the cond's associated mutex, or the

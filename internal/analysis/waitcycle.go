@@ -12,15 +12,9 @@ import (
 
 // WaitCycle unifies the module's three blocking primitives — mutexes,
 // sync.Cond wait/signal pairs, and unbuffered channels — into one
-// heterogeneous wait-for graph and reports its liveness hazards:
+// heterogeneous wait-for graph and reports the two hazards no test can
+// produce on demand:
 //
-//	W1  cond.Wait must sit in a predicate loop.  A function whose Wait
-//	    is bare becomes *wait-like* (chanCore.wait is the module's
-//	    example); the loop obligation then moves to its callers,
-//	    bottom-up over the call graph, and is reported at the first
-//	    frame that neither loops nor has a caller to delegate to.
-//	W2  a condition variable that is waited on but never signaled or
-//	    broadcast anywhere in the program is a permanent sleep.
 //	W3  Signal/Broadcast must hold the cond's associated mutex (the
 //	    one passed to sync.NewCond).  Unlike Wait, the runtime does
 //	    not enforce this; an unlocked signal can slip between a
@@ -44,15 +38,20 @@ import (
 // program-wide lock-order edges, which also run from the locks held at
 // a call to every lock the callee may take, transitively, except
 // through `go`.
+//
+// A Wait outside its predicate loop and a cond nobody signals are left
+// to the runtime: the first wakes to a false predicate and the second
+// never wakes, and either fails the record's and the gate's tests
+// (TestTwoWaitersOnePut, TestInPortPullsROStageThroughProxy) or leaves
+// a goroutine behind a teardown baseline (quiesce.Baseline).
 var WaitCycle = &Analyzer{
 	Name: "waitcycle",
-	Doc:  "cond wait/signal pairing, lock-order cycles and mixed mutex/cond/channel wait cycles",
+	Doc:  "cond signals under their mutex, lock-order cycles and mixed mutex/cond/channel wait cycles",
 	Run:  runWaitCycle,
 }
 
 func runWaitCycle(pass *Pass) error {
 	graph := BuildCallGraph(pass.Prog)
-	sums := buildLiveSummaries(graph)
 
 	assoc := condAssociations(pass.Prog)
 	unbuffered := unbufferedChans(pass.Prog)
@@ -81,72 +80,9 @@ func runWaitCycle(pass *Pass) error {
 		}
 	}
 
-	reportW1(pass, graph, sums, inCalls, inSpawns)
-	reportW2(pass, graph, facts)
 	reportW3(pass, graph, facts, assoc, inCalls, inSpawns)
 	reportW4(pass, graph, facts, assoc, unbuffered)
 	return nil
-}
-
-// ---------------------------------------------------------------------
-// W1: Wait in a predicate loop.
-
-func reportW1(pass *Pass, graph *CallGraph, sums *liveSummaries, inCalls map[*FuncNode]int, inSpawns map[*FuncNode][]token.Pos) {
-	for _, n := range graph.Nodes {
-		if !liveScope(n.Pkg.Path) {
-			continue
-		}
-		sum := sums.byNode[n]
-		if !sum.waitLike {
-			continue
-		}
-		if len(inSpawns[n]) > 0 {
-			for _, pos := range inSpawns[n] {
-				pass.Reportf(pos, "spawned goroutine %s calls cond.Wait outside a predicate loop", n.Name)
-			}
-			continue
-		}
-		if inCalls[n] == 0 {
-			pass.Reportf(sum.waitAt, "cond.Wait outside a predicate loop (%s has no looping caller to re-check the predicate)", n.Name)
-		}
-		// A wait-like function with callers is a wait wrapper: its own
-		// call sites carry the loop obligation, and a caller that fails
-		// it became wait-like itself and is judged by the same rule.
-	}
-}
-
-// ---------------------------------------------------------------------
-// W2: waited but never signaled.
-
-func reportW2(pass *Pass, graph *CallGraph, facts map[*FuncNode]*waitFacts) {
-	signaled := make(map[*types.Var]bool)
-	firstWait := make(map[*types.Var]token.Pos)
-	for _, n := range graph.Nodes {
-		for _, s := range facts[n].signals {
-			signaled[s.cond] = true
-		}
-		if !liveScope(n.Pkg.Path) {
-			continue
-		}
-		for _, w := range facts[n].waits {
-			if w.cond == nil {
-				continue
-			}
-			if p, ok := firstWait[w.cond]; !ok || w.pos < p {
-				firstWait[w.cond] = w.pos
-			}
-		}
-	}
-	conds := make([]*types.Var, 0, len(firstWait))
-	for c := range firstWait {
-		if !signaled[c] {
-			conds = append(conds, c)
-		}
-	}
-	sort.Slice(conds, func(i, j int) bool { return firstWait[conds[i]] < firstWait[conds[j]] })
-	for _, c := range conds {
-		pass.Reportf(firstWait[c], "cond %s is waited on but never signaled or broadcast", varDisplay(pass.Prog, c))
-	}
 }
 
 // ---------------------------------------------------------------------

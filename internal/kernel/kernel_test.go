@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 )
 
@@ -518,6 +519,37 @@ func TestShutdownRunsHooksConcurrently(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Shutdown did not return: OnDeactivate hooks that wait on each other deadlocked")
 	}
+}
+
+// TestShutdownLeavesNoGoroutine: the workers a pool started and left
+// parked in its mailbox — a default pool's, a pinned pool's, and those
+// of a binding destroyed first — all exit, so once Shutdown returns the
+// process is back at its goroutine baseline.
+func TestShutdownLeavesNoGoroutine(t *testing.T) {
+	goroutines := quiesce.Baseline(t)
+	k := New(Config{})
+	var last uid.UID
+	for _, hint := range []PoolHint{{}, {Workers: 2, Pinned: true}, {}} {
+		g := newGated(hint)
+		id, err := k.Create(g, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := k.AsyncInvoke(uid.Nil, id, "wait", &pingReq{}), k.AsyncInvoke(uid.Nil, id, "wait", &pingReq{})
+		eventually(t, "two workers serve", func() bool { return g.entered.Load() == 2 })
+		close(g.gate)
+		for _, c := range []*Call{a, b} {
+			if _, err := c.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last = id
+	}
+	if err := k.Destroy(last); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	goroutines()
 }
 
 func TestConcurrentInvokersManyEjects(t *testing.T) {

@@ -12,12 +12,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"asymstream/internal/filters"
 	"asymstream/internal/kernel"
 	"asymstream/internal/metrics"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/transput"
 	"asymstream/internal/wire"
 )
@@ -189,7 +189,7 @@ func TestTornConnectionReleasesBorrowedViews(t *testing.T) {
 	for _, kind := range kinds {
 		for _, end := range []string{"write", "read"} {
 			t.Run(kind+"/"+end, func(t *testing.T) {
-				before := runtime.NumGoroutine()
+				goroutines := quiesce.Baseline(t)
 				met := &metrics.Set{}
 				s, err := netsim.NewSocketNetwork(kind, 2)
 				if err != nil {
@@ -260,13 +260,7 @@ func TestTornConnectionReleasesBorrowedViews(t *testing.T) {
 				if n := met.SlabLeaked.Value(); n != 0 {
 					t.Errorf("SlabLeaked = %d", n)
 				}
-				deadline := time.Now().Add(5 * time.Second)
-				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if n := runtime.NumGoroutine(); n > before {
-					t.Errorf("%d goroutines after Close, %d before", n, before)
-				}
+				goroutines()
 			})
 		}
 	}

@@ -25,6 +25,37 @@ func Goroutines(limit int) int {
 	}
 }
 
+// Settled returns the goroutine count once it has held still for 10 ms
+// (within 2 s), so that stragglers of an earlier test — a kernel
+// shutting down — are not mistaken for this one's.
+func Settled() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 5 && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// Baseline takes the settled goroutine count and returns the check for
+// the end of the test's teardown: it fails t, with every goroutine's
+// stack, unless the count is back at the baseline within 5 s.
+func Baseline(t testing.TB) (check func()) {
+	t.Helper()
+	base := Settled()
+	return func() {
+		t.Helper()
+		if n := Goroutines(base); n > base {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%d goroutines running, %d at the baseline:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
 // FDs counts the file descriptors the process has open and returns the
 // check for the end of the test's teardown: it fails t unless the count
 // is back at the baseline within 5 s.  The GC is off from here to the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ import (
 // early.  After each line the serving kernel holds no source stage, and
 // once both sessions close, goroutines and fds are back at baseline.
 func TestShellRemote(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	goroutines := quiesce.Baseline(t)
 	fds := quiesce.FDs(t)
 
 	srv, err := NewSession(io.Discard)
@@ -81,8 +80,6 @@ func TestShellRemote(t *testing.T) {
 		t.Errorf("Serve: %v", err)
 	}
 	srv.Close()
-	if n := quiesce.Goroutines(baseline); n > baseline {
-		t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
-	}
+	goroutines()
 	fds()
 }

@@ -218,7 +218,7 @@ func TestInPortPullsROStageThroughProxy(t *testing.T) {
 				name = kind + "/cancel"
 			}
 			t.Run(name, func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
+				goroutines := quiesce.Baseline(t)
 				fds := quiesce.FDs(t)
 
 				far := kernel.New(kernel.Config{})
@@ -286,9 +286,7 @@ func TestInPortPullsROStageThroughProxy(t *testing.T) {
 						t.Errorf("%s kernel: SlabLeaked = %d", side, n)
 					}
 				}
-				if n := quiesce.Goroutines(baseline); n > baseline {
-					t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
-				}
+				goroutines()
 				fds()
 			})
 		}
@@ -646,7 +644,7 @@ func TestBridgeParkedInvocationDoesNotBlockConnection(t *testing.T) {
 // whose socket is closed on both ends.
 func TestBridgeWorkersReturnToBaseline(t *testing.T) {
 	const burst = 64
-	baseline := runtime.NumGoroutine()
+	goroutines := quiesce.Baseline(t)
 	fds := quiesce.FDs(t)
 	r := startWorkerRig(t, burst)
 	r.echoes(t, 1)
@@ -668,9 +666,7 @@ func TestBridgeWorkersReturnToBaseline(t *testing.T) {
 		t.Errorf("Serve: %v", err)
 	}
 	r.k.Shutdown()
-	if n := quiesce.Goroutines(baseline); n > baseline {
-		t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
-	}
+	goroutines()
 	fds()
 }
 

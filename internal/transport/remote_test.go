@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,7 +92,7 @@ func TestRemoteStreamTeardown(t *testing.T) {
 	for _, kind := range kinds {
 		for _, how := range []string{"eof", "early", "drop"} {
 			t.Run(kind+"/"+how, func(t *testing.T) {
-				baseline := runtime.NumGoroutine()
+				goroutines := quiesce.Baseline(t)
 				fds := quiesce.FDs(t)
 
 				var closed atomic.Int32
@@ -161,9 +160,7 @@ func TestRemoteStreamTeardown(t *testing.T) {
 						t.Errorf("%s kernel: SlabLeaked = %d", side, n)
 					}
 				}
-				if n := quiesce.Goroutines(baseline); n > baseline {
-					t.Errorf("%d goroutines after teardown, %d before the test", n, baseline)
-				}
+				goroutines()
 				fds()
 			})
 		}

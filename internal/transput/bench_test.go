@@ -4,12 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"runtime"
 	"testing"
 	"time"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 )
 
@@ -343,7 +343,7 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 		defer k.Shutdown()
 		id, st := hopSource(t, k)
 		eventually(t, "the source is running", func() bool { return st.Out().Buffered() > 0 })
-		before := settledGoroutines()
+		goroutines := quiesce.Baseline(t)
 		in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 1, Window: 1})
 		defer in.Cancel("test done")
 		n := warmTransferHopAllocs(t, st, in)
@@ -352,9 +352,7 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("goroutines %d -> %d across 1000 Window-1 pulls; the exchanges must run on the caller", before, after)
-		}
+		goroutines()
 		if n > transferHopCeiling && !raceEnabled { // see raceParksPuts
 			t.Errorf("warm Window-1 Transfer hop: %.1f allocs/op, ceiling %d", n, transferHopCeiling)
 		}
@@ -366,7 +364,7 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 		k := kernel.New(kernel.Config{})
 		defer k.Shutdown()
 		id, st := hopSink(t, k)
-		before := settledGoroutines()
+		goroutines := quiesce.Baseline(t)
 		p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: 1})
 		defer p.Close()
 		n := warmDeliverHopAllocs(t, p)
@@ -375,9 +373,7 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if after := runtime.NumGoroutine(); after != before {
-			t.Errorf("goroutines %d -> %d across 1000 Window-1 pushes; the exchanges must run on the caller", before, after)
-		}
+		goroutines()
 		if n > deliverHopCeiling {
 			t.Errorf("warm Window-1 Deliver hop: %.1f allocs/op, ceiling %d", n, deliverHopCeiling)
 		}

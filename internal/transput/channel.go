@@ -83,6 +83,18 @@ func (c *channel) ended() bool { return c.ends >= c.expectedEnds }
 // everything stream-specific is re-initialised by acquireChannel.
 var chanPool = sync.Pool{New: func() any { return new(channel) }}
 
+// inputCapacity is the passive-input faces' capacity rule: 0 selects
+// DefaultCapacity and a negative value selects single-item handoff.
+func inputCapacity(capacity int) int {
+	switch {
+	case capacity < 0:
+		return 1
+	case capacity == 0:
+		return DefaultCapacity
+	}
+	return capacity
+}
+
 // acquireChannel re-initialises a pooled (or fresh) record for a new
 // stream and returns the reference to its new life — under mu, because
 // a goroutine holding a stale reference from the record's previous life

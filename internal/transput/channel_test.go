@@ -14,6 +14,7 @@ import (
 	"unsafe"
 
 	"asymstream/internal/kernel"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -272,15 +273,15 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 		name             string
 		window, prefetch int
 	}{{"window=1", 1, 0}, {"prefetch=2", 1, 2}, {"window=4", 4, 0}} {
-		rig := func(t *testing.T) (*kernel.Kernel, uid.UID, *wire.Slab, func() []byte, int) {
+		rig := func(t *testing.T) (*kernel.Kernel, uid.UID, *wire.Slab, func() []byte, func()) {
 			k := testKernel(t)
 			slab := wire.NewSlab(k.Metrics(), 1<<14)
 			view := func() []byte { return append(slab.Alloc(8)[:0], "a-view!!"...) }
-			return k, k.NewUID(), slab, view, settledGoroutines()
+			return k, k.NewUID(), slab, view, quiesce.Baseline(t)
 		}
-		audit := func(t *testing.T, k *kernel.Kernel, slab *wire.Slab, ch *channel, baseline int) {
+		audit := func(t *testing.T, k *kernel.Kernel, slab *wire.Slab, ch *channel, goroutines func()) {
 			t.Helper()
-			eventually(t, "the helpers have left", func() bool { return runtime.NumGoroutine() <= baseline })
+			goroutines()
 			ch.mu.Lock()
 			waiters := ch.waiters
 			ch.mu.Unlock()
@@ -292,7 +293,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			}
 		}
 		t.Run("pull/"+row.name, func(t *testing.T) {
-			k, id, slab, view, baseline := rig(t)
+			k, id, slab, view, goroutines := rig(t)
 			port := NewOutPort(k, OutPortConfig{})
 			w := port.Declare("c", 0, 64)
 			if err := k.CreateWithUID(id, portEject{port.Serve}, 0); err != nil {
@@ -328,7 +329,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			if err := w.PutOwned(view()); !errors.Is(err, ErrAborted) {
 				t.Errorf("source's Put after Cancel: %v, want ErrAborted", err)
 			}
-			audit(t, k, slab, w.ch.c, baseline)
+			audit(t, k, slab, w.ch.c, goroutines)
 		})
 		if row.prefetch > 0 {
 			continue // read-ahead is the pull face's alone
@@ -343,7 +344,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 				break // one slot has no gate
 			}
 			t.Run("pull/"+row.name+"/gate/"+end, func(t *testing.T) {
-				k, id, slab, view, baseline := rig(t)
+				k, id, slab, view, goroutines := rig(t)
 				port := NewOutPort(k, OutPortConfig{})
 				w := port.Declare("c", 0, 64)
 				next := port.Declare("next", 1, 64)
@@ -395,11 +396,11 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 				if err := w.PutOwned(view()); !errors.Is(err, ErrAborted) {
 					t.Errorf("source's Put after %s: %v, want ErrAborted", end, err)
 				}
-				audit(t, k, slab, w.ch.c, baseline)
+				audit(t, k, slab, w.ch.c, goroutines)
 			})
 		}
 		t.Run("push/"+row.name, func(t *testing.T) {
-			k, id, slab, view, baseline := rig(t)
+			k, id, slab, view, goroutines := rig(t)
 			port := NewWOInPort(k, WOInPortConfig{})
 			r := port.Declare("c", 0, capacity, 1) // never read: the sink is stalled
 			if err := k.CreateWithUID(id, portEject{port.Serve}, 0); err != nil {
@@ -436,7 +437,7 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			if _, err := r.Next(); !errors.Is(err, ErrAborted) {
 				t.Errorf("sink's Next after CloseWithError: %v, want ErrAborted", err)
 			}
-			audit(t, k, slab, r.ch.c, baseline)
+			audit(t, k, slab, r.ch.c, goroutines)
 		})
 	}
 }
@@ -481,6 +482,46 @@ func TestSinkLaneHoldsBackByOffset(t *testing.T) {
 	}
 	if fmt.Sprint(got) != "[a b c d e]" {
 		t.Errorf("the sink buffered %v, want [a b c d e]", got)
+	}
+}
+
+// TestTwoWaitersOnePut: two Transfers park on an empty channel and one
+// item arrives.  The put's broadcast wakes both; one takes the item, and
+// the other must find the channel empty again and park again — not
+// reply, least of all with an empty batch — until the next item.
+func TestTwoWaitersOnePut(t *testing.T) {
+	k := testKernel(t)
+	w := NewOutPort(k, OutPortConfig{}).Declare("c", 0, 8)
+	replies := make(chan *TransferReply, 2)
+	for range 2 {
+		go func() { replies <- w.ch.take(8) }()
+	}
+	eventually(t, "both Transfers park", func() bool {
+		w.ch.c.mu.Lock()
+		defer w.ch.c.mu.Unlock()
+		return w.ch.c.waiters == 2
+	})
+	var got []string
+	for _, item := range []string{"a", "b"} {
+		if err := w.Put([]byte(item)); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case rep := <-replies:
+			for _, it := range rep.Items {
+				got = append(got, string(it))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("no parked Transfer took %q", item)
+		}
+		select {
+		case rep := <-replies:
+			t.Fatalf("a parked Transfer replied %d items, status %v, with nothing buffered", len(rep.Items), rep.Status)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	if fmt.Sprint(got) != "[a b]" {
+		t.Errorf("the two Transfers took %v, want [a b]", got)
 	}
 }
 

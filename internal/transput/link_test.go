@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +12,7 @@ import (
 	"asymstream/internal/kernel"
 	"asymstream/internal/metrics"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -376,7 +376,7 @@ func TestReverseCompletionDual(t *testing.T) {
 				k := testKernel(t)
 				slab := wire.NewSlab(k.Metrics(), 1<<14)
 				view := func(i int) []byte { return fmt.Appendf(slab.Alloc(16)[:0], "item-%d", i) }
-				baseline := settledGoroutines()
+				goroutines := quiesce.Baseline(t)
 				// first is the index of the first data exchange a window
 				// carries: a windowed InPort's first Transfer runs alone,
 				// inline, to learn the offset its helpers start from.
@@ -509,7 +509,7 @@ func TestReverseCompletionDual(t *testing.T) {
 						t.Fatalf("item %d = %q, want %q (stream %v)", i, s, want, got)
 					}
 				}
-				eventually(t, "the helpers have left", func() bool { return runtime.NumGoroutine() <= baseline })
+				goroutines()
 				if n := slab.Close(); n != 0 || k.Metrics().SlabLeaked.Value() != 0 {
 					t.Errorf("slab leak audit: %d stranded views (SlabLeaked=%d)", n, k.Metrics().SlabLeaked.Value())
 				}

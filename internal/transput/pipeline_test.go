@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,22 +29,6 @@ func eventually(t testing.TB, what string, cond func() bool) {
 			t.Fatalf("timed out waiting until %s", what)
 		}
 	}
-}
-
-// settledGoroutines returns the goroutine count once it has held still
-// for 10 ms, so that stragglers of an earlier test (a kernel shutting
-// down) are not mistaken for this one's.
-func settledGoroutines() int {
-	n, still := runtime.NumGoroutine(), 0
-	for deadline := time.Now().Add(2 * time.Second); still < 5 && time.Now().Before(deadline); {
-		time.Sleep(2 * time.Millisecond)
-		if m := runtime.NumGoroutine(); m == n {
-			still++
-		} else {
-			n, still = m, 0
-		}
-	}
-	return n
 }
 
 // numbersSource emits "0".."n-1" as items.

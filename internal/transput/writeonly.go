@@ -56,18 +56,6 @@ func NewWOInPort(k *kernel.Kernel, cfg WOInPortConfig) *WOInPort {
 	return p
 }
 
-// inputCapacity is the passive-input faces' capacity rule: 0 selects
-// DefaultCapacity and a negative value selects single-item handoff.
-func inputCapacity(capacity int) int {
-	switch {
-	case capacity < 0:
-		return 1
-	case capacity == 0:
-		return DefaultCapacity
-	}
-	return capacity
-}
-
 // Declare creates a channel accepting deliveries and returns the
 // reader the owning Eject uses to consume it.  writers is the number
 // of End marks that complete the stream (the fan-in degree; minimum
@@ -408,6 +396,32 @@ func (w *Pusher) Flush() error {
 		return ErrClosed
 	}
 	return w.flushLocked(false, w.size())
+}
+
+// Redirect retargets a Pusher at a new sink/channel.  Everything written
+// so far goes to the OLD target first (those items were written before
+// the redirection): the partial batch is flushed and, on a windowed
+// pusher, the send window drained.  The old channel is left open — in
+// the write-only discipline a sink must expect its writers to come and
+// go; End is only sent by Close.  The new stream numbers its items from
+// offset 0 under a fresh Writer UID.  A closed pusher cannot be
+// redirected, nor one whose stream has failed.
+func (w *Pusher) Redirect(target uid.UID, channel ChannelID) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	_ = w.flushLocked(false, w.size()) // a failure here is the stream's: the drain reports it
+	if err := w.drainLocked(); err != nil {
+		return err
+	}
+	w.retarget(target, channel)
+	w.req.Channel = channel // the reused request must follow the retarget
+	if w.window > 1 {
+		w.writer, w.base = w.k.NewUID(), 0
+	}
+	return nil
 }
 
 // Close sends the final delivery (any partial batch plus this writer's
