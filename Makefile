@@ -84,11 +84,13 @@ race:
 ## round trip at its boxes, a bulk frame whose
 ## items are detached in place, the slab's chunk index listing and
 ## unlisting at zero, and a channel's declare/retire churn at its
-## handle) and the idle channel's heap footprint three times over.
+## handle) and the footprint pins (an idle channel's heap bytes — just
+## declared, churned and drained — and the stripemap's entries a live
+## key under Delete/Store churn) three times over.
 ## Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
-	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput ./internal/netsim ./internal/transport
+	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput ./internal/netsim ./internal/transport ./internal/stripemap
 
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for

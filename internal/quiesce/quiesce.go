@@ -1,10 +1,12 @@
 // Package quiesce holds the teardown post-conditions that the tests of
 // several packages share: once a test has torn down what it started,
 // the process is back to the goroutines and the open file descriptors
-// it had before.  Only tests import it.
+// it had before; and a test that parks forever fails within its own
+// deadline.  Only tests import it.
 package quiesce
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -54,6 +56,20 @@ func Baseline(t testing.TB) (check func()) {
 			t.Errorf("%d goroutines running, %d at the baseline:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 		}
 	}
+}
+
+// Deadline arms a watchdog for the rest of t, its subtests and
+// cleanups included: unless t has ended within d, the process panics
+// with every goroutine's stack.  A lost wakeup then fails the test at
+// once, naming where each goroutine is parked, instead of holding the
+// test binary until its -timeout.
+func Deadline(t testing.TB, d time.Duration) {
+	name := t.Name()
+	timer := time.AfterFunc(d, func() {
+		buf := make([]byte, 1<<20)
+		panic(fmt.Sprintf("%s still running after %v; every goroutine:\n%s", name, d, buf[:runtime.Stack(buf, true)]))
+	})
+	t.Cleanup(func() { timer.Stop() })
 }
 
 // FDs counts the file descriptors the process has open and returns the

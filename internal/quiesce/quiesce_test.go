@@ -2,8 +2,11 @@ package quiesce
 
 import (
 	"fmt"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 )
 
 // recorder is a testing.TB that keeps what Errorf reports instead of
@@ -57,4 +60,38 @@ func TestBaseline(t *testing.T) {
 			t.Fatalf("report does not name the parked goroutine:\n%s", r.errs[0])
 		}
 	})
+}
+
+// TestDeadline: a test that ends within its deadline is left alone; one
+// parked past it takes the process down, and the panic names the test
+// and carries the parked goroutine's stack.  The parked test runs in a
+// child process.
+func TestDeadline(t *testing.T) {
+	if os.Getenv("QUIESCE_DEADLINE_CHILD") != "" {
+		Deadline(t, 50*time.Millisecond)
+		release, done := make(chan struct{}), make(chan struct{})
+		go parked(release, done)
+		<-done
+		return
+	}
+	t.Run("ended", func(t *testing.T) {
+		Deadline(t, 20*time.Millisecond)
+	})
+	time.Sleep(50 * time.Millisecond) // the stopped watchdog would have fired by now
+
+	cmd := exec.Command(os.Args[0], "-test.run=^TestDeadline$", "-test.timeout=20s")
+	cmd.Env = append(os.Environ(), "QUIESCE_DEADLINE_CHILD=1")
+	start := time.Now()
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("the parked child passed:\n%s", out)
+	}
+	if took := time.Since(start); took > 10*time.Second {
+		t.Errorf("the parked child took %v to fail", took)
+	}
+	for _, want := range []string{"TestDeadline still running after 50ms", "quiesce.parked"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("the child's panic does not contain %q:\n%s", want, out)
+		}
+	}
 }

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
+
+	"asymstream/internal/quiesce"
 )
 
 // --- lexer / parser ---
@@ -102,6 +105,7 @@ func run(t *testing.T, lines ...string) string {
 }
 
 func TestPipelineAllDisciplines(t *testing.T) {
+	quiesce.Deadline(t, time.Minute)
 	for _, d := range []string{"readonly", "writeonly", "buffered"} {
 		out := run(t, `text "b\na\nb\n" | sort | uniq | print discipline=`+d)
 		if !strings.HasPrefix(out, "a\nb\n") {

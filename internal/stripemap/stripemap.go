@@ -16,13 +16,16 @@
 //
 //  2. Amortised copy-on-write (the sync.Map promotion discipline).
 //     Each stripe holds an immutable read snapshot (lock-free hits)
-//     plus a locked dirty overlay for recent writes.  A read miss on
-//     an amended snapshot falls back to the overlay under the stripe
-//     lock; after enough misses the overlay is *promoted* — published
-//     as the next immutable snapshot — so the slow path self-heals.
-//     Writes are O(1) amortised: the overlay is recreated by one
-//     stripe-sized copy per promotion cycle, paid for by the misses
-//     that forced the promotion.
+//     plus a locked overlay of the writes since it was made: new keys
+//     with their values, and tombstones for snapshot keys deleted
+//     since.  A live key is held once, in one or the other; only a
+//     deleted key is held twice until the next promotion.  A read miss
+//     on an amended snapshot falls back to the overlay under the stripe
+//     lock.  *Promotion* merges the overlay into a fresh snapshot: one
+//     stripe-sized copy, paid for by as many misses (the slow path
+//     heals itself) or by the deletes that made its tombstones a fixed
+//     share of the snapshot (churn that nobody looks up cannot grow the
+//     overlay without limit).  Writes are O(1) amortised.
 //
 // Staleness contract: Load may keep returning a value after Delete
 // until the next promotion drops it from the snapshot.  Callers must
@@ -40,13 +43,23 @@ import (
 )
 
 // snap is one stripe's immutable read view.  m is never mutated after
-// publication; amended reports whether the locked overlay holds keys
-// (or deletions) the snapshot does not reflect, i.e. whether a miss
-// here is authoritative.
+// publication; amended reports whether the locked overlay holds writes
+// the snapshot does not reflect, i.e. whether a miss here is not
+// authoritative.
 type snap[K comparable, V any] struct {
 	m       map[K]V
 	amended bool
 }
+
+// A stripe promotes once its overlay holds minDead tombstones and
+// a 1/deadShare part of its snapshot's count.  So a merge copies at most
+// deadShare snapshot entries a delete, and a stripe holds fewer than
+// live + 2·max(minDead, live/(deadShare−1)) entries for its live keys
+// (a tombstone and its dead snapshot key are the only waste).
+const (
+	deadShare = 16
+	minDead   = 8
+)
 
 // stripe is one lock domain.  The trailing pad keeps neighbouring
 // stripes on distinct cache lines so a create storm on stripe i does
@@ -54,8 +67,13 @@ type snap[K comparable, V any] struct {
 type stripe[K comparable, V any] struct {
 	read atomic.Pointer[snap[K, V]]
 
-	mu     sync.Mutex
-	dirty  map[K]V // nil when read is authoritative
+	mu sync.Mutex
+	// dirty is the overlay, nil when read is authoritative.  A key it
+	// shares with the snapshot is a tombstone (its value is unused): a
+	// live value for a snapshot key is never held here, because storing
+	// one promotes at once.
+	dirty  map[K]V
+	dead   int // tombstones in dirty
 	misses int
 
 	_ [64]byte
@@ -117,53 +135,66 @@ func (m *Map[K, V]) Load(k K) (V, bool) {
 	r = s.read.Load()
 	v, ok := r.m[k]
 	if !ok && r.amended {
-		v, ok = s.dirty[k]
-		s.missLocked()
+		v, ok = s.dirty[k] // k is not in the snapshot, so not a tombstone
+		s.misses++
+		if s.misses >= len(r.m)+len(s.dirty) {
+			s.publishLocked(s.mergedLocked())
+		}
 	}
 	s.mu.Unlock()
 	return v, ok
 }
 
-// missLocked records one slow-path miss and promotes the overlay to
-// the read snapshot once misses reach the overlay size.  Caller holds
-// s.mu with s.dirty non-nil.
-func (s *stripe[K, V]) missLocked() {
-	s.misses++
-	if s.misses >= len(s.dirty) {
-		s.read.Store(&snap[K, V]{m: s.dirty})
-		s.dirty = nil
-		s.misses = 0
-	}
+// mergedLocked returns a fresh map of the stripe's live entries — the
+// snapshot with the overlay applied — sized to hold them.  Promotion
+// publishes it.  Caller holds s.mu.
+func (s *stripe[K, V]) mergedLocked() map[K]V {
+	m := make(map[K]V, s.lenLocked())
+	s.viewLocked(func(k K, v V) { m[k] = v })
+	return m
 }
 
-// dirtyLocked returns the overlay, materialising it from the current
-// snapshot on first write after a promotion.  Caller holds s.mu.
-func (s *stripe[K, V]) dirtyLocked() map[K]V {
+// lenLocked is the stripe's live entry count.  Caller holds s.mu.
+func (s *stripe[K, V]) lenLocked() int {
+	return len(s.read.Load().m) + len(s.dirty) - 2*s.dead
+}
+
+// publishLocked makes m the stripe's authoritative snapshot and drops
+// the overlay.  Caller holds s.mu.
+func (s *stripe[K, V]) publishLocked(m map[K]V) {
+	s.read.Store(&snap[K, V]{m: m})
+	s.dirty, s.dead, s.misses = nil, 0, 0
+}
+
+// overlayLocked returns the overlay, creating it (and marking the
+// snapshot amended) on the first write after a promotion.  Caller holds
+// s.mu.
+func (s *stripe[K, V]) overlayLocked() map[K]V {
 	if s.dirty == nil {
-		r := s.read.Load()
-		s.dirty = make(map[K]V, len(r.m)+1)
-		for k, v := range r.m {
-			s.dirty[k] = v
-		}
-		s.read.Store(&snap[K, V]{m: r.m, amended: true})
+		s.dirty = make(map[K]V)
+		s.read.Store(&snap[K, V]{m: s.read.Load().m, amended: true})
 	}
 	return s.dirty
 }
 
-// storeLocked writes k into the overlay.  Caller holds s.mu.
+// storeLocked writes k.  Caller holds s.mu.
 func (s *stripe[K, V]) storeLocked(k K, v V) {
-	d := s.dirtyLocked()
-	d[k] = v
-	if _, inRead := s.read.Load().m[k]; inRead {
-		// The snapshot holds a superseded (or deleted) value and would
-		// keep serving it lock-free; promote the overlay immediately so
-		// the write is visible.  Rare in this repo's workloads — UIDs
-		// and capabilities are almost never rebound — so the eager
-		// promotion costs nothing on the hot paths.
-		s.read.Store(&snap[K, V]{m: d})
-		s.dirty = nil
-		s.misses = 0
+	if _, inRead := s.read.Load().m[k]; !inRead {
+		s.overlayLocked()[k] = v
+		return
 	}
+	// The snapshot holds a superseded (or deleted) value and would keep
+	// serving it lock-free; promote at once, with the new value, so the
+	// write is visible.  Rare in this repo's workloads — UIDs and
+	// capabilities are almost never rebound — so the eager promotion
+	// costs nothing on the hot paths.
+	if _, dead := s.dirty[k]; dead {
+		delete(s.dirty, k)
+		s.dead--
+	}
+	m := s.mergedLocked()
+	m[k] = v
+	s.publishLocked(m)
 }
 
 // Store sets k to v.
@@ -182,15 +213,15 @@ func (m *Map[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 	s := m.stripeFor(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// When the overlay exists it alone is authoritative: the snapshot may
-	// still hold a key Delete has removed (the staleness contract licenses
-	// a stale Load, not resurrecting the deleted value here).
-	view := s.dirty
-	if view == nil {
-		view = s.read.Load().m
-	}
-	if cur, ok := view[k]; ok {
+	// A tombstone hides the snapshot's value: the staleness contract
+	// licenses a stale Load, not resurrecting the deleted value here.
+	cur, inRead := s.read.Load().m[k]
+	ov, inDirty := s.dirty[k]
+	switch {
+	case inRead && !inDirty:
 		return cur, true
+	case inDirty && !inRead:
+		return ov, true
 	}
 	s.storeLocked(k, v)
 	return v, false
@@ -201,34 +232,57 @@ func (m *Map[K, V]) LoadOrStore(k K, v V) (actual V, loaded bool) {
 func (m *Map[K, V]) Delete(k K) {
 	s := m.stripeFor(k)
 	s.mu.Lock()
-	delete(s.dirtyLocked(), k)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	r := s.read.Load()
+	if _, inRead := r.m[k]; !inRead {
+		delete(s.dirty, k) // stored since the snapshot: nothing to hide
+		return
+	}
+	if _, dead := s.dirty[k]; dead {
+		return
+	}
+	var zero V
+	s.overlayLocked()[k] = zero
+	s.dead++
+	if s.dead >= minDead && s.dead*deadShare >= len(r.m) {
+		s.publishLocked(s.mergedLocked())
+	}
+}
+
+// viewLocked calls f for every live entry of the stripe: the snapshot
+// less its tombstones, then the overlay's new keys.  Caller holds s.mu.
+func (s *stripe[K, V]) viewLocked(f func(k K, v V)) {
+	r := s.read.Load()
+	for k, v := range r.m {
+		if _, dead := s.dirty[k]; !dead {
+			f(k, v)
+		}
+	}
+	for k, v := range s.dirty {
+		if _, dead := r.m[k]; !dead {
+			f(k, v)
+		}
+	}
 }
 
 // Range calls f for every entry until f returns false.  It observes
-// each stripe's authoritative view (overlay when amended), one stripe
-// lock at a time; entries stored concurrently may or may not appear.
+// each stripe's authoritative view (the snapshot with the overlay
+// applied), one stripe lock at a time; entries stored concurrently may
+// or may not appear.
 func (m *Map[K, V]) Range(f func(k K, v V) bool) {
+	type kv struct {
+		k K
+		v V
+	}
+	var entries []kv
 	for i := range m.stripes {
 		s := &m.stripes[i]
-		s.mu.Lock()
-		var view map[K]V
-		if s.dirty != nil {
-			view = s.dirty
-		} else {
-			view = s.read.Load().m
-		}
 		// Copy the stripe's entries so f runs outside the stripe lock
 		// (f may call back into the map, or take locks ordered after
 		// ours).
-		type kv struct {
-			k K
-			v V
-		}
-		entries := make([]kv, 0, len(view))
-		for k, v := range view {
-			entries = append(entries, kv{k, v})
-		}
+		entries = entries[:0]
+		s.mu.Lock()
+		s.viewLocked(func(k K, v V) { entries = append(entries, kv{k, v}) })
 		s.mu.Unlock()
 		for _, e := range entries {
 			if !f(e.k, e.v) {
@@ -245,11 +299,7 @@ func (m *Map[K, V]) Len() int {
 	for i := range m.stripes {
 		s := &m.stripes[i]
 		s.mu.Lock()
-		if s.dirty != nil {
-			n += len(s.dirty)
-		} else {
-			n += len(s.read.Load().m)
-		}
+		n += s.lenLocked()
 		s.mu.Unlock()
 	}
 	return n

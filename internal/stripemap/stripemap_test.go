@@ -145,6 +145,50 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 }
 
+// TestChurnFootprint: Delete/Store churn that nobody looks up — a
+// population promoted to the snapshot, then its keys deleted one by one
+// and new ones stored — never holds more entries, snapshot plus
+// overlay, than the promotion rule allows: each live key once, plus
+// fewer than 2·max(minDead, live/(deadShare−1)) for the tombstones and
+// the dead snapshot keys they hide.  A stripe that copied its snapshot
+// into the overlay would hold every live key twice.
+func TestChurnFootprint(t *testing.T) {
+	const stripes, population = 4, 2000
+	m := New[int, int](stripes, hashInt, nil)
+	for k := range population {
+		m.Store(k, k)
+	}
+	for k := range population {
+		m.Load(k) // misses promote every stripe
+	}
+	promotions, dead := 0, make([]int, stripes)
+	for i := range 10 * population {
+		m.Delete(i)
+		m.Store(population+i, i)
+		for j := range m.stripes {
+			s := &m.stripes[j]
+			s.mu.Lock()
+			r := s.read.Load()
+			entries := len(r.m) + len(s.dirty)
+			live := entries - 2*s.dead
+			if s.dead < dead[j] {
+				promotions++
+			}
+			dead[j] = s.dead
+			s.mu.Unlock()
+			if limit := live + 2*max(minDead, live/(deadShare-1)); entries >= limit {
+				t.Fatalf("after %d churns stripe %d holds %d entries for %d live keys; the rule allows fewer than %d", i+1, j, entries, live, limit)
+			}
+		}
+	}
+	if promotions == 0 {
+		t.Fatal("churn never promoted a stripe")
+	}
+	if got := m.Len(); got != population {
+		t.Fatalf("Len = %d after churn, want %d", got, population)
+	}
+}
+
 // TestStripeCountRounding checks power-of-two rounding.
 func TestStripeCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{

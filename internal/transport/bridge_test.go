@@ -211,6 +211,7 @@ func digestItem(h hash.Hash, item []byte) {
 // baselines once the bridge is torn down.
 func TestInPortPullsROStageThroughProxy(t *testing.T) {
 	const items = 600
+	quiesce.Deadline(t, time.Minute)
 	for _, kind := range kinds {
 		for _, cancel := range []bool{false, true} {
 			name := kind + "/whole"

@@ -6,9 +6,11 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -128,6 +130,7 @@ func stormPuts(producers, perProducer int, item func(buf []byte, w, seq int) []b
 // they were handed — neighbours in those blocks — under -race.
 func TestPutArenaStorm(t *testing.T) {
 	const producers, perProducer = 4, 2000
+	quiesce.Deadline(t, time.Minute)
 
 	t.Run("ChannelWriter", func(t *testing.T) {
 		port := NewOutPort(nil, OutPortConfig{})
@@ -266,6 +269,7 @@ func retainingSink(t *testing.T, k *kernel.Kernel, node netsim.NodeID, c *stormC
 // the buffer they were cut from, inside them or past them.
 func TestPutCopyRecycleOwnership(t *testing.T) {
 	const items = 400
+	quiesce.Deadline(t, time.Minute)
 	socketKernel := func(t *testing.T) *kernel.Kernel {
 		k, err := NewTransportKernel(kernel.Config{Net: netsim.Config{Nodes: 2}}, TransportUnix)
 		if err != nil {

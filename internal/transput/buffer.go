@@ -27,7 +27,7 @@ import (
 // abort follows the passive-input rule.
 type PassiveBuffer struct {
 	name string
-	met  *metrics.Set
+	port chanPort // the record's spares are its own
 	ch   chanRef
 }
 
@@ -45,12 +45,12 @@ type PassiveBufferConfig struct {
 // NewPassiveBuffer creates a passive buffer Eject.  k may be nil in
 // unit tests (metering is then dropped).
 func NewPassiveBuffer(k *kernel.Kernel, cfg PassiveBufferConfig) *PassiveBuffer {
-	met := &metrics.Set{}
+	b := &PassiveBuffer{name: cfg.Name, port: chanPort{met: &metrics.Set{}}}
 	if k != nil {
-		met = k.Metrics()
+		b.port.met = k.Metrics()
 	}
-	ch := acquireChannel(met, cfg.Name, Chan(0), inputCapacity(cfg.Capacity), cfg.Writers)
-	return &PassiveBuffer{name: cfg.Name, met: met, ch: ch}
+	b.ch = acquireChannel(&b.port, cfg.Name, Chan(0), inputCapacity(cfg.Capacity), cfg.Writers)
+	return b
 }
 
 // EdenType implements kernel.Eject.
@@ -70,7 +70,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		if !ok {
 			break
 		}
-		b.met.DeliverInvocations.Inc()
+		b.port.met.DeliverInvocations.Inc()
 		rep := b.ch.absorb(req)
 		if rep == nil {
 			wire.ReleaseAll(req.Items) // never absorbed
@@ -84,7 +84,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		if !ok {
 			break
 		}
-		b.met.TransferInvocations.Inc()
+		b.port.met.TransferInvocations.Inc()
 		rep := b.ch.take(req.Max)
 		transferRequests.Put(req)
 		if rep == nil {

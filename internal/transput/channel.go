@@ -35,19 +35,21 @@ import (
 // channel is one bounded stream buffer.  The buffer is a head-indexed
 // deque: producers append at the tail, consumers advance head, and the
 // backing array is compacted only when the dead prefix reaches half the
-// slice — amortised O(1) per item.  Records are pooled, and the embedded
-// chanCore's generation makes every stale reference to a previous life
-// detectably dead (see chantable.go).
+// slice — amortised O(1) per item.  A channel holds an array only while
+// it holds items: the one that empties it hands the array to its port's
+// spares, and the next fill of an empty channel takes one from there.
+// Records are pooled, and the embedded chanCore's generation makes every
+// stale reference to a previous life detectably dead (see chantable.go).
 type channel struct {
 	chanCore
 
-	met      *metrics.Set
+	port     *chanPort
 	name     string
 	id       ChannelID
 	capacity int
 	slot     int // index in the registry's chans slice; guarded by registry mu
 
-	buf          [][]byte
+	buf          [][]byte // nil while empty
 	head         int
 	expectedEnds int // End marks that complete the stream (fan-in degree)
 	ends         int
@@ -79,9 +81,46 @@ func (c *channel) buffered() int { return len(c.buf) - c.head }
 func (c *channel) ended() bool { return c.ends >= c.expectedEnds }
 
 // chanPool recycles retired records.  A pooled record keeps its cond
-// (if it ever waited), its buffer backing array and its sequence gate;
-// everything stream-specific is re-initialised by acquireChannel.
+// (if it ever waited) and its sequence gate, never an item array (retire
+// empties it); everything stream-specific is re-initialised by
+// acquireChannel.
 var chanPool = sync.Pool{New: func() any { return new(channel) }}
+
+// chanPort is what the records of one port share: its metric set and
+// its spare item arrays.  An array is handed back here by the consume or
+// abort that empties a channel and taken by the next put or absorb into
+// an empty one, so the port holds at most as many arrays as it ever had
+// non-empty channels at once, and an idle or pooled record holds none.
+// (Not a sync.Pool: its per-P caches miss whenever the channel's producer
+// and consumer run on different Ps.)  mu is a leaf, taken under a
+// record's mu.
+type chanPort struct {
+	met *metrics.Set
+
+	mu     sync.Mutex
+	spares [][][]byte
+}
+
+// spare takes an item array for an empty channel, or nil if the port
+// has none.
+func (p *chanPort) spare() (buf [][]byte) {
+	p.mu.Lock()
+	if n := len(p.spares) - 1; n >= 0 {
+		buf, p.spares[n] = p.spares[n], nil
+		p.spares = p.spares[:n]
+	}
+	p.mu.Unlock()
+	return buf
+}
+
+// keep takes back a channel's emptied array, every slot cleared.
+func (p *chanPort) keep(buf [][]byte) {
+	if cap(buf) > 0 {
+		p.mu.Lock()
+		p.spares = append(p.spares, buf[:0])
+		p.mu.Unlock()
+	}
+}
 
 // inputCapacity is the passive-input faces' capacity rule: 0 selects
 // DefaultCapacity and a negative value selects single-item handoff.
@@ -99,10 +138,10 @@ func inputCapacity(capacity int) int {
 // stream and returns the reference to its new life — under mu, because
 // a goroutine holding a stale reference from the record's previous life
 // may be running its generation check.
-func acquireChannel(met *metrics.Set, name string, id ChannelID, capacity, writers int) chanRef {
+func acquireChannel(port *chanPort, name string, id ChannelID, capacity, writers int) chanRef {
 	c := chanPool.Get().(*channel)
 	c.mu.Lock()
-	c.met = met
+	c.port = port
 	c.name = name
 	c.id = id
 	c.capacity = capacity
@@ -119,6 +158,15 @@ func acquireChannel(met *metrics.Set, name string, id ChannelID, capacity, write
 	return chanRef{c, c.gen.Load()}
 }
 
+// push appends item, taking an array from the port's spares if c is
+// empty.  Caller holds c.mu.
+func (c *channel) push(item []byte) {
+	if c.buf == nil {
+		c.buf = c.port.spare()
+	}
+	c.buf = append(c.buf, item)
+}
+
 // consume drops the n oldest items, already handed to their consumer.
 // Caller holds c.mu.
 func (c *channel) consume(n int) {
@@ -126,7 +174,8 @@ func (c *channel) consume(n int) {
 	c.head += n
 	switch {
 	case c.head == len(c.buf):
-		c.buf, c.head = c.buf[:0], 0
+		c.port.keep(c.buf)
+		c.buf, c.head = nil, 0
 	case c.head >= len(c.buf)-c.head:
 		// Dead prefix has reached half the slice; slide the live items
 		// down so the array stops growing.  The vacated tail still
@@ -149,7 +198,8 @@ func (r chanRef) abortLocked(err *AbortedError) {
 	}
 	wire.ReleaseAll(c.buf[c.head:])
 	clear(c.buf)
-	c.buf = c.buf[:0]
+	c.port.keep(c.buf)
+	c.buf = nil
 	c.head = 0
 	c.arena = nil
 	if c.cond != nil {
@@ -254,11 +304,11 @@ func (r chanRef) put(item []byte, owned bool) error {
 		return fail(c.abortErr)
 	}
 	if owned {
-		c.met.WireBytesSaved.Add(int64(len(item)))
+		c.port.met.WireBytesSaved.Add(int64(len(item)))
 	} else {
 		item = copyItem(&c.arena, item)
 	}
-	c.buf = append(c.buf, item)
+	c.push(item)
 	if c.cond != nil {
 		c.cond.Broadcast()
 	}
@@ -304,7 +354,7 @@ func (r chanRef) take(max int) *TransferReply {
 	rep.Base = c.itemsOut
 	rep.Backlog = c.buffered()
 	c.itemsOut += int64(n)
-	c.met.ItemsMoved.Add(int64(n))
+	c.port.met.ItemsMoved.Add(int64(n))
 	if c.cond != nil {
 		c.cond.Broadcast() // wake producers waiting for space
 	}
@@ -335,7 +385,7 @@ func (r chanRef) absorb(req *DeliverRequest) *DeliverReply {
 		}
 		if c.seq.turn(req.Writer) < req.Base && c.abortErr == nil {
 			c.seq.held++
-			c.met.MergeReorderHighWater.Observe(int64(c.seq.held))
+			c.port.met.MergeReorderHighWater.Observe(int64(c.seq.held))
 			for c.seq.turn(req.Writer) < req.Base && c.abortErr == nil {
 				c.wait()
 			}
@@ -351,14 +401,14 @@ func (r chanRef) absorb(req *DeliverRequest) *DeliverReply {
 		if c.abortErr != nil {
 			break
 		}
-		c.buf = append(c.buf, item)
+		c.push(item)
 		absorbed++
 		saved += int64(len(item))
 		if c.cond != nil {
 			c.cond.Broadcast()
 		}
 	}
-	c.met.WireBytesSaved.Add(saved)
+	c.port.met.WireBytesSaved.Add(saved)
 	if c.abortErr != nil {
 		msg := c.abortErr.Msg
 		c.mu.Unlock()
@@ -383,7 +433,7 @@ func (r chanRef) absorb(req *DeliverRequest) *DeliverReply {
 	c.deliversServed++
 	rep := deliverReplies.Get()
 	rep.Credits = max(c.capacity-c.buffered(), 0)
-	c.met.ItemsMoved.Add(int64(len(req.Items)))
+	c.port.met.ItemsMoved.Add(int64(len(req.Items)))
 	c.mu.Unlock()
 	return rep
 }
@@ -413,17 +463,26 @@ func (r chanRef) next() ([]byte, error) {
 	return item, nil
 }
 
-// tableEntryBytes approximates the amortised per-entry share of one
-// lookup index (key, entry struct and map-bucket overhead).  Used only
-// for the IdleChannelBytes accounting gauge; the gateway bench
-// cross-checks the gauge against runtime.MemStats.
-const tableEntryBytes = 64
+// indexEntryBytes is the index share of one channel: its slot in the
+// port's stripemap with the map's control bytes and free slots, as
+// TestIdleChannelFootprint measures it for 20 000 channels (43.7 B keyed
+// by number, 59.3 B by capability: about 312 keys a stripe, in a table
+// of 512 slots).
+func indexEntryBytes(capMode bool) uintptr {
+	if capMode {
+		return 59
+	}
+	return 44
+}
 
-// idleChanFootprint is the fixed accounting charge for one idle
-// channel: the record itself plus its one index entry, in either
-// addressing mode.  The capability cache is a fixed array of the
-// port's, not a per-channel cost.
-const idleChanFootprint = int64(unsafe.Sizeof(channel{})) + tableEntryBytes
+// idleChanFootprint is what the IdleChannelBytes gauge charges one idle
+// channel: its record, the handle Declare returned, its slot in the
+// advert list and its one index entry.  An idle channel holds no item
+// array, and the capability cache is a fixed array of the port's, not a
+// per-channel cost.
+func idleChanFootprint(capMode bool) int64 {
+	return int64(unsafe.Sizeof(channel{}) + unsafe.Sizeof(ChannelWriter{}) + unsafe.Sizeof(chanRef{}) + indexEntryBytes(capMode))
+}
 
 // errRetired marks channels torn down by Retire.  Shared: AbortedError
 // is immutable once published.
@@ -437,6 +496,7 @@ var errRetired = &AbortedError{Msg: "channel retired"}
 // admission linear.
 type chanRegistry struct {
 	chanTable
+	port    chanPort
 	mintCap func() uid.UID
 	// input marks a passive-input port: its adverts say "in" and an
 	// abort after the stream's normal end is still honoured.
@@ -456,6 +516,7 @@ func (r *chanRegistry) init(k *kernel.Kernel, capMode, input bool) {
 		met, mint = k.Metrics(), k.NewUID
 	}
 	r.chanTable = newChanTable(capMode, met)
+	r.port.met = met
 	r.mintCap = mint
 	r.input = input
 }
@@ -468,14 +529,14 @@ func (r *chanRegistry) declare(name string, num ChannelNum, capacity, writers in
 	if r.capMode {
 		id.Cap = r.mintCap()
 	}
-	ref := acquireChannel(r.met, name, id, capacity, writers)
+	ref := acquireChannel(&r.port, name, id, capacity, writers)
 	r.mu.Lock()
 	ref.c.slot = len(r.chans)
 	r.chans = append(r.chans, ref)
 	r.mu.Unlock()
 	r.register(num, id.Cap, ref)
 	r.met.ChannelsLive.Inc()
-	r.met.IdleChannelBytes.Add(idleChanFootprint)
+	r.met.IdleChannelBytes.Add(idleChanFootprint(r.capMode))
 	return ref
 }
 
@@ -497,7 +558,7 @@ func (r *chanRegistry) retire(ref chanRef) bool {
 	}
 	r.mu.Unlock()
 	r.met.ChannelsLive.Dec()
-	r.met.IdleChannelBytes.Sub(idleChanFootprint)
+	r.met.IdleChannelBytes.Sub(idleChanFootprint(r.capMode))
 	ref.release()
 	return true
 }

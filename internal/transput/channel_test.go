@@ -37,13 +37,21 @@ func TestChannelRecordSize(t *testing.T) {
 // TestIdleChannelFootprint pins what one idle channel costs the heap —
 // its record, its handle, its slot in the advert list and its one index
 // entry — on both faces a gateway declares on, in both addressing
-// modes, and holds the IdleChannelBytes gauge to that measured figure.
+// modes, and holds the IdleChannelBytes gauge, and its index share, to
+// the measured figures.  Three rows: the channels just declared
+// (idle); churned (each looked up once, which promotes the index to its
+// snapshot, then a quarter retired and declared afresh with no lookups
+// of the new ones); and drained (each carries one burst, then empties).
 // The ceiling sits below any one of a cache-line pad, a cond per record
-// or a second index entry added back.
+// or an item array kept by a drained record added back, and a row's
+// slack over the idle row below a second index entry (an overlay that
+// copies its snapshot).
 func TestIdleChannelFootprint(t *testing.T) {
 	const (
 		n       = 20000
-		ceiling = 300  // heap bytes a channel; 271 (numbers) and 286 (capabilities) measured
+		burst   = 8    // each channel's capacity
+		ceiling = 300  // heap bytes a channel; 271 (numbers) and 286 (capabilities) measured idle
+		slack   = 32   // heap bytes a churned or drained channel may add to an idle one
 		drift   = 0.15 // the gauge's tolerance against the heap
 	)
 	heap := func() int64 {
@@ -53,33 +61,93 @@ func TestIdleChannelFootprint(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
+	items := make([][]byte, burst)
+	for i := range items {
+		items[i] = []byte{byte(i)}
+	}
+	// measure builds n channels of one face and mode, takes them through
+	// the row and returns the heap bytes a channel.
+	measure := func(t *testing.T, face string, capMode bool, row string) float64 {
+		var reg *chanRegistry
+		var declare func(i int) (handle any, ref chanRef)
+		var fill func(chanRef)
+		var drain func(chanRef)
+		if face == "OutPort" {
+			p := NewOutPort(nil, OutPortConfig{CapabilityMode: capMode})
+			reg = &p.chanRegistry
+			declare = func(i int) (any, chanRef) { w := p.Declare("c", ChannelNum(i), burst); return w, w.ch }
+			fill = func(ref chanRef) {
+				for _, item := range items {
+					_ = ref.put(item, true)
+				}
+			}
+			drain = func(ref chanRef) { transferReplies.Put(ref.take(burst)) }
+		} else {
+			p := NewWOInPort(nil, WOInPortConfig{CapabilityMode: capMode})
+			reg = &p.chanRegistry
+			declare = func(i int) (any, chanRef) { r := p.Declare("c", ChannelNum(i), burst, 1); return r, r.ch }
+			fill = func(ref chanRef) { deliverReplies.Put(ref.absorb(&DeliverRequest{Items: items})) }
+			drain = func(ref chanRef) {
+				for range items {
+					_, _ = ref.next()
+				}
+			}
+		}
+		handles, refs := make([]any, n), make([]chanRef, n)
+		before := heap()
+		for i := range handles {
+			handles[i], refs[i] = declare(i)
+		}
+		switch row {
+		case "churned":
+			for _, ref := range refs {
+				id, _ := ref.ident()
+				if _, st := reg.lookup(id); st != StatusOK {
+					t.Fatal(st)
+				}
+			}
+			for i := range n / 4 {
+				reg.retire(refs[i])
+				handles[i], refs[i] = declare(n + i)
+			}
+		case "drained":
+			for _, ref := range refs {
+				fill(ref)
+				drain(ref)
+			}
+		}
+		perChan := float64(heap()-before) / n
+		runtime.KeepAlive(handles)
+		runtime.KeepAlive(refs)
+		if perChan > ceiling {
+			t.Errorf("heap grew %.0f B a channel, ceiling %d", perChan, ceiling)
+		}
+		gauge := float64(reg.met.IdleChannelBytes.Value()) / float64(reg.met.ChannelsLive.Value())
+		if d := gauge/perChan - 1; d > drift || d < -drift {
+			t.Errorf("IdleChannelBytes gauge reads %.0f B a channel, the heap %.0f B: off by %+.0f%%", gauge, perChan, 100*d)
+		}
+		// The index share: the heap less the record, the handle and the
+		// advert list's amortised slot.
+		index := perChan - float64(unsafe.Sizeof(channel{})+unsafe.Sizeof(ChannelWriter{})) -
+			float64(uintptr(cap(reg.chans))*unsafe.Sizeof(chanRef{}))/n
+		charged := float64(indexEntryBytes(capMode))
+		if d := charged/index - 1; row == "idle" && (d > drift || d < -drift) {
+			t.Errorf("the gauge charges %.0f B for the index entry, the heap %.1f B: off by %+.0f%%", charged, index, 100*d)
+		}
+		t.Logf("heap %.0f B a channel, gauge %.0f B; index share %.1f B", perChan, gauge, index)
+		return perChan
+	}
 	for _, capMode := range []bool{false, true} {
 		for _, face := range []string{"OutPort", "WOInPort"} {
 			t.Run(fmt.Sprintf("%s/capMode=%v", face, capMode), func(t *testing.T) {
-				var reg *chanRegistry
-				var declare func(i int) any
-				if face == "OutPort" {
-					p := NewOutPort(nil, OutPortConfig{CapabilityMode: capMode})
-					reg, declare = &p.chanRegistry, func(i int) any { return p.Declare("c", ChannelNum(i), 8) }
-				} else {
-					p := NewWOInPort(nil, WOInPortConfig{CapabilityMode: capMode})
-					reg, declare = &p.chanRegistry, func(i int) any { return p.Declare("c", ChannelNum(i), 8, 1) }
+				idle := measure(t, face, capMode, "idle")
+				for _, row := range []string{"churned", "drained"} {
+					t.Run(row, func(t *testing.T) {
+						if perChan := measure(t, face, capMode, row); perChan > idle+slack {
+							t.Errorf("heap grew %.0f B a channel, %.0f B more than an idle one; slack %d", perChan, perChan-idle, slack)
+						}
+					})
 				}
-				handles := make([]any, n)
-				before := heap()
-				for i := range handles {
-					handles[i] = declare(i)
-				}
-				perChan := float64(heap()-before) / n
-				runtime.KeepAlive(handles)
-				if perChan > ceiling {
-					t.Errorf("heap grew %.0f B a channel, ceiling %d", perChan, ceiling)
-				}
-				gauge := float64(reg.met.IdleChannelBytes.Value()) / float64(reg.met.ChannelsLive.Value())
-				if d := gauge/perChan - 1; d > drift || d < -drift {
-					t.Errorf("IdleChannelBytes gauge reads %.0f B a channel, the heap %.0f B: off by %+.0f%%", gauge, perChan, 100*d)
-				}
-				t.Logf("heap %.0f B a channel, gauge %.0f B", perChan, gauge)
 			})
 		}
 	}
@@ -124,6 +192,7 @@ var passiveFaces = []string{"OutPort", "WOInPort", "PassiveBuffer"}
 // Window 2–4} × {fixed batch, BatchMin < BatchMax}.  Seeds 1–6 cover
 // the six rows once each, for pull and push alike.
 func TestPassiveBufferAgainstFIFOModel(t *testing.T) {
+	quiesce.Deadline(t, time.Minute)
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			for _, face := range passiveFaces {
@@ -522,6 +591,66 @@ func TestTwoWaitersOnePut(t *testing.T) {
 	}
 	if fmt.Sprint(got) != "[a b]" {
 		t.Errorf("the two Transfers took %v, want [a b]", got)
+	}
+}
+
+// TestSpareArraysStorm fills and drains several channels of one port at
+// once, each from its own producer and consumer, so their item arrays
+// pass through the port's spares from goroutine to goroutine (under
+// -race, the spares' audit).  Every stream arrives whole and in order,
+// and once all are drained no record holds an array and the port holds
+// no more than it had channels.
+func TestSpareArraysStorm(t *testing.T) {
+	const chans, items = 4, 3000
+	quiesce.Deadline(t, time.Minute)
+	p := NewOutPort(nil, OutPortConfig{})
+	var wg sync.WaitGroup
+	for ch := range chans {
+		w := p.Declare("c", ChannelNum(ch), 1+ch)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := range items {
+				if err := w.Put([]byte{byte(ch), byte(i >> 8), byte(i)}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			_ = w.Close()
+		}()
+		go func() {
+			defer wg.Done()
+			next := 0
+			for {
+				rep := w.ch.take(1 + next%3)
+				for _, it := range rep.Items {
+					if want := []byte{byte(ch), byte(next >> 8), byte(next)}; !bytes.Equal(it, want) {
+						t.Errorf("channel %d: item %d is %v, want %v", ch, next, it, want)
+					}
+					next++
+				}
+				end := rep.Status != StatusOK
+				transferReplies.Put(rep)
+				if end {
+					break
+				}
+			}
+			if next != items {
+				t.Errorf("channel %d: %d items arrived, want %d", ch, next, items)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, ref := range p.live() {
+		if c, ok := ref.lock(); ok {
+			if c.buf != nil {
+				t.Errorf("drained channel %d holds an array of %d slots", c.id.Num, cap(c.buf))
+			}
+			c.mu.Unlock()
+		}
+	}
+	if n := len(p.port.spares); n > chans {
+		t.Errorf("the port holds %d spare arrays for %d channels", n, chans)
 	}
 }
 
