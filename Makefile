@@ -29,11 +29,12 @@ staticcheck:
 
 ## vet-custom: the protomodel self-test — the model checker must catch
 ## its own seeded mutants before its clean verdict counts.  The analyzer
-## suite itself (discipline and fusion purity, signals under their
-## mutex, lock order and wait cycles, protomodel's credit-protocol
-## liveness) runs at zero findings in `test`, as internal/analysis's
-## TestModuleIsClean; a finding is fixed, never annotated.  What a type
-## or a runtime check holds gets no analyzer: typed atomics (`vet`),
+## suite itself (signals under their mutex, lock order and wait cycles,
+## protomodel's credit-protocol liveness) runs at zero findings in
+## `test`, as internal/analysis's TestModuleIsClean; a finding is fixed,
+## never annotated.  What a type, the import graph or a runtime check
+## holds gets no analyzer: which transput face may reach which (the
+## package layout; transput's TestPackageLayout), typed atomics (`vet`),
 ## wire.Pool's race build (`race`), the slab leak audit, and the
 ## teardown tests' goroutine and fd baselines, `quiesce.Baseline` and
 ## `quiesce.FDs`, and the cond-wait loops' own tests (`test`).
@@ -43,14 +44,17 @@ vet-custom:
 ## cover-floor: statement-coverage floor for the packages whose
 ## correctness arguments lean on tests — the wire codec/slab layer,
 ## the analyzer suite itself, the real-wire transport (bridge, remote
-## streams), the socket links and their coalescer, and the striped
-## table layer.
+## streams), the socket links and their coalescer, the striped
+## table layer, and transput's core and its two faces.
 cover-floor:
 	@./scripts/cover_floor.sh internal/wire 70
 	@./scripts/cover_floor.sh internal/analysis 70
 	@./scripts/cover_floor.sh internal/transport 70
 	@./scripts/cover_floor.sh internal/netsim 70
 	@./scripts/cover_floor.sh internal/stripemap 70
+	@./scripts/cover_floor.sh internal/transput/internal/core 70
+	@./scripts/cover_floor.sh internal/transput/internal/pull 70
+	@./scripts/cover_floor.sh internal/transput/internal/push 70
 
 ## loc: non-test, non-testdata Go lines per package and in total — the
 ## number the ROADMAP's "least code" items are judged by.  A PR that
@@ -90,7 +94,7 @@ race:
 ## Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
-	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput ./internal/netsim ./internal/transport ./internal/stripemap
+	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/transput/... ./internal/netsim ./internal/transport ./internal/stripemap
 
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for
@@ -120,7 +124,7 @@ fuzz-smoke:
 ## every broadcast — the subset CI runs on every push in addition to the full
 ## gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm' ./internal/transput/ ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm' ./internal/transput/... ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's
@@ -130,8 +134,8 @@ race-sharded:
 ## bridge's round trip, plus the parallel engine's end-to-end throughput
 ## benchmark.
 bench:
-	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCallerInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkViewLifecycle|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/ ./internal/metrics/ ./internal/wire/ ./internal/transport/
-	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/
+	$(GO) test -run XXX -bench 'BenchmarkTransferHop|BenchmarkDeliverHop|BenchmarkBuildPipeline|BenchmarkInvoke|BenchmarkCallerInvoke|BenchmarkCounterParallel|BenchmarkReadItems|BenchmarkViewLifecycle|BenchmarkBridgeInvoke' -benchmem ./internal/kernel/ ./internal/transput/... ./internal/metrics/ ./internal/wire/ ./internal/transport/
+	$(GO) test -run XXX -bench BenchmarkPipelineThroughput -benchtime 500ms ./internal/transput/...
 
 ## bench-json: regenerate the committed measurement files —
 ## BENCH_kernel.json (Figure 1/2 pipeline costs), BENCH_transput.json

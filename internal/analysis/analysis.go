@@ -8,11 +8,12 @@
 //
 // The analyzers are whole-program: a Pass sees every package of the
 // module at once (shared FileSet, per-package *types.Info), because
-// the properties they prove — discipline purity over the call graph,
-// lock order and signals under their mutex, credit-protocol liveness —
-// are inherently interprocedural.  Control flow is a hand-rolled
+// the properties they prove — lock order and signals under their mutex,
+// credit-protocol liveness — are inherently interprocedural.  Control flow is a hand-rolled
 // statement-level CFG (cfg.go) standing in for SSA.  An invariant a
-// type or a runtime check can hold gets no analyzer: every shared word
+// type, the import graph or a runtime check can hold gets no analyzer:
+// which face may reach which is transput's package layout (its
+// layout_test.go); every shared word
 // is a typed atomic (a plain access does not compile, and `go vet`'s
 // copylocks check catches a copy); slab views are audited by
 // `Slab.Close` and `wire.SlabLeaked`; a pooled record or frame used
@@ -101,8 +102,6 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 // All returns the full transput-vet suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Discipline,
-		Fusable,
 		WaitCycle,
 		ProtoModel,
 	}

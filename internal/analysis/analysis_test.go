@@ -14,22 +14,6 @@ import (
 // the acceptance check that every analyzer demonstrably fires on its
 // negative fixture.
 
-func TestDisciplineFixture(t *testing.T) {
-	diags := runFixture(t, Discipline, "discfix")
-	mustFind(t, diags, "uses push-side symbol")
-	mustFind(t, diags, "reaches push-side symbol")
-	mustFind(t, diags, "uses pull-side symbol")
-	mustFind(t, diags, "reaches pull-side symbol")
-}
-
-func TestFusableFixture(t *testing.T) {
-	diags := runFixture(t, Fusable, "fusable")
-	mustFind(t, diags, "uses port symbol")
-	mustFind(t, diags, "reaches port symbol")
-	mustFind(t, diags, "uses invocation symbol")
-	mustFind(t, diags, "reaches invocation symbol")
-}
-
 // realModule is the module loaded from source once per test binary:
 // every real-tree test reads the same Program.
 var realModule struct {
@@ -126,6 +110,7 @@ func TestLoaderIndexesModule(t *testing.T) {
 	wantSome := []string{
 		"asymstream/internal/wire",
 		"asymstream/internal/transput",
+		"asymstream/internal/transput/internal/core",
 		"asymstream/internal/analysis",
 		"asymstream/cmd/transput-vet",
 	}
@@ -159,14 +144,12 @@ func TestAnalyzerRegistry(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{
-		"discipline", "fusable", "waitcycle", "protomodel",
-	} {
+	for _, want := range []string{"waitcycle", "protomodel"} {
 		if !names[want] {
 			t.Errorf("missing analyzer %s", want)
 		}
 	}
-	if len(names) != 4 {
-		t.Errorf("%d analyzers registered, want 4", len(names))
+	if len(names) != 2 {
+		t.Errorf("%d analyzers registered, want 2", len(names))
 	}
 }

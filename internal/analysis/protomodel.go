@@ -11,7 +11,7 @@ import (
 // ProtoModel model-checks the windowed credit protocol.  The other
 // analyzers prove shapes ("this loop re-checks its predicate"); this
 // one proves behaviour: it extracts the protocol's load-bearing code
-// shapes from the transput package, maps them onto an explicit-state
+// shapes from transput's core package, maps them onto an explicit-state
 // transition system (creditmodel.go), and exhaustively explores every
 // interleaving at a small bound, reporting any reachable violation
 // with a minimal witness trace.
@@ -21,7 +21,7 @@ import (
 //   - the window gate: the wait loop comparing the in-flight count
 //     against the limit (strict `active >= limit` parks the helper; `>`
 //     would admit window+1 exchanges — I2).  The active engine states
-//     it once (transput's link.go) for both faces — Deliver against
+//     it once (core's link.go) for both faces — Deliver against
 //     the sink's credits, Transfer against the source's backlog — and
 //     a second gate anywhere in the package is a finding;
 //   - the limit update: the `1 + grant/batch` floor (without it a
@@ -34,7 +34,7 @@ import (
 //     the backlog and Broadcast (I4, I3).
 //
 // "chanCore family" means a struct with both the `wait()` helper and
-// an `abortErr` field — transput's one channel record.  OutPort,
+// an `abortErr` field — core's one channel record.  OutPort,
 // WOInPort and PassiveBuffer are all faces over it, so the shapes
 // extracted here are the ones every passive discipline runs.
 //
@@ -66,7 +66,7 @@ var ProtoLastRun *ProtoModelReport
 
 func runProtoModel(pass *Pass) error {
 	for _, pkg := range pass.Prog.Pkgs {
-		if !liveScope(pkg.Path) || !strings.HasSuffix(pkg.Path, "internal/transput") {
+		if !liveScope(pkg.Path) || !strings.HasSuffix(pkg.Path, "internal/transput/internal/core") {
 			continue
 		}
 		checkProtoPackage(pass, pkg)
@@ -447,11 +447,11 @@ func minArgs(info *types.Info, e ast.Expr) []ast.Expr {
 	return call.Args
 }
 
-// isWindowField matches `x.window`, the bound the clamp holds the limit
-// to.
+// isWindowField matches `x.window` (`x.Window` where the faces read it
+// from another package), the bound the clamp holds the limit to.
 func isWindowField(e ast.Expr) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "window"
+	return ok && (sel.Sel.Name == "window" || sel.Sel.Name == "Window")
 }
 
 func isLitOne(e ast.Expr) bool {

@@ -98,8 +98,8 @@ func TestProtoExtractionCoversPassiveBuffer(t *testing.T) {
 	for _, wl := range sh.waitLoops {
 		loops[within(wl.pos)]++
 	}
-	const rec = "asymstream/internal/transput.chanRef."
-	if loops[rec+"absorb"] != 2 || loops[rec+"take"] != 1 {
+	const rec = "asymstream/internal/transput/internal/core.ChanRef."
+	if loops[rec+"Absorb"] != 2 || loops[rec+"Take"] != 1 {
 		t.Errorf("wait loops reached from PassiveBuffer.Serve: %v; want 2 in absorb (Deliver face) and 1 in take (Transfer face)", loops)
 	}
 	for _, ab := range sh.aborters {
@@ -112,9 +112,9 @@ func TestProtoExtractionCoversPassiveBuffer(t *testing.T) {
 func loadRealTransput(t *testing.T) (*Program, *Package) {
 	t.Helper()
 	prog := loadModule(t)
-	pkg := prog.Package("asymstream/internal/transput")
+	pkg := prog.Package("asymstream/internal/transput/internal/core")
 	if pkg == nil {
-		t.Fatal("transput package not loaded")
+		t.Fatal("transput core package not loaded")
 	}
 	return prog, pkg
 }

@@ -13,6 +13,8 @@ import (
 	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
+
+	"asymstream/internal/transput/internal/core"
 )
 
 // stormItem builds producer w's item seq in buf: a three-byte header
@@ -140,12 +142,12 @@ func TestPutArenaStorm(t *testing.T) {
 		go func() {
 			defer close(done)
 			for {
-				rep := w.ch.take(8)
+				rep := w.Ref().Take(8)
 				for _, it := range rep.Items {
 					c.check(it)
 				}
 				end := rep.Status != StatusOK
-				transferReplies.Put(rep)
+				core.TransferReplies.Put(rep)
 				if end {
 					return
 				}

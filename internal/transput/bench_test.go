@@ -1,6 +1,7 @@
 package transput
 
 import (
+	"asymstream/internal/quiesce"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +10,6 @@ import (
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
-	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 )
 
@@ -330,69 +330,6 @@ func warmDeliverHopAllocs(t *testing.T, p *Pusher) float64 {
 	return testing.AllocsPerRun(200, hop)
 }
 
-// TestWindowOneRunsOnTheCaller pins DESIGN §7.2's sentence "at Window 1
-// both ports are exactly the sequential implementations": a port built
-// with Window 1 spelled out (and no Prefetch) is the stop-and-wait port.
-// Constructing it and running a thousand hops starts no goroutine —
-// every exchange runs on the port's own caller — at the stop-and-wait
-// allocation ceilings, and a push carries no Writer, so the sink never
-// attaches a sequence gate.
-func TestWindowOneRunsOnTheCaller(t *testing.T) {
-	t.Run("pull", func(t *testing.T) {
-		k := kernel.New(kernel.Config{})
-		defer k.Shutdown()
-		id, st := hopSource(t, k)
-		eventually(t, "the source is running", func() bool { return st.Out().Buffered() > 0 })
-		goroutines := quiesce.Baseline(t)
-		in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 1, Window: 1})
-		defer in.Cancel("test done")
-		n := warmTransferHopAllocs(t, st, in)
-		for i := 0; i < 1000-allocWarmup-201; i++ {
-			if _, err := in.Next(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		goroutines()
-		if n > transferHopCeiling && !raceEnabled { // see raceParksPuts
-			t.Errorf("warm Window-1 Transfer hop: %.1f allocs/op, ceiling %d", n, transferHopCeiling)
-		}
-		if got := in.TransfersIssued(); got != 1000 {
-			t.Errorf("1000 hops at batch 1 issued %d Transfers", got)
-		}
-	})
-	t.Run("push", func(t *testing.T) {
-		k := kernel.New(kernel.Config{})
-		defer k.Shutdown()
-		id, st := hopSink(t, k)
-		goroutines := quiesce.Baseline(t)
-		p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: 1})
-		defer p.Close()
-		n := warmDeliverHopAllocs(t, p)
-		for i := 0; i < 1000-allocWarmup-201; i++ {
-			if err := p.Put([]byte("sixteen-byte-pay")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		goroutines()
-		if n > deliverHopCeiling {
-			t.Errorf("warm Window-1 Deliver hop: %.1f allocs/op, ceiling %d", n, deliverHopCeiling)
-		}
-		if got := p.DeliversIssued(); got != 1000 {
-			t.Errorf("1000 hops at batch 1 issued %d Delivers", got)
-		}
-		if !p.req.Writer.IsNil() || !p.writer.IsNil() {
-			t.Errorf("Window-1 pusher carries Writer %v / %v, want none", p.req.Writer, p.writer)
-		}
-		ch := st.Reader(0).ch.c
-		ch.mu.Lock()
-		gate := ch.seq
-		ch.mu.Unlock()
-		if gate != nil {
-			t.Error("the sink attached a sequence gate for a Window-1 writer")
-		}
-	})
-}
-
 // TestWindowedTransferHopAllocs pins the windowed pull path: a reply
 // that waits for its turn must ride on the same pooled replies and
 // reused request records as the stop-and-wait hop, and the turn itself
@@ -591,6 +528,66 @@ func BenchmarkRecordCodec(b *testing.B) {
 			if _, err := r.Read(); err != nil && err != io.EOF {
 				b.Fatal(err)
 			}
+		}
+	})
+}
+
+// TestWindowOneRunsOnTheCaller pins DESIGN §7.2's sentence "at Window 1
+// both ports are exactly the sequential implementations": a port built
+// with Window 1 spelled out (and no Prefetch) is the stop-and-wait port.
+// Constructing it and running a thousand hops starts no goroutine —
+// every exchange runs on the port's own caller — at the stop-and-wait
+// allocation ceilings, and a push carries no Writer, so the sink never
+// attaches a sequence gate.
+func TestWindowOneRunsOnTheCaller(t *testing.T) {
+	t.Run("pull", func(t *testing.T) {
+		k := kernel.New(kernel.Config{})
+		defer k.Shutdown()
+		id, st := hopSource(t, k)
+		eventually(t, "the source is running", func() bool { return st.Out().Buffered() > 0 })
+		goroutines := quiesce.Baseline(t)
+		in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Batch: 1, Window: 1})
+		defer in.Cancel("test done")
+		n := warmTransferHopAllocs(t, st, in)
+		for i := 0; i < 1000-allocWarmup-201; i++ {
+			if _, err := in.Next(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		goroutines()
+		if n > transferHopCeiling && !raceEnabled { // see raceParksPuts
+			t.Errorf("warm Window-1 Transfer hop: %.1f allocs/op, ceiling %d", n, transferHopCeiling)
+		}
+		if got := in.TransfersIssued(); got != 1000 {
+			t.Errorf("1000 hops at batch 1 issued %d Transfers", got)
+		}
+	})
+	t.Run("push", func(t *testing.T) {
+		k := kernel.New(kernel.Config{})
+		defer k.Shutdown()
+		id, st := hopSink(t, k)
+		goroutines := quiesce.Baseline(t)
+		p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: 1})
+		defer p.Close()
+		n := warmDeliverHopAllocs(t, p)
+		for i := 0; i < 1000-allocWarmup-201; i++ {
+			if err := p.Put([]byte("sixteen-byte-pay")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		goroutines()
+		if n > deliverHopCeiling {
+			t.Errorf("warm Window-1 Deliver hop: %.1f allocs/op, ceiling %d", n, deliverHopCeiling)
+		}
+		if got := p.DeliversIssued(); got != 1000 {
+			t.Errorf("1000 hops at batch 1 issued %d Delivers", got)
+		}
+		ch := st.Reader(0).Ref().C
+		ch.Mu.Lock()
+		gate := ch.Seq
+		ch.Mu.Unlock()
+		if gate != nil {
+			t.Error("the sink attached a sequence gate for a Window-1 writer")
 		}
 	})
 }

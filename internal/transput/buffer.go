@@ -6,6 +6,8 @@ import (
 	"asymstream/internal/kernel"
 	"asymstream/internal/metrics"
 	"asymstream/internal/wire"
+
+	"asymstream/internal/transput/internal/core"
 )
 
 // PassiveBuffer is a Unix-pipe-like Eject: it performs passive input
@@ -27,8 +29,8 @@ import (
 // abort follows the passive-input rule.
 type PassiveBuffer struct {
 	name string
-	port chanPort // the record's spares are its own
-	ch   chanRef
+	port core.ChanPort // the record's spares are its own
+	ch   core.ChanRef
 }
 
 // PassiveBufferConfig parameterises a PassiveBuffer.
@@ -45,11 +47,11 @@ type PassiveBufferConfig struct {
 // NewPassiveBuffer creates a passive buffer Eject.  k may be nil in
 // unit tests (metering is then dropped).
 func NewPassiveBuffer(k *kernel.Kernel, cfg PassiveBufferConfig) *PassiveBuffer {
-	b := &PassiveBuffer{name: cfg.Name, port: chanPort{met: &metrics.Set{}}}
+	b := &PassiveBuffer{name: cfg.Name, port: core.ChanPort{Met: &metrics.Set{}}}
 	if k != nil {
-		b.port.met = k.Metrics()
+		b.port.Met = k.Metrics()
 	}
-	b.ch = acquireChannel(&b.port, cfg.Name, Chan(0), inputCapacity(cfg.Capacity), cfg.Writers)
+	b.ch = core.AcquireChannel(&b.port, cfg.Name, Chan(0), core.InputCapacity(cfg.Capacity), cfg.Writers)
 	return b
 }
 
@@ -70,13 +72,13 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		if !ok {
 			break
 		}
-		b.port.met.DeliverInvocations.Inc()
-		rep := b.ch.absorb(req)
+		b.port.Met.DeliverInvocations.Inc()
+		rep := b.ch.Absorb(req)
 		if rep == nil {
 			wire.ReleaseAll(req.Items) // never absorbed
 			rep = &DeliverReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
 		}
-		deliverRequests.Put(req)
+		core.DeliverRequests.Put(req)
 		inv.Reply(rep)
 		return
 	case OpTransfer:
@@ -84,9 +86,9 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		if !ok {
 			break
 		}
-		b.port.met.TransferInvocations.Inc()
-		rep := b.ch.take(req.Max)
-		transferRequests.Put(req)
+		b.port.Met.TransferInvocations.Inc()
+		rep := b.ch.Take(req.Max)
+		core.TransferRequests.Put(req)
 		if rep == nil {
 			rep = &TransferReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}
 		}
@@ -97,7 +99,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 		if !ok {
 			break
 		}
-		b.ch.abort(&AbortedError{Msg: req.Msg}, true)
+		b.ch.Abort(&AbortedError{Msg: req.Msg}, true)
 		inv.Reply(&AbortReply{})
 		return
 	case OpChannels:
@@ -114,16 +116,19 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 // The Eject is going away, so the backlog is unreachable: it is
 // dropped, releasing any slab views among the items.
 func (b *PassiveBuffer) OnDeactivate() {
-	if _, ok := b.ch.retire(errDeactivated); ok {
-		b.ch.release()
+	if _, ok := b.ch.Retire(errDeactivated); ok {
+		b.ch.Release()
 	}
 }
 
 // Buffered reports the items currently queued.
 func (b *PassiveBuffer) Buffered() (n int) {
-	if c, ok := b.ch.lock(); ok {
-		n = c.buffered()
-		c.mu.Unlock()
+	if c, ok := b.ch.Lock(); ok {
+		n = c.Buffered()
+		c.Mu.Unlock()
 	}
 	return n
 }
+
+// Ref is the buffer's record reference, for code that inspects it.
+func (b *PassiveBuffer) Ref() core.ChanRef { return b.ch }

@@ -11,6 +11,8 @@ import (
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
+
+	"asymstream/internal/transput/internal/itemio"
 )
 
 // passFilter hands items through with ownership transfer — the idiom
@@ -327,7 +329,7 @@ func TestRedirectAcrossFusedBoundary(t *testing.T) {
 
 	// Fused group A: endless source | upcase, compiled exactly as the
 	// pipeline builder would compile a co-located source+filter group.
-	endless := composeBodies([]Body{
+	endless := itemio.ComposeBodies([]Body{
 		func(_ []ItemReader, outs []ItemWriter) error {
 			for i := 0; ; i++ {
 				if err := outs[0].Put([]byte(fmt.Sprintf("old%d", i))); err != nil {
@@ -346,7 +348,7 @@ func TestRedirectAcrossFusedBoundary(t *testing.T) {
 
 	// Fused group B: finite source | upcase.
 	b := NewROStage(k, ROStageConfig{Name: "groupB", PoolWorkers: 8, PoolPinned: true},
-		composeBodies([]Body{sourceAsBody(numbersSource(2)), upcaseFilter}))
+		itemio.ComposeBodies([]Body{sourceAsBody(numbersSource(2)), upcaseFilter}))
 	bUID := k.NewUID()
 	if err := k.CreateWithUID(bUID, b, 0); err != nil {
 		t.Fatal(err)

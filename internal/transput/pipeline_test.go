@@ -1,10 +1,12 @@
 package transput
 
 import (
+	"asymstream/internal/uid"
 	"bytes"
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -246,4 +248,81 @@ type snapshotGetter struct {
 
 func (s snapshotGetter) Get(name string) int64 {
 	return s.after.Get(name) - s.before.Get(name)
+}
+
+// registerItems creates and registers an ROStage serving the given
+// items on its primary channel, returning its UID and stage.
+func registerItems(t *testing.T, k *kernel.Kernel, items [][]byte, cfg ROStageConfig) (uid.UID, *ROStage) {
+	t.Helper()
+	if cfg.Name == "" {
+		cfg.Name = "test-source"
+	}
+	st := NewROStage(k, cfg, func(_ []ItemReader, outs []ItemWriter) error {
+		for _, it := range items {
+			if err := outs[0].Put(it); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	id := k.NewUID()
+	if err := k.CreateWithUID(id, st, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.LazyStart {
+		st.Start()
+	}
+	return id, st
+}
+
+func numbered(n int) [][]byte {
+	items := make([][]byte, n)
+	for i := range items {
+		items[i] = []byte(fmt.Sprintf("item-%d", i))
+	}
+	return items
+}
+
+func drainAll(t *testing.T, in *InPort) [][]byte {
+	t.Helper()
+	var got [][]byte
+	for {
+		item, err := in.Next()
+		if err == io.EOF {
+			return got
+		}
+		if err != nil {
+			t.Fatalf("Next: %v", err)
+		}
+		got = append(got, item)
+	}
+}
+
+// registerWOSink creates and registers a WOStage that collects its
+// input items into *got (guarded by mu).
+func registerWOSink(t *testing.T, k *kernel.Kernel, got *[][]byte, mu *sync.Mutex, cfg WOStageConfig) (uid.UID, *WOStage) {
+	t.Helper()
+	if cfg.Name == "" {
+		cfg.Name = "test-sink"
+	}
+	st := NewWOStage(k, cfg, func(ins []ItemReader, _ []ItemWriter) error {
+		for {
+			item, err := ins[0].Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			*got = append(*got, item)
+			mu.Unlock()
+		}
+	})
+	id := k.NewUID()
+	if err := k.CreateWithUID(id, st, 0); err != nil {
+		t.Fatal(err)
+	}
+	st.Start()
+	return id, st
 }

@@ -8,6 +8,8 @@ import (
 
 	"asymstream/internal/metrics"
 	"asymstream/internal/wire"
+
+	"asymstream/internal/transput/internal/itemio"
 )
 
 // Stage sharding — the parallel stream engine's fan-out/fan-in layer.
@@ -277,7 +279,7 @@ func (w *shardWriter) Put(item []byte) error {
 		return s.emit(frameEpilogue, s.cur, item)
 	case !s.started:
 		// Output before any input: held until attribution is known.
-		s.pre = append(s.pre, copyItem(&s.arena, item))
+		s.pre = append(s.pre, itemio.CopyItem(&s.arena, item))
 		return nil
 	default:
 		if err := s.emit(frameData, s.cur, item); err != nil {

@@ -8,20 +8,6 @@ import (
 	"asymstream/internal/kernel"
 )
 
-// Body is the discipline-neutral code of a stage: it consumes items
-// from its input readers (ins[0] is the primary input) and produces
-// items on its output writers (outs[0] is the primary output).  The
-// same Body runs unchanged under all three disciplines, demonstrating
-// the paper's point that the discipline is a property of the
-// *inter-Eject interfaces*: "The filter process itself would be
-// programmed in the conventional way and make use of the Write
-// operations whenever necessary" (§4).
-//
-// A Body must return when its inputs are exhausted or its outputs
-// fail; it need not close its writers — the stage harness does that,
-// propagating errors as aborts.
-type Body func(ins []ItemReader, outs []ItemWriter) error
-
 // EdenType names used by the stage Ejects.
 const (
 	TypeROStage   = "transput.ROStage"
@@ -98,7 +84,7 @@ func (r *stageRun) OnDeactivate() {
 	endStreams(r.ins, r.outs, errStageDeactivated, errStageDeactivated.Msg)
 	for _, w := range r.outs {
 		if cw, ok := w.(*ChannelWriter); ok {
-			cw.ch.abort(errStageDeactivated, true)
+			cw.Discard(errStageDeactivated)
 		}
 	}
 }

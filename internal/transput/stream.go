@@ -5,65 +5,9 @@ import (
 	"io"
 
 	"asymstream/internal/wire"
+
+	"asymstream/internal/transput/internal/itemio"
 )
-
-// ItemReader is the discipline-neutral consumer interface.  Filters
-// are written against ItemReader/ItemWriter so the same filter code
-// runs under the read-only, write-only and conventional disciplines —
-// mirroring the paper's point that the discipline is a property of the
-// *inter-Eject interfaces*, not of the filter's logic.
-//
-// Next returns the next stream item.  At end of stream it returns
-// (nil, io.EOF).  Items are owned by the caller.
-type ItemReader interface {
-	Next() ([]byte, error)
-}
-
-// ItemWriter is the discipline-neutral producer interface.  Put may
-// block: in the read-only discipline that is the bounded anticipatory
-// buffer filling up; in the write-only and conventional disciplines it
-// is downstream back pressure.  Close marks normal end of stream;
-// CloseWithError(err) (err != nil) aborts it.
-type ItemWriter interface {
-	Put(item []byte) error
-	Close() error
-	CloseWithError(err error) error
-}
-
-// OwnedItemWriter is implemented by writers that can take ownership of
-// the item slice itself, skipping the defensive copy Put makes.  The
-// caller must not retain or mutate item after PutOwned returns;
-// ownership transfers even when PutOwned fails (the writer releases a
-// dropped slab view).
-type OwnedItemWriter interface {
-	ItemWriter
-	PutOwned(item []byte) error
-}
-
-// copyItem is the copy every copying Put makes (wire.Arena: small items
-// share a heap block, so a datum is not an allocation), into the
-// writer's arena, which the writer's first copy creates — a writer that
-// never copies holds none.  The caller serialises it with the rest of
-// its Put.
-func copyItem(a **wire.Arena, item []byte) []byte {
-	if *a == nil {
-		*a = new(wire.Arena)
-	}
-	return (*a).Copy(item)
-}
-
-// PutOwned hands item to w with ownership transfer when w supports it.
-// Otherwise it falls back to the copying Put and releases item's slab
-// view (if it is one) on the caller's behalf — the caller has given the
-// item up either way.
-func PutOwned(w ItemWriter, item []byte) error {
-	if ow, ok := w.(OwnedItemWriter); ok {
-		return ow.PutOwned(item)
-	}
-	err := w.Put(item)
-	wire.Release(item)
-	return err
-}
 
 // detachReader hands the consuming body outright ownership of every
 // item: you own the bytes.  Over a real link an item of
@@ -147,7 +91,7 @@ func (w *CollectWriter) Put(item []byte) error {
 	if w.closed {
 		return ErrClosed
 	}
-	w.Items = append(w.Items, copyItem(&w.arena, item))
+	w.Items = append(w.Items, itemio.CopyItem(&w.arena, item))
 	return nil
 }
 
