@@ -114,6 +114,24 @@ func TestStaleHandle(t *testing.T) {
 		{"Deliver", true, func(s stale) (any, any) {
 			return s.ref.Absorb(&core.DeliverRequest{Items: [][]byte{item()}, End: true}) == nil, true
 		}},
+		// A PassiveBuffer's Buffered and OnDeactivate, as the record
+		// calls they make (transput's TestStalePassiveBuffer runs the
+		// Eject's own methods).
+		{"Buffered", true, func(s stale) (any, any) {
+			n := 0
+			if c, ok := s.ref.Lock(); ok {
+				n = c.Buffered()
+				c.Mu.Unlock()
+			}
+			return n, 0
+		}},
+		{"OnDeactivate", true, func(s stale) (any, any) {
+			_, ok := s.ref.Retire(&itemio.AbortedError{Msg: "buffer deactivated"})
+			if ok {
+				s.ref.Release()
+			}
+			return ok, false
+		}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			s, next := reissue(t, row.input)
