@@ -134,6 +134,39 @@ func SourceSpec(channel transput.ChannelID) Spec {
 	}
 }
 
+// SinkSpec is SourceSpec's dual, the abstract stream sink: it answers
+// a Deliver of one item on the given channel with OK and its
+// flow-control grant — write-only transput's "exact dual" of a source
+// (§5).  A sink that is full once the item is in grants zero, so any
+// grant that is not negative conforms.
+func SinkSpec(channel transput.ChannelID) Spec {
+	return Spec{
+		Name: "stream sink",
+		Probes: []Probe{
+			{
+				Name: "Deliver of one item answers OK with credits",
+				Op:   transput.OpDeliver,
+				Request: func() any {
+					return &transput.DeliverRequest{Channel: channel, Items: [][]byte{[]byte("spec-probe-item")}}
+				},
+				Validate: func(raw any) error {
+					rep, err := expect[*transput.DeliverReply](raw)
+					if err != nil {
+						return err
+					}
+					if rep.Status != transput.StatusOK {
+						return fmt.Errorf("Deliver status %v", rep.Status)
+					}
+					if rep.Credits < 0 {
+						return fmt.Errorf("Deliver granted %d credits", rep.Credits)
+					}
+					return nil
+				},
+			},
+		},
+	}
+}
+
 // MapSpec is §6's random-access abstract machine.
 func MapSpec() Spec {
 	return Spec{
