@@ -45,16 +45,19 @@ vet-custom:
 ## correctness arguments lean on tests — the wire codec/slab layer,
 ## the analyzer suite itself, the real-wire transport (bridge, remote
 ## streams), the socket links and their coalescer, the striped
-## table layer, and transput's core and its two faces.
+## table layer, transput (the walk and the stage Eject) with its core
+## and its two faces, and spec, whose probes gate the stage Eject.
 cover-floor:
 	@./scripts/cover_floor.sh internal/wire 70
 	@./scripts/cover_floor.sh internal/analysis 70
 	@./scripts/cover_floor.sh internal/transport 70
 	@./scripts/cover_floor.sh internal/netsim 70
 	@./scripts/cover_floor.sh internal/stripemap 70
+	@./scripts/cover_floor.sh internal/transput 70
 	@./scripts/cover_floor.sh internal/transput/internal/core 70
 	@./scripts/cover_floor.sh internal/transput/internal/pull 70
 	@./scripts/cover_floor.sh internal/transput/internal/push 70
+	@./scripts/cover_floor.sh internal/spec 70
 
 ## loc: non-test, non-testdata Go lines per package and in total — the
 ## number the ROADMAP's "least code" items are judged by.  A PR that

@@ -110,7 +110,7 @@ func roFanIn(kn *kernel.Kernel, k, items int) (int64, error) {
 		readers[i] = in
 	}
 	var moved int64
-	sink := transput.NewSinkEject("merger", func(rs []transput.ItemReader) error {
+	sink := transput.NewConvStage("merger", func(rs []transput.ItemReader, _ []transput.ItemWriter) error {
 		for _, r := range rs {
 			n, err := transput.Drain(r)
 			if err != nil {
@@ -119,7 +119,7 @@ func roFanIn(kn *kernel.Kernel, k, items int) (int64, error) {
 			moved += int64(n)
 		}
 		return nil
-	}, readers...)
+	}, readers, nil)
 	sinkID := kn.NewUID()
 	if err := kn.CreateWithUID(sinkID, sink, 0); err != nil {
 		return 0, err
@@ -134,7 +134,7 @@ func roFanIn(kn *kernel.Kernel, k, items int) (int64, error) {
 func woFanOut(kn *kernel.Kernel, k, items int) (int64, error) {
 	var moved int64
 	var mu sync.Mutex
-	var sinks []*transput.WOStage
+	var sinks []*transput.Stage
 	var pushers []transput.ItemWriter
 	srcID := kn.NewUID()
 	for i := 0; i < k; i++ {
@@ -247,7 +247,7 @@ func woFanIn(kn *kernel.Kernel, k, items int) (int64, error) {
 			return 0, err
 		}
 		wg.Add(1)
-		go func(s *transput.ConvStage) {
+		go func(s *transput.Stage) {
 			defer wg.Done()
 			s.Start()
 			if err := s.Err(); err != nil {

@@ -245,7 +245,7 @@ func RunFigure4(items int, capabilityMode bool) (FigureResult, error) {
 	var count int64
 	sinkUID := k.NewUID()
 	sinkIn := transput.NewInPort(k, sinkUID, f2UID, f2.Writer(0).ID(), transput.InPortConfig{})
-	sink := transput.NewSinkEject("sink", func(ins []transput.ItemReader) error {
+	sink := transput.NewConvStage("sink", func(ins []transput.ItemReader, _ []transput.ItemWriter) error {
 		for {
 			_, err := ins[0].Next()
 			if err == io.EOF {
@@ -256,7 +256,7 @@ func RunFigure4(items int, capabilityMode bool) (FigureResult, error) {
 			}
 			count++
 		}
-	}, sinkIn)
+	}, []transput.ItemReader{sinkIn}, nil)
 	if err := k.CreateWithUID(sinkUID, sink, 0); err != nil {
 		return FigureResult{}, err
 	}

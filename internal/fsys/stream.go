@@ -13,7 +13,7 @@ import (
 // when closed (explicitly, or implicitly once fully drained) it
 // deactivates itself and disappears.
 type streamEject struct {
-	stage *transput.ROStage
+	stage *transput.Stage
 	k     *kernel.Kernel
 	self  uid.UID
 }

@@ -204,7 +204,7 @@ func digestItem(h hash.Hash, item []byte) {
 }
 
 // TestInPortPullsROStageThroughProxy: a transput InPort on one kernel
-// pulls an ROStage source on another through AttachProxy, four Transfers
+// pulls a read-only stage source on another through AttachProxy, four Transfers
 // in flight, over unix and over tcp.  A whole stream arrives as the
 // generator made it.  A stream cancelled part-way leaves both kernels'
 // slab audits at zero, and the goroutines and fds back at their

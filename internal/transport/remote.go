@@ -115,7 +115,7 @@ func (c *controlEject) Serve(inv *kernel.Invocation) {
 		inv.Fail(err)
 		return
 	}
-	st := &sourceStage{k: c.k, ROStage: transput.NewROStage(c.k,
+	st := &sourceStage{k: c.k, Stage: transput.NewROStage(c.k,
 		transput.ROStageConfig{Name: "remote " + spec, CapabilityMode: true, LazyStart: true},
 		func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
 			defer src.Close()
@@ -151,7 +151,7 @@ func RegisterControl(k *kernel.Kernel, open OpenFunc) error {
 // body copies its ItemSource into the channel and closes the source on
 // the way out, plus Remote.Close, which destroys it.
 type sourceStage struct {
-	*transput.ROStage
+	*transput.Stage
 	k  *kernel.Kernel
 	id uid.UID
 }
@@ -159,7 +159,7 @@ type sourceStage struct {
 // Serve implements kernel.Eject.
 func (s *sourceStage) Serve(inv *kernel.Invocation) {
 	if inv.Op != opClose {
-		s.ROStage.Serve(inv)
+		s.Stage.Serve(inv)
 		return
 	}
 	// The transient source disappears (§7).
@@ -171,7 +171,7 @@ func (s *sourceStage) Serve(inv *kernel.Invocation) {
 // nothing ever pulled the stream: it finds the channel aborted at its
 // first Put and closes the source.
 func (s *sourceStage) OnDeactivate() {
-	s.ROStage.OnDeactivate()
+	s.Stage.OnDeactivate()
 	s.Start()
 }
 

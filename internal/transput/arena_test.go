@@ -238,7 +238,7 @@ func putStream(from, to int, owned bool, put, putOwned func([]byte) error) (shar
 
 // retainingSink starts a write-only sink on node that checks and keeps
 // the first n items it reads (all of them, for n < 0).
-func retainingSink(t *testing.T, k *kernel.Kernel, node netsim.NodeID, c *stormChecker, n int) (uid.UID, *WOStage) {
+func retainingSink(t *testing.T, k *kernel.Kernel, node netsim.NodeID, c *stormChecker, n int) (uid.UID, *Stage) {
 	t.Helper()
 	sink := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 16},
 		func(ins []ItemReader, _ []ItemWriter) error {
@@ -344,7 +344,7 @@ func TestPutCopyRecycleOwnership(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range []*WOStage{sinka, sinkb} {
+		for _, s := range []*Stage{sinka, sinkb} {
 			if err := s.Err(); err != nil {
 				t.Fatal(err)
 			}

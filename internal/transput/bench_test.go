@@ -24,7 +24,7 @@ func benchKernel(b *testing.B) *kernel.Kernel {
 
 // hopSource registers and starts an endless source of 16-byte items
 // behind a 1024-item anticipation buffer.
-func hopSource(tb testing.TB, k *kernel.Kernel) (uid.UID, *ROStage) {
+func hopSource(tb testing.TB, k *kernel.Kernel) (uid.UID, *Stage) {
 	tb.Helper()
 	st := NewROStage(k, ROStageConfig{Name: "src", Anticipation: 1024},
 		func(_ []ItemReader, outs []ItemWriter) error {
@@ -43,7 +43,7 @@ func hopSource(tb testing.TB, k *kernel.Kernel) (uid.UID, *ROStage) {
 }
 
 // hopSink registers and starts a sink that drains a 1024-item buffer.
-func hopSink(tb testing.TB, k *kernel.Kernel) (uid.UID, *WOStage) {
+func hopSink(tb testing.TB, k *kernel.Kernel) (uid.UID, *Stage) {
 	tb.Helper()
 	st := NewWOStage(k, WOStageConfig{Name: "sink", Capacity: 1024},
 		func(ins []ItemReader, _ []ItemWriter) error {
@@ -184,7 +184,7 @@ const transferHopCeiling = 1 // 0 measured
 const raceParksPuts = "a pooled record's Put parks its caller under the race detector"
 
 // warmTransferHopAllocs warms the pull up and measures one hop.
-func warmTransferHopAllocs(t *testing.T, st *ROStage, in *InPort) float64 {
+func warmTransferHopAllocs(t *testing.T, st *Stage, in *InPort) float64 {
 	t.Helper()
 	hop := func() {
 		if _, err := in.Next(); err != nil {

@@ -80,13 +80,7 @@ var goldenPlacements = []struct {
 // sequence is the construction order Start and Wait depend on.
 func starterName(s interface{ Start() }) string {
 	switch st := s.(type) {
-	case *ROStage:
-		return st.name
-	case *WOStage:
-		return st.name
-	case *ConvStage:
-		return st.name
-	case *SinkEject:
+	case *Stage:
 		return st.name
 	}
 	return fmt.Sprintf("%T", s)

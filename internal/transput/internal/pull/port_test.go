@@ -20,9 +20,9 @@ import (
 	"asymstream/internal/transput/internal/pull"
 )
 
-// registerItems creates and registers an ROStage serving the given
+// registerItems creates and registers a read-only stage serving the given
 // items on its primary channel, returning its UID and stage.
-func registerItems(t *testing.T, k *kernel.Kernel, items [][]byte, cfg transput.ROStageConfig) (uid.UID, *transput.ROStage) {
+func registerItems(t *testing.T, k *kernel.Kernel, items [][]byte, cfg transput.ROStageConfig) (uid.UID, *transput.Stage) {
 	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "test-source"

@@ -17,9 +17,9 @@ import (
 	"asymstream/internal/transput/internal/push"
 )
 
-// registerWOSink creates and registers a WOStage that collects its
+// registerWOSink creates and registers a write-only stage that collects its
 // input items into *got (guarded by mu).
-func registerWOSink(t *testing.T, k *kernel.Kernel, got *[][]byte, mu *sync.Mutex, cfg transput.WOStageConfig) (uid.UID, *transput.WOStage) {
+func registerWOSink(t *testing.T, k *kernel.Kernel, got *[][]byte, mu *sync.Mutex, cfg transput.WOStageConfig) (uid.UID, *transput.Stage) {
 	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "test-sink"

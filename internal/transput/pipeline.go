@@ -258,9 +258,8 @@ type Pipeline struct {
 	shardLoads [][]*atomic.Int64
 	slabs      []*wire.Slab
 
-	starters []interface{ Start() }
-	sinkDone <-chan struct{}
-	sinkErr  func() error
+	starters []*Stage
+	sink     *Stage
 	stageErr []func() error
 	allUIDs  []uid.UID
 }
@@ -305,8 +304,8 @@ func (p *Pipeline) Start() {
 // returns the pipeline's error, preferring the originating stage's
 // error over the sink's derived abort.
 func (p *Pipeline) Wait() error {
-	<-p.sinkDone
-	serr := p.sinkErr()
+	<-p.sink.Done()
+	serr := p.sink.Err()
 	if serr == nil {
 		return nil
 	}
@@ -381,14 +380,6 @@ func BuildPipeline(k *kernel.Kernel, d Discipline, src SourceFunc, fs []Filter, 
 		met.FusedStages.Add(int64(p.FusedStages))
 	}
 	return p, nil
-}
-
-// stage is what the four stage Ejects share through stageRun.
-type stage interface {
-	kernel.Eject
-	Start()
-	Err() error
-	Done() <-chan struct{}
 }
 
 // wire is the walk.  Link i joins chain[i] to chain[i+1].  Each step
@@ -466,18 +457,22 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 			var body Body
 			lup, ldown, nin, nout := up, down, win, wout
 			if e.shards > 1 {
-				// A shard: frames in on its lane, frames out on its lane; the
-				// shard reader detaches what it hands the body (detachPayload).
+				// A shard: frames in on its lane, frames out on its lane.  The
+				// shard reader keeps its own detach (detachPayload) because the
+				// item it hands the body is the frame with its header stripped.
 				p.shardLoads[i-1][j] = new(atomic.Int64)
 				name = fmt.Sprintf("%s#%d", e.name, j)
 				body = shardBody(met, slab, p.shardLoads[i-1][j], e.body)
 				lup, ldown, nin, nout = lane(up, j), lane(down, j), 1, 1
 			} else {
-				// Sequential: the user body owns what it reads; it merges a
-				// sharded upstream and splits toward a sharded downstream.
-				body = detachBody(e.body)
+				// Sequential: the user body owns what it reads, detached once
+				// an item — by the merger (detachPayload) over a wide inbound
+				// link, by detachBody over a narrow one; it splits toward a
+				// sharded downstream.
 				if win > 1 {
-					body = mergeBody(met, body)
+					body = mergeBody(met, e.body)
+				} else {
+					body = detachBody(e.body)
 				}
 				if wout > 1 {
 					body = splitBody(met, slab, body)
@@ -492,10 +487,10 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 				outs[c] = NewPusher(k, id, ep.u, ep.c, outCfg)
 			}
 
-			var st stage
+			var st *Stage
 			switch {
 			case !push && e.role != RoleSink: // passive output
-				ro := NewROStage(k, ROStageConfig{
+				st = NewROStage(k, ROStageConfig{
 					Name:           name,
 					OutNames:       channelNames("Output", nout),
 					Anticipation:   opt.Anticipation,
@@ -505,11 +500,10 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 					PoolPinned:     poolPinned,
 				}, body, ins...)
 				for c := 0; c < nout; c++ {
-					declared = append(declared, endpoint{id, ro.Writer(c).ID()})
+					declared = append(declared, endpoint{id, st.Writer(c).ID()})
 				}
-				st = ro
 			case !pull && e.role != RoleSource: // passive input
-				wo := NewWOStage(k, WOStageConfig{
+				st = NewWOStage(k, WOStageConfig{
 					Name:           name,
 					InNames:        channelNames("Input", nin),
 					Capacity:       opt.Anticipation,
@@ -518,12 +512,9 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 					PoolPinned:     poolPinned,
 				}, body, outs...)
 				for c := 0; c < nin; c++ {
-					declared = append(declared, endpoint{id, wo.Reader(c).ID()})
+					declared = append(declared, endpoint{id, st.Reader(c).ID()})
 				}
-				st = wo
-			case e.role == RoleSink: // the pump: active input, no output
-				st = NewSinkEject(name, func(ins []ItemReader) error { return body(ins, nil) }, ins...)
-			default: // active at both ends: a buffered stage, or the write-only source
+			default: // no passive port: a buffered stage, the write-only source, or the sink's pump
 				st = NewConvStage(name, body, ins, outs)
 			}
 			if err := p.add(e, i-1, j, id, st, lazy); err != nil {
@@ -565,7 +556,7 @@ func (p *Pipeline) bind(id uid.UID, e kernel.Eject, node netsim.NodeID) error {
 // when data arrives, and Wait reports the first failed stage in that
 // order.  lazy keeps read-only producers out of starters — their first
 // invocation starts them — but never the sink, which pumps.
-func (p *Pipeline) add(e element, fi, j int, id uid.UID, st stage, lazy bool) error {
+func (p *Pipeline) add(e element, fi, j int, id uid.UID, st *Stage, lazy bool) error {
 	if err := p.bind(id, st, e.node); err != nil {
 		return err
 	}
@@ -575,7 +566,7 @@ func (p *Pipeline) add(e element, fi, j int, id uid.UID, st stage, lazy bool) er
 	case RoleFilter:
 		p.ShardUIDs[fi][j] = id
 	case RoleSink:
-		p.SinkUID, p.sinkDone, p.sinkErr = id, st.Done(), st.Err
+		p.SinkUID, p.sink = id, st
 	}
 	if e.role != RoleSink {
 		p.stageErr = append(p.stageErr, st.Err)

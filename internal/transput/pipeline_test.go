@@ -250,9 +250,9 @@ func (s snapshotGetter) Get(name string) int64 {
 	return s.after.Get(name) - s.before.Get(name)
 }
 
-// registerItems creates and registers an ROStage serving the given
+// registerItems creates and registers a read-only stage serving the given
 // items on its primary channel, returning its UID and stage.
-func registerItems(t *testing.T, k *kernel.Kernel, items [][]byte, cfg ROStageConfig) (uid.UID, *ROStage) {
+func registerItems(t *testing.T, k *kernel.Kernel, items [][]byte, cfg ROStageConfig) (uid.UID, *Stage) {
 	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "test-source"
@@ -298,9 +298,9 @@ func drainAll(t *testing.T, in *InPort) [][]byte {
 	}
 }
 
-// registerWOSink creates and registers a WOStage that collects its
+// registerWOSink creates and registers a write-only stage that collects its
 // input items into *got (guarded by mu).
-func registerWOSink(t *testing.T, k *kernel.Kernel, got *[][]byte, mu *sync.Mutex, cfg WOStageConfig) (uid.UID, *WOStage) {
+func registerWOSink(t *testing.T, k *kernel.Kernel, got *[][]byte, mu *sync.Mutex, cfg WOStageConfig) (uid.UID, *Stage) {
 	t.Helper()
 	if cfg.Name == "" {
 		cfg.Name = "test-sink"

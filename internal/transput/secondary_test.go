@@ -18,7 +18,7 @@ import (
 //	buffers, filled by the active output of some pipeline, file or
 //	device."
 //
-// The filter is a WOStage (primary input pushed at it) whose body also
+// The filter is a write-only stage (primary input pushed at it) whose body also
 // holds an InPort actively reading a PassiveBuffer that was filled by
 // another pipeline's active output — exactly the topology the paper
 // sketches, with its cost visible: the secondary path re-introduces a

@@ -40,12 +40,12 @@ func (d detachReader) Cancel(msg string) {
 }
 
 // detachBody wraps a user body so its input readers satisfy the
-// ItemReader ownership contract across real links.  It is the only way
-// a user body is detached: the pipeline walk applies it innermost, once,
-// to every sequential element — source (no inputs: a no-op) and sink
-// included.  Shard and merge plumbing wrap outside it and keep their
-// frame views zero-copy (their surfaced payloads are already detached,
-// making this a pass-through that costs one missed chunk lookup an item).
+// ItemReader ownership contract across real links.  The pipeline walk
+// applies it to every sequential element whose inbound link is narrow —
+// source (no inputs: a no-op) and sink included.  Over a wide inbound
+// link the merger detaches instead, and a shard's reader does, since the
+// payloads they surface are frames with the header stripped
+// (detachPayload): each item is detached once.
 func detachBody(body Body) Body {
 	return func(ins []ItemReader, outs []ItemWriter) error {
 		wrapped := make([]ItemReader, len(ins))
