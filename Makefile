@@ -46,7 +46,8 @@ vet-custom:
 ## the analyzer suite itself, the real-wire transport (bridge, remote
 ## streams), the socket links and their coalescer, the striped
 ## table layer, transput (the walk and the stage Eject) with its core
-## and its two faces, and spec, whose probes gate the stage Eject.
+## and its two faces, spec, whose probes gate the stage Eject, and the
+## shell, whose one source table local pipelines and -serve share.
 cover-floor:
 	@./scripts/cover_floor.sh internal/wire 70
 	@./scripts/cover_floor.sh internal/analysis 70
@@ -58,6 +59,7 @@ cover-floor:
 	@./scripts/cover_floor.sh internal/transput/internal/pull 70
 	@./scripts/cover_floor.sh internal/transput/internal/push 70
 	@./scripts/cover_floor.sh internal/spec 70
+	@./scripts/cover_floor.sh internal/shell 70
 
 ## loc: non-test, non-testdata Go lines per package and in total — the
 ## number the ROADMAP's "least code" items are judged by.  A PR that

@@ -31,8 +31,8 @@ type TraceEvent struct {
 
 // TraceFunc receives one event per completed invocation.  It is called
 // synchronously on the reply path, so implementations must be fast and
-// must not invoke (that would recurse); the trace.Ring collector is
-// the intended consumer.
+// must not invoke (that would recurse); the shell's bounded ring, which
+// its `trace N` source reads, is the intended consumer.
 type TraceFunc func(TraceEvent)
 
 // traceStart stamps the call if tracing is enabled: once the request

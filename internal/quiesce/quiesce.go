@@ -16,8 +16,11 @@ import (
 
 // Goroutines polls until the goroutine count is at most limit, for up
 // to 5 s, and returns the count it last saw.
-func Goroutines(limit int) int {
-	deadline := time.Now().Add(5 * time.Second)
+func Goroutines(limit int) int { return goroutines(limit, 5*time.Second) }
+
+// goroutines is Goroutines polling for up to bound.
+func goroutines(limit int, bound time.Duration) int {
+	deadline := time.Now().Add(bound)
 	for {
 		n := runtime.NumGoroutine()
 		if n <= limit || time.Now().After(deadline) {
@@ -46,12 +49,15 @@ func Settled() int {
 // Baseline takes the settled goroutine count and returns the check for
 // the end of the test's teardown: it fails t, with every goroutine's
 // stack, unless the count is back at the baseline within 5 s.
-func Baseline(t testing.TB) (check func()) {
+func Baseline(t testing.TB) (check func()) { return baseline(t, 5*time.Second) }
+
+// baseline is Baseline whose check waits for up to bound.
+func baseline(t testing.TB, bound time.Duration) (check func()) {
 	t.Helper()
 	base := Settled()
 	return func() {
 		t.Helper()
-		if n := Goroutines(base); n > base {
+		if n := goroutines(base, bound); n > base {
 			buf := make([]byte, 1<<20)
 			t.Errorf("%d goroutines running, %d at the baseline:\n%s", n, base, buf[:runtime.Stack(buf, true)])
 		}

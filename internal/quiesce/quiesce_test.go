@@ -30,8 +30,9 @@ func parked(release <-chan struct{}, done chan<- struct{}) {
 }
 
 // TestBaseline: a goroutine started after the baseline and joined
-// before the check passes it; one still parked at the check fails it,
-// and the report carries the parked goroutine's stack.
+// before the check passes it; one still parked at the check fails it
+// once the check's bound (here 50 ms) is out, and the report carries
+// the parked goroutine's stack.
 func TestBaseline(t *testing.T) {
 	t.Run("joined", func(t *testing.T) {
 		r := &recorder{TB: t}
@@ -47,7 +48,7 @@ func TestBaseline(t *testing.T) {
 	})
 	t.Run("leaked", func(t *testing.T) {
 		r := &recorder{TB: t}
-		check := Baseline(r)
+		check := baseline(r, 50*time.Millisecond)
 		release, done := make(chan struct{}), make(chan struct{})
 		go parked(release, done)
 		check()

@@ -3,7 +3,6 @@ package shell
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"asymstream/internal/transport"
@@ -14,7 +13,7 @@ import (
 // pulls a stream out of another OS process's kernel through an InPort
 // on a bridge proxy, then runs the rest of the pipeline locally.  The
 // serving side is `edensh -serve unix:/tmp/eden.sock` (or edenfs),
-// which honours the same source words through Opener.
+// which honours the source table's words through Opener.
 
 // peer returns a cached bridge connection to addr, dialing on first
 // use.  Connections stay open for the session (remote streams
@@ -40,9 +39,14 @@ func (s *Session) remoteSource(st stageSpec) (transput.SourceFunc, error) {
 		return nil, fmt.Errorf("shell: remote needs an address and a stream spec (remote unix:/tmp/eden.sock count 100)")
 	}
 	addr := st.args[0].text
+	// The spec is one stage of shell words, quoted where the far lexer
+	// would otherwise split or unescape them.
 	parts := make([]string, len(st.args)-1)
 	for i, a := range st.args[1:] {
 		parts[i] = a.text
+		if a.text == "" || strings.ContainsAny(a.text, " \t|\"=") {
+			parts[i] = `"` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(a.text) + `"`
+		}
 	}
 	spec := strings.Join(parts, " ")
 	return func(out transput.ItemWriter) error {
@@ -70,43 +74,24 @@ func (s *Session) remoteSource(st stageSpec) (transput.SourceFunc, error) {
 	}, nil
 }
 
-// countStream yields "0\n".."N-1\n" without materialising the run.
-type countStream struct{ i, n int }
-
-func (c *countStream) Next() ([]byte, error) {
-	if c.i >= c.n {
-		return nil, io.EOF
-	}
-	it := []byte(fmt.Sprintf("%d\n", c.i))
-	c.i++
-	return it, nil
-}
-
-func (c *countStream) Close() error { return nil }
-
 // Opener returns the bridge OpenFunc this session honours when serving
-// remote clients (edensh -serve): the same source words a local
-// pipeline accepts — "count N", "text ...", "file /path".
+// remote clients (edensh -serve): a spec is one stage of the source
+// table, lexed as a local line is.  `remote` is refused, so a served
+// session never dials onward for a client.
 func (s *Session) Opener() transport.OpenFunc {
 	return func(spec string) (transport.ItemSource, error) {
-		word, rest, _ := strings.Cut(strings.TrimSpace(spec), " ")
-		switch word {
-		case "count":
-			n, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil {
-				return nil, fmt.Errorf("shell: remote count %q: %w", rest, err)
-			}
-			return &countStream{n: n}, nil
-		case "text", "lines":
-			return &transport.SliceSource{Items: transput.SplitLines([]byte(rest))}, nil
-		case "file":
-			data, err := s.UFS.Host().ReadFile(strings.TrimSpace(rest))
-			if err != nil {
-				return nil, err
-			}
-			return &transport.SliceSource{Items: transput.SplitLines(data)}, nil
-		default:
-			return nil, fmt.Errorf("shell: unknown remote spec %q (try count, text, file)", spec)
+		toks, err := lex(spec)
+		if err != nil {
+			return nil, err
 		}
+		p, err := parse(toks)
+		if err != nil {
+			return nil, err
+		}
+		e, ok := lookup(p.stages[0].name)
+		if !ok || len(p.stages) != 1 || len(p.opts) != 0 {
+			return nil, fmt.Errorf("shell: unknown remote spec %q (try %s)", spec, sourceWords())
+		}
+		return e.open(s, p.stages[0].args)
 	}
 }

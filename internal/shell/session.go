@@ -1,19 +1,18 @@
 package shell
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
-	"asymstream/internal/device"
 	"asymstream/internal/filters"
-	"asymstream/internal/fsys"
 	"asymstream/internal/kernel"
 	"asymstream/internal/metrics"
-	"asymstream/internal/trace"
 	"asymstream/internal/transport"
 	"asymstream/internal/transput"
 	"asymstream/internal/uid"
@@ -28,22 +27,23 @@ type Session struct {
 	UFS   *unixfs.UnixFS
 	ufs   uid.UID
 	out   io.Writer
-	last  metrics.Snapshot
-	ring  *trace.Ring
+	trace ring
 	peers map[string]*transport.Peer
+
+	mu   sync.Mutex
+	last metrics.Snapshot // the meters at the previous stats
 }
 
 // NewSession boots a session on its own kernel.  out receives
 // pipeline output and command results.
 func NewSession(out io.Writer) (*Session, error) {
-	ring := trace.NewRing(4096)
-	k := kernel.New(kernel.Config{Trace: ring.Record})
-	u, ufsUID, err := unixfs.New(k, 0, nil)
-	if err != nil {
+	s := &Session{out: out}
+	s.K = kernel.New(kernel.Config{Trace: s.trace.Record})
+	var err error
+	if s.UFS, s.ufs, err = unixfs.New(s.K, 0, nil); err != nil {
 		return nil, err
 	}
-	s := &Session{K: k, UFS: u, ufs: ufsUID, out: out, ring: ring}
-	s.last = k.Metrics().Snapshot()
+	s.last = s.K.Metrics().Snapshot()
 	return s, nil
 }
 
@@ -55,8 +55,8 @@ func (s *Session) Close() {
 	s.K.Shutdown()
 }
 
-// Execute runs one line: a pipeline (contains '|' or starts with a
-// source word) or a built-in command.
+// Execute runs one line: a pipeline, or a built-in command.  A line
+// that is a single source stage runs as `<line> | print`.
 func (s *Session) Execute(line string) error {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "#") {
@@ -71,94 +71,48 @@ func (s *Session) Execute(line string) error {
 		return err
 	}
 	if len(p.stages) == 1 {
-		return s.command(p.stages[0])
+		if _, ok := lookup(p.stages[0].name); !ok && p.stages[0].name != "remote" {
+			return s.command(p.stages[0])
+		}
+		p.stages = append(p.stages, stageSpec{name: "print"})
 	}
 	return s.runPipeline(p)
 }
 
 // command dispatches the non-pipeline built-ins.
 func (s *Session) command(st stageSpec) error {
-	argText := func(i int) (string, error) {
-		if i >= len(st.args) {
-			return "", fmt.Errorf("shell: %s: missing argument %d", st.name, i+1)
-		}
-		return st.args[i].text, nil
+	need := map[string]int{"put": 2, "cat": 1, "mkdir": 1, "rm": 1}[st.name]
+	if len(st.args) < need {
+		return fmt.Errorf("shell: %s: missing argument %d", st.name, len(st.args)+1)
 	}
+	arg := func(i int) string { return st.args[i].text }
+	host := s.UFS.Host()
 	switch st.name {
 	case "help":
-		fmt.Fprint(s.out, helpText)
+		fmt.Fprint(s.out, helpText())
 		return nil
-	case "stats":
-		now := s.K.Metrics().Snapshot()
-		fmt.Fprintf(s.out, "since last: %s\n", metrics.Diff(s.last, now))
-		s.last = now
-		return nil
-	case "trace":
-		// trace [n]: dump the most recent n invocations (default 20).
-		n := 20
-		if len(st.args) > 0 {
-			v, err := strconv.Atoi(st.args[0].text)
-			if err != nil {
-				return fmt.Errorf("shell: trace %q: %w", st.args[0].text, err)
-			}
-			n = v
-		}
-		evs := s.ring.Events()
-		if n < len(evs) {
-			evs = evs[len(evs)-n:]
-		}
-		sub := trace.NewRing(len(evs) + 1)
-		for _, ev := range evs {
-			sub.Record(ev)
-		}
-		fmt.Fprintf(s.out, "%d invocations total; last %d:\n", s.ring.Total(), len(evs))
-		return sub.Dump(s.out)
 	case "ls":
 		path := "/"
 		if len(st.args) > 0 {
-			path = st.args[0].text
+			path = arg(0)
 		}
-		names, err := s.UFS.Host().ReadDir(path)
-		if err != nil {
-			return err
-		}
+		names, err := host.ReadDir(path)
 		for _, n := range names {
 			fmt.Fprintln(s.out, n)
 		}
-		return nil
+		return err
 	case "put":
-		path, err := argText(0)
-		if err != nil {
-			return err
-		}
-		text, err := argText(1)
-		if err != nil {
-			return err
-		}
-		return s.UFS.Host().WriteFile(path, []byte(text))
+		return host.WriteFile(arg(0), []byte(arg(1)))
 	case "cat":
-		path, err := argText(0)
-		if err != nil {
-			return err
+		data, err := host.ReadFile(arg(0))
+		if err == nil {
+			_, err = s.out.Write(data)
 		}
-		data, err := s.UFS.Host().ReadFile(path)
-		if err != nil {
-			return err
-		}
-		_, err = s.out.Write(data)
 		return err
 	case "mkdir":
-		path, err := argText(0)
-		if err != nil {
-			return err
-		}
-		return s.UFS.Host().MkdirAll(path)
+		return host.MkdirAll(arg(0))
 	case "rm":
-		path, err := argText(0)
-		if err != nil {
-			return err
-		}
-		return s.UFS.Host().Remove(path)
+		return host.Remove(arg(0))
 	default:
 		return fmt.Errorf("shell: unknown command %q (single-stage lines are commands; pipelines need '|')", st.name)
 	}
@@ -209,10 +163,6 @@ func (s *Session) runPipeline(p parsed) error {
 	if err != nil {
 		return err
 	}
-	src, err := s.source(p.stages[0])
-	if err != nil {
-		return err
-	}
 	sinkStage := p.stages[len(p.stages)-1]
 	sink, finish, err := s.sink(sinkStage)
 	if err != nil {
@@ -226,8 +176,13 @@ func (s *Session) runPipeline(p parsed) error {
 		}
 		fs = append(fs, f)
 	}
+	src, release, err := s.source(p.stages[0])
+	if err != nil {
+		return err
+	}
 	pl, err := transput.BuildPipeline(s.K, d, src, fs, sink, opt)
 	if err != nil {
+		release()
 		return err
 	}
 	start := time.Now()
@@ -242,152 +197,51 @@ func (s *Session) runPipeline(p parsed) error {
 	return nil
 }
 
-// source builds the pipeline's SourceFunc from its first stage.
-func (s *Session) source(st stageSpec) (transput.SourceFunc, error) {
-	switch st.name {
-	case "text", "lines":
-		if len(st.args) != 1 {
-			return nil, fmt.Errorf("shell: %s needs one (quoted) argument", st.name)
-		}
-		items := transput.SplitLines([]byte(st.args[0].text))
-		return func(out transput.ItemWriter) error {
-			for _, it := range items {
-				if err := out.Put(it); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	case "count":
-		if len(st.args) != 1 {
-			return nil, fmt.Errorf("shell: count needs a number")
-		}
-		n, err := strconv.Atoi(st.args[0].text)
-		if err != nil {
-			return nil, fmt.Errorf("shell: count %q: %w", st.args[0].text, err)
-		}
-		return func(out transput.ItemWriter) error {
-			for i := 0; i < n; i++ {
-				if err := out.Put([]byte(fmt.Sprintf("%d\n", i))); err != nil {
-					return err
-				}
-			}
-			return nil
-		}, nil
-	case "clock":
-		// Pull n timestamps from a ClockSource Eject — the paper's
-		// date/time source (§4).
-		n := 3
-		if len(st.args) > 0 {
-			v, err := strconv.Atoi(st.args[0].text)
-			if err != nil {
-				return nil, fmt.Errorf("shell: clock %q: %w", st.args[0].text, err)
-			}
-			n = v
-		}
-		return func(out transput.ItemWriter) error {
-			_, clkUID, err := device.NewClockSource(s.K, 0, nil, "")
-			if err != nil {
-				return err
-			}
-			// The clock is transient to this pipeline run.
-			defer func() { _ = s.K.Destroy(clkUID) }()
-			in := transput.NewInPort(s.K, uid.Nil, clkUID, transput.Chan(0), transput.InPortConfig{})
-			for i := 0; i < n; i++ {
-				item, err := in.Next()
-				if err != nil {
-					return err
-				}
-				if err := out.Put(item); err != nil {
-					return err
-				}
-			}
-			in.Cancel("clock read complete")
-			return nil
-		}, nil
-	case "file":
-		if len(st.args) != 1 {
-			return nil, fmt.Errorf("shell: file needs a path")
-		}
-		path := st.args[0].text
-		// Obtain an Eden stream from the bootstrap Eject, then pump it
-		// into the pipeline — input redirection from a file uses the
-		// same mechanism as from any Eject (§4).
-		return func(out transput.ItemWriter) error {
-			ref, err := unixfs.NewStream(s.K, uid.Nil, s.ufs, path)
-			if err != nil {
-				return err
-			}
-			in := transput.NewInPort(s.K, uid.Nil, ref.UID, ref.Channel, transput.InPortConfig{Batch: 16})
-			_, err = transput.Copy(nopClose{out}, in)
-			// Close the transient UnixFile so it disappears (§7).
-			_ = fsys.CloseStream(s.K, uid.Nil, ref)
-			return err
-		}, nil
-	case "remote":
-		// remote unix:/tmp/eden.sock count 100 — pull a stream out of
-		// a serving process over the bridge (§5 capability grant: the
-		// server mints a transient source Eject per open).
-		return s.remoteSource(st)
-	default:
-		return nil, fmt.Errorf("shell: unknown source %q (try text, count, file, remote)", st.name)
+// source builds the pipeline's SourceFunc from its first stage: a
+// `remote` stage pulls a served stream (§5 capability grant: the server
+// mints a transient source Eject per open); any other word's stream is
+// opened now, through the source table, so that `stats` and `trace`
+// see the kernel as it was before this pipeline.  release closes the
+// stream of a pipeline that is never built; once built, the source
+// closes it.
+func (s *Session) source(st stageSpec) (src transput.SourceFunc, release func(), err error) {
+	if st.name == "remote" {
+		src, err = s.remoteSource(st)
+		return src, func() {}, err
 	}
+	e, ok := lookup(st.name)
+	if !ok {
+		return nil, nil, fmt.Errorf("shell: unknown source %q (try %s, remote)", st.name, sourceWords())
+	}
+	items, err := e.open(s, st.args)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pump(items), func() { _ = items.Close() }, nil
 }
 
-// nopClose stops Copy from closing the pipeline writer early; the
-// stage harness owns the close.
-type nopClose struct{ transput.ItemWriter }
-
-func (nopClose) Close() error                 { return nil }
-func (nopClose) CloseWithError(_ error) error { return nil }
-
 // sink builds the pipeline's SinkFunc and a finish function run after
-// completion.
+// completion: print and discard copy the stream out, file collects it
+// and writes the host file at the end.
 func (s *Session) sink(st stageSpec) (transput.SinkFunc, func() error, error) {
+	copyTo := func(w io.Writer) transput.SinkFunc {
+		return func(in transput.ItemReader) error {
+			_, err := io.Copy(w, transput.NewIOReader(in))
+			return err
+		}
+	}
 	nop := func() error { return nil }
 	switch st.name {
 	case "print":
-		return func(in transput.ItemReader) error {
-			for {
-				item, err := in.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				if _, err := s.out.Write(item); err != nil {
-					return err
-				}
-			}
-		}, nop, nil
+		return copyTo(s.out), nop, nil
 	case "discard":
-		return func(in transput.ItemReader) error {
-			_, err := transput.Drain(in)
-			return err
-		}, nop, nil
+		return copyTo(io.Discard), nop, nil
 	case "file":
 		if len(st.args) != 1 {
 			return nil, nil, fmt.Errorf("shell: file sink needs a path")
 		}
-		path := st.args[0].text
-		var collected []byte
-		sink := func(in transput.ItemReader) error {
-			for {
-				item, err := in.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				collected = append(collected, item...)
-			}
-		}
-		finish := func() error {
-			return s.UFS.Host().WriteFile(path, collected)
-		}
-		return sink, finish, nil
+		var collected bytes.Buffer
+		return copyTo(&collected), func() error { return s.UFS.Host().WriteFile(st.args[0].text, collected.Bytes()) }, nil
 	default:
 		return nil, nil, fmt.Errorf("shell: unknown sink %q (try print, discard, file)", st.name)
 	}
@@ -543,11 +397,19 @@ func FilterNames() []string {
 	return names
 }
 
-const helpText = `pipelines:
+// helpText is the help command's text; its source and filter lists
+// are the tables the shell runs.
+func helpText() string {
+	var srcs []string
+	for _, e := range sources {
+		srcs = append(srcs, strings.TrimSpace(e.word+" "+e.args))
+	}
+	return `pipelines:
   <source> | <filter>... | <sink>   [options]
-sources: text "..."   count N   file /path   clock N   remote ADDR spec...
+  a line that is one source word runs as <line> | print
+sources: ` + strings.Join(srcs, "   ") + `   remote ADDR spec...
 sinks:   print   discard   file /path
-filters: ` + "cat upcase lowcase strip grep replace head tail ln sort uniq wc rot13 expand paginate sed fold pretty histogram words" + `
+filters: ` + strings.Join(FilterNames(), " ") + `
 options: discipline=readonly|writeonly|buffered  batch=N  prefetch=N  anticipation=N  cap=true
 commands:
   ls [/path]        list host directory
@@ -555,7 +417,6 @@ commands:
   cat /path         show host file
   mkdir /path       create host directory
   rm /path          remove host file
-  stats             metrics since last stats
-  trace [n]         dump the last n invocations (default 20)
   help              this text
 `
+}

@@ -6,7 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"asymstream/internal/kernel"
 	"asymstream/internal/quiesce"
+	"asymstream/internal/transput"
+	"asymstream/internal/uid"
 )
 
 // --- lexer / parser ---
@@ -172,6 +175,13 @@ func TestShellErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	srv, err := NewSession(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, stop := serve(t, srv)
+	defer stop()
 	for _, bad := range []string{
 		`bogus`,
 		`count 5 | bogusfilter | print`,
@@ -181,9 +191,14 @@ func TestShellErrors(t *testing.T) {
 		`count 5 | print discipline=quantum`,
 		`count 5 | print batch=many`,
 		`cat /missing`,
+		`put /only-a-path`,
+		`mkdir`,
 		`count 5 | grep | print`,
+		`trace x | print`,
+		`trace 0 | print`,
+		`remote ADDR remote ADDR count 1 | print`, // a served session dials no further
 	} {
-		if err := s.Execute(bad); err == nil {
+		if err := s.Execute(strings.ReplaceAll(bad, "ADDR", addr)); err == nil {
 			t.Errorf("Execute(%q) accepted", bad)
 		}
 	}
@@ -248,6 +263,98 @@ func TestShellTrace(t *testing.T) {
 	if !strings.Contains(out, "Transput.Transfer") || !strings.Contains(out, "invocations total") {
 		t.Fatalf("trace output = %q", out)
 	}
+}
+
+// TestHelpNamesTables: help lists every filter and every source word
+// the shell runs.
+func TestHelpNamesTables(t *testing.T) {
+	out := run(t, `help`)
+	for _, name := range FilterNames() {
+		if !strings.Contains(out, " "+name+" ") && !strings.Contains(out, " "+name+"\n") {
+			t.Errorf("help does not name the filter %q", name)
+		}
+	}
+	for _, e := range sources {
+		if !strings.Contains(out, " "+e.word+" ") {
+			t.Errorf("help does not name the source %q", e.word)
+		}
+	}
+}
+
+// TestTraceRing: the session's kernel records every completed
+// invocation, well formed and under a unique message id; `trace`
+// renders an error and an external caller; and past the ring's size it
+// still returns the newest events, in order.
+func TestTraceRing(t *testing.T) {
+	t.Run("captures", func(t *testing.T) {
+		var out bytes.Buffer
+		s, err := NewSession(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Execute(`count 5 | discard batch=1`); err != nil {
+			t.Fatal(err)
+		}
+		_, evs := s.trace.last(len(s.trace.buf))
+		transfers := 0
+		seen := make(map[uint64]bool, len(evs))
+		for _, ev := range evs {
+			if ev.Op == "" || ev.Target.IsNil() || ev.Elapsed <= 0 || ev.Err != "" {
+				t.Fatalf("malformed event %+v", ev)
+			}
+			// MsgIDs identify, they do not order: each is drawn on the
+			// stripe the sender happened to be on.
+			if ev.MsgID == 0 || seen[ev.MsgID] {
+				t.Fatalf("MsgID %d is zero or repeated (events %+v)", ev.MsgID, evs)
+			}
+			seen[ev.MsgID] = true
+			if ev.Op == transput.OpTransfer {
+				transfers++
+			}
+		}
+		if transfers < 5 {
+			t.Fatalf("%d Transfer events, want >= 5 (events %+v)", transfers, evs)
+		}
+	})
+	t.Run("error from external", func(t *testing.T) {
+		var out bytes.Buffer
+		s, err := NewSession(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.K.Invoke(uid.Nil, uid.New(), "Bogus.Op", &transput.ChannelsRequest{}); err == nil {
+			t.Fatal("invocation of nothing succeeded")
+		}
+		if err := s.Execute(`trace 1`); err != nil {
+			t.Fatal(err)
+		}
+		line := strings.Split(out.String(), "\n")[1]
+		for _, want := range []string{"Bogus.Op", "external", "ERR "} {
+			if !strings.Contains(line, want) {
+				t.Errorf("trace line %q does not contain %q", line, want)
+			}
+		}
+	})
+	t.Run("wraps", func(t *testing.T) {
+		r := new(ring)
+		for i := range len(r.buf) + 904 {
+			r.Record(kernel.TraceEvent{MsgID: uint64(i + 1), Op: "op"})
+		}
+		total, evs := r.last(3)
+		if total != 5000 || len(evs) != 3 {
+			t.Fatalf("total %d, %d events; want 5000 and 3", total, len(evs))
+		}
+		for i, ev := range evs {
+			if ev.MsgID != uint64(4998+i) {
+				t.Fatalf("newest 3 are %+v, want ids 4998..5000", evs)
+			}
+		}
+		if _, evs := r.last(100000); len(evs) != len(r.buf) || evs[0].MsgID != 905 {
+			t.Fatalf("last(100000): %d events from id %d, want %d from 905", len(evs), evs[0].MsgID, len(r.buf))
+		}
+	})
 }
 
 func TestShellSedNeedsScript(t *testing.T) {
