@@ -2,7 +2,9 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,4 +336,89 @@ func TestInlineTraceMatchesMailbox(t *testing.T) {
 			t.Errorf("event %d: inline %+v, mailbox %+v", i, inline[i], mailbox[i])
 		}
 	}
+}
+
+// mixer serves ping by payload: N%10 == 0 panics unanswered, N%10 == 1
+// blocks a while before it echoes, anything else echoes at once.  It
+// counts the replies it makes per N.
+type mixer struct {
+	hint    PoolHint
+	replies []atomic.Int32
+}
+
+func (m *mixer) EdenType() string   { return "test.Mixer" }
+func (m *mixer) PoolHint() PoolHint { return m.hint }
+
+func (m *mixer) Serve(inv *Invocation) {
+	n := inv.Payload.(*pingReq).N
+	switch n % 10 {
+	case 0:
+		panic("deliberate test panic")
+	case 1:
+		time.Sleep(50 * time.Microsecond)
+	}
+	m.replies[n].Add(1)
+	inv.Reply(&pingRep{N: n})
+}
+
+// TestCallerSharedByEightInvokers drives one Caller from 8 goroutines
+// at a target served on the invokers (whose Serve echoes, blocks or
+// panics) and one whose pinned pool forces the mailbox: the handle's own
+// Call and Invocation go to one invoker at a time, the rest draw from
+// the pools.  Every reply is its request's, a panicking inline Serve
+// leaves the handle usable, and nothing is answered twice.  Under -race
+// it is the own records' ordering check.
+func TestCallerSharedByEightInvokers(t *testing.T) {
+	const invokers, each = 8, 300
+	k := newTestKernel(t, Config{})
+	inline := &mixer{replies: make([]atomic.Int32, invokers*each)}
+	pinned := &mixer{hint: PoolHint{Workers: 2, Pinned: true}, replies: make([]atomic.Int32, invokers*each)}
+	var ids [2]uid.UID
+	for i, m := range []*mixer{inline, pinned} {
+		id, err := k.Create(m, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = id
+	}
+	c := k.Caller(uid.Nil)
+	var wg sync.WaitGroup
+	for g := range invokers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				n := g*each + i
+				raw, err := c.Invoke(ids[n%3/2], "ping", &pingReq{N: n})
+				switch {
+				case n%10 == 0:
+					if err == nil || !strings.Contains(err.Error(), "panicked") {
+						t.Errorf("call %d: %v, %v; want the panic's error", n, raw, err)
+					}
+				case err != nil:
+					t.Errorf("call %d: %v", n, err)
+				case raw.(*pingRep).N != n:
+					t.Errorf("call %d answered %d", n, raw.(*pingRep).N)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for n := range invokers * each {
+		want := int32(1)
+		if n%10 == 0 {
+			want = 0
+		}
+		got := inline.replies[n].Load() + pinned.replies[n].Load()
+		if got != want {
+			t.Errorf("call %d: replied %d times, want %d", n, got, want)
+		}
+	}
+	if c.busy.Load() {
+		t.Error("the Caller's own records are still taken")
+	}
+	if _, err := c.Invoke(ids[0], "ping", &pingReq{N: 2}); err != nil {
+		t.Errorf("the Caller after the storm: %v", err)
+	}
+	checkLedger(t, k)
 }

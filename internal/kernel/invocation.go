@@ -23,9 +23,10 @@ import (
 // until data is available (§4) — because each Eject has a pool of
 // worker slots, mirroring Eden's multi-process Ejects.
 //
-// Invocations are pooled: the kernel recycles them once Serve has
-// returned and the reply has been handed off, so a warm hop performs
-// no Invocation allocation.  Ejects must not retain the *Invocation
+// Invocations are pooled — the kernel recycles them once Serve has
+// returned and the reply has been handed off — or, on the caller-runs
+// path, the invoking Caller's own, so a warm hop performs no Invocation
+// allocation.  Ejects must not retain the *Invocation
 // beyond Serve: the kernel fails unreplied invocations when Serve
 // returns, and a late Reply panics as a double reply — or, once the
 // record is recycled, finds neither of its reply destinations (both are
@@ -72,7 +73,8 @@ type reply struct {
 }
 
 // invocations recycles Invocations: send takes one, and whoever sends
-// its reply puts it back (serveInvocation, the quit drain, refuse).
+// its reply puts it back (serveInvocation, the quit drain), or send
+// itself if nothing took it.  Put passes over a Caller's own.
 var invocations = wire.NewPool(func(inv *Invocation) *bool { return &inv.pooled }, nil)
 
 // Reply completes the invocation successfully with the given result
@@ -113,11 +115,11 @@ func (inv *Invocation) Replied() bool { return inv.replied.Load() }
 // Done.
 //
 // Calls are pooled on the synchronous Invoke path (where the caller
-// provably drops the handle before it is recycled); AsyncInvoke
-// returns an unpooled view of the same machinery.  The done channel is
-// allocated lazily — only when Done is used or a second goroutine
-// Waits concurrently — so a plain Invoke round trip allocates nothing
-// for its Call.
+// provably drops the handle before it is recycled), or a Caller's own
+// there; AsyncInvoke returns an unpooled view of the same machinery.
+// The done channel is allocated lazily — only when Done is used or a
+// second goroutine Waits concurrently — so a plain Invoke round trip
+// allocates nothing for its Call.
 type Call struct {
 	k        *Kernel
 	op       string
@@ -164,9 +166,8 @@ const (
 var calls = wire.NewPool(func(c *Call) *bool { return &c.pooled },
 	func(c *Call) { *c = Call{replyc: c.replyc} })
 
-// newCall takes a recycled (or fresh) Call and arms it.
-func newCall(k *Kernel, op string, target uid.UID, from netsim.NodeID) *Call {
-	c := calls.Get()
+// arm readies a fresh Call — a recycled one, or a Caller's own, reset.
+func (c *Call) arm(k *Kernel, op string, target uid.UID, from netsim.NodeID) {
 	if c.replyc == nil {
 		c.replyc = make(chan reply, 1)
 	}
@@ -174,7 +175,6 @@ func newCall(k *Kernel, op string, target uid.UID, from netsim.NodeID) *Call {
 	c.op = op
 	c.target = target
 	c.fromNode = from
-	return c
 }
 
 // release recycles a Call.  Only the synchronous Invoke path calls it,

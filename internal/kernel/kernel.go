@@ -463,6 +463,17 @@ type Caller struct {
 	// pin one stopped binding (whose eject is nil) until the handle's
 	// next call, or its own collection.
 	peer atomic.Pointer[binding]
+	// own is the Call and Invocation of one synchronous same-node
+	// invocation through the handle at a time, taken by setting busy: a
+	// second concurrent invoker draws from the pools.  The Call serves
+	// either dispatch path (it never leaves the invoker), the Invocation
+	// only the caller-runs one, since a pool worker still reads its
+	// Invocation after replying.  Both are reset when taken, never Put.
+	busy atomic.Bool
+	own  struct {
+		call Call
+		inv  Invocation
+	}
 }
 
 // Caller returns an invoker handle for from.  Ports that invoke
@@ -527,7 +538,8 @@ func (k *Kernel) Invoke(from, target uid.UID, op string, payload any) (any, erro
 // has returned, and has left its reply in the Call (serveInvocation
 // fails an invocation Serve did not answer); otherwise the reply comes
 // through the Call's channel.  The Call never leaves this goroutine, so
-// it is collected without its mutex or published state, and recycled.
+// it is collected without its mutex or published state, and recycled —
+// unless it is via's own, which is handed back instead.
 func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, via *Caller) (any, error) {
 	c, inv, s := k.send(from, fromNode, target, op, payload, true, via)
 	var r reply
@@ -539,7 +551,11 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 		r = <-c.replyc
 	}
 	res, err := c.result(c.settle(r))
-	c.release()
+	if via != nil && c == &via.own.call {
+		via.busy.Store(false)
+	} else {
+		c.release()
+	}
 	return res, err
 }
 
@@ -548,7 +564,7 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // the public wrappers); via is the Caller it came through, if any.  A
 // warm local hop through a Caller does not read the binding table at
 // all, and allocates nothing beyond what the payload itself requires:
-// the Call and Invocation come from pools.
+// the Call and Invocation are via's own, or come from pools.
 //
 // Every invocation is resolved, transmitted through the link, metered
 // and traced here, the same way.  What differs is who runs Serve:
@@ -565,11 +581,12 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 //     operation, and none of the mailbox path's two goroutine hand-offs
 //     (wake a worker, be woken by it).  A sender that sends and
 //     immediately waits cannot observe whether its message sat in a
-//     queue.
+//     queue, nor whose its records are.
 //
-// The choice, and with it where the reply goes, is made from the call
-// alone; there is no switch for it.  Cross-node invocations stay on the
-// mailbox (DESIGN §6 says what serving them inline costs).
+// The choice, and with it where the reply goes and whose Invocation
+// carries it, is made from the call alone; there is no switch for it.
+// Cross-node invocations stay on the mailbox (DESIGN §6 says what
+// serving them inline costs).
 //
 // An invocation is one message however many times a deactivating target
 // makes send resolve it again: it has one Call, draws one id, and is
@@ -579,19 +596,29 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // taken once.
 func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool, via *Caller) (*Call, *Invocation, slot) {
 	st := metrics.Here()
-	c := newCall(k, op, target, fromNode)
-	var inv *Invocation
 	// A remembered binding is tried without resolving it.  If it has
 	// stopped, claim and enqueue both refuse it and the loop resolves
 	// afresh, with every retry left.
 	b := via.remembered(target)
+	// via's own records are for a call that will likely serve here: a
+	// synchronous one whose remembered peer shares its node.  Whichever
+	// path it takes, nothing but the invoker reads its Call.
+	held := waits && b != nil && b.node == fromNode && via.busy.CompareAndSwap(false, true)
+	var c *Call
+	if held {
+		c = &via.own.call
+		*c = Call{replyc: c.replyc}
+	} else {
+		c = calls.Get()
+	}
+	c.arm(k, op, target, fromNode)
 	// at is the node the payload is on, and sent the form it has there.
 	at, sent := fromNode, payload
 	for resolves := 0; ; {
 		if b == nil {
 			var err error
 			if b, err = k.resolve(target); err != nil {
-				c.refuse(inv, from, err)
+				c.refuse(from, err)
 				return c, nil, slot{}
 			}
 			resolves++
@@ -606,34 +633,40 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 		c.toNode = b.node
 		out, _, err := k.link.Transmit(at, b.node, sent)
 		if err != nil {
-			c.refuse(inv, from, err)
+			c.refuse(from, err)
 			return c, nil, slot{}
 		}
 		at, sent = b.node, out
-		if inv == nil {
-			inv = invocations.Get()
-			inv.MsgID = k.met.NextID(st)
-			inv.From = from
-			inv.Target = target
-			inv.Op = op
-			inv.fromNode = fromNode
-			inv.replyc = c.replyc
-			c.msgID, c.stripe = inv.MsgID, st
+		if c.msgID == 0 {
+			c.msgID, c.stripe = k.met.NextID(st), st
 			k.traceStart(c, from)
 		}
-		inv.toNode = b.node
-		inv.Payload = sent
 
 		// A slot or the mailbox takes it: that is the delivery, and the
-		// one place it is metered.  Once enqueued, inv belongs to the
-		// target and may already have been served and recycled; its reply
-		// is not collected before send returns, so replies never run
-		// ahead of invocations.
+		// one place it is metered.  The slot is claimed before the
+		// Invocation is chosen: only one served here may be via's own.
+		// Once enqueued, inv belongs to the target and may already have
+		// been served and recycled; its reply is not collected before
+		// send returns, so replies never run ahead of invocations.
 		local := fromNode == b.node
 		var s slot
 		inline := waits && local
 		if inline {
 			s, inline = b.claim()
+		}
+		var inv *Invocation
+		if inline && held {
+			inv = &via.own.inv
+			*inv = Invocation{}
+		} else {
+			inv = invocations.Get()
+		}
+		inv.MsgID, inv.From, inv.Target, inv.Op = c.msgID, from, target, op
+		inv.fromNode, inv.toNode, inv.Payload = fromNode, b.node, sent
+		if inline {
+			inv.slot = &c.res
+		} else {
+			inv.replyc = c.replyc
 		}
 		if inline || b.enqueue(inv) {
 			m := k.met
@@ -650,15 +683,15 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 			if !inline {
 				return c, nil, s
 			}
-			inv.slot = &c.res
 			return c, inv, s
 		}
 		// The binding deactivated between resolve and enqueue; retry,
 		// which re-activates.  Bound the retries (three) to avoid
 		// spinning on an Eject that deactivates in a tight loop.
+		invocations.Put(inv)
 		b = nil
 		if resolves > 3 {
-			c.refuse(inv, from, ErrDeactivated)
+			c.refuse(from, ErrDeactivated)
 			return c, nil, slot{}
 		}
 	}
@@ -666,13 +699,9 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 
 // refuse answers an invocation no Eject received: the Call's reply is
 // err, its trace event carries message id 0, and it ticks no meter.
-// inv, if send had already armed it, was handed to nobody and is
-// recycled.
-func (c *Call) refuse(inv *Invocation, from uid.UID, err error) {
-	if inv != nil {
-		invocations.Put(inv)
-	} else {
-		c.k.traceStart(c, from)
+func (c *Call) refuse(from uid.UID, err error) {
+	if c.msgID == 0 {
+		c.k.traceStart(c, from) // send gave up before the link took it
 	}
 	c.msgID = 0
 	c.replyc <- reply{err: ToWire(err)}

@@ -185,6 +185,7 @@ func (s *Session) runPipeline(p parsed) error {
 		release()
 		return err
 	}
+	defer pl.Destroy() // its Ejects go with the line, however it ends
 	start := time.Now()
 	if err := pl.Run(); err != nil {
 		return err

@@ -120,6 +120,29 @@ func TestPipelineAllDisciplines(t *testing.T) {
 	}
 }
 
+// TestPipelineLinesLeaveNoEjects: a pipeline line destroys the Ejects
+// it built once it has run, also when it fails after the build.
+func TestPipelineLinesLeaveNoEjects(t *testing.T) {
+	var out bytes.Buffer
+	s, err := NewSession(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	base := s.K.ActiveCount()
+	for range 5 {
+		if err := s.Execute(`count 3 | upcase | discard`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Execute(`count 3 | upcase | file /no/such/dir/out`); err == nil {
+		t.Fatal("a file sink under a missing directory did not fail")
+	}
+	if got := s.K.ActiveCount(); got != base {
+		t.Fatalf("ActiveCount %d after six lines, want the baseline %d", got, base)
+	}
+}
+
 func TestShellFilters(t *testing.T) {
 	out := run(t, `count 100 | grep "7$" | head 3 | ln | print`)
 	if !strings.Contains(out, "1  7\n") || !strings.Contains(out, "3  27\n") {

@@ -142,7 +142,7 @@ func TestPutArenaStorm(t *testing.T) {
 		go func() {
 			defer close(done)
 			for {
-				rep := w.Ref().Take(8)
+				rep := w.Ref().Take(8, nil)
 				for _, it := range rep.Items {
 					c.check(it)
 				}

@@ -87,7 +87,7 @@ func (b *PassiveBuffer) Serve(inv *kernel.Invocation) {
 			break
 		}
 		b.port.Met.TransferInvocations.Inc()
-		rep := b.ch.Take(req.Max)
+		rep := b.ch.Take(req.Max, req.Reply)
 		core.TransferRequests.Put(req)
 		if rep == nil {
 			rep = &TransferReply{Status: StatusAborted, AbortMsg: errDeactivated.Msg}

@@ -329,11 +329,12 @@ func (r ChanRef) Put(item []byte, owned bool) error {
 	return nil
 }
 
-// Take is the served drain: one Transfer batch of up to max items.  It
+// Take is the served drain: one Transfer batch of up to max items, in
+// into (TransferRequest.Reply) if set, else in a pool record.  It
 // blocks (parking the kernel worker) until at least one item is
 // available or the stream ends — this blocking IS passive output.  A
 // nil reply means r is stale.
-func (r ChanRef) Take(max int) *TransferReply {
+func (r ChanRef) Take(max int, into *TransferReply) *TransferReply {
 	if max <= 0 {
 		max = 1
 	}
@@ -350,7 +351,12 @@ func (r ChanRef) Take(max int) *TransferReply {
 		return &TransferReply{Status: StatusAborted, AbortMsg: msg}
 	}
 	n := min(c.Buffered(), max)
-	rep := TransferReplies.Get()
+	rep := into
+	if rep == nil {
+		rep = TransferReplies.Get()
+	} else {
+		rep.reset()
+	}
 	rep.Items = append(rep.Items, c.buf[c.head:c.head+n]...)
 	c.consume(n)
 	if c.ended() && c.Buffered() == 0 {
@@ -373,8 +379,9 @@ func (r ChanRef) Take(max int) *TransferReply {
 // and withholding the reply is how back pressure reaches the writer.
 // The item references themselves are absorbed (the writer side always
 // hands over fresh slices: copied on Put unless given ownership, and
-// fresh by construction off an encoded hop).  A nil reply means r is
-// stale and nothing was absorbed.
+// fresh by construction off an encoded hop).  The reply is req.Reply if
+// set, else a pool record.  A nil reply means r is stale and nothing was
+// absorbed.
 func (r ChanRef) Absorb(req *DeliverRequest) *DeliverReply {
 	c, ok := r.Lock()
 	if !ok {
@@ -437,8 +444,11 @@ func (r ChanRef) Absorb(req *DeliverRequest) *DeliverReply {
 		c.cond.Broadcast()
 	}
 	c.DeliversServed++
-	rep := DeliverReplies.Get()
-	rep.Credits = max(c.capacity-c.Buffered(), 0)
+	rep := req.Reply
+	if rep == nil {
+		rep = DeliverReplies.Get()
+	}
+	rep.Credits = max(c.capacity-c.Buffered(), 0) // a sender's own record carries nothing else
 	c.port.Met.ItemsMoved.Add(int64(len(req.Items)))
 	c.Mu.Unlock()
 	return rep

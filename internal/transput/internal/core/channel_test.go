@@ -75,7 +75,7 @@ func TestIdleChannelFootprint(t *testing.T) {
 					_ = ref.Put(item, true)
 				}
 			}
-			drain = func(ref core.ChanRef) { core.TransferReplies.Put(ref.Take(burst)) }
+			drain = func(ref core.ChanRef) { core.TransferReplies.Put(ref.Take(burst, nil)) }
 		} else {
 			p := push.NewWOInPort(nil, push.WOInPortConfig{CapabilityMode: capMode})
 			reg = p.Registry()
@@ -557,7 +557,7 @@ func TestTwoWaitersOnePut(t *testing.T) {
 	w := pull.NewOutPort(k, pull.OutPortConfig{}).Declare("c", 0, 8)
 	replies := make(chan *core.TransferReply, 2)
 	for range 2 {
-		go func() { replies <- w.Ref().Take(8) }()
+		go func() { replies <- w.Ref().Take(8, nil) }()
 	}
 	eventually(t, "both Transfers park", func() bool {
 		w.Ref().C.Mu.Lock()
@@ -616,7 +616,7 @@ func TestSpareArraysStorm(t *testing.T) {
 			defer wg.Done()
 			next := 0
 			for {
-				rep := w.Ref().Take(1 + next%3)
+				rep := w.Ref().Take(1+next%3, nil)
 				for _, it := range rep.Items {
 					if want := []byte{byte(ch), byte(next >> 8), byte(next)}; !bytes.Equal(it, want) {
 						t.Errorf("channel %d: item %d is %v, want %v", ch, next, it, want)
@@ -754,7 +754,7 @@ func TestChannelTeardown(t *testing.T) {
 					if err := w.Put([]byte("fresh")); err != nil {
 						t.Fatalf("reused record refused its first Put: %v", err)
 					}
-					if rep := w.Ref().Take(4); rep == nil || rep.Status != core.StatusOK || len(rep.Items) != 1 || rep.Base != 0 {
+					if rep := w.Ref().Take(4, nil); rep == nil || rep.Status != core.StatusOK || len(rep.Items) != 1 || rep.Base != 0 {
 						t.Fatalf("reused record's first Transfer: %+v", rep)
 					}
 				}

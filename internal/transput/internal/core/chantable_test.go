@@ -107,7 +107,7 @@ func TestStaleHandle(t *testing.T) {
 		}},
 		{"WriterID", false, func(s stale) (any, any) { return s.w.ID(), core.ChannelID{} }},
 		{"Name", false, func(s stale) (any, any) { return s.w.Name(), "" }},
-		{"Transfer", false, func(s stale) (any, any) { return s.ref.Take(4) == nil, true }},
+		{"Transfer", false, func(s stale) (any, any) { return s.ref.Take(4, nil) == nil, true }},
 		{"Next", true, func(s stale) (any, any) { _, err := s.r.Next(); return err, io.EOF }},
 		{"Cancel", true, func(s stale) (any, any) { s.r.Cancel("stale"); return nil, nil }},
 		{"ReaderID", true, func(s stale) (any, any) { return s.r.ID(), core.ChannelID{} }},
@@ -250,7 +250,7 @@ func TestStaleHandleStorm(t *testing.T) {
 		if err := sw.Close(); err != nil {
 			t.Fatalf("cycle %d: successor Close: %v", i, err)
 		}
-		if rep := sw.Ref().Take(4); rep == nil || rep.Status != core.StatusEnd || len(rep.Items) != 1 || string(rep.Items[0]) != "live" {
+		if rep := sw.Ref().Take(4, nil); rep == nil || rep.Status != core.StatusEnd || len(rep.Items) != 1 || string(rep.Items[0]) != "live" {
 			t.Fatalf("cycle %d: successor Transfer: %+v", i, rep)
 		}
 		if rep := sr.Ref().Absorb(&core.DeliverRequest{Items: [][]byte{[]byte("live")}, End: true}); rep == nil || rep.Status != core.StatusOK {
@@ -333,7 +333,7 @@ func TestFirstWaitStorm(t *testing.T) {
 					defer wg.Done()
 					<-start
 					for {
-						rep := w.Ref().Take(1)
+						rep := w.Ref().Take(1, nil)
 						if rep == nil {
 							return
 						}

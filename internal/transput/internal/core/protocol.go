@@ -136,6 +136,12 @@ type TransferRequest struct {
 	// one-datum-per-invocation accounting; larger values are the A1
 	// batching ablation.  Max<=0 means 1.
 	Max int
+	// Reply, when set, is the sender's own reply record, which a server
+	// in the same process fills instead of drawing one from the pool
+	// (ChanRef.Take).  It is never encoded: a decoded request has none.
+	// Its sender sets it only where the reply is consumed before the
+	// record's next exchange.
+	Reply *TransferReply
 
 	// pooled marks a record the request pool issued (a copy decoded off
 	// an encoded hop), which its server releases once it has read it.  A
@@ -183,6 +189,9 @@ type DeliverRequest struct {
 	// Pusher, which holds a request by value, does not grow by it.  Its
 	// server releases a pooled request once it has absorbed the items.
 	pooled bool
+	// Reply is the sender's own reply record (see TransferRequest.Reply),
+	// filled by ChanRef.Absorb.
+	Reply *DeliverReply
 	// Writer identifies the active-output port when it keeps several
 	// Deliver invocations in flight (a Pusher at Window > 1), and Base is
 	// the offset of Items[0] in that writer's stream, as TransferReply.Base

@@ -33,16 +33,16 @@ func init() {
 }
 
 // Every decoded record comes from these pools, and so does every reply a
-// channel serves.  A reply goes back once its client has absorbed it (or
-// a link has encoded it: ReleaseWirePayload), and a decoded request once
-// its serving face has read it (a Transfer) or absorbed its items (a
-// Deliver).  A record that reaches no releaser falls to the GC; the pools
-// are best-effort.  A vector goes back with its record, emptied.
+// channel serves into no record of its sender's (TransferRequest.Reply).
+// A reply goes back once its client has absorbed it (or a link has
+// encoded it: ReleaseWirePayload), and a decoded request once its serving
+// face has read it (a Transfer) or absorbed its items (a Deliver).  A
+// record that reaches no releaser falls to the GC; the pools are
+// best-effort.  A vector goes back with its record, emptied.
 var (
 	TransferRequests = wire.NewPool(func(r *TransferRequest) *bool { return &r.pooled }, nil)
-	TransferReplies  = wire.NewPool(func(r *TransferReply) *bool { return &r.pooled },
-		func(r *TransferReply) { clear(r.Items); *r = TransferReply{Items: r.Items[:0]} })
-	DeliverRequests = wire.NewPool(func(r *DeliverRequest) *bool { return &r.pooled },
+	TransferReplies  = wire.NewPool(func(r *TransferReply) *bool { return &r.pooled }, (*TransferReply).reset)
+	DeliverRequests  = wire.NewPool(func(r *DeliverRequest) *bool { return &r.pooled },
 		func(r *DeliverRequest) { clear(r.Items); *r = DeliverRequest{Items: r.Items[:0]} })
 	DeliverReplies = wire.NewPool(func(r *DeliverReply) *bool { return &r.pooled }, nil)
 )
@@ -158,6 +158,10 @@ func (r *TransferReply) ReleaseWirePayload() {
 	wire.ReleaseAll(r.Items)
 	TransferReplies.Put(r)
 }
+
+// reset empties the record for its next life, keeping the vector's
+// capacity.
+func (r *TransferReply) reset() { clear(r.Items); *r = TransferReply{Items: r.Items[:0]} }
 
 // --- DeliverRequest ------------------------------------------------
 

@@ -59,8 +59,11 @@ type InPort struct {
 
 	// req is the consumer's own Transfer request record, reused by every
 	// exchange it runs inline; helpers carry their own, because several
-	// Transfers are on the wire at once.
+	// Transfers are on the wire at once.  rep is its reply record
+	// (req.Reply), absorbed before the next inline exchange; a helper's
+	// reply is queued and outlives its exchange, so it is the pool's.
 	req core.TransferRequest
+	rep core.TransferReply
 
 	mu sync.Mutex
 	// pending[head:] are the items absorbed and not yet handed out.
@@ -138,7 +141,7 @@ type InPortConfig struct {
 func NewInPort(k *kernel.Kernel, self, source uid.UID, channel core.ChannelID, cfg InPortConfig) *InPort {
 	p := &InPort{pref: max(cfg.Prefetch, 0)}
 	p.link.Init(k, self, source, channel, core.OpTransfer, cfg.Batch, cfg.BatchMin, cfg.BatchMax, cfg.Window)
-	p.req = core.TransferRequest{Channel: channel, Max: p.link.Batch}
+	p.req = core.TransferRequest{Channel: channel, Max: p.link.Batch, Reply: &p.rep}
 	return p
 }
 

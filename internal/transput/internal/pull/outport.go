@@ -88,7 +88,7 @@ func (p *OutPort) ServeTransfer(inv *kernel.Invocation) {
 	ch, st := p.chanRegistry.Lookup(req.Channel)
 	var rep *core.TransferReply
 	if st == core.StatusOK {
-		if rep = ch.Take(req.Max); rep == nil {
+		if rep = ch.Take(req.Max, req.Reply); rep == nil {
 			st = p.chanRegistry.MissStatus() // a retire won the race between lookup and lock
 		}
 	}

@@ -195,7 +195,9 @@ type Pusher struct {
 	// under mu) and the server copies the item references into its buffer
 	// before replying, so the record and the pending backing array are
 	// both safe to reuse once the exchange returns.  Its Writer is nil.
+	// rep is its reply record (req.Reply), read before the next exchange.
 	req core.DeliverRequest
+	rep core.DeliverReply
 
 	// Send window (window > 1).  sendq is nil while no helpers are
 	// attached: they start with the first delivery and leave at a drain.
@@ -231,7 +233,8 @@ type PusherConfig struct {
 
 // NewPusher creates an active-output port pushing to target's channel.
 func NewPusher(k *kernel.Kernel, self, target uid.UID, channel core.ChannelID, cfg PusherConfig) *Pusher {
-	w := &Pusher{k: k, req: core.DeliverRequest{Channel: channel}}
+	w := &Pusher{k: k}
+	w.req = core.DeliverRequest{Channel: channel, Reply: &w.rep}
 	w.link.Init(k, self, target, channel, core.OpDeliver, cfg.Batch, cfg.BatchMin, cfg.BatchMax, cfg.Window)
 	if w.link.Window > 1 {
 		w.writer = k.NewUID()
@@ -285,7 +288,8 @@ func (w *Pusher) deliver(req *core.DeliverRequest, job deliverJob) (int, error) 
 // could give its only slot to a delivery whose reply the sink withholds,
 // deadlocking the port.
 func (w *Pusher) send(q <-chan deliverJob) {
-	req := core.DeliverRequest{Channel: w.link.Channel, Writer: w.writer}
+	var rep core.DeliverReply // deliver reads it before the next exchange
+	req := core.DeliverRequest{Channel: w.link.Channel, Writer: w.writer, Reply: &rep}
 	for job := range q {
 		if !w.link.AwaitTurn(job.base) {
 			// Once the stream has failed, later batches (and the End mark)
