@@ -89,7 +89,7 @@ race:
 	$(GO) test -race ./internal/kernel/... ./internal/transput/... ./internal/netsim/... ./internal/transport/... ./internal/shell/... ./internal/spec/... ./internal/stripemap/... ./internal/wire/... ./internal/metrics/...
 
 ## allocs: the allocation pins (the kernel's warm invocation, inline and
-## queued, and its create/destroy churn, the batch-1 hops at zero, in one
+## queued, and its create/destroy churn, a histogram's record, the batch-1 hops at zero, in one
 ## process and over a socket, the batch-1 chain's zero a datum, the bridge's
 ## round trip at its boxes, a bulk frame whose
 ## items are detached in place, the slab's chunk index listing and
@@ -100,7 +100,7 @@ race:
 ## Under -race, where sync.Pool drops Puts, they skip or loosen,
 ## so `test` is otherwise the only strict run they get, and it is one.
 allocs:
-	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/kernel ./internal/transput/... ./internal/netsim ./internal/transport ./internal/stripemap
+	$(GO) test -run 'Allocs|AllocFree|Footprint' -count=3 ./internal/wire ./internal/kernel ./internal/transput/... ./internal/netsim ./internal/transport ./internal/stripemap ./internal/metrics
 
 ## fuzz-smoke: the decoders that read what a peer sends, and the slab
 ## registry they hand views out of, fuzzed past their seed corpus for
@@ -127,11 +127,12 @@ fuzz-smoke:
 ## items handed over in place off real sockets, stale channel
 ## handles and capability-cache entries racing the reuse of their
 ## records, records' first waits (which make their conds) racing
-## every broadcast, and one Caller's own Call and Invocation shared by
-## eight invokers — the subset CI runs on every push in addition to the
+## every broadcast, one Caller's own Call and Invocation shared by
+## eight invokers, and message ids drawn from Callers' blocks beside
+## every other call's — the subset CI runs on every push in addition to the
 ## full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestCallerSharedByEightInvokers' ./internal/transput/... ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers' ./internal/transput/... ./internal/kernel/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's

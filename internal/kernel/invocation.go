@@ -33,10 +33,9 @@ import (
 // nil) and hangs; that is no guard, on either dispatch path.
 type Invocation struct {
 	// MsgID is unique per kernel and never 0, for tracing.  It is not a
-	// sequence: ids are drawn per stripe of the metrics ledger
-	// (metrics.Set.NextID), so of two invocations sent from different
-	// goroutines — or from one whose stack has moved — the later may
-	// carry the smaller id.
+	// sequence: ids are drawn per stripe of the metrics ledger, a
+	// Caller's in blocks (metrics.Set.NextID, DrawID), so of two
+	// invocations the later may carry the smaller id.
 	MsgID uint64
 	// From is the invoking Eject (uid.Nil for external drivers such as
 	// test harnesses).  The paper (§5) is emphatic that user code must
@@ -200,7 +199,6 @@ func (c *Call) settle(r reply) reply {
 		}
 		st := c.stripe
 		k.met.Replies.AddAt(st, 1)
-		k.met.ProcessSwitches.AddAt(st, 1)
 		if r.err == nil {
 			if sz, ok := r.payload.(Sizer); ok {
 				k.met.BytesMoved.AddAt(st, int64(sz.PayloadSize()))

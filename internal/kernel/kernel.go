@@ -149,6 +149,7 @@ type Kernel struct {
 	// state, which is authoritative.
 	bindings *stripemap.Map[uid.UID, *binding]
 	down     atomic.Bool
+	callers  atomic.Uint32 // handles made, which deals their ledger stripes
 
 	mu    sync.RWMutex // guards types only
 	types map[string]ActivateFunc
@@ -474,12 +475,17 @@ type Caller struct {
 		call Call
 		inv  Invocation
 	}
+	// A held call ticks the handle's own ledger stripe, dealt round-robin
+	// so that a pipeline's first 16 ports share no line, and draws its
+	// message id from ids, a block reserved on it; busy guards ids too.
+	stripe metrics.Stripe
+	ids    metrics.IDBlock
 }
 
 // Caller returns an invoker handle for from.  Ports that invoke
 // repeatedly should hold one for the lifetime of the port.
 func (k *Kernel) Caller(from uid.UID) *Caller {
-	return &Caller{k: k, from: from}
+	return &Caller{k: k, from: from, stripe: metrics.Stripe(k.callers.Add(1) - 1)}
 }
 
 // fromNode resolves (and caches) the invoker's home node.
@@ -592,10 +598,9 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // makes send resolve it again: it has one Call, draws one id, and is
 // counted once, at the moment a slot or the mailbox takes it.  One that
 // nothing takes is answered by refuse and ticks no meter on either
-// side.  The id and the counts go to one stripe of the metrics ledger,
-// taken once.
+// side.  The id and the counts go to one stripe of the metrics ledger:
+// via's, the id from via's block, for a held call; Here's for any other.
 func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op string, payload any, waits bool, via *Caller) (*Call, *Invocation, slot) {
-	st := metrics.Here()
 	// A remembered binding is tried without resolving it.  If it has
 	// stopped, claim and enqueue both refuse it and the loop resolves
 	// afresh, with every retry left.
@@ -605,11 +610,12 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 	// path it takes, nothing but the invoker reads its Call.
 	held := waits && b != nil && b.node == fromNode && via.busy.CompareAndSwap(false, true)
 	var c *Call
+	var st metrics.Stripe
 	if held {
-		c = &via.own.call
+		c, st = &via.own.call, via.stripe
 		*c = Call{replyc: c.replyc}
 	} else {
-		c = calls.Get()
+		c, st = calls.Get(), metrics.Here()
 	}
 	c.arm(k, op, target, fromNode)
 	// at is the node the payload is on, and sent the form it has there.
@@ -638,7 +644,12 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 		}
 		at, sent = b.node, out
 		if c.msgID == 0 {
-			c.msgID, c.stripe = k.met.NextID(st), st
+			if held {
+				c.msgID = k.met.DrawID(&via.ids, st)
+			} else {
+				c.msgID = k.met.NextID(st)
+			}
+			c.stripe = st
 			k.traceStart(c, from)
 		}
 
@@ -671,10 +682,7 @@ func (k *Kernel) send(from uid.UID, fromNode netsim.NodeID, target uid.UID, op s
 		if inline || b.enqueue(inv) {
 			m := k.met
 			m.Invocations.AddAt(st, 1)
-			m.ProcessSwitches.AddAt(st, 1)
-			if local {
-				m.LocalInvocations.AddAt(st, 1)
-			} else {
+			if !local {
 				m.CrossNodeInvocations.AddAt(st, 1)
 			}
 			if sz, ok := payload.(Sizer); ok {

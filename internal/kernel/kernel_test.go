@@ -80,13 +80,13 @@ func TestInvokeRoundTrip(t *testing.T) {
 	if rep := raw.(*pingRep); rep.N != 42 {
 		t.Fatalf("reply N = %d, want 42", rep.N)
 	}
-	m := k.Metrics()
-	if m.Invocations.Value() != 1 || m.Replies.Value() != 1 {
+	m := k.Metrics().Snapshot()
+	if m.Get("invocations") != 1 || m.Get("replies") != 1 {
 		t.Errorf("invocations=%d replies=%d, want 1/1",
-			m.Invocations.Value(), m.Replies.Value())
+			m.Get("invocations"), m.Get("replies"))
 	}
-	if m.LocalInvocations.Value() != 1 || m.CrossNodeInvocations.Value() != 0 {
-		t.Errorf("local=%d cross=%d", m.LocalInvocations.Value(), m.CrossNodeInvocations.Value())
+	if m.Get("local_invocations") != 1 || m.Get("cross_node_invocations") != 0 {
+		t.Errorf("local=%d cross=%d", m.Get("local_invocations"), m.Get("cross_node_invocations"))
 	}
 }
 

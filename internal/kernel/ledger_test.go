@@ -337,3 +337,71 @@ func TestMsgIDsUniqueAcrossInvokers(t *testing.T) {
 		t.Errorf("%d distinct message ids, want %d", len(seen), invokers*callsEach)
 	}
 }
+
+// TestMessageIDsUniqueAcrossCallers: a held call draws its id from its
+// Caller's block, every other call from its goroutine's stripe, and the
+// two come from one sequence a stripe.  Eight invokers hold a Caller
+// each, four share one (its busy flag contended, so some of their calls
+// are not held), and two more use Kernel.Invoke and AsyncInvoke: every
+// id the trace sees is non-zero and distinct.  It runs under -race.
+func TestMessageIDsUniqueAcrossCallers(t *testing.T) {
+	const held, sharing, plain, callsEach = 8, 4, 2, 2000
+	var (
+		mu   sync.Mutex
+		seen = make(map[uint64]bool)
+	)
+	k := newTestKernel(t, Config{Trace: func(ev TraceEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ev.MsgID == 0 || seen[ev.MsgID] {
+			t.Errorf("message id %d is zero or repeated", ev.MsgID)
+		}
+		seen[ev.MsgID] = true
+	}})
+	ids := make([]uid.UID, 4)
+	for i := range ids {
+		ids[i], _ = k.Create(idEcho{}, 0)
+	}
+	shared := k.Caller(uid.Nil)
+	stripes := make(map[metrics.Stripe]bool)
+	var wg sync.WaitGroup
+	run := func(call func(j int) error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := range callsEach {
+				if err := call(j); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for g := range held {
+		c := k.Caller(uid.New())
+		stripes[c.stripe] = true
+		run(func(int) error { _, err := c.Invoke(ids[g%len(ids)], "id", nil); return err })
+	}
+	for range sharing {
+		run(func(int) error { _, err := shared.Invoke(ids[0], "id", nil); return err })
+	}
+	for g := range plain {
+		run(func(j int) error {
+			target := ids[(g+j)%len(ids)]
+			if g == 0 {
+				_, err := k.Invoke(uid.Nil, target, "id", nil)
+				return err
+			}
+			_, err := k.AsyncInvoke(uid.Nil, target, "id", nil).Wait()
+			return err
+		})
+	}
+	wg.Wait()
+	if len(stripes) != held {
+		t.Errorf("%d Callers made in a row share stripes: %d distinct", held, len(stripes))
+	}
+	if want := (held + sharing + plain) * callsEach; len(seen) != want {
+		t.Errorf("%d distinct message ids, want %d", len(seen), want)
+	}
+	checkLedger(t, k)
+}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"asymstream/internal/metrics"
 	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
 )
@@ -533,12 +534,12 @@ func TestWhoServes(t *testing.T) {
 	me := goid()
 	metered := func(call func() error) (inv, rep, sw int64) {
 		t.Helper()
-		m := k.Metrics()
-		inv, rep, sw = m.Invocations.Value(), m.Replies.Value(), m.ProcessSwitches.Value()
+		before := k.Metrics().Snapshot()
 		if err := call(); err != nil {
 			t.Fatal(err)
 		}
-		return m.Invocations.Value() - inv, m.Replies.Value() - rep, m.ProcessSwitches.Value() - sw
+		d := metrics.Diff(before, k.Metrics().Snapshot())
+		return d.Get("invocations"), d.Get("replies"), d.Get("process_switches")
 	}
 	for _, tc := range []struct {
 		name   string

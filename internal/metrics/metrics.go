@@ -25,6 +25,8 @@
 //     Nothing contends for them, and a gauge or a maximum has no
 //     per-stripe meaning.
 //
+// Meters that are identities of others have no field: Snapshot derives them.
+//
 // A Snapshot captures every counter at an instant; Diff subtracts two
 // snapshots, which is how the benchmark harness attributes costs to a
 // single pipeline run.  A meter's snapshot name is the metric tag on
@@ -35,6 +37,9 @@ package metrics
 
 import (
 	"fmt"
+	"maps"
+	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"sort"
@@ -205,27 +210,23 @@ type kernelLedger struct {
 	// handed to its target's mailbox or to a worker slot.  An invocation
 	// that never reaches its target (unknown UID, partitioned link, an
 	// Eject that keeps deactivating) is not counted, here or below.
+	// Snapshot derives local_invocations (invocations less
+	// cross_node_invocations) and process_switches, the paper's logical
+	// switches: one per delivery of an invocation to a target Eject and
+	// one per delivery of a reply to the invoker (invocations plus
+	// replies), whichever goroutine carries them.
 	Invocations stripedCounter `metric:"invocations"`
-	// LocalInvocations / CrossNodeInvocations partition Invocations by
-	// whether source and target Ejects share a simulated node.
-	LocalInvocations     stripedCounter `metric:"local_invocations"`
+	// CrossNodeInvocations counts those whose source and target Ejects
+	// are on different simulated nodes.
 	CrossNodeInvocations stripedCounter `metric:"cross_node_invocations"`
 	// Replies counts the replies invokers have collected to counted
 	// invocations (== completed invocations).
 	Replies stripedCounter `metric:"replies"`
-	// ProcessSwitches counts logical switches, as the paper counts
-	// them in its "communications overhead and process switching"
-	// bullet: one per delivery of an invocation to a target Eject and
-	// one per delivery of a reply to the invoker, whichever goroutine
-	// carries them.  It is not a count of goroutine hand-offs: a
-	// synchronous same-node invoker that serves its own invocation on
-	// one of the target's worker slots still makes two.
-	ProcessSwitches stripedCounter `metric:"process_switches"`
 	// BytesMoved counts payload bytes crossing Eject boundaries.
 	BytesMoved stripedCounter `metric:"bytes_moved"`
-	// msgSeq is the stripe's count of message ids drawn (NextID).
+	// msgSeq is the stripe's count of message ids drawn.
 	msgSeq atomic.Int64
-	_      [lineBytes - 7*8]byte
+	_      [lineBytes - 5*8]byte
 	rest   otherStripes
 }
 
@@ -294,13 +295,9 @@ type wireLedger struct {
 // own, every line starts a cache line; their counters are fields of the
 // Set like the rest (s.Invocations, s.ItemsMoved, s.WireBytes).
 //
-// The kernel ledger balances.  Once every reply has been collected,
-//
-//	replies == invocations
-//	process_switches == invocations + replies
-//	local_invocations + cross_node_invocations == invocations
-//
-// on every path, failures included (kernel.TestLedgerIdentity).
+// The kernel ledger balances: once every reply has been collected,
+// replies == invocations on every path, failures included, and the
+// derived meters hold by construction (kernel.TestLedgerIdentity).
 type Set struct {
 	kernelLedger
 	portLedger
@@ -353,6 +350,10 @@ type Set struct {
 	// BatchSizeHighWater tracks the largest batch size any adaptive
 	// per-link AIMD controller reached (Transfer Max / Deliver batch).
 	BatchSizeHighWater HighWater `metric:"batch_size_hw"`
+	// ExchangeRTT is the round trip of an active port's Transfer or
+	// Deliver, issue to reply: every exchange of an adaptive link, one
+	// in 64 of a fixed-size one (core.Link.Exchange).
+	ExchangeRTT Histogram `metric:"exchange_rtt"`
 }
 
 // NextID draws a message id on the given stripe: that stripe's next
@@ -366,25 +367,112 @@ func (s *Set) NextID(st Stripe) uint64 {
 	return uint64(stripeWord(&s.msgSeq, st).Add(1))*stripes + uint64(st)
 }
 
+// idBlock is how many sequence numbers DrawID reserves at a time.
+const idBlock = 64
+
+// IDBlock is a run of one stripe's message ids that one owner draws
+// without an atomic.  The zero IDBlock is empty.
+type IDBlock struct{ next, end uint64 }
+
+// DrawID draws a message id from b, refilling it with the stripe's next
+// idBlock sequence numbers, one atomic add, when it is empty: NextID's
+// ids, so the two never collide.  b is drawn on stripe st only, by one
+// goroutine at a time.
+func (s *Set) DrawID(b *IDBlock, st Stripe) uint64 {
+	st %= stripes
+	if b.next == b.end {
+		b.end = uint64(stripeWord(&s.msgSeq, st).Add(idBlock))
+		b.next = b.end - idBlock
+	}
+	b.next++
+	return b.next*stripes + uint64(st)
+}
+
+// Histogram is a log-bucket histogram of nanosecond durations, eight
+// buckets a power of two: a quantile it reports, its bucket's midpoint,
+// is within 1/16 of the sample's; 2³² ns (4.3 s) and more share the last.
+// Record is one atomic add on words every recorder shares, so hot paths
+// sample.  A Snapshot reports <name>_samples, _p50_ns, _p99_ns and
+// _p999_ns over its whole history.
+type Histogram struct {
+	b [histBuckets]atomic.Int64
+}
+
+const (
+	histSub     = 8                  // buckets a power of two
+	histBuckets = (32 - 2) * histSub // up to 2³² ns; 1 920 B
+)
+
+// histBucket is the bucket of ns: 0–7 one each, then eight a power of two.
+func histBucket(ns int64) int {
+	if ns < histSub {
+		return int(max(ns, 0))
+	}
+	exp := bits.Len64(uint64(ns)) - 1
+	return min((exp-2)*histSub+int(ns>>(exp-3))&(histSub-1), histBuckets-1)
+}
+
+// histLower is the smallest duration bucket b holds.
+func histLower(b int) int64 {
+	if b < histSub {
+		return int64(b)
+	}
+	return int64(histSub+b%histSub) << (b/histSub - 1)
+}
+
+// Record adds one sample of ns nanoseconds.
+func (h *Histogram) Record(ns int64) { h.b[histBucket(ns)].Add(1) }
+
+// histCounts is a copy of a Histogram's buckets.
+type histCounts [histBuckets]int64
+
+// quantile is the midpoint of the bucket holding the q-quantile of n
+// samples, 0 with none.
+func (c *histCounts) quantile(n int64, q float64) int64 {
+	rank := max(int64(math.Ceil(q*float64(n))), 1)
+	for b, seen := 0, int64(0); b < histBuckets; b++ {
+		if seen += c[b]; seen >= rank {
+			return (histLower(b) + histLower(b+1) - 1) / 2
+		}
+	}
+	return 0
+}
+
+// put enters c, the buckets of histogram name, in sn: the sample count
+// and three quantiles.
+func (sn *Snapshot) put(name string, c histCounts) {
+	var n int64
+	for _, v := range c {
+		n += v
+	}
+	sn.Values[name+"_samples"] = n
+	sn.Values[name+"_p50_ns"] = c.quantile(n, 0.50)
+	sn.Values[name+"_p99_ns"] = c.quantile(n, 0.99)
+	sn.Values[name+"_p999_ns"] = c.quantile(n, 0.999)
+}
+
 // Snapshot is a point-in-time copy of every counter in a Set.
 type Snapshot struct {
 	Values map[string]int64
 }
 
 // meter is one row of a Set's snapshot table: the meter's name, where
-// its field lies in the Set, and how to read a field of its type.
+// its field lies in the Set, and how to read a field of its type (nil
+// for a Histogram).
 type meter struct {
 	name string
 	off  uintptr
 	read func(unsafe.Pointer) int64
 }
 
-// readers are the meter types, each with how to read one at an address.
+// readers are the meter types, each with how to read one at an address:
+// a Histogram's is nil, as it reads as several values (Snapshot.put).
 var readers = map[reflect.Type]func(unsafe.Pointer) int64{
 	reflect.TypeFor[stripedCounter](): func(p unsafe.Pointer) int64 { return (*stripedCounter)(p).Value() },
 	reflect.TypeFor[Counter]():        func(p unsafe.Pointer) int64 { return (*Counter)(p).Value() },
 	reflect.TypeFor[Gauge]():          func(p unsafe.Pointer) int64 { return (*Gauge)(p).Value() },
 	reflect.TypeFor[HighWater]():      func(p unsafe.Pointer) int64 { return (*HighWater)(p).Value() },
+	reflect.TypeFor[Histogram]():      nil,
 }
 
 // meters is Set's snapshot table, in field order.
@@ -396,28 +484,45 @@ var meters = func() []meter {
 	return table
 }()
 
-func named(name string) func(meter) bool { return func(m meter) bool { return m.name == name } }
+// snapshotNames holds every name a Snapshot of a Set carries.
+var snapshotNames = (&Set{}).Snapshot().Values
+
+// names are the names m puts in a Snapshot: its tag, or a histogram's.
+func (m meter) names() []string {
+	if m.read != nil {
+		return []string{m.name}
+	}
+	sn := Snapshot{Values: make(map[string]int64)}
+	sn.put(m.name, histCounts{})
+	return slices.Collect(maps.Keys(sn.Values))
+}
 
 // meterTable reads the meters of struct type t, and of the structs it
 // embeds, off their metric tags.  Every meter field must carry a tag,
-// no two tags may agree, and only a meter may carry one.
+// no two meters may share a snapshot name (a derived meter's among
+// them), and only a meter may carry one.
 func meterTable(t reflect.Type) ([]meter, error) {
 	var table []meter
+	taken := map[string]bool{"process_switches": true, "local_invocations": true} // derived
 	var walk func(t reflect.Type, base uintptr) error
 	walk = func(t reflect.Type, base uintptr) error {
 		for i := range t.NumField() {
 			f := t.Field(i)
 			name := f.Tag.Get("metric")
 			read, isMeter := readers[f.Type]
+			m := meter{name, base + f.Offset, read}
 			switch {
 			case isMeter && name == "":
 				return fmt.Errorf("metrics: meter %s.%s has no metric tag", t.Name(), f.Name)
 			case !isMeter && name != "":
 				return fmt.Errorf("metrics: %s.%s is tagged %q but is not a meter", t.Name(), f.Name, name)
-			case isMeter && slices.ContainsFunc(table, named(name)):
+			case isMeter && slices.ContainsFunc(m.names(), func(n string) bool { return taken[n] }):
 				return fmt.Errorf("metrics: %s.%s reuses the name %q", t.Name(), f.Name, name)
 			case isMeter:
-				table = append(table, meter{name, base + f.Offset, read})
+				for _, n := range m.names() {
+					taken[n] = true
+				}
+				table = append(table, m)
 			case f.Anonymous && f.Type.Kind() == reflect.Struct:
 				if err := walk(f.Type, base+f.Offset); err != nil {
 					return err
@@ -431,16 +536,31 @@ func meterTable(t reflect.Type) ([]meter, error) {
 
 // Snapshot captures the current value of every counter.
 func (s *Set) Snapshot() Snapshot {
-	snap := Snapshot{Values: make(map[string]int64, len(meters))}
+	snap := Snapshot{Values: make(map[string]int64, len(meters)+5)} // +3 a histogram, +2 derived
 	for _, m := range meters {
-		snap.Values[m.name] = m.read(unsafe.Add(unsafe.Pointer(s), m.off))
+		at := unsafe.Add(unsafe.Pointer(s), m.off)
+		if m.read != nil {
+			snap.Values[m.name] = m.read(at)
+			continue
+		}
+		var c histCounts
+		for b := range c {
+			c[b] = (*Histogram)(at).b[b].Load()
+		}
+		snap.put(m.name, c)
 	}
+	// The identities: no field, no tick, and exact in every Snapshot and Diff.
+	v := snap.Values
+	v["process_switches"] = v["invocations"] + v["replies"]
+	v["local_invocations"] = v["invocations"] - v["cross_node_invocations"]
 	return snap
 }
 
 // Diff returns a Snapshot holding later-minus-earlier for every
-// counter.  It panics if the snapshots have different key sets, which
-// would indicate mixed metric versions.
+// counter, and a histogram's readings as later has them: a Snapshot
+// keeps no buckets, which would grow every one by the histogram's size.
+// It panics if the snapshots have different key sets, which would
+// indicate mixed metric versions.
 func Diff(earlier, later Snapshot) Snapshot {
 	if len(earlier.Values) != len(later.Values) {
 		panic("metrics: mismatched snapshots")
@@ -453,15 +573,22 @@ func Diff(earlier, later Snapshot) Snapshot {
 		}
 		d.Values[k] = v - ev
 	}
+	for _, m := range meters {
+		if m.read == nil { // a histogram: its readings are not counts
+			for _, n := range m.names() {
+				d.Values[n] = later.Values[n]
+			}
+		}
+	}
 	return d
 }
 
-// Get returns the value of the meter whose metric tag is name; a zero
-// Snapshot reads 0.  It panics if no meter of a Set carries that name,
-// so a misspelled name fails where it is read instead of reading 0.
+// Get returns the value of the meter whose snapshot name is name; a
+// zero Snapshot reads 0.  It panics if no meter of a Set carries that
+// name, so a misspelled name fails where it is read instead of reading 0.
 func (sn Snapshot) Get(name string) int64 {
 	v, ok := sn.Values[name]
-	if !ok && !slices.ContainsFunc(meters, named(name)) {
+	if _, known := snapshotNames[name]; !ok && !known {
 		panic("metrics: no meter named " + name)
 	}
 	return v

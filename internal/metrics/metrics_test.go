@@ -1,8 +1,11 @@
 package metrics
 
 import (
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,6 +134,7 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 		"channels_live", "idle_channel_bytes", "channel_lookup_contention",
 		"cap_cache_hits", "cap_cache_misses", "window_gate_stalls",
 		"window_depth_hw", "merge_reorder_hw", "batch_size_hw",
+		"exchange_rtt_samples", "exchange_rtt_p50_ns", "exchange_rtt_p99_ns", "exchange_rtt_p999_ns",
 	}
 	if len(snap.Values) != len(want) {
 		t.Fatalf("snapshot has %d counters, want %d", len(snap.Values), len(want))
@@ -146,6 +150,8 @@ func TestSnapshotCoversEveryCounter(t *testing.T) {
 // through its own field — a striped one on a stripe other than 0 — and
 // checks each name reads its field's value: a name bound to the wrong
 // field, a reader of the wrong type or one that sums only stripe 0 fails.
+// The derived meters read their identities, and the histogram its own
+// samples.
 func TestSnapshotReadsItsOwnField(t *testing.T) {
 	var s Set
 	want := make(map[string]int64)
@@ -158,10 +164,8 @@ func TestSnapshotReadsItsOwnField(t *testing.T) {
 		set(name, func(v int64) { c.AddAt(Stripe(len(want)%(stripes-1)+1), v) })
 	}
 	striped("invocations", &s.Invocations)
-	striped("local_invocations", &s.LocalInvocations)
 	striped("cross_node_invocations", &s.CrossNodeInvocations)
 	striped("replies", &s.Replies)
-	striped("process_switches", &s.ProcessSwitches)
 	striped("bytes_moved", &s.BytesMoved)
 	striped("transfer_invocations", &s.TransferInvocations)
 	striped("deliver_invocations", &s.DeliverInvocations)
@@ -188,9 +192,20 @@ func TestSnapshotReadsItsOwnField(t *testing.T) {
 	set("window_depth_hw", s.WindowDepthHighWater.Observe)
 	set("merge_reorder_hw", s.MergeReorderHighWater.Observe)
 	set("batch_size_hw", s.BatchSizeHighWater.Observe)
-	if len(want) != 31 {
-		t.Fatalf("set %d meters, want 31", len(want))
+	if len(want) != 29 {
+		t.Fatalf("set %d meters, want 29", len(want))
 	}
+	want["process_switches"] = want["invocations"] + want["replies"]
+	want["local_invocations"] = want["invocations"] - want["cross_node_invocations"]
+	// Three samples 1000, 2000 and 9 s (past the last bucket's bound):
+	// the median's bucket is [1920, 2048), the tail's the last.
+	for _, ns := range []int64{1000, 2000, 9e9} {
+		s.ExchangeRTT.Record(ns)
+	}
+	want["exchange_rtt_samples"] = 3
+	want["exchange_rtt_p50_ns"] = 1983
+	want["exchange_rtt_p99_ns"] = (15<<28 + 1<<32 - 1) / 2
+	want["exchange_rtt_p999_ns"] = want["exchange_rtt_p99_ns"]
 	if got := s.Snapshot().Values; !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot = %v\nwant       %v", got, want)
 	}
@@ -213,6 +228,13 @@ type (
 		nameLedger
 		B Counter `metric:"a"`
 	}
+	reusedHistName struct {
+		A Histogram `metric:"a"`
+		B Counter   `metric:"a_p99_ns"`
+	}
+	reusedDerivedName struct {
+		A Counter `metric:"process_switches"`
+	}
 )
 
 func TestMeterTableRejects(t *testing.T) {
@@ -220,6 +242,8 @@ func TestMeterTableRejects(t *testing.T) {
 		reflect.TypeFor[untaggedMeter](),
 		reflect.TypeFor[taggedNonMeter](),
 		reflect.TypeFor[reusedName](),
+		reflect.TypeFor[reusedHistName](),
+		reflect.TypeFor[reusedDerivedName](),
 	} {
 		if _, err := meterTable(typ); err == nil {
 			t.Errorf("meterTable(%s) accepted it", typ.Name())
@@ -334,7 +358,6 @@ func TestSnapshotDiffIsTheBurst(t *testing.T) {
 			for range 100 {
 				s.Invocations.AddAt(st, 1)
 				s.Replies.AddAt(st, 1)
-				s.ProcessSwitches.AddAt(st, 2)
 				s.ItemsMoved.Add(int64(g))
 				s.SlabRetained.Inc()
 				s.WireBytes.Add(64)
@@ -345,7 +368,7 @@ func TestSnapshotDiffIsTheBurst(t *testing.T) {
 	wg.Wait()
 	d := Diff(before, s.Snapshot())
 	want := map[string]int64{
-		"invocations": 800, "replies": 800, "process_switches": 1600,
+		"invocations": 800, "replies": 800, "process_switches": 1600, "local_invocations": 800,
 		"items_moved": 100 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7), "slab_retained": 800, "wire_bytes": 800 * 64,
 		"window_gate_stalls": 800,
 	}
@@ -375,7 +398,7 @@ func TestStripedCounterSet(t *testing.T) {
 	if got := s.Replies.Value(); got != 8 {
 		t.Fatalf("after Set and Inc: %d, want 8", got)
 	}
-	if s.Invocations.Value() != 0 || s.ProcessSwitches.Value() != 0 {
+	if s.CrossNodeInvocations.Value() != 0 || s.BytesMoved.Value() != 0 {
 		t.Fatal("Set reached a neighbouring counter")
 	}
 }
@@ -384,11 +407,12 @@ func TestStripedCounterSet(t *testing.T) {
 // lines of 64 bytes starting at a 64-byte offset, every stripedCounter
 // in the Set lies in the first line of one (it addresses the other 15
 // relative to itself), and the whole Set stays within 4 KiB of the 240
-// bytes its thirty single-word counters took.
+// bytes its thirty single-word counters took, plus 2 KiB for the
+// exchange histogram.
 func TestSetLayout(t *testing.T) {
-	const unstriped = 30 * 8
-	if size := unsafe.Sizeof(Set{}); size > unstriped+4096 {
-		t.Errorf("Set is %d bytes, budget %d", size, unstriped+4096)
+	const unstriped, budget = 30 * 8, 4096 + 2048
+	if size := unsafe.Sizeof(Set{}); size > unstriped+budget {
+		t.Errorf("Set is %d bytes, budget %d", size, unstriped+budget)
 	}
 	var s Set
 	for _, l := range []struct {
@@ -429,8 +453,8 @@ func TestSetLayout(t *testing.T) {
 		}
 	}
 	walk(reflect.TypeOf(&s).Elem(), false, "Set")
-	if found != 18 {
-		t.Errorf("%d striped counters, want 18", found)
+	if found != 16 {
+		t.Errorf("%d striped counters, want 16", found)
 	}
 }
 
@@ -451,6 +475,80 @@ func TestNextID(t *testing.T) {
 	}
 	if s.NextID(stripes+3) != 4*stripes+3 { // out of range wraps, like every stripe argument
 		t.Fatal("stripe argument not reduced")
+	}
+}
+
+// TestDrawIDSharesTheSequence: ids drawn from blocks and by NextID on
+// one stripe come from one sequence, so none is 0 or repeats.
+func TestDrawIDSharesTheSequence(t *testing.T) {
+	var s Set
+	var a, b IDBlock
+	seen := make(map[uint64]bool)
+	for i := range 3 * idBlock {
+		for _, id := range []uint64{s.DrawID(&a, 5), s.NextID(5), s.DrawID(&b, 5+stripes)} {
+			if id == 0 || seen[id] || id%stripes != 5 {
+				t.Fatalf("draw %d: id %d is zero, repeated or off stripe 5", i, id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
+// TestHistogramQuantiles checks each quantile a Snapshot reports
+// against the sorted samples: within one bucket of the sample at its
+// rank.  A Diff keeps the later Snapshot's readings.
+func TestHistogramQuantiles(t *testing.T) {
+	var s Set
+	rng := rand.New(rand.NewPCG(1, 2))
+	var xs []int64
+	check := func(sn Snapshot) {
+		t.Helper()
+		if got := sn.Get("exchange_rtt_samples"); got != int64(len(xs)) {
+			t.Errorf("samples = %d, want %d", got, len(xs))
+		}
+		for _, hq := range []struct {
+			suffix string
+			q      float64
+		}{{"_p50_ns", 0.50}, {"_p99_ns", 0.99}, {"_p999_ns", 0.999}} {
+			got := sn.Get("exchange_rtt" + hq.suffix)
+			if len(xs) == 0 {
+				if got != 0 {
+					t.Errorf("%s = %d with no samples", hq.suffix, got)
+				}
+				continue
+			}
+			ref := xs[int(math.Ceil(hq.q*float64(len(xs))))-1]
+			b := histBucket(ref)
+			if width := histLower(b+1) - histLower(b); got < ref-width || got > ref+width {
+				t.Errorf("%s = %d, sample %d, bucket width %d", hq.suffix, got, ref, width)
+			}
+		}
+	}
+	check(s.Snapshot())
+	for _, n := range []int{5000, 20000} {
+		before := s.Snapshot()
+		for range n {
+			x := int64(math.Exp(rng.Float64() * 20)) // 1 ns to 0.5 s
+			s.ExchangeRTT.Record(x)
+			xs = append(xs, x)
+		}
+		slices.Sort(xs)
+		check(s.Snapshot())
+		check(Diff(before, s.Snapshot()))
+	}
+	for b := range histBuckets { // every bucket holds its own bounds
+		if histBucket(histLower(b)) != b || histBucket(histLower(b+1)-1) != b {
+			t.Errorf("bucket %d does not hold [%d, %d)", b, histLower(b), histLower(b+1))
+		}
+	}
+}
+
+// TestHistogramRecordAllocs pins the record path at zero allocations.
+func TestHistogramRecordAllocs(t *testing.T) {
+	var h Histogram
+	ns := int64(1)
+	if n := testing.AllocsPerRun(1000, func() { h.Record(ns); ns *= 3 }); n != 0 {
+		t.Errorf("Record allocates %v times, want 0", n)
 	}
 }
 

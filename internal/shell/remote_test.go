@@ -190,7 +190,10 @@ func TestServedProcess(t *testing.T) {
 	for _, row := range []struct{ line, want string }{
 		{`remote ADDR count 3 | print`, "0\n1\n2\n"},
 		{`remote ADDR stats | grep transfer_invocations | print`, "transfer_invocations="},
-		{`remote ADDR trace 10 | grep Remote.Open | print`, "Remote.Open "},
+		// A trace holds what had finished when it opened: the previous
+		// line's Remote.Close is its last event, however many Transfers
+		// that line made.
+		{`remote ADDR trace 10 | grep Remote.Close | print`, "Remote.Close "},
 		{`remote ADDR trace 100000 | head 2 | print`, " invocations total; last "},
 	} {
 		out.Reset()

@@ -197,17 +197,26 @@ func (l *Link) ShutGate() {
 	l.gateMu.Unlock()
 }
 
+// A fixed-size link stamps one exchange in stampEvery: at one in 16 the
+// two clock reads and the histogram's shared line cost pull-local-b1 3 %
+// of its throughput on 2 vCPUs.  A stamp is time.Since(epoch), which
+// reads the monotonic clock only.
+const stampEvery = 64
+
+var epoch = time.Now()
+
 // Exchange issues one synchronous invocation of the link's operation
-// and returns the peer's reply with the instant the exchange began
-// (read only when a controller will want the sample).  Every caller
-// blocks for its reply: a window is several callers, never an
-// asynchronous invocation.
-func (l *Link) Exchange(req any) (any, time.Time, error) {
-	var start time.Time
-	if l.Ctrl != nil {
-		start = time.Now()
+// and returns the peer's reply with its round trip, recorded on
+// Met.ExchangeRTT: every exchange of an adaptive link, whose controller
+// wants it, and every stampEvery-th of a fixed-size one (0 for the
+// rest).  Every caller blocks for its reply: a window is several
+// callers, never an asynchronous invocation.
+func (l *Link) Exchange(req any) (any, time.Duration, error) {
+	var start time.Duration
+	stamped := l.Issued.Add(1)%stampEvery == 0 || l.Ctrl != nil
+	if stamped {
+		start = time.Since(epoch)
 	}
-	l.Issued.Add(1)
 	if l.Window > 1 {
 		l.Met.WindowDepthHighWater.Observe(l.inflight.Add(1))
 	}
@@ -215,14 +224,19 @@ func (l *Link) Exchange(req any) (any, time.Time, error) {
 	if l.Window > 1 {
 		l.inflight.Add(-1)
 	}
-	return raw, start, err
+	var rtt time.Duration
+	if stamped && err == nil {
+		rtt = time.Since(epoch) - start
+		l.Met.ExchangeRTT.Record(int64(rtt))
+	}
+	return raw, rtt, err
 }
 
-// Settle feeds a completed exchange to the controller: asked is the
-// size it aimed for, got how many items it moved.
-func (l *Link) Settle(start time.Time, asked, got int) {
+// Settle feeds a completed exchange to the controller: rtt is its round
+// trip, asked the size it aimed for, got how many items it moved.
+func (l *Link) Settle(rtt time.Duration, asked, got int) {
 	if l.Ctrl != nil && got > 0 {
-		l.Ctrl.record(asked, got, time.Since(start))
+		l.Ctrl.record(asked, got, rtt)
 	}
 }
 

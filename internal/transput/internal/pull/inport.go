@@ -155,7 +155,7 @@ func (p *InPort) Channel() core.ChannelID { return p.link.Channel }
 // normalises the result.
 func (p *InPort) transfer(req *core.TransferRequest) pulled {
 	req.Max = p.link.Size()
-	raw, start, err := p.link.Exchange(req)
+	raw, rtt, err := p.link.Exchange(req)
 	if err != nil {
 		return pulled{err: err}
 	}
@@ -169,7 +169,7 @@ func (p *InPort) transfer(req *core.TransferRequest) pulled {
 		core.TransferReplies.Put(rep)
 		return pulled{err: err, status: st}
 	}
-	p.link.Settle(start, req.Max, len(rep.Items))
+	p.link.Settle(rtt, req.Max, len(rep.Items))
 	return pulled{items: rep.Items, status: rep.Status, rep: rep, base: rep.Base}
 }
 

@@ -254,7 +254,7 @@ func (w *Pusher) Channel() core.ChannelID { return w.link.Channel }
 // error, which is also recorded as the stream's).
 func (w *Pusher) deliver(req *core.DeliverRequest, job deliverJob) (int, error) {
 	req.Items, req.Copies, req.Base, req.End = job.items, job.copies, job.base, job.end
-	raw, start, err := w.link.Exchange(req)
+	raw, rtt, err := w.link.Exchange(req)
 	req.Items, req.Copies = nil, nil
 	rep, ok := raw.(*core.DeliverReply)
 	switch {
@@ -273,7 +273,7 @@ func (w *Pusher) deliver(req *core.DeliverRequest, job deliverJob) (int, error) 
 	default:
 		credits := rep.Credits
 		core.DeliverReplies.Put(rep)
-		w.link.Settle(start, job.asked, len(job.items))
+		w.link.Settle(rtt, job.asked, len(job.items))
 		return credits, nil
 	}
 	w.link.Fail(err)
