@@ -128,11 +128,12 @@ fuzz-smoke:
 ## handles and capability-cache entries racing the reuse of their
 ## records, records' first waits (which make their conds) racing
 ## every broadcast, one Caller's own Call and Invocation shared by
-## eight invokers, and message ids drawn from Callers' blocks beside
-## every other call's — the subset CI runs on every push in addition to the
-## full gate.
+## eight invokers, message ids drawn from Callers' blocks beside
+## every other call's, and graphs through the one walk (fan-in, fan-out,
+## a sharded diamond, Figure 4 and -check's graph rows) — the subset CI
+## runs on every push in addition to the full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers' ./internal/transput/... ./internal/kernel/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers|TestGraph' ./internal/transput/... ./internal/kernel/ ./internal/experiments/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's

@@ -131,6 +131,7 @@ func main() {
 			fmt.Println("parallel engine holds (byte-identical sink output at shards=4/window=4, inv/datum unchanged, Ejects scale to n·P+2)")
 			fmt.Println("fusion compiler holds (byte-identical output, 2 Ejects / ~1 inv per datum co-located, fusion off reproduces paper counts)")
 			fmt.Println("real wire holds (byte-identical digests over UDS and TCP, paper counts at batch 1, slab audit clean under abort)")
+			fmt.Println("graph walk holds (read-only fan-in, write-only fan-out and Figure 4: one Eject a node, exact items at every sink, a datum an invocation an edge)")
 			return
 		}
 		for _, v := range violations {

@@ -1,6 +1,7 @@
 // Package device implements the peripheral Ejects of §4: terminals,
-// printers, the null sink, the date/time source, static data sources,
-// and the report window of Figures 3 and 4.
+// printers, the null sink, the date/time source and static data
+// sources.  (Figures 3 and 4's report window is a sink node of their
+// graph, internal/experiments.)
 //
 // "Output devices such as terminals and printers would provide a
 // potentially infinite supply of Read invocations.  Connecting a
@@ -37,10 +38,6 @@ const (
 	// OpPrint is OpReadFrom with printer job semantics (banner, page
 	// accounting, serialised jobs).
 	OpPrint = "Printer.Print"
-	// OpWatch commands a report window to start following a report
-	// stream; the reply is immediate and the watch runs until the
-	// stream ends.
-	OpWatch = "Window.Watch"
 )
 
 // ReadFromRequest names the stream a sink device should consume: the
@@ -53,8 +50,7 @@ type ReadFromRequest struct {
 	// Batch/Prefetch tune the device's InPort (0 = defaults).
 	Batch    int
 	Prefetch int
-	// Label tags the stream in multi-stream devices (window prefix,
-	// printer banner).
+	// Label tags the stream (the printer's banner).
 	Label string
 }
 
@@ -64,13 +60,9 @@ type ReadFromReply struct {
 	Bytes int64
 }
 
-// WatchReply acknowledges a Watch command.
-type WatchReply struct{}
-
 func init() {
 	gob.Register(&ReadFromRequest{})
 	gob.Register(&ReadFromReply{})
-	gob.Register(&WatchReply{})
 }
 
 // pump pulls a stream to completion, handing each item to emit.

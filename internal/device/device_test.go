@@ -3,7 +3,6 @@ package device
 import (
 	"bytes"
 	"errors"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -168,70 +167,6 @@ func TestCounterSource(t *testing.T) {
 	}
 	if n != 5 {
 		t.Fatalf("counter emitted %d", n)
-	}
-}
-
-func TestWindowPullMode(t *testing.T) {
-	// Figure 4: the window pulls multiple report channels and labels
-	// them.
-	k := newDevKernel(t)
-	w, wUID, err := NewReportWindow(k, 0, nil, ReportWindowConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aID, aCh, err := StaticSource(k, 0, transput.SplitLines([]byte("r1\nr2\n")), transput.ROStageConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bID, bCh, err := StaticSource(k, 0, transput.SplitLines([]byte("s1\n")), transput.ROStageConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Watch(k, wUID, aID, aCh, "A"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Watch(k, wUID, bID, bCh, "B"); err != nil {
-		t.Fatal(err)
-	}
-	w.WaitQuiescent()
-	lines := w.Lines()
-	if len(lines) != 3 {
-		t.Fatalf("window lines = %d", len(lines))
-	}
-	var got []string
-	for _, l := range lines {
-		got = append(got, string(l))
-	}
-	sort.Strings(got)
-	want := []string{"[A] r1\n", "[A] r2\n", "[B] s1\n"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("window = %v", got)
-		}
-	}
-}
-
-func TestWindowPushMode(t *testing.T) {
-	// Figure 3: anonymous pushed reports from two writers.
-	k := newDevKernel(t)
-	w, wUID, err := NewReportWindow(k, 0, nil, ReportWindowConfig{Writers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := transput.NewPusher(k, uid.Nil, wUID, w.PushChannel(), transput.PusherConfig{})
-			_ = p.Put([]byte("report\n"))
-			_ = p.Close()
-		}(i)
-	}
-	wg.Wait()
-	w.WaitQuiescent()
-	if n := len(w.Lines()); n != 2 {
-		t.Fatalf("pushed lines = %d", n)
 	}
 }
 

@@ -231,13 +231,9 @@ func TestE10FanMatrix(t *testing.T) {
 		if moved != 60*k {
 			t.Errorf("%s k=%d moved %d items, want %d", row[0], k, moved, 60*k)
 		}
-		wantEjects := k + 1
-		if strings.HasPrefix(row[0], "ro fan-out") {
-			// The k pullers are external drivers; only the multi-channel
-			// source is an Eject.
-			wantEjects = 1
-		}
-		if ejects != wantEjects {
+		// One Eject a node: the read-only fan-out's k pullers are sink
+		// nodes too.
+		if wantEjects := k + 1; ejects != wantEjects {
 			t.Errorf("%s k=%d used %d ejects, want %d", row[0], k, ejects, wantEjects)
 		}
 	}
@@ -308,5 +304,16 @@ func TestGatewaySoak(t *testing.T) {
 	}
 	if rep.SlabLeaked != 0 || rep.ChannelsLiveEnd != 40_000 {
 		t.Errorf("soak invariants: leaked=%d live=%d", rep.SlabLeaked, rep.ChannelsLiveEnd)
+	}
+}
+
+// TestGraphCheckRows runs -check's graph rows three times in one process:
+// each must hold its exact Ejects and sink counts and its invocation
+// bound every time, not on a lucky run.
+func TestGraphCheckRows(t *testing.T) {
+	for run := 0; run < 3; run++ {
+		for _, v := range VerifyGraph(quickParams) {
+			t.Errorf("run %d: %s", run, v)
+		}
 	}
 }

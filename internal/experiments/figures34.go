@@ -3,30 +3,31 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"asymstream/internal/device"
+	"asymstream/internal/filters"
 	"asymstream/internal/metrics"
 	"asymstream/internal/transput"
 )
 
-// Figures 3 and 4 share one topology: a three-filter pipeline in which
-// the source and the first filter also produce Report streams, both
-// directed at a common Report Window.  The two experiments differ only
-// in discipline:
+// Figures 3 and 4 are one graph: a three-filter pipeline in which the
+// source and the first filter also produce Report streams, both directed
+// at a common Report Window.  The two experiments differ only in the
+// discipline the walk wires it under:
 //
 //   - E6 / Figure 3 (write-only): reports are *pushed* — "the source,
 //     F1 ... produce reports as well as normal output.  The reports
 //     from source and F1 are directed to a common destination, perhaps
-//     a window on a display."  The window cannot tell the two
-//     reporters apart.
+//     a window on a display."  The window's two inbound links are one
+//     channel with two writers, so it cannot tell the reporters apart.
 //
 //   - E7 / Figure 4 (read-only with channel identifiers): each
-//     reporter exposes a Report channel; the window is told both
-//     (source UID, channel id) pairs and pulls them — "It is assumed
-//     that the Report Window is designed to read from multiple
-//     sources."  The streams stay distinguishable (the window labels
-//     them).
+//     reporter declares a Report channel beside its Output, and the
+//     window pulls both — "It is assumed that the Report Window is
+//     designed to read from multiple sources."  The streams stay
+//     distinguishable: the window labels each line by its input.
 
 // FigureResult is the measured outcome of one figure run.
 type FigureResult struct {
@@ -41,244 +42,126 @@ type FigureResult struct {
 // reportEvery controls report density in the figure workloads.
 const reportEvery = 50
 
-// dataAndReports writes `items` data lines to outs[0] and a report to
-// outs[1] every reportEvery items plus a final summary.
-func dataAndReports(name string, items int) transput.Body {
-	return func(ins []transput.ItemReader, outs []transput.ItemWriter) error {
-		for i := 0; i < items; i++ {
-			if err := outs[0].Put([]byte(fmt.Sprintf("%s data %d\n", name, i))); err != nil {
-				return err
-			}
-			if (i+1)%reportEvery == 0 {
-				if err := outs[1].Put([]byte(fmt.Sprintf("%s: %d items\n", name, i+1))); err != nil {
-					return err
-				}
-			}
+// fed runs body as a source whose one input is items numbered lines.
+func fed(items int, body transput.Body) transput.Body {
+	return func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+		lines := make([][]byte, items)
+		for i := range lines {
+			lines[i] = fmt.Appendf(nil, "line %d\n", i)
 		}
-		return outs[1].Put([]byte(fmt.Sprintf("%s: done\n", name)))
+		return body([]transput.ItemReader{transput.NewSliceReader(lines)}, outs)
 	}
 }
 
-// passWithReports forwards ins[0] to outs[0], reporting on outs[1].
-func passWithReports(name string) transput.Body {
-	return func(ins []transput.ItemReader, outs []transput.ItemWriter) error {
-		n := 0
-		for {
-			item, err := ins[0].Next()
-			if err == io.EOF {
-				return outs[1].Put([]byte(fmt.Sprintf("%s: done after %d\n", name, n)))
-			}
+// countInto is a sink that drains its inputs in turn into n.
+func countInto(n *atomic.Int64) transput.Body {
+	return func(ins []transput.ItemReader, _ []transput.ItemWriter) error {
+		for _, in := range ins {
+			c, err := transput.Drain(in)
+			n.Add(int64(c))
 			if err != nil {
 				return err
 			}
-			if err := outs[0].Put(item); err != nil {
-				return err
-			}
-			n++
-			if n%reportEvery == 0 {
-				if err := outs[1].Put([]byte(fmt.Sprintf("%s: %d items\n", name, n))); err != nil {
-					return err
-				}
-			}
 		}
+		return nil
 	}
 }
 
-// passThrough forwards ins[0] to outs[0].
-func passThrough() transput.Body {
-	return func(ins []transput.ItemReader, outs []transput.ItemWriter) error {
-		for {
-			item, err := ins[0].Next()
-			if err == io.EOF {
-				return nil
-			}
+// reportWindow is the figures' Report Window: it reads all its inputs at
+// once — draining them in turn would stall Figure 4 as soon as a
+// reporter's Report channel filled — and labels each line by its input.
+func reportWindow(lines *[]string) transput.Body {
+	return func(ins []transput.ItemReader, _ []transput.ItemWriter) error {
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		errs := make([]error, len(ins))
+		for c, in := range ins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					item, err := in.Next()
+					if err != nil {
+						if err != io.EOF {
+							errs[c] = err
+						}
+						return
+					}
+					mu.Lock()
+					*lines = append(*lines, fmt.Sprintf("[%d] %s", c, item))
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
 				return err
 			}
-			if err := outs[0].Put(item); err != nil {
-				return err
-			}
 		}
+		return nil
 	}
 }
 
-// RunFigure3 wires Figure 3: write-only discipline, reports pushed to
-// the window.
+// figureGraph is Figures 3 and 4: source → F1 → F2 → sink, with the
+// second outputs of source and F1, their Report streams, into the window.
+func figureGraph(items int, count *atomic.Int64, lines *[]string) transput.Graph {
+	return transput.Graph{
+		Nodes: []transput.Filter{
+			{Name: "source", Body: fed(items, filters.WithReports("source", reportEvery, filters.Identity()))},
+			{Name: "F1", Body: filters.Progress("F1", reportEvery)},
+			{Name: "F2", Body: filters.Identity()},
+			{Name: "sink", Body: countInto(count)},
+			{Name: "window", Body: reportWindow(lines)},
+		},
+		Edges: []transput.Edge{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 3}, {From: 0, To: 4}, {From: 1, To: 4}},
+	}
+}
+
+// runGraph builds g on a fresh kernel, runs it until every sink is done
+// and reports what that cost.
+func runGraph(d transput.Discipline, g transput.Graph, opt transput.Options) (FigureResult, error) {
+	k := newKernel()
+	defer k.Shutdown()
+	before := k.Metrics().Snapshot()
+	p, err := transput.BuildGraph(k, d, g, opt)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	defer p.Destroy()
+	start := time.Now()
+	if err := p.Run(); err != nil {
+		return FigureResult{}, err
+	}
+	elapsed := time.Since(start)
+	diff := metrics.Diff(before, k.Metrics().Snapshot())
+	return FigureResult{
+		Ejects:   diff.Get("ejects_created"),
+		DataInv:  diff.Get("transfer_invocations") + diff.Get("deliver_invocations"),
+		TotalInv: diff.Get("invocations"),
+		Elapsed:  elapsed,
+	}, nil
+}
+
+func runFigure(d transput.Discipline, items int, opt transput.Options) (FigureResult, error) {
+	var count atomic.Int64
+	var lines []string
+	res, err := runGraph(d, figureGraph(items, &count, &lines), opt)
+	res.Items, res.ReportLines = count.Load(), len(lines)
+	return res, err
+}
+
+// RunFigure3 runs Figure 3: write-only discipline, reports pushed to the
+// window.
 func RunFigure3(items int) (FigureResult, error) {
-	k := newKernel()
-	defer k.Shutdown()
-	before := k.Metrics().Snapshot()
-
-	window, windowUID, err := device.NewReportWindow(k, 0, nil, device.ReportWindowConfig{Writers: 2})
-	if err != nil {
-		return FigureResult{}, err
-	}
-
-	// Sink (write-only): counts arriving data items.
-	var count int64
-	sinkStage := transput.NewWOStage(k, transput.WOStageConfig{Name: "sink"},
-		func(ins []transput.ItemReader, _ []transput.ItemWriter) error {
-			for {
-				_, err := ins[0].Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				count++
-			}
-		})
-	sinkUID := k.NewUID()
-	if err := k.CreateWithUID(sinkUID, sinkStage, 0); err != nil {
-		return FigureResult{}, err
-	}
-
-	// F2: plain filter.
-	f2UID := k.NewUID()
-	f2 := transput.NewWOStage(k, transput.WOStageConfig{Name: "F2"}, passThrough(),
-		transput.NewPusher(k, f2UID, sinkUID, sinkStage.Reader(0).ID(), transput.PusherConfig{}))
-	if err := k.CreateWithUID(f2UID, f2, 0); err != nil {
-		return FigureResult{}, err
-	}
-
-	// F1: reporting filter; outs[0] → F2, outs[1] → window.
-	f1UID := k.NewUID()
-	f1 := transput.NewWOStage(k, transput.WOStageConfig{Name: "F1"}, passWithReports("F1"),
-		transput.NewPusher(k, f1UID, f2UID, f2.Reader(0).ID(), transput.PusherConfig{}),
-		transput.NewPusher(k, f1UID, windowUID, window.PushChannel(), transput.PusherConfig{}))
-	if err := k.CreateWithUID(f1UID, f1, 0); err != nil {
-		return FigureResult{}, err
-	}
-
-	// Source: produces data and reports, both pushed.
-	srcUID := k.NewUID()
-	src := transput.NewConvStage("source", dataAndReports("source", items), nil,
-		[]transput.ItemWriter{
-			transput.NewPusher(k, srcUID, f1UID, f1.Reader(0).ID(), transput.PusherConfig{}),
-			transput.NewPusher(k, srcUID, windowUID, window.PushChannel(), transput.PusherConfig{}),
-		})
-	if err := k.CreateWithUID(srcUID, src, 0); err != nil {
-		return FigureResult{}, err
-	}
-
-	start := time.Now()
-	sinkStage.Start()
-	f2.Start()
-	f1.Start()
-	src.Start()
-	<-sinkStage.Done()
-	if err := sinkStage.Err(); err != nil {
-		return FigureResult{}, err
-	}
-	window.WaitQuiescent()
-	elapsed := time.Since(start)
-
-	diff := metrics.Diff(before, k.Metrics().Snapshot())
-	return FigureResult{
-		Items:       count,
-		ReportLines: len(window.Lines()),
-		Ejects:      diff.Get("ejects_created"),
-		DataInv:     diff.Get("transfer_invocations") + diff.Get("deliver_invocations"),
-		TotalInv:    diff.Get("invocations"),
-		Elapsed:     elapsed,
-	}, nil
+	return runFigure(transput.WriteOnly, items, transput.Options{})
 }
 
-// RunFigure4 wires Figure 4: read-only discipline with channel
-// identifiers; the window pulls both Report channels.
+// RunFigure4 runs Figure 4: read-only discipline with channel
+// identifiers, capabilities if capabilityMode; the window pulls both
+// Report channels.
 func RunFigure4(items int, capabilityMode bool) (FigureResult, error) {
-	k := newKernel()
-	defer k.Shutdown()
-	before := k.Metrics().Snapshot()
-
-	// Source: channels Output(0) and Report(1).
-	src := transput.NewROStage(k, transput.ROStageConfig{
-		Name:           "source",
-		OutNames:       []string{"Output", "Report"},
-		CapabilityMode: capabilityMode,
-	}, dataAndReports("source", items))
-	srcUID := k.NewUID()
-	if err := k.CreateWithUID(srcUID, src, 0); err != nil {
-		return FigureResult{}, err
-	}
-	src.Start()
-
-	// F1: reporting filter with the same two channels.
-	f1UID := k.NewUID()
-	f1In := transput.NewInPort(k, f1UID, srcUID, src.Writer(0).ID(), transput.InPortConfig{})
-	f1 := transput.NewROStage(k, transput.ROStageConfig{
-		Name:           "F1",
-		OutNames:       []string{"Output", "Report"},
-		CapabilityMode: capabilityMode,
-	}, passWithReports("F1"), f1In)
-	if err := k.CreateWithUID(f1UID, f1, 0); err != nil {
-		return FigureResult{}, err
-	}
-	f1.Start()
-
-	// F2: plain filter.
-	f2UID := k.NewUID()
-	f2In := transput.NewInPort(k, f2UID, f1UID, f1.Writer(0).ID(), transput.InPortConfig{})
-	f2 := transput.NewROStage(k, transput.ROStageConfig{
-		Name:           "F2",
-		CapabilityMode: capabilityMode,
-	}, passThrough(), f2In)
-	if err := k.CreateWithUID(f2UID, f2, 0); err != nil {
-		return FigureResult{}, err
-	}
-	f2.Start()
-
-	// Window: pulls both Report channels, labelled.
-	window, windowUID, err := device.NewReportWindow(k, 0, nil, device.ReportWindowConfig{})
-	if err != nil {
-		return FigureResult{}, err
-	}
-	if err := device.Watch(k, windowUID, srcUID, src.Writer(1).ID(), "source"); err != nil {
-		return FigureResult{}, err
-	}
-	if err := device.Watch(k, windowUID, f1UID, f1.Writer(1).ID(), "F1"); err != nil {
-		return FigureResult{}, err
-	}
-
-	// Sink: pulls the primary stream.
-	var count int64
-	sinkUID := k.NewUID()
-	sinkIn := transput.NewInPort(k, sinkUID, f2UID, f2.Writer(0).ID(), transput.InPortConfig{})
-	sink := transput.NewConvStage("sink", func(ins []transput.ItemReader, _ []transput.ItemWriter) error {
-		for {
-			_, err := ins[0].Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			count++
-		}
-	}, []transput.ItemReader{sinkIn}, nil)
-	if err := k.CreateWithUID(sinkUID, sink, 0); err != nil {
-		return FigureResult{}, err
-	}
-
-	start := time.Now()
-	sink.Start()
-	<-sink.Done()
-	if err := sink.Err(); err != nil {
-		return FigureResult{}, err
-	}
-	window.WaitQuiescent()
-	elapsed := time.Since(start)
-
-	diff := metrics.Diff(before, k.Metrics().Snapshot())
-	return FigureResult{
-		Items:       count,
-		ReportLines: len(window.Lines()),
-		Ejects:      diff.Get("ejects_created"),
-		DataInv:     diff.Get("transfer_invocations") + diff.Get("deliver_invocations"),
-		TotalInv:    diff.Get("invocations"),
-		Elapsed:     elapsed,
-	}, nil
+	return runFigure(transput.ReadOnly, items, transput.Options{CapabilityMode: capabilityMode})
 }
 
 // E6Figure3 tabulates the write-only report topology.

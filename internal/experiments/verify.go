@@ -104,5 +104,54 @@ func Verify(p Params) []string {
 	// byte-identical to netsim's, the paper's counts hold at batch 1,
 	// and the slab leak audit stays clean — including under abort.
 	bad = append(bad, VerifyTransport(p)...)
+
+	// The graph walk: §5's native fan directions and Figure 4 at exact
+	// counts.
+	bad = append(bad, VerifyGraph(p)...)
+	return bad
+}
+
+// VerifyGraph holds graphs built through the one walk at batch 1 with
+// fusion off: read-only fan-in and write-only fan-out at k = 4, and
+// Figure 4 with capability channels.  Each has one Eject a node, exactly
+// its items at every sink, and data invocations in [moved, moved +
+// edges], where moved counts every item once on every edge it crosses:
+// one datum an invocation, and at most one End exchange an edge.
+func VerifyGraph(p Params) []string {
+	var bad []string
+	check := func(row string, ejects, wantEjects, inv, moved, edges int64) {
+		if ejects != wantEjects {
+			bad = append(bad, fmt.Sprintf("%s: %d Ejects, want %d", row, ejects, wantEjects))
+		}
+		if inv < moved || inv > moved+edges {
+			bad = append(bad, fmt.Sprintf("%s: %d data invocations, want %d plus at most %d End exchanges", row, inv, moved, edges))
+		}
+	}
+	const k = 4
+	items := int64(p.Items)
+	for _, topo := range fanTopologies[:2] {
+		row := fmt.Sprintf("%s k=%d", topo.name, k)
+		got, res, err := runFan(topo, k, p.Items)
+		if err != nil {
+			bad = append(bad, fmt.Sprintf("%s: %v", row, err))
+			continue
+		}
+		for i, n := range got {
+			if want := items * k / int64(len(got)); n != want {
+				bad = append(bad, fmt.Sprintf("%s: sink %d got %d items, want %d", row, i, n, want))
+			}
+		}
+		check(row, res.Ejects, k+1, res.DataInv, items*k, k)
+	}
+	row := "Figure 4 with capability channels"
+	res, err := RunFigure4(p.Items, true)
+	if err != nil {
+		return append(bad, fmt.Sprintf("%s: %v", row, err))
+	}
+	reports := int64(2 * (p.Items/reportEvery + 1))
+	if res.Items != items || int64(res.ReportLines) != reports {
+		bad = append(bad, fmt.Sprintf("%s: sink got %d items and window %d reports, want %d and %d", row, res.Items, res.ReportLines, items, reports))
+	}
+	check(row, res.Ejects, 5, res.DataInv, 3*items+reports, 5)
 	return bad
 }

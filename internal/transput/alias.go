@@ -146,7 +146,3 @@ func NewPusher(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg Pu
 
 // NewWOInPort creates a passive-input port (push.NewWOInPort).
 func NewWOInPort(k *kernel.Kernel, cfg WOInPortConfig) *WOInPort { return push.NewWOInPort(k, cfg) }
-
-// NewMultiWriter fans one stream out to several writers
-// (push.NewMultiWriter).
-func NewMultiWriter(ws ...ItemWriter) *push.MultiWriter { return push.NewMultiWriter(ws...) }

@@ -1,17 +1,18 @@
 // Stage fusion — the pipeline builder's answer to §6's cost model.
 // Invocation is dear *because* it is location-independent; between two
 // stages that share a node the port hop (frame codec, windowed link,
-// mailbox bounce) buys nothing.  Fusion partitions the pipeline's chain
-// of elements into groups of adjacent co-located stages at Build time and
-// compiles each group into a single element — one Eject — whose body is
-// the direct composition of the member bodies: items flow from member to
-// member through an in-stack coroutine edge, with no frame, no port and
-// no invocation.  The pass takes the chain and returns the chain; the
-// walk in pipeline.go wires a group exactly as it wires any element, and
+// mailbox bounce) buys nothing.  Fusion partitions the graph's elements
+// into runs of linked co-located stages at Build time and compiles each
+// run into a single element — one Eject — whose body is the direct
+// composition of the member bodies: items flow from member to member
+// through an in-stack coroutine edge, with no frame, no port and no
+// invocation.  The pass takes the graph and returns the graph; the walk
+// in pipeline.go wires a group exactly as it wires any element, and
 // learns what it is from the element itself (its node, its fused mark).
 //
 // Boundaries stay real.  A shard split (an element of several shards),
-// an explicit Filter.NoFuse, a cross-node edge, and every
+// a fan node (more than one edge on a side), an explicit Filter.NoFuse,
+// a cross-node edge, and every
 // buffered-discipline PassiveBuffer remain genuine windowed links —
 // fusion only elides hops that are provably unobservable (cf. Palamidessi's encodings between the
 // synchronous and asynchronous π-calculi: semantics-preserving exactly
@@ -52,8 +53,8 @@ func (m FusionMode) String() string {
 	return "off"
 }
 
-// fuseChain is the fusion pass: it takes the chain BuildPipeline is about
-// to wire and returns it with every maximal run of adjacent, co-located,
+// fuseGraph is the fusion pass: it takes the graph the walk is about to
+// wire and returns it with every maximal run of linked, co-located,
 // fusion-eligible elements collapsed into one element whose body is the
 // direct composition of the members', reporting how many groups it
 // compiled and how many members they hold.  A filter is eligible when it
@@ -61,34 +62,59 @@ func (m FusionMode) String() string {
 // read-only discipline the source is eligible too and folds into a leading
 // group (the sink remains the separate pump that drives the pipeline); in
 // the write-only discipline the sink folds into a trailing group (the
-// source remains the driver).  The buffered discipline refuses fusion
-// outright: every one of its links is an explicit PassiveBuffer boundary.
+// source remains the driver).  A node with more than one edge on a side
+// keeps its ports, and the buffered discipline refuses fusion outright:
+// every one of its links is an explicit PassiveBuffer boundary.  Groups
+// are numbered by their first member; edges inside a group go.
 //
 // With everything co-located the asymmetric pipelines collapse to two
 // Ejects — driver plus fused chain — and one stream invocation per
 // datum, against the paper's n+2 and n+1.
-func fuseChain(d Discipline, chain []element, mode FusionMode) (fused []element, groups, stages int) {
+func fuseGraph(d Discipline, els []element, edges []Edge, mode FusionMode) ([]element, []Edge, int, int) {
 	if mode != FusionOn || d == Buffered {
-		return chain, 0, 0
+		return els, edges, 0, 0
 	}
-	eligible := func(e element) bool {
-		switch e.role {
+	in, out := adjacency(len(els), edges)
+	eligible := func(i int) bool {
+		if len(in[i]) > 1 || len(out[i]) > 1 {
+			return false
+		}
+		switch els[i].role {
 		case RoleSource:
 			return d == ReadOnly
 		case RoleSink:
 			return d == WriteOnly
 		}
-		return e.shards == 1 && !e.noFuse
+		return els[i].shards == 1 && !els[i].noFuse
 	}
-	for i := 0; i < len(chain); {
-		j := i + 1
-		if eligible(chain[i]) {
-			for j < len(chain) && eligible(chain[j]) && chain[j].node == chain[i].node {
-				j++
-			}
+	// next is the member that follows i in its run, or -1.
+	next := func(i int) int {
+		if !eligible(i) || len(out[i]) == 0 {
+			return -1
 		}
-		run := chain[i:j]
-		i = j
+		if j := edges[out[i][0]].To; eligible(j) && els[j].node == els[i].node {
+			return j
+		}
+		return -1
+	}
+	inRun := make([]bool, len(els)) // i follows another member
+	for i := range els {
+		if j := next(i); j >= 0 {
+			inRun[j] = true
+		}
+	}
+	group := make([]int, len(els))
+	var fused []element
+	var groups, stages int
+	for i := range els {
+		if inRun[i] {
+			continue
+		}
+		var run []element
+		for m := i; m >= 0; m = next(m) {
+			group[m] = len(fused)
+			run = append(run, els[m])
+		}
 		if len(run) < 2 {
 			// No neighbour to join: there is no hop to elide, so the element
 			// stays an ordinary stage.
@@ -101,7 +127,7 @@ func fuseChain(d Discipline, chain []element, mode FusionMode) (fused []element,
 			bodies[m], names[m] = e.body, e.name
 		}
 		// The group is a filter unless it swallowed the source or the sink,
-		// whose place in the chain (and name) it then takes.
+		// whose place in the graph (and name) it then takes.
 		g := element{
 			role: RoleFilter, name: strings.Join(names, "+"), body: itemio.ComposeBodies(bodies),
 			shards: 1, node: run[0].node, fused: true,
@@ -116,7 +142,13 @@ func fuseChain(d Discipline, chain []element, mode FusionMode) (fused []element,
 		groups++
 		stages += len(run)
 	}
-	return fused, groups, stages
+	var kept []Edge
+	for _, e := range edges {
+		if group[e.From] != group[e.To] {
+			kept = append(kept, Edge{group[e.From], group[e.To]})
+		}
+	}
+	return fused, kept, groups, stages
 }
 
 // fusedPoolWorkers sizes a fused stage's kernel worker pool: enough

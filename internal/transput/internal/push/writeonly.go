@@ -478,50 +478,6 @@ func (w *Pusher) DeliversIssued() int64 { return w.link.Issued.Load() }
 
 var _ itemio.ItemWriter = (*Pusher)(nil)
 
-// MultiWriter duplicates every item to all of ws; Close/CloseWithError
-// fan out likewise.  It is the simplest fan-out device for disciplines
-// that permit it.
-type MultiWriter struct {
-	ws []itemio.ItemWriter
-}
-
-// NewMultiWriter returns an ItemWriter that duplicates to all ws.
-func NewMultiWriter(ws ...itemio.ItemWriter) *MultiWriter { return &MultiWriter{ws: ws} }
-
-// Put fans the item out to every writer, stopping at the first error.
-func (m *MultiWriter) Put(item []byte) error {
-	for _, w := range m.ws {
-		if err := w.Put(item); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close closes every writer, returning the first error.
-func (m *MultiWriter) Close() error {
-	var first error
-	for _, w := range m.ws {
-		if err := w.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// CloseWithError aborts every writer, returning the first error.
-func (m *MultiWriter) CloseWithError(err error) error {
-	var first error
-	for _, w := range m.ws {
-		if e := w.CloseWithError(err); e != nil && first == nil {
-			first = e
-		}
-	}
-	return first
-}
-
-var _ itemio.ItemWriter = (*MultiWriter)(nil)
-
 // Registry is the port's channel registry, for code that inspects the
 // records under the face.
 func (p *WOInPort) Registry() *core.ChanRegistry { return &p.chanRegistry }

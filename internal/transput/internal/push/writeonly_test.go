@@ -301,22 +301,3 @@ func TestWOCapabilityChannels(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
-
-func TestMultiWriterFanOut(t *testing.T) {
-	var a, b transput.CollectWriter
-	mw := push.NewMultiWriter(&a, &b)
-	for i := 0; i < 5; i++ {
-		if err := mw.Put([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := mw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Items) != 5 || len(b.Items) != 5 {
-		t.Fatalf("fan-out lost items: %d/%d", len(a.Items), len(b.Items))
-	}
-	if err := mw.Put([]byte("late")); !errors.Is(err, itemio.ErrClosed) {
-		t.Fatalf("Put after Close: %v", err)
-	}
-}

@@ -1,25 +1,33 @@
 package transput
 
-// The pipeline builder.  A pipeline is one chain of elements — source,
-// filters, sink, every user body adapted to Body at BuildPipeline's door —
-// and one walk wires it under any discipline.  A link between neighbours
-// has a width (the shard count of its sharded side, 1 otherwise) and a
-// direction, and the direction is the discipline: which side is passive.
+// The pipeline builder.  A pipeline is a graph of elements — every user
+// body adapted to Body at the door, a linear pipeline being the path
+// source → filters → sink — and one walk wires it under any discipline.
+// A link (an edge) has a width (the shard count of its sharded side, 1
+// otherwise) and a direction, and the direction is the discipline: which
+// side is passive.
 //
 //	            declares (passive)     constructs (active)      walk         the link is
 //	read-only   upstream: OutPort      downstream: InPort       head → tail  the upstream's channels
 //	write-only  downstream: WOInPort   upstream: Pusher         tail → head  the downstream's channels
 //	buffered    neither                both: Pusher and InPort  head → tail  width PassiveBuffer Ejects
 //
+//	a node with k edges  outbound (fan-out)                   inbound (fan-in)
+//	read-only            k OutPort channels, one an edge      k InPorts, one UID each
+//	write-only           k Pushers, one UID each              one channel, Writers k: anonymous
+//	buffered             k Pushers into k PassiveBuffers      k InPorts on k PassiveBuffers
+//
 // The passive end is built first because the active end needs its UID
 // (and, in capability mode, its channel UID); write-only is read-only with
 // the initiative reversed (§5), and buffered is their composition through
-// a passive buffer (Figure 1).  Shard resolution, the body wrap, the port
-// settings, the inventory and the error exit are written once, in wire.
+// a passive buffer (Figure 1).  Head → tail is a topological order of the
+// graph.  Shard resolution, the body wrap, the port settings, the
+// inventory and the error exit are written once, in wire.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"asymstream/internal/kernel"
@@ -66,9 +74,9 @@ type SourceFunc func(out ItemWriter) error
 // SinkFunc consumes the pipeline's data until io.EOF.
 type SinkFunc func(in ItemReader) error
 
-// Filter names a single-input single-output stage body for linear
-// pipelines.  Multi-stream topologies (Figures 3 and 4) are assembled
-// from the stage types directly; see the reports example.
+// Filter names a stage body: a filter of a linear pipeline, or any node
+// of a Graph, whose edges give the body its ins and outs — Figures 3 and
+// 4 are one graph of five (internal/experiments, figures34.go).
 type Filter struct {
 	Name string
 	Body Body
@@ -76,7 +84,9 @@ type Filter struct {
 	// the body across that many shard Ejects, 1 forces sequential, 0
 	// inherits the pipeline default.  Shard a filter only if its body
 	// is per-item (each output a function of the current input);
-	// stateful bodies (sort, uniq, wc) compute per-shard results.
+	// stateful bodies (sort, uniq, wc) compute per-shard results.  A
+	// graph's sources and sinks are one Eject each, whatever their
+	// Shards.
 	Shards int
 	// NoFuse pins the filter to its own Eject even under
 	// Options.Fusion: its links stay real ports, so they can be
@@ -142,8 +152,9 @@ type Options struct {
 	Fusion FusionMode
 	// Placement maps each element to a simulated node; nil places
 	// everything on node 0.  index is the filter index for RoleFilter
-	// (all shards of a filter share its node) and the buffer index for
-	// RoleBuffer, 0 otherwise.
+	// (all shards of a filter share its node) and 0 for the source and
+	// the sink of a pipeline; a graph's node index for a graph node; the
+	// buffer index for RoleBuffer.
 	Placement func(role Role, index int) netsim.NodeID
 	// Transport names the link the kernel's cross-node hops must ride:
 	// "" or "netsim" (the in-process simulator), "unix" (Unix domain
@@ -161,7 +172,47 @@ func (o Options) node(role Role, index int) netsim.NodeID {
 	return o.Placement(role, index)
 }
 
-// element is one stage of the chain the walk wires: the source, a filter
+// Graph is a DAG of stage bodies.  A node with no inbound edge is a
+// source, one with no outbound edge a sink, any other a filter; a node's
+// ins and outs follow its edges' order in Edges.  What an edge becomes
+// is the discipline's, as for a pipeline's links (see the table above).
+type Graph struct {
+	Nodes []Filter
+	Edges []Edge
+}
+
+// Edge feeds Nodes[From]'s next output into Nodes[To]'s next input.
+type Edge struct{ From, To int }
+
+// The graphs the walk refuses, each returned inside a *GraphError.
+// Sharding stays link-local: a sharded link is a row of lanes, so its
+// ends may have no other link on that side, and two sharded ends must
+// have as many lanes.
+var (
+	ErrBadEdge       = errors.New("has an edge to a node it lacks")
+	ErrCycle         = errors.New("has a cycle")
+	ErrUnlinked      = errors.New("has no edge")
+	ErrShardedFan    = errors.New("has a sharded link beside another link on one side")
+	ErrUnequalShards = errors.New("has a sharded link between rows of unequal shard counts; align them or put a sequential node between")
+)
+
+// GraphError is a refused build: Err names the rule, Node (if any) the
+// node that broke it.
+type GraphError struct {
+	Node string
+	Err  error
+}
+
+func (e *GraphError) Error() string {
+	if e.Node == "" {
+		return "transput: graph " + e.Err.Error()
+	}
+	return fmt.Sprintf("transput: graph node %q %v", e.Node, e.Err)
+}
+
+func (e *GraphError) Unwrap() error { return e.Err }
+
+// element is one node of the graph the walk wires: the source, a filter
 // or the sink, or a fusion group standing in for several of them.
 type element struct {
 	role   Role
@@ -183,35 +234,94 @@ func sinkAsBody(sink SinkFunc) Body {
 	return func(ins []ItemReader, _ []ItemWriter) error { return sink(ins[0]) }
 }
 
-// newChain turns the user's pipeline into the chain, resolving each
-// filter's effective shard count and every element's node.  Adjacent
-// sharded filters with unequal counts are rejected: their link is wired
-// shard-to-shard, so the rows must align.
-func newChain(src SourceFunc, fs []Filter, sink SinkFunc, opt Options) ([]element, error) {
-	chain := make([]element, 0, len(fs)+2)
-	chain = append(chain, element{
-		role: RoleSource, name: "source", body: sourceAsBody(src),
-		shards: 1, node: opt.node(RoleSource, 0),
-	})
-	for i, f := range fs {
-		n := f.Shards
-		if n == 0 {
-			n = opt.Shards
-		}
-		n = max(n, 1)
-		if prev := chain[i].shards; n > 1 && prev > 1 && n != prev {
-			return nil, fmt.Errorf("transput: adjacent filters %d and %d have unequal shard counts %d and %d; align them or insert a sequential filter between", i-1, i, prev, n)
-		}
-		chain = append(chain, element{
-			role: RoleFilter, name: f.Name, body: f.Body,
-			shards: n, node: opt.node(RoleFilter, i), noFuse: f.NoFuse,
-		})
+// adjacency lists each node's inbound and outbound edge indices, in
+// edge order.
+func adjacency(n int, edges []Edge) (in, out [][]int) {
+	in, out = make([][]int, n), make([][]int, n)
+	for x, e := range edges {
+		out[e.From] = append(out[e.From], x)
+		in[e.To] = append(in[e.To], x)
 	}
-	chain = append(chain, element{
-		role: RoleSink, name: "sink", body: sinkAsBody(sink),
-		shards: 1, node: opt.node(RoleSink, 0),
-	})
-	return chain, nil
+	return in, out
+}
+
+// topo is Kahn's order, the lowest-numbered ready node first, so a path
+// comes out in node order; a cycle leaves its nodes out.
+func topo(n int, edges []Edge) []int {
+	indeg := make([]int, n)
+	for _, e := range edges {
+		indeg[e.To]++
+	}
+	var order []int
+	for i, d := range indeg {
+		if d == 0 {
+			order = append(order, i)
+		}
+	}
+	for h := 0; h < len(order); h++ {
+		for _, e := range edges {
+			if e.From == order[h] {
+				if indeg[e.To]--; indeg[e.To] == 0 {
+					order = append(order, e.To)
+				}
+			}
+		}
+	}
+	return order
+}
+
+// newGraph turns the user's graph into elements: each node's role from
+// its edges, its effective shard count, and its node from Placement,
+// asked at index at(role, i).  It refuses what the walk cannot wire
+// before anything is bound.
+func newGraph(g Graph, opt Options, at func(Role, int) int) ([]element, error) {
+	n := len(g.Nodes)
+	for _, e := range g.Edges {
+		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+			return nil, &GraphError{Err: ErrBadEdge}
+		}
+	}
+	if n == 0 {
+		return nil, &GraphError{Err: ErrUnlinked}
+	}
+	if len(topo(n, g.Edges)) < n {
+		return nil, &GraphError{Err: ErrCycle}
+	}
+	in, out := adjacency(n, g.Edges)
+	els := make([]element, n)
+	for i, f := range g.Nodes {
+		role, shards := RoleFilter, 1
+		switch {
+		case len(in[i]) == 0 && len(out[i]) == 0:
+			return nil, &GraphError{Node: f.Name, Err: ErrUnlinked}
+		case len(in[i]) == 0:
+			role = RoleSource
+		case len(out[i]) == 0:
+			role = RoleSink
+		default:
+			shards = f.Shards
+			if shards == 0 {
+				shards = opt.Shards
+			}
+			shards = max(shards, 1)
+		}
+		els[i] = element{
+			role: role, name: f.Name, body: f.Body, shards: shards,
+			node: opt.node(role, at(role, i)), noFuse: f.NoFuse,
+		}
+	}
+	for _, e := range g.Edges {
+		a, b := els[e.From], els[e.To]
+		switch {
+		case a.shards > 1 && b.shards > 1 && a.shards != b.shards:
+			return nil, &GraphError{Node: b.name, Err: ErrUnequalShards}
+		case max(a.shards, b.shards) > 1 && len(out[e.From]) > 1:
+			return nil, &GraphError{Node: a.name, Err: ErrShardedFan}
+		case max(a.shards, b.shards) > 1 && len(in[e.To]) > 1:
+			return nil, &GraphError{Node: b.name, Err: ErrShardedFan}
+		}
+	}
+	return els, nil
 }
 
 // channelNames generates n channel names from a prefix.
@@ -232,7 +342,9 @@ type endpoint struct {
 	c ChannelID
 }
 
-// Pipeline is a built, runnable pipeline and its Eject inventory.
+// Pipeline is a built, runnable pipeline or graph and its Eject
+// inventory.  A graph's SourceUID and SinkUID are its first source and
+// sink in node order.
 type Pipeline struct {
 	K          *kernel.Kernel
 	Discipline Discipline
@@ -242,15 +354,15 @@ type Pipeline struct {
 	SinkUID    uid.UID
 	BufferUIDs []uid.UID
 
-	// ShardUIDs groups the filter Ejects by filter index: one UID for
-	// a sequential filter, Shards UIDs for a sharded one.
+	// ShardUIDs groups the filter Ejects by filter, in node order: one
+	// UID for a sequential filter, Shards UIDs for a sharded one.
 	ShardUIDs [][]uid.UID
 	// ShardCounts records the effective shard count per filter.
 	ShardCounts []int
 
-	// LogicalStages is the user's chain length (source + filters +
-	// sink) before fusion; FusionGroups and FusedStages record how
-	// much of it the fusion pass collapsed (0 with Fusion off).
+	// LogicalStages is the user's node count (source + filters + sink)
+	// before fusion; FusionGroups and FusedStages record how much of it
+	// the fusion pass collapsed (0 with Fusion off).
 	LogicalStages int
 	FusionGroups  int
 	FusedStages   int
@@ -259,7 +371,7 @@ type Pipeline struct {
 	slabs      []*wire.Slab
 
 	starters []*Stage
-	sink     *Stage
+	sinks    []*Stage
 	stageErr []func() error
 	allUIDs  []uid.UID
 }
@@ -300,12 +412,17 @@ func (p *Pipeline) Start() {
 	}
 }
 
-// Wait blocks until the sink has consumed the whole stream and
-// returns the pipeline's error, preferring the originating stage's
-// error over the sink's derived abort.
+// Wait blocks until every sink has consumed its whole stream and
+// returns the pipeline's error — the first failed sink's, preferring
+// the originating stage's error over a sink's derived abort.
 func (p *Pipeline) Wait() error {
-	<-p.sink.Done()
-	serr := p.sink.Err()
+	var serr error
+	for _, s := range p.sinks {
+		<-s.Done()
+		if serr == nil {
+			serr = s.Err()
+		}
+	}
 	if serr == nil {
 		return nil
 	}
@@ -340,8 +457,8 @@ func (p *Pipeline) Destroy() {
 // frameSlab lazily creates the pipeline's shared frame arena; sharded
 // frames are carved from it and refcounted across links.  Sequential
 // pipelines never frame, so they never pay for a slab.
-func (p *Pipeline) frameSlab(met *metrics.Set, chain []element) *wire.Slab {
-	for _, e := range chain {
+func (p *Pipeline) frameSlab(met *metrics.Set, els []element) *wire.Slab {
+	for _, e := range els {
 		if e.shards > 1 {
 			s := wire.NewSlab(met, 0)
 			p.slabs = append(p.slabs, s)
@@ -352,25 +469,52 @@ func (p *Pipeline) frameSlab(met *metrics.Set, chain []element) *wire.Slab {
 }
 
 // BuildPipeline wires src | filters... | sink under the given
-// discipline and returns the (not yet started) pipeline.  When
-// opt.Fusion is on, the fusion pass first collapses adjacent
-// co-located sequential elements of the chain (see fusion.go); the walk
-// then wires the reduced chain exactly as it would any other.  A build
-// that fails leaves nothing behind: whatever it had bound is destroyed.
+// discipline and returns the (not yet started) pipeline: it is the path
+// graph, built by the walk that builds every graph.  When opt.Fusion is
+// on, the fusion pass first collapses adjacent co-located sequential
+// elements (see fusion.go).  A build that fails leaves nothing behind:
+// whatever it had bound is destroyed.
 func BuildPipeline(k *kernel.Kernel, d Discipline, src SourceFunc, fs []Filter, sink SinkFunc, opt Options) (*Pipeline, error) {
+	nodes := make([]Filter, 0, len(fs)+2)
+	nodes = append(nodes, Filter{Name: "source", Body: sourceAsBody(src)})
+	nodes = append(nodes, fs...)
+	nodes = append(nodes, Filter{Name: "sink", Body: sinkAsBody(sink)})
+	edges := make([]Edge, len(nodes)-1)
+	for i := range edges {
+		edges[i] = Edge{i, i + 1}
+	}
+	// The path keeps a pipeline's placement indices: filter i is node i+1.
+	return buildGraph(k, d, Graph{nodes, edges}, opt, func(r Role, i int) int {
+		if r == RoleFilter {
+			return i - 1
+		}
+		return 0
+	})
+}
+
+// BuildGraph wires g under the given discipline and returns it, not yet
+// started; Wait waits for every sink.  A node's Placement index is its
+// index in g.Nodes.  A graph the walk cannot wire is refused with a
+// *GraphError before anything is bound.
+func BuildGraph(k *kernel.Kernel, d Discipline, g Graph, opt Options) (*Pipeline, error) {
+	return buildGraph(k, d, g, opt, func(_ Role, i int) int { return i })
+}
+
+func buildGraph(k *kernel.Kernel, d Discipline, g Graph, opt Options, at func(Role, int) int) (*Pipeline, error) {
 	if err := opt.Transport.check(k); err != nil {
 		return nil, err
 	}
 	if d != ReadOnly && d != WriteOnly && d != Buffered {
 		return nil, fmt.Errorf("transput: unknown discipline %v", d)
 	}
-	chain, err := newChain(src, fs, sink, opt)
+	els, err := newGraph(g, opt, at)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{K: k, Discipline: d, LogicalStages: len(chain)}
-	chain, p.FusionGroups, p.FusedStages = fuseChain(d, chain, opt.Fusion)
-	if err := p.wire(chain, opt); err != nil {
+	p := &Pipeline{K: k, Discipline: d, LogicalStages: len(els)}
+	els, edges, groups, stages := fuseGraph(d, els, g.Edges, opt.Fusion)
+	p.FusionGroups, p.FusedStages = groups, stages
+	if err := p.wire(els, edges, opt); err != nil {
 		p.Destroy()
 		return nil, err
 	}
@@ -382,18 +526,18 @@ func BuildPipeline(k *kernel.Kernel, d Discipline, src SourceFunc, fs []Filter, 
 	return p, nil
 }
 
-// wire is the walk.  Link i joins chain[i] to chain[i+1].  Each step
-// builds one element — a sequential Eject attached to its whole inbound
-// and outbound links, or a row of shard Ejects each attached to its own
-// lane of both — and leaves behind the link the next step attaches to:
-// the channels the element declared, or (buffered) the buffers it pushes
-// into.  Read-only (Figure 2) and buffered (Figure 1 inside Eden: 2n+3
-// Ejects, 2n+2 invocations per datum) walk head to tail; write-only (§5)
-// walks tail to head.  On error the caller destroys what was bound.
-func (p *Pipeline) wire(chain []element, opt Options) error {
+// wire is the walk.  Each step builds one element — a sequential Eject
+// attached to all of its inbound and outbound links, or a row of shard
+// Ejects each attached to its own lane of both — and leaves behind the
+// links the later steps attach to: the channels the element declared,
+// or (buffered) the buffers it pushes into.  Read-only (Figure 2) and
+// buffered (Figure 1 inside Eden: 2n+3 Ejects, 2n+2 invocations per
+// datum) walk head to tail; write-only (§5) walks tail to head.  On
+// error the caller destroys what was bound.
+func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 	k, d := p.K, p.Discipline
 	met := k.Metrics()
-	slab := p.frameSlab(met, chain)
+	slab := p.frameSlab(met, els)
 	// pull: a link's downstream end is an InPort; push: its upstream end
 	// is a Pusher.  An end that is neither is declared by its element.
 	pull, push := d != WriteOnly, d != ReadOnly
@@ -406,43 +550,51 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 		Batch: opt.Batch, Window: opt.Window,
 		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
 	}
-	last := len(chain) - 1
-	// width of link i: the shard count of its sharded side, 1 when both
-	// sides are sequential, 0 beyond the chain's ends.
-	width := func(i int) int {
-		if i < 0 || i >= last {
-			return 0
+	in, out := adjacency(len(els), edges)
+	width := func(x int) int { return max(els[edges[x].From].shards, els[edges[x].To].shards) }
+	lanes := func(xs []int) (n int) {
+		for _, x := range xs {
+			n += width(x)
 		}
-		return max(chain[i].shards, chain[i+1].shards)
+		return n
 	}
-	p.ShardUIDs = make([][]uid.UID, last-1)
-	p.ShardCounts = make([]int, last-1)
-	p.shardLoads = make([][]*atomic.Int64, last-1)
+	links := make([][]endpoint, len(edges)) // each link's lanes, once its passive end exists
+	uids := make([][]uid.UID, len(els))
+	loads := make([][]*atomic.Int64, len(els))
 
-	var made []endpoint // the link the previous step left for this one
-	for step := range chain {
-		i := step
-		if !pull {
-			i = last - step
+	order := topo(len(els), edges)
+	if !pull {
+		slices.Reverse(order)
+	}
+	for _, i := range order {
+		e := els[i]
+		// The links already made: inbound under read-only, outbound under
+		// write-only, both under buffered (the buffers made here).
+		var up, down []endpoint
+		for _, x := range in[i] {
+			up = append(up, links[x]...)
 		}
-		e := chain[i]
-		win, wout := width(i-1), width(i)
-		up, down := made, []endpoint(nil)
-		switch d {
-		case WriteOnly:
-			up, down = nil, made
-		case Buffered:
-			var err error
-			if down, err = p.buffers(i, wout, opt); err != nil {
-				return err
+		if d == Buffered {
+			for _, x := range out[i] {
+				var err error
+				if links[x], err = p.buffers(x, width(x), opt); err != nil {
+					return err
+				}
 			}
 		}
-		if e.role == RoleFilter {
-			p.ShardUIDs[i-1] = make([]uid.UID, e.shards)
-			p.ShardCounts[i-1] = e.shards
-			if e.shards > 1 {
-				p.shardLoads[i-1] = make([]*atomic.Int64, e.shards)
-			}
+		for _, x := range out[i] {
+			down = append(down, links[x]...)
+		}
+		// The links this element declares: its outputs' channels under
+		// read-only, its inputs' under write-only — one channel for all of
+		// a fan-in, whose writers merge (§5).
+		nin, nout := lanes(in[i]), lanes(out[i])
+		var writers []int
+		if len(in[i]) > 1 {
+			nin, writers = 1, []int{len(in[i])}
+		}
+		if e.shards > 1 {
+			loads[i] = make([]*atomic.Int64, e.shards)
 		}
 		var poolWorkers int
 		var poolPinned bool
@@ -455,26 +607,26 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 			id := k.NewUID()
 			name := e.name
 			var body Body
-			lup, ldown, nin, nout := up, down, win, wout
+			lup, ldown, lin, lout := up, down, nin, nout
 			if e.shards > 1 {
 				// A shard: frames in on its lane, frames out on its lane.  The
 				// shard reader keeps its own detach (detachPayload) because the
 				// item it hands the body is the frame with its header stripped.
-				p.shardLoads[i-1][j] = new(atomic.Int64)
+				loads[i][j] = new(atomic.Int64)
 				name = fmt.Sprintf("%s#%d", e.name, j)
-				body = shardBody(met, slab, p.shardLoads[i-1][j], e.body)
-				lup, ldown, nin, nout = lane(up, j), lane(down, j), 1, 1
+				body = shardBody(met, slab, loads[i][j], e.body)
+				lup, ldown, lin, lout = lane(lup, j), lane(ldown, j), 1, 1
 			} else {
 				// Sequential: the user body owns what it reads, detached once
 				// an item — by the merger (detachPayload) over a wide inbound
-				// link, by detachBody over a narrow one; it splits toward a
-				// sharded downstream.
-				if win > 1 {
+				// link, by detachBody over narrow ones; it splits toward a
+				// sharded downstream.  A wide link is its ends' only one.
+				if lanes(in[i]) > len(in[i]) {
 					body = mergeBody(met, e.body)
 				} else {
 					body = detachBody(e.body)
 				}
-				if wout > 1 {
+				if nout > len(out[i]) {
 					body = splitBody(met, slab, body)
 				}
 			}
@@ -492,42 +644,63 @@ func (p *Pipeline) wire(chain []element, opt Options) error {
 			case !push && e.role != RoleSink: // passive output
 				st = NewROStage(k, ROStageConfig{
 					Name:           name,
-					OutNames:       channelNames("Output", nout),
+					OutNames:       channelNames("Output", lout),
 					Anticipation:   opt.Anticipation,
 					CapabilityMode: opt.CapabilityMode,
 					LazyStart:      lazy,
 					PoolWorkers:    poolWorkers,
 					PoolPinned:     poolPinned,
 				}, body, ins...)
-				for c := 0; c < nout; c++ {
+				for c := 0; c < lout; c++ {
 					declared = append(declared, endpoint{id, st.Writer(c).ID()})
 				}
 			case !pull && e.role != RoleSource: // passive input
 				st = NewWOStage(k, WOStageConfig{
 					Name:           name,
-					InNames:        channelNames("Input", nin),
+					InNames:        channelNames("Input", lin),
 					Capacity:       opt.Anticipation,
+					Writers:        writers,
 					CapabilityMode: opt.CapabilityMode,
 					PoolWorkers:    poolWorkers,
 					PoolPinned:     poolPinned,
 				}, body, outs...)
-				for c := 0; c < nin; c++ {
+				for c := 0; c < lin; c++ {
 					declared = append(declared, endpoint{id, st.Reader(c).ID()})
 				}
-			default: // no passive port: a buffered stage, the write-only source, or the sink's pump
+			default: // no passive port: a buffered stage, a write-only source, or a sink's pump
 				st = NewConvStage(name, body, ins, outs)
 			}
-			if err := p.add(e, i-1, j, id, st, lazy); err != nil {
+			if err := p.add(e, id, st, lazy); err != nil {
 				return err
 			}
+			uids[i] = append(uids[i], id)
 		}
-		made = declared
-		if d == Buffered {
-			made = down
+		// Hand the declared lanes to the links they materialise, in edge
+		// order; a write-only fan-in's one channel serves every inbound link.
+		if d != Buffered {
+			sides := out[i]
+			if !pull {
+				if sides = in[i]; len(sides) > 1 {
+					declared = slices.Repeat(declared, len(sides))
+				}
+			}
+			for _, x := range sides {
+				links[x], declared = declared[:width(x)], declared[width(x):]
+			}
 		}
 	}
-	for _, row := range p.ShardUIDs {
-		p.FilterUIDs = append(p.FilterUIDs, row...)
+	for i, e := range els {
+		switch {
+		case e.role == RoleFilter:
+			p.ShardUIDs = append(p.ShardUIDs, uids[i])
+			p.ShardCounts = append(p.ShardCounts, e.shards)
+			p.shardLoads = append(p.shardLoads, loads[i])
+			p.FilterUIDs = append(p.FilterUIDs, uids[i]...)
+		case e.role == RoleSource && p.SourceUID.IsNil():
+			p.SourceUID = uids[i][0]
+		case e.role == RoleSink && p.SinkUID.IsNil():
+			p.SinkUID = uids[i][0]
+		}
 	}
 	return nil
 }
@@ -550,25 +723,19 @@ func (p *Pipeline) bind(id uid.UID, e kernel.Eject, node netsim.NodeID) error {
 	return nil
 }
 
-// add binds a built stage (lane j of filter fi, when it is a filter) and
-// enters it in the inventory.  starters and stageErr are in construction
-// order, passive end first: a write-only stage must already be consuming
-// when data arrives, and Wait reports the first failed stage in that
-// order.  lazy keeps read-only producers out of starters — their first
-// invocation starts them — but never the sink, which pumps.
-func (p *Pipeline) add(e element, fi, j int, id uid.UID, st *Stage, lazy bool) error {
+// add binds a built stage and enters it in the inventory.  starters and
+// stageErr are in construction order, passive end first: a write-only
+// stage must already be consuming when data arrives, and Wait reports the
+// first failed stage in that order.  lazy keeps read-only producers out
+// of starters — their first invocation starts them — but never a sink,
+// which pumps.
+func (p *Pipeline) add(e element, id uid.UID, st *Stage, lazy bool) error {
 	if err := p.bind(id, st, e.node); err != nil {
 		return err
 	}
-	switch e.role {
-	case RoleSource:
-		p.SourceUID = id
-	case RoleFilter:
-		p.ShardUIDs[fi][j] = id
-	case RoleSink:
-		p.SinkUID, p.sink = id, st
-	}
-	if e.role != RoleSink {
+	if e.role == RoleSink {
+		p.sinks = append(p.sinks, st)
+	} else {
 		p.stageErr = append(p.stageErr, st.Err)
 	}
 	if e.role == RoleSink || !lazy {
@@ -577,16 +744,16 @@ func (p *Pipeline) add(e element, fi, j int, id uid.UID, st *Stage, lazy bool) e
 	return nil
 }
 
-// buffers materialises link i of a buffered pipeline: w PassiveBuffer
+// buffers materialises link x of a buffered pipeline: w PassiveBuffer
 // Ejects, one per lane, so the paper's buffer overhead scales with the
 // parallelism it feeds.  A buffer's placement index is the running count
-// of buffers, in link-then-lane order.
-func (p *Pipeline) buffers(link, w int, opt Options) ([]endpoint, error) {
+// of buffers, in the order the walk makes them, link then lane.
+func (p *Pipeline) buffers(x, w int, opt Options) ([]endpoint, error) {
 	eps := make([]endpoint, w)
 	for j := range eps {
-		name := fmt.Sprintf("pipe%d", link)
+		name := fmt.Sprintf("pipe%d", x)
 		if w > 1 {
-			name = fmt.Sprintf("pipe%d#%d", link, j)
+			name = fmt.Sprintf("pipe%d#%d", x, j)
 		}
 		id := p.K.NewUID()
 		b := NewPassiveBuffer(p.K, PassiveBufferConfig{Name: name, Capacity: opt.BufferCapacity})

@@ -3,6 +3,7 @@ package transput
 import (
 	"asymstream/internal/uid"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -189,6 +190,44 @@ func TestFailedBuildLeavesNothingBound(t *testing.T) {
 				k.Shutdown()
 				if leaked := k.Metrics().SlabLeaked.Value(); leaked != 0 {
 					t.Errorf("SlabLeaked = %d", leaked)
+				}
+			})
+		}
+	}
+	// The graphs the walk refuses, refused before anything is bound, and a
+	// graph the kernel refuses part-way: its third node is on node 7.
+	node := func(name string, shards int) Filter { return Filter{Name: name, Body: upcaseFilter, Shards: shards} }
+	graphs := []struct {
+		name string
+		g    Graph
+		want error
+	}{
+		{"cycle", Graph{[]Filter{node("a", 0), node("b", 0), node("c", 0), node("d", 0)}, []Edge{{0, 1}, {1, 2}, {2, 1}, {2, 3}}}, ErrCycle},
+		{"self loop", Graph{[]Filter{node("a", 0), node("b", 0), node("c", 0)}, []Edge{{0, 1}, {1, 1}, {1, 2}}}, ErrCycle},
+		{"sharded fan node", Graph{[]Filter{node("a", 0), node("f", 2), node("s", 0), node("t", 0)}, []Edge{{0, 1}, {1, 2}, {1, 3}}}, ErrShardedFan},
+		{"fan node beside a row", Graph{[]Filter{node("a", 0), node("f", 2), node("s", 0), node("t", 0)}, []Edge{{0, 1}, {0, 3}, {1, 2}}}, ErrShardedFan},
+		{"unequal rows", Graph{[]Filter{node("a", 0), node("f", 2), node("g", 3), node("s", 0)}, []Edge{{0, 1}, {1, 2}, {2, 3}}}, ErrUnequalShards},
+		{"unlinked node", Graph{[]Filter{node("a", 0), node("b", 0), node("c", 0)}, []Edge{{0, 1}}}, ErrUnlinked},
+		{"no nodes", Graph{}, ErrUnlinked},
+		{"edge to nowhere", Graph{[]Filter{node("a", 0), node("b", 0)}, []Edge{{0, 2}}}, ErrBadEdge},
+		{"placed on a missing node", Graph{[]Filter{node("a", 0), node("b", 0), node("c", 0)}, []Edge{{0, 1}, {0, 2}}}, nil},
+	}
+	for _, tc := range graphs {
+		for _, d := range disciplines {
+			t.Run(fmt.Sprintf("%v/graph %s", d, tc.name), func(t *testing.T) {
+				k := kernel.New(kernel.Config{})
+				defer k.Shutdown()
+				before := k.ActiveCount()
+				p, err := BuildGraph(k, d, tc.g, Options{Placement: on(RoleSink, 2)})
+				var ge *GraphError
+				switch {
+				case tc.want != nil && (!errors.Is(err, tc.want) || !errors.As(err, &ge) || p != nil):
+					t.Fatalf("BuildGraph = %v, %v; want a *GraphError for %v", p, err, tc.want)
+				case tc.want == nil && (err == nil || p != nil || !strings.Contains(err.Error(), "create on node 7")):
+					t.Fatalf("BuildGraph = %v, %v; want the kernel's placement error", p, err)
+				}
+				if n := k.ActiveCount(); n != before {
+					t.Errorf("%d Ejects left bound by the failed build", n-before)
 				}
 			})
 		}
