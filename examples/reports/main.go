@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("data items pulled:    %d\n", r4.Items)
-	fmt.Printf("report lines shown:   %d (each labelled by source — the window knows its UIDs)\n", r4.ReportLines)
+	fmt.Printf("report lines shown:   %d (each labelled by its input — one Report channel per reporter)\n", r4.ReportLines)
 	fmt.Printf("physical ejects: %d (unfused: every logical stage is its own Eject), data invocations: %d\n\n",
 		r4.Ejects, r4.DataInv)
 
