@@ -584,9 +584,9 @@ func TestWindowOneRunsOnTheCaller(t *testing.T) {
 		}
 		ch := st.Reader(0).Ref().C
 		ch.Mu.Lock()
-		gate := ch.Seq
+		windowed := ch.Windowed()
 		ch.Mu.Unlock()
-		if gate != nil {
+		if windowed {
 			t.Error("the sink attached a sequence gate for a Window-1 writer")
 		}
 	})

@@ -29,22 +29,20 @@ import (
 // faces.
 
 // TestIdleChannelFootprint pins what one idle channel costs the heap —
-// its record, its handle, its slot in the advert list and its one index
-// entry — on both faces a gateway declares on, in both addressing
+// its record, its handle and its one index entry — on both faces a gateway declares on, in both addressing
 // modes, and holds the IdleChannelBytes gauge, and its index share, to
 // the measured figures.  Three rows: the channels just declared
 // (idle); churned (each looked up once, which promotes the index to its
 // snapshot, then a quarter retired and declared afresh with no lookups
 // of the new ones); and drained (each carries one burst, then empties).
-// The ceiling sits below any one of a cache-line pad, a cond per record
-// or an item array kept by a drained record added back, and a row's
-// slack over the idle row below a second index entry (an overlay that
-// copies its snapshot).
+// The ceiling sits below any one of a cache-line pad, a side record per
+// record or an item array kept by a drained record added back, and a row's slack over the idle row below a second
+// index entry (an overlay that copies its snapshot).
 func TestIdleChannelFootprint(t *testing.T) {
 	const (
 		n       = 20000
 		burst   = 8    // each channel's capacity
-		ceiling = 300  // heap bytes a channel; 271 (numbers) and 286 (capabilities) measured idle
+		ceiling = 230  // heap bytes a channel; 188 (numbers) and 203 (capabilities) measured idle
 		slack   = 32   // heap bytes a churned or drained channel may add to an idle one
 		drift   = 0.15 // the gauge's tolerance against the heap
 	)
@@ -120,10 +118,8 @@ func TestIdleChannelFootprint(t *testing.T) {
 		if d := gauge/perChan - 1; d > drift || d < -drift {
 			t.Errorf("IdleChannelBytes gauge reads %.0f B a channel, the heap %.0f B: off by %+.0f%%", gauge, perChan, 100*d)
 		}
-		// The index share: the heap less the record, the handle and the
-		// advert list's amortised slot.
-		index := perChan - float64(unsafe.Sizeof(core.Channel{})+unsafe.Sizeof(pull.ChannelWriter{})) -
-			float64(uintptr(cap(reg.Chans()))*unsafe.Sizeof(core.ChanRef{}))/n
+		// The index share: the heap less the record and the handle.
+		index := perChan - float64(unsafe.Sizeof(core.Channel{})+unsafe.Sizeof(pull.ChannelWriter{}))
 		charged := float64(core.IndexEntryBytes(capMode))
 		if d := charged/index - 1; row == "idle" && (d > drift || d < -drift) {
 			t.Errorf("the gauge charges %.0f B for the index entry, the heap %.1f B: off by %+.0f%%", charged, index, 100*d)

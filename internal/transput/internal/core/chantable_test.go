@@ -84,14 +84,14 @@ type stale struct {
 // abort state, counters — does not move.
 func TestStaleHandle(t *testing.T) {
 	type state struct {
-		buffered, ends     int
-		abortErr           *itemio.AbortedError
-		gen, out, tr, dels int64
+		buffered, ends int
+		abortErr       *itemio.AbortedError
+		gen, out       int64
 	}
 	snap := func(c *core.Channel) state {
 		c.Mu.Lock()
 		defer c.Mu.Unlock()
-		return state{c.Buffered(), c.Ends(), c.AbortErr(), int64(c.Gen().Load()), c.ItemsOut, c.TransfersServed, c.DeliversServed}
+		return state{c.Buffered(), c.Ends(), c.AbortErr(), int64(c.Gen().Load()), c.ItemsOut}
 	}
 	item := func() []byte { return []byte("stale") }
 	for _, row := range []struct {

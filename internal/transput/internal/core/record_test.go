@@ -7,15 +7,16 @@ import (
 	"asymstream/internal/uid"
 )
 
-// TestChannelRecordSize pins the idle record to the 192-byte size
-// class: a gateway holds 10⁵–10⁶ of them, so a field that pushes the
-// record into the next class is a heap regression, not a detail.  The
-// size stays a multiple of 64 so that records, which the allocator
-// packs side by side in their class, each start on a cache line and
-// never share one: a record's lock word is hot under lookup validation.
+// TestChannelRecordSize pins the idle record to two cache lines, the
+// 128-byte size class: a gateway holds 10⁵–10⁶ of them, so a field that
+// pushes the record into the next class is a heap regression, not a
+// detail.  The size stays a multiple of 64 so that records, which the
+// allocator packs side by side in their class, each start on a cache
+// line and never share one: a record's lock word is hot under lookup
+// validation.
 func TestChannelRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(Channel{}); n > 192 || n%64 != 0 {
-		t.Fatalf("unsafe.Sizeof(channel{}) = %d B, want <= 192 and a multiple of 64", n)
+	if n := unsafe.Sizeof(Channel{}); n > 128 || n%64 != 0 {
+		t.Fatalf("unsafe.Sizeof(Channel{}) = %d B, want <= 128 and a multiple of 64", n)
 	}
 }
 

@@ -111,13 +111,6 @@ func (p *OutPort) Serve(inv *kernel.Invocation) bool {
 	return p.chanRegistry.ServeControl(inv)
 }
 
-// TransfersServed reports the total Transfer invocations served across
-// all live (undeclared-to-retired) channels.  The laziness experiment
-// (E5) asserts this is zero before any sink is connected.
-func (p *OutPort) TransfersServed() int64 {
-	return p.chanRegistry.Sum(func(c *core.Channel) int64 { return c.TransfersServed })
-}
-
 // Buffered reports the total items currently buffered (anticipated but
 // not yet pulled) across all channels.
 func (p *OutPort) Buffered() int {

@@ -110,11 +110,6 @@ func (p *WOInPort) Serve(inv *kernel.Invocation) bool {
 	return p.chanRegistry.ServeControl(inv)
 }
 
-// DeliversServed reports total Deliver invocations accepted.
-func (p *WOInPort) DeliversServed() int64 {
-	return p.chanRegistry.Sum(func(c *core.Channel) int64 { return c.DeliversServed })
-}
-
 // Adverts lists the port's channels for OpChannels.
 func (p *WOInPort) Adverts() []core.ChannelAdvert { return p.chanRegistry.Adverts() }
 

@@ -79,6 +79,11 @@ type SinkFunc func(in ItemReader) error
 // 4 are one graph of five (internal/experiments, figures34.go).
 type Filter struct {
 	Name string
+	// Body runs the node.  It must call its inputs' Next on the
+	// goroutine it was called on, never on one it starts: under
+	// Options.Fusion an input may be a fused edge, an iter.Pull
+	// coroutine, which a pinned pool (fusedPoolPinned) cannot resume
+	// from another goroutine — the runtime aborts the process.
 	Body Body
 	// Shards overrides Options.Shards for this filter: >1 replicates
 	// the body across that many shard Ejects, 1 forces sequential, 0
@@ -148,7 +153,11 @@ type Options struct {
 	// Fusion, when FusionOn, lets BuildPipeline fuse adjacent
 	// co-located sequential stages into single Ejects (see fusion.go).
 	// The zero value keeps the paper's one-Eject-per-stage wiring, so
-	// every published count reproduces exactly.
+	// every published count reproduces exactly.  A fused body must call
+	// its inputs' Next on the goroutine it was called on: a fused edge
+	// is an iter.Pull coroutine, and where a fused group's workers pin
+	// their OS threads (fusedPoolPinned) the runtime aborts the process
+	// when a coroutine is resumed from another goroutine.
 	Fusion FusionMode
 	// Placement maps each element to a simulated node; nil places
 	// everything on node 0.  index is the filter index for RoleFilter

@@ -226,11 +226,8 @@ func TestRecordStreamThroughPipeline(t *testing.T) {
 // until a sink is connected to the pipeline."
 func TestLazinessNoFlowBeforeSink(t *testing.T) {
 	k := testKernel(t)
-	src, st := registerItems(t, k, numbered(100), ROStageConfig{LazyStart: true})
+	src, _ := registerItems(t, k, numbered(100), ROStageConfig{LazyStart: true})
 	time.Sleep(30 * time.Millisecond)
-	if n := st.Out().TransfersServed(); n != 0 {
-		t.Fatalf("%d transfers served before any sink", n)
-	}
 	if n := k.Metrics().TransferInvocations.Value(); n != 0 {
 		t.Fatalf("%d transfer invocations before any sink", n)
 	}

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS=10] [SECONDS=12]
 # pairs.sh --against REF WORKLOAD [PAIRS=10] [SECONDS=12]
+# pairs.sh --aa REF WORKLOAD [PAIRS=10] [SECONDS=12]
 #
 # The paired comparison a PR reports (ROADMAP 4a, choosing-metrics §8),
 # obtained from the harness contract alone: PAIRS pairs of
@@ -18,19 +19,28 @@
 # With --against, the parent is commit REF exported by `git archive`
 # into a temporary directory (as loc.sh --against does) and the change
 # is the working tree.  Each tree builds its own benchmark under its
-# .bench_build/.  Exits non-zero if any run reports failed > 0 or
+# .bench_build/.  With --aa, both sides are exports of REF, each in its
+# own temporary directory: the A/A control a claim on a row that moves
+# with the checkout needs beside it (a ratio off 1 here is the harness's,
+# not the code's).  Exits non-zero if any run reports failed > 0 or
 # correct false.
 set -euo pipefail
 
 cleanup=
 rows=$(mktemp)
 trap 'rm -rf "$rows" $cleanup' EXIT
-if [ "${1:-}" = "--against" ]; then
-	ref=${2:?usage: pairs.sh --against REF WORKLOAD [PAIRS] [SECONDS]}
-	change=$(git rev-parse --show-toplevel)
-	cleanup=$(mktemp -d)
-	git -C "$change" archive "$ref" | tar -x -C "$cleanup"
-	parent=$cleanup
+if [ "${1:-}" = "--against" ] || [ "${1:-}" = "--aa" ]; then
+	ref=${2:?usage: pairs.sh --against|--aa REF WORKLOAD [PAIRS] [SECONDS]}
+	top=$(git rev-parse --show-toplevel)
+	parent=$(mktemp -d)
+	cleanup=$parent
+	git -C "$top" archive "$ref" | tar -x -C "$parent"
+	change=$top
+	if [ "$1" = "--aa" ]; then
+		change=$(mktemp -d)
+		cleanup="$cleanup $change"
+		git -C "$top" archive "$ref" | tar -x -C "$change"
+	fi
 	shift 2
 else
 	parent=${1:?usage: pairs.sh PARENT_DIR CHANGE_DIR WORKLOAD [PAIRS] [SECONDS]}
