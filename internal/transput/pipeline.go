@@ -139,8 +139,11 @@ type Options struct {
 	Shards int
 	// Anticipation bounds each stage's internal buffer: the OutPort
 	// buffer in read-only mode, the WOInPort buffer in write-only
-	// mode.  0 means DefaultCapacity; negative means minimal
-	// (synchronous handoff / single item).
+	// mode.  0 means DefaultCapacity, except on a write-only input fed
+	// by windowed Pushers (Window > 1): there it holds every writer's
+	// window of its largest batches, max(DefaultCapacity, writers ×
+	// Window × batch), where the pull window's read-ahead queue would.
+	// Negative means minimal (synchronous handoff / single item).
 	Anticipation int
 	// BufferCapacity bounds PassiveBuffer Ejects (buffered discipline
 	// only); 0 means DefaultCapacity.
@@ -598,9 +601,9 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 		// read-only, its inputs' under write-only — one channel for all of
 		// a fan-in, whose writers merge (§5).
 		nin, nout := lanes(in[i]), lanes(out[i])
-		var writers []int
+		writers := 1 // Pushers per declared input channel
 		if len(in[i]) > 1 {
-			nin, writers = 1, []int{len(in[i])}
+			nin, writers = 1, len(in[i])
 		}
 		if e.shards > 1 {
 			loads[i] = make([]*atomic.Int64, e.shards)
@@ -667,8 +670,8 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 				st = NewWOStage(k, WOStageConfig{
 					Name:           name,
 					InNames:        channelNames("Input", lin),
-					Capacity:       opt.Anticipation,
-					Writers:        writers,
+					Capacity:       opt.inputCapacity(writers),
+					Writers:        []int{writers},
 					CapabilityMode: opt.CapabilityMode,
 					PoolWorkers:    poolWorkers,
 					PoolPinned:     poolPinned,
@@ -712,6 +715,25 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 		}
 	}
 	return nil
+}
+
+// inputCapacity is the capacity the walk declares a write-only input
+// channel with, fed by writers Pushers.  An explicit Anticipation is
+// kept.  Otherwise a windowed link's batches land in the channel, as a
+// pull window's land in the InPort's read-ahead queue, so the channel
+// holds every writer's whole window of its largest batches: a sink that
+// keeps up then grants Window × size, and the gate keeps the window
+// open instead of falling to one Deliver at a time.
+func (opt Options) inputCapacity(writers int) int {
+	window := min(max(opt.Window, 1), MaxWindow)
+	if opt.Anticipation != 0 || window == 1 {
+		return opt.Anticipation
+	}
+	batch := max(opt.Batch, 1)
+	if opt.BatchMax > 0 {
+		batch = max(opt.BatchMax, opt.BatchMin)
+	}
+	return max(DefaultCapacity, writers*window*batch)
 }
 
 // lane is shard j's share of a link its row attaches to (nil stays nil:
