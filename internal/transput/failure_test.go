@@ -3,11 +3,13 @@ package transput
 import (
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 )
 
@@ -172,5 +174,54 @@ func TestCrashedNodeAbortsPipeline(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("pipeline over a crashed node hung")
+	}
+}
+
+// TestBodyPanicIsStageError holds a panicking body to what a body that
+// returns an error gets: under each discipline a filter that panics
+// after one Next ends the run with the panic as the pipeline's error at
+// Wait, and the process goes on.  Its teardown leaves what a clean run
+// of the same pipeline leaves: no goroutine, no leaked slab view, and as
+// many live channels (Destroy retires none).
+func TestBodyPanicIsStageError(t *testing.T) {
+	panicky := func(ins []ItemReader, _ []ItemWriter) error {
+		if _, err := ins[0].Next(); err != nil {
+			return err
+		}
+		panic("boom")
+	}
+	for _, d := range []Discipline{ReadOnly, WriteOnly, Buffered} {
+		t.Run(d.String(), func(t *testing.T) {
+			run := func(body Body) (live int64, runErr error) {
+				goroutines := quiesce.Baseline(t)
+				k := kernel.New(kernel.Config{})
+				met := k.Metrics()
+				var got [][]byte
+				p, err := BuildPipeline(k, d, numbersSource(500), []Filter{{Name: "f", Body: body}}, collectSink(&got), Options{})
+				if err != nil {
+					t.Fatalf("build: %v", err)
+				}
+				runErr = runWithTimeout(t, p)
+				for _, fe := range p.stageErr { // the abort may still be rippling upstream
+					_ = fe()
+				}
+				p.Destroy()
+				waitSlabQuiet(t, met)
+				if n := met.SlabLeaked.Value(); n != 0 {
+					t.Errorf("SlabLeaked = %d after teardown", n)
+				}
+				live = met.ChannelsLive.Value()
+				k.Shutdown()
+				goroutines()
+				return live, runErr
+			}
+			panicked, err := run(panicky)
+			if err == nil || !strings.Contains(err.Error(), `transput: body of "f" panicked: boom`) {
+				t.Fatalf("Wait = %v, want the filter's panic", err)
+			}
+			if clean, err := run(passFilter); err != nil || panicked != clean {
+				t.Fatalf("clean run: err %v, %d channels live; after the panic %d", err, clean, panicked)
+			}
+		})
 	}
 }

@@ -197,7 +197,8 @@ func (s *Stage) Serve(inv *kernel.Invocation) {
 // recorded and the streams are ended: outputs closed — as aborts
 // carrying the body's error, if it failed — and inputs cancelled, which
 // releases any upstream producer, or backlog of slab views, the body
-// did not fully drain.
+// did not fully drain.  A body that panics has failed: the panic is its
+// error, as a Serve panic is its invocation's.
 func (s *Stage) Start() {
 	s.once.Do(func() {
 		s.wg.Add(1)
@@ -208,7 +209,7 @@ func (s *Stage) Start() {
 				runtime.LockOSThread()
 				defer runtime.UnlockOSThread()
 			}
-			err := s.body(s.ins, s.outs)
+			err := s.run()
 			s.errMu.Lock()
 			s.err = err
 			s.errMu.Unlock()
@@ -219,6 +220,16 @@ func (s *Stage) Start() {
 			endStreams(s.ins, s.outs, err, reason)
 		}()
 	})
+}
+
+// run calls the body once, recovering a panic as its error.
+func (s *Stage) run() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("transput: body of %q panicked: %v", s.name, r)
+		}
+	}()
+	return s.body(s.ins, s.outs)
 }
 
 // Done is closed when the body has finished and its streams are ended.
