@@ -139,8 +139,10 @@ fuzz-smoke:
 ## concurrent Declare/Retire/Lookup/Adverts, one Caller's own Call and Invocation shared by
 ## eight invokers, message ids drawn from Callers' blocks beside
 ## every other call's, and graphs through the one walk (fan-in, fan-out,
-## a sharded diamond, Figure 4 and -check's graph rows) — the subset CI
-## runs on every push in addition to the full gate.
+## a sharded diamond, Figure 4 and -check's graph rows), and the walk's
+## landing zone for a push window (TestWindowedInputCapacity,
+## TestWindowedDeliverGrantOpensTheWindow) — the subset CI runs on every
+## push in addition to the full gate.
 race-sharded:
 	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestRegistryStorm|TestRegistryAgainstModel|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers|TestGraph' ./internal/transput/... ./internal/kernel/ ./internal/experiments/
 
