@@ -20,7 +20,12 @@ import (
 //
 //	face    operation  data rides   a batch waits for its turn              throttled by
 //	InPort  Transfer   the reply    at the port, to be queued               the source's backlog, then the read-ahead queue
-//	Pusher  Deliver    the request  at the port for a slot; at the sink     the sink's credits
+//	Pusher  Deliver    the request  at the port for a slot; at the sink     the sink's credits: room in its input channel
+//
+// Each face's window lands in a buffer: a pull window in the InPort's
+// read-ahead queue, a push window in the sink's input channel, which a
+// pipeline's walk sizes to hold it.  Where that buffer is smaller than
+// the window, the gate below holds the window to what it can take.
 //
 // One order rule serves both: a windowed batch is numbered by its item
 // offset (Base), and the goroutine carrying it waits for that offset's

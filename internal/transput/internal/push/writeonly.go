@@ -170,7 +170,10 @@ var _ itemio.ItemReader = (*ChannelReader)(nil)
 // DeliverReply reports how many more items the sink could buffer
 // (Credits).  The window shrinks when credits run low, so it does not
 // park sink workers on a full buffer; at least one delivery is always
-// allowed, which is how the window re-learns the credit level.
+// allowed, which is how the window re-learns the credit level.  So the
+// window stays open only if the sink's channel holds Window × batch, as
+// a pipeline's walk declares a windowed write-only input
+// (Options.Anticipation).
 type Pusher struct {
 	link core.Link
 	k    *kernel.Kernel // mints Writer UIDs
