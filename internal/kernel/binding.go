@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"asymstream/internal/netsim"
@@ -93,23 +92,21 @@ type binding struct {
 	epoch uint64
 
 	maxWorkers int
-	pinned     bool // workers lock their OS thread (PoolHint.Pinned); never served inline
-	workers    int  // live pool workers in the current epoch
-	idle       int  // workers parked in cond.Wait in the current epoch
-	inline     int  // invokers serving on their own goroutine in the current epoch
+	workers    int // live pool workers in the current epoch
+	idle       int // workers parked in cond.Wait in the current epoch
+	inline     int // invokers serving on their own goroutine in the current epoch
 }
 
 // ringMinCap is the initial mailbox capacity; it grows by doubling.
 const ringMinCap = 8
 
-func newBinding(id uid.UID, node netsim.NodeID, e Eject, workers int, pinned bool) *binding {
+func newBinding(id uid.UID, node netsim.NodeID, e Eject, workers int) *binding {
 	b := &binding{
 		id:         id,
 		node:       node,
 		state:      stateActive,
 		eject:      e,
 		maxWorkers: workers,
-		pinned:     pinned,
 	}
 	b.cond = sync.NewCond(&b.mu)
 	return b
@@ -195,13 +192,9 @@ type slot struct {
 // then runs Serve itself and gives the slot back with release.  It
 // succeeds only where serving inline is indistinguishable from the
 // mailbox: the binding is active, its mailbox is empty (so nothing
-// queued is overtaken) and a slot is free.  Pinned pools never serve
-// inline — their point is which thread runs Serve.  On false the caller
+// queued is overtaken) and a slot is free.  On false the caller
 // enqueues, which also tells it whether the binding is still active.
 func (b *binding) claim() (slot, bool) {
-	if b.pinned { // immutable after newBinding
-		return slot{}, false
-	}
 	b.mu.Lock()
 	if b.state != stateActive || b.quit || b.count > 0 ||
 		b.workers-b.idle+b.inline >= b.maxWorkers {
@@ -235,13 +228,6 @@ func (s slot) release() {
 // invocations from the mailbox until the binding deactivates (quit) or
 // is superseded by a newer activation (epoch change).
 func (b *binding) worker(epoch uint64) {
-	if b.pinned {
-		// pinned is immutable after newBinding, so the unlocked read is
-		// safe; the thread is held for the worker's whole life so a
-		// fused chain's datum never migrates cores mid-flight.
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	b.mu.Lock()
 	for {
 		for b.count == 0 && !b.quit && b.epoch == epoch {

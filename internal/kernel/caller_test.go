@@ -140,7 +140,7 @@ func TestCallerRemembersAndForgets(t *testing.T) {
 		// Behind the kernel's back, the table names another binding.
 		cur, _ := k.bindings.Load(aID)
 		decoy := &pinger{}
-		k.bindings.Store(aID, newBinding(aID, 0, decoy, 1, false))
+		k.bindings.Store(aID, newBinding(aID, 0, decoy, 1))
 		defer k.bindings.Store(aID, cur)
 		if _, err := k.Invoke(uid.Nil, aID, "ping", &pingReq{}); err != nil || decoy.served.Load() != 1 {
 			t.Fatalf("Kernel.Invoke resolves on every call and should have reached the decoy: %v", err)
@@ -342,12 +342,10 @@ func TestInlineTraceMatchesMailbox(t *testing.T) {
 // blocks a while before it echoes, anything else echoes at once.  It
 // counts the replies it makes per N.
 type mixer struct {
-	hint    PoolHint
 	replies []atomic.Int32
 }
 
-func (m *mixer) EdenType() string   { return "test.Mixer" }
-func (m *mixer) PoolHint() PoolHint { return m.hint }
+func (m *mixer) EdenType() string { return "test.Mixer" }
 
 func (m *mixer) Serve(inv *Invocation) {
 	n := inv.Payload.(*pingReq).N
@@ -363,19 +361,19 @@ func (m *mixer) Serve(inv *Invocation) {
 
 // TestCallerSharedByEightInvokers drives one Caller from 8 goroutines
 // at a target served on the invokers (whose Serve echoes, blocks or
-// panics) and one whose pinned pool forces the mailbox: the handle's own
+// panics) and one on another node, which the mailbox serves: the handle's own
 // Call and Invocation go to one invoker at a time, the rest draw from
 // the pools.  Every reply is its request's, a panicking inline Serve
 // leaves the handle usable, and nothing is answered twice.  Under -race
 // it is the own records' ordering check.
 func TestCallerSharedByEightInvokers(t *testing.T) {
 	const invokers, each = 8, 300
-	k := newTestKernel(t, Config{})
+	k := newTestKernel(t, Config{Net: netsim.Config{Nodes: 2}})
 	inline := &mixer{replies: make([]atomic.Int32, invokers*each)}
-	pinned := &mixer{hint: PoolHint{Workers: 2, Pinned: true}, replies: make([]atomic.Int32, invokers*each)}
+	remote := &mixer{replies: make([]atomic.Int32, invokers*each)}
 	var ids [2]uid.UID
-	for i, m := range []*mixer{inline, pinned} {
-		id, err := k.Create(m, 0)
+	for i, m := range []*mixer{inline, remote} {
+		id, err := k.Create(m, netsim.NodeID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,7 +407,7 @@ func TestCallerSharedByEightInvokers(t *testing.T) {
 		if n%10 == 0 {
 			want = 0
 		}
-		got := inline.replies[n].Load() + pinned.replies[n].Load()
+		got := inline.replies[n].Load() + remote.replies[n].Load()
 		if got != want {
 			t.Errorf("call %d: replied %d times, want %d", n, got, want)
 		}

@@ -58,26 +58,6 @@ type Deactivatable interface {
 	OnDeactivate()
 }
 
-// PoolHint lets an Eject shape the worker pool the kernel gives its
-// binding.  Workers > 0 caps the pool below Config.WorkersPerEject;
-// Pinned locks each worker goroutine to an OS thread for the life of
-// the binding, and keeps Serve on those goroutines (no invoker serves a
-// pinned pool itself).  The transput fusion pass uses both for fused stage
-// groups: a small pinned pool keeps a datum's whole fused chain on one
-// worker (and one core), instead of bouncing between the mailboxes of
-// the stages the fusion elided.
-type PoolHint struct {
-	Workers int
-	Pinned  bool
-}
-
-// PoolHinter is implemented by Ejects that want a non-default worker
-// pool.  The hint is read once, at Create time; re-activation reuses
-// the binding's original pool shape.
-type PoolHinter interface {
-	PoolHint() PoolHint
-}
-
 // ActivationContext is passed to an ActivateFunc when the kernel
 // re-activates a passive Eject.
 type ActivationContext struct {
@@ -248,7 +228,7 @@ func (k *Kernel) CreateWithUID(id uid.UID, e Eject, node netsim.NodeID) error {
 	if k.down.Load() {
 		return ErrKernelDown
 	}
-	b := k.bindingFor(id, node, e)
+	b := newBinding(id, node, e, k.cfg.WorkersPerEject)
 	if _, loaded := k.bindings.LoadOrStore(id, b); loaded {
 		return fmt.Errorf("kernel: UID %s already bound", id)
 	}
@@ -262,21 +242,6 @@ func (k *Kernel) CreateWithUID(id uid.UID, e Eject, node netsim.NodeID) error {
 	}
 	k.met.EjectsCreated.Inc()
 	return nil
-}
-
-// bindingFor builds a binding for e, honoring its PoolHint if it has
-// one.
-func (k *Kernel) bindingFor(id uid.UID, node netsim.NodeID, e Eject) *binding {
-	workers := k.cfg.WorkersPerEject
-	pinned := false
-	if h, ok := e.(PoolHinter); ok {
-		hint := h.PoolHint()
-		if hint.Workers > 0 {
-			workers = hint.Workers
-		}
-		pinned = hint.Pinned
-	}
-	return newBinding(id, node, e, workers, pinned)
 }
 
 // NodeOf reports the home node of an Eject.
@@ -389,7 +354,7 @@ func (k *Kernel) activate(target uid.UID) (*binding, error) {
 	}
 
 	if b == nil {
-		nb := k.bindingFor(target, node, e)
+		nb := newBinding(target, node, e, k.cfg.WorkersPerEject)
 		nb.state = statePassive // tryReactivate below flips it
 		if cur, loaded := k.bindings.LoadOrStore(target, nb); loaded {
 			b = cur // a concurrent activation installed the binding first
@@ -576,10 +541,10 @@ func (k *Kernel) invokeSync(from uid.UID, fromNode netsim.NodeID, target uid.UID
 // and traced here, the same way.  What differs is who runs Serve:
 //
 //   - waits == false (AsyncInvoke: "sending does not suspend the
-//     sender"), a target on another node, a pinned pool, a full pool or
-//     a non-empty mailbox: the invocation goes into the target's
-//     mailbox and a pool worker serves it, replying on the Call's
-//     channel.  send returns the Call alone.
+//     sender"), a target on another node, a full pool or a non-empty
+//     mailbox: the invocation goes into the target's mailbox and a
+//     pool worker serves it, replying on the Call's channel.  send
+//     returns the Call alone.
 //   - otherwise the invoker — which does nothing until the reply comes —
 //     claims one of the target's worker slots, and send hands it the
 //     Invocation and the slot to serve on its own goroutine.  The reply

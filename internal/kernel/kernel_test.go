@@ -522,15 +522,15 @@ func TestShutdownRunsHooksConcurrently(t *testing.T) {
 }
 
 // TestShutdownLeavesNoGoroutine: the workers a pool started and left
-// parked in its mailbox — a default pool's, a pinned pool's, and those
-// of a binding destroyed first — all exit, so once Shutdown returns the
+// parked in its mailbox — a default pool's and those of a binding
+// destroyed first — all exit, so once Shutdown returns the
 // process is back at its goroutine baseline.
 func TestShutdownLeavesNoGoroutine(t *testing.T) {
 	goroutines := quiesce.Baseline(t)
 	k := New(Config{})
 	var last uid.UID
-	for _, hint := range []PoolHint{{}, {Workers: 2, Pinned: true}, {}} {
-		g := newGated(hint)
+	for range 2 {
+		g := newGated()
 		id, err := k.Create(g, 0)
 		if err != nil {
 			t.Fatal(err)

@@ -75,7 +75,6 @@ func quiesced(t *testing.T, k *Kernel, id uid.UID) {
 // (or the gate is closed), and records how many Serve calls overlapped.
 type gatedEject struct {
 	gate    chan struct{}
-	hint    PoolHint
 	entered atomic.Int64
 
 	mu      sync.Mutex
@@ -83,12 +82,11 @@ type gatedEject struct {
 	highest int
 }
 
-func newGated(hint PoolHint) *gatedEject {
-	return &gatedEject{gate: make(chan struct{}), hint: hint}
+func newGated() *gatedEject {
+	return &gatedEject{gate: make(chan struct{})}
 }
 
-func (g *gatedEject) EdenType() string   { return "test.Gated" }
-func (g *gatedEject) PoolHint() PoolHint { return g.hint }
+func (g *gatedEject) EdenType() string { return "test.Gated" }
 
 func (g *gatedEject) Serve(inv *Invocation) {
 	g.mu.Lock()
@@ -147,20 +145,19 @@ func await(t *testing.T, out <-chan error) error {
 func TestWorkerPoolBoundsParkedInvocations(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		kinds string   // one caller per byte, started in order
-		hint  PoolHint // Workers 0: the kernel's WorkersPerEject (2)
-		want  slots    // once bound callers are in Serve and one waits
+		kinds string // one caller per byte, started in order; the pool is len(kinds)-1
+		want  slots  // once bound callers are in Serve and one waits
 	}{
-		{"async", "aaa", PoolHint{}, slots{workers: 2, queued: 1}},
-		{"sync", "sss", PoolHint{}, slots{inline: 2, queued: 1}},
-		{"mixed", "ass", PoolHint{}, slots{workers: 1, inline: 1, queued: 1}},
-		{"sync/hint=1", "ss", PoolHint{Workers: 1}, slots{inline: 1, queued: 1}},
-		{"mixed/hint=1", "as", PoolHint{Workers: 1}, slots{workers: 1, queued: 1}},
-		{"mixed/hint=1/sync-first", "sa", PoolHint{Workers: 1}, slots{inline: 1, queued: 1}},
+		{"async", "aaa", slots{workers: 2, queued: 1}},
+		{"sync", "sss", slots{inline: 2, queued: 1}},
+		{"mixed", "ass", slots{workers: 1, inline: 1, queued: 1}},
+		{"sync/workers=1", "ss", slots{inline: 1, queued: 1}},
+		{"mixed/workers=1", "as", slots{workers: 1, queued: 1}},
+		{"mixed/workers=1/sync-first", "sa", slots{inline: 1, queued: 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			k := newTestKernel(t, Config{WorkersPerEject: 2})
-			e := newGated(tc.hint)
+			k := newTestKernel(t, Config{WorkersPerEject: len(tc.kinds) - 1})
+			e := newGated()
 			id, err := k.Create(e, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -199,12 +196,35 @@ func TestWorkerPoolBoundsParkedInvocations(t *testing.T) {
 	}
 }
 
+// countingPinger is a pinger that records the most Serve calls it saw
+// overlap.
+type countingPinger struct {
+	pinger
+
+	mu      sync.Mutex
+	active  int
+	highest int
+}
+
+func (h *countingPinger) Serve(inv *Invocation) {
+	h.mu.Lock()
+	h.active++
+	h.highest = max(h.highest, h.active)
+	h.mu.Unlock()
+	defer func() {
+		h.mu.Lock()
+		h.active--
+		h.mu.Unlock()
+	}()
+	h.pinger.Serve(inv)
+}
+
 // TestSlotBoundUnderMixedStorm hammers a two-slot Eject with sync and
 // async callers at once; Serve (which yields, so that overlapping calls
 // do overlap) must never be entered a third time.
 func TestSlotBoundUnderMixedStorm(t *testing.T) {
-	k := newTestKernel(t, Config{WorkersPerEject: 32})
-	h := &hintedPinger{hint: PoolHint{Workers: 2}}
+	k := newTestKernel(t, Config{WorkersPerEject: 2})
+	h := &countingPinger{}
 	id, err := k.Create(h, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +260,7 @@ func TestSlotBoundUnderMixedStorm(t *testing.T) {
 	highest := h.highest
 	h.mu.Unlock()
 	if highest > 2 {
-		t.Fatalf("saw %d concurrent Serve calls, hint caps the pool at 2", highest)
+		t.Fatalf("saw %d concurrent Serve calls, the pool is 2", highest)
 	}
 	quiesced(t, k, id)
 }
@@ -258,11 +278,11 @@ func (gatedPersistent) PassiveRepresentation() ([]byte, error) { return []byte{1
 // the new epoch's pool — checked by saturating that pool exactly.
 func TestInlineServeAcrossReactivation(t *testing.T) {
 	k := newTestKernel(t, Config{WorkersPerEject: 2})
-	second := newGated(PoolHint{})
+	second := newGated()
 	k.RegisterType("test.GatedPersistent", func(ActivationContext) (Eject, error) {
 		return gatedPersistent{second}, nil
 	})
-	first := newGated(PoolHint{})
+	first := newGated()
 	id, err := k.Create(gatedPersistent{first}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +352,7 @@ func TestInlineServeAcrossTeardown(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := newTestKernel(t, Config{WorkersPerEject: 1})
-			e := newGated(PoolHint{})
+			e := newGated()
 			id, err := k.Create(e, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -381,7 +401,7 @@ func TestInlineServeAcrossTeardown(t *testing.T) {
 // TestClaimConditions pins, on a bare binding, each condition under
 // which a synchronous invoker may not take a slot itself.
 func TestClaimConditions(t *testing.T) {
-	b := newBinding(uid.New(), 0, &pinger{}, 2, false)
+	b := newBinding(uid.New(), 0, &pinger{}, 2)
 	claimed := func(b *binding) bool { _, ok := b.claim(); return ok }
 	first, ok := b.claim()
 	second, ok2 := b.claim()
@@ -422,10 +442,6 @@ func TestClaimConditions(t *testing.T) {
 	b.mu.Unlock()
 	if got != (slots{}) {
 		t.Fatalf("slots after reactivation = %+v, want none taken", got)
-	}
-
-	if claimed(newBinding(uid.New(), 0, &pinger{}, 2, true)) {
-		t.Fatal("claimed a slot of a pinned pool")
 	}
 }
 
@@ -468,11 +484,8 @@ func TestInlineServeGuards(t *testing.T) {
 // on.
 type whoPinger struct {
 	pinger
-	hint PoolHint
 	last atomic.Uint64
 }
-
-func (w *whoPinger) PoolHint() PoolHint { return w.hint }
 
 func (w *whoPinger) Serve(inv *Invocation) {
 	w.last.Store(goid())
@@ -485,7 +498,7 @@ func (w *whoPinger) Serve(inv *Invocation) {
 // does — it is never served on the sender's goroutine.
 func TestAsyncInvokeDoesNotSuspendSender(t *testing.T) {
 	k := newTestKernel(t, Config{})
-	e := newGated(PoolHint{})
+	e := newGated()
 	id, err := k.Create(e, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -514,22 +527,21 @@ func TestAsyncInvokeDoesNotSuspendSender(t *testing.T) {
 
 // TestWhoServes pins the dispatch choice by goroutine identity: a
 // synchronous same-node Invoke runs Serve on the invoker's goroutine;
-// AsyncInvoke, a pinned pool and a cross-node target never do.  On both
+// AsyncInvoke and a cross-node target never do.  On both
 // paths the reply arrives and the meters read the same.
 func TestWhoServes(t *testing.T) {
 	k := newTestKernel(t, Config{Net: netsim.Config{Nodes: 2}})
-	create := func(hint PoolHint, node netsim.NodeID) (*whoPinger, uid.UID) {
-		w := &whoPinger{hint: hint}
+	create := func(node netsim.NodeID) (*whoPinger, uid.UID) {
+		w := &whoPinger{}
 		id, err := k.Create(w, node)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w, id
 	}
-	plain, plainID := create(PoolHint{}, 0)
-	pinned, pinnedID := create(PoolHint{Pinned: true}, 0)
-	remote, remoteID := create(PoolHint{}, 1)
-	_, homeID := create(PoolHint{}, 1) // an invoker homed beside remote
+	plain, plainID := create(0)
+	remote, remoteID := create(1)
+	_, homeID := create(1) // an invoker homed beside remote
 
 	me := goid()
 	metered := func(call func() error) (inv, rep, sw int64) {
@@ -551,7 +563,6 @@ func TestWhoServes(t *testing.T) {
 		{"sync local via Caller", plain, true, func() error { _, err := k.Caller(uid.Nil).Invoke(plainID, "ping", &pingReq{}); return err }},
 		{"sync local on node 1", remote, true, func() error { _, err := k.Caller(homeID).Invoke(remoteID, "ping", &pingReq{}); return err }},
 		{"async local", plain, false, func() error { _, err := k.AsyncInvoke(uid.Nil, plainID, "ping", &pingReq{}).Wait(); return err }},
-		{"sync pinned", pinned, false, func() error { _, err := k.Invoke(uid.Nil, pinnedID, "ping", &pingReq{}); return err }},
 		{"sync cross-node", remote, false, func() error { _, err := k.Invoke(uid.Nil, remoteID, "ping", &pingReq{}); return err }},
 		{"sync cross-node via Caller", plain, false, func() error { _, err := k.Caller(homeID).Invoke(plainID, "ping", &pingReq{}); return err }},
 	} {
@@ -577,7 +588,7 @@ func TestWhoServes(t *testing.T) {
 // on this, rarely.
 func TestReactivationServesWhatTheOldPoolLeft(t *testing.T) {
 	k := newTestKernel(t, Config{WorkersPerEject: 1, Net: netsim.Config{Nodes: 2}})
-	g := newGated(PoolHint{})
+	g := newGated()
 	k.RegisterType("test.GatedPersistent", func(ActivationContext) (Eject, error) {
 		return gatedPersistent{g}, nil
 	})

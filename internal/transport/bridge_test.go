@@ -545,16 +545,15 @@ func TestBridgeOpInternIsBounded(t *testing.T) {
 }
 
 // gateEject parks every invocation until the gate opens, then echoes.
-// Its pool admits the whole burst, so entered counts invocations that
-// each hold one of the bridge connection's workers.
+// startWorkerRig's kernel gives it a pool that admits the whole burst,
+// so entered counts invocations that each hold one of the bridge
+// connection's workers.
 type gateEject struct {
 	entered chan struct{}
 	open    chan struct{}
 }
 
 func (g *gateEject) EdenType() string { return "test.Gate" }
-
-func (g *gateEject) PoolHint() kernel.PoolHint { return kernel.PoolHint{Workers: cap(g.entered)} }
 
 func (g *gateEject) Serve(inv *kernel.Invocation) {
 	g.entered <- struct{}{}
@@ -574,7 +573,7 @@ type workerRig struct {
 
 func startWorkerRig(t *testing.T, burst int) *workerRig {
 	t.Helper()
-	r := &workerRig{k: kernel.New(kernel.Config{})}
+	r := &workerRig{k: kernel.New(kernel.Config{WorkersPerEject: burst})}
 	r.g = &gateEject{entered: make(chan struct{}, burst), open: make(chan struct{})}
 	var err error
 	if r.echo, err = r.k.Create(echoEject{}, 0); err != nil {

@@ -7,8 +7,8 @@
 // composition of the member bodies: items flow from member to member
 // through an in-stack coroutine edge, with no frame, no port and no
 // invocation.  The pass takes the graph and returns the graph; the walk
-// in pipeline.go wires a group exactly as it wires any element, and
-// learns what it is from the element itself (its node, its fused mark).
+// in pipeline.go wires a group exactly as it wires any element: an
+// ordinary Eject on the kernel's ordinary worker pool.
 //
 // Boundaries stay real.  A shard split (an element of several shards),
 // a fan node (more than one edge on a side), an explicit Filter.NoFuse,
@@ -25,7 +25,6 @@
 package transput
 
 import (
-	"runtime"
 	"strings"
 
 	"asymstream/internal/transput/internal/itemio"
@@ -130,7 +129,7 @@ func fuseGraph(d Discipline, els []element, edges []Edge, mode FusionMode) ([]el
 		// whose place in the graph (and name) it then takes.
 		g := element{
 			role: RoleFilter, name: strings.Join(names, "+"), body: itemio.ComposeBodies(bodies),
-			shards: 1, node: run[0].node, fused: true,
+			shards: 1, node: run[0].node,
 		}
 		switch first, end := run[0], run[len(run)-1]; {
 		case first.role == RoleSource:
@@ -149,29 +148,4 @@ func fuseGraph(d Discipline, els []element, edges []Edge, mode FusionMode) ([]el
 		}
 	}
 	return fused, kept, groups, stages
-}
-
-// fusedPoolWorkers sizes a fused stage's kernel worker pool: enough
-// for the link's in-flight window plus control traffic (Channels,
-// Abort), small enough that dedicated OS threads stay scarce when the
-// pool is pinned.
-func fusedPoolWorkers(opt Options) int {
-	w := opt.Window
-	if w < 1 {
-		w = 1
-	}
-	if w+2 > 8 {
-		return w + 2
-	}
-	return 8
-}
-
-// fusedPoolPinned decides whether a fused group's workers (and its
-// body goroutine) lock their OS threads so a datum runs its whole
-// chain without migrating cores.  Pinning only pays when there are
-// cores to pin to: on a single-CPU host every locked thread turns each
-// coroutine yield and invocation handoff into a full OS context
-// switch, which is exactly the cost fusion exists to elide.
-func fusedPoolPinned() bool {
-	return runtime.NumCPU() > 1
 }

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
+	"asymstream/internal/quiesce"
 	"asymstream/internal/uid"
 
 	"asymstream/internal/transput/internal/itemio"
@@ -339,7 +342,7 @@ func TestRedirectAcrossFusedBoundary(t *testing.T) {
 		},
 		upcaseFilter,
 	})
-	a := NewROStage(k, ROStageConfig{Name: "groupA", Anticipation: 4, PoolWorkers: 8, PoolPinned: true}, endless)
+	a := NewROStage(k, ROStageConfig{Name: "groupA", Anticipation: 4}, endless)
 	aUID := k.NewUID()
 	if err := k.CreateWithUID(aUID, a, 0); err != nil {
 		t.Fatal(err)
@@ -347,7 +350,7 @@ func TestRedirectAcrossFusedBoundary(t *testing.T) {
 	a.Start()
 
 	// Fused group B: finite source | upcase.
-	b := NewROStage(k, ROStageConfig{Name: "groupB", PoolWorkers: 8, PoolPinned: true},
+	b := NewROStage(k, ROStageConfig{Name: "groupB"},
 		itemio.ComposeBodies([]Body{sourceAsBody(numbersSource(2)), upcaseFilter}))
 	bUID := k.NewUID()
 	if err := k.CreateWithUID(bUID, b, 0); err != nil {
@@ -459,10 +462,10 @@ func TestFusedHopAllocRegression(t *testing.T) {
 	}
 }
 
-// TestFusedPinnedPoolServes smoke-checks the kernel side of fusion:
-// a fused stage advertises a bounded pinned pool and still serves a
+// TestFusedPoolServes smoke-checks the kernel side of fusion: a fused
+// stage, an ordinary Eject on the kernel's ordinary pool, serves a
 // windowed, batched stream correctly.
-func TestFusedPinnedPoolServes(t *testing.T) {
+func TestFusedPoolServes(t *testing.T) {
 	k := testKernel(t)
 	fs := []Filter{
 		{Name: "f0", Body: passFilter}, {Name: "f1", Body: upcaseFilter},
@@ -475,5 +478,120 @@ func TestFusedPinnedPoolServes(t *testing.T) {
 	}
 	if p.Ejects() != 2 {
 		t.Fatalf("Ejects = %d, want 2", p.Ejects())
+	}
+}
+
+// offGoroutine runs body on a goroutine it starts and waits for it, so
+// every Next the body makes comes from a goroutine other than the one
+// it was called on.
+func offGoroutine(body Body) Body {
+	return func(ins []ItemReader, outs []ItemWriter) error {
+		errc := make(chan error, 1)
+		go func() { errc <- body(ins, outs) }()
+		return <-errc
+	}
+}
+
+// TestFusedBodyReadsOnAnotherGoroutine: a member of a fused group may
+// use its fused edges from a goroutine it starts, since a fused edge is
+// a coroutine any goroutine may resume.  In a linear chain the first
+// filter does, and so does the group's last member (a read-only group's
+// last filter, a write-only group's sink); in a graph of two fused
+// branches (write-only: a fan-out whose branches are filter+sink;
+// read-only: a fan-in whose branches are source+filter) each branch's
+// last member does.  Each graph delivers fused what it delivers
+// unfused, and leaves no slab view and no goroutine behind.
+func TestFusedBodyReadsOnAnotherGoroutine(t *testing.T) {
+	const items = 200
+	// last wraps the body of a group's last member.
+	last := func(on bool, body Body) Body {
+		if on {
+			return offGoroutine(body)
+		}
+		return body
+	}
+	shapes := []struct {
+		name   string
+		groups int
+		g      func(d Discipline, sink func(node int) Body) Graph
+	}{
+		{"chain", 1, func(d Discipline, sink func(int) Body) Graph {
+			return Graph{
+				Nodes: []Filter{
+					{Name: "src", Body: numbers(items)},
+					{Name: "f0", Body: offGoroutine(upcaseFilter)},
+					{Name: "f1", Body: last(d == ReadOnly, passFilter)},
+					{Name: "sink", Body: last(d == WriteOnly, sink(3))},
+				},
+				Edges: []Edge{{0, 1}, {1, 2}, {2, 3}},
+			}
+		}},
+		{"two branches", 2, func(d Discipline, sink func(int) Body) Graph {
+			if d == WriteOnly {
+				return Graph{
+					Nodes: []Filter{
+						{Name: "src", Body: numbers(items)},
+						{Name: "up0", Body: upcaseFilter}, {Name: "up1", Body: upcaseFilter},
+						{Name: "out0", Body: last(true, sink(3))}, {Name: "out1", Body: last(true, sink(4))},
+					},
+					Edges: []Edge{{0, 1}, {0, 2}, {1, 3}, {2, 4}},
+				}
+			}
+			return Graph{
+				Nodes: []Filter{
+					{Name: "a", Body: numbers(items)}, {Name: "b", Body: numbers(items)},
+					{Name: "up0", Body: last(true, upcaseFilter)}, {Name: "up1", Body: last(true, upcaseFilter)},
+					{Name: "in", Body: sink(4)},
+				},
+				Edges: []Edge{{0, 2}, {1, 3}, {2, 4}, {3, 4}},
+			}
+		}},
+	}
+	for _, d := range []Discipline{ReadOnly, WriteOnly} {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%v/%s", d, sh.name), func(t *testing.T) {
+				run := func(fusion FusionMode) (map[int]map[int][]string, int) {
+					goroutines := quiesce.Baseline(t)
+					k := kernel.New(kernel.Config{})
+					met := k.Metrics()
+					var mu sync.Mutex
+					got := map[int]map[int][]string{}
+					sink := func(node int) Body {
+						got[node] = map[int][]string{}
+						return gather(got[node], &mu)
+					}
+					p, err := BuildGraph(k, d, sh.g(d, sink), Options{Fusion: fusion})
+					if err != nil {
+						t.Fatalf("build: %v", err)
+					}
+					if err := runWithTimeout(t, p); err != nil {
+						t.Fatalf("run (fusion %v): %v", fusion, err)
+					}
+					p.Destroy()
+					waitSlabQuiet(t, met)
+					if n := met.SlabLeaked.Value(); n != 0 {
+						t.Errorf("fusion %v: SlabLeaked = %d after teardown", fusion, n)
+					}
+					k.Shutdown()
+					goroutines()
+					return got, p.FusionGroups
+				}
+				want, _ := run(FusionOff)
+				for node, ins := range want {
+					for c, its := range ins {
+						if len(its) != items {
+							t.Fatalf("unfused: sink %d input %d got %d items, want %d", node, c, len(its), items)
+						}
+					}
+				}
+				got, groups := run(FusionOn)
+				if groups != sh.groups {
+					t.Fatalf("%d fusion groups, want %d", groups, sh.groups)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("fused run delivered %v, unfused %v", got, want)
+				}
+			})
+		}
 	}
 }

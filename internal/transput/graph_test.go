@@ -14,8 +14,7 @@ import (
 
 // gather is a sink body that reads every input at once — a sequential
 // drain can stall a graph whose producer feeds two of them — and records
-// each item under the input index it came by.  One input it reads on the
-// body's own goroutine, as a fused member must.
+// each item under the input index it came by.
 func gather(got map[int][]string, mu *sync.Mutex) Body {
 	return func(ins []ItemReader, _ []ItemWriter) error {
 		errs := make([]error, len(ins))

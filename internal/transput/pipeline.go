@@ -79,11 +79,7 @@ type SinkFunc func(in ItemReader) error
 // 4 are one graph of five (internal/experiments, figures34.go).
 type Filter struct {
 	Name string
-	// Body runs the node.  It must call its inputs' Next on the
-	// goroutine it was called on, never on one it starts: under
-	// Options.Fusion an input may be a fused edge, an iter.Pull
-	// coroutine, which a pinned pool (fusedPoolPinned) cannot resume
-	// from another goroutine — the runtime aborts the process.
+	// Body runs the node.
 	Body Body
 	// Shards overrides Options.Shards for this filter: >1 replicates
 	// the body across that many shard Ejects, 1 forces sequential, 0
@@ -156,11 +152,7 @@ type Options struct {
 	// Fusion, when FusionOn, lets BuildPipeline fuse adjacent
 	// co-located sequential stages into single Ejects (see fusion.go).
 	// The zero value keeps the paper's one-Eject-per-stage wiring, so
-	// every published count reproduces exactly.  A fused body must call
-	// its inputs' Next on the goroutine it was called on: a fused edge
-	// is an iter.Pull coroutine, and where a fused group's workers pin
-	// their OS threads (fusedPoolPinned) the runtime aborts the process
-	// when a coroutine is resumed from another goroutine.
+	// every published count reproduces exactly.
 	Fusion FusionMode
 	// Placement maps each element to a simulated node; nil places
 	// everything on node 0.  index is the filter index for RoleFilter
@@ -233,7 +225,6 @@ type element struct {
 	shards int // 1 is one sequential Eject; P > 1 a row of P shard Ejects
 	node   netsim.NodeID
 	noFuse bool // Filter.NoFuse
-	fused  bool // a fusion group: its Eject gets the fused worker pool
 }
 
 // sourceAsBody adapts a SourceFunc to the Body every element carries.
@@ -608,11 +599,6 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 		if e.shards > 1 {
 			loads[i] = make([]*atomic.Int64, e.shards)
 		}
-		var poolWorkers int
-		var poolPinned bool
-		if e.fused {
-			poolWorkers, poolPinned = fusedPoolWorkers(opt), fusedPoolPinned()
-		}
 
 		var declared []endpoint
 		for j := 0; j < e.shards; j++ {
@@ -660,8 +646,6 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 					Anticipation:   opt.Anticipation,
 					CapabilityMode: opt.CapabilityMode,
 					LazyStart:      lazy,
-					PoolWorkers:    poolWorkers,
-					PoolPinned:     poolPinned,
 				}, body, ins...)
 				for c := 0; c < lout; c++ {
 					declared = append(declared, endpoint{id, st.Writer(c).ID()})
@@ -673,8 +657,6 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 					Capacity:       opt.inputCapacity(writers),
 					Writers:        []int{writers},
 					CapabilityMode: opt.CapabilityMode,
-					PoolWorkers:    poolWorkers,
-					PoolPinned:     poolPinned,
 				}, body, outs...)
 				for c := 0; c < lin; c++ {
 					declared = append(declared, endpoint{id, st.Reader(c).ID()})

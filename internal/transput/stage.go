@@ -2,7 +2,6 @@ package transput
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"asymstream/internal/kernel"
@@ -37,7 +36,6 @@ type Stage struct {
 	out  *OutPort
 	in   *WOInPort
 	lazy bool
-	pool kernel.PoolHint
 
 	ins  []ItemReader
 	outs []ItemWriter
@@ -74,13 +72,6 @@ type ROStageConfig struct {
 	// requested").  When false the body starts immediately and runs
 	// ahead until its output buffers fill (anticipatory computation).
 	LazyStart bool
-	// PoolWorkers, when >0, caps the stage's kernel worker pool;
-	// PoolPinned locks the pool's workers and the body goroutine to OS
-	// threads.  The fusion pass sets both on fused groups so a datum
-	// runs its whole fused chain to completion on one worker, with no
-	// cross-worker mailbox bounce between member stages.
-	PoolWorkers int
-	PoolPinned  bool
 }
 
 // NewROStage builds a read-only stage.  ins are the stage's input
@@ -100,7 +91,6 @@ func NewROStage(k *kernel.Kernel, cfg ROStageConfig, body Body, ins ...ItemReade
 	}
 	s := NewConvStage(cfg.Name, body, ins, outs)
 	s.out, s.lazy = port, cfg.LazyStart
-	s.pool = kernel.PoolHint{Workers: cfg.PoolWorkers, Pinned: cfg.PoolPinned}
 	return s
 }
 
@@ -117,11 +107,6 @@ type WOStageConfig struct {
 	Writers []int
 	// CapabilityMode mints UID channel identifiers.
 	CapabilityMode bool
-	// PoolWorkers / PoolPinned mirror ROStageConfig: the fusion pass
-	// sets them on fused groups (write-only discipline) so the group's
-	// worker pool is bounded and core-pinned.
-	PoolWorkers int
-	PoolPinned  bool
 }
 
 // NewWOStage builds a write-only stage.  outs are the stage's output
@@ -143,15 +128,11 @@ func NewWOStage(k *kernel.Kernel, cfg WOStageConfig, body Body, outs ...ItemWrit
 	}
 	s := NewConvStage(cfg.Name, body, ins, outs)
 	s.in = port
-	s.pool = kernel.PoolHint{Workers: cfg.PoolWorkers, Pinned: cfg.PoolPinned}
 	return s
 }
 
 // EdenType implements kernel.Eject.
 func (s *Stage) EdenType() string { return "transput.Stage" }
-
-// PoolHint implements kernel.PoolHinter.
-func (s *Stage) PoolHint() kernel.PoolHint { return s.pool }
 
 // Out returns a read-only stage's OutPort (for channel adverts and
 // laziness probes).
@@ -205,10 +186,6 @@ func (s *Stage) Start() {
 		go func() {
 			defer s.wg.Done()
 			defer close(s.done)
-			if s.pool.Pinned {
-				runtime.LockOSThread()
-				defer runtime.UnlockOSThread()
-			}
 			err := s.run()
 			s.errMu.Lock()
 			s.err = err
