@@ -139,3 +139,63 @@ func (p *bufPipe) consume() {
 	_ = v
 	p.mu2.Unlock()
 }
+
+// ---------------------------------------------------------------------
+// W3 for conds made as values: the mutex is the literal's L, whether
+// the literal is assigned, declared, taken the address of, or the value
+// of a keyed field in an enclosing struct literal.
+
+type condSide struct {
+	cond sync.Cond
+}
+
+type valueCond struct {
+	mu    sync.Mutex
+	side  *condSide
+	ptr   *sync.Cond
+	ready bool
+}
+
+func newValueCond() *valueCond {
+	v := &valueCond{}
+	v.side = &condSide{cond: sync.Cond{L: &v.mu}}
+	v.ptr = &sync.Cond{L: &v.mu}
+	return v
+}
+
+// Fail: a value cond broadcast without its mutex.
+func (v *valueCond) BroadcastBad() {
+	v.ready = true
+	v.side.cond.Broadcast() // want "without holding its associated mutex"
+}
+
+// Pass: the same broadcast under the lock.
+func (v *valueCond) BroadcastGood() {
+	v.mu.Lock()
+	v.ready = true
+	v.side.cond.Broadcast()
+	v.mu.Unlock()
+}
+
+// Fail: a cond made by &sync.Cond{L: &m}, signalled without m.
+func (v *valueCond) SignalPtrBad() {
+	v.ready = true
+	v.ptr.Signal() // want "without holding its associated mutex"
+}
+
+var (
+	globalMu   sync.Mutex
+	globalCond = sync.Cond{L: &globalMu}
+)
+
+// Fail: a declared value cond, signalled without its mutex.
+func SignalGlobalBad() {
+	globalCond.Signal() // want "without holding its associated mutex"
+}
+
+// Pass: under its mutex.
+func SignalGlobalGood() {
+	globalMu.Lock()
+	globalCond.Signal()
+	globalMu.Unlock()
+}
