@@ -130,8 +130,9 @@ fuzz-smoke:
 ## race-sharded: a short, focused race run over the parallel engine
 ## (sharded rows, the one active engine's window, its gate and its turn
 ## in both directions, completions in reverse, merge, redirect), the fusion
-## compiler (fused groups, fused aborts, fused pools), the writers'
-## shared copy arenas under concurrent Puts, bodies holding 16 KiB
+## compiler (fused groups, fused aborts, fused bodies reading on
+## goroutines they start), the writers' shared copy arenas under
+## concurrent Puts, bodies holding 16 KiB
 ## items handed over in place off real sockets, stale channel
 ## handles and capability-cache entries racing the reuse of their
 ## records, records' first waits (which make their conds) racing
@@ -144,7 +145,7 @@ fuzz-smoke:
 ## TestWindowedDeliverGrantOpensTheWindow) — the subset CI runs on every
 ## push in addition to the full gate.
 race-sharded:
-	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPoolHint|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestRegistryStorm|TestRegistryAgainstModel|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers|TestGraph' ./internal/transput/... ./internal/kernel/ ./internal/experiments/
+	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestRegistryStorm|TestRegistryAgainstModel|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers|TestGraph' ./internal/transput/... ./internal/kernel/ ./internal/experiments/
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's
