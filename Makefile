@@ -142,8 +142,9 @@ fuzz-smoke:
 ## every other call's, and graphs through the one walk (fan-in, fan-out,
 ## a sharded diamond, Figure 4 and -check's graph rows), and the walk's
 ## landing zone for a push window (TestWindowedInputCapacity,
-## TestWindowedDeliverGrantOpensTheWindow) — the subset CI runs on every
-## push in addition to the full gate.
+## TestWindowedDeliverGrantOpensTheWindow) with the producer parked once
+## its window is out (TestWindowedPusherParksAtTheWindow) — the subset CI
+## runs on every push in addition to the full gate.
 race-sharded:
 	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestRegistryStorm|TestRegistryAgainstModel|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers|TestGraph' ./internal/transput/... ./internal/kernel/ ./internal/experiments/
 

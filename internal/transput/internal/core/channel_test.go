@@ -469,11 +469,11 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			// Fill the sink; a window then parks a delivery on the full
 			// buffer — one once the credit gate has seen the sink's
 			// replies, more if the first Window went out before any came
-			// back — and holds the rest in the helpers and the queue,
-			// where one slot would park the producer itself.
+			// back — and holds the rest in the helpers, where one slot
+			// would park the producer itself.
 			n := capacity
 			if row.window > 1 {
-				n += 1 + row.window
+				n += row.window
 			}
 			for i := 0; i < n; i++ {
 				if err := p.PutOwned(view()); err != nil {
@@ -498,6 +498,55 @@ func TestActivePortTeardownMidWindow(t *testing.T) {
 			}
 			audit(t, k, slab, r.Ref().C, goroutines)
 		})
+	}
+}
+
+// TestWindowedPusherParksAtTheWindow: a windowed Pusher hands each batch
+// straight to a free helper, so once Window batches are out — the sink's
+// buffer full, one delivery parked there and the rest with helpers
+// waiting at the gate — the producer's next Put parks until the stream
+// ends, and the Cancel that ends it fails that Put.
+func TestWindowedPusherParksAtTheWindow(t *testing.T) {
+	const capacity, window = 2, 4
+	k := testKernel(t)
+	slab := wire.NewSlab(k.Metrics(), 1<<14)
+	view := func() []byte { return append(slab.Alloc(8)[:0], "a-view!!"...) }
+	goroutines := quiesce.Baseline(t)
+	id := k.NewUID()
+	port := push.NewWOInPort(k, push.WOInPortConfig{})
+	r := port.Declare("c", 0, capacity, 1) // never read: the sink is stalled
+	if err := k.CreateWithUID(id, portEject{port.Serve}, 0); err != nil {
+		t.Fatal(err)
+	}
+	p := push.NewPusher(k, uid.Nil, id, core.Chan(0), push.PusherConfig{Batch: 1, Window: window})
+	for i := 0; i < capacity+window; i++ {
+		if err := p.PutOwned(view()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parked := make(chan error, 1)
+	go func() { parked <- p.PutOwned(view()) }()
+	select {
+	case err := <-parked:
+		t.Fatalf("Put returned (%v) with a window of batches already out", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	r.Cancel("enough")
+	if err := <-parked; !errors.Is(err, itemio.ErrAborted) {
+		t.Errorf("parked Put after Cancel: %v, want ErrAborted", err)
+	}
+	if err := p.Close(); !errors.Is(err, itemio.ErrAborted) {
+		t.Errorf("Close after Cancel: %v, want ErrAborted", err)
+	}
+	goroutines()
+	r.Ref().C.Mu.Lock()
+	waiters := r.Ref().C.Waiters()
+	r.Ref().C.Mu.Unlock()
+	if waiters != 0 {
+		t.Errorf("%d workers still parked in the sink's record", waiters)
+	}
+	if n := slab.Close(); n != 0 || k.Metrics().SlabLeaked.Value() != 0 {
+		t.Errorf("slab leak audit: %d stranded views (SlabLeaked=%d)", n, k.Metrics().SlabLeaked.Value())
 	}
 }
 

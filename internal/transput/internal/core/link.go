@@ -25,7 +25,10 @@ import (
 // Each face's window lands in a buffer: a pull window in the InPort's
 // read-ahead queue, a push window in the sink's input channel, which a
 // pipeline's walk sizes to hold it.  Where that buffer is smaller than
-// the window, the gate below holds the window to what it can take.
+// the window, the gate below holds the window to what it can take.  The
+// sink's channel is the push window's only buffer: a Pusher hands each
+// batch straight to a free helper, so its producer blocks once Window
+// batches are out.
 //
 // One order rule serves both: a windowed batch is numbered by its item
 // offset (Base), and the goroutine carrying it waits for that offset's

@@ -146,17 +146,17 @@ var _ itemio.ItemReader = (*ChannelReader)(nil)
 // One Eject may hold many Pushers — that is the write-only
 // discipline's arbitrary fan-out (Figure 3).  It is the face of the
 // active engine (link.go) whose data rides the *request*, and adds only
-// what that needs: the item offset of the next batch and the batch
-// freelist.
+// what that needs: the next batch's item offset and the batch freelist.
 //
 // At Window 1 (the default) the producer's own goroutine runs every
 // Deliver inline and blocks on the reply — that is its back pressure —
 // so Put, Flush and Close report the delivery's own error.  Deliveries
 // carry no Writer and the sink orders nothing.
 //
-// At Window K>1 up to K Deliver invocations are in flight at once, one
-// per helper, overlapping round-trip latency the same way the InPort's
-// window overlaps Transfer latency.  Order is kept by the engine's one
+// At Window K>1 each batch is handed straight to a free helper, so up to
+// K Deliver invocations are in flight at once, overlapping round trips as
+// the InPort's window does, and Put blocks once K batches are out: the
+// sink's channel is the window's only buffer.  Order is kept by the one
 // rule, at both ends: every delivery carries the port's Writer UID and
 // its first item's offset in this writer's stream (Base); a helper takes
 // its slot at the link's gate only in its batch's turn, and the passive
@@ -179,9 +179,9 @@ type Pusher struct {
 	k    *kernel.Kernel // mints Writer UIDs
 
 	// Producer state.  Producers (Put/Flush/Close/Redirect) hold mu across
-	// an inline delivery — blocking there is exactly the back pressure the
-	// protocol intends — and may block on sendq while holding it; helpers
-	// never take mu, so that block always drains.
+	// an inline delivery or a hand-off on sendq — blocking there is exactly
+	// the back pressure the protocol intends; helpers never take mu, so a
+	// blocked hand-off waits on the sink alone.
 	mu      sync.Mutex
 	pending [][]byte
 	owned   bool // pending holds an item Put did not copy (PutOwned)
@@ -197,9 +197,9 @@ type Pusher struct {
 	req core.DeliverRequest
 	rep core.DeliverReply
 
-	// Send window (window > 1).  sendq is nil while no helpers are
-	// attached: they start with the first delivery and leave at a drain.
-	// base is the item offset of the next batch handed to them.
+	// Send window (window > 1).  sendq, unbuffered, is nil while no helpers
+	// are attached: they start with the first delivery and leave at a
+	// drain.  base is the item offset of the next batch handed to them.
 	writer uid.UID
 	base   int64
 	sendq  chan deliverJob
@@ -316,9 +316,9 @@ func (w *Pusher) recycle(items [][]byte) {
 // flushLocked delivers the pending items (and optionally End); asked is
 // the batch size the producer was filling toward.  Caller holds w.mu.
 // With one slot the delivery runs here, on the producer, and its error
-// is returned; with a window the batch is handed to the helpers — the
-// hand-off blocks when Window batches are already in flight, which is
-// the port's back pressure — and the error returned is whatever the
+// is returned; with a window the batch is handed straight to a free
+// helper — the hand-off blocks while all Window helpers hold one, which
+// is the port's back pressure — and the error returned is whatever the
 // stream has already suffered.
 func (w *Pusher) flushLocked(end bool, asked int) error {
 	if len(w.pending) == 0 && !end {
@@ -338,18 +338,18 @@ func (w *Pusher) flushLocked(end bool, asked int) error {
 	}
 	job.base = w.base
 	w.base += int64(len(job.items))
+	if w.sendq == nil {
+		q := make(chan deliverJob)
+		w.sendq = q
+		w.link.OpenGate(job.base)
+		w.link.Start(w.link.Window, func() { w.send(q) }, nil)
+	}
+	w.sendq <- job // the helper that takes it has recycled its previous array
 	select {
 	case w.pending = <-w.free:
 	default:
 		w.pending = nil
 	}
-	if w.sendq == nil {
-		q := make(chan deliverJob, w.link.Window) // one batch queued behind each one in flight
-		w.sendq = q
-		w.link.OpenGate(job.base)
-		w.link.Start(w.link.Window, func() { w.send(q) }, nil)
-	}
-	w.sendq <- job
 	return w.link.Failed()
 }
 

@@ -125,7 +125,8 @@ type Options struct {
 	// link (clamped to [1, MaxWindow]).  At 1 (the default) every link
 	// is stop-and-wait, the paper's model; above 1 the active side
 	// overlaps round trips, keeping Window Transfers (InPort) or Delivers
-	// (Pusher) in flight from as many helper goroutines.
+	// (Pusher) in flight from as many helper goroutines; a Pusher's
+	// producer blocks once Window batches are out.
 	Window int
 	// Shards is the default replication degree for every filter body
 	// (<=1 means sequential); Filter.Shards overrides per filter.
