@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs fuzz-smoke bench bench-json json loc pairs pairs-aa
+.PHONY: check vet vet-custom staticcheck cover-floor build test race race-sharded allocs fuzz-smoke bench bench-json json loc pairs pairs-aa examples
 
 ## check: the pre-merge gate — vet (gofmt + stock + staticcheck + the
 ## protomodel self-test), build, full tests (the repo's own analyzer
@@ -140,13 +140,25 @@ fuzz-smoke:
 ## concurrent Declare/Retire/Lookup/Adverts, one Caller's own Call and Invocation shared by
 ## eight invokers, message ids drawn from Callers' blocks beside
 ## every other call's, and graphs through the one walk (fan-in, fan-out,
-## a sharded diamond, Figure 4 and -check's graph rows), and the walk's
+## a sharded diamond, Figure 4 and -check's graph rows; an outlet drained
+## by a reader attached after Start, and a never-pulled lazy body run once
+## by Destroy: TestGraphOutlet, TestGraphDestroyRunsUnpulledLazyBody), and the walk's
 ## landing zone for a push window (TestWindowedInputCapacity,
 ## TestWindowedDeliverGrantOpensTheWindow) with the producer parked once
 ## its window is out (TestWindowedPusherParksAtTheWindow) — the subset CI
 ## runs on every push in addition to the full gate.
 race-sharded:
 	$(GO) test -race -run 'TestSharded|TestChained|TestShard|TestWindowed|TestWindowOneRunsOnTheCaller|TestWindowGateDual|TestTransferReplyBacklog|TestActivePortTeardownMidWindow|TestPassiveBufferAgainstFIFOModel|TestRedirectShardedWindowed|TestPusherRedirectUnderWindow|TestRedirectKeepsEveryArrivedBatch|TestRedirectWithPrefetchKeepsArrivedData|TestRedirectMidStream|TestReverseCompletionDual|TestSinkLaneHoldsBackByOffset|TestPipelinePreservesArbitraryData|TestFailedBuildLeavesNothingBound|TestPipelineInventoryGolden|TestFused|TestFusion|TestRedirectAcrossFusedBoundary|TestPutArenaStorm|TestBulkItemsHeldAcrossSockets|TestStaleHandleStorm|TestStaleHandleIdentity|TestCapCacheStormOnOneSlot|TestFirstWaitStorm|TestRegistryStorm|TestRegistryAgainstModel|TestCallerSharedByEightInvokers|TestMessageIDsUniqueAcrossCallers|TestGraph' ./internal/transput/... ./internal/kernel/ ./internal/experiments/
+
+## examples: `go run` on every examples/* main, in turn; the first
+## non-zero exit fails the target.  redirection and unixboot, whose
+## sources are one-node graphs with an outlet, are run nowhere else.
+examples:
+	@for d in examples/*/; do \
+		[ -f $$d/main.go ] || continue; \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
 
 ## bench: the per-hop micro-benchmarks the fast-path work is gated on,
 ## the pipeline builder's build + destroy cost, the frame reader's

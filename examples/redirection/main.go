@@ -36,19 +36,22 @@ func main() {
 	fileRef, err := fsys.Open(k, uid.Nil, fileUID, nil)
 	must(err)
 
-	// Source 2: a running filter stage (upcasing its own generator).
-	stage := transput.NewROStage(k, transput.ROStageConfig{Name: "generator"},
-		func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+	// Source 2: a running pipeline, its one stage's output left open.
+	gen, err := transput.BuildGraph(k, transput.ReadOnly, transput.Graph{
+		Nodes: []transput.Filter{{Name: "generator", Body: func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
 			for i := 1; i <= 2; i++ {
 				if err := outs[0].Put([]byte(fmt.Sprintf("FROM THE PIPELINE: LINE %d\n", i))); err != nil {
 					return err
 				}
 			}
 			return nil
-		})
-	stageUID := k.NewUID()
-	must(k.CreateWithUID(stageUID, stage, 0))
-	stage.Start()
+		}}},
+		Edges: []transput.Edge{{From: 0, To: transput.Outlet}},
+	}, transput.Options{})
+	must(err)
+	defer gen.Destroy()
+	gen.Start()
+	stageUID, stageChan := gen.Outlet(0)
 
 	// Source 3: the clock device — an endless source we abandon.
 	fixed := time.Date(1983, 10, 10, 9, 30, 0, 0, time.UTC)
@@ -60,7 +63,7 @@ func main() {
 	drainUntilEOF(in)
 
 	fmt.Println("-- redirect to the pipeline (same two words as redirecting to a file) --")
-	must(in.Redirect(stageUID, stage.Writer(0).ID(), ""))
+	must(in.Redirect(stageUID, stageChan, ""))
 	drainUntilEOF(in)
 
 	fmt.Println("-- redirect to the clock (an endless device source) --")

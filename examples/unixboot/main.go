@@ -46,14 +46,15 @@ func main() {
 	fmt.Printf("NewStream(/usr/src/prog.f) -> capability %s %s\n", in.UID, in.Channel)
 
 	// A filter Eject in the read-only discipline: it pulls from the
-	// UnixFile (active input) and answers Transfer invocations with
-	// the stripped stream (passive output).  No Write exists anywhere.
-	stripUID := k.NewUID()
-	stripIn := transput.NewInPort(k, stripUID, in.UID, in.Channel, transput.InPortConfig{Batch: 4})
-	stripStage := transput.NewROStage(k, transput.ROStageConfig{Name: "strip-comments"},
-		func(ins []transput.ItemReader, outs []transput.ItemWriter) error {
+	// UnixFile (active input, on an InPort its body opens) and answers
+	// Transfer invocations with the stripped stream (passive output, the
+	// graph's outlet).  No Write exists anywhere.
+	strip, err := transput.BuildGraph(k, transput.ReadOnly, transput.Graph{
+		Nodes: []transput.Filter{{Name: "strip-comments", Body: func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+			src := transput.NewInPort(k, uid.Nil, in.UID, in.Channel, transput.InPortConfig{Batch: 4})
+			defer src.Cancel("strip-comments done")
 			for {
-				item, err := ins[0].Next()
+				item, err := src.Next()
 				if err == io.EOF {
 					return nil
 				}
@@ -67,14 +68,18 @@ func main() {
 					return err
 				}
 			}
-		}, stripIn)
-	must(k.CreateWithUID(stripUID, stripStage, 0))
-	stripStage.Start()
+		}}},
+		Edges: []transput.Edge{{From: 0, To: transput.Outlet}},
+	}, transput.Options{})
+	must(err)
+	defer strip.Destroy()
+	strip.Start()
+	stripUID, stripChan := strip.Outlet(0)
 
 	// UseStream: the write-side UnixFile pulls the filter's output to
 	// completion and then writes the host file.
 	rep, err := unixfs.UseStream(k, uid.Nil, ufsUID, "/usr/src/prog.stripped.f",
-		fsys.StreamRef{UID: stripUID, Channel: stripStage.Writer(0).ID()})
+		fsys.StreamRef{UID: stripUID, Channel: stripChan})
 	must(err)
 	fmt.Printf("UseStream recorded %d items, %d bytes\n", rep.Items, rep.Bytes)
 

@@ -147,29 +147,6 @@ func TestClockSourceServesOnDemand(t *testing.T) {
 	}
 }
 
-func TestCounterSource(t *testing.T) {
-	k := newDevKernel(t)
-	id, ch, err := CounterSource(k, 0, 5, transput.ROStageConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := transput.NewInPort(k, uid.Nil, id, ch, transput.InPortConfig{Batch: 2})
-	n := 0
-	for {
-		item, err := in.Next()
-		if err != nil {
-			break
-		}
-		if !strings.HasPrefix(string(item), "line ") {
-			t.Fatalf("item %q", item)
-		}
-		n++
-	}
-	if n != 5 {
-		t.Fatalf("counter emitted %d", n)
-	}
-}
-
 func TestDeviceUnknownOp(t *testing.T) {
 	k := newDevKernel(t)
 	_, termUID, err := NewTerminal(k, 0, &syncBuffer{})

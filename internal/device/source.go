@@ -74,8 +74,8 @@ func (c *ClockSource) Serve(inv *kernel.Invocation) {
 
 // StaticSource registers a read-only source Eject that serves a fixed
 // sequence of items and then ends — the in-memory stand-in for "a
-// file opened for input" (§4).  It returns the source's UID and its
-// primary channel identifier (capability-mode aware).
+// file opened for input" (§4): a one-node graph built with cfg's Name,
+// Anticipation, CapabilityMode and LazyStart, whose outlet it returns.
 func StaticSource(k *kernel.Kernel, node netsim.NodeID, items [][]byte, cfg transput.ROStageConfig) (uid.UID, transput.ChannelID, error) {
 	cp := make([][]byte, len(items))
 	for i, it := range items {
@@ -84,45 +84,20 @@ func StaticSource(k *kernel.Kernel, node netsim.NodeID, items [][]byte, cfg tran
 	if cfg.Name == "" {
 		cfg.Name = "static-source"
 	}
-	st := transput.NewROStage(k, cfg, func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
-		for _, it := range cp {
-			if err := outs[0].Put(it); err != nil {
-				return err
-			}
-		}
-		return nil
+	p, err := transput.BuildGraph(k, transput.ReadOnly, transput.Graph{
+		Nodes: []transput.Filter{{Name: cfg.Name, Body: func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+			_, err := transput.Copy(outs[0], transput.NewSliceReader(cp))
+			return err
+		}}},
+		Edges: []transput.Edge{{From: 0, To: transput.Outlet}},
+	}, transput.Options{
+		Anticipation: cfg.Anticipation, CapabilityMode: cfg.CapabilityMode, LazyStart: cfg.LazyStart,
+		Placement: func(transput.Role, int) netsim.NodeID { return node },
 	})
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, st, node); err != nil {
+	if err != nil {
 		return uid.Nil, transput.ChannelID{}, err
 	}
-	if !cfg.LazyStart {
-		st.Start()
-	}
-	return id, st.Writer(0).ID(), nil
-}
-
-// CounterSource registers a read-only source emitting n numbered
-// lines ("line 0\n" ... ).  Benchmarks use it as a deterministic
-// workload generator.
-func CounterSource(k *kernel.Kernel, node netsim.NodeID, n int, cfg transput.ROStageConfig) (uid.UID, transput.ChannelID, error) {
-	if cfg.Name == "" {
-		cfg.Name = "counter-source"
-	}
-	st := transput.NewROStage(k, cfg, func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
-		for i := 0; i < n; i++ {
-			if err := outs[0].Put([]byte(fmt.Sprintf("line %d\n", i))); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	id := k.NewUID()
-	if err := k.CreateWithUID(id, st, node); err != nil {
-		return uid.Nil, transput.ChannelID{}, err
-	}
-	if !cfg.LazyStart {
-		st.Start()
-	}
-	return id, st.Writer(0).ID(), nil
+	p.Start()
+	id, ch := p.Outlet(0)
+	return id, ch, nil
 }

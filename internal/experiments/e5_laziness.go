@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -24,12 +23,12 @@ import (
 //	read some input and buffer-up some output, and then suspend
 //	processing pending a request for output."
 //
-// The experiment builds a source+filter chain with NO sink, waits,
-// and records (a) how many Transfer invocations occurred — always 0
-// for the lazy build, by construction of the discipline — and (b) how
-// many items the source *computed* ahead, which is bounded by the
-// anticipation capacity.  It then connects a sink and verifies the
-// whole stream arrives.
+// The experiment builds a graph with NO sink — one source whose output
+// is an outlet — waits, and records (a) how many Transfer invocations
+// occurred — always 0 for the lazy build, by construction of the
+// discipline — and (b) how many items the source *computed* ahead,
+// which is bounded by the anticipation capacity.  It then connects a
+// sink to the outlet and verifies the whole stream arrives.
 func E5Laziness(items int) (Table, error) {
 	t := Table{
 		ID:    "E5",
@@ -56,48 +55,36 @@ func E5Laziness(items int) (Table, error) {
 	for _, m := range modes {
 		k := newKernel()
 		var produced atomic.Int64
-		src := transput.NewROStage(k, transput.ROStageConfig{
-			Name:         "source",
-			Anticipation: m.anticipation,
-			LazyStart:    m.lazy,
-		}, func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
-			for i := 0; i < items; i++ {
-				if err := outs[0].Put([]byte(fmt.Sprintf("%d\n", i))); err != nil {
-					return err
+		p, err := transput.BuildGraph(k, transput.ReadOnly, transput.Graph{
+			Nodes: []transput.Filter{{Name: "source", Body: func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+				for i := 0; i < items; i++ {
+					if err := outs[0].Put([]byte(fmt.Sprintf("%d\n", i))); err != nil {
+						return err
+					}
+					produced.Add(1)
 				}
-				produced.Add(1)
-			}
-			return nil
-		})
-		srcUID := k.NewUID()
-		if err := k.CreateWithUID(srcUID, src, 0); err != nil {
+				return nil
+			}}},
+			Edges: []transput.Edge{{From: 0, To: transput.Outlet}},
+		}, transput.Options{Anticipation: m.anticipation, LazyStart: m.lazy})
+		if err != nil {
 			k.Shutdown()
 			return t, err
 		}
-		if !m.lazy {
-			src.Start()
-		}
+		p.Start()
 
 		// Let any anticipatory computation run.
 		time.Sleep(30 * time.Millisecond)
 		transfersBefore := k.Metrics().TransferInvocations.Value()
 		producedBefore := produced.Load()
 
-		// Now connect the sink and drain.
-		in := transput.NewInPort(k, uid.Nil, srcUID, src.Writer(0).ID(), transput.InPortConfig{Batch: 8})
-		var drained int64
-		for {
-			_, err := in.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				k.Shutdown()
-				return t, fmt.Errorf("E5 %s: %w", m.name, err)
-			}
-			drained++
-		}
+		// Now connect the sink to the outlet and drain.
+		srcUID, ch := p.Outlet(0)
+		drained, err := transput.Drain(transput.NewInPort(k, uid.Nil, srcUID, ch, transput.InPortConfig{Batch: 8}))
 		k.Shutdown()
+		if err != nil {
+			return t, fmt.Errorf("E5 %s: %w", m.name, err)
+		}
 
 		t.Rows = append(t.Rows, []string{
 			m.name,

@@ -10,8 +10,8 @@ import (
 // streamEject is a transient read-only source serving a fixed
 // snapshot, created by File.Open, Dir.List and the unixfs bootstrap.
 // It follows the lifecycle of §7's UnixFile: it never checkpoints, and
-// when closed (explicitly, or implicitly once fully drained) it
-// deactivates itself and disappears.
+// Stream.Close deactivates it and it disappears.  Draining it does not:
+// a drained stream stays until it is closed.
 type streamEject struct {
 	stage *transput.Stage
 	k     *kernel.Kernel

@@ -309,7 +309,7 @@ type connServer struct {
 
 func serveConn(conn net.Conn, k *kernel.Kernel) {
 	s := &connServer{k: k, out: netsim.NewCoalescer(conn), work: make(chan *rpcRequest),
-		srcs: &connSources{k: k, ids: make(map[uid.UID]struct{})}}
+		srcs: &connSources{k: k, grants: map[string]struct{}{}}}
 	defer s.out.Close()
 	fr := wire.NewFrameReader(conn, nil, 0)
 	defer fr.Close()
@@ -371,7 +371,7 @@ func (s *connServer) serve(req *rpcRequest) {
 			rep.err = oe.Err // the caller's kernel names the op and target itself
 		}
 	} else {
-		s.srcs.note(req.Target, req.Op, res)
+		s.srcs.note(req, res)
 		rep.Value = res
 	}
 	// A send fails otherwise only once the connection is gone, with
@@ -539,9 +539,14 @@ type proxyEject struct {
 // EdenType implements kernel.Eject.
 func (p *proxyEject) EdenType() string { return "transport.Proxy" }
 
-// Serve implements kernel.Eject.
+// Serve implements kernel.Eject.  Remote.Close is the far control
+// Eject's op: a remote stream's proxy forwards it there.
 func (p *proxyEject) Serve(inv *kernel.Invocation) {
-	res, err := p.peer.Invoke(p.target, inv.Op, inv.Payload)
+	target := p.target
+	if inv.Op == opClose {
+		target = ControlUID
+	}
+	res, err := p.peer.Invoke(target, inv.Op, inv.Payload)
 	if oe, ok := err.(*kernel.OpError); ok {
 		err = oe.Err // this kernel names the op and target itself
 	}

@@ -2,14 +2,15 @@
 // kernel over an ordinary transput channel.  A serving process
 // registers a control Eject under the well-known ControlUID — the one
 // name a client must know a priori, playing the role of the paper's
-// directory Eject.  "Remote.Open spec" builds a lazy read-only source
-// stage over the spec's ItemSource and grants its capability: the
-// stage's UID plus the channel's identifier (§5).  The client attaches
-// a proxy under that UID and pulls it with an InPort — windowed,
-// credited and abortable like any link (OpenStream) — and
-// "Remote.Close" on the stage destroys it (CloseStream).  Every
-// exchange is an ordinary bridge invocation, so remote streams
-// multiplex with everything else on the connection.
+// directory Eject.  "Remote.Open spec" builds a lazy read-only graph of
+// one node over the spec's ItemSource, its output an outlet, and grants
+// that outlet's capability: the stage's UID plus the channel's
+// identifier (§5).  The client attaches a proxy under that UID and
+// pulls it with an InPort — windowed, credited and abortable like any
+// link (OpenStream).  "Remote.Close" with the grant, which the stream's
+// proxy forwards to the control Eject, destroys the stream's pipeline
+// (CloseStream).  Every exchange is an ordinary bridge invocation, so
+// remote streams multiplex with everything else on the connection.
 package transport
 
 import (
@@ -62,7 +63,8 @@ func (s *SliceSource) Close() error { return nil }
 // specs it honours.
 type OpenFunc func(spec string) (ItemSource, error)
 
-// opClose destroys a remote stream's source stage.
+// opClose, on ControlUID with a stream's grant as payload, destroys
+// that stream's pipeline.
 const opClose = "Remote.Close"
 
 // streamLink is how a client pulls a remote stream: the settings
@@ -74,8 +76,8 @@ const opClose = "Remote.Close"
 // into the channel and the second invocation a hop, not the batch.
 var streamLink = transput.InPortConfig{BatchMin: 1, BatchMax: 64, Prefetch: 2, Window: 4}
 
-// grant is Remote.Open's reply: the source stage's UID, then its
-// channel's capability.
+// grant is Remote.Open's reply and Remote.Close's payload: the source
+// stage's UID, then its channel's capability.
 func grant(stage, cp uid.UID) []byte {
 	a, b := stage.Bytes(), cp.Bytes()
 	return append(a[:], b[:]...)
@@ -90,10 +92,13 @@ func parseGrant(res any) (stage, cp uid.UID, ok bool) {
 	return uid.FromBytes([16]byte(raw[:16])), uid.FromBytes([16]byte(raw[16:])), true
 }
 
-// controlEject serves Remote.Open under ControlUID.
+// controlEject serves Remote.Open and Remote.Close under ControlUID and
+// keeps each open stream's pipeline under its grant.
 type controlEject struct {
-	k    *kernel.Kernel
-	open OpenFunc
+	k       *kernel.Kernel
+	open    OpenFunc
+	mu      sync.Mutex
+	streams map[string]*transput.Pipeline
 }
 
 // EdenType implements kernel.Eject.
@@ -101,120 +106,101 @@ func (c *controlEject) EdenType() string { return "transport.RemoteControl" }
 
 // Serve implements kernel.Eject.
 func (c *controlEject) Serve(inv *kernel.Invocation) {
-	if inv.Op != "Remote.Open" {
-		inv.Fail(fmt.Errorf("%w: %q on the remote control", kernel.ErrNoSuchOperation, inv.Op))
-		return
-	}
-	spec, ok := inv.Payload.(string)
-	if !ok {
-		inv.Fail(errors.New("transport: control: Remote.Open wants a string spec"))
-		return
-	}
-	src, err := c.open(spec)
-	if err != nil {
-		inv.Fail(err)
-		return
-	}
-	st := &sourceStage{k: c.k, Stage: transput.NewROStage(c.k,
-		transput.ROStageConfig{Name: "remote " + spec, CapabilityMode: true, LazyStart: true},
-		func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
-			defer src.Close()
-			for {
-				it, err := src.Next()
-				if err == io.EOF {
-					return nil
-				}
-				if err != nil {
-					return err
-				}
-				if err := outs[0].Put(it); err != nil {
-					return err
-				}
-			}
-		})}
-	if st.id, err = c.k.Create(st, 0); err != nil {
-		_ = src.Close()
-		inv.Fail(err)
-		return
-	}
-	inv.Reply(grant(st.id, st.Writer(0).ID().Cap))
-}
-
-// RegisterControl installs the Remote.Open control Eject under
-// ControlUID on node 0 of k.  Call it once in a process that serves
-// bridge clients (e.g. edenfs/edensh -serve).
-func RegisterControl(k *kernel.Kernel, open OpenFunc) error {
-	return k.CreateWithUID(ControlUID, &controlEject{k: k, open: open}, 0)
-}
-
-// sourceStage is one remote stream's source: a read-only stage whose
-// body copies its ItemSource into the channel and closes the source on
-// the way out, plus Remote.Close, which destroys it.
-type sourceStage struct {
-	*transput.Stage
-	k  *kernel.Kernel
-	id uid.UID
-}
-
-// Serve implements kernel.Eject.
-func (s *sourceStage) Serve(inv *kernel.Invocation) {
-	if inv.Op != opClose {
-		s.Stage.Serve(inv)
-		return
-	}
-	// The transient source disappears (§7).
-	_ = s.k.Destroy(s.id)
-	inv.Reply("closed")
-}
-
-// OnDeactivate implements kernel.Deactivatable.  The body runs even if
-// nothing ever pulled the stream: it finds the channel aborted at its
-// first Put and closes the source.
-func (s *sourceStage) OnDeactivate() {
-	s.Stage.OnDeactivate()
-	s.Start()
-}
-
-// connSources tracks the source stages one bridge connection has
-// opened through the control Eject, so a client that drops without
-// Remote.Close (crash, network partition) does not strand ItemSources
-// — possibly open files — in the serving kernel.  Destroy-on-disconnect
-// mirrors the cleanup the paper's kernel performs for a dying
-// process's transient Ejects (§7).
-type connSources struct {
-	k   *kernel.Kernel
-	mu  sync.Mutex
-	ids map[uid.UID]struct{}
-}
-
-// note observes one successful invocation from the connection: a
-// Remote.Open through the control UID adopts the granted stage; a
-// Remote.Close releases the target.
-func (s *connSources) note(target uid.UID, op string, res any) {
-	switch {
-	case target == ControlUID && op == "Remote.Open":
-		if stage, _, ok := parseGrant(res); ok {
-			s.mu.Lock()
-			s.ids[stage] = struct{}{}
-			s.mu.Unlock()
+	switch inv.Op {
+	case "Remote.Open":
+		spec, ok := inv.Payload.(string)
+		if !ok {
+			inv.Fail(errors.New("transport: control: Remote.Open wants a string spec"))
+			return
 		}
-	case op == opClose:
-		s.mu.Lock()
-		delete(s.ids, target)
-		s.mu.Unlock()
+		src, err := c.open(spec)
+		if err != nil {
+			inv.Fail(err)
+			return
+		}
+		p, err := transput.BuildGraph(c.k, transput.ReadOnly, transput.Graph{
+			// The body closes src also when nothing ever pulled the stream:
+			// a lazy body runs once when its stage is destroyed.
+			Nodes: []transput.Filter{{Name: "remote " + spec, Body: func(_ []transput.ItemReader, outs []transput.ItemWriter) error {
+				defer src.Close()
+				_, err := transput.Copy(outs[0], src)
+				return err
+			}}},
+			Edges: []transput.Edge{{From: 0, To: transput.Outlet}},
+		}, transput.Options{CapabilityMode: true, LazyStart: true})
+		if err != nil {
+			_ = src.Close()
+			inv.Fail(err)
+			return
+		}
+		stage, ch := p.Outlet(0)
+		g := grant(stage, ch.Cap)
+		c.mu.Lock()
+		c.streams[string(g)] = p
+		c.mu.Unlock()
+		inv.Reply(g)
+	case opClose:
+		g, _ := inv.Payload.([]byte)
+		c.mu.Lock()
+		p := c.streams[string(g)]
+		delete(c.streams, string(g))
+		c.mu.Unlock()
+		if p == nil {
+			inv.Fail(fmt.Errorf("%w: no remote stream %x", kernel.ErrNoSuchEject, g))
+			return
+		}
+		p.Destroy() // the transient source disappears (§7)
+		inv.Reply("closed")
+	default:
+		inv.Fail(fmt.Errorf("%w: %q on the remote control", kernel.ErrNoSuchOperation, inv.Op))
 	}
 }
 
-// closeAll destroys every stage the connection left open.  Called after
-// the connection's requests have drained, so no in-flight pull races
-// the destroy.
+// RegisterControl installs the remote control Eject under ControlUID on
+// node 0 of k.  Call it once in a process that serves bridge clients
+// (e.g. edenfs/edensh -serve).
+func RegisterControl(k *kernel.Kernel, open OpenFunc) error {
+	return k.CreateWithUID(ControlUID, &controlEject{k: k, open: open, streams: map[string]*transput.Pipeline{}}, 0)
+}
+
+// connSources tracks the grants one bridge connection has had from the
+// control Eject, so a client that drops without Remote.Close (crash,
+// network partition) does not strand ItemSources — possibly open files
+// — in the serving kernel.  Destroy-on-disconnect mirrors the cleanup
+// the paper's kernel performs for a dying process's transient Ejects
+// (§7).
+type connSources struct {
+	k      *kernel.Kernel
+	mu     sync.Mutex
+	grants map[string]struct{}
+}
+
+// note observes one successful request from the connection: a
+// Remote.Open adopts the grant it replied, a Remote.Close releases the
+// grant it carried.
+func (s *connSources) note(req *rpcRequest, res any) {
+	if req.Target != ControlUID {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if g, ok := res.([]byte); ok && req.Op == "Remote.Open" {
+		s.grants[string(g)] = struct{}{}
+	} else if g, ok := req.Value.([]byte); ok && req.Op == opClose {
+		delete(s.grants, string(g))
+	}
+}
+
+// closeAll sends Remote.Close for every grant the connection left open,
+// as its client would have.  Called after the connection's requests
+// have drained, so no in-flight pull races the destroy.
 func (s *connSources) closeAll() {
 	s.mu.Lock()
-	ids := s.ids
-	s.ids = nil
+	grants := s.grants
+	s.grants = nil
 	s.mu.Unlock()
-	for id := range ids {
-		_ = s.k.Destroy(id)
+	for g := range grants {
+		_, _ = s.k.Invoke(uid.Nil, ControlUID, opClose, []byte(g))
 	}
 }
 
@@ -233,19 +219,20 @@ func OpenStream(k *kernel.Kernel, peer *Peer, spec string) (*transput.InPort, er
 		return nil, fmt.Errorf("transport: Remote.Open returned %T, want a 32-byte grant", res)
 	}
 	if err := AttachProxy(k, peer, stage, 0); err != nil {
-		_, _ = peer.Invoke(stage, opClose, "") // the stage has no other owner
+		_, _ = peer.Invoke(ControlUID, opClose, grant(stage, cp)) // the stream has no other owner
 		return nil, err
 	}
 	return transput.NewInPort(k, uid.Nil, stage, transput.CapChan(cp), streamLink), nil
 }
 
 // CloseStream ends a stream OpenStream opened in k: it cancels the port
-// (aborting the far channel if the stream is still live), destroys the
-// far stage, and destroys the local proxy even if the far side could
-// not be reached.
+// (aborting the far channel if the stream is still live), sends the
+// stream's grant in Remote.Close to its proxy, which forwards it to the
+// far control Eject, where Pipeline.Destroy ends the stream, and
+// destroys the local proxy even if the far side could not be reached.
 func CloseStream(k *kernel.Kernel, in *transput.InPort) error {
 	in.Cancel("stream closed")
-	_, err := k.Invoke(uid.Nil, in.Source(), opClose, "")
+	_, err := k.Invoke(uid.Nil, in.Source(), opClose, grant(in.Source(), in.Channel().Cap))
 	_ = k.Destroy(in.Source())
 	return err
 }

@@ -167,6 +167,75 @@ func TestRemoteStreamTeardown(t *testing.T) {
 	}
 }
 
+// TestCloseUnpulledRemoteStream: CloseStream on a remote stream that
+// nothing ever pulled closes its source exactly once — its lazy body
+// runs when the far control Eject's Remote.Close destroys its pipeline —
+// and leaves the control Eject alone in the far kernel; a second
+// Remote.Close with the stream's grant answers ErrNoSuchEject.  Over unix and
+// tcp, with the slab audits at zero and goroutines and fds back at their
+// baselines.
+func TestCloseUnpulledRemoteStream(t *testing.T) {
+	for _, kind := range kinds {
+		t.Run(kind, func(t *testing.T) {
+			goroutines := quiesce.Baseline(t)
+			fds := quiesce.FDs(t)
+
+			var closed atomic.Int32
+			far := kernel.New(kernel.Config{})
+			err := transport.RegisterControl(far, func(string) (transport.ItemSource, error) {
+				return &notifySource{n: 100, onClose: func() { closed.Add(1) }}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			addr, stop := serveOn(t, far, kind)
+			p, err := transport.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			near := kernel.New(kernel.Config{})
+			in, err := transport.OpenStream(near, p, "stream")
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n, c := far.Metrics().TransferInvocations.Value(), closed.Load(); n != 0 || c != 0 {
+				t.Fatalf("before any pull: %d Transfers served, source closed %d times", n, c)
+			}
+			if err := transport.CloseStream(near, in); err != nil {
+				t.Fatalf("CloseStream: %v", err)
+			}
+			eventually(t, "far source closed and its stage destroyed", func() bool {
+				return closed.Load() == 1 && far.ActiveCount() == 1
+			})
+			if n := near.ActiveCount(); n != 0 {
+				t.Errorf("%d Ejects left in the near kernel, want 0 (the proxy destroyed)", n)
+			}
+			stage, cp := in.Source().Bytes(), in.Channel().Cap.Bytes()
+			if _, err := p.Invoke(transport.ControlUID, "Remote.Close", append(stage[:], cp[:]...)); !errors.Is(err, kernel.ErrNoSuchEject) {
+				t.Errorf("second Remote.Close: %v, want ErrNoSuchEject", err)
+			}
+
+			p.Close()
+			if err := stop(); err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+			near.Shutdown()
+			far.Shutdown()
+			if n := closed.Load(); n != 1 {
+				t.Errorf("source closed %d times, want 1", n)
+			}
+			for side, k := range map[string]*kernel.Kernel{"near": near, "far": far} {
+				if n := k.Metrics().SlabLeaked.Value(); n != 0 {
+					t.Errorf("%s kernel: SlabLeaked = %d", side, n)
+				}
+			}
+			goroutines()
+			fds()
+		})
+	}
+}
+
 // TestDisconnectClosesSources pins the connection-teardown sweep: a
 // client that drops its bridge connection without closing its streams
 // must not strand ItemSources or stages in the serving kernel — also

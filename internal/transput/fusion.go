@@ -91,7 +91,7 @@ func fuseGraph(d Discipline, els []element, edges []Edge, mode FusionMode) ([]el
 		if !eligible(i) || len(out[i]) == 0 {
 			return -1
 		}
-		if j := edges[out[i][0]].To; eligible(j) && els[j].node == els[i].node {
+		if j := edges[out[i][0]].To; j != Outlet && eligible(j) && els[j].node == els[i].node {
 			return j
 		}
 		return -1
@@ -143,7 +143,9 @@ func fuseGraph(d Discipline, els []element, edges []Edge, mode FusionMode) ([]el
 	}
 	var kept []Edge
 	for _, e := range edges {
-		if group[e.From] != group[e.To] {
+		if e.To == Outlet {
+			kept = append(kept, Edge{group[e.From], Outlet})
+		} else if group[e.From] != group[e.To] {
 			kept = append(kept, Edge{group[e.From], group[e.To]})
 		}
 	}

@@ -1,11 +1,15 @@
 package transput
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"asymstream/internal/kernel"
 	"asymstream/internal/netsim"
@@ -243,5 +247,185 @@ func TestGraphPlacementByNodeIndex(t *testing.T) {
 	}
 	if len(got[0]) != 5 {
 		t.Errorf("sink got %v", got[0])
+	}
+}
+
+// TestGraphOutlet: a read-only graph may leave an output open.  A
+// one-node source and source → filter → outlet, each drained by an
+// InPort attached after Start, give the items of the path pipeline over
+// the same bodies, in order, fused or not, by number or by capability.
+// Under LazyStart nothing is invoked until the reader attaches (§4);
+// under CapabilityMode a forged channel number is refused.  An outlet
+// under write-only or buffered, or on a sharded node, is refused with a
+// *GraphError before anything is bound.
+func TestGraphOutlet(t *testing.T) {
+	const items = 60
+	bang := func(ins []ItemReader, outs []ItemWriter) error {
+		for {
+			item, err := ins[0].Next()
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			if err := outs[0].Put(append(item, '!')); err != nil {
+				return err
+			}
+		}
+	}
+	shapes := []struct {
+		name string
+		fs   []Filter
+	}{
+		{"source", nil},
+		{"source-filter", []Filter{{Name: "bang", Body: bang}}},
+	}
+	outlet := func(fs []Filter, shards int) Graph {
+		g := Graph{Nodes: []Filter{{Name: "src", Body: sourceAsBody(numbersSource(items))}}}
+		for _, f := range fs {
+			f.Shards = shards
+			g.Edges = append(g.Edges, Edge{len(g.Nodes) - 1, len(g.Nodes)})
+			g.Nodes = append(g.Nodes, f)
+		}
+		g.Edges = append(g.Edges, Edge{len(g.Nodes) - 1, Outlet})
+		return g
+	}
+	for _, sh := range shapes {
+		var want [][]byte
+		p, err := BuildPipeline(testKernel(t), ReadOnly, numbersSource(items), sh.fs, collectSink(&want), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runWithTimeout(t, p); err != nil {
+			t.Fatal(err)
+		}
+		for _, fusion := range []FusionMode{FusionOff, FusionOn} {
+			for _, capMode := range []bool{false, true} {
+				for _, lazy := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/fusion=%v/cap=%v/lazy=%v", sh.name, fusion, capMode, lazy), func(t *testing.T) {
+						k := testKernel(t)
+						p, err := BuildGraph(k, ReadOnly, outlet(sh.fs, 0), Options{Fusion: fusion, CapabilityMode: capMode, LazyStart: lazy})
+						if err != nil {
+							t.Fatalf("build: %v", err)
+						}
+						defer p.Destroy()
+						p.Start()
+						if err := p.Wait(); err != nil {
+							t.Fatalf("Wait with no sink: %v", err)
+						}
+						ejects := len(sh.fs) + 1
+						if fusion == FusionOn {
+							ejects = 1
+						}
+						if p.Ejects() != ejects {
+							t.Errorf("%d Ejects, want %d", p.Ejects(), ejects)
+						}
+						if lazy {
+							time.Sleep(20 * time.Millisecond)
+							if n := k.Metrics().TransferInvocations.Value(); n != 0 {
+								t.Fatalf("%d Transfers before the reader attached", n)
+							}
+						}
+						id, ch := p.Outlet(0)
+						if ch.Cap.IsNil() == capMode {
+							t.Fatalf("outlet channel %v under CapabilityMode=%v", ch, capMode)
+						}
+						if capMode {
+							forged := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{})
+							if _, err := forged.Next(); !errors.Is(err, ErrNotPermitted) {
+								t.Fatalf("forged channel number: %v, want ErrNotPermitted", err)
+							}
+						}
+						got := drainAll(t, NewInPort(k, uid.Nil, id, ch, InPortConfig{Batch: 4}))
+						if !slices.EqualFunc(got, want, bytes.Equal) {
+							t.Errorf("drained %d items %q, want %d %q", len(got), got[:min(len(got), 5)], len(want), want[:5])
+						}
+					})
+				}
+			}
+		}
+	}
+	refused := []struct {
+		name string
+		d    Discipline
+		g    Graph
+	}{
+		{"write-only", WriteOnly, outlet(nil, 0)},
+		{"buffered", Buffered, outlet(shapes[1].fs, 0)},
+		{"sharded node", ReadOnly, outlet(shapes[1].fs, 2)},
+	}
+	for _, tc := range refused {
+		t.Run("refused/"+tc.name, func(t *testing.T) {
+			k := testKernel(t)
+			before := k.ActiveCount()
+			p, err := BuildGraph(k, tc.d, tc.g, Options{})
+			var ge *GraphError
+			if !errors.As(err, &ge) || !errors.Is(err, errOutlet) || p != nil {
+				t.Fatalf("BuildGraph = %v, %v; want a *GraphError for the outlet", p, err)
+			}
+			if n := k.ActiveCount(); n != before {
+				t.Errorf("%d Ejects bound by a refused build", n-before)
+			}
+		})
+	}
+}
+
+// TestGraphDestroyRunsUnpulledLazyBody: a lazy stage that nothing ever
+// invoked runs its body exactly once when its pipeline is destroyed,
+// and the body's first Put finds the stream aborted — so what the body
+// defers (closing its source) runs.  Both as a one-node graph whose
+// outlet no reader attached to and as a path pipeline never started.
+func TestGraphDestroyRunsUnpulledLazyBody(t *testing.T) {
+	builds := map[string]func(*kernel.Kernel, Body) (*Pipeline, error){
+		"outlet": func(k *kernel.Kernel, body Body) (*Pipeline, error) {
+			p, err := BuildGraph(k, ReadOnly, Graph{
+				Nodes: []Filter{{Name: "lazy", Body: body}},
+				Edges: []Edge{{0, Outlet}},
+			}, Options{LazyStart: true})
+			if err == nil {
+				p.Start()
+			}
+			return p, err
+		},
+		"unstarted-path": func(k *kernel.Kernel, body Body) (*Pipeline, error) {
+			return BuildPipeline(k, ReadOnly, func(w ItemWriter) error { return body(nil, []ItemWriter{w}) },
+				nil, func(ItemReader) error { return nil }, Options{LazyStart: true})
+		},
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			k := testKernel(t)
+			var runs atomic.Int32
+			puts := make(chan error, 2)
+			p, err := build(k, func(_ []ItemReader, outs []ItemWriter) error {
+				runs.Add(1)
+				err := outs[0].Put([]byte("never read"))
+				puts <- err
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(20 * time.Millisecond)
+			if n := runs.Load(); n != 0 {
+				t.Fatalf("lazy body ran %d times before any invocation", n)
+			}
+			p.Destroy()
+			select {
+			case err := <-puts:
+				if !errors.Is(err, ErrAborted) {
+					t.Errorf("first Put after Destroy: %v, want an abort", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Destroy did not run the lazy body")
+			}
+			p.Destroy()
+			k.Shutdown()
+			time.Sleep(20 * time.Millisecond)
+			if n := runs.Load(); n != 1 {
+				t.Errorf("lazy body ran %d times, want exactly 1", n)
+			}
+		})
 	}
 }

@@ -189,6 +189,11 @@ type Graph struct {
 // Edge feeds Nodes[From]'s next output into Nodes[To]'s next input.
 type Edge struct{ From, To int }
 
+// Outlet, as an Edge's To, leaves that output open for a reader to
+// attach later (Pipeline.Outlet).  Only a sequential node of a read-only
+// graph has one: elsewhere the open end is a passive input.
+const Outlet = -1
+
 // The graphs the walk refuses, each returned inside a *GraphError.
 // Sharding stays link-local: a sharded link is a row of lanes, so its
 // ends may have no other link on that side, and two sharded ends must
@@ -199,6 +204,7 @@ var (
 	ErrUnlinked      = errors.New("has no edge")
 	ErrShardedFan    = errors.New("has a sharded link beside another link on one side")
 	ErrUnequalShards = errors.New("has a sharded link between rows of unequal shard counts; align them or put a sequential node between")
+	errOutlet        = errors.New("has an outlet, which only a sequential node of a read-only graph may have")
 )
 
 // GraphError is a refused build: Err names the rule, Node (if any) the
@@ -239,12 +245,14 @@ func sinkAsBody(sink SinkFunc) Body {
 }
 
 // adjacency lists each node's inbound and outbound edge indices, in
-// edge order.
+// edge order; an outlet is outbound only.
 func adjacency(n int, edges []Edge) (in, out [][]int) {
 	in, out = make([][]int, n), make([][]int, n)
 	for x, e := range edges {
 		out[e.From] = append(out[e.From], x)
-		in[e.To] = append(in[e.To], x)
+		if e.To != Outlet {
+			in[e.To] = append(in[e.To], x)
+		}
 	}
 	return in, out
 }
@@ -252,21 +260,19 @@ func adjacency(n int, edges []Edge) (in, out [][]int) {
 // topo is Kahn's order, the lowest-numbered ready node first, so a path
 // comes out in node order; a cycle leaves its nodes out.
 func topo(n int, edges []Edge) []int {
+	in, out := adjacency(n, edges)
 	indeg := make([]int, n)
-	for _, e := range edges {
-		indeg[e.To]++
-	}
 	var order []int
-	for i, d := range indeg {
-		if d == 0 {
+	for i := range in {
+		if indeg[i] = len(in[i]); indeg[i] == 0 {
 			order = append(order, i)
 		}
 	}
 	for h := 0; h < len(order); h++ {
-		for _, e := range edges {
-			if e.From == order[h] {
-				if indeg[e.To]--; indeg[e.To] == 0 {
-					order = append(order, e.To)
+		for _, x := range out[order[h]] {
+			if to := edges[x].To; to != Outlet {
+				if indeg[to]--; indeg[to] == 0 {
+					order = append(order, to)
 				}
 			}
 		}
@@ -277,11 +283,11 @@ func topo(n int, edges []Edge) []int {
 // newGraph turns the user's graph into elements: each node's role from
 // its edges, its effective shard count, and its node from Placement,
 // asked at index at(role, i).  It refuses what the walk cannot wire
-// before anything is bound.
-func newGraph(g Graph, opt Options, at func(Role, int) int) ([]element, error) {
+// under d before anything is bound.
+func newGraph(d Discipline, g Graph, opt Options, at func(Role, int) int) ([]element, error) {
 	n := len(g.Nodes)
 	for _, e := range g.Edges {
-		if e.From < 0 || e.From >= n || e.To < 0 || e.To >= n {
+		if e.From < 0 || e.From >= n || (e.To < 0 || e.To >= n) && e.To != Outlet {
 			return nil, &GraphError{Err: ErrBadEdge}
 		}
 	}
@@ -315,6 +321,12 @@ func newGraph(g Graph, opt Options, at func(Role, int) int) ([]element, error) {
 		}
 	}
 	for _, e := range g.Edges {
+		if e.To == Outlet {
+			if a := els[e.From]; d != ReadOnly || a.shards > 1 {
+				return nil, &GraphError{Node: a.name, Err: errOutlet}
+			}
+			continue
+		}
 		a, b := els[e.From], els[e.To]
 		switch {
 		case a.shards > 1 && b.shards > 1 && a.shards != b.shards:
@@ -373,12 +385,17 @@ type Pipeline struct {
 
 	shardLoads [][]*atomic.Int64
 	slabs      []*wire.Slab
+	outlets    []endpoint
 
 	starters []*Stage
 	sinks    []*Stage
 	stageErr []func() error
 	allUIDs  []uid.UID
 }
+
+// Outlet returns the graph's i-th outlet in edge order, for any InPort
+// to attach to: its Eject and channel (a capability under CapabilityMode).
+func (p *Pipeline) Outlet(i int) (uid.UID, ChannelID) { return p.outlets[i].u, p.outlets[i].c }
 
 // Ejects reports how many *physical* Ejects the pipeline comprises.
 // With Options.Fusion off this equals the paper's logical accounting —
@@ -418,7 +435,8 @@ func (p *Pipeline) Start() {
 
 // Wait blocks until every sink has consumed its whole stream and
 // returns the pipeline's error — the first failed sink's, preferring
-// the originating stage's error over a sink's derived abort.
+// the originating stage's error over a sink's derived abort.  A graph
+// with no sink (only outlets) has nothing to wait on.
 func (p *Pipeline) Wait() error {
 	var serr error
 	for _, s := range p.sinks {
@@ -511,7 +529,7 @@ func buildGraph(k *kernel.Kernel, d Discipline, g Graph, opt Options, at func(Ro
 	if d != ReadOnly && d != WriteOnly && d != Buffered {
 		return nil, fmt.Errorf("transput: unknown discipline %v", d)
 	}
-	els, err := newGraph(g, opt, at)
+	els, err := newGraph(d, g, opt, at)
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +573,13 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 		BatchMin: opt.BatchMin, BatchMax: opt.BatchMax,
 	}
 	in, out := adjacency(len(els), edges)
-	width := func(x int) int { return max(els[edges[x].From].shards, els[edges[x].To].shards) }
+	width := func(x int) int {
+		w := els[edges[x].From].shards
+		if to := edges[x].To; to != Outlet {
+			w = max(w, els[to].shards)
+		}
+		return w
+	}
 	lanes := func(xs []int) (n int) {
 		for _, x := range xs {
 			n += width(x)
@@ -682,6 +706,11 @@ func (p *Pipeline) wire(els []element, edges []Edge, opt Options) error {
 			for _, x := range sides {
 				links[x], declared = declared[:width(x)], declared[width(x):]
 			}
+		}
+	}
+	for x, e := range edges {
+		if e.To == Outlet {
+			p.outlets = append(p.outlets, links[x][0])
 		}
 	}
 	for i, e := range els {

@@ -224,13 +224,17 @@ func (s *Stage) Err() error {
 // Eject is going away.  An output that had already ended drops its
 // backlog too, which passive output otherwise keeps for a reader to
 // drain: no Transfer reaches this instance again, and the backlog's slab
-// views would outlive it.
+// views would outlive it.  A lazy body that never ran runs now, once,
+// against its aborted streams, so its deferred cleanup always runs.
 func (s *Stage) OnDeactivate() {
 	endStreams(s.ins, s.outs, errStageDeactivated, errStageDeactivated.Msg)
 	for _, w := range s.outs {
 		if cw, ok := w.(*ChannelWriter); ok {
 			cw.Discard(errStageDeactivated)
 		}
+	}
+	if s.lazy {
+		s.Start()
 	}
 }
 
